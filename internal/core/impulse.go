@@ -785,6 +785,17 @@ func (imp *Impulse) classify(sig dsp.Signal, quantized bool) (ClassResult, error
 		if err != nil {
 			return ClassResult{}, err
 		}
+		// Forward panics on a mis-shaped input; a model set on the
+		// impulse without AttachClassifier can disagree with the design.
+		var want tensor.Shape
+		if useQuant {
+			want = imp.QModel.InputShape
+		} else {
+			want = imp.Model.InputShape
+		}
+		if !x.Shape.Equal(want) {
+			return ClassResult{}, fmt.Errorf("core: classifier features %v != model input %v", x.Shape, want)
+		}
 		if useQuant {
 			probs = imp.QModel.Forward(x)
 		} else {

@@ -11,6 +11,8 @@ import (
 	"edgepulse/internal/dsp"
 	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
+	"edgepulse/internal/quant"
+	"edgepulse/internal/tensor"
 	"edgepulse/internal/trainer"
 )
 
@@ -261,6 +263,33 @@ func TestAttachClassifierValidation(t *testing.T) {
 	wrongClasses, _ := models.Conv1DStack(shape[0], shape[1], 2, 8, 16, 5)
 	if err := imp.AttachClassifier(wrongClasses); err == nil {
 		t.Error("accepted wrong class count")
+	}
+}
+
+// TestClassifyRejectsMisshapedModel covers the guard that replaced
+// Model.Forward's silent reroute into the training path: a model placed
+// on the impulse without AttachClassifier, whose input disagrees with
+// the design's feature view, is an error in both precisions, not a panic.
+func TestClassifyRejectsMisshapedModel(t *testing.T) {
+	imp := batchImpulse(t)
+	sig := dsp.Signal{Data: batchWindows(1)[0], Rate: 8000, Axes: 1}
+	if _, err := imp.Classify(sig); err != nil {
+		t.Fatalf("well-shaped classify: %v", err)
+	}
+	wrong := models.TinyMLP(10, 8, 2)
+	if err := nn.InitWeights(wrong, 1); err != nil {
+		t.Fatal(err)
+	}
+	qwrong, err := quant.Quantize(wrong, []*tensor.F32{tensor.NewF32(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp.Model, imp.QModel = wrong, qwrong
+	if _, err := imp.Classify(sig); err == nil {
+		t.Error("float classify accepted a model whose input shape differs from the feature view")
+	}
+	if _, err := imp.ClassifyQuantized(sig); err == nil {
+		t.Error("int8 classify accepted a model whose input shape differs from the feature view")
 	}
 }
 

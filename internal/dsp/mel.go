@@ -3,7 +3,6 @@ package dsp
 import (
 	"math"
 
-	"edgepulse/internal/fastmath"
 	"edgepulse/internal/fft"
 )
 
@@ -121,9 +120,6 @@ func logSafe(v float32) float32 {
 	const floor = 1e-12
 	if v < floor {
 		v = floor
-	}
-	if fastmath.Enabled() {
-		return fastmath.Log10Fast(v)
 	}
 	return float32(math.Log10(float64(v)))
 }

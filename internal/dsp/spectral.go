@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"edgepulse/internal/fastmath"
 	"edgepulse/internal/fft"
 	"edgepulse/internal/tensor"
 )
@@ -153,11 +152,7 @@ func (s *Spectral) Extract(sig Signal) (*tensor.F32, error) {
 		for i := 0; i < s.NumPeaks; i++ {
 			// Skip the DC bin; log-compress the energies.
 			v := st.acc[i+1] / float64(nWin)
-			if fastmath.Enabled() {
-				out.Data[base+3+i] = fastmath.Log10Fast(float32(v + 1e-12))
-			} else {
-				out.Data[base+3+i] = float32(math.Log10(v + 1e-12))
-			}
+			out.Data[base+3+i] = float32(math.Log10(v + 1e-12))
 		}
 	}
 	rt.pool.Put(st)

@@ -133,23 +133,12 @@ func kernelCall(kind string) string {
 func emitInvoke(w *strings.Builder, mf *tflm.ModelFile, p *Program, name string) {
 	fmt.Fprintf(w, "\nint %s_invoke(const float *input, float *output) {\n", name)
 	fmt.Fprintf(w, "    // Statically scheduled direct kernel calls.\n")
-	var kinds []string
-	if mf.Precision == tflm.Float32 {
-		specs, _ := mf.Float.Spec()
-		for _, s := range specs {
-			kinds = append(kinds, s.Kind)
-		}
-	} else {
-		for _, op := range mf.Quant.Ops {
-			kinds = append(kinds, op.Kind)
-		}
-	}
-	for i, k := range kinds {
-		switch k {
-		case "flatten", "reshape", "dropout":
-			fmt.Fprintf(w, "    // layer %d: %s (no-op at inference)\n", i, k)
-		default:
-			fmt.Fprintf(w, "    %s(/* layer %d */);\n", kernelCall(k), i)
+	specs, _, _ := mf.Specs() // Compile already validated the model
+	for i, s := range specs {
+		if nn.Aliases(s.Kind) {
+			fmt.Fprintf(w, "    // layer %d: %s (no-op at inference)\n", i, s.Kind)
+		} else {
+			fmt.Fprintf(w, "    %s(/* layer %d */);\n", kernelCall(s.Kind), i)
 		}
 	}
 	fmt.Fprintf(w, "    return 0;\n}\n")

@@ -14,8 +14,7 @@
 package eon
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"edgepulse/internal/nn"
 	"edgepulse/internal/profiler"
@@ -25,89 +24,50 @@ import (
 
 // Program is a compiled model: a static, arena-backed execution plan.
 type Program struct {
-	// Precision of the compiled model.
-	Precision tflm.Precision
-	// NumClasses is the classifier output width.
-	NumClasses int
-
-	inputShape tensor.Shape
-	// floatPlan executes the float model with every kernel bound at
-	// compile time and every intermediate buffer placed at a fixed
-	// offset of the liveness-planned arena.
-	floatPlan *nn.InferPlan
-	int8Run   func(*tensor.F32) *tensor.F32
-	kernels   []string
-	arena     int64
+	exec    tflm.Runner
+	kernels []string
 }
 
-// Compile builds a static execution plan for the model. Every kernel is
-// resolved now, and intermediate activations are laid out by the memory
-// profiler's liveness-based arena planner (the same plan Table 4's RAM
-// estimates are built on), so Run performs only direct calls into a
-// pooled arena that is both smaller and faster than the interpreter's
-// per-op bookkeeping.
+// Compile builds a static execution plan for the model: the shared
+// executor with every kernel bound now and every activation placed by
+// the memory profiler's liveness-based arena planner (the same plan
+// Table 4's RAM estimates are built on). Run therefore executes the
+// interpreter's kernels at the interpreter's speed; what compiling
+// removes is the per-op registry lookup and the arena bytes a
+// slot-per-op layout wastes.
 func Compile(mf *tflm.ModelFile) (*Program, error) {
-	p := &Program{Precision: mf.Precision, NumClasses: mf.NumClasses}
-	used := map[string]bool{}
-	switch mf.Precision {
-	case tflm.Float32:
-		if mf.Float == nil {
-			return nil, fmt.Errorf("eon: float model missing")
-		}
-		specs, err := mf.Float.Spec()
-		if err != nil {
-			return nil, err
-		}
-		bufs, bufOf := profiler.ActivationAssignments(specs, 4)
-		arenaBytes, offs := profiler.PlanArena(bufs)
-		var offsets []int
-		for i, s := range specs {
-			used[s.Kind] = true
-			if nn.Aliases(s.Kind) {
-				continue
-			}
-			offsets = append(offsets, int(offs[bufOf[i+1]]/4))
-		}
-		p.floatPlan, err = nn.NewInferPlanOffsets(mf.Float, offsets, int(arenaBytes/4))
-		if err != nil {
-			return nil, err
-		}
-		p.arena = arenaBytes
-	case tflm.Int8:
-		if mf.Quant == nil {
-			return nil, fmt.Errorf("eon: quant model missing")
-		}
-		qm := mf.Quant
-		p.int8Run = qm.Forward
-		for _, op := range qm.Ops {
-			used[op.Kind] = true
-		}
-	default:
-		return nil, fmt.Errorf("eon: unknown precision %d", mf.Precision)
+	specs, elemSize, err := mf.Specs()
+	if err != nil {
+		return nil, err
 	}
-	p.inputShape = mf.InputShape().Clone()
-	for k := range used {
-		p.kernels = append(p.kernels, k)
+	bufs, bufOf := profiler.ActivationAssignments(specs, elemSize)
+	arenaBytes, offs := profiler.PlanArena(bufs)
+	offsets := make([]int, len(bufOf))
+	for b, buf := range bufOf {
+		offsets[b] = int(offs[buf] / elemSize)
 	}
-	sort.Strings(p.kernels)
+	layout := nn.Layout{Offsets: offsets, Len: int(arenaBytes / elemSize)}
+
+	exec, err := mf.NewExecutor(layout, nn.BindAtBuild, nn.ResolveInferKernel)
+	if err != nil {
+		return nil, err
+	}
+	p := &Program{exec: exec}
+	for _, s := range specs {
+		p.kernels = append(p.kernels, s.Kind)
+	}
+	slices.Sort(p.kernels)
+	p.kernels = slices.Compact(p.kernels)
 	return p, nil
 }
 
 // Run executes one inference through the compiled plan. It is safe for
 // concurrent use: the arena is pooled per call.
-func (p *Program) Run(in *tensor.F32) (*tensor.F32, error) {
-	if !in.Shape.Equal(p.inputShape) {
-		return nil, fmt.Errorf("eon: input shape %v != model %v", in.Shape, p.inputShape)
-	}
-	if p.Precision == tflm.Int8 {
-		return p.int8Run(in), nil
-	}
-	return p.floatPlan.Run(in)
-}
+func (p *Program) Run(in *tensor.F32) (*tensor.F32, error) { return p.exec.Run(in) }
 
-// ArenaBytes returns the float plan's liveness-planned activation arena
-// size (0 for int8 programs, whose buffers are pooled in the QModel).
-func (p *Program) ArenaBytes() int64 { return p.arena }
+// ArenaBytes returns the program's liveness-planned activation arena
+// size, float32 or int8.
+func (p *Program) ArenaBytes() int64 { return p.exec.ArenaBytes() }
 
 // KernelsUsed returns the sorted set of kernel kinds linked into the
 // program — everything else is eliminated, the "linker can strip unused
@@ -115,6 +75,3 @@ func (p *Program) ArenaBytes() int64 { return p.arena }
 func (p *Program) KernelsUsed() []string {
 	return append([]string(nil), p.kernels...)
 }
-
-// InputShape returns the model input shape.
-func (p *Program) InputShape() tensor.Shape { return p.inputShape.Clone() }

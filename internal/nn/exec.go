@@ -1,0 +1,249 @@
+package nn
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+
+	"edgepulse/internal/tensor"
+)
+
+// Aliases reports whether an op kind is an identity over its input data
+// at inference time (flatten, reshape, dropout): the executor gives such
+// ops a view of the input buffer instead of output storage. The memory
+// profiler uses the same predicate when planning arenas.
+func Aliases(kind string) bool {
+	switch kind {
+	case "flatten", "reshape", "dropout":
+		return true
+	}
+	return false
+}
+
+// Elem is an activation element type the executor runs.
+type Elem interface{ float32 | int8 }
+
+// Op is one entry of an executor's op list: the precision-agnostic spec
+// plus its kernels' payload (a Layer for float32, a *quant.QOp for int8).
+type Op[N any] struct {
+	OpSpec
+	Node N
+}
+
+// Kernel computes one op. in and out are flat views into the run's
+// arena, shaped per op.InShape and op.OutShape; sc is the run's scratch.
+type Kernel[T Elem, N, S any] func(op *Op[N], in, out []T, sc *S)
+
+// Layout fixes where every activation lives in the arena. The zero
+// Layout is the bump layout: the input and each non-aliasing op output
+// get consecutive slots of their own, with no lifetime reuse. A planned
+// layout puts activation b (0 is the input, b the output of op b-1) at
+// Offsets[b] elements inside an arena of Len elements; the offsets come
+// from the profiler's liveness-based arena planner.
+type Layout struct {
+	Offsets []int
+	Len     int
+}
+
+// Binding fixes when an op's kernel is looked up: once when the executor
+// is built (what the EON compiler does) or by op kind on every run (what
+// the TFLM interpreter does).
+type Binding bool
+
+const (
+	BindAtBuild    Binding = false
+	ResolvePerCall Binding = true
+)
+
+// Precision is everything the executor does not share between element
+// types: how kernels are found, what per-run scratch they use, and how
+// a float tensor enters and leaves the T-typed arena.
+type Precision[T Elem, N, S any] struct {
+	// Resolve returns the kernel for an op kind, nil when there is none.
+	Resolve    func(kind string) Kernel[T, N, S]
+	NewScratch func() *S
+	// Stage writes the caller's input into the arena's input slot.
+	Stage func(dst []T, src []float32)
+	// Result fills the freshly allocated result from the last activation.
+	Result func(res *tensor.F32, x []T)
+}
+
+type step[T Elem, N, S any] struct {
+	op     Op[N]
+	kernel Kernel[T, N, S] // nil under ResolvePerCall
+	// off and elems locate the output in the arena; off is -1 for
+	// aliasing ops, whose output is their input.
+	off, elems int
+}
+
+type runState[T Elem, S any] struct {
+	arena   []T
+	scratch *S
+}
+
+// Executor runs an op list over a pooled arena. It is the one inference
+// loop of the repo: Model.Forward, quant.QModel.Forward, eon.Program and
+// tflm.Interpreter differ only in the element type, Layout and Binding
+// they construct it with. An Executor is immutable and safe for
+// concurrent Run calls: each run draws its own arena and scratch from a
+// pool, and the returned tensor never aliases them.
+type Executor[T Elem, N, S any] struct {
+	p             Precision[T, N, S]
+	input, output tensor.Shape
+	inOff         int
+	steps         []step[T, N, S]
+	arenaLen      int
+	binding       Binding
+	walked        atomic.Int64
+	pool          sync.Pool
+}
+
+// NewExecutor validates the op list (known kernels, chained shapes) and
+// the layout (one in-arena offset per activation, no op output
+// overlapping its input — in a sequential model the only other buffer
+// live while an op writes) and builds the executor.
+func NewExecutor[T Elem, N, S any](input tensor.Shape, ops []Op[N], layout Layout, binding Binding, p Precision[T, N, S]) (*Executor[T, N, S], error) {
+	planned := layout.Offsets != nil
+	if !input.Valid() {
+		return nil, fmt.Errorf("nn: invalid input shape %v", input)
+	}
+	if planned && len(layout.Offsets) != len(ops)+1 {
+		return nil, fmt.Errorf("nn: layout has %d offsets, %d ops need %d", len(layout.Offsets), len(ops), len(ops)+1)
+	}
+	e := &Executor[T, N, S]{p: p, input: input.Clone(), binding: binding}
+	e.output = e.input
+	// place returns the arena offset of activation b.
+	place := func(b, elems int) (int, error) {
+		if !planned {
+			e.arenaLen += elems
+			return e.arenaLen - elems, nil
+		}
+		off := layout.Offsets[b]
+		if off < 0 || elems > layout.Len || off > layout.Len-elems {
+			return 0, fmt.Errorf("nn: activation %d at offset %d + %d elems is outside arena %d", b, off, elems, layout.Len)
+		}
+		return off, nil
+	}
+	inElems := input.Elems()
+	inOff, err := place(0, inElems)
+	if err != nil {
+		return nil, err
+	}
+	e.inOff = inOff
+	for i, op := range ops {
+		st := step[T, N, S]{op: op, off: -1, elems: op.OutShape.Elems()}
+		alias := Aliases(op.Kind)
+		if !op.InShape.Equal(e.output) || !op.OutShape.Valid() || alias && st.elems != inElems {
+			return nil, fmt.Errorf("nn: op %d (%s): shapes %v -> %v do not follow %v", i, op.Kind, op.InShape, op.OutShape, e.output)
+		}
+		if !alias {
+			if st.kernel = p.Resolve(op.Kind); st.kernel == nil {
+				return nil, fmt.Errorf("nn: op %d: no kernel for %q", i, op.Kind)
+			}
+			if binding == ResolvePerCall {
+				st.kernel = nil
+			}
+			if st.off, err = place(i+1, st.elems); err != nil {
+				return nil, err
+			}
+			if st.off < inOff+inElems && inOff < st.off+st.elems {
+				return nil, fmt.Errorf("nn: op %d (%s): output [%d,%d) overlaps its input [%d,%d)",
+					i, op.Kind, st.off, st.off+st.elems, inOff, inOff+inElems)
+			}
+			inOff, inElems = st.off, st.elems
+		}
+		e.steps = append(e.steps, st)
+		e.output = op.OutShape
+	}
+	if planned {
+		e.arenaLen = layout.Len
+	}
+	e.pool.New = func() any {
+		return &runState[T, S]{arena: make([]T, e.arenaLen), scratch: p.NewScratch()}
+	}
+	return e, nil
+}
+
+// ArenaBytes returns the activation arena footprint of one run.
+func (e *Executor[T, N, S]) ArenaBytes() int64 {
+	var z T
+	return int64(e.arenaLen) * int64(unsafe.Sizeof(z))
+}
+
+// NumOps returns the length of the op list.
+func (e *Executor[T, N, S]) NumOps() int { return len(e.steps) }
+
+// Invocations returns how many ops ResolvePerCall runs have walked; a
+// BindAtBuild executor dispatches nothing at run time and stays at zero.
+func (e *Executor[T, N, S]) Invocations() int64 { return e.walked.Load() }
+
+// Run executes one inference. It is safe to call concurrently.
+func (e *Executor[T, N, S]) Run(in *tensor.F32) (*tensor.F32, error) {
+	if !in.Shape.Equal(e.input) || len(in.Data) != e.input.Elems() {
+		return nil, fmt.Errorf("nn: input %v (%d elems) != model input %v", in.Shape, len(in.Data), e.input)
+	}
+	s := e.pool.Get().(*runState[T, S])
+	x := s.arena[e.inOff : e.inOff+len(in.Data)]
+	e.p.Stage(x, in.Data)
+	for i := range e.steps {
+		st := &e.steps[i]
+		if st.off < 0 {
+			continue // aliasing op: its output is its input
+		}
+		k := st.kernel
+		if k == nil {
+			k = e.p.Resolve(st.op.Kind)
+		}
+		out := s.arena[st.off : st.off+st.elems]
+		k(&st.op, x, out, s.scratch)
+		x = out
+	}
+	res := tensor.NewF32(e.output...)
+	e.p.Result(res, x)
+	e.pool.Put(s)
+	if e.binding == ResolvePerCall {
+		e.walked.Add(int64(len(e.steps)))
+	}
+	return res, nil
+}
+
+// FloatScratch is the float32 kernels' per-run workspace: the two tensor
+// headers Layer.InferInto is handed, rebound for every op.
+type FloatScratch struct{ in, out tensor.F32 }
+
+// FloatKernel and FloatExecutor are the float32 instantiations.
+type (
+	FloatKernel   = Kernel[float32, Layer, FloatScratch]
+	FloatExecutor = Executor[float32, Layer, FloatScratch]
+)
+
+// InferKernel is the float32 kernel of every layer kind: the layer's own
+// stateless InferInto.
+func InferKernel(op *Op[Layer], in, out []float32, sc *FloatScratch) {
+	sc.in = tensor.F32{Shape: op.InShape, Data: in}
+	sc.out = tensor.F32{Shape: op.OutShape, Data: out}
+	op.Node.InferInto(&sc.in, &sc.out)
+}
+
+// ResolveInferKernel resolves every op kind to InferKernel.
+func ResolveInferKernel(string) FloatKernel { return InferKernel }
+
+// NewFloatExecutor builds the float32 executor of a model. resolve is
+// ResolveInferKernel or an interpreter's registry.
+func NewFloatExecutor(m *Model, layout Layout, binding Binding, resolve func(kind string) FloatKernel) (*FloatExecutor, error) {
+	specs, err := m.Spec()
+	if err != nil {
+		return nil, fmt.Errorf("nn: %w", err)
+	}
+	ops := make([]Op[Layer], len(specs))
+	for i, s := range specs {
+		ops[i] = Op[Layer]{OpSpec: s, Node: m.Layers[i]}
+	}
+	return NewExecutor(m.InputShape, ops, layout, binding, Precision[float32, Layer, FloatScratch]{
+		Resolve:    resolve,
+		NewScratch: func() *FloatScratch { return new(FloatScratch) },
+		Stage:      func(dst, src []float32) { copy(dst, src) },
+		Result:     func(res *tensor.F32, x []float32) { copy(res.Data, x) },
+	})
+}

@@ -267,27 +267,6 @@ func TestForwardConcurrentNoAliasing(t *testing.T) {
 	}
 }
 
-func TestInferPlanOffsetsValidation(t *testing.T) {
-	m := testModel(t)
-	if _, err := NewInferPlanOffsets(m, []int{0}, 10); err == nil {
-		t.Error("accepted too few offsets")
-	}
-	if _, err := NewInferPlanOffsets(m, []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 1); err == nil {
-		t.Error("accepted offsets exceeding arena")
-	}
-}
-
-func TestInferPlanRejectsWrongShape(t *testing.T) {
-	m := testModel(t)
-	p, err := NewInferPlan(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(tensor.NewF32(3, 3)); err == nil {
-		t.Error("plan accepted mismatched input shape")
-	}
-}
-
 func benchInput(b *testing.B, shape ...int) *tensor.F32 {
 	b.Helper()
 	return randTensor(rand.New(rand.NewSource(1)), shape...)

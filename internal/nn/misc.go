@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"edgepulse/internal/fastmath"
 	"edgepulse/internal/tensor"
 )
 
@@ -87,19 +86,6 @@ func (s *Softmax) InferInto(in, out *tensor.F32) {
 		if v > max {
 			max = v
 		}
-	}
-	if fastmath.Enabled() {
-		var sum float32
-		for i, v := range in.Data {
-			e := fastmath.ExpFast(v - max)
-			out.Data[i] = e
-			sum += e
-		}
-		inv := 1 / sum
-		for i := range out.Data {
-			out.Data[i] *= inv
-		}
-		return
 	}
 	var sum float64
 	for i, v := range in.Data {

@@ -12,7 +12,6 @@ package nn
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"edgepulse/internal/simd"
@@ -140,13 +139,9 @@ type Model struct {
 	// NumClasses is the output dimensionality (for classifiers).
 	NumClasses int
 
-	// plan caches the arena-backed inference plan behind Forward. It is
-	// rebuilt lazily whenever the layer stack changes.
-	plan atomic.Pointer[InferPlan]
-	// fallbackMu serializes Forward's lenient rerouting to the stateful
-	// ForwardTraining path (nonstandard input shapes), which mutates
-	// per-layer state and would otherwise race under concurrent Forward.
-	fallbackMu sync.Mutex
+	// exec caches the executor behind Forward. It is rebuilt lazily
+	// whenever the layer stack changes.
+	exec atomic.Pointer[FloatExecutor]
 }
 
 // NewModel builds an empty model for the given input shape.
@@ -157,7 +152,7 @@ func NewModel(inputShape ...int) *Model {
 // Add appends a layer and returns the model for chaining.
 func (m *Model) Add(l Layer) *Model {
 	m.Layers = append(m.Layers, l)
-	m.plan.Store(nil) // the cached inference plan is stale
+	m.exec.Store(nil) // the cached executor is stale
 	return m
 }
 
@@ -174,38 +169,29 @@ func (m *Model) OutputShape() (tensor.Shape, error) {
 	return s, nil
 }
 
-// Forward runs single-sample inference through all layers on the
-// model's pooled scratch arena: steady-state calls reuse activation
-// buffers instead of allocating per layer, and concurrent calls are safe
-// because every invocation draws its own scratch from the pool. The
-// returned tensor is freshly allocated and never aliases the arena.
+// Forward runs single-sample inference on the model's executor (bump
+// arena, kernels bound at build): steady-state calls reuse pooled
+// activation buffers, concurrent calls each draw their own, and the
+// returned tensor is freshly allocated.
 //
-// Training code must use ForwardTraining, which caches the per-layer
-// state Backward consumes.
+// Forward panics when the layer stack is shape-inconsistent or in does
+// not have the model's input shape; callers holding untrusted input
+// check the shape first (core.Impulse.classify does). Training code must
+// use ForwardTraining, which caches the state Backward consumes.
 func (m *Model) Forward(in *tensor.F32) *tensor.F32 {
-	p := m.plan.Load()
-	if p == nil || len(p.steps) != len(m.Layers) {
-		np, err := NewInferPlan(m)
-		if err != nil {
-			return m.forwardFallback(in)
+	e := m.exec.Load()
+	if e == nil || e.NumOps() != len(m.Layers) {
+		var err error
+		if e, err = NewFloatExecutor(m, Layout{}, BindAtBuild, ResolveInferKernel); err != nil {
+			panic(err)
 		}
-		m.plan.Store(np)
-		p = np
+		m.exec.Store(e)
 	}
-	out, err := p.Run(in)
+	out, err := e.Run(in)
 	if err != nil {
-		// Nonstandard input shapes keep the historical lenient behavior.
-		return m.forwardFallback(in)
+		panic(err)
 	}
 	return out
-}
-
-// forwardFallback serializes the stateful per-layer path so concurrent
-// Forward calls stay safe even when they cannot use the plan.
-func (m *Model) forwardFallback(in *tensor.F32) *tensor.F32 {
-	m.fallbackMu.Lock()
-	defer m.fallbackMu.Unlock()
-	return m.ForwardTraining(in)
 }
 
 // ForwardTraining runs inference through the stateful per-layer path,

@@ -245,17 +245,7 @@ func EstimateFloat(m *nn.Model, engine renode.Engine) (Memory, error) {
 
 // EstimateInt8 profiles an int8 deployment of a quantized model.
 func EstimateInt8(qm *quant.QModel, engine renode.Engine) Memory {
-	specs := make([]nn.OpSpec, len(qm.Ops))
-	for i, op := range qm.Ops {
-		specs[i] = nn.OpSpec{
-			Kind:     op.Kind,
-			InShape:  op.InShape,
-			OutShape: op.OutShape,
-			MACs:     op.MACs,
-			Attrs:    op.Attrs,
-		}
-	}
-	return estimate(specs, qm.WeightBytes(), renode.Engine(engine), renode.Int8)
+	return estimate(qm.Specs(), qm.WeightBytes(), engine, renode.Int8)
 }
 
 // Fits reports whether a deployment (model memory plus DSP working RAM)

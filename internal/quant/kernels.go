@@ -3,62 +3,58 @@ package quant
 import (
 	"fmt"
 
+	"edgepulse/internal/nn"
 	"edgepulse/internal/simd"
 	"edgepulse/internal/tensor"
 )
 
-// RunOp executes a single quantized op into a freshly allocated output
-// (kept for callers that bind individual ops, e.g. tests and the EON
-// C++ emitter); the hot path goes through runOpInto with pooled buffers.
+// RunOp executes a single quantized op into a freshly allocated output,
+// for callers that exercise individual ops (the kernel golden tests).
 // The output never aliases the input: identity ops (flatten, reshape)
-// copy, so mutating the result cannot corrupt the caller's tensor.
+// copy, so mutating the result cannot corrupt the caller's tensor. An
+// op kind without an int8 kernel panics.
 func (q *QModel) RunOp(op *QOp, in *tensor.I8) *tensor.I8 {
-	switch op.Kind {
-	case "flatten", "reshape":
+	if nn.Aliases(op.Kind) {
 		return &tensor.I8{
 			Shape: op.OutShape.Clone(),
 			Data:  append([]int8(nil), in.Data...),
 			Q:     in.Q,
 		}
 	}
+	k := kernels[op.Kind]
+	if k == nil {
+		panic(fmt.Sprintf("quant: no int8 kernel for op kind %q (softmax runs in the float head)", op.Kind))
+	}
 	out := tensor.NewI8(op.OutQ, op.OutShape...)
-	acc := make([]int32, accRowLen(op))
-	vp := make([]uint32, vpLen(op))
-	return q.runOpInto(op, in, out, acc, vp)
+	acc, vp := scratchLens(op)
+	sc := &scratch{acc: make([]int32, acc), vp: make([]uint32, vp)}
+	k(&nn.Op[*QOp]{OpSpec: op.OpSpec, Node: op}, in.Data, out.Data, sc)
+	return out
 }
 
-// accRowLen returns the int32 accumulator scratch width an op needs:
-// one output row for the 2-D convs (so requantization batches over the
-// whole row), one pixel row for conv1d, the whole output for dense.
-func accRowLen(op *QOp) int {
+// scratchLens returns the scratch an op's kernel needs. acc is the int32
+// accumulator width: one output row for the 2-D convs (so
+// requantization batches over the whole row), one pixel row for conv1d,
+// the whole output for dense. vp is the packed input-pair length in
+// uint32 words: every input pixel padded to whole pairs (see
+// simd.PackPairs); single-channel conv2d packs each input row twice —
+// once per pair alignment phase — so panels may start at any x offset.
+func scratchLens(op *QOp) (acc, vp int) {
+	in, out := op.InShape, op.OutShape
 	switch op.Kind {
 	case "dense":
-		return op.OutShape.Elems()
-	case "conv2d", "depthwise_conv2d":
-		return op.OutShape[1] * op.OutShape[2]
-	case "conv1d":
-		return op.OutShape[1]
-	}
-	return 1
-}
-
-// vpLen returns the packed input-pair scratch length (uint32 words) an
-// op needs: every input pixel padded to whole pairs (see simd.PackPairs).
-// Single-channel conv2d packs each input row twice — once per pair
-// alignment phase — so panels may start at any x offset.
-func vpLen(op *QOp) int {
-	switch op.Kind {
-	case "dense":
-		return (op.InShape.Elems() + 1) / 2
+		return out.Elems(), (in.Elems() + 1) / 2
 	case "conv2d":
-		if op.InShape[2] == 1 {
-			return op.InShape[0] * 2 * ((op.InShape[1] + 1) / 2)
+		if in[2] == 1 {
+			return out[1] * out[2], in[0] * 2 * ((in[1] + 1) / 2)
 		}
-		return op.InShape[0] * op.InShape[1] * ((op.InShape[2] + 1) / 2)
+		return out[1] * out[2], in[0] * in[1] * ((in[2] + 1) / 2)
+	case "depthwise_conv2d":
+		return out[1] * out[2], 0
 	case "conv1d":
-		return op.InShape[0] * ((op.InShape[1] + 1) / 2)
+		return out[1], in[0] * ((in[1] + 1) / 2)
 	}
-	return 0
+	return 1, 0
 }
 
 // packInput packs a whole activation tensor of pixel rows with cin lanes
@@ -78,43 +74,43 @@ func packInput(vp []uint32, data []int8, cin int, zp int32) int {
 	return pp
 }
 
-// runOpInto dispatches one quantized op, writing into out. All compute
-// kernels use int32 accumulators over (q_in - in_zp) * q_w products, add
-// the int32 bias, requantize with the op's fixed-point multiplier, add
-// the output zero point and clamp to the fused activation range — the
-// same dataflow as CMSIS-NN / TFLM reference int8 kernels. The inner
-// loops run on the package simd primitives (VPMADDWD dual-MAC panels,
-// vectorized requantization); integer arithmetic is exact, so results
-// are bitwise identical to the scalar reference order.
-//
-// An unrecognized kind panics: silently passing the input through would
-// corrupt every downstream activation (softmax never reaches here — the
-// Forward loop hands it to the float head before dispatch).
-func (q *QModel) runOpInto(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) *tensor.I8 {
-	switch op.Kind {
-	case "dense":
-		qDense(op, in, out, acc, vp)
-	case "conv2d":
-		qConv2D(op, in, out, acc, vp)
-	case "depthwise_conv2d":
+// kernels maps op kinds to int8 kernels. All compute kernels use int32
+// accumulators over (q_in - in_zp) * q_w products, add the int32 bias,
+// requantize with the op's fixed-point multiplier, add the output zero
+// point and clamp to the fused activation range — the same dataflow as
+// CMSIS-NN / TFLM reference int8 kernels. The inner loops run on the
+// package simd primitives (VPMADDWD dual-MAC panels, vectorized
+// requantization); integer arithmetic is exact, so results are bitwise
+// identical to the scalar reference order. Aliasing ops never reach a
+// kernel, and softmax has none: it runs in the float head.
+var kernels = map[string]qKernel{
+	"dense":  bind(qDense),
+	"conv2d": bind(qConv2D),
+	"depthwise_conv2d": bind(func(op *QOp, in, out *tensor.I8, acc []int32, _ []uint32) {
 		qDepthwise(op, in, out, acc)
-	case "conv1d":
-		qConv1D(op, in, out, acc, vp)
-	case "maxpool2d":
-		qMaxPool2D(op, in, out)
-	case "avgpool2d":
-		qAvgPool2D(op, in, out)
-	case "maxpool1d":
-		qMaxPool1D(op, in, out)
-	case "gap2d":
-		qGAP(op, in, out)
-	case "flatten", "reshape":
-		out.Data = in.Data
-		out.Q = in.Q
-	default:
-		panic(fmt.Sprintf("quant: no int8 kernel for op kind %q (softmax runs in the float head)", op.Kind))
+	}),
+	"conv1d":    bind(qConv1D),
+	"maxpool2d": bindPool(qMaxPool2D),
+	"avgpool2d": bindPool(qAvgPool2D),
+	"maxpool1d": bindPool(qMaxPool1D),
+	"gap2d":     bindPool(qGAP),
+}
+
+// bind adapts a compute kernel to the executor: the run's flat arena
+// views are wrapped in the scratch's two tensor headers.
+func bind(f func(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32)) qKernel {
+	return func(op *nn.Op[*QOp], in, out []int8, sc *scratch) {
+		sc.in.Data, sc.out.Data = in, out
+		f(op.Node, &sc.in, &sc.out, sc.acc, sc.vp)
 	}
-	return out
+}
+
+// bindPool is bind for the pooling kernels, which need no scratch rows.
+func bindPool(f func(op *QOp, in, out *tensor.I8)) qKernel {
+	return func(op *nn.Op[*QOp], in, out []int8, sc *scratch) {
+		sc.in.Data, sc.out.Data = in, out
+		f(op.Node, &sc.in, &sc.out)
+	}
 }
 
 // requant converts an int32 accumulator to the quantized output domain

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"edgepulse/internal/nn"
 	"edgepulse/internal/simd"
 	"edgepulse/internal/tensor"
 )
@@ -25,14 +26,16 @@ func qOutDim(in, kernel, stride, pad int) int {
 // and a Rebind'd pair-weight layout.
 func randQOp(rng *rand.Rand, kind string, inShape tensor.Shape, filters, kernel, stride, pad int) *QOp {
 	op := &QOp{
-		Kind:    kind,
-		InShape: inShape.Clone(),
-		InQ:     tensor.QParams{Scale: 0.11, ZeroPoint: int32(rng.Intn(41) - 20)},
-		OutQ:    tensor.QParams{Scale: 0.09, ZeroPoint: int32(rng.Intn(41) - 20)},
-		WScale:  0.013,
-		Attrs:   map[string]float64{"kernel": float64(kernel), "stride": float64(stride), "padding": float64(pad)},
-		ActMin:  -128,
-		ActMax:  127,
+		OpSpec: nn.OpSpec{
+			Kind:    kind,
+			InShape: inShape.Clone(),
+			Attrs:   map[string]float64{"kernel": float64(kernel), "stride": float64(stride), "padding": float64(pad)},
+		},
+		InQ:    tensor.QParams{Scale: 0.11, ZeroPoint: int32(rng.Intn(41) - 20)},
+		OutQ:   tensor.QParams{Scale: 0.09, ZeroPoint: int32(rng.Intn(41) - 20)},
+		WScale: 0.013,
+		ActMin: -128,
+		ActMax: 127,
 	}
 	var wLen, nOut int
 	switch kind {
@@ -151,7 +154,7 @@ func TestQuantKernelsGolden(t *testing.T) {
 // instead of feeding its input to the next layer unchanged.
 func TestRunOpUnknownKindPanics(t *testing.T) {
 	q := &QModel{}
-	op := &QOp{Kind: "sigmoid_lut", InShape: tensor.Shape{4}, OutShape: tensor.Shape{4}}
+	op := &QOp{OpSpec: nn.OpSpec{Kind: "sigmoid_lut", InShape: tensor.Shape{4}, OutShape: tensor.Shape{4}}}
 	in := tensor.NewI8(tensor.QParams{Scale: 1}, 4)
 	defer func() {
 		r := recover()
@@ -172,7 +175,7 @@ func TestRunOpFlattenCopies(t *testing.T) {
 		in.Data[i] = int8(i)
 	}
 	for _, kind := range []string{"flatten", "reshape"} {
-		op := &QOp{Kind: kind, InShape: tensor.Shape{2, 3}, OutShape: tensor.Shape{6}}
+		op := &QOp{OpSpec: nn.OpSpec{Kind: kind, InShape: tensor.Shape{2, 3}, OutShape: tensor.Shape{6}}}
 		out := q.RunOp(op, in)
 		out.Data[0] = 99
 		if in.Data[0] != 0 {

@@ -10,20 +10,17 @@ package quant
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
-	"edgepulse/internal/fastmath"
 	"edgepulse/internal/nn"
 	"edgepulse/internal/simd"
 	"edgepulse/internal/tensor"
 )
 
-// QOp is one quantized operation.
+// QOp is one quantized operation: the float op's structural spec (kind,
+// shapes, hyperparameters, MACs) plus the int8 parameters.
 type QOp struct {
-	// Kind matches the float op kinds ("conv2d", "dense", ...).
-	Kind string
-	// InShape and OutShape are the activation shapes.
-	InShape, OutShape tensor.Shape
+	nn.OpSpec
 	// W holds symmetric int8 weights (layout identical to the float op).
 	W []int8
 	// WScale is the weight scale (zero point 0).
@@ -32,10 +29,6 @@ type QOp struct {
 	Bias []int32
 	// InQ and OutQ are the activation quantization parameters.
 	InQ, OutQ tensor.QParams
-	// Attrs carries layer hyperparameters (kernel, stride, ...).
-	Attrs map[string]float64
-	// MACs is the multiply-accumulate count of one invocation.
-	MACs int64
 	// ActMin and ActMax clamp the quantized output (fused activation).
 	ActMin, ActMax int32
 
@@ -106,75 +99,99 @@ type QModel struct {
 	Ops        []*QOp
 	NumClasses int
 
-	// pool holds per-inference scratch (activation buffers + int32
-	// accumulator row) so steady-state Forward calls do not allocate.
-	pool sync.Pool
+	// exec caches the executor behind Forward, built on first use (a
+	// QModel is also assembled field by field when deserialized).
+	exec atomic.Pointer[Executor]
 }
 
-// qScratch is the pooled per-inference working state.
-type qScratch struct {
-	in     *tensor.I8
-	outs   []*tensor.I8
-	acc    []int32
-	vp     []uint32
-	logits []float32
+// scratch is the int8 kernels' per-run workspace: the two tensor headers
+// they are handed (rebound for every op), the int32 accumulator row and
+// the packed input pairs.
+type scratch struct {
+	in, out tensor.I8
+	acc     []int32
+	vp      []uint32
 }
 
-// scratch draws (or builds) one inference's working buffers.
-func (q *QModel) scratch() *qScratch {
-	if s, ok := q.pool.Get().(*qScratch); ok {
-		return s
-	}
-	s := &qScratch{in: tensor.NewI8(q.InQ, q.InputShape...)}
-	maxAcc := 1
+// qKernel is an int8 op kernel.
+type qKernel = nn.Kernel[int8, *QOp, scratch]
+
+// Executor runs a QModel's int8 pipeline.
+type Executor = nn.Executor[int8, *QOp, scratch]
+
+// NewExecutor builds the int8 executor of a model: the float input is
+// quantized into the arena, every op up to a softmax runs in int8, and
+// the result is dequantized — through a float softmax head when the
+// model ends in one, as TFLM does for its reference int8 kernels.
+func NewExecutor(q *QModel, layout nn.Layout, binding nn.Binding) (*Executor, error) {
+	var ops []nn.Op[*QOp]
+	outQ, softmax := q.InQ, false
+	var maxAcc, maxVp int
 	for _, op := range q.Ops {
-		var out *tensor.I8
-		switch op.Kind {
-		case "flatten", "reshape":
-			// Aliasing ops get a header view; data is bound at run time.
-			out = &tensor.I8{Shape: op.OutShape}
-		default:
-			out = tensor.NewI8(op.OutQ, op.OutShape...)
-		}
-		s.outs = append(s.outs, out)
-		if row := accRowLen(op); row > maxAcc {
-			maxAcc = row
-		}
-	}
-	s.acc = make([]int32, maxAcc)
-	maxVp := 0
-	for _, op := range q.Ops {
-		if n := vpLen(op); n > maxVp {
-			maxVp = n
-		}
-	}
-	s.vp = make([]uint32, maxVp)
-	return s
-}
-
-// Forward quantizes the float input, runs the int8 pipeline, and returns
-// float class probabilities. Activation buffers and the accumulator
-// scratch are pooled, so repeated and concurrent calls reuse them; only
-// the returned probability tensor is allocated.
-func (q *QModel) Forward(in *tensor.F32) *tensor.F32 {
-	s := q.scratch()
-	x := s.in
-	for i := range x.Data {
-		x.Data[i] = q.InQ.Quantize(in.Data[i])
-	}
-	var probs *tensor.F32
-	for i, op := range q.Ops {
 		if op.Kind == "softmax" {
-			probs = softmaxFloat(x, s)
+			softmax = true
 			break
 		}
-		x = q.runOpInto(op, x, s.outs[i], s.acc, s.vp)
+		ops = append(ops, nn.Op[*QOp]{OpSpec: op.OpSpec, Node: op})
+		if !nn.Aliases(op.Kind) {
+			outQ = op.OutQ
+		}
+		acc, vp := scratchLens(op)
+		maxAcc, maxVp = max(maxAcc, acc), max(maxVp, vp)
 	}
-	if probs == nil {
-		probs = x.Dequantize()
+	if n := len(ops) + 1; n < len(layout.Offsets) {
+		layout.Offsets = layout.Offsets[:n] // the float head's output is not in the arena
 	}
-	q.pool.Put(s)
-	return probs
+	return nn.NewExecutor(q.InputShape, ops, layout, binding, nn.Precision[int8, *QOp, scratch]{
+		Resolve: func(kind string) qKernel { return kernels[kind] },
+		NewScratch: func() *scratch {
+			return &scratch{acc: make([]int32, maxAcc), vp: make([]uint32, maxVp)}
+		},
+		Stage: func(dst []int8, src []float32) {
+			for i, v := range src {
+				dst[i] = q.InQ.Quantize(v)
+			}
+		},
+		Result: func(res *tensor.F32, x []int8) {
+			for i, v := range x {
+				res.Data[i] = outQ.Dequantize(v)
+			}
+			if softmax {
+				// The float head. Softmax is element-wise after its max
+				// pass, so it is safe in place.
+				new(nn.Softmax).InferInto(res, res)
+			}
+		},
+	})
+}
+
+// Forward runs the int8 pipeline on the model's executor (bump arena,
+// kernels bound at build) and returns float class probabilities; only
+// the returned tensor is allocated. Like nn.Model.Forward it panics on
+// an inconsistent model or a mis-shaped input.
+func (q *QModel) Forward(in *tensor.F32) *tensor.F32 {
+	e := q.exec.Load()
+	if e == nil {
+		var err error
+		if e, err = NewExecutor(q, nn.Layout{}, nn.BindAtBuild); err != nil {
+			panic(err)
+		}
+		q.exec.Store(e)
+	}
+	out, err := e.Run(in)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// Specs returns the structural description of every op in order.
+func (q *QModel) Specs() []nn.OpSpec {
+	specs := make([]nn.OpSpec, len(q.Ops))
+	for i, op := range q.Ops {
+		specs[i] = op.OpSpec
+	}
+	return specs
 }
 
 // WeightBytes returns the total parameter flash footprint.
@@ -193,40 +210,6 @@ func (q *QModel) MACs() int64 {
 		n += op.MACs
 	}
 	return n
-}
-
-func softmaxFloat(x *tensor.I8, s *qScratch) *tensor.F32 {
-	n := len(x.Data)
-	if cap(s.logits) < n {
-		s.logits = make([]float32, n)
-	}
-	logits := s.logits[:n]
-	for i, qv := range x.Data {
-		logits[i] = x.Q.Dequantize(qv)
-	}
-	out := tensor.NewF32(x.Shape...)
-	max := logits[0]
-	for _, v := range logits {
-		if v > max {
-			max = v
-		}
-	}
-	var sum float64
-	for i, v := range logits {
-		var e float64
-		if fastmath.Enabled() {
-			e = float64(fastmath.ExpFast(v - max))
-		} else {
-			e = math.Exp(float64(v - max))
-		}
-		out.Data[i] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for i := range out.Data {
-		out.Data[i] *= inv
-	}
-	return out
 }
 
 // Quantize converts a trained float model to int8 using the calibration
@@ -294,15 +277,11 @@ func Quantize(m *nn.Model, calibration []*tensor.F32) (*QModel, error) {
 	}
 	for i, l := range folded.Layers {
 		op := &QOp{
-			Kind:     l.Kind(),
-			InShape:  specs[i].InShape,
-			OutShape: specs[i].OutShape,
-			InQ:      qparams[i],
-			OutQ:     qparams[i+1],
-			Attrs:    specs[i].Attrs,
-			MACs:     specs[i].MACs,
-			ActMin:   -128,
-			ActMax:   127,
+			OpSpec: specs[i],
+			InQ:    qparams[i],
+			OutQ:   qparams[i+1],
+			ActMin: -128,
+			ActMax: 127,
 		}
 		if err := quantizeLayer(op, l); err != nil {
 			return nil, err

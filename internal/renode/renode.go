@@ -64,22 +64,18 @@ func DSPCycles(t device.Target, c dsp.Cost) int64 {
 // NNCyclesFloat estimates the cycles of one float32 inference from the
 // model's op specs.
 func NNCyclesFloat(t device.Target, specs []nn.OpSpec, engine Engine) int64 {
-	var cycles float64
-	for _, s := range specs {
-		cycles += opCycles(t, s.Kind, s.MACs, int64(s.OutShape.Elems()), t.CyclesPerMACF32)
-		cycles += t.KernelCallCycles
-		if engine == TFLM {
-			cycles += t.InterpreterDispatchCycles
-		}
-	}
-	return int64(cycles)
+	return nnCycles(t, specs, engine, t.CyclesPerMACF32)
 }
 
 // NNCyclesInt8 estimates the cycles of one int8 inference.
 func NNCyclesInt8(t device.Target, qm *quant.QModel, engine Engine) int64 {
+	return nnCycles(t, qm.Specs(), engine, t.CyclesPerMACI8)
+}
+
+func nnCycles(t device.Target, specs []nn.OpSpec, engine Engine, perMAC float64) int64 {
 	var cycles float64
-	for _, op := range qm.Ops {
-		cycles += opCycles(t, op.Kind, op.MACs, int64(op.OutShape.Elems()), t.CyclesPerMACI8)
+	for _, s := range specs {
+		cycles += opCycles(t, s.Kind, s.MACs, int64(s.OutShape.Elems()), perMAC)
 		cycles += t.KernelCallCycles
 		if engine == TFLM {
 			cycles += t.InterpreterDispatchCycles

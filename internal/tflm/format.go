@@ -47,6 +47,38 @@ func (mf *ModelFile) InputShape() tensor.Shape {
 	return mf.Float.InputShape
 }
 
+// Specs returns the model's op list and its activation element size in
+// bytes, whichever precision it holds.
+func (mf *ModelFile) Specs() ([]nn.OpSpec, int64, error) {
+	switch {
+	case mf.Precision == Float32 && mf.Float != nil:
+		specs, err := mf.Float.Spec()
+		return specs, 4, err
+	case mf.Precision == Int8 && mf.Quant != nil:
+		return mf.Quant.Specs(), 1, nil
+	}
+	return nil, 0, fmt.Errorf("tflm: no model of precision %d", mf.Precision)
+}
+
+// Runner is the model's nn.Executor with its element type erased.
+type Runner interface {
+	Run(in *tensor.F32) (*tensor.F32, error)
+	ArenaBytes() int64
+	Invocations() int64
+}
+
+// NewExecutor builds the shared executor in the model's precision.
+// resolve finds float32 kernels; int8 kernels come from package quant.
+func (mf *ModelFile) NewExecutor(layout nn.Layout, binding nn.Binding, resolve func(kind string) nn.FloatKernel) (Runner, error) {
+	switch {
+	case mf.Precision == Float32 && mf.Float != nil:
+		return nn.NewFloatExecutor(mf.Float, layout, binding, resolve)
+	case mf.Precision == Int8 && mf.Quant != nil:
+		return quant.NewExecutor(mf.Quant, layout, binding)
+	}
+	return nil, fmt.Errorf("tflm: no model of precision %d", mf.Precision)
+}
+
 const magic = "EPTM"
 const version = 1
 
@@ -241,16 +273,12 @@ func Marshal(mf *ModelFile) ([]byte, error) {
 	w.u32(version)
 	w.u8(uint8(mf.Precision))
 	w.u32(uint32(mf.NumClasses))
-	switch mf.Precision {
-	case Float32:
-		if mf.Float == nil {
-			return nil, fmt.Errorf("tflm: float model missing")
-		}
-		specs, err := mf.Float.Spec()
-		if err != nil {
-			return nil, err
-		}
-		w.shape(mf.Float.InputShape)
+	specs, _, err := mf.Specs()
+	if err != nil {
+		return nil, err
+	}
+	w.shape(mf.InputShape())
+	if mf.Precision == Float32 {
 		w.u32(uint32(len(specs)))
 		tensors := nn.SerializableTensors(mf.Float)
 		ti := 0
@@ -268,11 +296,7 @@ func Marshal(mf *ModelFile) ([]byte, error) {
 				ti++
 			}
 		}
-	case Int8:
-		if mf.Quant == nil {
-			return nil, fmt.Errorf("tflm: quant model missing")
-		}
-		w.shape(mf.Quant.InputShape)
+	} else {
 		w.f32(mf.Quant.InQ.Scale)
 		w.bin(mf.Quant.InQ.ZeroPoint)
 		w.u32(uint32(len(mf.Quant.Ops)))
@@ -292,8 +316,6 @@ func Marshal(mf *ModelFile) ([]byte, error) {
 			w.bin(op.ActMin)
 			w.bin(op.ActMax)
 		}
-	default:
-		return nil, fmt.Errorf("tflm: unknown precision %d", mf.Precision)
 	}
 	if w.err != nil {
 		return nil, w.err
@@ -364,7 +386,7 @@ func Unmarshal(data []byte) (*ModelFile, error) {
 		r.bin(&qm.InQ.ZeroPoint)
 		nOps := r.count(1)
 		for i := 0; i < nOps && r.err == nil; i++ {
-			op := &quant.QOp{Kind: r.str(), Attrs: r.attrs(), InShape: r.shape(), OutShape: r.shape(), MACs: r.i64()}
+			op := &quant.QOp{OpSpec: nn.OpSpec{Kind: r.str(), Attrs: r.attrs(), InShape: r.shape(), OutShape: r.shape(), MACs: r.i64()}}
 			op.W = r.i8s()
 			op.WScale = r.f32()
 			op.Bias = r.i32s()

@@ -1,31 +1,22 @@
 package tflm
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
 	"edgepulse/internal/nn"
 	"edgepulse/internal/quant"
 	"edgepulse/internal/tensor"
 )
 
-// Kernel executes one float op into out, a tensor the interpreter has
-// bound to the op's slot of its activation arena, and returns the op's
-// output (usually out itself). Registered kernels are resolved by name
-// at every Invoke — the runtime dispatch the EON compiler eliminates.
-// Custom kernels may ignore out and return their own tensor.
-type Kernel func(layer nn.Layer, in, out *tensor.F32) *tensor.F32
-
-// opRegistry maps op kinds to float kernels. All builtin kinds delegate
-// to the layer's stateless InferInto; the registry exists to model (and
-// measure, in benchmarks) interpreter-style indirection, and to let
-// tests register custom ops.
-var opRegistry = map[string]Kernel{}
+// opRegistry maps op kinds to float kernels, resolved by name at every
+// Invoke — the runtime dispatch the EON compiler eliminates. All builtin
+// kinds delegate to the layer's stateless InferInto; the registry exists
+// to model (and measure, in benchmarks) interpreter-style indirection,
+// and to let tests register custom ops. Int8 ops resolve the same way,
+// per op per call, through package quant's kernel table.
+var opRegistry = map[string]nn.FloatKernel{}
 
 // RegisterKernel installs a kernel for an op kind, replacing any builtin.
 // It returns a function restoring the previous registration.
-func RegisterKernel(kind string, k Kernel) func() {
+func RegisterKernel(kind string, k nn.FloatKernel) func() {
 	prev, had := opRegistry[kind]
 	opRegistry[kind] = k
 	return func() {
@@ -41,96 +32,30 @@ func init() {
 	for _, kind := range []string{
 		"dense", "conv2d", "depthwise_conv2d", "conv1d",
 		"maxpool2d", "avgpool2d", "maxpool1d", "gap2d",
-		"flatten", "reshape", "softmax", "dropout", "batchnorm",
+		"softmax", "batchnorm",
 	} {
-		opRegistry[kind] = func(layer nn.Layer, in, out *tensor.F32) *tensor.F32 {
-			layer.InferInto(in, out)
-			return out
-		}
+		opRegistry[kind] = nn.InferKernel
 	}
 }
 
-// Interpreter executes a ModelFile by walking its op list and resolving
-// each op's kernel from the registry at call time. Activation data lives
-// in a pooled arena with one slot per op (no lifetime reuse — the
-// planning the EON compiler performs), and every Invoke rebuilds a
-// TfLiteTensor-style header per op: the per-tensor bookkeeping the
-// interpreter engine pays and compiled programs eliminate.
-type Interpreter struct {
-	mf *ModelFile
-	// invocations counts ops dispatched (for tests and stats).
-	invocations atomic.Int64
-
-	// Float-path layout, resolved once at construction.
-	shapes   []tensor.Shape
-	offs     []int
-	arenaLen int
-	pool     sync.Pool // *[]float32 arena
-}
+// Interpreter executes a ModelFile on the shared executor the way an
+// interpreter engine does: every op's kernel is resolved from a
+// registry at call time, and activations live in an arena with one slot
+// per op (no lifetime reuse — the planning the EON compiler performs).
+type Interpreter struct{ Runner }
 
 // NewInterpreter validates the model and prepares it for execution.
 func NewInterpreter(mf *ModelFile) (*Interpreter, error) {
-	it := &Interpreter{mf: mf}
-	switch mf.Precision {
-	case Float32:
-		if mf.Float == nil {
-			return nil, fmt.Errorf("tflm: float model missing")
-		}
-		specs, err := mf.Float.Spec()
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range specs {
-			if _, ok := opRegistry[s.Kind]; !ok {
-				return nil, fmt.Errorf("tflm: no kernel registered for %q", s.Kind)
-			}
-			it.shapes = append(it.shapes, s.OutShape.Clone())
-			it.offs = append(it.offs, it.arenaLen)
-			it.arenaLen += s.OutShape.Elems()
-		}
-		it.pool.New = func() any {
-			buf := make([]float32, it.arenaLen)
-			return &buf
-		}
-	case Int8:
-		if mf.Quant == nil {
-			return nil, fmt.Errorf("tflm: quant model missing")
-		}
-	default:
-		return nil, fmt.Errorf("tflm: unknown precision %d", mf.Precision)
+	exec, err := mf.NewExecutor(nn.Layout{}, nn.ResolvePerCall, func(kind string) nn.FloatKernel { return opRegistry[kind] })
+	if err != nil {
+		return nil, err
 	}
-	return it, nil
+	return &Interpreter{exec}, nil
 }
 
 // Invoke runs one inference and returns class probabilities. The result
 // never aliases interpreter state, and concurrent Invoke calls are safe.
-func (it *Interpreter) Invoke(in *tensor.F32) (*tensor.F32, error) {
-	if !in.Shape.Equal(it.mf.InputShape()) {
-		return nil, fmt.Errorf("tflm: input shape %v != model %v", in.Shape, it.mf.InputShape())
-	}
-	if it.mf.Precision == Int8 {
-		it.invocations.Add(int64(len(it.mf.Quant.Ops)))
-		return it.mf.Quant.Forward(in), nil
-	}
-	arena := it.pool.Get().(*[]float32)
-	x := in
-	for i, l := range it.mf.Float.Layers {
-		kernel := opRegistry[l.Kind()] // runtime dispatch per op
-		// Per-op TfLiteTensor-style header into this op's arena slot.
-		out := &tensor.F32{
-			Shape: it.shapes[i].Clone(),
-			Data:  (*arena)[it.offs[i] : it.offs[i]+it.shapes[i].Elems()],
-		}
-		x = kernel(l, x, out)
-		it.invocations.Add(1)
-	}
-	res := x.Clone()
-	it.pool.Put(arena)
-	return res, nil
-}
-
-// Invocations returns the total number of op dispatches performed.
-func (it *Interpreter) Invocations() int64 { return it.invocations.Load() }
+func (it *Interpreter) Invoke(in *tensor.F32) (*tensor.F32, error) { return it.Run(in) }
 
 // ModelFileFromFloat wraps a trained float model for serialization.
 func ModelFileFromFloat(m *nn.Model) *ModelFile {

@@ -180,9 +180,9 @@ func TestRegisterKernelOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	called := false
-	restore := RegisterKernel("dense", func(layer nn.Layer, in, out *tensor.F32) *tensor.F32 {
+	restore := RegisterKernel("dense", func(op *nn.Op[nn.Layer], in, out []float32, sc *nn.FloatScratch) {
 		called = true
-		return layer.Forward(in)
+		nn.InferKernel(op, in, out, sc)
 	})
 	defer restore()
 	rng := rand.New(rand.NewSource(11))

@@ -25,10 +25,10 @@ fi
 benchtime=${BENCHTIME:-1s}
 pattern=${BENCH:-.}
 # Root ablation/table benchmarks plus the kernel microbenchmarks (simd
-# panels, parallel conv, fast-math), the classify pipeline (single vs
+# panels, parallel conv), the classify pipeline (single vs
 # batched), the storage engine (upload persistence + cold signal reads)
 # and the streaming plane (per-window rolling classification).
-pkgs=(. ./internal/fft ./internal/nn ./internal/dsp ./internal/quant ./internal/simd ./internal/fastmath ./internal/core ./internal/store ./internal/stream)
+pkgs=(. ./internal/fft ./internal/nn ./internal/dsp ./internal/quant ./internal/simd ./internal/core ./internal/store ./internal/stream)
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
