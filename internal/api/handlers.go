@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	v1 "edgepulse/internal/api/v1"
@@ -511,10 +512,40 @@ func tunerTrials(trials []tuner.Trial) []v1.TunerTrial {
 	return out
 }
 
+// classifyBuf is what a classify handler needs per request and gives
+// back when it returns: the raw body and the decoder whose float arrays
+// the decoded request points into. Nothing that outlives the handler
+// may keep a reference to either (core.ClassResult does not).
+type classifyBuf struct {
+	body bytes.Buffer
+	dec  v1.ClassifyDecoder
+}
+
+var classifyBufs = sync.Pool{New: func() any { return new(classifyBuf) }}
+
+// readBody reads the request body, bounded like every data route's (an
+// oversized one is a *http.MaxBytesError, 413 in badRequest), into the
+// buffer's own storage, grown once up front when Content-Length says
+// how far.
+func (b *classifyBuf) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	b.body.Reset()
+	if n := r.ContentLength; n > 0 && n <= maxDataBody {
+		b.body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead free to see EOF
+	}
+	_, err := b.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxDataBody))
+	return b.body.Bytes(), err
+}
+
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
+	buf := classifyBufs.Get().(*classifyBuf)
+	defer classifyBufs.Put(buf)
 	var req v1.ClassifyRequest
-	if err := decodeBodyLimit(w, r, &req, maxDataBody); err != nil {
-		s.badRequest(w, r, err)
+	body, err := buf.readBody(w, r)
+	if err == nil {
+		err = buf.dec.Classify(body, &req)
+	}
+	if err != nil {
+		s.badRequest(w, r, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	imp := p.Impulse()
@@ -522,13 +553,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, u *proje
 		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "impulse is not trained")
 		return
 	}
-	canonical := imp.CanonicalSignal()
-	sig := dsp.Signal{
-		Data: req.Features, Rate: canonical.Rate, Axes: canonical.Axes,
-		Width: canonical.Width, Height: canonical.Height,
-	}
+	sig := imp.SignalFor(req.Features)
 	var res core.ClassResult
-	var err error
 	if req.Quantized {
 		res, err = imp.ClassifyQuantized(sig)
 	} else {
@@ -545,9 +571,15 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, u *proje
 }
 
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
+	buf := classifyBufs.Get().(*classifyBuf)
+	defer classifyBufs.Put(buf)
 	var req v1.ClassifyBatchRequest
-	if err := decodeBodyLimit(w, r, &req, maxDataBody); err != nil {
-		s.badRequest(w, r, err)
+	body, err := buf.readBody(w, r)
+	if err == nil {
+		err = buf.dec.Batch(body, &req)
+	}
+	if err != nil {
+		s.badRequest(w, r, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	imp := p.Impulse()
@@ -559,10 +591,13 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request, u *
 		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "batch has no windows")
 		return
 	}
-	if len(req.Windows) > v1.MaxClassifyBatch {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest,
-			fmt.Sprintf("batch of %d windows exceeds the limit of %d", len(req.Windows), v1.MaxClassifyBatch))
-		return
+	want := imp.WindowLen()
+	for i, win := range req.Windows {
+		if len(win) != want {
+			s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest,
+				fmt.Sprintf("batch window %d has %d values, the impulse takes %d", i, len(win), want))
+			return
+		}
 	}
 	results, err := imp.ClassifyBatch(req.Windows, req.Quantized)
 	if err != nil {

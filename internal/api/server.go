@@ -426,18 +426,17 @@ const (
 // metrics layer excludes it from error counts.
 const statusClientClosedRequest = 499
 
-// decodeBody strictly decodes a JSON request body: unknown fields are
-// rejected so typos fail loudly instead of silently defaulting, and the
-// reader is bounded so an oversized body surfaces as *http.MaxBytesError
-// (mapped to 413 by badRequest) instead of being read to completion.
+// decodeBody strictly decodes a JSON request body (v1.DecodeStrict:
+// unknown fields and trailing data are rejected, so typos fail loudly
+// instead of silently defaulting), and the reader is bounded so an
+// oversized body surfaces as *http.MaxBytesError (mapped to 413 by
+// badRequest) instead of being read to completion.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return decodeBodyLimit(w, r, v, maxJSONBody)
 }
 
 func decodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := v1.DecodeStrict(http.MaxBytesReader(w, r.Body, limit), v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil

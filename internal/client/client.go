@@ -391,6 +391,13 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 	if err != nil {
 		return err
 	}
+	return c.postBody(ctx, path, body, out)
+}
+
+// postBody posts an encoded JSON body. The transport may still be
+// reading body after a failed attempt returns, and a retry replays it,
+// so body must be the call's own slice, never a recycled buffer.
+func (c *Client) postBody(ctx context.Context, path string, body []byte, out any) error {
 	return c.do(ctx, http.MethodPost, path, nil, body, "application/json", out)
 }
 
@@ -661,8 +668,11 @@ func (c *Client) WaitJob(ctx context.Context, jobID string) (*v1.JobWaitResponse
 // Classify runs inference on one raw feature window.
 func (c *Client) Classify(ctx context.Context, projectID int, features []float32, quantized bool) (*v1.ClassifyResponse, error) {
 	var out v1.ClassifyResponse
-	req := v1.ClassifyRequest{Features: features, Quantized: quantized}
-	if err := c.postJSON(ctx, fmt.Sprintf("/projects/%d/classify", projectID), req, &out); err != nil {
+	body, err := v1.ClassifyRequest{Features: features, Quantized: quantized}.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.postBody(ctx, fmt.Sprintf("/projects/%d/classify", projectID), body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -673,8 +683,11 @@ func (c *Client) Classify(ctx context.Context, projectID int, features []float32
 // server-side warm-up. Results are ordered like the windows.
 func (c *Client) ClassifyBatch(ctx context.Context, projectID int, windows [][]float32, quantized bool) (*v1.ClassifyBatchResponse, error) {
 	var out v1.ClassifyBatchResponse
-	req := v1.ClassifyBatchRequest{Windows: windows, Quantized: quantized}
-	if err := c.postJSON(ctx, fmt.Sprintf("/projects/%d/classify/batch", projectID), req, &out); err != nil {
+	body, err := v1.ClassifyBatchRequest{Windows: windows, Quantized: quantized}.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.postBody(ctx, fmt.Sprintf("/projects/%d/classify/batch", projectID), body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

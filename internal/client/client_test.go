@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -266,4 +269,82 @@ func TestClientRetriesRateLimit(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Code != v1.CodeRateLimited {
 		t.Fatalf("exhausted retries: %v", err)
 	}
+}
+
+// TestClassifyRetryResendsIntactBody: the first attempt is refused
+// before the server has read the body — the transport may still be
+// writing it when the call moves on — and the retry must carry the
+// same bytes, for every one of several concurrent callers.
+func TestClassifyRetryResendsIntactBody(t *testing.T) {
+	var refused sync.Map // window id -> refused once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := r.Header.Get("x-api-key")
+		if _, seen := refused.LoadOrStore(id, true); !seen {
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(http.StatusTooManyRequests)
+			fmt.Fprint(w, `{"success":false,"error":{"code":"rate_limited","message":"slow down"}}`)
+			return
+		}
+		raw, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		// Echo what arrived, as the label, for the caller to judge.
+		var single v1.ClassifyRequest
+		var batch v1.ClassifyBatchRequest
+		var sum float64
+		if strings.HasSuffix(r.URL.Path, "/batch") {
+			err = batch.DecodeJSON(raw)
+			for _, win := range batch.Windows {
+				for _, v := range win {
+					sum += float64(v)
+				}
+			}
+			fmt.Fprintf(w, `{"success":true,"results":[{"label":"%d:%v:%g"}]}`, len(batch.Windows), batch.Quantized, sum)
+		} else {
+			err = single.DecodeJSON(raw)
+			for _, v := range single.Features {
+				sum += float64(v)
+			}
+			fmt.Fprintf(w, `{"success":true,"label":"%d:%v:%g"}`, len(single.Features), single.Quantized, sum)
+		}
+		if err != nil {
+			t.Errorf("caller %s: body arrived damaged: %v", id, err)
+		}
+	}))
+	defer srv.Close()
+
+	var wg sync.WaitGroup
+	for k := 0; k < 8; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			window := make([]float32, 16000)
+			var sum float64
+			for i := range window {
+				window[i] = float32(k+1) + float32(i%7)/8
+				sum += float64(window[i])
+			}
+			c := New(srv.URL, WithRetries(1), WithAPIKey(fmt.Sprintf("single-%d", k)))
+			out, err := c.Classify(context.Background(), 1, window, true)
+			if err != nil {
+				t.Errorf("caller %d: %v", k, err)
+				return
+			}
+			if want := fmt.Sprintf("16000:true:%g", sum); out.Label != want {
+				t.Errorf("caller %d: server saw %s, want %s", k, out.Label, want)
+			}
+			c = New(srv.URL, WithRetries(1), WithAPIKey(fmt.Sprintf("batch-%d", k)))
+			res, err := c.ClassifyBatch(context.Background(), 1, [][]float32{window, window}, false)
+			if err != nil || len(res.Results) != 1 {
+				t.Errorf("caller %d batch: %v", k, err)
+				return
+			}
+			if want := fmt.Sprintf("2:false:%g", 2*sum); res.Results[0].Label != want {
+				t.Errorf("caller %d batch: server saw %s, want %s", k, res.Results[0].Label, want)
+			}
+		}(k)
+	}
+	wg.Wait()
 }

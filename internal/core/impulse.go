@@ -273,26 +273,42 @@ func (imp *Impulse) Validate() error {
 	return nil
 }
 
-// CanonicalSignal returns a zero signal with the canonical window
-// geometry; used for shape, cost and memory queries.
-func (imp *Impulse) CanonicalSignal() dsp.Signal {
+// windowGeometry returns the canonical window's geometry without data,
+// and the number of raw values such a window holds.
+func (imp *Impulse) windowGeometry() (dsp.Signal, int) {
 	if imp.Input.Kind == ImageInput {
 		axes := imp.Input.Axes
 		if axes == 0 {
 			axes = 3
 		}
-		return dsp.Signal{
-			Data:  make([]float32, imp.Input.Width*imp.Input.Height*axes),
-			Axes:  axes,
-			Width: imp.Input.Width, Height: imp.Input.Height,
-		}
+		return dsp.Signal{Axes: axes, Width: imp.Input.Width, Height: imp.Input.Height},
+			imp.Input.Width * imp.Input.Height * axes
 	}
-	n := imp.Input.WindowSamples()
-	return dsp.Signal{
-		Data: make([]float32, n*imp.Input.Axes),
-		Rate: imp.Input.FrequencyHz,
-		Axes: imp.Input.Axes,
-	}
+	return dsp.Signal{Rate: imp.Input.FrequencyHz, Axes: imp.Input.Axes},
+		imp.Input.WindowSamples() * imp.Input.Axes
+}
+
+// WindowLen returns the number of raw values in one canonical window
+// (frames × axes, or width × height × channels for an image).
+func (imp *Impulse) WindowLen() int {
+	_, n := imp.windowGeometry()
+	return n
+}
+
+// SignalFor wraps caller-owned window data in the canonical window
+// geometry. It allocates nothing: the per-request paths use it where
+// CanonicalSignal would zero a whole window only to be read for its
+// rate and axes.
+func (imp *Impulse) SignalFor(data []float32) dsp.Signal {
+	sig, _ := imp.windowGeometry()
+	sig.Data = data
+	return sig
+}
+
+// CanonicalSignal returns a zero signal with the canonical window
+// geometry; used for shape, cost and memory queries.
+func (imp *Impulse) CanonicalSignal() dsp.Signal {
+	return imp.SignalFor(make([]float32, imp.WindowLen()))
 }
 
 // canonicalFor returns the canonical window geometry as seen by one DSP
@@ -831,14 +847,9 @@ func (imp *Impulse) classify(sig dsp.Signal, quantized bool) (ClassResult, error
 // warm scratch. Results are ordered like the input; the first failing
 // window aborts the whole batch.
 func (imp *Impulse) ClassifyBatch(windows [][]float32, quantized bool) ([]ClassResult, error) {
-	canonical := imp.CanonicalSignal()
 	out := make([]ClassResult, len(windows))
 	for i, win := range windows {
-		sig := dsp.Signal{
-			Data: win, Rate: canonical.Rate, Axes: canonical.Axes,
-			Width: canonical.Width, Height: canonical.Height,
-		}
-		res, err := imp.classify(sig, quantized)
+		res, err := imp.classify(imp.SignalFor(win), quantized)
 		if err != nil {
 			return nil, fmt.Errorf("core: batch window %d: %w", i, err)
 		}

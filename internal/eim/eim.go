@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"edgepulse/internal/core"
-	"edgepulse/internal/dsp"
 )
 
 // Request is one protocol message from the client.
@@ -142,12 +141,11 @@ func (s *Server) HandleRequest(req Request) Response {
 func (s *Server) dispatch(req Request) Response {
 	switch {
 	case req.Hello:
-		sig := s.imp.CanonicalSignal()
 		return Response{ID: req.ID, Success: true, Info: &ModelInfo{
 			Name:       s.imp.Name,
 			Classes:    s.imp.Classes,
-			InputCount: len(sig.Data),
-			Frequency:  sig.Rate,
+			InputCount: s.imp.WindowLen(),
+			Frequency:  s.imp.SignalFor(nil).Rate,
 			HasAnomaly: s.imp.Anomaly != nil,
 			Quantized:  s.imp.QModel != nil,
 		}}
@@ -159,12 +157,7 @@ func (s *Server) dispatch(req Request) Response {
 }
 
 func (s *Server) classify(req Request) Response {
-	canonical := s.imp.CanonicalSignal()
-	sig := dsp.Signal{
-		Data: req.Classify.Features,
-		Rate: canonical.Rate, Axes: canonical.Axes,
-		Width: canonical.Width, Height: canonical.Height,
-	}
+	sig := s.imp.SignalFor(req.Classify.Features)
 	var res core.ClassResult
 	var err error
 	if req.Classify.Quantized {
