@@ -227,7 +227,11 @@ func (s *Server) handleUploadData(w http.ResponseWriter, r *http.Request, u *pro
 		name = "upload"
 	}
 	format := r.URL.Query().Get("format")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxDataBody))
+	// Every importer copies what it keeps out of body, so the buffer can
+	// go back to the pool when the handler returns.
+	buf := classifyBufs.Get().(*classifyBuf)
+	defer classifyBufs.Put(buf)
+	body, err := buf.readBody(w, r)
 	if err != nil {
 		s.badRequest(w, r, err)
 		return
@@ -512,10 +516,12 @@ func tunerTrials(trials []tuner.Trial) []v1.TunerTrial {
 	return out
 }
 
-// classifyBuf is what a classify handler needs per request and gives
-// back when it returns: the raw body and the decoder whose float arrays
-// the decoded request points into. Nothing that outlives the handler
-// may keep a reference to either (core.ClassResult does not).
+// classifyBuf is what a handler of signal-sized bodies needs per request
+// and gives back when it returns: the raw body (classify, upload, stream
+// push) and the decoder whose float arrays a decoded classify request
+// points into. Nothing that outlives the handler may keep a reference
+// to either (core.ClassResult does not; the importers and a stream
+// session get copies).
 type classifyBuf struct {
 	body bytes.Buffer
 	dec  v1.ClassifyDecoder

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -167,9 +168,15 @@ func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request, u *pro
 	if !ok {
 		return
 	}
+	buf := classifyBufs.Get().(*classifyBuf)
+	defer classifyBufs.Put(buf)
 	var req v1.StreamPushRequest
-	if err := decodeBodyLimit(w, r, &req, maxDataBody); err != nil {
-		s.badRequest(w, r, err)
+	body, err := buf.readBody(w, r)
+	if err == nil {
+		err = req.DecodeJSON(body) // fresh samples: the session keeps them
+	}
+	if err != nil {
+		s.badRequest(w, r, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	switch err := sess.Push(req.Samples); {
@@ -331,7 +338,7 @@ func (s *Server) handleStreamDuplex(w http.ResponseWriter, r *http.Request, u *p
 				continue
 			}
 			var push v1.StreamPushRequest
-			if err := json.Unmarshal(line, &push); err != nil {
+			if err := push.DecodeJSON(line); err != nil {
 				sess.Close("bad frame line: " + err.Error())
 				return
 			}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,96 +20,10 @@ type (
 		Windows   [][]float32 `json:"windows"`
 		Quantized bool        `json:"quantized"`
 	}
+	stdStreamPush struct {
+		Samples []float32 `json:"samples"`
+	}
 )
-
-// float32Midpoint returns the decimal of the value halfway between f
-// and the next float32 up, exactly (a float64 holds it).
-func float32Midpoint(f float32) float64 {
-	return (float64(f) + float64(math.Nextafter32(f, math.MaxFloat32))) / 2
-}
-
-func FuzzParseFloat32(f *testing.F) {
-	for _, tok := range []string{
-		"0", "-0", "0.0", "-0.0e5", "1", "-1", "0.1", "16777217", "0.30000001192092896",
-		"1e38", "1e39", "-1e39", "3.4028235e38", "3.4028236e38", "1e-45", "1.4e-45", "1e-46",
-		"1.17549435e-38", "1.1754942e-38", "1e-22", "9007199254740991e22", "9007199254740993",
-		"1234567890123456789", "12345678901234567890", "0.1234567890123456789",
-		"100000000000000000000", "1e22", "1e23", "1e-23", "1E+5", "1e+05", "1e-05", "2E-3",
-		"01", ".5", "1.", "+1", "-", "", "1e", "1e+", "1.e5", "-.5", "0x10", "1_0", "Infinity", "NaN",
-		"0e999999", "1e99999999999", "0.000000000000000000000000000001",
-	} {
-		f.Add(tok)
-	}
-	// Float32 rounding midpoints and their float64 neighbours: where
-	// rounding the float64 of a decimal a second time goes wrong.
-	for _, at := range []float32{1, 0.1, 3.1415927, 16777216, 1e-10, 6.5e20, 0.99999994} {
-		mid := float32Midpoint(at)
-		for _, v := range []float64{mid, math.Nextafter(mid, 0), math.Nextafter(mid, math.Inf(1))} {
-			f.Add(strconv.FormatFloat(v, 'f', -1, 64))
-			f.Add(strconv.FormatFloat(v, 'e', -1, 64))
-		}
-	}
-	f.Fuzz(func(t *testing.T, tok string) {
-		got, next, ok := scanFloat32([]byte(tok), 0)
-		// A token is a JSON number iff it is a valid JSON value that
-		// starts like a number.
-		isNumber := tok != "" && (tok[0] == '-' || isDigit(tok[0])) && json.Valid([]byte(tok)) &&
-			strings.TrimSpace(tok) == tok
-		want, err := strconv.ParseFloat(tok, 32)
-		if isNumber && err == nil {
-			if !ok || next != len(tok) {
-				t.Fatalf("%q: in-range JSON number refused (ok=%v, next=%d)", tok, ok, next)
-			}
-		}
-		if !ok || next != len(tok) {
-			return // the caller refuses whatever follows a shorter token
-		}
-		if !isNumber {
-			t.Fatalf("%q: accepted, but not a JSON number", tok)
-		}
-		if err != nil {
-			t.Fatalf("%q: accepted as %g, strconv says %v", tok, got, err)
-		}
-		if math.Float32bits(got) != math.Float32bits(float32(want)) {
-			t.Fatalf("%q: got %g (%#x), strconv %g (%#x)", tok, got, math.Float32bits(got), float32(want), math.Float32bits(float32(want)))
-		}
-	})
-}
-
-// TestParseFloat32Sweep checks the exact path against strconv on the
-// tokens a classify body is made of: shortest float32 decimals, plus
-// decimals engineered to sit at float32 midpoints.
-func TestParseFloat32Sweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	check := func(tok string) {
-		t.Helper()
-		got, next, ok := scanFloat32([]byte(tok), 0)
-		want, err := strconv.ParseFloat(tok, 32)
-		if !ok || next != len(tok) || err != nil {
-			t.Fatalf("%q: ok=%v next=%d err=%v", tok, ok, next, err)
-		}
-		if math.Float32bits(got) != math.Float32bits(float32(want)) {
-			t.Fatalf("%q: got %g, strconv %g", tok, got, float32(want))
-		}
-	}
-	for i := 0; i < 200000; i++ {
-		// Uniform over the bit patterns of the exact path's range.
-		v := math.Float32frombits(rng.Uint32())
-		if v != v || math.IsInf(float64(v), 0) {
-			continue
-		}
-		check(string(appendFloat32(nil, v)))
-		if abs := math.Abs(float64(v)); abs > 1e-20 && abs < 1e20 {
-			mid := float32Midpoint(v)
-			check(strconv.FormatFloat(mid, 'f', -1, 64))
-			for _, toward := range []float64{0, math.Inf(1), math.Inf(-1)} {
-				near := math.Nextafter(mid, toward)
-				check(strconv.FormatFloat(near, 'e', -1, 64))
-				check(strconv.FormatFloat(math.Nextafter(near, toward), 'e', -1, 64)) // first one past the guard
-			}
-		}
-	}
-}
 
 // encodeCases are float sets whose encoding exercises every branch of
 // encoding/json's float formatting.
@@ -155,6 +68,13 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 				t.Fatalf("case %d: json.Marshal %.80s (%v), want %.80s", i, got, err, want)
 			}
 		}
+		want, err := json.Marshal(stdStreamPush{vals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := json.Marshal(StreamPushRequest{vals}); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("case %d: stream push %.80s (%v), encoding/json %.80s", i, got, err, want)
+		}
 	}
 	for _, windows := range [][][]float32{nil, {}, {nil}, {{}}, cases, cases[2:5]} {
 		want, err := json.Marshal(stdBatch{windows, true})
@@ -177,6 +97,9 @@ func TestAppendJSONRefusesNonFinite(t *testing.T) {
 		}
 		if _, err := (ClassifyBatchRequest{Windows: [][]float32{{v}}}).MarshalJSON(); err == nil {
 			t.Fatalf("%v accepted in a batch", v)
+		}
+		if _, err := (StreamPushRequest{Samples: []float32{v}}).MarshalJSON(); err == nil || err.Error() != want.Error() {
+			t.Fatalf("%v in a stream push: error %v, encoding/json %v", v, err, want)
 		}
 	}
 }
@@ -269,6 +192,8 @@ var decodeBodies = []string{
 	`{"windows":[null]}`, `{"windows":[[1],null,[2]]}`, `{"windows":[[1],[2]`, `{"windows":[[1],]}`,
 	`{"windows":[1]}`, `{"windows":[[1e39]]}`, `{"windows":[[1]],"windows":[[2]]}`, `{"Windows":[[1]]}`,
 	`{"windows":[[1]]} trailing`, `{"windows":[[1]],"features":[1]}`,
+	`{"samples":[1,-2.5,3e-7]}`, ` { "samples" : [ ] } `, `{"samples":null}`, `{"Samples":[1]}`, `{"samples":[1],"samples":[2]}`,
+	`{"samples":[1],"quantized":true}`, `{"samples":[1e39]}`, `{"samples":[1]} x`, `{"samples":[[1]]}`, `{"samples":[1,]}`,
 }
 
 // manyWindows is the start of a batch body: n one-float windows, the
@@ -278,7 +203,7 @@ func manyWindows(n int) string {
 }
 
 // checkAgainstStd decodes body both ways and fails unless the codec
-// agrees with the methodless encoding/json decode: same acceptance,
+// agrees with the methodless encoding/json decode of each DTO: same acceptance,
 // same floats bit for bit, same error text — but for the two rules the
 // codec adds, no trailing data and at most MaxClassifyBatch windows.
 func checkAgainstStd(t *testing.T, body []byte) {
@@ -296,6 +221,21 @@ func checkAgainstStd(t *testing.T, body []byte) {
 		}
 	case !sameFloats(req.Features, std.Features) || req.Quantized != std.Quantized:
 		t.Fatalf("classify %q: codec %v, encoding/json %v", body, req, std)
+	}
+
+	var push StreamPushRequest
+	var stdP stdStreamPush
+	err, stdErr = push.DecodeJSON(body), DecodeStrict(bytes.NewReader(body), &stdP)
+	switch {
+	case (err == nil) != (stdErr == nil):
+		t.Fatalf("stream push %q: codec error %v, encoding/json error %v", body, err, stdErr)
+	case err != nil:
+		want := strings.ReplaceAll(stdErr.Error(), "stdStreamPush", "StreamPushRequest")
+		if err.Error() != want {
+			t.Fatalf("stream push %q: codec says %q, encoding/json %q", body, err, want)
+		}
+	case !sameFloats(push.Samples, stdP.Samples):
+		t.Fatalf("stream push %q: codec %v, encoding/json %v", body, push, stdP)
 	}
 
 	var batch ClassifyBatchRequest
@@ -420,6 +360,35 @@ func BenchmarkClassifyCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := json.Marshal(stdClassify{Features: window}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkStreamPushCodec: one second of 16 kHz audio in one push. The
+// encoding/json side of the comparison is BenchmarkClassifyCodec's.
+func BenchmarkStreamPushCodec(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	req := StreamPushRequest{Samples: make([]float32, 16000)}
+	for i := range req.Samples {
+		req.Samples[i] = float32(0.3 * rng.NormFloat64())
+	}
+	body, _ := req.MarshalJSON()
+	b.Run("Decode", func(b *testing.B) {
+		var out StreamPushRequest
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if err := out.DecodeJSON(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := req.MarshalJSON(); err != nil {
 				b.Fatal(err)
 			}
 		}

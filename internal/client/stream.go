@@ -150,8 +150,12 @@ func (s *StreamSession) ID() string { return s.Info.SessionID }
 // machinery; len(samples) must be a multiple of Info.Axes.
 func (s *StreamSession) Push(ctx context.Context, samples []float32) (*v1.StreamPushResponse, error) {
 	var out v1.StreamPushResponse
+	body, err := v1.StreamPushRequest{Samples: samples}.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
 	path := fmt.Sprintf("/projects/%d/stream/%s/frames", s.projectID, url.PathEscape(s.Info.SessionID))
-	if err := s.c.postJSON(ctx, path, v1.StreamPushRequest{Samples: samples}, &out); err != nil {
+	if err := s.c.postBody(ctx, path, body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

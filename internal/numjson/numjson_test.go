@@ -1,0 +1,216 @@
+package numjson
+
+import (
+	"encoding/json"
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// numberTokens are tokens at and around the edges of the JSON number
+// grammar, of the exact path and of both float ranges.
+var numberTokens = []string{
+	"0", "-0", "0.0", "-0.0e5", "1", "-1", "0.1", "16777217", "0.30000001192092896",
+	"1e38", "1e39", "-1e39", "3.4028235e38", "3.4028236e38", "1e-45", "1.4e-45", "1e-46",
+	"1.17549435e-38", "1.1754942e-38", "1e-22", "9007199254740991e22", "9007199254740993",
+	"1234567890123456789", "12345678901234567890", "0.1234567890123456789",
+	"100000000000000000000", "1e22", "1e23", "1e-23", "1E+5", "1e+05", "1e-05", "2E-3",
+	"01", ".5", "1.", "+1", "-", "", "1e", "1e+", "1.e5", "-.5", "0x10", "1_0", "Infinity", "NaN",
+	"0e999999", "1e99999999999", "0.000000000000000000000000000001",
+	"1e308", "1.7976931348623157e308", "1.7976931348623159e308", "1e309", "-1e400", "5e-324", "2e-324", "1e-400",
+	"-0.00031250000000000001", "0.062500000000000000001", "123456789012345678901234567890",
+}
+
+// float32Midpoint returns the decimal of the value halfway between f
+// and the next float32 up, exactly (a float64 holds it).
+func float32Midpoint(f float32) float64 {
+	return (float64(f) + float64(math.Nextafter32(f, math.MaxFloat32))) / 2
+}
+
+// sameValue reports whether got, at bitSize, is bit for bit what strconv
+// parsed.
+func sameValue(got, want float64, bitSize int) bool {
+	if bitSize == 32 {
+		return math.Float32bits(float32(got)) == math.Float32bits(float32(want))
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// checkToken holds ScanFloat to strconv.ParseFloat on one token: a JSON
+// number in range is taken whole and gives the same bits, and nothing
+// else is taken whole.
+func checkToken(t *testing.T, tok string, bitSize int) {
+	t.Helper()
+	got, next, ok := ScanFloat([]byte(tok), 0, bitSize)
+	// A token is a JSON number iff it is a valid JSON value that
+	// starts like a number.
+	isNumber := tok != "" && (tok[0] == '-' || isDigit(tok[0])) && json.Valid([]byte(tok)) &&
+		strings.TrimSpace(tok) == tok
+	want, err := strconv.ParseFloat(tok, bitSize)
+	if isNumber && err == nil && (!ok || next != len(tok)) {
+		t.Fatalf("%q: in-range JSON number refused (ok=%v, next=%d)", tok, ok, next)
+	}
+	if !ok || next != len(tok) {
+		return // the caller refuses whatever follows a shorter token
+	}
+	if !isNumber {
+		t.Fatalf("%q: accepted, but not a JSON number", tok)
+	}
+	if err != nil {
+		t.Fatalf("%q: accepted as %g, strconv says %v", tok, got, err)
+	}
+	if !sameValue(got, want, bitSize) {
+		t.Fatalf("%q: got %g (%#x), strconv %g (%#x)", tok, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+func FuzzParseFloat32(f *testing.F) {
+	for _, tok := range numberTokens {
+		f.Add(tok)
+	}
+	// Float32 rounding midpoints and their float64 neighbours: where
+	// rounding the float64 of a decimal a second time goes wrong.
+	for _, at := range []float32{1, 0.1, 3.1415927, 16777216, 1e-10, 6.5e20, 0.99999994} {
+		mid := float32Midpoint(at)
+		for _, v := range []float64{mid, math.Nextafter(mid, 0), math.Nextafter(mid, math.Inf(1))} {
+			f.Add(strconv.FormatFloat(v, 'f', -1, 64))
+			f.Add(strconv.FormatFloat(v, 'e', -1, 64))
+		}
+	}
+	f.Fuzz(func(t *testing.T, tok string) { checkToken(t, tok, 32) })
+}
+
+func FuzzParseFloat64(f *testing.F) {
+	for _, tok := range numberTokens {
+		f.Add(tok)
+	}
+	// What an acquisition document is made of: float32 samples widened
+	// to float64 and printed with 16 or 17 digits.
+	for _, v := range []float32{0.3, -0.0123, 16000.5, 1e-7, 3e21} {
+		f.Add(string(AppendFloat(nil, float64(v), 64)))
+	}
+	f.Fuzz(func(t *testing.T, tok string) { checkToken(t, tok, 64) })
+}
+
+// TestScanFloatSweep checks ScanFloat against strconv on the tokens the
+// bodies are made of: shortest decimals of random floats of either
+// width, float32s printed as float64s (an acquisition document's
+// values), plus decimals engineered to sit at float32 midpoints.
+func TestScanFloatSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 200000; i++ {
+		// Uniform over the bit patterns, so over the exponents.
+		v := math.Float32frombits(rng.Uint32())
+		if v != v || math.IsInf(float64(v), 0) {
+			continue
+		}
+		checkToken(t, string(AppendFloat(nil, float64(v), 32)), 32)
+		checkToken(t, string(AppendFloat(nil, float64(v), 64)), 64)
+		if w := math.Float64frombits(rng.Uint64()); w == w && !math.IsInf(w, 0) {
+			checkToken(t, string(AppendFloat(nil, w, 64)), 64)
+		}
+		if abs := math.Abs(float64(v)); abs > 1e-20 && abs < 1e20 {
+			mid := float32Midpoint(v)
+			checkToken(t, strconv.FormatFloat(mid, 'f', -1, 64), 32)
+			for _, toward := range []float64{0, math.Inf(1), math.Inf(-1)} {
+				near := math.Nextafter(mid, toward)
+				checkToken(t, strconv.FormatFloat(near, 'e', -1, 64), 32)
+				checkToken(t, strconv.FormatFloat(math.Nextafter(near, toward), 'e', -1, 64), 32) // first one past the guard
+			}
+		}
+	}
+}
+
+// TestAppendFloatMatchesEncodingJSON: both widths, every branch of
+// encoding/json's float formatting.
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 1e-6, 9.999999e-7, 1e-7, 1.5e-10, 1e21, 9.999999e20, 1e22,
+		math.MaxFloat32, math.SmallestNonzeroFloat32, math.MaxFloat64, math.SmallestNonzeroFloat64, 0.1, 1.0 / 3}
+	for i := 0; i < 20000; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()), float64(math.Float32frombits(rng.Uint32())))
+	}
+	for _, v := range vals {
+		if v != v || math.IsInf(v, 0) {
+			continue
+		}
+		if want, _ := json.Marshal(v); string(AppendFloat(nil, v, 64)) != string(want) {
+			t.Fatalf("float64 %g: %s, encoding/json %s", v, AppendFloat(nil, v, 64), want)
+		}
+		if v32 := float32(v); !math.IsInf(float64(v32), 0) {
+			if want, _ := json.Marshal(v32); string(AppendFloat(nil, float64(v32), 32)) != string(want) {
+				t.Fatalf("float32 %g: %s, encoding/json %s", v32, AppendFloat(nil, float64(v32), 32), want)
+			}
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, want := json.Marshal([]float64{1, v})
+		if _, err := AppendFloats(nil, []float64{1, v}); err == nil || err.Error() != want.Error() {
+			t.Fatalf("%v: error %v, encoding/json %v", v, err, want)
+		}
+	}
+	if got, _ := AppendFloats[float64](nil, nil); string(got) != "null" {
+		t.Fatalf("nil slice: %s", got)
+	}
+}
+
+// walk decodes a test document with every structural function: an
+// object of a string, an int, a bool, a float array and an array of
+// objects.
+func walk(data string) (name string, n int64, flag bool, vals []float64, tags []string, ok bool) {
+	d := []byte(data)
+	ok = Body(d, []string{`"name"`, `"n"`, `"flag"`, `"vals"`, `"tags"`}, func(k, i int) (int, bool) {
+		var ok bool
+		switch k {
+		case 0:
+			var s []byte
+			s, i, ok = ScanString(d, i)
+			name = string(s)
+		case 1:
+			n, i, ok = ScanInt(d, i)
+		case 2:
+			flag, i, ok = ScanBool(d, i)
+		case 3:
+			vals, i, ok = ScanFloats(d, i, vals)
+		case 4:
+			i, ok = Array(d, i, func(i int) (int, bool) {
+				return Object(d, i, []string{`"t"`}, func(_, i int) (int, bool) {
+					s, i, ok := ScanString(d, i)
+					tags = append(tags, string(s))
+					return i, ok
+				})
+			})
+		}
+		return i, ok
+	})
+	return name, n, flag, vals, tags, ok
+}
+
+func TestStructure(t *testing.T) {
+	name, n, flag, vals, tags, ok := walk(" { \"tags\" : [ {\"t\":\"a\"} , { } , {\"t\" : \"é\"} ] ,\n\"vals\":[1, -2.5e0 ,3],\"flag\":true,\"n\":-42,\"name\":\"x y\"}\r\n")
+	if !ok || name != "x y" || n != -42 || !flag || len(vals) != 3 || vals[1] != -2.5 || strings.Join(tags, ",") != "a,é" {
+		t.Fatalf("ok=%v name=%q n=%d flag=%v vals=%v tags=%q", ok, name, n, flag, vals, tags)
+	}
+	for _, doc := range []string{`{}`, ` {} `, `{"vals":[]}`, `{"tags":[]}`, `{"n":0}`, `{"n":-0}`, `{"n":123456789012345678}`} {
+		if _, _, _, _, _, ok := walk(doc); !ok {
+			t.Errorf("%s declined", doc)
+		}
+	}
+	// Everything encoding/json has a rule of its own for, and everything
+	// that is not JSON, is declined.
+	for _, doc := range []string{
+		``, ` `, `{`, `}`, `[]`, `null`, `{}x`, `{} {}`, `{,}`, `{"n":1,}`, `{"n":1 "flag":true}`, `{"n" 1}`, `{"n":}`, `{"n":1`,
+		`{"N":1}`, `{"n":1,"n":2}`, `{"other":1}`, `{n:1}`, `{"n":null}`,
+		`{"n":1.0}`, `{"n":1e2}`, `{"n":01}`, `{"n":-}`, `{"n":1234567890123456789}`, `{"n":"1"}`,
+		`{"flag":TRUE}`, `{"flag":tru}`, `{"flag":1}`,
+		`{"name":"a\nb"}`, `{"name":"a\\b"}`, "{\"name\":\"a\x01b\"}", "{\"name\":\"a\xffb\"}", `{"name":"a`, `{"name":a}`, `{"name":null}`,
+		`{"vals":null}`, `{"vals":[1,]}`, `{"vals":[,1]}`, `{"vals":[1 2]}`, `{"vals":[null]}`, `{"vals":[1e999]}`, `{"vals":[1`, `{"vals":1}`,
+		`{"tags":[{"t":"a"},]}`, `{"tags":[{"t":"a"}`, `{"tags":[1]}`, `{"tags":null}`, `{"tags":{}}`,
+	} {
+		if _, _, _, _, _, ok := walk(doc); ok {
+			t.Errorf("%q accepted", doc)
+		}
+	}
+}
