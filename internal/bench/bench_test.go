@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+
+	"edgepulse/internal/nn"
+	"edgepulse/internal/tensor"
 )
 
 func TestTable1(t *testing.T) {
@@ -192,5 +196,35 @@ func TestKWSWorkloadBudget(t *testing.T) {
 	}
 	if w.QModel == nil {
 		t.Error("no quantized model")
+	}
+}
+
+// BenchmarkForward times one forward pass of each reference model in
+// each precision on one core (conv row partitioning pinned to one
+// worker, as on the paper's MCUs and in the repo benchmark's
+// edge_infer): the number the conv kernels move, without DSP, engines
+// or HTTP around it.
+func BenchmarkForward(b *testing.B) {
+	workloads, err := AllWorkloads()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nn.SetConvWorkers(nn.SetConvWorkers(1))
+	for _, w := range workloads {
+		in := tensor.NewF32(w.Model.InputShape...)
+		rng := rand.New(rand.NewSource(1))
+		for i := range in.Data {
+			in.Data[i] = rng.Float32()
+		}
+		b.Run(w.ID+"/f32", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w.Model.Forward(in)
+			}
+		})
+		b.Run(w.ID+"/i8", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w.QModel.Forward(in)
+			}
+		})
 	}
 }

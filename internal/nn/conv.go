@@ -112,64 +112,74 @@ func (c *Conv2D) Forward(in *tensor.F32) *tensor.F32 {
 	return out
 }
 
-// InferInto implements Layer. Each output pixel accumulates [cin x nf]
-// weight panels via simd.ConvAccF32 with the valid tap range hoisted out
-// of the inner loops; per output element the accumulation order matches
-// the classic filter-major loop bit for bit. Layers heavy enough to
-// amortize the hand-off partition their output rows across the shared
-// worker pool (see parallel.go) — disjoint row chunks keep the result
-// bitwise-equal to the sequential path for any worker count.
+// InferInto implements Layer: the shared register-tiled convolution
+// forward (convForward).
 func (c *Conv2D) InferInto(in, out *tensor.F32) {
-	c.Build(in.Shape[2])
-	oh := out.Shape[0]
-	if parallelizable(oh, c.MACs(in.Shape)) {
-		parallelRows(oh, func(lo, hi int) { c.inferRows(in, out, lo, hi) })
-		return
-	}
-	c.inferRows(in, out, 0, oh)
+	h, w, cin := in.Shape[0], in.Shape[1], in.Shape[2]
+	c.Build(cin)
+	y, x := ConvAxes(h, w, c.Kernel, c.Stride, c.Pad)
+	convForward{y: y, x: x, cin: cin, in: in.Data, out: out.Data, w: c.W.Data, b: c.B.Data, act: c.Act}.infer(c.MACs(in.Shape))
 }
 
-// inferRows computes output rows [oyLo, oyHi); it touches no layer
-// state and writes only those rows, so disjoint ranges may run
+// convForward is the float32 convolution forward of Conv2D and Conv1D
+// (a one-row Conv2D) over an HWC input and HWIO weights. Each run of
+// output pixels that share a tap window (Axis.Run) is one
+// simd.ConvTileF32 call: the valid kx taps of one kernel row times the
+// input channels are contiguous in both the input and the weights, so a
+// pixel's reduction is one segment per valid kernel row and, per output
+// lane, runs in ky, kx, ci order — the classic filter-major loop's, bit
+// for bit, whatever the tile width.
+type convForward struct {
+	y, x    Axis
+	cin     int
+	in, out []float32
+	w, b    []float32
+	act     Activation
+}
+
+// infer runs the whole layer. Layers heavy enough to amortize the
+// hand-off partition their output rows — output pixels when there is
+// one row — across the shared worker pool (see parallel.go); disjoint
+// chunks keep the result bitwise-equal to the sequential path for any
+// worker count.
+func (c convForward) infer(macs int64) {
+	rows := c.y.Out
+	if rows == 1 {
+		rows = c.x.Out
+	}
+	if parallelizable(rows, macs) {
+		parallelRows(rows, c.rows)
+		return
+	}
+	c.rows(0, rows)
+}
+
+// rows computes output rows [lo, hi), or output pixels [lo, hi) of a
+// one-row layer; it writes nothing else, so disjoint ranges may run
 // concurrently.
-func (c *Conv2D) inferRows(in, out *tensor.F32, oyLo, oyHi int) {
-	h, w, cin := in.Shape[0], in.Shape[1], in.Shape[2]
-	ow := out.Shape[1]
-	py := padOffset(h, c.Kernel, c.Stride, c.Pad)
-	px := padOffset(w, c.Kernel, c.Stride, c.Pad)
-	nf := c.Filters
-	wData, inData := c.W.Data, in.Data
-	for oy := oyLo; oy < oyHi; oy++ {
-		// Valid vertical taps for this output row, hoisted so the tap
-		// loops run branch-free.
-		kyLo, kyHi := 0, c.Kernel
-		if d := py - oy*c.Stride; d > 0 {
-			kyLo = d
-		}
-		if d := h + py - oy*c.Stride; d < kyHi {
-			kyHi = d
-		}
-		for ox := 0; ox < ow; ox++ {
-			dst := out.Data[(oy*ow+ox)*nf : (oy*ow+ox+1)*nf]
-			copy(dst, c.B.Data)
-			kxLo, kxHi := 0, c.Kernel
-			if d := px - ox*c.Stride; d > 0 {
-				kxLo = d
-			}
-			if d := w + px - ox*c.Stride; d < kxHi {
-				kxHi = d
-			}
-			for ky := kyLo; ky < kyHi; ky++ {
-				iy := oy*c.Stride + ky - py
-				for kx := kxLo; kx < kxHi; kx++ {
-					ix := ox*c.Stride + kx - px
-					inBase := (iy*w + ix) * cin
-					wBase := (ky*c.Kernel + kx) * cin * nf
-					simd.ConvAccF32(dst, wData[wBase:wBase+cin*nf], inData[inBase:inBase+cin], nf)
-				}
-			}
-			c.Act.applyTo(dst)
-		}
+func (c convForward) rows(lo, hi int) {
+	if c.y.Out == 1 {
+		c.tiles(0, lo, hi)
+		return
+	}
+	for oy := lo; oy < hi; oy++ {
+		c.tiles(oy, 0, c.x.Out)
+	}
+}
+
+// tiles computes pixels [oxLo, oxHi) of output row oy.
+func (c *convForward) tiles(oy, oxLo, oxHi int) {
+	nf, k, cin := len(c.b), c.x.Kernel, c.cin
+	kyLo, kyHi, iy := c.y.Taps(oy)
+	for ox, n := oxLo, 0; ox < oxHi; ox += n {
+		var kxLo, kxHi, ix int
+		n, kxLo, kxHi, ix = c.x.Run(ox, oxHi)
+		run := c.out[(oy*c.x.Out+ox)*nf:][:n*nf]
+		simd.ConvTileF32(run, c.b, c.w[(kyLo*k+kxLo)*cin*nf:], c.in[(iy*c.x.In+ix)*cin:], simd.Tile{
+			P: n, N: (kxHi - kxLo) * cin, Rows: kyHi - kyLo,
+			PixStride: c.x.Stride * cin, InRowStride: c.x.In * cin, WRowStride: k * cin * nf,
+		})
+		c.act.applyTo(run)
 	}
 }
 
@@ -305,10 +315,11 @@ func (c *DepthwiseConv2D) Forward(in *tensor.F32) *tensor.F32 {
 	return out
 }
 
-// InferInto implements Layer. The channel dimension vectorizes via
-// simd.MulAccF32 (input row, [K,K,C] weight row and output row are all
-// contiguous); per channel the tap accumulation order is unchanged.
-// Heavy layers partition output rows across the shared worker pool.
+// InferInto implements Layer. Each run of output pixels that share a
+// tap window is one simd.DepthwiseF32 call (input row, [K,K,C] weight
+// row and output row are all contiguous over the kx taps); per channel
+// the tap accumulation order is the channel-major loop's. Heavy layers
+// partition output rows across the shared worker pool.
 func (c *DepthwiseConv2D) InferInto(in, out *tensor.F32) {
 	c.Build(in.Shape[2])
 	oh := out.Shape[0]
@@ -322,39 +333,21 @@ func (c *DepthwiseConv2D) InferInto(in, out *tensor.F32) {
 // inferRows computes output rows [oyLo, oyHi); disjoint ranges may run
 // concurrently.
 func (c *DepthwiseConv2D) inferRows(in, out *tensor.F32, oyLo, oyHi int) {
-	h, w, ch := in.Shape[0], in.Shape[1], in.Shape[2]
-	ow := out.Shape[1]
-	py := padOffset(h, c.Kernel, c.Stride, c.Pad)
-	px := padOffset(w, c.Kernel, c.Stride, c.Pad)
+	w, ch := in.Shape[1], in.Shape[2]
+	y := NewAxis(in.Shape[0], c.Kernel, c.Stride, c.Pad)
+	x := NewAxis(w, c.Kernel, c.Stride, c.Pad)
 	for oy := oyLo; oy < oyHi; oy++ {
-		kyLo, kyHi := 0, c.Kernel
-		if d := py - oy*c.Stride; d > 0 {
-			kyLo = d
+		kyLo, kyHi, iy := y.Taps(oy)
+		row := out.Data[oy*x.Out*ch : (oy+1)*x.Out*ch]
+		for ox, n := 0, 0; ox < x.Out; ox += n {
+			var kxLo, kxHi, ix int
+			n, kxLo, kxHi, ix = x.Run(ox, x.Out)
+			simd.DepthwiseF32(row[ox*ch:], c.B.Data, c.W.Data[(kyLo*c.Kernel+kxLo)*ch:], in.Data[(iy*w+ix)*ch:], simd.Tile{
+				P: n, N: kxHi - kxLo, Rows: kyHi - kyLo,
+				PixStride: c.Stride * ch, InRowStride: w * ch, WRowStride: c.Kernel * ch,
+			})
 		}
-		if d := h + py - oy*c.Stride; d < kyHi {
-			kyHi = d
-		}
-		for ox := 0; ox < ow; ox++ {
-			dst := out.Data[(oy*ow+ox)*ch : (oy*ow+ox+1)*ch]
-			copy(dst, c.B.Data)
-			kxLo, kxHi := 0, c.Kernel
-			if d := px - ox*c.Stride; d > 0 {
-				kxLo = d
-			}
-			if d := w + px - ox*c.Stride; d < kxHi {
-				kxHi = d
-			}
-			for ky := kyLo; ky < kyHi; ky++ {
-				iy := oy*c.Stride + ky - py
-				for kx := kxLo; kx < kxHi; kx++ {
-					ix := ox*c.Stride + kx - px
-					inRow := in.Data[(iy*w+ix)*ch : (iy*w+ix+1)*ch]
-					wRow := c.W.Data[(ky*c.Kernel+kx)*ch : (ky*c.Kernel+kx+1)*ch]
-					simd.MulAccF32(dst, inRow, wRow)
-				}
-			}
-			c.Act.applyTo(dst)
-		}
+		c.Act.applyTo(row)
 	}
 }
 
@@ -485,43 +478,13 @@ func (c *Conv1D) Forward(in *tensor.F32) *tensor.F32 {
 	return out
 }
 
-// InferInto implements Layer, accumulating [cin x nf] weight panels via
-// simd.ConvAccF32 with hoisted tap bounds (same reordering as Conv2D).
-// Heavy layers partition output steps across the shared worker pool.
+// InferInto implements Layer: a Conv2D over one input row, on the same
+// convForward.
 func (c *Conv1D) InferInto(in, out *tensor.F32) {
-	c.Build(in.Shape[1])
-	ot := out.Shape[0]
-	if parallelizable(ot, c.MACs(in.Shape)) {
-		parallelRows(ot, func(lo, hi int) { c.inferRows(in, out, lo, hi) })
-		return
-	}
-	c.inferRows(in, out, 0, ot)
-}
-
-// inferRows computes output steps [oLo, oHi); disjoint ranges may run
-// concurrently.
-func (c *Conv1D) inferRows(in, out *tensor.F32, oLo, oHi int) {
 	t, cin := in.Shape[0], in.Shape[1]
-	p := padOffset(t, c.Kernel, c.Stride, c.Pad)
-	nf := c.Filters
-	for o := oLo; o < oHi; o++ {
-		dst := out.Data[o*nf : (o+1)*nf]
-		copy(dst, c.B.Data)
-		kLo, kHi := 0, c.Kernel
-		if d := p - o*c.Stride; d > 0 {
-			kLo = d
-		}
-		if d := t + p - o*c.Stride; d < kHi {
-			kHi = d
-		}
-		for k := kLo; k < kHi; k++ {
-			i := o*c.Stride + k - p
-			inBase := i * cin
-			wBase := k * cin * nf
-			simd.ConvAccF32(dst, c.W.Data[wBase:wBase+cin*nf], in.Data[inBase:inBase+cin], nf)
-		}
-		c.Act.applyTo(dst)
-	}
+	c.Build(cin)
+	convForward{y: NewAxis(1, 1, 1, Valid), x: NewAxis(t, c.Kernel, c.Stride, c.Pad), cin: cin,
+		in: in.Data, out: out.Data, w: c.W.Data, b: c.B.Data, act: c.Act}.infer(c.MACs(in.Shape))
 }
 
 // Backward implements Layer.

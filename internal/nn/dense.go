@@ -65,13 +65,12 @@ func (d *Dense) Forward(in *tensor.F32) *tensor.F32 {
 }
 
 // InferInto implements Layer. The whole matrix-vector product is one
-// simd.ConvAccF32 rank-1 accumulation sweep: inputs iterate in the outer
-// loop over Units-contiguous weight rows, so per output unit the
-// addition order is unchanged from the historical scalar loop.
+// single-pixel simd.ConvTileF32 reduction over Units-contiguous weight
+// rows, so per output unit the addition order is the output-major
+// scalar loop's.
 func (d *Dense) InferInto(in, out *tensor.F32) {
 	d.Build(len(in.Data))
-	copy(out.Data, d.B.Data)
-	simd.ConvAccF32(out.Data, d.W.Data, in.Data, d.Units)
+	simd.ConvTileF32(out.Data, d.B.Data, d.W.Data, in.Data, simd.Tile{P: 1, N: len(in.Data), Rows: 1})
 	d.Act.applyTo(out.Data)
 }
 

@@ -5,90 +5,43 @@ import (
 	"sync"
 	"testing"
 
+	"edgepulse/internal/kernelref"
 	"edgepulse/internal/tensor"
 )
 
-// refConv2D is the pre-reorder filter-major conv2d loop, kept as the
-// golden reference for the contiguous-access kernel.
+// refWindow is a layer's window in the shared naive references'
+// terms.
+func refWindow(in tensor.Shape, kernel, stride int, pad Padding) kernelref.Window {
+	return kernelref.Window{H: in[0], W: in[1], C: in[2], Kernel: kernel, Stride: stride, Same: pad == Same}
+}
+
+// refOutput wraps a reference's pre-activation output as the layer's
+// activated output tensor.
+func refOutput(data []float32, act Activation, shape ...int) *tensor.F32 {
+	for i, v := range data {
+		data[i] = act.apply(v)
+	}
+	return &tensor.F32{Shape: shape, Data: data}
+}
+
+// refConv2D is the filter-major triple loop (internal/kernelref), the
+// golden reference for the tiled kernel.
 func refConv2D(c *Conv2D, in *tensor.F32) *tensor.F32 {
-	h, w, cin := in.Shape[0], in.Shape[1], in.Shape[2]
-	oh := convOutDim(h, c.Kernel, c.Stride, c.Pad)
-	ow := convOutDim(w, c.Kernel, c.Stride, c.Pad)
-	py := padOffset(h, c.Kernel, c.Stride, c.Pad)
-	px := padOffset(w, c.Kernel, c.Stride, c.Pad)
-	out := tensor.NewF32(oh, ow, c.Filters)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			for f := 0; f < c.Filters; f++ {
-				s := c.B.Data[f]
-				for ky := 0; ky < c.Kernel; ky++ {
-					iy := oy*c.Stride + ky - py
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < c.Kernel; kx++ {
-						ix := ox*c.Stride + kx - px
-						if ix < 0 || ix >= w {
-							continue
-						}
-						inBase := (iy*w + ix) * cin
-						wBase := ((ky*c.Kernel + kx) * cin) * c.Filters
-						for ci := 0; ci < cin; ci++ {
-							s += in.Data[inBase+ci] * c.W.Data[wBase+ci*c.Filters+f]
-						}
-					}
-				}
-				out.Data[(oy*ow+ox)*c.Filters+f] = c.Act.apply(s)
-			}
-		}
-	}
-	return out
+	g := refWindow(in.Shape, c.Kernel, c.Stride, c.Pad)
+	oh, ow := g.Out()
+	return refOutput(kernelref.Conv2DF32(g, in.Data, c.W.Data, c.B.Data), c.Act, oh, ow, c.Filters)
 }
 
-// refDense is the pre-reorder output-major dense loop.
+// refDense is the output-major dense loop.
 func refDense(d *Dense, in *tensor.F32) *tensor.F32 {
-	out := tensor.NewF32(d.Units)
-	nIn := len(in.Data)
-	for j := 0; j < d.Units; j++ {
-		s := d.B.Data[j]
-		for i := 0; i < nIn; i++ {
-			s += in.Data[i] * d.W.Data[i*d.Units+j]
-		}
-		out.Data[j] = d.Act.apply(s)
-	}
-	return out
+	return refOutput(kernelref.DenseF32(in.Data, d.W.Data, d.B.Data), d.Act, d.Units)
 }
 
-// refDepthwise is the pre-reorder channel-major depthwise loop.
+// refDepthwise is the channel-major depthwise loop.
 func refDepthwise(c *DepthwiseConv2D, in *tensor.F32) *tensor.F32 {
-	h, w, ch := in.Shape[0], in.Shape[1], in.Shape[2]
-	oh := convOutDim(h, c.Kernel, c.Stride, c.Pad)
-	ow := convOutDim(w, c.Kernel, c.Stride, c.Pad)
-	py := padOffset(h, c.Kernel, c.Stride, c.Pad)
-	px := padOffset(w, c.Kernel, c.Stride, c.Pad)
-	out := tensor.NewF32(oh, ow, ch)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			for ci := 0; ci < ch; ci++ {
-				s := c.B.Data[ci]
-				for ky := 0; ky < c.Kernel; ky++ {
-					iy := oy*c.Stride + ky - py
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < c.Kernel; kx++ {
-						ix := ox*c.Stride + kx - px
-						if ix < 0 || ix >= w {
-							continue
-						}
-						s += in.Data[(iy*w+ix)*ch+ci] * c.W.Data[(ky*c.Kernel+kx)*ch+ci]
-					}
-				}
-				out.Data[(oy*ow+ox)*ch+ci] = c.Act.apply(s)
-			}
-		}
-	}
-	return out
+	g := refWindow(in.Shape, c.Kernel, c.Stride, c.Pad)
+	oh, ow := g.Out()
+	return refOutput(kernelref.DepthwiseF32(g, in.Data, c.W.Data, c.B.Data), c.Act, oh, ow, in.Shape[2])
 }
 
 func randTensor(rng *rand.Rand, shape ...int) *tensor.F32 {

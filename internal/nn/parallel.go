@@ -13,17 +13,26 @@ import (
 // is bitwise-equal to a sequential run for any worker count.
 
 // parallelMACThreshold is the minimum per-layer MAC count before row
-// partitioning pays for the goroutine hand-off. Below it (small heads,
-// pooled tails) the sequential path is always faster.
-const parallelMACThreshold = 64 << 10
+// partitioning pays for the goroutine hand-off at the default width.
+// Waking the pool's parked worker costs a fixed 50-250 us on the
+// reference host and a tiled layer runs at ~20 MAC/ns, so two workers
+// lose on every layer of the three reference models (the largest is
+// 0.9 M MACs), draw level near 9 M and first win by more than 10% in
+// every sweep at 12.8 M (docs/PERFORMANCE.md, "Row partitioning";
+// BenchmarkRowSplit).
+const parallelMACThreshold = 12 << 20
 
 // convWorkerOverride, when positive, pins the row-partitioning width
-// regardless of GOMAXPROCS. Tests use it to exercise every split.
+// regardless of GOMAXPROCS and of the layer's size. Tests use it to
+// exercise every split.
 var convWorkerOverride atomic.Int32
 
-// SetConvWorkers overrides the number of row-partition workers used by
-// convolution layers. n <= 0 restores the default (GOMAXPROCS). It
-// returns the previous override so tests can restore it.
+// SetConvWorkers pins the number of row-partition workers used by
+// convolution layers: with n > 1 every layer of at least two rows is
+// split n ways whatever its size, with n = 1 none is. n <= 0 restores
+// the default — GOMAXPROCS workers for layers of at least
+// parallelMACThreshold MACs. It returns the previous override so tests
+// can restore it.
 func SetConvWorkers(n int) int {
 	prev := convWorkerOverride.Load()
 	if n < 0 {
@@ -118,7 +127,14 @@ func parallelRows(rows int, fn func(lo, hi int)) {
 }
 
 // parallelizable reports whether a layer with the given output rows and
-// MAC count should take the row-partitioned path.
+// MAC count should take the row-partitioned path: always under a pinned
+// width above one, by size at the default width.
 func parallelizable(rows int, macs int64) bool {
-	return rows >= 2 && macs >= parallelMACThreshold && convWorkers() > 1
+	if rows < 2 {
+		return false
+	}
+	if n := convWorkerOverride.Load(); n > 0 {
+		return n > 1
+	}
+	return macs >= parallelMACThreshold && runtime.GOMAXPROCS(0) > 1
 }

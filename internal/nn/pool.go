@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"edgepulse/internal/simd"
 	"edgepulse/internal/tensor"
 )
 
@@ -73,23 +74,22 @@ func (p *MaxPool2D) Forward(in *tensor.F32) *tensor.F32 {
 	return out
 }
 
-// InferInto implements Layer (no argmax bookkeeping).
+// InferInto implements Layer (no argmax bookkeeping). Taps are the outer
+// loops so each one is a contiguous channel row for simd.MaxF32; per
+// channel the comparisons are the channel-major loop's, in its order.
 func (p *MaxPool2D) InferInto(in, out *tensor.F32) {
 	w, ch := in.Shape[1], in.Shape[2]
 	oh, ow := out.Shape[0], out.Shape[1]
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			for c := 0; c < ch; c++ {
-				best := float32(math.Inf(-1))
-				for ky := 0; ky < p.Size; ky++ {
-					for kx := 0; kx < p.Size; kx++ {
-						v := in.Data[((oy*p.Stride+ky)*w+(ox*p.Stride+kx))*ch+c]
-						if v > best {
-							best = v
-						}
-					}
+			best := out.Data[(oy*ow+ox)*ch:][:ch]
+			for c := range best {
+				best[c] = float32(math.Inf(-1))
+			}
+			for ky := 0; ky < p.Size; ky++ {
+				for kx := 0; kx < p.Size; kx++ {
+					simd.MaxF32(best, in.Data[((oy*p.Stride+ky)*w+ox*p.Stride+kx)*ch:][:ch])
 				}
-				out.Data[(oy*ow+ox)*ch+c] = best
 			}
 		}
 	}

@@ -1,0 +1,119 @@
+package quant
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"edgepulse/internal/kernelref"
+	"edgepulse/internal/simd"
+	"edgepulse/internal/tensor"
+)
+
+// fuzzQOp builds a random quantized conv2d or depthwise op over shapes
+// the naive reference can afford — H and W up to 100, channels up to
+// 256, kernel 1-5, stride 1-3 — with zero points out to the int8 limits,
+// random scales (so the requant multiplier and shift vary) and a random
+// fused clamp. It reports false for a VALID window that does not fit
+// and for shapes beyond maxMACs.
+func fuzzQOp(rng *rand.Rand, kind string, h, w, ch, nf, kernel, stride uint8, same bool) (*QOp, kernelref.Window, bool) {
+	g := kernelref.Window{H: 1 + int(h)%100, W: 1 + int(w)%100, C: 1 + int(ch), Kernel: 1 + int(kernel)%5, Stride: 1 + int(stride)%3, Same: same}
+	filters, pad := 1+int(nf), 0
+	if same {
+		pad = 1
+	}
+	perOutput := g.C * g.Kernel * g.Kernel
+	if kind == "conv2d" {
+		perOutput *= filters
+	}
+	const maxMACs = 3 << 20
+	if oh, ow := g.Out(); oh == 0 || ow == 0 || oh*ow*perOutput > maxMACs {
+		return nil, g, false
+	}
+	op := randQOp(rng, kind, tensor.Shape{g.H, g.W, g.C}, filters, g.Kernel, g.Stride, pad)
+	zps := []int32{-128, 127, 0, int32(rng.Intn(256) - 128)}
+	op.InQ = tensor.QParams{Scale: 0.01 + rng.Float32(), ZeroPoint: zps[rng.Intn(len(zps))]}
+	op.OutQ = tensor.QParams{Scale: 0.01 + 4*rng.Float32(), ZeroPoint: zps[rng.Intn(len(zps))]}
+	op.WScale = 0.001 + 0.05*rng.Float32()
+	op.ActMin = int32(rng.Intn(128) - 128)
+	op.ActMax = int32(rng.Intn(128))
+	op.Rebind()
+	return op, g, true
+}
+
+// fuzzRunOp runs op on a random input with the assembly on and off and
+// requires both to equal want bit for bit.
+func fuzzRunOp(t *testing.T, rng *rand.Rand, op *QOp, reference func(in []int8) []int8) {
+	q := &QModel{InputShape: op.InShape.Clone(), InQ: op.InQ, Ops: []*QOp{op}}
+	in := tensor.NewI8(op.InQ, op.InShape...)
+	for i := range in.Data {
+		in.Data[i] = int8(rng.Intn(256) - 128)
+	}
+	want := reference(in.Data)
+	defer simd.SetEnabled(simd.Enabled())
+	for _, on := range []bool{true, false} {
+		simd.SetEnabled(on)
+		got := q.RunOp(op, in)
+		if len(got.Data) != len(want) {
+			t.Fatalf("simd=%v: %d outputs, reference %d", on, len(got.Data), len(want))
+		}
+		for i := range want {
+			if got.Data[i] != want[i] {
+				t.Fatalf("simd=%v %s: elem %d = %d, reference %d", on, fmt.Sprint(op.InShape, op.Attrs), i, got.Data[i], want[i])
+			}
+		}
+	}
+}
+
+// FuzzConvI8 holds the pair-tiled int8 conv2d — generic and row-paired
+// single-channel path, assembly and Go — to the naive loop with an int32
+// accumulator and the scalar requant, bit for bit. The seeds are the
+// reference models' layers.
+func FuzzConvI8(f *testing.F) {
+	// h, w, cin-1, filters-1, kernel-1, stride-1, same, seed
+	f.Add(uint8(48), uint8(9), uint8(0), uint8(63), uint8(3), uint8(1), true, int64(1))   // kws head
+	f.Add(uint8(24), uint8(4), uint8(63), uint8(63), uint8(0), uint8(0), true, int64(2))  // kws pointwise
+	f.Add(uint8(95), uint8(95), uint8(2), uint8(7), uint8(2), uint8(1), true, int64(3))   // vww stem
+	f.Add(uint8(47), uint8(47), uint8(7), uint8(15), uint8(0), uint8(0), true, int64(4))  // vww pointwise
+	f.Add(uint8(5), uint8(5), uint8(127), uint8(127), uint8(0), uint8(0), true, int64(5)) // vww 6x6x128
+	f.Add(uint8(2), uint8(2), uint8(255), uint8(255), uint8(0), uint8(0), true, int64(6)) // vww 3x3x256
+	f.Add(uint8(31), uint8(31), uint8(2), uint8(15), uint8(2), uint8(0), true, int64(7))  // ic conv1
+	f.Add(uint8(15), uint8(15), uint8(15), uint8(23), uint8(2), uint8(0), true, int64(8)) // ic conv2
+	f.Add(uint8(1), uint8(2), uint8(68), uint8(10), uint8(4), uint8(2), true, int64(9))   // kernel > input
+	f.Add(uint8(12), uint8(9), uint8(0), uint8(8), uint8(3), uint8(0), true, int64(10))   // row-paired, odd stride
+	f.Add(uint8(8), uint8(6), uint8(4), uint8(8), uint8(2), uint8(1), false, int64(11))   // valid, stride 2
+	f.Fuzz(func(t *testing.T, h, w, cin, nf, kernel, stride uint8, same bool, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		op, g, ok := fuzzQOp(rng, "conv2d", h, w, cin, nf, kernel, stride, same)
+		if !ok {
+			t.Skip()
+		}
+		fuzzRunOp(t, rng, op, func(in []int8) []int8 {
+			return kernelref.Conv2DI8(g, in, op.W, op.Bias, op.InQ.ZeroPoint, func(a int32) int8 { return requant(op, a) })
+		})
+	})
+}
+
+// FuzzDepthwiseI8 is FuzzConvI8 for the int8 depthwise pixel kernel and
+// its in-register requantization.
+func FuzzDepthwiseI8(f *testing.F) {
+	// h, w, channels-1, kernel-1, stride-1, same, seed
+	f.Add(uint8(24), uint8(4), uint8(63), uint8(2), uint8(0), true, int64(1))  // kws
+	f.Add(uint8(47), uint8(47), uint8(7), uint8(2), uint8(0), true, int64(2))  // vww first block
+	f.Add(uint8(47), uint8(47), uint8(15), uint8(2), uint8(1), true, int64(3)) // vww stride 2
+	f.Add(uint8(5), uint8(5), uint8(127), uint8(2), uint8(0), true, int64(4))  // vww 6x6x128
+	f.Add(uint8(2), uint8(2), uint8(255), uint8(2), uint8(0), true, int64(5))  // vww 3x3x256
+	f.Add(uint8(5), uint8(5), uint8(127), uint8(2), uint8(1), true, int64(6))  // vww 6x6 -> 3x3
+	f.Add(uint8(1), uint8(2), uint8(68), uint8(4), uint8(2), true, int64(7))   // kernel > input
+	f.Add(uint8(8), uint8(7), uint8(4), uint8(2), uint8(1), false, int64(8))   // valid, odd channels
+	f.Fuzz(func(t *testing.T, h, w, ch, kernel, stride uint8, same bool, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		op, g, ok := fuzzQOp(rng, "depthwise_conv2d", h, w, ch, 0, kernel, stride, same)
+		if !ok {
+			t.Skip()
+		}
+		fuzzRunOp(t, rng, op, func(in []int8) []int8 {
+			return kernelref.DepthwiseI8(g, in, op.W, op.Bias, op.InQ.ZeroPoint, func(a int32) int8 { return requant(op, a) })
+		})
+	})
+}

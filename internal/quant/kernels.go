@@ -33,26 +33,26 @@ func (q *QModel) RunOp(op *QOp, in *tensor.I8) *tensor.I8 {
 }
 
 // scratchLens returns the scratch an op's kernel needs. acc is the int32
-// accumulator width: one output row for the 2-D convs (so
-// requantization batches over the whole row), one pixel row for conv1d,
-// the whole output for dense. vp is the packed input-pair length in
-// uint32 words: every input pixel padded to whole pairs (see
-// simd.PackPairs); single-channel conv2d packs each input row twice —
-// once per pair alignment phase — so panels may start at any x offset.
+// accumulator width: the longest tile run of the convs (requantization
+// batches over a run), the whole output for dense; the depthwise kernel
+// requantizes in its registers and needs none. vp is the packed
+// input-pair length in uint32 words: every input pixel padded to whole
+// pairs (see simd.PackPairs); single-channel conv2d with row-paired
+// weights adds each input row twice more — once per pair alignment
+// phase — so a row-paired reduction may start at any x offset.
 func scratchLens(op *QOp) (acc, vp int) {
 	in, out := op.InShape, op.OutShape
 	switch op.Kind {
 	case "dense":
 		return out.Elems(), (in.Elems() + 1) / 2
 	case "conv2d":
-		if in[2] == 1 {
-			return out[1] * out[2], in[0] * 2 * ((in[1] + 1) / 2)
+		vp = in[0] * in[1] * ((in[2] + 1) / 2)
+		if op.wPairRow != nil {
+			vp += in[0] * 2 * ((in[1] + 1) / 2)
 		}
-		return out[1] * out[2], in[0] * in[1] * ((in[2] + 1) / 2)
-	case "depthwise_conv2d":
-		return out[1] * out[2], 0
+		return min(nn.MaxRun, out[0]*out[1]) * out[2], vp
 	case "conv1d":
-		return out[1], in[0] * ((in[1] + 1) / 2)
+		return min(nn.MaxRun, out[0]) * out[1], in[0] * ((in[1] + 1) / 2)
 	}
 	return 1, 0
 }
@@ -68,32 +68,38 @@ func packInput(vp []uint32, data []int8, cin int, zp int32) int {
 		return cin / 2
 	}
 	pp := (cin + 1) / 2
-	for px := 0; px*cin < len(data); px++ {
-		simd.PackPairs(vp[px*pp:(px+1)*pp], data[px*cin:(px+1)*cin], zp)
+	o := 0
+	for i := 0; i+cin <= len(data); i += cin {
+		px := data[i : i+cin]
+		for c := 1; c < cin; c += 2 {
+			vp[o] = uint32(uint16(int32(px[c-1])-zp)) | uint32(uint16(int32(px[c])-zp))<<16
+			o++
+		}
+		vp[o] = uint32(uint16(int32(px[cin-1]) - zp))
+		o++
 	}
 	return pp
 }
 
 // kernels maps op kinds to int8 kernels. All compute kernels use int32
-// accumulators over (q_in - in_zp) * q_w products, add the int32 bias,
-// requantize with the op's fixed-point multiplier, add the output zero
-// point and clamp to the fused activation range — the same dataflow as
-// CMSIS-NN / TFLM reference int8 kernels. The inner loops run on the
-// package simd primitives (VPMADDWD dual-MAC panels, vectorized
-// requantization); integer arithmetic is exact, so results are bitwise
-// identical to the scalar reference order. Aliasing ops never reach a
-// kernel, and softmax has none: it runs in the float head.
+// accumulators over (q_in - in_zp) * q_w products on top of the int32
+// bias, requantize with the op's fixed-point multiplier, add the output
+// zero point and clamp to the fused activation range — the same dataflow
+// as CMSIS-NN / TFLM reference int8 kernels. The inner loops are the
+// package simd tiles (VPMADDWD dual-MAC conv tiles, the depthwise pixel
+// kernel, vectorized requantization) over the same nn.Axis tap windows
+// as the float kernels; integer arithmetic is exact, so results are
+// bitwise identical to the scalar reference order. Aliasing ops never
+// reach a kernel, and softmax has none: it runs in the float head.
 var kernels = map[string]qKernel{
-	"dense":  bind(qDense),
-	"conv2d": bind(qConv2D),
-	"depthwise_conv2d": bind(func(op *QOp, in, out *tensor.I8, acc []int32, _ []uint32) {
-		qDepthwise(op, in, out, acc)
-	}),
-	"conv1d":    bind(qConv1D),
-	"maxpool2d": bindPool(qMaxPool2D),
-	"avgpool2d": bindPool(qAvgPool2D),
-	"maxpool1d": bindPool(qMaxPool1D),
-	"gap2d":     bindPool(qGAP),
+	"dense":            bind(qDense),
+	"conv2d":           bind(qConv2D),
+	"depthwise_conv2d": bind(qDepthwise),
+	"conv1d":           bind(qConv1D),
+	"maxpool2d":        bindPool(qMaxPool2D),
+	"avgpool2d":        bindPool(qAvgPool2D),
+	"maxpool1d":        bindPool(qMaxPool1D),
+	"gap2d":            bindPool(qGAP),
 }
 
 // bind adapts a compute kernel to the executor: the run's flat arena
@@ -121,18 +127,28 @@ func requant(op *QOp, acc int32) int8 {
 	return int8(clampI32(v, op.ActMin, op.ActMax))
 }
 
+// requantParams is op's requantization for the simd kernels.
+func (o *QOp) requantParams() simd.Requant {
+	return simd.Requant{Mult: o.mult, Shift: o.shift, ZP: o.OutQ.ZeroPoint, Lo: o.ActMin, Hi: o.ActMax}
+}
+
+// axis is one spatial axis of op's window over in inputs.
+func (o *QOp) axis(in int) nn.Axis {
+	return nn.NewAxis(in, int(o.Attrs["kernel"]), int(o.Attrs["stride"]), nn.Padding(o.Attrs["padding"]))
+}
+
 func qDense(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) {
 	nIn := op.InShape.Elems()
 	nOut := op.OutShape.Elems()
 	row := acc[:nOut]
-	copy(row, op.Bias)
 	inZP := op.InQ.ZeroPoint
 	if op.wPair != nil {
 		pairs := simd.PackPairs(vp, in.Data[:nIn], inZP)
-		simd.ConvAccI8(row, op.wPair, vp[:pairs], nOut)
-		simd.RequantI8(out.Data[:nOut], row, op.mult, op.shift, op.OutQ.ZeroPoint, op.ActMin, op.ActMax)
+		simd.ConvTileI8(row, op.Bias, op.wPair, vp, simd.Tile{P: 1, N: pairs, Rows: 1})
+		simd.RequantI8(out.Data[:nOut], row, op.requantParams())
 		return
 	}
+	copy(row, op.Bias)
 	for i := 0; i < nIn; i++ {
 		v := int32(in.Data[i]) - inZP
 		wRow := op.W[i*nOut : (i+1)*nOut]
@@ -145,90 +161,27 @@ func qDense(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) {
 	}
 }
 
-func convDims(op *QOp) (kernel, stride, pad int) {
-	kernel = int(op.Attrs["kernel"])
-	stride = int(op.Attrs["stride"])
-	if stride < 1 {
-		stride = 1
-	}
-	pad = int(op.Attrs["padding"]) // 0 = valid, 1 = same
-	return kernel, stride, pad
-}
-
-// samePad computes the leading pad for Same padding.
-func samePad(in, kernel, stride, outDim int) int {
-	total := (outDim-1)*stride + kernel - in
-	if total < 0 {
-		total = 0
-	}
-	return total / 2
-}
-
 func qConv2D(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) {
 	h, w, cin := op.InShape[0], op.InShape[1], op.InShape[2]
-	oh, ow, filters := op.OutShape[0], op.OutShape[1], op.OutShape[2]
-	kernel, stride, pad := convDims(op)
-	py, px := 0, 0
-	if pad == 1 {
-		py = samePad(h, kernel, stride, oh)
-		px = samePad(w, kernel, stride, ow)
-	}
-	inZP := op.InQ.ZeroPoint
-	if op.wPairRow != nil && op.wPair != nil && cin == 1 {
-		qConv2DCin1(op, in, out, acc, vp)
-		return
-	}
 	if op.wPair != nil {
-		// Pack the whole input once, then accumulate [cin x filters]
-		// pair panels per valid tap with the tap range hoisted out of
-		// the inner loops; requantization batches per output row.
-		pp := packInput(vp, in.Data, cin, inZP)
-		tapBlock := pp * filters * 2
-		rowAcc := acc[:ow*filters]
-		for oy := 0; oy < oh; oy++ {
-			kyLo, kyHi := 0, kernel
-			if d := py - oy*stride; d > 0 {
-				kyLo = d
-			}
-			if d := h + py - oy*stride; d < kyHi {
-				kyHi = d
-			}
-			for ox := 0; ox < ow; ox++ {
-				seg := rowAcc[ox*filters : (ox+1)*filters]
-				copy(seg, op.Bias)
-				kxLo, kxHi := 0, kernel
-				if d := px - ox*stride; d > 0 {
-					kxLo = d
-				}
-				if d := w + px - ox*stride; d < kxHi {
-					kxHi = d
-				}
-				for ky := kyLo; ky < kyHi; ky++ {
-					iy := oy*stride + ky - py
-					for kx := kxLo; kx < kxHi; kx++ {
-						ix := ox*stride + kx - px
-						tap := ky*kernel + kx
-						pix := (iy*w + ix) * pp
-						simd.ConvAccI8(seg, op.wPair[tap*tapBlock:(tap+1)*tapBlock], vp[pix:pix+pp], filters)
-					}
-				}
-			}
-			simd.RequantI8(out.Data[oy*ow*filters:(oy+1)*ow*filters],
-				rowAcc, op.mult, op.shift, op.OutQ.ZeroPoint, op.ActMin, op.ActMax)
-		}
+		y, x := nn.ConvAxes(h, w, int(op.Attrs["kernel"]), int(op.Attrs["stride"]), nn.Padding(op.Attrs["padding"]))
+		qConvTiles(op, in.Data, out.Data, acc, vp, y, x, cin)
 		return
 	}
+	y, x := op.axis(h), op.axis(w)
+	filters, kernel, stride := op.OutShape[2], x.Kernel, x.Stride
+	inZP := op.InQ.ZeroPoint
 	row := acc[:filters]
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
+	for oy := 0; oy < y.Out; oy++ {
+		for ox := 0; ox < x.Out; ox++ {
 			copy(row, op.Bias)
 			for ky := 0; ky < kernel; ky++ {
-				iy := oy*stride + ky - py
+				iy := oy*stride + ky - y.Pad
 				if iy < 0 || iy >= h {
 					continue
 				}
 				for kx := 0; kx < kernel; kx++ {
-					ix := ox*stride + kx - px
+					ix := ox*stride + kx - x.Pad
 					if ix < 0 || ix >= w {
 						continue
 					}
@@ -243,7 +196,7 @@ func qConv2D(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) {
 					}
 				}
 			}
-			dst := out.Data[(oy*ow+ox)*filters : (oy*ow+ox+1)*filters]
+			dst := out.Data[(oy*x.Out+ox)*filters : (oy*x.Out+ox+1)*filters]
 			for f, a := range row {
 				dst[f] = requant(op, a)
 			}
@@ -251,160 +204,100 @@ func qConv2D(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) {
 	}
 }
 
-// qConv2DCin1 is the single-input-channel conv2d fast path (the KWS
-// head conv). Per-tap panels would hold one pair each, so instead the
-// kx taps of one kernel row pair up as if they were channels: each
-// (oy, ox, ky) becomes one [kernel x filters] panel over a contiguous
-// stretch of the input row. Every input row is packed twice, once per
-// pair-alignment phase, so a panel may start at any x offset. Integer
-// accumulation is exact, so the regrouped order is bitwise-identical
-// to the scalar reference.
-func qConv2DCin1(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) {
-	h, w := op.InShape[0], op.InShape[1]
-	oh, ow, filters := op.OutShape[0], op.OutShape[1], op.OutShape[2]
-	kernel, stride, pad := convDims(op)
-	py, px := 0, 0
-	if pad == 1 {
-		py = samePad(h, kernel, stride, oh)
-		px = samePad(w, kernel, stride, ow)
-	}
+// qConvTiles is the pair-panel convolution of conv2d and conv1d (one
+// input row): the input is packed once, then every run of output pixels
+// that share a tap window is one simd.ConvTileI8 call — per valid kernel
+// row the kx taps times the input pairs are one contiguous reduction in
+// the pair stream and in wPair — requantized as a run.
+//
+// The single-input-channel conv2d (the KWS head conv) would reduce one
+// half-empty pair per tap, so where the weights are row-paired (wPairRow:
+// the kx taps of a kernel row paired as if they were channels) pixels
+// with a whole window reduce kernel/2 pairs per row instead, from two
+// more packings of every input row, one per pair-alignment phase, so a
+// window may start at any x offset.
+func qConvTiles(op *QOp, in, out []int8, acc []int32, vp []uint32, y, x nn.Axis, cin int) {
+	filters, k := len(op.Bias), x.Kernel
 	inZP := op.InQ.ZeroPoint
-	// Phase streams: vp[iy*2S .. ] pairs lanes (0,1),(2,3),...;
-	// vp[iy*2S+S .. ] pairs lanes (1,2),(3,4),...
-	S := (w + 1) / 2
-	for iy := 0; iy < h; iy++ {
-		simd.PackPairs(vp[iy*2*S:], in.Data[iy*w:(iy+1)*w], inZP)
-		if w > 1 {
-			simd.PackPairs(vp[iy*2*S+S:], in.Data[iy*w+1:(iy+1)*w], inZP)
+	pp := packInput(vp, in, cin, inZP)
+	// Phase streams: phases[iy*2S .. ] pairs lanes (0,1),(2,3),...;
+	// phases[iy*2S+S .. ] pairs lanes (1,2),(3,4),...
+	var phases []uint32
+	S := (x.In + 1) / 2
+	if op.wPairRow != nil {
+		phases = vp[len(in):]
+		for iy := 0; iy < y.In; iy++ {
+			simd.PackPairs(phases[iy*2*S:], in[iy*x.In:(iy+1)*x.In], inZP)
+			if x.In > 1 {
+				simd.PackPairs(phases[iy*2*S+S:], in[iy*x.In+1:(iy+1)*x.In], inZP)
+			}
 		}
 	}
-	block := (kernel / 2) * filters * 2
-	tapBlock := filters * 2 // generic single-pair tap panels
-	rowAcc := acc[:ow*filters]
-	var one [1]uint32
-	for oy := 0; oy < oh; oy++ {
-		kyLo, kyHi := 0, kernel
-		if d := py - oy*stride; d > 0 {
-			kyLo = d
-		}
-		if d := h + py - oy*stride; d < kyHi {
-			kyHi = d
-		}
-		for ox := 0; ox < ow; ox++ {
-			seg := rowAcc[ox*filters : (ox+1)*filters]
-			copy(seg, op.Bias)
-			kxLo, kxHi := 0, kernel
-			if d := px - ox*stride; d > 0 {
-				kxLo = d
-			}
-			if d := w + px - ox*stride; d < kxHi {
-				kxHi = d
-			}
-			if kxLo == 0 && kxHi == kernel {
-				ix0 := ox*stride - px
-				base := ix0&1*S + ix0>>1
-				for ky := kyLo; ky < kyHi; ky++ {
-					iy := oy*stride + ky - py
-					p0 := iy*2*S + base
-					simd.ConvAccI8(seg, op.wPairRow[ky*block:(ky+1)*block], vp[p0:p0+kernel/2], filters)
+	rq := op.requantParams()
+	for oy := 0; oy < y.Out; oy++ {
+		kyLo, kyHi, iy := y.Taps(oy)
+		for ox, n := 0, 0; ox < x.Out; ox += n {
+			var kxLo, kxHi, ix int
+			n, kxLo, kxHi, ix = x.Run(ox, x.Out)
+			run := acc[:n*filters]
+			if phases != nil && kxHi-kxLo == k {
+				// Consecutive windows keep their phase only under an
+				// even stride; otherwise tile them one by one.
+				step := n
+				if x.Stride%2 == 1 {
+					step = 1
+				}
+				for p := 0; p < n; p += step {
+					ix0 := ix + p*x.Stride
+					simd.ConvTileI8(run[p*filters:], op.Bias, op.wPairRow[kyLo*(k/2)*filters*2:], phases[(iy*2+ix0&1)*S+ix0>>1:], simd.Tile{
+						P: step, N: k / 2, Rows: kyHi - kyLo,
+						PixStride: x.Stride / 2, InRowStride: 2 * S, WRowStride: k / 2 * filters,
+					})
 				}
 			} else {
-				// x-clipped boundary pixels fall back to single-pair taps.
-				for ky := kyLo; ky < kyHi; ky++ {
-					iy := oy*stride + ky - py
-					for kx := kxLo; kx < kxHi; kx++ {
-						ix := ox*stride + kx - px
-						one[0] = uint32(uint16(int32(in.Data[iy*w+ix]) - inZP))
-						tap := ky*kernel + kx
-						simd.ConvAccI8(seg, op.wPair[tap*tapBlock:(tap+1)*tapBlock], one[:], filters)
-					}
-				}
+				simd.ConvTileI8(run, op.Bias, op.wPair[(kyLo*k+kxLo)*pp*filters*2:], vp[(iy*x.In+ix)*pp:], simd.Tile{
+					P: n, N: (kxHi - kxLo) * pp, Rows: kyHi - kyLo,
+					PixStride: x.Stride * pp, InRowStride: x.In * pp, WRowStride: k * pp * filters,
+				})
 			}
+			simd.RequantI8(out[(oy*x.Out+ox)*filters:][:n*filters], run, rq)
 		}
-		simd.RequantI8(out.Data[oy*ow*filters:(oy+1)*ow*filters],
-			rowAcc, op.mult, op.shift, op.OutQ.ZeroPoint, op.ActMin, op.ActMax)
 	}
 }
 
-func qDepthwise(op *QOp, in, out *tensor.I8, acc []int32) {
-	h, w, ch := op.InShape[0], op.InShape[1], op.InShape[2]
-	oh, ow := op.OutShape[0], op.OutShape[1]
-	kernel, stride, pad := convDims(op)
-	py, px := 0, 0
-	if pad == 1 {
-		py = samePad(h, kernel, stride, oh)
-		px = samePad(w, kernel, stride, ow)
-	}
-	inZP := op.InQ.ZeroPoint
-	rowAcc := acc[:ow*ch]
-	for oy := 0; oy < oh; oy++ {
-		kyLo, kyHi := 0, kernel
-		if d := py - oy*stride; d > 0 {
-			kyLo = d
+// qDepthwise needs no scratch: the pixel kernel requantizes in its
+// registers.
+func qDepthwise(op *QOp, in, out *tensor.I8, _ []int32, _ []uint32) {
+	w, ch := op.InShape[1], op.InShape[2]
+	y, x := op.axis(op.InShape[0]), op.axis(w)
+	inZP, rq := op.InQ.ZeroPoint, op.requantParams()
+	for oy := 0; oy < y.Out; oy++ {
+		kyLo, kyHi, iy := y.Taps(oy)
+		for ox, n := 0, 0; ox < x.Out; ox += n {
+			var kxLo, kxHi, ix int
+			n, kxLo, kxHi, ix = x.Run(ox, x.Out)
+			simd.DepthwiseI8(out.Data[(oy*x.Out+ox)*ch:], op.Bias, op.W[(kyLo*x.Kernel+kxLo)*ch:], in.Data[(iy*w+ix)*ch:], simd.Tile{
+				P: n, N: kxHi - kxLo, Rows: kyHi - kyLo,
+				PixStride: x.Stride * ch, InRowStride: w * ch, WRowStride: x.Kernel * ch,
+			}, inZP, rq)
 		}
-		if d := h + py - oy*stride; d < kyHi {
-			kyHi = d
-		}
-		for ox := 0; ox < ow; ox++ {
-			seg := rowAcc[ox*ch : (ox+1)*ch]
-			copy(seg, op.Bias)
-			kxLo, kxHi := 0, kernel
-			if d := px - ox*stride; d > 0 {
-				kxLo = d
-			}
-			if d := w + px - ox*stride; d < kxHi {
-				kxHi = d
-			}
-			for ky := kyLo; ky < kyHi; ky++ {
-				iy := oy*stride + ky - py
-				for kx := kxLo; kx < kxHi; kx++ {
-					ix := ox*stride + kx - px
-					inRow := in.Data[(iy*w+ix)*ch : (iy*w+ix+1)*ch]
-					wRow := op.W[(ky*kernel+kx)*ch : (ky*kernel+kx+1)*ch]
-					simd.MulAccI8(seg, wRow, inRow, inZP)
-				}
-			}
-		}
-		simd.RequantI8(out.Data[oy*ow*ch:(oy+1)*ow*ch],
-			rowAcc, op.mult, op.shift, op.OutQ.ZeroPoint, op.ActMin, op.ActMax)
 	}
 }
 
 func qConv1D(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) {
 	t, cin := op.InShape[0], op.InShape[1]
-	ot, filters := op.OutShape[0], op.OutShape[1]
-	kernel, stride, pad := convDims(op)
-	p := 0
-	if pad == 1 {
-		p = samePad(t, kernel, stride, ot)
-	}
-	inZP := op.InQ.ZeroPoint
-	row := acc[:filters]
+	x := op.axis(t)
 	if op.wPair != nil {
-		pp := packInput(vp, in.Data, cin, inZP)
-		tapBlock := pp * filters * 2
-		for o := 0; o < ot; o++ {
-			copy(row, op.Bias)
-			kLo, kHi := 0, kernel
-			if d := p - o*stride; d > 0 {
-				kLo = d
-			}
-			if d := t + p - o*stride; d < kHi {
-				kHi = d
-			}
-			for k := kLo; k < kHi; k++ {
-				i := o*stride + k - p
-				simd.ConvAccI8(row, op.wPair[k*tapBlock:(k+1)*tapBlock], vp[i*pp:(i+1)*pp], filters)
-			}
-			simd.RequantI8(out.Data[o*filters:(o+1)*filters],
-				row, op.mult, op.shift, op.OutQ.ZeroPoint, op.ActMin, op.ActMax)
-		}
+		qConvTiles(op, in.Data, out.Data, acc, vp, nn.NewAxis(1, 1, 1, nn.Valid), x, cin)
 		return
 	}
-	for o := 0; o < ot; o++ {
+	filters := op.OutShape[1]
+	inZP := op.InQ.ZeroPoint
+	row := acc[:filters]
+	for o := 0; o < x.Out; o++ {
 		copy(row, op.Bias)
-		for k := 0; k < kernel; k++ {
-			i := o*stride + k - p
+		for k := 0; k < x.Kernel; k++ {
+			i := o*x.Stride + k - x.Pad
 			if i < 0 || i >= t {
 				continue
 			}
@@ -440,17 +333,14 @@ func qMaxPool2D(op *QOp, in, out *tensor.I8) {
 	size, stride := poolDims(op)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			for c := 0; c < ch; c++ {
-				best := int8(-128)
-				for ky := 0; ky < size; ky++ {
-					for kx := 0; kx < size; kx++ {
-						v := in.Data[((oy*stride+ky)*w+(ox*stride+kx))*ch+c]
-						if v > best {
-							best = v
-						}
-					}
+			best := out.Data[(oy*ow+ox)*ch:][:ch]
+			for c := range best {
+				best[c] = -128
+			}
+			for ky := 0; ky < size; ky++ {
+				for kx := 0; kx < size; kx++ {
+					simd.MaxI8(best, in.Data[((oy*stride+ky)*w+ox*stride+kx)*ch:][:ch])
 				}
-				out.Data[(oy*ow+ox)*ch+c] = best
 			}
 		}
 	}

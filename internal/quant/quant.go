@@ -67,14 +67,14 @@ func (o *QOp) Rebind() {
 	case "dense":
 		o.wPair = simd.PairWeights(o.W, o.InShape.Elems(), o.OutShape.Elems())
 	case "conv2d":
-		kernel, _, _ := convDims(o)
+		kernel := int(o.Attrs["kernel"])
 		o.wPair = pairTaps(o.W, kernel*kernel, o.InShape[2], o.OutShape[2])
 		if o.InShape[2] == 1 && kernel%2 == 0 {
 			// Repair the taps row-wise: ky is the tap, kx the channel.
 			o.wPairRow = pairTaps(o.W, kernel, kernel, o.OutShape[2])
 		}
 	case "conv1d":
-		kernel, _, _ := convDims(o)
+		kernel := int(o.Attrs["kernel"])
 		o.wPair = pairTaps(o.W, kernel, o.InShape[1], o.OutShape[1])
 	}
 }
@@ -147,11 +147,7 @@ func NewExecutor(q *QModel, layout nn.Layout, binding nn.Binding) (*Executor, er
 		NewScratch: func() *scratch {
 			return &scratch{acc: make([]int32, maxAcc), vp: make([]uint32, maxVp)}
 		},
-		Stage: func(dst []int8, src []float32) {
-			for i, v := range src {
-				dst[i] = q.InQ.Quantize(v)
-			}
-		},
+		Stage: q.InQ.QuantizeInto,
 		Result: func(res *tensor.F32, x []int8) {
 			for i, v := range x {
 				res.Data[i] = outQ.Dequantize(v)
@@ -291,6 +287,25 @@ func Quantize(m *nn.Model, calibration []*tensor.F32) (*QModel, error) {
 	return qm, nil
 }
 
+// roundToInt32 rounds x to the nearest integer, halves away from zero,
+// saturating to ±(2^31-1) as TFLite's quantizer does and mapping NaN to
+// 0. Go's own conversion of an out-of-range float64 is
+// implementation-defined (0x80000000 on amd64, saturating on arm64), so
+// without this a tiny bias scale quantized the same model differently
+// per architecture.
+func roundToInt32(x float64) int32 {
+	switch r := math.Round(x); {
+	case r >= math.MaxInt32:
+		return math.MaxInt32
+	case r <= -math.MaxInt32:
+		return -math.MaxInt32
+	case r != r:
+		return 0
+	default:
+		return int32(r)
+	}
+}
+
 // quantizeLayer fills op with quantized weights for compute layers and
 // adjusts pass-through ops.
 func quantizeLayer(op *QOp, l nn.Layer) error {
@@ -327,14 +342,13 @@ func quantizeLayer(op *QOp, l nn.Layer) error {
 	op.WScale = absMax / 127
 	op.W = make([]int8, len(w.Data))
 	for i, v := range w.Data {
-		q := int32(math.Round(float64(v) / float64(op.WScale)))
-		op.W[i] = int8(clampI32(q, -127, 127))
+		op.W[i] = int8(clampI32(roundToInt32(float64(v)/float64(op.WScale)), -127, 127))
 	}
 	// Bias at accumulator scale.
 	biasScale := float64(op.InQ.Scale) * float64(op.WScale)
 	op.Bias = make([]int32, len(b.Data))
 	for i, v := range b.Data {
-		op.Bias[i] = int32(math.Round(float64(v) / biasScale))
+		op.Bias[i] = roundToInt32(float64(v) / biasScale)
 	}
 	// Requantization multiplier and pair-interleaved kernel weights.
 	op.Rebind()

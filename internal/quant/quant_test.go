@@ -350,3 +350,63 @@ func BenchmarkQuantizedDense(b *testing.B) {
 		qm.Forward(in)
 	}
 }
+
+// TestRoundToInt32Saturates pins the float64 -> int32 step of the
+// quantizer where Go's own conversion is implementation-defined.
+func TestRoundToInt32Saturates(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		want int32
+	}{
+		{0, 0}, {0.5, 1}, {-0.5, -1}, {1.4999, 1}, {-2.5, -3},
+		{2147483646.4, 2147483646}, {2147483646.5, math.MaxInt32}, {2147483648, math.MaxInt32},
+		{-2147483646.5, -math.MaxInt32}, {-2147483648, -math.MaxInt32}, {-2147483649, -math.MaxInt32},
+		{1e300, math.MaxInt32}, {-1e300, -math.MaxInt32},
+		{math.Inf(1), math.MaxInt32}, {math.Inf(-1), -math.MaxInt32}, {math.NaN(), 0},
+	} {
+		if got := roundToInt32(c.x); got != c.want {
+			t.Errorf("roundToInt32(%v) = %d, want %d", c.x, got, c.want)
+		}
+	}
+}
+
+// TestQuantizeTinyScaleSaturatesBias is the regression test for the
+// unsaturated bias conversion: a calibration range of 1e-30 makes
+// InQ.Scale*WScale so small that bias/scale leaves int32, which used to
+// convert to 0x80000000 on amd64 (a large negative bias for a positive
+// float bias) and to something else elsewhere.
+func TestQuantizeTinyScaleSaturatesBias(t *testing.T) {
+	for _, c := range []struct {
+		bias float32
+		want int32
+	}{
+		{0.5, math.MaxInt32},
+		{-0.5, -math.MaxInt32},
+		{0, 0},
+		{float32(math.Inf(1)), math.MaxInt32},
+		{1e-20, math.MaxInt32},
+		{-1e-20, -math.MaxInt32},
+	} {
+		m := nn.NewModel(2)
+		m.NumClasses = 2
+		d := nn.NewDense(2, nn.None)
+		m.Add(d)
+		if err := nn.InitWeights(m, 3); err != nil {
+			t.Fatal(err)
+		}
+		d.B.Data[0], d.B.Data[1] = c.bias, 0
+		calib := []*tensor.F32{{Shape: tensor.Shape{2}, Data: []float32{1e-30, -1e-30}}}
+		qm, err := Quantize(m, calib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := qm.Ops[0].Bias; got[0] != c.want || got[1] != 0 {
+			t.Errorf("bias %g at input scale %g: quantized to %v, want [%d 0]", c.bias, qm.Ops[0].InQ.Scale, got, c.want)
+		}
+		for _, w := range qm.Ops[0].W {
+			if w < -127 || w > 127 {
+				t.Errorf("weight %d outside the symmetric range", w)
+			}
+		}
+	}
+}

@@ -1,17 +1,28 @@
-// Package simd provides the vectorized inner-loop primitives behind the
-// float32 and int8 inference kernels: rank-1 accumulation (the body of
-// conv2d/conv1d/dense), elementwise multiply-accumulate (depthwise conv)
-// and fused activation clamps.
+// Package simd provides the vectorized inner loops behind the float32
+// and int8 inference kernels: register-tiled convolution (the body of
+// conv2d/conv1d/dense), the depthwise pixel kernel, input quantization
+// and pair packing, requantization, pooling maxima and the fused
+// activation clamps.
+//
+// A conv tile is a run of P output pixels that share one tap window.
+// The kernel walks it four pixels at a time (then one at a time) by 16
+// output lanes (then 8), keeps that block's accumulators in registers
+// from the bias load through the whole reduction — every kernel row,
+// every tap of the row, every input channel — and stores each output
+// once. The depthwise kernel does the same per pixel, four 8-lane
+// channel blocks at a time, and in int8 requantizes from the registers.
 //
 // On amd64 with AVX2 the primitives dispatch to hand-written assembly;
-// everywhere else (and when SetEnabled(false) forces it) they run a pure
-// Go reference implementation. Both paths are bit-for-bit identical:
+// everywhere else (under the noasm build tag, and when a test calls
+// SetEnabled(false)) they run a pure Go reference. Both paths are
+// bit-for-bit identical:
 //
 //   - Float kernels use separate multiply and add instructions
 //     (VMULPS + VADDPS), never FMA, so every product and every partial
 //     sum is rounded to float32 exactly as the scalar Go expression
-//     `s += v * w` rounds it, and the per-output accumulation order is
-//     the declared ci-major order in both paths.
+//     `s += v * w` rounds it, and per output lane the accumulation order
+//     is bias, then kernel row, then tap, then input channel in both
+//     paths and for every tile width.
 //   - Integer kernels are exact: int32 addition and multiplication are
 //     associative and wrap identically in Go and in VPMADDWD/VPMULLD
 //     lanes, so any regrouping (the assembly pairs adjacent input lanes)
@@ -19,14 +30,14 @@
 //
 // The EON-vs-interpreter story of the source paper rests on quantized
 // kernels beating float on real hardware (CMSIS-NN's SMLAD dual-MAC is
-// the canonical example); ConvAccI8's VPMADDWD inner loop is the x86
-// equivalent — two int16 lanes per multiply — which is what finally makes
-// the host int8 path strictly faster than float32.
+// the canonical example); ConvTileI8's VPMADDWD inner loop is the x86
+// equivalent — two int16 lanes per multiply.
 package simd
 
 import (
 	"math"
 	"sync/atomic"
+	"unsafe"
 )
 
 // enabled gates the assembly fast paths; it is true only on amd64 with
@@ -45,72 +56,153 @@ func Enabled() bool { return enabled.Load() }
 // compare the assembly and reference implementations.
 func SetEnabled(on bool) { enabled.Store(on && haveAVX2) }
 
-// ConvAccF32 accumulates a [cin x nf] weight panel into an output row:
+// Tile is the geometry of one kernel call: a run of P output pixels
+// whose windows hold the same taps. Each pixel reduces Rows segments of
+// its input, N steps each; consecutive steps are consecutive in memory.
+// A step is one input element for ConvTileF32 (N = taps in the row ×
+// input channels), one packed pair for ConvTileI8, and one tap — a
+// whole channel row — for the depthwise kernels. Strides count elements
+// of the slice they index (pairs for a packed input and its weights).
+type Tile struct {
+	P           int // output pixels in the run
+	N           int // reduction steps per row segment
+	Rows        int // row segments (valid kernel rows)
+	PixStride   int // input distance between adjacent output pixels
+	InRowStride int // input distance between row segments
+	WRowStride  int // weight distance between row segments
+}
+
+// checked panics unless a kernel that reads step input elements and nf
+// weight lanes per reduction step stays inside its slices. It returns t
+// with an empty reduction normalized to Rows = 0.
+func (t Tile) checked(name string, nf, step, dstLen, wLen, inLen int) Tile {
+	if t.P < 0 || t.N < 0 || t.Rows < 0 || t.PixStride < 0 || t.InRowStride < 0 || t.WRowStride < 0 {
+		panic("simd: " + name + " negative tile geometry")
+	}
+	if t.P*nf > dstLen {
+		panic("simd: " + name + " output out of bounds")
+	}
+	if t.P == 0 || t.N == 0 || t.Rows == 0 {
+		t.Rows = 0
+		return t
+	}
+	if (t.P-1)*t.PixStride+(t.Rows-1)*t.InRowStride+t.N*step > inLen {
+		panic("simd: " + name + " input out of bounds")
+	}
+	if (t.Rows-1)*t.WRowStride+t.N*nf > wLen {
+		panic("simd: " + name + " weights out of bounds")
+	}
+	return t
+}
+
+// tileArgs is what the assembly kernels read; every distance is in
+// bytes. The field order is the assembly's (simd_amd64.s).
+type tileArgs struct {
+	dst, bias, w, in unsafe.Pointer
+	pitch            int // bytes between the outputs of adjacent pixels
+	lanes            int // output lanes to compute, a multiple of 8
+	p, n, rows       int
+	pixStride        int
+	inRowStride      int
+	wRowStride       int
+}
+
+// args is t for the assembly: nf output lanes per pixel of which lanes
+// are computed, input and weight elements size bytes wide and output
+// elements outSize bytes wide. The slices are non-empty (checked).
+func args[D, B, W, I any](t Tile, dst []D, bias []B, w []W, in []I, lanes, size, outSize int) tileArgs {
+	return tileArgs{
+		dst: unsafe.Pointer(&dst[0]), bias: unsafe.Pointer(&bias[0]), w: unsafe.Pointer(&w[0]), in: unsafe.Pointer(&in[0]),
+		pitch: len(bias) * outSize, lanes: lanes, p: t.P, n: t.N, rows: t.Rows,
+		pixStride: t.PixStride * size, inRowStride: t.InRowStride * size, wRowStride: t.WRowStride * size,
+	}
+}
+
+// ConvTileF32 computes len(bias) output lanes of t.P pixels:
 //
-//	dst[f] += Σ_ci in[ci] * w[ci*stride+f]   for f in [0, len(dst))
+//	dst[p*nf+f] = bias[f] + Σ_r Σ_j in[p*PixStride+r*InRowStride+j] * w[r*WRowStride+j*nf+f]
 //
-// with ci iterated in increasing order per output lane (bitwise-stable
-// float accumulation). stride is the weight row pitch in elements and
-// must satisfy stride >= len(dst) and len(w) >= (len(in)-1)*stride +
-// len(dst). This is the inner body of conv2d/conv1d (one kernel tap) and
-// of dense (the whole matrix).
-func ConvAccF32(dst, w, in []float32, stride int) {
-	if len(dst) == 0 || len(in) == 0 {
+// with r, then j, increasing per output lane (bitwise-stable float
+// accumulation). One row segment is the valid taps of one kernel row
+// times the input channels — contiguous in an HWC input and in HWIO
+// weights — so conv2d, conv1d (Rows = 1) and dense (one pixel, one row)
+// are all this call.
+func ConvTileF32(dst, bias, w, in []float32, t Tile) {
+	nf := len(bias)
+	t = t.checked("ConvTileF32", nf, 1, len(dst), len(w), len(in))
+	if t.P == 0 || nf == 0 {
 		return
 	}
-	if (len(in)-1)*stride+len(dst) > len(w) {
-		panic("simd: ConvAccF32 weight panel out of bounds")
+	f0 := 0
+	if nf >= 8 && t.Rows > 0 && enabled.Load() {
+		f0 = nf &^ 7
+		a := args(t, dst, bias, w, in, f0, 4, 4)
+		convTileF32SIMD(&a)
 	}
-	if enabled.Load() {
-		if nf8 := len(dst) &^ 7; nf8 > 0 {
-			convAccF32SIMD(dst[:nf8], w, in, stride)
-		}
-		convAccF32Tail(dst, w, in, stride, len(dst)&^7)
-		return
-	}
-	convAccF32Go(dst, w, in, stride)
-}
-
-// convAccF32Go is the scalar reference: ci-major rank-1 updates, the
-// same accumulation order as the historical kernels.
-func convAccF32Go(dst, w, in []float32, stride int) {
-	for ci, v := range in {
-		wRow := w[ci*stride : ci*stride+len(dst)]
-		for f, wv := range wRow {
-			dst[f] += v * wv
-		}
+	if f0 < nf {
+		convTileF32Go(dst, bias, w, in, t, f0)
 	}
 }
 
-// convAccF32Tail finishes output lanes [f0, len(dst)) in scalar code.
-func convAccF32Tail(dst, w, in []float32, stride, f0 int) {
-	for f := f0; f < len(dst); f++ {
-		s := dst[f]
-		for ci, v := range in {
-			s += v * w[ci*stride+f]
+// convTileF32Go is the reference for output lanes [f0, nf): rank-1
+// updates in (row, step) order, the accumulation order of the classic
+// filter-major loop.
+func convTileF32Go(dst, bias, w, in []float32, t Tile, f0 int) {
+	nf := len(bias)
+	for p := 0; p < t.P; p++ {
+		d := dst[p*nf+f0 : (p+1)*nf]
+		copy(d, bias[f0:])
+		for r := 0; r < t.Rows; r++ {
+			x := in[p*t.PixStride+r*t.InRowStride:][:t.N]
+			wr := w[r*t.WRowStride:]
+			for j, v := range x {
+				for f, wv := range wr[j*nf+f0 : (j+1)*nf] {
+					d[f] += v * wv
+				}
+			}
 		}
-		dst[f] = s
 	}
 }
 
-// MulAccF32 accumulates an elementwise product: dst[i] += a[i]*b[i].
-// All three slices must have the same length. This is the depthwise
-// convolution tap body.
-func MulAccF32(dst, a, b []float32) {
-	if len(a) != len(dst) || len(b) != len(dst) {
-		panic("simd: MulAccF32 length mismatch")
-	}
-	if enabled.Load() {
-		if n8 := len(dst) &^ 7; n8 > 0 {
-			mulAccF32SIMD(dst[:n8], a, b)
-		}
-		for i := len(dst) &^ 7; i < len(dst); i++ {
-			dst[i] += a[i] * b[i]
-		}
+// DepthwiseF32 computes t.P pixels of a depthwise convolution over
+// ch = len(bias) channels, one reduction step per tap:
+//
+//	dst[p*ch+c] = bias[c] + Σ_r Σ_k in[p*PixStride+r*InRowStride+k*ch+c] * w[r*WRowStride+k*ch+c]
+//
+// with r, then k, increasing per channel.
+func DepthwiseF32(dst, bias, w, in []float32, t Tile) {
+	ch := len(bias)
+	t = t.checked("DepthwiseF32", ch, ch, len(dst), len(w), len(in))
+	if t.P == 0 || ch == 0 {
 		return
 	}
-	for i, av := range a {
-		dst[i] += av * b[i]
+	c0 := 0
+	if ch >= 8 && t.Rows > 0 && enabled.Load() {
+		c0 = ch &^ 7
+		a := args(t, dst, bias, w, in, c0, 4, 4)
+		depthwiseF32SIMD(&a)
+	}
+	if c0 < ch {
+		depthwiseF32Go(dst, bias, w, in, t, c0)
+	}
+}
+
+// depthwiseF32Go is the reference for channels [c0, ch).
+func depthwiseF32Go(dst, bias, w, in []float32, t Tile, c0 int) {
+	ch := len(bias)
+	for p := 0; p < t.P; p++ {
+		d := dst[p*ch+c0 : (p+1)*ch]
+		copy(d, bias[c0:])
+		for r := 0; r < t.Rows; r++ {
+			x := in[p*t.PixStride+r*t.InRowStride:]
+			wr := w[r*t.WRowStride:]
+			for k := 0; k < t.N; k++ {
+				xs := x[k*ch+c0 : (k+1)*ch]
+				for c, wv := range wr[k*ch+c0 : (k+1)*ch] {
+					d[c] += xs[c] * wv
+				}
+			}
+		}
 	}
 }
 
@@ -147,8 +239,78 @@ func ReLU6F32(x []float32) {
 	}
 }
 
+// MaxF32 keeps the running maxima of a pooling window: dst[i] = src[i]
+// wherever src[i] > dst[i], so a NaN in src never wins and -0 does not
+// replace +0, exactly as the scalar comparison. len(src) must equal
+// len(dst).
+func MaxF32(dst, src []float32) {
+	if len(src) != len(dst) {
+		panic("simd: MaxF32 length mismatch")
+	}
+	n8 := 0
+	if enabled.Load() {
+		if n8 = len(dst) &^ 7; n8 > 0 {
+			maxF32SIMD(dst[:n8], src)
+		}
+	}
+	for i := n8; i < len(dst); i++ {
+		if src[i] > dst[i] {
+			dst[i] = src[i]
+		}
+	}
+}
+
+// MaxI8 is MaxF32 for int8 lanes.
+func MaxI8(dst, src []int8) {
+	if len(src) != len(dst) {
+		panic("simd: MaxI8 length mismatch")
+	}
+	n16 := 0
+	if enabled.Load() {
+		if n16 = len(dst) &^ 15; n16 > 0 {
+			maxI8SIMD(dst[:n16], src)
+		}
+	}
+	for i := n16; i < len(dst); i++ {
+		dst[i] = max(dst[i], src[i])
+	}
+}
+
+// QuantizeI8 maps src to the int8 domain real = scale*(q - zp), scale
+// nonzero: dst[i] = clamp(int32(round(float64(src[i])/float64(scale))) +
+// zp, -128, 127) with halves rounded away from zero, the conversion Go
+// performs (on amd64 NaN and anything outside int32 convert to
+// math.MinInt32 in both paths) and int32 wrap-around on the zero-point
+// add. len(dst) must equal len(src).
+func QuantizeI8(dst []int8, src []float32, scale float32, zp int32) {
+	if len(dst) != len(src) {
+		panic("simd: QuantizeI8 length mismatch")
+	}
+	n8 := 0
+	if enabled.Load() {
+		if n8 = len(src) &^ 7; n8 > 0 {
+			quantizeI8SIMD(dst[:n8], src, float64(scale), zp)
+		}
+	}
+	for i := n8; i < len(src); i++ {
+		x := float64(src[i]) / float64(scale)
+		// math.Round(x) without the call: adding the largest double
+		// below one half, away from zero, carries exactly the values
+		// whose fraction is at least one half into the next integer
+		// (x + 0.5 would also carry the double just below a half).
+		r := math.Trunc(x + math.Copysign(0.49999999999999994, x))
+		q := int32(r) + zp
+		if q < -128 {
+			q = -128
+		} else if q > 127 {
+			q = 127
+		}
+		dst[i] = int8(q)
+	}
+}
+
 // PackPairs packs zero-point-centered input lanes into the uint32 pair
-// stream ConvAccI8 consumes: vp[cp] holds (in[2cp]-zp) in the low 16
+// stream ConvTileI8 consumes: vp[cp] holds (in[2cp]-zp) in the low 16
 // bits and (in[2cp+1]-zp) in the high 16, both as int16 bit patterns.
 // An odd trailing lane packs with a zero high half (its phantom partner
 // multiplies a zero weight lane, see PairWeights). Returns the number
@@ -173,31 +335,31 @@ func PackPairs(vp []uint32, in []int8, zp int32) int {
 	return n
 }
 
-// ConvAccI8 accumulates a quantized weight panel into an int32 row from
-// a packed input-pair stream (see PackPairs) and pair-interleaved int16
-// weight lanes (see PairWeights):
+// ConvTileI8 is ConvTileF32 for a packed input-pair stream (see
+// PackPairs) and pair-interleaved int16 weight lanes (see PairWeights),
+// accumulating in int32 from an int32 bias:
 //
-//	acc[f] += Σ_cp v0(cp)*wPair[(cp*stride+f)*2] +
-//	               v1(cp)*wPair[(cp*stride+f)*2+1]
+//	acc[p*nf+f] = bias[f] + Σ_r Σ_j v0(j)*wPair[(r*WRowStride+j*nf+f)*2] +
+//	                                v1(j)*wPair[(r*WRowStride+j*nf+f)*2+1]
 //
-// for cp in [0, len(vp)). stride is the pair-row pitch in pairs.
-// Integer arithmetic is exact, so any lane pairing is bitwise-identical
-// to the unpaired scalar accumulation.
-func ConvAccI8(acc []int32, wPair []int16, vp []uint32, stride int) {
-	if len(acc) == 0 || len(vp) == 0 {
+// where (v0, v1)(j) is the pair vp[p*PixStride+r*InRowStride+j]. Integer
+// arithmetic is exact, so any lane pairing is bitwise-identical to the
+// unpaired scalar accumulation.
+func ConvTileI8(acc, bias []int32, wPair []int16, vp []uint32, t Tile) {
+	nf := len(bias)
+	t = t.checked("ConvTileI8", nf, 1, len(acc), len(wPair)/2, len(vp))
+	if t.P == 0 || nf == 0 {
 		return
 	}
-	if (len(vp)-1)*stride*2+len(acc)*2 > len(wPair) {
-		panic("simd: ConvAccI8 weight panel out of bounds")
+	f0 := 0
+	if nf >= 8 && t.Rows > 0 && enabled.Load() {
+		f0 = nf &^ 7
+		a := args(t, acc, bias, wPair, vp, f0, 4, 4)
+		convTileI8SIMD(&a)
 	}
-	if enabled.Load() {
-		if nf8 := len(acc) &^ 7; nf8 > 0 {
-			convAccI8SIMD(acc[:nf8], wPair, vp, stride)
-		}
-		convAccI8Tail(acc, wPair, vp, stride, len(acc)&^7)
-		return
+	if f0 < nf {
+		convTileI8Go(acc, bias, wPair, vp, t, f0)
 	}
-	convAccI8Go(acc, wPair, vp, stride)
 }
 
 // unpackPair splits a packed pair back into its int32 lane values.
@@ -205,119 +367,158 @@ func unpackPair(p uint32) (v0, v1 int32) {
 	return int32(int16(p)), int32(int16(p >> 16))
 }
 
-func convAccI8Go(acc []int32, wPair []int16, vp []uint32, stride int) {
-	for cp, p := range vp {
-		v0, v1 := unpackPair(p)
-		row := wPair[cp*stride*2 : cp*stride*2+len(acc)*2]
-		for f := range acc {
-			acc[f] += v0*int32(row[2*f]) + v1*int32(row[2*f+1])
+// convTileI8Go is the reference for output lanes [f0, nf).
+func convTileI8Go(acc, bias []int32, wPair []int16, vp []uint32, t Tile, f0 int) {
+	nf := len(bias)
+	for p := 0; p < t.P; p++ {
+		d := acc[p*nf+f0 : (p+1)*nf]
+		copy(d, bias[f0:])
+		for r := 0; r < t.Rows; r++ {
+			x := vp[p*t.PixStride+r*t.InRowStride:][:t.N]
+			wr := wPair[r*t.WRowStride*2:]
+			for j, pair := range x {
+				v0, v1 := unpackPair(pair)
+				row := wr[(j*nf+f0)*2 : (j+1)*nf*2]
+				for f := range d {
+					d[f] += v0*int32(row[2*f]) + v1*int32(row[2*f+1])
+				}
+			}
 		}
 	}
 }
 
-func convAccI8Tail(acc []int32, wPair []int16, vp []uint32, stride, f0 int) {
-	for f := f0; f < len(acc); f++ {
-		s := acc[f]
-		for cp, p := range vp {
-			v0, v1 := unpackPair(p)
-			s += v0*int32(wPair[(cp*stride+f)*2]) + v1*int32(wPair[(cp*stride+f)*2+1])
-		}
-		acc[f] = s
-	}
-}
-
-// MulAccI8 accumulates an elementwise quantized product:
-//
-//	acc[i] += (in[i]-zp) * w[i]
-//
-// the depthwise convolution tap body. All slices share one length.
-func MulAccI8(acc []int32, w, in []int8, zp int32) {
-	if len(w) != len(acc) || len(in) != len(acc) {
-		panic("simd: MulAccI8 length mismatch")
-	}
-	if enabled.Load() {
-		if n8 := len(acc) &^ 7; n8 > 0 {
-			mulAccI8SIMD(acc[:n8], w, in, zp)
-		}
-		for i := len(acc) &^ 7; i < len(acc); i++ {
-			acc[i] += (int32(in[i]) - zp) * int32(w[i])
-		}
-		return
-	}
-	for i, wv := range w {
-		acc[i] += (int32(in[i]) - zp) * int32(wv)
-	}
-}
-
-// RequantI8 converts int32 accumulators to the quantized int8 output
-// domain, matching the TFLite reference requantization bit for bit:
-// rounding-doubling-high-multiply by the Q31 mantissa mult with shift
+// Requant holds the parameters that take an int32 accumulator to the
+// quantized int8 output domain the way the TFLite reference does:
+// rounding-doubling-high-multiply by the Q31 mantissa Mult with Shift
 // (negative = right shift), int32 saturation, add the output zero point
-// (int32 wrap), clamp to [lo, hi]. len(dst) must equal len(acc).
-//
-// The vector path needs AVX-512 F+VL (64-bit lane arithmetic shifts and
-// saturating narrowing) and covers the shift <= 0 case that every
-// sub-unit requant multiplier produces; anything else runs scalar.
-func RequantI8(dst []int8, acc []int32, mult int32, shift int, zp, lo, hi int32) {
+// ZP (int32 wrap), clamp to [Lo, Hi].
+type Requant struct {
+	Mult       int32
+	Shift      int
+	ZP, Lo, Hi int32
+}
+
+// Apply requantizes one accumulator (TFLM MultiplyByQuantizedMultiplier
+// followed by zero point and clamp); it is the reference the vector
+// paths are held to.
+func (q Requant) Apply(a int32) int8 {
+	ls, rs := 0, 0
+	if q.Shift > 0 {
+		ls = q.Shift
+	} else {
+		rs = -q.Shift
+	}
+	prod := (int64(a) << ls) * int64(q.Mult)
+	nudge := int64(1) << 30
+	if prod < 0 {
+		nudge = 1 - nudge
+	}
+	high := (prod + nudge) >> 31
+	if rs > 0 {
+		high = (high + int64(1)<<(rs-1)) >> rs
+	}
+	if high > math.MaxInt32 {
+		high = math.MaxInt32
+	} else if high < math.MinInt32 {
+		high = math.MinInt32
+	}
+	v := int32(high) + q.ZP
+	if v < q.Lo {
+		v = q.Lo
+	}
+	if v > q.Hi {
+		v = q.Hi
+	}
+	return int8(v)
+}
+
+// vector reports whether the assembly requantization covers q: it needs
+// AVX-512 F+VL (64-bit lane arithmetic shifts) and handles the right
+// shifts that every sub-unit requant multiplier produces.
+func (q Requant) vector() bool {
+	return q.Shift <= 0 && q.Shift >= -31 && haveAVX512 && enabled.Load()
+}
+
+// requantArgs is the assembly's view of a Requant (simd_amd64.s): the
+// two rounding shifts folded into one, its rounding term folded into
+// the nudge.
+type requantArgs struct {
+	mult, shift, nudge, zp, lo, hi int64
+}
+
+func (q Requant) args() requantArgs {
+	rs := -q.Shift
+	nudge := int64(1) << 30
+	if rs > 0 {
+		nudge += int64(1) << (30 + rs)
+	}
+	return requantArgs{int64(q.Mult), int64(31 + rs), nudge, int64(q.ZP), int64(q.Lo), int64(q.Hi)}
+}
+
+// RequantI8 requantizes a row of accumulators; len(dst) must equal
+// len(acc). Anything the vector path does not cover runs q.Apply.
+func RequantI8(dst []int8, acc []int32, q Requant) {
 	if len(dst) != len(acc) {
 		panic("simd: RequantI8 length mismatch")
 	}
-	if shift <= 0 && haveAVX512 && enabled.Load() {
-		rs := -shift
-		var round int64
-		if rs > 0 {
-			round = 1 << (rs - 1)
+	n8 := 0
+	if q.vector() {
+		if n8 = len(dst) &^ 7; n8 > 0 {
+			a := q.args()
+			requantI8SIMD(dst[:n8], acc, &a)
 		}
-		if n8 := len(dst) &^ 7; n8 > 0 {
-			requantI8SIMD(dst[:n8], acc, int64(mult), int64(rs), round, int64(zp), int64(lo), int64(hi))
-		}
-		n8 := len(dst) &^ 7
-		requantI8Scalar(dst[n8:], acc[n8:], mult, shift, zp, lo, hi)
+	}
+	for i := n8; i < len(acc); i++ {
+		dst[i] = q.Apply(acc[i])
+	}
+}
+
+// dwI8Args extends tileArgs for the int8 depthwise kernel.
+type dwI8Args struct {
+	tileArgs
+	requantArgs
+	inZP int64
+}
+
+// DepthwiseI8 is DepthwiseF32 in the quantized domain: per channel an
+// int32 accumulator starts at bias[c], adds (in-zp)*w over the taps and
+// is requantized by q straight into dst — no accumulator row is written.
+func DepthwiseI8(dst []int8, bias []int32, w, in []int8, t Tile, zp int32, q Requant) {
+	ch := len(bias)
+	t = t.checked("DepthwiseI8", ch, ch, len(dst), len(w), len(in))
+	if t.P == 0 || ch == 0 {
 		return
 	}
-	requantI8Scalar(dst, acc, mult, shift, zp, lo, hi)
-}
-
-// requantI8Scalar is the reference requantization (TFLM
-// MultiplyByQuantizedMultiplier followed by zero point and clamp).
-func requantI8Scalar(dst []int8, acc []int32, mult int32, shift int, zp, lo, hi int32) {
-	ls, rs := 0, 0
-	if shift > 0 {
-		ls = shift
-	} else {
-		rs = -shift
+	c0 := 0
+	if ch >= 8 && t.Rows > 0 && q.vector() {
+		c0 = ch &^ 7
+		a := dwI8Args{tileArgs: args(t, dst, bias, w, in, c0, 1, 1), requantArgs: q.args(), inZP: int64(zp)}
+		depthwiseI8SIMD(&a)
 	}
-	var round int64
-	if rs > 0 {
-		round = 1 << (rs - 1)
-	}
-	for i, a := range acc {
-		prod := (int64(a) << ls) * int64(mult)
-		nudge := int64(1) << 30
-		if prod < 0 {
-			nudge = 1 - nudge
-		}
-		high := (prod + nudge) >> 31
-		if rs > 0 {
-			high = (high + round) >> rs
-		}
-		if high > math.MaxInt32 {
-			high = math.MaxInt32
-		} else if high < math.MinInt32 {
-			high = math.MinInt32
-		}
-		v := int32(high) + zp
-		if v < lo {
-			v = lo
-		}
-		if v > hi {
-			v = hi
-		}
-		dst[i] = int8(v)
+	if c0 < ch {
+		depthwiseI8Go(dst, bias, w, in, t, zp, q, c0)
 	}
 }
 
-// PairWeights builds the pair-interleaved int16 lane layout ConvAccI8
+// depthwiseI8Go is the reference for channels [c0, ch).
+func depthwiseI8Go(dst []int8, bias []int32, w, in []int8, t Tile, zp int32, q Requant, c0 int) {
+	ch := len(bias)
+	for p := 0; p < t.P; p++ {
+		for c := c0; c < ch; c++ {
+			a := bias[c]
+			for r := 0; r < t.Rows; r++ {
+				x := in[p*t.PixStride+r*t.InRowStride+c:]
+				wr := w[r*t.WRowStride+c:]
+				for k := 0; k < t.N; k++ {
+					a += (int32(x[k*ch]) - zp) * int32(wr[k*ch])
+				}
+			}
+			dst[p*ch+c] = q.Apply(a)
+		}
+	}
+}
+
+// PairWeights builds the pair-interleaved int16 lane layout ConvTileI8
 // consumes from a [cin x nf] int8 weight panel (row pitch = nf): lane
 // pair (w[2cp][f], w[2cp+1][f]) lands at out[(cp*nf+f)*2 .. +1]. An odd
 // trailing input lane pairs with an all-zero phantom weight lane, so

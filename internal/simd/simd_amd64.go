@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !noasm
 
 package simd
 
@@ -53,15 +53,16 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0 (XCR0).
 func xgetbv() (eax, edx uint32)
 
-// convAccF32SIMD requires len(dst) > 0 and a multiple of 8, len(in) > 0.
+// convTileF32SIMD requires a.lanes a positive multiple of 8 and a.p,
+// a.n, a.rows > 0.
 //
 //go:noescape
-func convAccF32SIMD(dst, w, in []float32, stride int)
+func convTileF32SIMD(a *tileArgs)
 
-// mulAccF32SIMD requires len(dst) > 0 and a multiple of 8.
+// depthwiseF32SIMD has convTileF32SIMD's requirements.
 //
 //go:noescape
-func mulAccF32SIMD(dst, a, b []float32)
+func depthwiseF32SIMD(a *tileArgs)
 
 // reluF32SIMD requires len(x) > 0 and a multiple of 8.
 //
@@ -73,24 +74,43 @@ func reluF32SIMD(x []float32)
 //go:noescape
 func relu6F32SIMD(x []float32)
 
+// maxF32SIMD requires len(dst) > 0 and a multiple of 8, len(src) >=
+// len(dst).
+//
+//go:noescape
+func maxF32SIMD(dst, src []float32)
+
+// maxI8SIMD requires len(dst) > 0 and a multiple of 16, len(src) >=
+// len(dst).
+//
+//go:noescape
+func maxI8SIMD(dst, src []int8)
+
+// quantizeI8SIMD requires len(dst) > 0 and a multiple of 8, len(src) >=
+// len(dst) and scale nonzero.
+//
+//go:noescape
+func quantizeI8SIMD(dst []int8, src []float32, scale float64, zp int32)
+
 // packPairsSIMD requires len(in) > 0 and a multiple of 16; it writes
 // len(in)/2 uint32 pairs.
 //
 //go:noescape
 func packPairsSIMD(vp []uint32, in []int8, zp int32)
 
-// convAccI8SIMD requires len(acc) > 0 and a multiple of 8, len(vp) > 0.
+// convTileI8SIMD has convTileF32SIMD's requirements.
 //
 //go:noescape
-func convAccI8SIMD(acc []int32, wPair []int16, vp []uint32, stride int)
+func convTileI8SIMD(a *tileArgs)
 
-// mulAccI8SIMD requires len(acc) > 0 and a multiple of 8.
+// depthwiseI8SIMD has convTileF32SIMD's requirements and needs AVX-512
+// F+VL and a Requant its vector method accepts.
 //
 //go:noescape
-func mulAccI8SIMD(acc []int32, w, in []int8, zp int32)
+func depthwiseI8SIMD(a *dwI8Args)
 
 // requantI8SIMD requires len(dst) == len(acc) > 0, a multiple of 8, and
-// AVX-512 F+VL. rs >= 0; round = rs > 0 ? 1<<(rs-1) : 0.
+// AVX-512 F+VL and a Requant its vector method accepts.
 //
 //go:noescape
-func requantI8SIMD(dst []int8, acc []int32, mult, rs, round, zp, lo, hi int64)
+func requantI8SIMD(dst []int8, acc []int32, a *requantArgs)

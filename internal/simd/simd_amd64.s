@@ -1,8 +1,28 @@
+//go:build amd64 && !noasm
+
 // AVX2 / AVX-512VL inner loops for the inference kernels. See simd.go
 // for the bitwise-identity contract: float paths use separate VMULPS +
-// VADDPS (never FMA) in the scalar ci order; integer paths are exact.
+// VADDPS (never FMA) in the scalar reduction order; integer paths are
+// exact.
 
 #include "textflag.h"
+
+// tileArgs field offsets (simd.go).
+#define A_DST 0
+#define A_BIAS 8
+#define A_W 16
+#define A_IN 24
+#define A_PITCH 32
+#define A_LANES 40
+#define A_P 48
+#define A_N 56
+#define A_ROWS 64
+#define A_PIX 72
+#define A_INROW 80
+#define A_WROW 88
+// dwI8Args continues with a requantArgs at 96 and inZP after it.
+#define A_REQUANT 96
+#define A_INZP 144
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -23,88 +43,344 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func convAccF32SIMD(dst, w, in []float32, stride int)
+// CONV_TILE is the body of both conv tile kernels; the float32 and the
+// paired-int16 reduction differ only in their four instructions (an
+// input element and a packed pair are both 4 bytes, a weight row and a
+// pair row both nf*4).
 //
-// dst[f] += sum_ci in[ci] * w[ci*stride+f], len(dst) a multiple of 8.
-// Output lanes are blocked 16-wide (two YMM accumulators) with the ci
-// reduction innermost, so each lane sees the exact scalar rounding
-// sequence: one rounded product, one rounded add per tap, in ci order.
-TEXT ·convAccF32SIMD(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), DX
-	MOVQ w_base+24(FP), SI
-	MOVQ in_base+48(FP), BX
-	MOVQ in_len+56(FP), CX
-	MOVQ stride+72(FP), R8
-	SHLQ $2, R8               // stride in bytes
-	XORQ R9, R9               // f
-
-f32x16:
-	MOVQ DX, AX
-	SUBQ R9, AX
-	CMPQ AX, $16
-	JLT  f32x8
-	VMOVUPS (DI)(R9*4), Y0
-	VMOVUPS 32(DI)(R9*4), Y1
-	LEAQ (SI)(R9*4), R10      // &w[f]
-	XORQ R11, R11             // ci
-
-c16:
-	VBROADCASTSS (BX)(R11*4), Y2
-	VMULPS (R10), Y2, Y3
-	VADDPS Y3, Y0, Y0
-	VMULPS 32(R10), Y2, Y3
-	VADDPS Y3, Y1, Y1
-	ADDQ R8, R10
-	INCQ R11
-	CMPQ R11, CX
-	JLT  c16
-
-	VMOVUPS Y0, (DI)(R9*4)
-	VMOVUPS Y1, 32(DI)(R9*4)
-	ADDQ $16, R9
-	JMP  f32x16
-
-f32x8:
-	CMPQ AX, $8
-	JLT  f32done
-	VMOVUPS (DI)(R9*4), Y0
-	LEAQ (SI)(R9*4), R10
-	XORQ R11, R11
-
-c8:
-	VBROADCASTSS (BX)(R11*4), Y2
-	VMULPS (R10), Y2, Y3
-	VADDPS Y3, Y0, Y0
-	ADDQ R8, R10
-	INCQ R11
-	CMPQ R11, CX
-	JLT  c8
-
-	VMOVUPS Y0, (DI)(R9*4)
-
-f32done:
-	VZEROUPPER
+//	for each block of 16 output lanes, then a last block of 8:
+//	    for each 4 pixels of the run, then each remaining pixel:
+//	        acc = bias[lanes]                      (8, 4, 2 or 1 YMM)
+//	        for r in rows: for j in n:
+//	            acc[pixel] = ADD(acc[pixel], MUL(BCAST(in[pixel][r][j]), w[r][j][lanes]))
+//	        dst[pixel][lanes] = acc
+//
+// Lane blocks are outermost so one block's weights (n*64 bytes per row)
+// stay in L1 across the pixels of the run. Products and sums are
+// separate instructions with the accumulator as the first source, as in
+// the scalar `s += v * w`.
+//
+// AX args, R10 output/weight-row pitch, R8 pixel stride, R9 3x pixel
+// stride, R14 lane byte offset, R13 pixels left, DI output, R11 input
+// of the current pixel group, R15/R12 input/weight row, BX/SI input/
+// weight step, DX rows left, CX steps left.
+#define CONV_TILE(LOAD, BCAST, MAC) \
+	MOVQ A_PITCH(AX), R10; \
+	MOVQ A_PIX(AX), R8; \
+	LEAQ (R8)(R8*2), R9; \
+	XORQ R14, R14; \
+lanes16: \
+	MOVQ A_LANES(AX), R15; \
+	SHLQ $2, R15; \
+	SUBQ R14, R15; \
+	CMPQ R15, $64; \
+	JLT  lanes8; \
+	MOVQ A_P(AX), R13; \
+	MOVQ A_DST(AX), DI; \
+	ADDQ R14, DI; \
+	MOVQ A_IN(AX), R11; \
+px4x16: \
+	CMPQ R13, $4; \
+	JLT  px1x16; \
+	MOVQ A_BIAS(AX), R15; \
+	LOAD (R15)(R14*1), Y0; \
+	LOAD 32(R15)(R14*1), Y1; \
+	LOAD (R15)(R14*1), Y2; \
+	LOAD 32(R15)(R14*1), Y3; \
+	LOAD (R15)(R14*1), Y4; \
+	LOAD 32(R15)(R14*1), Y5; \
+	LOAD (R15)(R14*1), Y6; \
+	LOAD 32(R15)(R14*1), Y7; \
+	MOVQ A_W(AX), R12; \
+	ADDQ R14, R12; \
+	MOVQ R11, R15; \
+	MOVQ A_ROWS(AX), DX; \
+row4x16: \
+	MOVQ R15, BX; \
+	MOVQ R12, SI; \
+	MOVQ A_N(AX), CX; \
+mac4x16: \
+	LOAD (SI), Y8; \
+	LOAD 32(SI), Y9; \
+	BCAST (BX), Y10; \
+	MAC(Y8, Y10, Y11, Y0); \
+	MAC(Y9, Y10, Y12, Y1); \
+	BCAST (BX)(R8*1), Y13; \
+	MAC(Y8, Y13, Y11, Y2); \
+	MAC(Y9, Y13, Y12, Y3); \
+	BCAST (BX)(R8*2), Y10; \
+	MAC(Y8, Y10, Y11, Y4); \
+	MAC(Y9, Y10, Y12, Y5); \
+	BCAST (BX)(R9*1), Y13; \
+	MAC(Y8, Y13, Y11, Y6); \
+	MAC(Y9, Y13, Y12, Y7); \
+	ADDQ $4, BX; \
+	ADDQ R10, SI; \
+	DECQ CX; \
+	JNZ  mac4x16; \
+	ADDQ A_INROW(AX), R15; \
+	ADDQ A_WROW(AX), R12; \
+	DECQ DX; \
+	JNZ  row4x16; \
+	LOAD Y0, (DI); \
+	LOAD Y1, 32(DI); \
+	ADDQ R10, DI; \
+	LOAD Y2, (DI); \
+	LOAD Y3, 32(DI); \
+	ADDQ R10, DI; \
+	LOAD Y4, (DI); \
+	LOAD Y5, 32(DI); \
+	ADDQ R10, DI; \
+	LOAD Y6, (DI); \
+	LOAD Y7, 32(DI); \
+	ADDQ R10, DI; \
+	LEAQ (R11)(R8*4), R11; \
+	SUBQ $4, R13; \
+	JMP  px4x16; \
+px1x16: \
+	TESTQ R13, R13; \
+	JZ   next16; \
+	MOVQ A_BIAS(AX), R15; \
+	LOAD (R15)(R14*1), Y0; \
+	LOAD 32(R15)(R14*1), Y1; \
+	MOVQ A_W(AX), R12; \
+	ADDQ R14, R12; \
+	MOVQ R11, R15; \
+	MOVQ A_ROWS(AX), DX; \
+row1x16: \
+	MOVQ R15, BX; \
+	MOVQ R12, SI; \
+	MOVQ A_N(AX), CX; \
+mac1x16: \
+	LOAD (SI), Y8; \
+	LOAD 32(SI), Y9; \
+	BCAST (BX), Y10; \
+	MAC(Y8, Y10, Y11, Y0); \
+	MAC(Y9, Y10, Y12, Y1); \
+	ADDQ $4, BX; \
+	ADDQ R10, SI; \
+	DECQ CX; \
+	JNZ  mac1x16; \
+	ADDQ A_INROW(AX), R15; \
+	ADDQ A_WROW(AX), R12; \
+	DECQ DX; \
+	JNZ  row1x16; \
+	LOAD Y0, (DI); \
+	LOAD Y1, 32(DI); \
+	ADDQ R10, DI; \
+	ADDQ R8, R11; \
+	DECQ R13; \
+	JMP  px1x16; \
+next16: \
+	ADDQ $64, R14; \
+	JMP  lanes16; \
+lanes8: \
+	CMPQ R15, $32; \
+	JLT  done; \
+	MOVQ A_P(AX), R13; \
+	MOVQ A_DST(AX), DI; \
+	ADDQ R14, DI; \
+	MOVQ A_IN(AX), R11; \
+px4x8: \
+	CMPQ R13, $4; \
+	JLT  px1x8; \
+	MOVQ A_BIAS(AX), R15; \
+	LOAD (R15)(R14*1), Y0; \
+	LOAD (R15)(R14*1), Y1; \
+	LOAD (R15)(R14*1), Y2; \
+	LOAD (R15)(R14*1), Y3; \
+	MOVQ A_W(AX), R12; \
+	ADDQ R14, R12; \
+	MOVQ R11, R15; \
+	MOVQ A_ROWS(AX), DX; \
+row4x8: \
+	MOVQ R15, BX; \
+	MOVQ R12, SI; \
+	MOVQ A_N(AX), CX; \
+mac4x8: \
+	LOAD (SI), Y8; \
+	BCAST (BX), Y10; \
+	MAC(Y8, Y10, Y11, Y0); \
+	BCAST (BX)(R8*1), Y13; \
+	MAC(Y8, Y13, Y12, Y1); \
+	BCAST (BX)(R8*2), Y10; \
+	MAC(Y8, Y10, Y11, Y2); \
+	BCAST (BX)(R9*1), Y13; \
+	MAC(Y8, Y13, Y12, Y3); \
+	ADDQ $4, BX; \
+	ADDQ R10, SI; \
+	DECQ CX; \
+	JNZ  mac4x8; \
+	ADDQ A_INROW(AX), R15; \
+	ADDQ A_WROW(AX), R12; \
+	DECQ DX; \
+	JNZ  row4x8; \
+	LOAD Y0, (DI); \
+	ADDQ R10, DI; \
+	LOAD Y1, (DI); \
+	ADDQ R10, DI; \
+	LOAD Y2, (DI); \
+	ADDQ R10, DI; \
+	LOAD Y3, (DI); \
+	ADDQ R10, DI; \
+	LEAQ (R11)(R8*4), R11; \
+	SUBQ $4, R13; \
+	JMP  px4x8; \
+px1x8: \
+	TESTQ R13, R13; \
+	JZ   done; \
+	MOVQ A_BIAS(AX), R15; \
+	LOAD (R15)(R14*1), Y0; \
+	MOVQ A_W(AX), R12; \
+	ADDQ R14, R12; \
+	MOVQ R11, R15; \
+	MOVQ A_ROWS(AX), DX; \
+row1x8: \
+	MOVQ R15, BX; \
+	MOVQ R12, SI; \
+	MOVQ A_N(AX), CX; \
+mac1x8: \
+	LOAD (SI), Y8; \
+	BCAST (BX), Y10; \
+	MAC(Y8, Y10, Y11, Y0); \
+	ADDQ $4, BX; \
+	ADDQ R10, SI; \
+	DECQ CX; \
+	JNZ  mac1x8; \
+	ADDQ A_INROW(AX), R15; \
+	ADDQ A_WROW(AX), R12; \
+	DECQ DX; \
+	JNZ  row1x8; \
+	LOAD Y0, (DI); \
+	ADDQ R10, DI; \
+	ADDQ R8, R11; \
+	DECQ R13; \
+	JMP  px1x8; \
+done: \
+	VZEROUPPER; \
 	RET
 
-// func mulAccF32SIMD(dst, a, b []float32)
-//
-// dst[i] += a[i]*b[i], len(dst) a multiple of 8.
-TEXT ·mulAccF32SIMD(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), DX
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), BX
-	XORQ R9, R9
+#define MAC_F32(W, X, T, ACC) VMULPS W, X, T; VADDPS T, ACC, ACC
+#define MAC_I8(W, X, T, ACC) VPMADDWD W, X, T; VPADDD T, ACC, ACC
 
-ma32:
-	VMOVUPS (SI)(R9*4), Y0
-	VMULPS (BX)(R9*4), Y0, Y0
-	VADDPS (DI)(R9*4), Y0, Y0
-	VMOVUPS Y0, (DI)(R9*4)
-	ADDQ $8, R9
-	CMPQ R9, DX
-	JLT  ma32
+// func convTileF32SIMD(a *tileArgs)
+TEXT ·convTileF32SIMD(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), AX
+	CONV_TILE(VMOVUPS, VBROADCASTSS, MAC_F32)
+
+// func convTileI8SIMD(a *tileArgs)
+//
+// Each packed (v0,v1) int16 pair broadcasts across a YMM and VPMADDWD
+// folds both input lanes into each int32 accumulator — the x86 cousin
+// of CMSIS-NN's SMLAD. Products are bounded (|v|<=255, |w|<=127) so the
+// pairwise int32 sum is exact.
+TEXT ·convTileI8SIMD(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), AX
+	CONV_TILE(VMOVDQU, VPBROADCASTD, MAC_I8)
+
+// func depthwiseF32SIMD(a *tileArgs)
+//
+// Per pixel, 32 channels (then 8) at a time: acc = bias; for every row
+// and tap acc += in*w, elementwise; store. One tap is a.pitch bytes of
+// input and of weights.
+TEXT ·depthwiseF32SIMD(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), AX
+	MOVQ A_PITCH(AX), R10
+	MOVQ A_P(AX), R13
+	MOVQ A_DST(AX), DI
+	MOVQ A_IN(AX), R11
+
+dwpixel:
+	XORQ R14, R14             // channel byte offset
+
+dwc32:
+	MOVQ A_LANES(AX), R15
+	SHLQ $2, R15
+	SUBQ R14, R15
+	CMPQ R15, $128
+	JLT  dwc8
+	MOVQ A_BIAS(AX), R15
+	VMOVUPS (R15)(R14*1), Y0
+	VMOVUPS 32(R15)(R14*1), Y1
+	VMOVUPS 64(R15)(R14*1), Y2
+	VMOVUPS 96(R15)(R14*1), Y3
+	MOVQ A_W(AX), R12
+	ADDQ R14, R12
+	LEAQ (R11)(R14*1), R15
+	MOVQ A_ROWS(AX), DX
+
+dwrow32:
+	MOVQ R15, BX
+	MOVQ R12, SI
+	MOVQ A_N(AX), CX
+
+dwtap32:
+	VMOVUPS (BX), Y4
+	VMULPS (SI), Y4, Y4
+	VADDPS Y4, Y0, Y0
+	VMOVUPS 32(BX), Y5
+	VMULPS 32(SI), Y5, Y5
+	VADDPS Y5, Y1, Y1
+	VMOVUPS 64(BX), Y6
+	VMULPS 64(SI), Y6, Y6
+	VADDPS Y6, Y2, Y2
+	VMOVUPS 96(BX), Y7
+	VMULPS 96(SI), Y7, Y7
+	VADDPS Y7, Y3, Y3
+	ADDQ R10, BX
+	ADDQ R10, SI
+	DECQ CX
+	JNZ  dwtap32
+	ADDQ A_INROW(AX), R15
+	ADDQ A_WROW(AX), R12
+	DECQ DX
+	JNZ  dwrow32
+	VMOVUPS Y0, (DI)(R14*1)
+	VMOVUPS Y1, 32(DI)(R14*1)
+	VMOVUPS Y2, 64(DI)(R14*1)
+	VMOVUPS Y3, 96(DI)(R14*1)
+	ADDQ $128, R14
+	JMP  dwc32
+
+dwc8:
+	CMPQ R15, $32
+	JLT  dwnext
+	MOVQ A_BIAS(AX), R15
+	VMOVUPS (R15)(R14*1), Y0
+	MOVQ A_W(AX), R12
+	ADDQ R14, R12
+	LEAQ (R11)(R14*1), R15
+	MOVQ A_ROWS(AX), DX
+
+dwrow8:
+	MOVQ R15, BX
+	MOVQ R12, SI
+	MOVQ A_N(AX), CX
+
+dwtap8:
+	VMOVUPS (BX), Y4
+	VMULPS (SI), Y4, Y4
+	VADDPS Y4, Y0, Y0
+	ADDQ R10, BX
+	ADDQ R10, SI
+	DECQ CX
+	JNZ  dwtap8
+	ADDQ A_INROW(AX), R15
+	ADDQ A_WROW(AX), R12
+	DECQ DX
+	JNZ  dwrow8
+	VMOVUPS Y0, (DI)(R14*1)
+	ADDQ $32, R14
+	MOVQ A_LANES(AX), R15
+	SHLQ $2, R15
+	SUBQ R14, R15
+	JMP  dwc8
+
+dwnext:
+	ADDQ R10, DI
+	ADDQ A_PIX(AX), R11
+	DECQ R13
+	JNZ  dwpixel
 	VZEROUPPER
 	RET
 
@@ -147,6 +423,105 @@ relu68:
 	VZEROUPPER
 	RET
 
+// func maxF32SIMD(dst, src []float32)
+//
+// dst[i] = src[i] > dst[i] ? src[i] : dst[i]: MAXPS returns its second
+// source when either is NaN or both are zero, so with dst there a NaN
+// in src never wins. len(dst) a multiple of 8.
+TEXT ·maxF32SIMD(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), DX
+	MOVQ src_base+24(FP), SI
+	XORQ R9, R9
+
+maxf8:
+	VMOVUPS (SI)(R9*4), Y0
+	VMAXPS (DI)(R9*4), Y0, Y0
+	VMOVUPS Y0, (DI)(R9*4)
+	ADDQ $8, R9
+	CMPQ R9, DX
+	JLT  maxf8
+	VZEROUPPER
+	RET
+
+// func maxI8SIMD(dst, src []int8)
+//
+// len(dst) a multiple of 16 (one XMM: pooled maps are often 16 or 24
+// channels wide).
+TEXT ·maxI8SIMD(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), DX
+	MOVQ src_base+24(FP), SI
+	XORQ R9, R9
+
+maxb16:
+	VMOVDQU (SI)(R9*1), X0
+	VPMAXSB (DI)(R9*1), X0, X0
+	VMOVDQU X0, (DI)(R9*1)
+	ADDQ $16, R9
+	CMPQ R9, DX
+	JLT  maxb16
+	RET
+
+// func quantizeI8SIMD(dst []int8, src []float32, scale float64, zp int32)
+//
+// dst[i] = clamp(int32(trunc(x + copysign(0.5-2^-54, x))) + zp, -128, 127)
+// with x = float64(src[i])/scale, 8 lanes per iteration as two YMM of
+// doubles: the scalar reference's operations one for one (IEEE divide
+// and add, ROUNDSD's truncation, CVTTSD2SI's indefinite 0x80000000 for
+// NaN and out-of-range). len(dst) a multiple of 8.
+TEXT ·quantizeI8SIMD(SB), NOSPLIT, $0-60
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), DX
+	MOVQ src_base+24(FP), SI
+	VBROADCASTSD scale+48(FP), Y1
+	MOVQ $0x8000000000000000, AX
+	VMOVQ AX, X2
+	VPBROADCASTQ X2, Y2       // sign mask
+	MOVQ $0x3fdfffffffffffff, AX
+	VMOVQ AX, X3
+	VPBROADCASTQ X3, Y3       // largest double below 0.5
+	MOVL zp+56(FP), AX
+	VMOVD AX, X4
+	VPBROADCASTD X4, X4
+	MOVL $-128, AX
+	VMOVD AX, X5
+	VPBROADCASTD X5, X5
+	MOVL $127, AX
+	VMOVD AX, X6
+	VPBROADCASTD X6, X6
+	XORQ R9, R9
+
+qi8:
+	VCVTPS2PD (SI)(R9*4), Y0
+	VCVTPS2PD 16(SI)(R9*4), Y7
+	VDIVPD Y1, Y0, Y0
+	VDIVPD Y1, Y7, Y7
+	VANDPD Y2, Y0, Y8
+	VANDPD Y2, Y7, Y9
+	VORPD Y3, Y8, Y8
+	VORPD Y3, Y9, Y9
+	VADDPD Y8, Y0, Y0
+	VADDPD Y9, Y7, Y7
+	VROUNDPD $3, Y0, Y0
+	VROUNDPD $3, Y7, Y7
+	VCVTTPD2DQY Y0, X0
+	VCVTTPD2DQY Y7, X7
+	VPADDD X4, X0, X0         // + zp (int32 wrap)
+	VPADDD X4, X7, X7
+	VPMAXSD X5, X0, X0
+	VPMAXSD X5, X7, X7
+	VPMINSD X6, X0, X0
+	VPMINSD X6, X7, X7
+	VPACKSSDW X7, X0, X0      // already within int8: the packs only narrow
+	VPACKSSWB X0, X0, X0
+	VMOVQ X0, (DI)(R9*1)
+	ADDQ $8, R9
+	CMPQ R9, DX
+	JLT  qi8
+	VZEROUPPER
+	RET
+
 // func packPairsSIMD(vp []uint32, in []int8, zp int32)
 //
 // Widens int8 lanes to zero-point-centered int16 and stores them
@@ -171,241 +546,179 @@ pp16:
 	VZEROUPPER
 	RET
 
-// func convAccI8SIMD(acc []int32, wPair []int16, vp []uint32, stride int)
+// TFLite requantization for a right shift rs = -shift in [0, 31], 8
+// lanes at a time on AVX-512 F+VL YMM registers. REQUANT_LOAD reads a
+// requantArgs at offset O of AX into Y8-Y12, Y14 and Y15; REQUANT8 then
+// turns the 8 int32 accumulators of YA into 8 int8 at DST (clobbering
+// Y4-Y7). The reference's two roundings
 //
-// acc[f] += v0(cp)*wPair[(cp*stride+f)*2] + v1(cp)*wPair[(cp*stride+f)*2+1]
+//	high = (acc*mult + nudge) >> 31        // nudge = prod < 0 ? 1-2^30 : 2^30
+//	high = (high + round) >> rs            // round = rs>0 ? 1<<(rs-1) : 0
 //
-// len(acc) a multiple of 8. Each packed (v0,v1) int16 pair broadcasts
-// across a YMM and VPMADDWD folds both input lanes into each int32
-// accumulator — the x86 cousin of CMSIS-NN's SMLAD. Products are
-// bounded (|v|<=255, |w|<=127) so the pairwise int32 sum is exact.
-// Output lanes are blocked 32-wide, then 16, then 8.
-TEXT ·convAccI8SIMD(SB), NOSPLIT, $0-80
-	MOVQ acc_base+0(FP), DI
-	MOVQ acc_len+8(FP), DX
-	MOVQ wPair_base+24(FP), SI
-	MOVQ vp_base+48(FP), BX
-	MOVQ vp_len+56(FP), CX
-	MOVQ stride+72(FP), R8
-	SHLQ $2, R8               // pair-row pitch in bytes
-	XORQ R9, R9               // f
-
-i8x64:
-	MOVQ DX, AX
-	SUBQ R9, AX
-	CMPQ AX, $64
-	JLT  i8x32
-	VMOVDQU (DI)(R9*4), Y0
-	VMOVDQU 32(DI)(R9*4), Y1
-	VMOVDQU 64(DI)(R9*4), Y2
-	VMOVDQU 96(DI)(R9*4), Y3
-	VMOVDQU 128(DI)(R9*4), Y4
-	VMOVDQU 160(DI)(R9*4), Y5
-	VMOVDQU 192(DI)(R9*4), Y6
-	VMOVDQU 224(DI)(R9*4), Y7
-	LEAQ (SI)(R9*4), R10      // &wPair[f*2]
-	XORQ R11, R11             // cp
-
-p64:
-	VPBROADCASTD (BX)(R11*4), Y8
-	VPMADDWD (R10), Y8, Y9
-	VPADDD Y9, Y0, Y0
-	VPMADDWD 32(R10), Y8, Y10
-	VPADDD Y10, Y1, Y1
-	VPMADDWD 64(R10), Y8, Y11
-	VPADDD Y11, Y2, Y2
-	VPMADDWD 96(R10), Y8, Y12
-	VPADDD Y12, Y3, Y3
-	VPMADDWD 128(R10), Y8, Y9
-	VPADDD Y9, Y4, Y4
-	VPMADDWD 160(R10), Y8, Y10
-	VPADDD Y10, Y5, Y5
-	VPMADDWD 192(R10), Y8, Y11
-	VPADDD Y11, Y6, Y6
-	VPMADDWD 224(R10), Y8, Y12
-	VPADDD Y12, Y7, Y7
-	ADDQ R8, R10
-	INCQ R11
-	CMPQ R11, CX
-	JLT  p64
-
-	VMOVDQU Y0, (DI)(R9*4)
-	VMOVDQU Y1, 32(DI)(R9*4)
-	VMOVDQU Y2, 64(DI)(R9*4)
-	VMOVDQU Y3, 96(DI)(R9*4)
-	VMOVDQU Y4, 128(DI)(R9*4)
-	VMOVDQU Y5, 160(DI)(R9*4)
-	VMOVDQU Y6, 192(DI)(R9*4)
-	VMOVDQU Y7, 224(DI)(R9*4)
-	ADDQ $64, R9
-	JMP  i8x64
-
-i8x32:
-	MOVQ DX, AX
-	SUBQ R9, AX
-	CMPQ AX, $32
-	JLT  i8x16
-	VMOVDQU (DI)(R9*4), Y0
-	VMOVDQU 32(DI)(R9*4), Y1
-	VMOVDQU 64(DI)(R9*4), Y2
-	VMOVDQU 96(DI)(R9*4), Y3
-	LEAQ (SI)(R9*4), R10      // &wPair[f*2]
-	XORQ R11, R11             // cp
-
-p32:
-	VPBROADCASTD (BX)(R11*4), Y4
-	VPMADDWD (R10), Y4, Y5
-	VPADDD Y5, Y0, Y0
-	VPMADDWD 32(R10), Y4, Y5
-	VPADDD Y5, Y1, Y1
-	VPMADDWD 64(R10), Y4, Y6
-	VPADDD Y6, Y2, Y2
-	VPMADDWD 96(R10), Y4, Y6
-	VPADDD Y6, Y3, Y3
-	ADDQ R8, R10
-	INCQ R11
-	CMPQ R11, CX
-	JLT  p32
-
-	VMOVDQU Y0, (DI)(R9*4)
-	VMOVDQU Y1, 32(DI)(R9*4)
-	VMOVDQU Y2, 64(DI)(R9*4)
-	VMOVDQU Y3, 96(DI)(R9*4)
-	ADDQ $32, R9
-	JMP  i8x32
-
-i8x16:
-	CMPQ AX, $16
-	JLT  i8x8
-	VMOVDQU (DI)(R9*4), Y0
-	VMOVDQU 32(DI)(R9*4), Y1
-	LEAQ (SI)(R9*4), R10
-	XORQ R11, R11
-
-p16:
-	VPBROADCASTD (BX)(R11*4), Y4
-	VPMADDWD (R10), Y4, Y5
-	VPADDD Y5, Y0, Y0
-	VPMADDWD 32(R10), Y4, Y5
-	VPADDD Y5, Y1, Y1
-	ADDQ R8, R10
-	INCQ R11
-	CMPQ R11, CX
-	JLT  p16
-
-	VMOVDQU Y0, (DI)(R9*4)
-	VMOVDQU Y1, 32(DI)(R9*4)
-	ADDQ $16, R9
-	MOVQ DX, AX
-	SUBQ R9, AX
-
-i8x8:
-	CMPQ AX, $8
-	JLT  i8done
-	VMOVDQU (DI)(R9*4), Y0
-	LEAQ (SI)(R9*4), R10
-	XORQ R11, R11
-
-p8:
-	VPBROADCASTD (BX)(R11*4), Y4
-	VPMADDWD (R10), Y4, Y5
-	VPADDD Y5, Y0, Y0
-	ADDQ R8, R10
-	INCQ R11
-	CMPQ R11, CX
-	JLT  p8
-
-	VMOVDQU Y0, (DI)(R9*4)
-
-i8done:
-	VZEROUPPER
-	RET
-
-// func mulAccI8SIMD(acc []int32, w, in []int8, zp int32)
+// are one shift, because floor((floor(x/a)+r)/b) = floor((x+r*a)/(a*b)):
 //
-// acc[i] += (in[i]-zp)*w[i], len(acc) a multiple of 8.
-TEXT ·mulAccI8SIMD(SB), NOSPLIT, $0-76
-	MOVQ acc_base+0(FP), DI
-	MOVQ acc_len+8(FP), DX
-	MOVQ w_base+24(FP), SI
-	MOVQ in_base+48(FP), BX
-	MOVL zp+72(FP), AX
-	VMOVD AX, X5
-	VPBROADCASTD X5, Y5
-	XORQ R9, R9
-
-mai8:
-	VPMOVSXBD (BX)(R9*1), Y0
-	VPSUBD Y5, Y0, Y0
-	VPMOVSXBD (SI)(R9*1), Y1
-	VPMULLD Y1, Y0, Y0
-	VPADDD (DI)(R9*4), Y0, Y0
-	VMOVDQU Y0, (DI)(R9*4)
-	ADDQ $8, R9
-	CMPQ R9, DX
-	JLT  mai8
-	VZEROUPPER
-	RET
-
-// func requantI8SIMD(dst []int8, acc []int32, mult, rs, round, zp, lo, hi int64)
+//	high = (acc*mult + nudge + round<<31) >> (31+rs)
 //
-// TFLite requantization for the shift<=0 case, 8 lanes per iteration
-// (AVX-512 F+VL on YMM):
+// and |high| <= 2^31 needs no saturation when nothing shifts left. The
+// even and the odd lanes are multiplied where they are (VPMULDQ reads
+// the low dword of each qword), so nothing is widened or narrowed: the
+// results land in the low dwords and one blend interleaves them. Then
 //
-//	prod  = int64(acc[i]) * mult           // VPMULDQ, exact
-//	nudge = prod < 0 ? 1-2^30 : 2^30
-//	high  = (prod + nudge) >> 31
-//	high  = (high + round) >> rs           // round = rs>0 ? 1<<(rs-1) : 0
-//	v     = sat_int32(high) + zp           // int32 wrap after saturate
-//	dst[i] = int8(clamp(v, lo, hi))
+//	v   = high + zp                        // int32 wrap
+//	dst = int8(clamp(v, lo, hi))
+#define REQUANT_LOAD(O) \
+	VPBROADCASTD (O+0)(AX), Y10; \
+	VPBROADCASTQ (O+8)(AX), Y12; \
+	VPBROADCASTQ (O+16)(AX), Y14; \
+	VPBROADCASTD (O+24)(AX), Y8; \
+	VPBROADCASTD (O+32)(AX), Y9; \
+	VPBROADCASTD (O+40)(AX), Y11; \
+	MOVQ $-2147483647, BX; \
+	VMOVQ BX, X15; \
+	VPBROADCASTQ X15, Y15
+
+#define REQUANT8(YA, DST) \
+	VPSRLQ $32, YA, Y5; \
+	VPMULDQ Y10, YA, Y4; \
+	VPMULDQ Y10, Y5, Y5; \
+	VPSRAQ $63, Y4, Y6; \
+	VPSRAQ $63, Y5, Y7; \
+	VPANDQ Y15, Y6, Y6; \
+	VPANDQ Y15, Y7, Y7; \
+	VPADDQ Y14, Y4, Y4; \
+	VPADDQ Y14, Y5, Y5; \
+	VPADDQ Y6, Y4, Y4; \
+	VPADDQ Y7, Y5, Y5; \
+	VPSRAVQ Y12, Y4, Y4; \
+	VPSRAVQ Y12, Y5, Y5; \
+	VPSLLQ $32, Y5, Y5; \
+	VPBLENDD $0xAA, Y5, Y4, Y4; \
+	VPADDD Y8, Y4, Y4; \
+	VPMAXSD Y9, Y4, Y4; \
+	VPMINSD Y11, Y4, Y4; \
+	VPMOVDB Y4, DST
+
+// func requantI8SIMD(dst []int8, acc []int32, a *requantArgs)
 //
 // len(dst) == len(acc), a multiple of 8.
-TEXT ·requantI8SIMD(SB), NOSPLIT, $0-96
+TEXT ·requantI8SIMD(SB), NOSPLIT, $0-56
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVQ acc_base+24(FP), SI
-	VPBROADCASTD mult+48(FP), Y10
-	VMOVQ rs+56(FP), X12
-	VPBROADCASTQ round+64(FP), Y13
-	MOVQ $0x40000000, AX      // 1<<30
-	VMOVQ AX, X14
-	VPBROADCASTQ X14, Y14
-	MOVQ $-2147483647, AX     // (1-2^30) - (1<<30)
-	VMOVQ AX, X15
-	VPBROADCASTQ X15, Y15
-	VPBROADCASTD zp+72(FP), Y8
-	VPBROADCASTD lo+80(FP), Y9
-	VPBROADCASTD hi+88(FP), Y7
+	MOVQ a+48(FP), AX
+	REQUANT_LOAD(0)
 	XORQ R9, R9
 
 rq8:
-	VPMOVSXDQ (SI)(R9*4), Y0  // 4 low lanes as int64
-	VPMOVSXDQ 16(SI)(R9*4), Y1
-	VPMULDQ Y10, Y0, Y0       // prod = acc * mult (int64, exact)
-	VPMULDQ Y10, Y1, Y1
-	VPSRAQ $63, Y0, Y2        // negative-lane mask
-	VPSRAQ $63, Y1, Y3
-	VPANDQ Y15, Y2, Y2
-	VPANDQ Y15, Y3, Y3
-	VPADDQ Y14, Y2, Y2        // nudge per lane
-	VPADDQ Y14, Y3, Y3
-	VPADDQ Y2, Y0, Y0
-	VPADDQ Y3, Y1, Y1
-	VPSRAQ $31, Y0, Y0
-	VPSRAQ $31, Y1, Y1
-	VPADDQ Y13, Y0, Y0        // rounding right shift by rs
-	VPADDQ Y13, Y1, Y1
-	VPSRAQ X12, Y0, Y0
-	VPSRAQ X12, Y1, Y1
-	VPMOVSQD Y0, X0           // saturate int64 -> int32
-	VPMOVSQD Y1, X1
-	VINSERTI128 $1, X1, Y0, Y0
-	VPADDD Y8, Y0, Y0         // + zp (int32 wrap)
-	VPMAXSD Y9, Y0, Y0
-	VPMINSD Y7, Y0, Y0
-	VPMOVDB Y0, (DI)(R9*1)    // truncate int32 -> int8
+	VMOVDQU (SI)(R9*4), Y0
+	REQUANT8(Y0, (DI)(R9*1))
 	ADDQ $8, R9
 	CMPQ R9, DX
 	JLT  rq8
+	VZEROUPPER
+	RET
+
+// DWI8_TAP accumulates 8 channels of one tap: ACC += (in-zp)*w, with
+// the input zero point broadcast in Y16.
+#define DWI8_TAP(O, T0, T1, ACC) \
+	VPMOVSXBD O(BX), T0; \
+	VPMOVSXBD O(SI), T1; \
+	VPSUBD Y16, T0, T0; \
+	VPMULLD T1, T0, T0; \
+	VPADDD T0, ACC, ACC
+
+// func depthwiseI8SIMD(a *dwI8Args)
+//
+// depthwiseF32SIMD's walk on int32 accumulators that start at the bias,
+// are requantized in their registers and stored as int8: no accumulator
+// row is written. Elements are one byte, so offsets are channels.
+TEXT ·depthwiseI8SIMD(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), AX
+	REQUANT_LOAD(A_REQUANT)
+	VPBROADCASTD A_INZP(AX), Y16
+	MOVQ A_PITCH(AX), R10
+	MOVQ A_P(AX), R13
+	MOVQ A_DST(AX), DI
+	MOVQ A_IN(AX), R11
+
+qdwpixel:
+	XORQ R14, R14             // channel
+
+qdwc32:
+	MOVQ A_LANES(AX), R15
+	SUBQ R14, R15
+	CMPQ R15, $32
+	JLT  qdwc8
+	MOVQ A_BIAS(AX), R15
+	VMOVDQU (R15)(R14*4), Y0
+	VMOVDQU 32(R15)(R14*4), Y1
+	VMOVDQU 64(R15)(R14*4), Y2
+	VMOVDQU 96(R15)(R14*4), Y3
+	MOVQ A_W(AX), R12
+	ADDQ R14, R12
+	LEAQ (R11)(R14*1), R15
+	MOVQ A_ROWS(AX), DX
+
+qdwrow32:
+	MOVQ R15, BX
+	MOVQ R12, SI
+	MOVQ A_N(AX), CX
+
+qdwtap32:
+	DWI8_TAP(0, Y4, Y5, Y0)
+	DWI8_TAP(8, Y6, Y7, Y1)
+	DWI8_TAP(16, Y4, Y5, Y2)
+	DWI8_TAP(24, Y6, Y7, Y3)
+	ADDQ R10, BX
+	ADDQ R10, SI
+	DECQ CX
+	JNZ  qdwtap32
+	ADDQ A_INROW(AX), R15
+	ADDQ A_WROW(AX), R12
+	DECQ DX
+	JNZ  qdwrow32
+	REQUANT8(Y0, (DI)(R14*1))
+	REQUANT8(Y1, 8(DI)(R14*1))
+	REQUANT8(Y2, 16(DI)(R14*1))
+	REQUANT8(Y3, 24(DI)(R14*1))
+	ADDQ $32, R14
+	JMP  qdwc32
+
+qdwc8:
+	CMPQ R15, $8
+	JLT  qdwnext
+	MOVQ A_BIAS(AX), R15
+	VMOVDQU (R15)(R14*4), Y0
+	MOVQ A_W(AX), R12
+	ADDQ R14, R12
+	LEAQ (R11)(R14*1), R15
+	MOVQ A_ROWS(AX), DX
+
+qdwrow8:
+	MOVQ R15, BX
+	MOVQ R12, SI
+	MOVQ A_N(AX), CX
+
+qdwtap8:
+	DWI8_TAP(0, Y4, Y5, Y0)
+	ADDQ R10, BX
+	ADDQ R10, SI
+	DECQ CX
+	JNZ  qdwtap8
+	ADDQ A_INROW(AX), R15
+	ADDQ A_WROW(AX), R12
+	DECQ DX
+	JNZ  qdwrow8
+	REQUANT8(Y0, (DI)(R14*1))
+	ADDQ $8, R14
+	MOVQ A_LANES(AX), R15
+	SUBQ R14, R15
+	JMP  qdwc8
+
+qdwnext:
+	ADDQ R10, DI
+	ADDQ A_PIX(AX), R11
+	DECQ R13
+	JNZ  qdwpixel
 	VZEROUPPER
 	RET

@@ -1,40 +1,30 @@
-//go:build !amd64
+//go:build !amd64 || noasm
 
 package simd
 
-// Non-amd64 builds have no assembly fast path; enabled stays false and
-// the stubs below are unreachable.
+// Builds without the amd64 assembly (other architectures, and the noasm
+// tag CI uses to keep the portable path honest) run the Go references;
+// enabled stays false and the stubs below are unreachable.
 const haveAVX2 = false
 const haveAVX512 = false
 
-func convAccF32SIMD(dst, w, in []float32, stride int) {
-	panic("simd: assembly path on non-amd64")
-}
+func convTileF32SIMD(a *tileArgs)   { panic("simd: assembly path in a build without it") }
+func depthwiseF32SIMD(a *tileArgs)  { panic("simd: assembly path in a build without it") }
+func reluF32SIMD(x []float32)       { panic("simd: assembly path in a build without it") }
+func relu6F32SIMD(x []float32)      { panic("simd: assembly path in a build without it") }
+func maxF32SIMD(dst, src []float32) { panic("simd: assembly path in a build without it") }
+func maxI8SIMD(dst, src []int8)     { panic("simd: assembly path in a build without it") }
+func convTileI8SIMD(a *tileArgs)    { panic("simd: assembly path in a build without it") }
+func depthwiseI8SIMD(a *dwI8Args)   { panic("simd: assembly path in a build without it") }
 
-func mulAccF32SIMD(dst, a, b []float32) {
-	panic("simd: assembly path on non-amd64")
-}
-
-func reluF32SIMD(x []float32) {
-	panic("simd: assembly path on non-amd64")
-}
-
-func relu6F32SIMD(x []float32) {
-	panic("simd: assembly path on non-amd64")
+func quantizeI8SIMD(dst []int8, src []float32, scale float64, zp int32) {
+	panic("simd: assembly path in a build without it")
 }
 
 func packPairsSIMD(vp []uint32, in []int8, zp int32) {
-	panic("simd: assembly path on non-amd64")
+	panic("simd: assembly path in a build without it")
 }
 
-func convAccI8SIMD(acc []int32, wPair []int16, vp []uint32, stride int) {
-	panic("simd: assembly path on non-amd64")
-}
-
-func mulAccI8SIMD(acc []int32, w, in []int8, zp int32) {
-	panic("simd: assembly path on non-amd64")
-}
-
-func requantI8SIMD(dst []int8, acc []int32, mult, rs, round, zp, lo, hi int64) {
-	panic("simd: assembly path on non-amd64")
+func requantI8SIMD(dst []int8, acc []int32, a *requantArgs) {
+	panic("simd: assembly path in a build without it")
 }

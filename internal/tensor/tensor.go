@@ -11,6 +11,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"edgepulse/internal/simd"
 	"strings"
 )
 
@@ -235,6 +237,22 @@ func (p QParams) Quantize(v float32) int8 {
 	return int8(clampI32(q, -128, 127))
 }
 
+// QuantizeInto quantizes src into dst[:len(src)], element for element
+// what Quantize returns: the same float64 quotient, the same
+// round-half-away-from-zero, the same conversion and saturation (see
+// simd.QuantizeI8, which vectorizes it).
+func (p QParams) QuantizeInto(dst []int8, src []float32) {
+	dst = dst[:len(src)]
+	if p.Scale == 0 {
+		zp := p.Quantize(0)
+		for i := range dst {
+			dst[i] = zp
+		}
+		return
+	}
+	simd.QuantizeI8(dst, src, p.Scale, p.ZeroPoint)
+}
+
 // Dequantize maps an int8 value back to its real approximation.
 func (p QParams) Dequantize(q int8) float32 {
 	return p.Scale * float32(int32(q)-p.ZeroPoint)
@@ -282,9 +300,7 @@ func (t *I8) Dequantize() *F32 {
 // QuantizeF32 converts a float tensor to int8 under the given params.
 func QuantizeF32(t *F32, q QParams) *I8 {
 	out := NewI8(q, t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = q.Quantize(v)
-	}
+	q.QuantizeInto(out.Data, t.Data)
 	return out
 }
 

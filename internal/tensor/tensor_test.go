@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -252,5 +253,45 @@ func TestChooseQParamsDegenerate(t *testing.T) {
 	q = ChooseQParams(5, 10)
 	if q.Dequantize(q.Quantize(0)) != 0 {
 		t.Fatal("positive range does not represent zero")
+	}
+}
+
+// TestQuantizeIntoMatchesQuantize pins the slice form to the per-element
+// form on everything that can differ between two roundings or two
+// saturations: exact halves of both signs at every magnitude int8 can
+// see, the floats next to them, values far out of range, infinities,
+// NaN and both zeros, under positive, negative and degenerate params.
+func TestQuantizeIntoMatchesQuantize(t *testing.T) {
+	inf := float32(math.Inf(1))
+	src := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), inf, -inf,
+		1e9, -1e9, 3e38, -3e38, 1e-40, -1e-40, 2147483520, 2147483648, -2147483648, -2147483904}
+	for k := -300; k <= 300; k++ {
+		h := float32(k) + 0.5
+		src = append(src, h, math.Nextafter32(h, inf), math.Nextafter32(h, -inf), h/2, h/3, h*0.1)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 20000; i++ {
+		src = append(src, math.Float32frombits(rng.Uint32()), float32(rng.NormFloat64()*60))
+	}
+	for _, p := range []QParams{
+		{Scale: 1, ZeroPoint: 0}, {Scale: 0.5, ZeroPoint: 10}, {Scale: 0.1, ZeroPoint: -128},
+		{Scale: 1.0 / 3, ZeroPoint: 127}, {Scale: 0.003921569, ZeroPoint: -128},
+		{Scale: 1e-30, ZeroPoint: -7}, {Scale: 3e38, ZeroPoint: 5}, {Scale: 0, ZeroPoint: 3},
+		{Scale: 0, ZeroPoint: 300}, {Scale: 2, ZeroPoint: math.MaxInt32}, {Scale: 2, ZeroPoint: math.MinInt32},
+	} {
+		got := make([]int8, len(src)+1)
+		got[len(src)] = 77
+		p.QuantizeInto(got, src)
+		for i, v := range src {
+			if want := p.Quantize(v); got[i] != want {
+				t.Fatalf("%+v: QuantizeInto(%g [%#x]) = %d, Quantize = %d", p, v, math.Float32bits(v), got[i], want)
+			}
+		}
+		if got[len(src)] != 77 {
+			t.Fatalf("%+v: QuantizeInto wrote past len(src)", p)
+		}
+		if q := QuantizeF32(&F32{Shape: Shape{len(src)}, Data: src}, p); !slices.Equal(q.Data, got[:len(src)]) {
+			t.Fatalf("%+v: QuantizeF32 differs from QuantizeInto", p)
+		}
 	}
 }
