@@ -39,6 +39,17 @@ func encodeCases() [][]float32 {
 			anyBits = append(anyBits, v)
 		}
 	}
+	// Powers of two, where the float below is nearer than the one above
+	// and the shortest decimal's interval is lopsided, and subnormals,
+	// which have fewer than 24 bits to round-trip.
+	var powers, subnormals []float32
+	for e := -126; e <= 127; e++ {
+		p := float32(math.Ldexp(1, e))
+		powers = append(powers, p, -p, math.Nextafter32(p, 0), math.Nextafter32(p, math.MaxFloat32))
+	}
+	for b := uint32(1); b < 1<<23; b = b*3 + 1 {
+		subnormals = append(subnormals, math.Float32frombits(b), -math.Float32frombits(1<<23-b))
+	}
 	return [][]float32{
 		nil,
 		{},
@@ -47,6 +58,8 @@ func encodeCases() [][]float32 {
 		{1e21, 9.999999e20, 1e22, 3.4028235e38, -1e30, 1.5e25},
 		random,
 		anyBits,
+		powers,
+		subnormals,
 	}
 }
 

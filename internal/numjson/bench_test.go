@@ -1,0 +1,69 @@
+package numjson_test
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"edgepulse/internal/numjson"
+	"edgepulse/internal/synth"
+)
+
+// BenchmarkAppendFloat32 formats one second of 16 kHz audio — what a
+// classify body or a stream push holds — as a JSON array, on three kinds
+// of sample: a synthetic keyword (the repository benchmark's input),
+// int16 PCM scaled to ±1 (what a microphone produces; k/32768 is as
+// long in shortest float32 digits as any other sample), and any finite
+// bit pattern (every exponent, nine digits mostly). Each beside strconv
+// in encoding/json's layout, which is what AppendFloats called until it
+// had a float32 formatter.
+func BenchmarkAppendFloat32(b *testing.B) {
+	const n = 16000
+	rng := rand.New(rand.NewSource(1))
+	sig, err := synth.Keyword("yes", n, 1.0, 0.05, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pcm, anyBits := make([]float32, n), make([]float32, 0, n)
+	for i := range pcm {
+		pcm[i] = float32(int16(math.Round(float64(sig.Data[i])*32767))) / 32768
+	}
+	for len(anyBits) < n {
+		if v := math.Float32frombits(rng.Uint32()); v == v && !math.IsInf(float64(v), 0) {
+			anyBits = append(anyBits, v)
+		}
+	}
+	dst := make([]byte, 0, 24*n)
+	for _, in := range []struct {
+		name string
+		vals []float32
+	}{{"Keyword", sig.Data}, {"PCM16", pcm}, {"AnyBits", anyBits}} {
+		perFloat := func(b *testing.B, out []byte) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/float")
+			b.ReportMetric(float64(len(out))/n, "B/float")
+		}
+		b.Run(in.name+"/Schubfach", func(b *testing.B) {
+			var out []byte
+			for i := 0; i < b.N; i++ {
+				if out, err = numjson.AppendFloats(dst, in.vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perFloat(b, out)
+		})
+		b.Run(in.name+"/Strconv", func(b *testing.B) {
+			var out []byte
+			for i := 0; i < b.N; i++ {
+				out = append(dst, '[')
+				for j, v := range in.vals {
+					if j > 0 {
+						out = append(out, ',')
+					}
+					out = numjson.AppendFloat32Strconv(out, math.Float32bits(v))
+				}
+				out = append(out, ']')
+			}
+			perFloat(b, out)
+		})
+	}
+}

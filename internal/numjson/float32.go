@@ -1,0 +1,327 @@
+package numjson
+
+import (
+	"math/bits"
+	"slices"
+)
+
+// The float32 formatter: Schubfach (Giulietti, "The Schubfach way to
+// render doubles", 2020) specialised to binary32, writing
+// encoding/json's layout directly. A finite float32 is c·2^q; the
+// decimals that read back as it are those of its rounding interval,
+// from halfway to the float below to halfway to the one above. With
+// k = ⌊log10 2^q⌋ the interval holds at least one and at most ten
+// multiples of 10^k, so the shortest decimal is a multiple of 10^(k+1)
+// if one is inside and otherwise the multiple of 10^k nearest the value.
+// The value and both ends of the interval are scaled by 10^-k with one
+// 64×32-bit multiply each, against a 64-bit ⌈10^-k·2^-r⌉, and rounded
+// to odd: the sticky bit keeps the two bits below the integer part
+// exact enough for every comparison made on them. TestPow10TableMatchesBigInt
+// checks the table, TestAppendFloat32Exhaustive (-tags exhaustive) every
+// one of the 2^32 bit patterns against strconv.
+
+// pow10f32[k+31] is ⌈10^k·2^-r⌉ for the r that puts it in [2^63, 2^64):
+// r = ⌊log2 10^k⌋ - 63. Literals, so that no start-up work builds them.
+var pow10f32 = [77]uint64{
+	0x81ceb32c4b43fcf5, // 1e-31
+	0xa2425ff75e14fc32, // 1e-30
+	0xcad2f7f5359a3b3f, // 1e-29
+	0xfd87b5f28300ca0e, // 1e-28
+	0x9e74d1b791e07e49, // 1e-27
+	0xc612062576589ddb, // 1e-26
+	0xf79687aed3eec552, // 1e-25
+	0x9abe14cd44753b53, // 1e-24
+	0xc16d9a0095928a28, // 1e-23
+	0xf1c90080baf72cb2, // 1e-22
+	0x971da05074da7bef, // 1e-21
+	0xbce5086492111aeb, // 1e-20
+	0xec1e4a7db69561a6, // 1e-19
+	0x9392ee8e921d5d08, // 1e-18
+	0xb877aa3236a4b44a, // 1e-17
+	0xe69594bec44de15c, // 1e-16
+	0x901d7cf73ab0acda, // 1e-15
+	0xb424dc35095cd810, // 1e-14
+	0xe12e13424bb40e14, // 1e-13
+	0x8cbccc096f5088cc, // 1e-12
+	0xafebff0bcb24aaff, // 1e-11
+	0xdbe6fecebdedd5bf, // 1e-10
+	0x89705f4136b4a598, // 1e-9
+	0xabcc77118461cefd, // 1e-8
+	0xd6bf94d5e57a42bd, // 1e-7
+	0x8637bd05af6c69b6, // 1e-6
+	0xa7c5ac471b478424, // 1e-5
+	0xd1b71758e219652c, // 1e-4
+	0x83126e978d4fdf3c, // 1e-3
+	0xa3d70a3d70a3d70b, // 1e-2
+	0xcccccccccccccccd, // 1e-1
+	0x8000000000000000, // 1e0
+	0xa000000000000000, // 1e1
+	0xc800000000000000, // 1e2
+	0xfa00000000000000, // 1e3
+	0x9c40000000000000, // 1e4
+	0xc350000000000000, // 1e5
+	0xf424000000000000, // 1e6
+	0x9896800000000000, // 1e7
+	0xbebc200000000000, // 1e8
+	0xee6b280000000000, // 1e9
+	0x9502f90000000000, // 1e10
+	0xba43b74000000000, // 1e11
+	0xe8d4a51000000000, // 1e12
+	0x9184e72a00000000, // 1e13
+	0xb5e620f480000000, // 1e14
+	0xe35fa931a0000000, // 1e15
+	0x8e1bc9bf04000000, // 1e16
+	0xb1a2bc2ec5000000, // 1e17
+	0xde0b6b3a76400000, // 1e18
+	0x8ac7230489e80000, // 1e19
+	0xad78ebc5ac620000, // 1e20
+	0xd8d726b7177a8000, // 1e21
+	0x878678326eac9000, // 1e22
+	0xa968163f0a57b400, // 1e23
+	0xd3c21bcecceda100, // 1e24
+	0x84595161401484a0, // 1e25
+	0xa56fa5b99019a5c8, // 1e26
+	0xcecb8f27f4200f3a, // 1e27
+	0x813f3978f8940985, // 1e28
+	0xa18f07d736b90be6, // 1e29
+	0xc9f2c9cd04674edf, // 1e30
+	0xfc6f7c4045812297, // 1e31
+	0x9dc5ada82b70b59e, // 1e32
+	0xc5371912364ce306, // 1e33
+	0xf684df56c3e01bc7, // 1e34
+	0x9a130b963a6c115d, // 1e35
+	0xc097ce7bc90715b4, // 1e36
+	0xf0bdc21abb48db21, // 1e37
+	0x96769950b50d88f5, // 1e38
+	0xbc143fa4e250eb32, // 1e39
+	0xeb194f8e1ae525fe, // 1e40
+	0x92efd1b8d0cf37bf, // 1e41
+	0xb7abc627050305ae, // 1e42
+	0xe596b7b0c643c71a, // 1e43
+	0x8f7e32ce7bea5c70, // 1e44
+	0xb35dbf821ae4f38c, // 1e45
+}
+
+// roundToOdd is the integer part of g·cp·2^-64 with its lowest bit set
+// if anything nonzero was dropped below it; cp < 2^32.
+func roundToOdd(g uint64, cp uint32) uint32 {
+	hi, lo := bits.Mul64(g, uint64(cp))
+	y := uint32(hi)
+	if lo>>32 > 1 {
+		y |= 1
+	}
+	return y
+}
+
+// shortest32 returns the shortest decimal d·10^k that reads back as the
+// finite, nonzero float32 with mantissa field frac and exponent field
+// exp — the one nearest the value where several are as short. d has no
+// trailing zero.
+func shortest32(frac, exp uint32) (d uint32, k int) {
+	const (
+		mantBits = 23
+		bias     = 127 + mantBits
+	)
+	c, q := frac, 1-bias // subnormal
+	if exp != 0 {
+		c, q = frac|1<<mantBits, int(exp)-bias
+	}
+	if 0 <= -q && -q <= mantBits && c&(1<<-q-1) == 0 {
+		// An integer below 2^24: its own digits are the answer.
+		d = c >> -q
+	} else {
+		d, k = schubfach32(c, q, frac == 0 && exp > 1)
+	}
+	for d%10 == 0 {
+		d /= 10
+		k++
+	}
+	return d, k
+}
+
+// schubfach32 is shortest32 for c·2^q, before trailing zeros are taken
+// off. At a power of two (lowerCloser) the float below is half as far
+// away as the one above.
+func schubfach32(c uint32, q int, lowerCloser bool) (d uint32, k int) {
+	k = q * 1262611 >> 22 // ⌊log10 2^q⌋
+	cbl := 4*c - 2
+	if lowerCloser {
+		k = (q*1262611 - 524031) >> 22 // ⌊log10 ¾·2^q⌋
+		cbl++
+	}
+	// cbl, 4c and 4c+2 are the interval's lower end, the value and its
+	// upper end in quarters of 2^q. With 10^-k = g·2^r, shifting them by
+	// h = q + r + 64 ∈ [1, 4] before the multiply leaves the three, in
+	// quarters of 10^k, in the high word of the product.
+	h := uint(q + -k*1741647>>19 + 1) // r + 64 = ⌊log2 10^-k⌋ + 1
+	g := pow10f32[31-k]
+	vbl := roundToOdd(g, cbl<<h)
+	vb := roundToOdd(g, 4*c<<h)
+	vbr := roundToOdd(g, (4*c+2)<<h)
+	// The ends are inside when c is even: round half to even reads them
+	// back as c.
+	odd := c & 1
+	lower, upper := vbl+odd, vbr-odd
+
+	s := vb / 4
+	if s >= 10 {
+		// A multiple of 10^(k+1) inside: at most one of the two around
+		// the value is.
+		sp := s / 10
+		if below, above := lower <= 40*sp, 40*sp+40 <= upper; below != above {
+			if above {
+				sp++
+			}
+			return sp, k + 1
+		}
+	}
+	if below, above := lower <= 4*s, 4*s+4 <= upper; below != above {
+		if above {
+			s++
+		}
+		return s, k
+	}
+	// Both neighbours are inside: the nearer one, the even one at a tie.
+	if mid := 4*s + 2; vb > mid || vb == mid && s&1 != 0 {
+		s++
+	}
+	return s, k
+}
+
+// maxFloat32Len bounds the text of a float32: the longest is a sign and
+// the 21 digits of 1e20 in fixed layout.
+const maxFloat32Len = 24
+
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// decimalLen is the number of digits of d < 10^9, d != 0.
+func decimalLen(d uint32) int {
+	switch {
+	case d >= 100000000:
+		return 9
+	case d >= 10000000:
+		return 8
+	case d >= 1000000:
+		return 7
+	case d >= 100000:
+		return 6
+	case d >= 10000:
+		return 5
+	case d >= 1000:
+		return 4
+	case d >= 100:
+		return 3
+	case d >= 10:
+		return 2
+	}
+	return 1
+}
+
+// putDigits writes the n digits of d so that they end before buf[end].
+func putDigits(buf []byte, end int, d uint32) {
+	for d >= 100 {
+		p := d % 100 * 2
+		d /= 100
+		end -= 2
+		buf[end+1] = digitPairs[p+1]
+		buf[end] = digitPairs[p]
+	}
+	if d >= 10 {
+		buf[end-1] = digitPairs[d*2+1]
+		buf[end-2] = digitPairs[d*2]
+		return
+	}
+	buf[end-1] = byte('0' + d)
+}
+
+// appendFloat32 appends the float32 with the given bits as encoding/json
+// writes it — the shortest decimal that reads back as the same float32,
+// fixed for 1e-6 <= |v| < 1e21 and d.ddde±x otherwise — and reports
+// false, appending nothing, for NaN and the infinities.
+func appendFloat32(dst []byte, b uint32) ([]byte, bool) {
+	exp, frac := b>>23&0xff, b&(1<<23-1)
+	if exp == 0xff {
+		return dst, false
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, maxFloat32Len)
+	buf := dst[start : start+maxFloat32Len]
+	i := 0
+	if b>>31 != 0 {
+		buf[0] = '-'
+		i = 1
+	}
+	if exp|frac == 0 {
+		buf[i] = '0'
+		return dst[:start+i+1], true
+	}
+	d, k := shortest32(frac, exp)
+	n := decimalLen(d)
+	// The shortest decimals of two float32s are ordered as the floats
+	// are, and those of float32(1e-6) and float32(1e21) are 1e-6 and
+	// 1e21: comparing the decimal exponent is comparing the values.
+	switch e10 := k + n - 1; {
+	case e10 < -6 || e10 >= 21:
+		// d.ddde±x
+		putDigits(buf, i+n+1, d)
+		buf[i] = buf[i+1]
+		i++
+		if n > 1 {
+			buf[i] = '.'
+			i += n
+		}
+		buf[i] = 'e'
+		// An exponent of either sign here has two digits, except e-7 to e-9:
+		// strconv writes e-07 and encoding/json takes the zero out again.
+		if e10 < 0 {
+			buf[i+1] = '-'
+			e10 = -e10
+		} else {
+			buf[i+1] = '+'
+		}
+		i += 2
+		if e10 >= 10 {
+			buf[i] = digitPairs[e10*2]
+			i++
+		}
+		buf[i] = digitPairs[e10*2+1]
+		i++
+	case e10 < 0:
+		// 0.000ddd
+		buf[i], buf[i+1] = '0', '.'
+		i += 2
+		for z := e10 + 1; z < 0; z++ {
+			buf[i] = '0'
+			i++
+		}
+		i += n
+		putDigits(buf, i, d)
+	case k >= 0:
+		// ddd000
+		i += n
+		putDigits(buf, i, d)
+		for ; k > 0; k-- {
+			buf[i] = '0'
+			i++
+		}
+	default:
+		// dd.ddd: the digits one place to the right, then the integer
+		// part moved back over the gap.
+		putDigits(buf, i+n+1, d)
+		for point := i + e10 + 1; i < point; i++ {
+			buf[i] = buf[i+1]
+		}
+		buf[i] = '.'
+		i = i + n - e10
+	}
+	return dst[:start+i], true
+}

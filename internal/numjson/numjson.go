@@ -13,6 +13,19 @@
 // Where a scanner does accept, the value is the one encoding/json
 // stores, bit for bit. AppendFloat writes the bytes json.Marshal writes.
 //
+// The two widths are formatted by different algorithms. A float32 — a
+// sample of a classify body or a stream push, 16 000 to a request and
+// the largest share of one — goes through this package's own Schubfach
+// formatter (float32.go): one 64-bit table entry and three multiplies
+// per value, digits written in place, half the time strconv takes; with
+// only 2^32 values its equality with strconv is checked on every one of
+// them (TestAppendFloat32Exhaustive). A float64 — a row of a signed
+// acquisition document — stays on strconv.AppendFloat: the same
+// algorithm at that width needs a 617-entry table of 128-bit powers, and
+// the one route that writes float64s (ingest.SignJSON, on the device
+// side of an upload) is not what an upload waits for. strconv is also
+// what the tests hold the float32 formatter to.
+//
 // The package is a leaf: it knows no DTO and no route.
 package numjson
 
@@ -366,22 +379,29 @@ func MaxFloats(data []byte) int {
 // AppendFloat formats a finite float as encoding/json does: the shortest
 // decimal that round-trips at bitSize, in ES6 style — exponent form
 // below 1e-6 and from 1e21, with a two-digit exponent's leading zero
-// dropped (e-07 → e-7).
+// dropped (e-07 → e-7). At bitSize 32 it formats float32(f).
 func AppendFloat(dst []byte, f float64, bitSize int) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 {
-		if bitSize == 64 && (abs < 1e-6 || abs >= 1e21) || bitSize == 32 && (float32(abs) < 1e-6 || float32(abs) >= 1e21) {
-			format = 'e'
+	if bitSize == 32 {
+		if out, ok := appendFloat32(dst, math.Float32bits(float32(f))); ok {
+			return out
 		}
+		// Not finite, so outside the contract; strconv spells NaN and the
+		// infinities alike at either width.
 	}
-	dst = strconv.AppendFloat(dst, f, format, -1, bitSize)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
+	return appendFloat64(dst, f)
+}
+
+func appendFloat64(dst []byte, f float64) []byte {
+	abs := math.Abs(f)
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
 			dst[n-2] = dst[n-1]
 			dst = dst[:n-1]
 		}
+		return dst
 	}
-	return dst
+	return strconv.AppendFloat(dst, f, 'f', -1, 64)
 }
 
 // AppendFloats appends vals as a JSON array, null for a nil slice. NaN
@@ -391,19 +411,38 @@ func AppendFloats[T Float](dst []byte, vals []T) ([]byte, error) {
 	if vals == nil {
 		return append(dst, "null"...), nil
 	}
-	bits := bitSize[T]()
 	dst = append(dst, '[')
-	for i, v := range vals {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		f := float64(v)
-		if math.IsInf(f, 0) || math.IsNaN(f) {
-			return dst, &json.UnsupportedValueError{
-				Value: reflect.ValueOf(v), Str: strconv.FormatFloat(f, 'g', -1, bits),
+	// The width is T's: one loop per width, chosen here and not per
+	// element.
+	switch vals := any(vals).(type) {
+	case []float32:
+		for i, v := range vals {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			var ok bool
+			if dst, ok = appendFloat32(dst, math.Float32bits(v)); !ok {
+				return dst, unsupportedValue(v)
 			}
 		}
-		dst = AppendFloat(dst, f, bits)
+	case []float64:
+		for i, v := range vals {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return dst, unsupportedValue(v)
+			}
+			dst = appendFloat64(dst, v)
+		}
 	}
 	return append(dst, ']'), nil
+}
+
+// unsupportedValue is encoding/json's error for a float JSON cannot
+// carry.
+func unsupportedValue[T Float](v T) error {
+	return &json.UnsupportedValueError{
+		Value: reflect.ValueOf(v), Str: strconv.FormatFloat(float64(v), 'g', -1, bitSize[T]()),
+	}
 }
