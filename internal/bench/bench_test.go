@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"edgepulse/internal/nn"
 	"edgepulse/internal/tensor"
 )
 
@@ -200,16 +199,13 @@ func TestKWSWorkloadBudget(t *testing.T) {
 }
 
 // BenchmarkForward times one forward pass of each reference model in
-// each precision on one core (conv row partitioning pinned to one
-// worker, as on the paper's MCUs and in the repo benchmark's
-// edge_infer): the number the conv kernels move, without DSP, engines
-// or HTTP around it.
+// each precision on one core, as on the paper's MCUs: the number the
+// conv kernels move, without DSP, engines or HTTP around it.
 func BenchmarkForward(b *testing.B) {
 	workloads, err := AllWorkloads()
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer nn.SetConvWorkers(nn.SetConvWorkers(1))
 	for _, w := range workloads {
 		in := tensor.NewF32(w.Model.InputShape...)
 		rng := rand.New(rand.NewSource(1))

@@ -8,7 +8,7 @@
 // Two artifacts come out of a compilation:
 //
 //   - Program: a runnable in-process plan (used by the SDK and the EIM
-//     runner) with no per-op registry lookups.
+//     runner) with no per-op kernel lookups.
 //   - C++ source (EmitCPP): the deployable library the real platform
 //     ships, reproduced here as generated text with the same structure.
 package eon
@@ -33,7 +33,7 @@ type Program struct {
 // the memory profiler's liveness-based arena planner (the same plan
 // Table 4's RAM estimates are built on). Run therefore executes the
 // interpreter's kernels at the interpreter's speed; what compiling
-// removes is the per-op registry lookup and the arena bytes a
+// removes is the per-op kernel table lookup and the arena bytes a
 // slot-per-op layout wastes.
 func Compile(mf *tflm.ModelFile) (*Program, error) {
 	specs, elemSize, err := mf.Specs()
@@ -48,7 +48,7 @@ func Compile(mf *tflm.ModelFile) (*Program, error) {
 	}
 	layout := nn.Layout{Offsets: offsets, Len: int(arenaBytes / elemSize)}
 
-	exec, err := mf.NewExecutor(layout, nn.BindAtBuild, nn.ResolveInferKernel)
+	exec, err := mf.NewExecutor(layout, nn.BindAtBuild)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,13 @@
 // Package kernelref holds the naive reference loops the optimised
-// convolution kernels are tested against: one scalar accumulator per
-// output element, bias first, then every tap that lands on the input in
-// ky, kx, ci order, padding worked out per tap with a bounds test. They
-// share no code with internal/nn, internal/quant or internal/simd — not
-// even the padding arithmetic — and only tests import them.
+// convolution, dense and pooling kernels are tested against: one scalar
+// accumulator per output element, bias first, then every tap that lands
+// on the input in ky, kx, ci order, padding worked out per tap with a
+// bounds test. They share no code with internal/nn, internal/quant or
+// internal/simd — not even the padding arithmetic — and only tests
+// import them.
 package kernelref
+
+import "math"
 
 // Window is a square sliding window over an H x W x C input.
 type Window struct {
@@ -15,36 +18,38 @@ type Window struct {
 
 // outDim is the TFLite output size of one axis (0 when a VALID window
 // does not fit).
-func (g Window) outDim(in int) int {
-	if g.Same {
-		return (in + g.Stride - 1) / g.Stride
+func outDim(in, kernel, stride int, same bool) int {
+	if same {
+		return (in + stride - 1) / stride
 	}
-	if in < g.Kernel {
+	if in < kernel {
 		return 0
 	}
-	return (in-g.Kernel)/g.Stride + 1
+	return (in-kernel)/stride + 1
 }
 
-// Out returns the output height and width.
-func (g Window) Out() (oh, ow int) { return g.outDim(g.H), g.outDim(g.W) }
-
-// pad is the number of padded positions before the first input of an
-// axis: half the total SAME padding, rounded down.
-func (g Window) pad(in int) int {
-	if !g.Same {
+// padBefore is the number of padded positions before the first input of
+// an axis: half the total SAME padding, rounded down.
+func padBefore(in, kernel, stride int, same bool) int {
+	if !same {
 		return 0
 	}
-	total := (g.outDim(in)-1)*g.Stride + g.Kernel - in
+	total := (outDim(in, kernel, stride, same)-1)*stride + kernel - in
 	if total < 0 {
 		return 0
 	}
 	return total / 2
 }
 
+// Out returns the output height and width.
+func (g Window) Out() (oh, ow int) {
+	return outDim(g.H, g.Kernel, g.Stride, g.Same), outDim(g.W, g.Kernel, g.Stride, g.Same)
+}
+
 // taps calls fn for every tap of output (oy, ox) that lands on the
 // input, in ky, kx order.
 func (g Window) taps(oy, ox int, fn func(ky, kx, iy, ix int)) {
-	py, px := g.pad(g.H), g.pad(g.W)
+	py, px := padBefore(g.H, g.Kernel, g.Stride, g.Same), padBefore(g.W, g.Kernel, g.Stride, g.Same)
 	for ky := 0; ky < g.Kernel; ky++ {
 		iy := oy*g.Stride + ky - py
 		if iy < 0 || iy >= g.H {
@@ -152,4 +157,139 @@ func DepthwiseI8(g Window, in, w []int8, bias []int32, zp int32, requant func(in
 		}
 	}
 	return out
+}
+
+// DenseI8 is DenseF32 in the quantized domain: per output an int32
+// accumulator over (in - zp) * w on top of the int32 bias, then requant.
+func DenseI8(in, w []int8, bias []int32, zp int32, requant func(int32) int8) []int8 {
+	out := make([]int8, len(bias))
+	for j := range out {
+		a := bias[j]
+		for i, v := range in {
+			a += (int32(v) - zp) * int32(w[i*len(bias)+j])
+		}
+		out[j] = requant(a)
+	}
+	return out
+}
+
+// Window1D is a sliding window along the T axis of a T x C input.
+type Window1D struct {
+	T, C           int
+	Kernel, Stride int
+	Same           bool
+}
+
+// Out returns the output length.
+func (g Window1D) Out() int { return outDim(g.T, g.Kernel, g.Stride, g.Same) }
+
+// Conv1DI8 convolves a [T, C] input with [K, C, nf] weights along T in
+// the quantized domain.
+func Conv1DI8(g Window1D, in, w []int8, bias []int32, zp int32, requant func(int32) int8) []int8 {
+	nf, ot, p := len(bias), g.Out(), padBefore(g.T, g.Kernel, g.Stride, g.Same)
+	out := make([]int8, ot*nf)
+	for o := 0; o < ot; o++ {
+		for f := 0; f < nf; f++ {
+			a := bias[f]
+			for k := 0; k < g.Kernel; k++ {
+				if i := o*g.Stride + k - p; i >= 0 && i < g.T {
+					for ci := 0; ci < g.C; ci++ {
+						a += (int32(in[i*g.C+ci]) - zp) * int32(w[(k*g.C+ci)*nf+f])
+					}
+				}
+			}
+			out[o*nf+f] = requant(a)
+		}
+	}
+	return out
+}
+
+// Pool is a VALID pooling window of KH x KW taps moved by Stride along
+// both axes of an H x W x C input. A 1-D pool over [T, C] is the
+// H = T, W = 1, KW = 1 case.
+type Pool struct {
+	H, W, C, KH, KW, Stride int
+}
+
+// Out returns the output height and width.
+func (g Pool) Out() (oh, ow int) {
+	return outDim(g.H, g.KH, g.Stride, false), outDim(g.W, g.KW, g.Stride, false)
+}
+
+// reduce calls fn(o, i) for every output element o and, in ky, kx
+// order, every input element i of its window.
+func (g Pool) reduce(fn func(o, i int)) {
+	oh, ow := g.Out()
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			for c := 0; c < g.C; c++ {
+				for ky := 0; ky < g.KH; ky++ {
+					for kx := 0; kx < g.KW; kx++ {
+						fn((oy*ow+ox)*g.C+c, ((oy*g.Stride+ky)*g.W+ox*g.Stride+kx)*g.C+c)
+					}
+				}
+			}
+		}
+	}
+}
+
+func (g Pool) size() int { oh, ow := g.Out(); return oh * ow * g.C }
+
+// MaxPoolF32 takes each window's maximum, starting from -Inf and
+// replacing it only with a strictly greater value (so a NaN never wins
+// and of two equal zeros the first stays).
+func MaxPoolF32(g Pool, in []float32) []float32 {
+	out := make([]float32, g.size())
+	for i := range out {
+		out[i] = float32(math.Inf(-1))
+	}
+	g.reduce(func(o, i int) {
+		if in[i] > out[o] {
+			out[o] = in[i]
+		}
+	})
+	return out
+}
+
+// AvgPoolF32 sums each window in float32 from zero and multiplies the
+// sum by the float32 reciprocal of the window size.
+func AvgPoolF32(g Pool, in []float32) []float32 {
+	out := make([]float32, g.size())
+	g.reduce(func(o, i int) { out[o] += in[i] })
+	for o := range out {
+		out[o] *= 1 / float32(g.KH*g.KW)
+	}
+	return out
+}
+
+// GlobalAvgPoolF32 is AvgPoolF32 over the whole H x W plane.
+func GlobalAvgPoolF32(h, w, c int, in []float32) []float32 {
+	return AvgPoolF32(Pool{H: h, W: w, C: c, KH: h, KW: w, Stride: 1}, in)
+}
+
+// MaxPoolI8 takes each window's maximum.
+func MaxPoolI8(g Pool, in []int8) []int8 {
+	out := make([]int8, g.size())
+	for i := range out {
+		out[i] = math.MinInt8
+	}
+	g.reduce(func(o, i int) { out[o] = max(out[o], in[i]) })
+	return out
+}
+
+// AvgPoolI8 is each window's mean of the raw int8 values, rounded to
+// the nearest integer with halves away from zero.
+func AvgPoolI8(g Pool, in []int8) []int8 {
+	sums := make([]int, g.size())
+	g.reduce(func(o, i int) { sums[o] += int(in[i]) })
+	out := make([]int8, len(sums))
+	for o, s := range sums {
+		out[o] = int8(math.Round(float64(s) / float64(g.KH*g.KW)))
+	}
+	return out
+}
+
+// GlobalAvgPoolI8 is AvgPoolI8 over the whole H x W plane.
+func GlobalAvgPoolI8(h, w, c int, in []int8) []int8 {
+	return AvgPoolI8(Pool{H: h, W: w, C: c, KH: h, KW: w, Stride: 1}, in)
 }

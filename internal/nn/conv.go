@@ -106,7 +106,7 @@ func (c *Conv2D) Forward(in *tensor.F32) *tensor.F32 {
 	oh := convOutDim(h, c.Kernel, c.Stride, c.Pad)
 	ow := convOutDim(w, c.Kernel, c.Stride, c.Pad)
 	out := tensor.NewF32(oh, ow, c.Filters)
-	c.InferInto(in, out)
+	c.InferInto(in.Shape, in.Data, out.Data)
 	c.lastIn = in
 	c.lastOut = out
 	return out
@@ -114,11 +114,10 @@ func (c *Conv2D) Forward(in *tensor.F32) *tensor.F32 {
 
 // InferInto implements Layer: the shared register-tiled convolution
 // forward (convForward).
-func (c *Conv2D) InferInto(in, out *tensor.F32) {
-	h, w, cin := in.Shape[0], in.Shape[1], in.Shape[2]
-	c.Build(cin)
-	y, x := ConvAxes(h, w, c.Kernel, c.Stride, c.Pad)
-	convForward{y: y, x: x, cin: cin, in: in.Data, out: out.Data, w: c.W.Data, b: c.B.Data, act: c.Act}.infer(c.MACs(in.Shape))
+func (c *Conv2D) InferInto(in tensor.Shape, src, dst []float32) {
+	c.Build(in[2])
+	y, x := ConvAxes(in[0], in[1], c.Kernel, c.Stride, c.Pad)
+	convForward{y: y, x: x, cin: in[2], in: src, out: dst, w: c.W.Data, b: c.B.Data, act: c.Act}.infer()
 }
 
 // convForward is the float32 convolution forward of Conv2D and Conv1D
@@ -137,51 +136,28 @@ type convForward struct {
 	act     Activation
 }
 
-// infer runs the whole layer. Layers heavy enough to amortize the
-// hand-off partition their output rows — output pixels when there is
-// one row — across the shared worker pool (see parallel.go); disjoint
-// chunks keep the result bitwise-equal to the sequential path for any
-// worker count.
-func (c convForward) infer(macs int64) {
-	rows := c.y.Out
-	if rows == 1 {
-		rows = c.x.Out
-	}
-	if parallelizable(rows, macs) {
-		parallelRows(rows, c.rows)
-		return
-	}
-	c.rows(0, rows)
-}
-
-// rows computes output rows [lo, hi), or output pixels [lo, hi) of a
-// one-row layer; it writes nothing else, so disjoint ranges may run
-// concurrently.
-func (c convForward) rows(lo, hi int) {
-	if c.y.Out == 1 {
-		c.tiles(0, lo, hi)
-		return
-	}
-	for oy := lo; oy < hi; oy++ {
-		c.tiles(oy, 0, c.x.Out)
-	}
-}
-
-// tiles computes pixels [oxLo, oxHi) of output row oy.
-func (c *convForward) tiles(oy, oxLo, oxHi int) {
+// infer runs the whole layer, output row by output row.
+func (c convForward) infer() {
 	nf, k, cin := len(c.b), c.x.Kernel, c.cin
-	kyLo, kyHi, iy := c.y.Taps(oy)
-	for ox, n := oxLo, 0; ox < oxHi; ox += n {
-		var kxLo, kxHi, ix int
-		n, kxLo, kxHi, ix = c.x.Run(ox, oxHi)
-		run := c.out[(oy*c.x.Out+ox)*nf:][:n*nf]
-		simd.ConvTileF32(run, c.b, c.w[(kyLo*k+kxLo)*cin*nf:], c.in[(iy*c.x.In+ix)*cin:], simd.Tile{
-			P: n, N: (kxHi - kxLo) * cin, Rows: kyHi - kyLo,
-			PixStride: c.x.Stride * cin, InRowStride: c.x.In * cin, WRowStride: k * cin * nf,
-		})
-		c.act.applyTo(run)
+	for oy := 0; oy < c.y.Out; oy++ {
+		kyLo, kyHi, iy := c.y.Taps(oy)
+		for ox, n := 0, 0; ox < c.x.Out; ox += n {
+			var kxLo, kxHi, ix int
+			n, kxLo, kxHi, ix = c.x.Run(ox, c.x.Out)
+			run := c.out[(oy*c.x.Out+ox)*nf:][:n*nf]
+			simd.ConvTileF32(run, c.b, c.w[(kyLo*k+kxLo)*cin*nf:], c.in[(iy*c.x.In+ix)*cin:], simd.Tile{
+				P: n, N: (kxHi - kxLo) * cin, Rows: kyHi - kyLo,
+				PixStride: c.x.Stride * cin, InRowStride: c.x.In * cin, WRowStride: k * cin * nf,
+			})
+			c.act.applyTo(run)
+		}
 	}
 }
+
+// SetConvWorkers does nothing and returns 0. Convolutions run on the
+// calling goroutine; the function remains only because the separate
+// benchmark module still calls it.
+func SetConvWorkers(n int) int { return 0 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(gradOut *tensor.F32) *tensor.F32 {
@@ -309,7 +285,7 @@ func (c *DepthwiseConv2D) Forward(in *tensor.F32) *tensor.F32 {
 	oh := convOutDim(h, c.Kernel, c.Stride, c.Pad)
 	ow := convOutDim(w, c.Kernel, c.Stride, c.Pad)
 	out := tensor.NewF32(oh, ow, ch)
-	c.InferInto(in, out)
+	c.InferInto(in.Shape, in.Data, out.Data)
 	c.lastIn = in
 	c.lastOut = out
 	return out
@@ -318,31 +294,19 @@ func (c *DepthwiseConv2D) Forward(in *tensor.F32) *tensor.F32 {
 // InferInto implements Layer. Each run of output pixels that share a
 // tap window is one simd.DepthwiseF32 call (input row, [K,K,C] weight
 // row and output row are all contiguous over the kx taps); per channel
-// the tap accumulation order is the channel-major loop's. Heavy layers
-// partition output rows across the shared worker pool.
-func (c *DepthwiseConv2D) InferInto(in, out *tensor.F32) {
-	c.Build(in.Shape[2])
-	oh := out.Shape[0]
-	if parallelizable(oh, c.MACs(in.Shape)) {
-		parallelRows(oh, func(lo, hi int) { c.inferRows(in, out, lo, hi) })
-		return
-	}
-	c.inferRows(in, out, 0, oh)
-}
-
-// inferRows computes output rows [oyLo, oyHi); disjoint ranges may run
-// concurrently.
-func (c *DepthwiseConv2D) inferRows(in, out *tensor.F32, oyLo, oyHi int) {
-	w, ch := in.Shape[1], in.Shape[2]
-	y := NewAxis(in.Shape[0], c.Kernel, c.Stride, c.Pad)
+// the tap accumulation order is the channel-major loop's.
+func (c *DepthwiseConv2D) InferInto(in tensor.Shape, src, dst []float32) {
+	w, ch := in[1], in[2]
+	c.Build(ch)
+	y := NewAxis(in[0], c.Kernel, c.Stride, c.Pad)
 	x := NewAxis(w, c.Kernel, c.Stride, c.Pad)
-	for oy := oyLo; oy < oyHi; oy++ {
+	for oy := 0; oy < y.Out; oy++ {
 		kyLo, kyHi, iy := y.Taps(oy)
-		row := out.Data[oy*x.Out*ch : (oy+1)*x.Out*ch]
+		row := dst[oy*x.Out*ch : (oy+1)*x.Out*ch]
 		for ox, n := 0, 0; ox < x.Out; ox += n {
 			var kxLo, kxHi, ix int
 			n, kxLo, kxHi, ix = x.Run(ox, x.Out)
-			simd.DepthwiseF32(row[ox*ch:], c.B.Data, c.W.Data[(kyLo*c.Kernel+kxLo)*ch:], in.Data[(iy*w+ix)*ch:], simd.Tile{
+			simd.DepthwiseF32(row[ox*ch:], c.B.Data, c.W.Data[(kyLo*c.Kernel+kxLo)*ch:], src[(iy*w+ix)*ch:], simd.Tile{
 				P: n, N: kxHi - kxLo, Rows: kyHi - kyLo,
 				PixStride: c.Stride * ch, InRowStride: w * ch, WRowStride: c.Kernel * ch,
 			})
@@ -472,7 +436,7 @@ func (c *Conv1D) Forward(in *tensor.F32) *tensor.F32 {
 	c.Build(cin)
 	ot := convOutDim(t, c.Kernel, c.Stride, c.Pad)
 	out := tensor.NewF32(ot, c.Filters)
-	c.InferInto(in, out)
+	c.InferInto(in.Shape, in.Data, out.Data)
 	c.lastIn = in
 	c.lastOut = out
 	return out
@@ -480,11 +444,10 @@ func (c *Conv1D) Forward(in *tensor.F32) *tensor.F32 {
 
 // InferInto implements Layer: a Conv2D over one input row, on the same
 // convForward.
-func (c *Conv1D) InferInto(in, out *tensor.F32) {
-	t, cin := in.Shape[0], in.Shape[1]
-	c.Build(cin)
-	convForward{y: NewAxis(1, 1, 1, Valid), x: NewAxis(t, c.Kernel, c.Stride, c.Pad), cin: cin,
-		in: in.Data, out: out.Data, w: c.W.Data, b: c.B.Data, act: c.Act}.infer(c.MACs(in.Shape))
+func (c *Conv1D) InferInto(in tensor.Shape, src, dst []float32) {
+	c.Build(in[1])
+	convForward{y: NewAxis(1, 1, 1, Valid), x: NewAxis(in[0], c.Kernel, c.Stride, c.Pad), cin: in[1],
+		in: src, out: dst, w: c.W.Data, b: c.B.Data, act: c.Act}.infer()
 }
 
 // Backward implements Layer.

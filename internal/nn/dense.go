@@ -58,7 +58,7 @@ func (d *Dense) OutShape(in tensor.Shape) (tensor.Shape, error) {
 func (d *Dense) Forward(in *tensor.F32) *tensor.F32 {
 	d.Build(len(in.Data))
 	out := tensor.NewF32(d.Units)
-	d.InferInto(in, out)
+	d.InferInto(in.Shape, in.Data, out.Data)
 	d.lastIn = in
 	d.lastOut = out
 	return out
@@ -68,10 +68,10 @@ func (d *Dense) Forward(in *tensor.F32) *tensor.F32 {
 // single-pixel simd.ConvTileF32 reduction over Units-contiguous weight
 // rows, so per output unit the addition order is the output-major
 // scalar loop's.
-func (d *Dense) InferInto(in, out *tensor.F32) {
-	d.Build(len(in.Data))
-	simd.ConvTileF32(out.Data, d.B.Data, d.W.Data, in.Data, simd.Tile{P: 1, N: len(in.Data), Rows: 1})
-	d.Act.applyTo(out.Data)
+func (d *Dense) InferInto(_ tensor.Shape, src, dst []float32) {
+	d.Build(len(src))
+	simd.ConvTileF32(dst, d.B.Data, d.W.Data, src, simd.Tile{P: 1, N: len(src), Rows: 1})
+	d.Act.applyTo(dst)
 }
 
 // Backward implements Layer.

@@ -46,9 +46,9 @@ type Layout struct {
 	Len     int
 }
 
-// Binding fixes when an op's kernel is looked up: once when the executor
-// is built (what the EON compiler does) or by op kind on every run (what
-// the TFLM interpreter does).
+// Binding fixes when an op's kernel is looked up in its precision's
+// kernel table: once when the executor is built (what the EON compiler
+// does) or by op kind on every run (what the TFLM interpreter does).
 type Binding bool
 
 const (
@@ -57,11 +57,12 @@ const (
 )
 
 // Precision is everything the executor does not share between element
-// types: how kernels are found, what per-run scratch they use, and how
+// types: the kernel table, what per-run scratch the kernels use, and how
 // a float tensor enters and leaves the T-typed arena.
 type Precision[T Elem, N, S any] struct {
-	// Resolve returns the kernel for an op kind, nil when there is none.
-	Resolve    func(kind string) Kernel[T, N, S]
+	// Kernels maps every op kind that computes to its kernel; the
+	// aliasing kinds need none.
+	Kernels    map[string]Kernel[T, N, S]
 	NewScratch func() *S
 	// Stage writes the caller's input into the arena's input slot.
 	Stage func(dst []T, src []float32)
@@ -138,7 +139,7 @@ func NewExecutor[T Elem, N, S any](input tensor.Shape, ops []Op[N], layout Layou
 			return nil, fmt.Errorf("nn: op %d (%s): shapes %v -> %v do not follow %v", i, op.Kind, op.InShape, op.OutShape, e.output)
 		}
 		if !alias {
-			if st.kernel = p.Resolve(op.Kind); st.kernel == nil {
+			if st.kernel = p.Kernels[op.Kind]; st.kernel == nil {
 				return nil, fmt.Errorf("nn: op %d: no kernel for %q", i, op.Kind)
 			}
 			if binding == ResolvePerCall {
@@ -193,7 +194,7 @@ func (e *Executor[T, N, S]) Run(in *tensor.F32) (*tensor.F32, error) {
 		}
 		k := st.kernel
 		if k == nil {
-			k = e.p.Resolve(st.op.Kind)
+			k = e.p.Kernels[st.op.Kind]
 		}
 		out := s.arena[st.off : st.off+st.elems]
 		k(&st.op, x, out, s.scratch)
@@ -208,30 +209,24 @@ func (e *Executor[T, N, S]) Run(in *tensor.F32) (*tensor.F32, error) {
 	return res, nil
 }
 
-// FloatScratch is the float32 kernels' per-run workspace: the two tensor
-// headers Layer.InferInto is handed, rebound for every op.
-type FloatScratch struct{ in, out tensor.F32 }
+// FloatExecutor is the float32 instantiation; its kernels need no
+// scratch.
+type FloatExecutor = Executor[float32, Layer, struct{}]
 
-// FloatKernel and FloatExecutor are the float32 instantiations.
-type (
-	FloatKernel   = Kernel[float32, Layer, FloatScratch]
-	FloatExecutor = Executor[float32, Layer, FloatScratch]
-)
-
-// InferKernel is the float32 kernel of every layer kind: the layer's own
-// stateless InferInto.
-func InferKernel(op *Op[Layer], in, out []float32, sc *FloatScratch) {
-	sc.in = tensor.F32{Shape: op.InShape, Data: in}
-	sc.out = tensor.F32{Shape: op.OutShape, Data: out}
-	op.Node.InferInto(&sc.in, &sc.out)
+// floatKernels is the float32 kernel table: every layer kind that
+// computes runs the layer's own stateless InferInto.
+var floatKernels = map[string]Kernel[float32, Layer, struct{}]{
+	"dense": inferLayer, "conv2d": inferLayer, "depthwise_conv2d": inferLayer, "conv1d": inferLayer,
+	"maxpool2d": inferLayer, "avgpool2d": inferLayer, "maxpool1d": inferLayer, "gap2d": inferLayer,
+	"softmax": inferLayer, "batchnorm": inferLayer,
 }
 
-// ResolveInferKernel resolves every op kind to InferKernel.
-func ResolveInferKernel(string) FloatKernel { return InferKernel }
+func inferLayer(op *Op[Layer], src, dst []float32, _ *struct{}) {
+	op.Node.InferInto(op.InShape, src, dst)
+}
 
-// NewFloatExecutor builds the float32 executor of a model. resolve is
-// ResolveInferKernel or an interpreter's registry.
-func NewFloatExecutor(m *Model, layout Layout, binding Binding, resolve func(kind string) FloatKernel) (*FloatExecutor, error) {
+// NewFloatExecutor builds the float32 executor of a model.
+func NewFloatExecutor(m *Model, layout Layout, binding Binding) (*FloatExecutor, error) {
 	specs, err := m.Spec()
 	if err != nil {
 		return nil, fmt.Errorf("nn: %w", err)
@@ -240,9 +235,9 @@ func NewFloatExecutor(m *Model, layout Layout, binding Binding, resolve func(kin
 	for i, s := range specs {
 		ops[i] = Op[Layer]{OpSpec: s, Node: m.Layers[i]}
 	}
-	return NewExecutor(m.InputShape, ops, layout, binding, Precision[float32, Layer, FloatScratch]{
-		Resolve:    resolve,
-		NewScratch: func() *FloatScratch { return new(FloatScratch) },
+	return NewExecutor(m.InputShape, ops, layout, binding, Precision[float32, Layer, struct{}]{
+		Kernels:    floatKernels,
+		NewScratch: func() *struct{} { return new(struct{}) },
 		Stage:      func(dst, src []float32) { copy(dst, src) },
 		Result:     func(res *tensor.F32, x []float32) { copy(res.Data, x) },
 	})

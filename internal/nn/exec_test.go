@@ -171,7 +171,7 @@ func TestExecutorLayoutsAndBindingsBitwiseEqual(t *testing.T) {
 				if lay == "planned" {
 					fl, ql = plannedLayout(fspecs, 4), plannedLayout(qm.Specs(), 1)
 				}
-				fe, err := nn.NewFloatExecutor(m, fl, binding, nn.ResolveInferKernel)
+				fe, err := nn.NewFloatExecutor(m, fl, binding)
 				if err != nil {
 					t.Fatalf("seed %d %s: float executor: %v", seed, lay, err)
 				}
@@ -198,7 +198,7 @@ func TestExecutorLayoutsAndBindingsBitwiseEqual(t *testing.T) {
 					}
 				}
 				if lay == "planned" {
-					bump, _ := nn.NewFloatExecutor(m, nn.Layout{}, binding, nn.ResolveInferKernel)
+					bump, _ := nn.NewFloatExecutor(m, nn.Layout{}, binding)
 					if fe.ArenaBytes() > bump.ArenaBytes() {
 						t.Errorf("seed %d: planned float arena %d > bump %d", seed, fe.ArenaBytes(), bump.ArenaBytes())
 					}
@@ -227,7 +227,7 @@ func TestExecutorConcurrentRun(t *testing.T) {
 		if planned {
 			fl, ql = plannedLayout(fspecs, 4), plannedLayout(qm.Specs(), 1)
 		}
-		fe, err := nn.NewFloatExecutor(m, fl, nn.ResolvePerCall, nn.ResolveInferKernel)
+		fe, err := nn.NewFloatExecutor(m, fl, nn.ResolvePerCall)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestExecutorConcurrentRun(t *testing.T) {
 // shape or length is not the model's is an error, never a panic.
 func TestExecutorRejectsBadInput(t *testing.T) {
 	m := randModel(t, 3)
-	e, err := nn.NewFloatExecutor(m, nn.Layout{}, nn.BindAtBuild, nn.ResolveInferKernel)
+	e, err := nn.NewFloatExecutor(m, nn.Layout{}, nn.BindAtBuild)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +281,18 @@ func TestExecutorRejectsBadInput(t *testing.T) {
 	if _, err := e.Run(&tensor.F32{Shape: m.InputShape, Data: make([]float32, 2)}); err == nil {
 		t.Error("accepted a tensor shorter than its shape")
 	}
-	if _, err := nn.NewFloatExecutor(m, nn.Layout{}, nn.BindAtBuild, func(string) nn.FloatKernel { return nil }); err == nil {
-		t.Error("built an executor with no kernels")
+	odd := nn.NewModel(4).Add(warpDrive{nn.NewDense(2, nn.None)})
+	for _, b := range []nn.Binding{nn.BindAtBuild, nn.ResolvePerCall} {
+		if _, err := nn.NewFloatExecutor(odd, nn.Layout{}, b); err == nil {
+			t.Errorf("binding %v: built an executor for a kind with no kernel", b)
+		}
 	}
 }
+
+// warpDrive is a layer whose kind has no entry in the kernel table.
+type warpDrive struct{ *nn.Dense }
+
+func (warpDrive) Kind() string { return "warp_drive" }
 
 // FuzzPlanOffsets feeds the executor arbitrary planned layouts for a
 // fixed model: short, overlong, negative and out-of-arena offset lists
@@ -307,7 +315,7 @@ func FuzzPlanOffsets(f *testing.F) {
 		}
 		return b
 	}
-	bump, err := nn.NewFloatExecutor(m, nn.Layout{}, nn.BindAtBuild, nn.ResolveInferKernel)
+	bump, err := nn.NewFloatExecutor(m, nn.Layout{}, nn.BindAtBuild)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -335,7 +343,7 @@ func FuzzPlanOffsets(f *testing.F) {
 		for data = data[4:]; len(data) >= 4; data = data[4:] {
 			offsets = append(offsets, int(int32(binary.LittleEndian.Uint32(data))))
 		}
-		e, err := nn.NewFloatExecutor(m, nn.Layout{Offsets: offsets, Len: arenaLen}, nn.BindAtBuild, nn.ResolveInferKernel)
+		e, err := nn.NewFloatExecutor(m, nn.Layout{Offsets: offsets, Len: arenaLen}, nn.BindAtBuild)
 		if err != nil {
 			return
 		}

@@ -1,11 +1,11 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"edgepulse/internal/kernelref"
 	"edgepulse/internal/tensor"
 )
 
@@ -28,7 +28,7 @@ func fuzzShape(h, w, ch, nf, kernel, stride uint8, same bool, perOutput func(ch,
 // fuzzFill fills t from rng; special sprinkles NaN, both infinities and
 // negative zero over it.
 func fuzzFill(rng *rand.Rand, t *tensor.F32, special bool) {
-	fillRandomF32(t, rng)
+	fillParams(rng, []*tensor.F32{t})
 	if !special {
 		return
 	}
@@ -55,24 +55,19 @@ func sameBits(t *testing.T, what string, got, want *tensor.F32) {
 	}
 }
 
-// everySplit reruns l under every pinned worker count from 2 to 6 — a
-// pinned width splits a layer whatever its size — and checks each
-// against want.
-func everySplit(t *testing.T, l Layer, in, out, want *tensor.F32) {
-	t.Helper()
-	defer SetConvWorkers(SetConvWorkers(0))
-	for workers := 2; workers <= 6; workers++ {
-		SetConvWorkers(workers)
-		for i := range out.Data {
-			out.Data[i] = float32(math.NaN()) // an element left unwritten cannot match
-		}
-		l.InferInto(in, out)
-		sameBits(t, fmt.Sprintf("split into %d", workers), out, want)
+// inferPoisoned runs l on x into an output first filled with NaN, so an
+// element the kernel leaves unwritten cannot match a reference.
+func inferPoisoned(l Layer, x *tensor.F32, outShape tensor.Shape) *tensor.F32 {
+	out := tensor.NewF32(outShape...)
+	for i := range out.Data {
+		out.Data[i] = float32(math.NaN())
 	}
+	l.InferInto(x.Shape, x.Data, out.Data)
+	return out
 }
 
-// FuzzConvF32 holds the tiled Conv2D — sequential and under every row
-// split — to the naive triple loop, bit for bit, over random shapes,
+// FuzzConvF32 holds the tiled Conv2D to the naive triple loop, bit for
+// bit, over random shapes,
 // odd and even channel counts, filter counts that are not a multiple of
 // 8, strides, padding modes and non-finite inputs. The seeds are the
 // reference models' layers.
@@ -102,13 +97,7 @@ func FuzzConvF32(f *testing.F) {
 		fillParams(rng, c.Params())
 		x := tensor.NewF32(in...)
 		fuzzFill(rng, x, special)
-		want := refConv2D(c, x)
-
-		defer SetConvWorkers(SetConvWorkers(1))
-		out := tensor.NewF32(outShape...)
-		c.InferInto(x, out)
-		sameBits(t, "sequential", out, want)
-		everySplit(t, c, x, out, want)
+		sameBits(t, "conv2d", inferPoisoned(c, x, outShape), refConv2D(c, x))
 	})
 }
 
@@ -137,12 +126,56 @@ func FuzzDepthwiseF32(f *testing.F) {
 		fillParams(rng, c.Params())
 		x := tensor.NewF32(in...)
 		fuzzFill(rng, x, special)
-		want := refDepthwise(c, x)
+		sameBits(t, "depthwise", inferPoisoned(c, x, outShape), refDepthwise(c, x))
+	})
+}
 
-		defer SetConvWorkers(SetConvWorkers(1))
-		out := tensor.NewF32(outShape...)
-		c.InferInto(x, out)
-		sameBits(t, "sequential", out, want)
-		everySplit(t, c, x, out, want)
+// FuzzPoolF32 holds the four float pooling layers to the naive window
+// loops of internal/kernelref, bit for bit, over random shapes, window
+// sizes, strides and non-finite inputs.
+func FuzzPoolF32(f *testing.F) {
+	// kind (max2d, avg2d, max1d, gap), h, w, channels-1, size-1, stride, special, seed
+	f.Add(uint8(0), uint8(31), uint8(31), uint8(15), uint8(1), uint8(0), false, int64(1)) // ic max 2x2
+	f.Add(uint8(1), uint8(24), uint8(4), uint8(63), uint8(1), uint8(1), true, int64(2))   // avg, stride 1
+	f.Add(uint8(2), uint8(48), uint8(0), uint8(7), uint8(2), uint8(2), true, int64(3))    // 1-D, overlapping
+	f.Add(uint8(3), uint8(5), uint8(5), uint8(255), uint8(0), uint8(0), false, int64(4))  // vww head
+	f.Add(uint8(0), uint8(6), uint8(7), uint8(2), uint8(4), uint8(3), true, int64(5))     // odd sizes
+	f.Fuzz(func(t *testing.T, kind, h, w, ch, size, stride uint8, special bool, seed int64) {
+		g := kernelref.Pool{H: 1 + int(h)%64, W: 1 + int(w)%64, C: 1 + int(ch), KH: 1 + int(size)%5, Stride: int(stride) % 4}
+		g.KW = g.KH
+		in := tensor.Shape{g.H, g.W, g.C}
+		var l Layer
+		switch kind % 4 {
+		case 0:
+			l = NewMaxPool2D(g.KH, g.Stride)
+		case 1:
+			l = NewAvgPool2D(g.KH, g.Stride)
+		case 2:
+			g.W, g.KW, in = 1, 1, tensor.Shape{g.H, g.C}
+			l = NewMaxPool1D(g.KH, g.Stride)
+		case 3:
+			g.KH, g.KW = g.H, g.W
+			l = NewGlobalAvgPool2D()
+		}
+		if g.Stride == 0 {
+			g.Stride = g.KH // the layers' default
+		}
+		outShape, err := l.OutShape(in)
+		if err != nil {
+			t.Skip() // the window does not fit
+		}
+		rng := rand.New(rand.NewSource(seed))
+		x := tensor.NewF32(in...)
+		fuzzFill(rng, x, special)
+		var want []float32
+		switch kind % 4 {
+		case 0, 2:
+			want = kernelref.MaxPoolF32(g, x.Data)
+		case 1:
+			want = kernelref.AvgPoolF32(g, x.Data)
+		case 3:
+			want = kernelref.GlobalAvgPoolF32(g.H, g.W, g.C, x.Data)
+		}
+		sameBits(t, l.Kind(), inferPoisoned(l, x, outShape), &tensor.F32{Shape: outShape, Data: want})
 	})
 }

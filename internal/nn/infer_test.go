@@ -234,7 +234,7 @@ func BenchmarkConv2DForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.InferInto(in, out)
+		c.InferInto(in.Shape, in.Data, out.Data)
 	}
 }
 
@@ -247,7 +247,7 @@ func BenchmarkDepthwiseConv2DForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.InferInto(in, out)
+		c.InferInto(in.Shape, in.Data, out.Data)
 	}
 }
 
@@ -260,6 +260,6 @@ func BenchmarkDenseForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.InferInto(in, out)
+		d.InferInto(in.Shape, in.Data, out.Data)
 	}
 }

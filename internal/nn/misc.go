@@ -34,8 +34,8 @@ func (f *Flatten) Forward(in *tensor.F32) *tensor.F32 {
 }
 
 // InferInto implements Layer. Arena drivers alias instead (see Aliases).
-func (f *Flatten) InferInto(in, out *tensor.F32) {
-	copy(out.Data, in.Data)
+func (f *Flatten) InferInto(_ tensor.Shape, src, dst []float32) {
+	copy(dst, src)
 }
 
 // Backward implements Layer.
@@ -74,28 +74,28 @@ func (s *Softmax) OutShape(in tensor.Shape) (tensor.Shape, error) {
 // Forward implements Layer.
 func (s *Softmax) Forward(in *tensor.F32) *tensor.F32 {
 	out := tensor.NewF32(in.Shape...)
-	s.InferInto(in, out)
+	s.InferInto(in.Shape, in.Data, out.Data)
 	s.lastOut = out
 	return out
 }
 
 // InferInto implements Layer.
-func (s *Softmax) InferInto(in, out *tensor.F32) {
-	max := in.Data[0]
-	for _, v := range in.Data {
+func (s *Softmax) InferInto(_ tensor.Shape, src, dst []float32) {
+	max := src[0]
+	for _, v := range src {
 		if v > max {
 			max = v
 		}
 	}
 	var sum float64
-	for i, v := range in.Data {
+	for i, v := range src {
 		e := math.Exp(float64(v - max))
-		out.Data[i] = float32(e)
+		dst[i] = float32(e)
 		sum += e
 	}
 	inv := float32(1 / sum)
-	for i := range out.Data {
-		out.Data[i] *= inv
+	for i := range dst {
+		dst[i] *= inv
 	}
 }
 
@@ -169,8 +169,8 @@ func (d *Dropout) Forward(in *tensor.F32) *tensor.F32 {
 
 // InferInto implements Layer: dropout is the identity at inference.
 // Arena drivers alias instead (see Aliases).
-func (d *Dropout) InferInto(in, out *tensor.F32) {
-	copy(out.Data, in.Data)
+func (d *Dropout) InferInto(_ tensor.Shape, src, dst []float32) {
+	copy(dst, src)
 }
 
 // Backward implements Layer.
@@ -250,19 +250,19 @@ func (b *BatchNorm) OutShape(in tensor.Shape) (tensor.Shape, error) {
 func (b *BatchNorm) Forward(in *tensor.F32) *tensor.F32 {
 	b.Build(channels(in.Shape))
 	out := tensor.NewF32(in.Shape...)
-	b.InferInto(in, out)
+	b.InferInto(in.Shape, in.Data, out.Data)
 	b.lastIn = in
 	return out
 }
 
 // InferInto implements Layer.
-func (b *BatchNorm) InferInto(in, out *tensor.F32) {
-	ch := channels(in.Shape)
+func (b *BatchNorm) InferInto(in tensor.Shape, src, dst []float32) {
+	ch := channels(in)
 	b.Build(ch)
-	for i, v := range in.Data {
+	for i, v := range src {
 		c := i % ch
 		inv := float32(1 / math.Sqrt(float64(b.Var.Data[c]+b.Eps)))
-		out.Data[i] = b.Gamma.Data[c]*(v-b.Mean.Data[c])*inv + b.Beta.Data[c]
+		dst[i] = b.Gamma.Data[c]*(v-b.Mean.Data[c])*inv + b.Beta.Data[c]
 	}
 }
 

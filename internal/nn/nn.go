@@ -111,13 +111,14 @@ type Layer interface {
 	OutShape(in tensor.Shape) (tensor.Shape, error)
 	// Forward runs inference, caching whatever Backward needs.
 	Forward(in *tensor.F32) *tensor.F32
-	// InferInto runs stateless inference, writing the result into out,
-	// which the caller has shaped per OutShape. It mutates no layer
-	// state, so one layer may serve concurrent inferences as long as
-	// each caller owns its out tensor. Layers whose inference is the
-	// identity (flatten, reshape, dropout) copy; arena-backed drivers
-	// skip the call and alias the buffers instead (see Aliases).
-	InferInto(in, out *tensor.F32)
+	// InferInto runs stateless inference on src, an activation of shape
+	// in, writing the result into dst, which holds OutShape(in)
+	// elements. It mutates no layer state, so one layer may serve
+	// concurrent inferences as long as each caller owns its dst. Layers whose
+	// inference is the identity (flatten, reshape, dropout) copy;
+	// arena-backed drivers skip the call and alias the buffers instead
+	// (see Aliases).
+	InferInto(in tensor.Shape, src, dst []float32)
 	// Backward consumes the gradient w.r.t. this layer's output and
 	// returns the gradient w.r.t. its input, accumulating parameter
 	// gradients. It must be called after Forward.
@@ -182,7 +183,7 @@ func (m *Model) Forward(in *tensor.F32) *tensor.F32 {
 	e := m.exec.Load()
 	if e == nil || e.NumOps() != len(m.Layers) {
 		var err error
-		if e, err = NewFloatExecutor(m, Layout{}, BindAtBuild, ResolveInferKernel); err != nil {
+		if e, err = NewFloatExecutor(m, Layout{}, BindAtBuild); err != nil {
 			panic(err)
 		}
 		m.exec.Store(e)

@@ -77,18 +77,18 @@ func (p *MaxPool2D) Forward(in *tensor.F32) *tensor.F32 {
 // InferInto implements Layer (no argmax bookkeeping). Taps are the outer
 // loops so each one is a contiguous channel row for simd.MaxF32; per
 // channel the comparisons are the channel-major loop's, in its order.
-func (p *MaxPool2D) InferInto(in, out *tensor.F32) {
-	w, ch := in.Shape[1], in.Shape[2]
-	oh, ow := out.Shape[0], out.Shape[1]
+func (p *MaxPool2D) InferInto(in tensor.Shape, src, dst []float32) {
+	w, ch := in[1], in[2]
+	oh, ow := convOutDim(in[0], p.Size, p.Stride, Valid), convOutDim(w, p.Size, p.Stride, Valid)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			best := out.Data[(oy*ow+ox)*ch:][:ch]
+			best := dst[(oy*ow+ox)*ch:][:ch]
 			for c := range best {
 				best[c] = float32(math.Inf(-1))
 			}
 			for ky := 0; ky < p.Size; ky++ {
 				for kx := 0; kx < p.Size; kx++ {
-					simd.MaxF32(best, in.Data[((oy*p.Stride+ky)*w+ox*p.Stride+kx)*ch:][:ch])
+					simd.MaxF32(best, src[((oy*p.Stride+ky)*w+ox*p.Stride+kx)*ch:][:ch])
 				}
 			}
 		}
@@ -151,15 +151,15 @@ func (p *AvgPool2D) Forward(in *tensor.F32) *tensor.F32 {
 	oh := convOutDim(h, p.Size, p.Stride, Valid)
 	ow := convOutDim(w, p.Size, p.Stride, Valid)
 	out := tensor.NewF32(oh, ow, ch)
-	p.InferInto(in, out)
+	p.InferInto(in.Shape, in.Data, out.Data)
 	p.lastIn = in
 	return out
 }
 
 // InferInto implements Layer.
-func (p *AvgPool2D) InferInto(in, out *tensor.F32) {
-	w, ch := in.Shape[1], in.Shape[2]
-	oh, ow := out.Shape[0], out.Shape[1]
+func (p *AvgPool2D) InferInto(in tensor.Shape, src, dst []float32) {
+	w, ch := in[1], in[2]
+	oh, ow := convOutDim(in[0], p.Size, p.Stride, Valid), convOutDim(w, p.Size, p.Stride, Valid)
 	inv := 1 / float32(p.Size*p.Size)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
@@ -169,10 +169,10 @@ func (p *AvgPool2D) InferInto(in, out *tensor.F32) {
 					for kx := 0; kx < p.Size; kx++ {
 						iy := oy*p.Stride + ky
 						ix := ox*p.Stride + kx
-						s += in.Data[(iy*w+ix)*ch+c]
+						s += src[(iy*w+ix)*ch+c]
 					}
 				}
-				out.Data[(oy*ow+ox)*ch+c] = s * inv
+				dst[(oy*ow+ox)*ch+c] = s * inv
 			}
 		}
 	}
@@ -268,19 +268,19 @@ func (p *MaxPool1D) Forward(in *tensor.F32) *tensor.F32 {
 }
 
 // InferInto implements Layer (no argmax bookkeeping).
-func (p *MaxPool1D) InferInto(in, out *tensor.F32) {
-	ch := in.Shape[1]
-	ot := out.Shape[0]
+func (p *MaxPool1D) InferInto(in tensor.Shape, src, dst []float32) {
+	ch := in[1]
+	ot := convOutDim(in[0], p.Size, p.Stride, Valid)
 	for o := 0; o < ot; o++ {
 		for c := 0; c < ch; c++ {
 			best := float32(math.Inf(-1))
 			for k := 0; k < p.Size; k++ {
-				v := in.Data[(o*p.Stride+k)*ch+c]
+				v := src[(o*p.Stride+k)*ch+c]
 				if v > best {
 					best = v
 				}
 			}
-			out.Data[o*ch+c] = best
+			dst[o*ch+c] = best
 		}
 	}
 }
@@ -326,26 +326,23 @@ func (p *GlobalAvgPool2D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 // Forward implements Layer.
 func (p *GlobalAvgPool2D) Forward(in *tensor.F32) *tensor.F32 {
 	out := tensor.NewF32(in.Shape[2])
-	p.InferInto(in, out)
+	p.InferInto(in.Shape, in.Data, out.Data)
 	p.lastIn = in
 	return out
 }
 
 // InferInto implements Layer.
-func (p *GlobalAvgPool2D) InferInto(in, out *tensor.F32) {
-	h, w, ch := in.Shape[0], in.Shape[1], in.Shape[2]
-	for c := range out.Data {
-		out.Data[c] = 0
-	}
+func (p *GlobalAvgPool2D) InferInto(in tensor.Shape, src, dst []float32) {
+	h, w, ch := in[0], in[1], in[2]
+	clear(dst)
 	for i := 0; i < h*w; i++ {
-		row := in.Data[i*ch : (i+1)*ch]
-		for c, v := range row {
-			out.Data[c] += v
+		for c, v := range src[i*ch : (i+1)*ch] {
+			dst[c] += v
 		}
 	}
 	inv := 1 / float32(h*w)
-	for c := range out.Data {
-		out.Data[c] *= inv
+	for c := range dst {
+		dst[c] *= inv
 	}
 }
 

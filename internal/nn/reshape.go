@@ -38,8 +38,8 @@ func (r *Reshape) Forward(in *tensor.F32) *tensor.F32 {
 }
 
 // InferInto implements Layer. Arena drivers alias instead (see Aliases).
-func (r *Reshape) InferInto(in, out *tensor.F32) {
-	copy(out.Data, in.Data)
+func (r *Reshape) InferInto(_ tensor.Shape, src, dst []float32) {
+	copy(dst, src)
 }
 
 // Backward implements Layer.

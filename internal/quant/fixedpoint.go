@@ -18,38 +18,6 @@ func quantizeMultiplier(real float64) (mult int32, shift int) {
 	return int32(q), exp
 }
 
-// multiplyByQuantizedMultiplier computes round(acc * mult * 2^shift / 2^31)
-// with saturating arithmetic, matching the TFLite reference requantization.
-func multiplyByQuantizedMultiplier(acc int32, mult int32, shift int) int32 {
-	leftShift := 0
-	rightShift := 0
-	if shift > 0 {
-		leftShift = shift
-	} else {
-		rightShift = -shift
-	}
-	v := int64(acc) << leftShift
-	// Rounding doubling high multiply: round(v * mult / 2^31).
-	prod := v * int64(mult)
-	nudge := int64(1) << 30
-	if prod < 0 {
-		nudge = 1 - nudge
-	}
-	high := (prod + nudge) >> 31
-	// Rounding right shift.
-	if rightShift > 0 {
-		round := int64(1) << (rightShift - 1)
-		high = (high + round) >> rightShift
-	}
-	if high > math.MaxInt32 {
-		high = math.MaxInt32
-	}
-	if high < math.MinInt32 {
-		high = math.MinInt32
-	}
-	return int32(high)
-}
-
 func clampI32(v, lo, hi int32) int32 {
 	if v < lo {
 		return lo

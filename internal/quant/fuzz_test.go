@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edgepulse/internal/kernelref"
+	"edgepulse/internal/nn"
 	"edgepulse/internal/simd"
 	"edgepulse/internal/tensor"
 )
@@ -67,7 +68,7 @@ func fuzzRunOp(t *testing.T, rng *rand.Rand, op *QOp, reference func(in []int8) 
 
 // FuzzConvI8 holds the pair-tiled int8 conv2d — generic and row-paired
 // single-channel path, assembly and Go — to the naive loop with an int32
-// accumulator and the scalar requant, bit for bit. The seeds are the
+// accumulator and the reference requant, bit for bit. The seeds are the
 // reference models' layers.
 func FuzzConvI8(f *testing.F) {
 	// h, w, cin-1, filters-1, kernel-1, stride-1, same, seed
@@ -114,6 +115,60 @@ func FuzzDepthwiseI8(f *testing.F) {
 		}
 		fuzzRunOp(t, rng, op, func(in []int8) []int8 {
 			return kernelref.DepthwiseI8(g, in, op.W, op.Bias, op.InQ.ZeroPoint, func(a int32) int8 { return requant(op, a) })
+		})
+	})
+}
+
+// FuzzPoolI8 holds the four int8 pooling kernels to the naive window
+// loops of internal/kernelref, bit for bit, assembly on and off, over
+// random shapes, window sizes, strides and zero points (pooling keeps
+// its input's quantization, so a zero point must not enter the
+// arithmetic).
+func FuzzPoolI8(f *testing.F) {
+	// kind (max2d, avg2d, max1d, gap), h, w, channels-1, size-1, stride, zero point, seed
+	f.Add(uint8(0), uint8(31), uint8(31), uint8(15), uint8(1), uint8(0), int8(-3), int64(1))  // ic max 2x2
+	f.Add(uint8(1), uint8(24), uint8(4), uint8(63), uint8(1), uint8(1), int8(0), int64(2))    // avg, stride 1
+	f.Add(uint8(2), uint8(48), uint8(0), uint8(7), uint8(2), uint8(2), int8(127), int64(3))   // 1-D, overlapping
+	f.Add(uint8(3), uint8(5), uint8(5), uint8(255), uint8(0), uint8(0), int8(-128), int64(4)) // vww head
+	f.Add(uint8(1), uint8(6), uint8(7), uint8(2), uint8(4), uint8(3), int8(9), int64(5))      // odd sizes
+	f.Fuzz(func(t *testing.T, kind, h, w, ch, size, stride uint8, zp int8, seed int64) {
+		g := kernelref.Pool{H: 1 + int(h)%64, W: 1 + int(w)%64, C: 1 + int(ch), KH: 1 + int(size)%5, Stride: int(stride) % 4}
+		g.KW = g.KH
+		kinds := []string{"maxpool2d", "avgpool2d", "maxpool1d", "gap2d"}
+		op := &QOp{OpSpec: nn.OpSpec{Kind: kinds[kind%4], InShape: tensor.Shape{g.H, g.W, g.C}}}
+		switch op.Kind {
+		case "maxpool1d":
+			g.W, g.KW = 1, 1
+			op.InShape = tensor.Shape{g.H, g.C}
+		case "gap2d":
+			g.KH, g.KW, g.Stride = g.H, g.W, 1
+		}
+		op.Attrs = map[string]float64{"size": float64(g.KH), "stride": float64(g.Stride)}
+		if g.Stride == 0 {
+			g.Stride = g.KH // the layers' default
+		}
+		oh, ow := g.Out()
+		if oh <= 0 || ow <= 0 {
+			t.Skip() // the window does not fit
+		}
+		switch op.Kind {
+		case "maxpool1d":
+			op.OutShape = tensor.Shape{oh, g.C}
+		case "gap2d":
+			op.OutShape = tensor.Shape{g.C}
+		default:
+			op.OutShape = tensor.Shape{oh, ow, g.C}
+		}
+		op.InQ = tensor.QParams{Scale: 0.05, ZeroPoint: int32(zp)}
+		op.OutQ = op.InQ
+		fuzzRunOp(t, rand.New(rand.NewSource(seed)), op, func(in []int8) []int8 {
+			switch op.Kind {
+			case "avgpool2d":
+				return kernelref.AvgPoolI8(g, in)
+			case "gap2d":
+				return kernelref.GlobalAvgPoolI8(g.H, g.W, g.C, in)
+			}
+			return kernelref.MaxPoolI8(g, in)
 		})
 	})
 }

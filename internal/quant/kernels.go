@@ -12,7 +12,8 @@ import (
 // for callers that exercise individual ops (the kernel golden tests).
 // The output never aliases the input: identity ops (flatten, reshape)
 // copy, so mutating the result cannot corrupt the caller's tensor. An
-// op kind without an int8 kernel panics.
+// op kind without an int8 kernel, or a compute op Rebind never
+// prepared, panics.
 func (q *QModel) RunOp(op *QOp, in *tensor.I8) *tensor.I8 {
 	if nn.Aliases(op.Kind) {
 		return &tensor.I8{
@@ -24,6 +25,9 @@ func (q *QModel) RunOp(op *QOp, in *tensor.I8) *tensor.I8 {
 	k := kernels[op.Kind]
 	if k == nil {
 		panic(fmt.Sprintf("quant: no int8 kernel for op kind %q (softmax runs in the float head)", op.Kind))
+	}
+	if err := op.bound(); err != nil {
+		panic("quant: " + err.Error())
 	}
 	out := tensor.NewI8(op.OutQ, op.OutShape...)
 	acc, vp := scratchLens(op)
@@ -81,7 +85,7 @@ func packInput(vp []uint32, data []int8, cin int, zp int32) int {
 	return pp
 }
 
-// kernels maps op kinds to int8 kernels. All compute kernels use int32
+// kernels is the int8 kernel table. All compute kernels use int32
 // accumulators over (q_in - in_zp) * q_w products on top of the int32
 // bias, requantize with the op's fixed-point multiplier, add the output
 // zero point and clamp to the fused activation range — the same dataflow
@@ -89,42 +93,17 @@ func packInput(vp []uint32, data []int8, cin int, zp int32) int {
 // package simd tiles (VPMADDWD dual-MAC conv tiles, the depthwise pixel
 // kernel, vectorized requantization) over the same nn.Axis tap windows
 // as the float kernels; integer arithmetic is exact, so results are
-// bitwise identical to the scalar reference order. Aliasing ops never
+// bitwise identical to internal/kernelref's naive loops. Aliasing ops never
 // reach a kernel, and softmax has none: it runs in the float head.
 var kernels = map[string]qKernel{
-	"dense":            bind(qDense),
-	"conv2d":           bind(qConv2D),
-	"depthwise_conv2d": bind(qDepthwise),
-	"conv1d":           bind(qConv1D),
-	"maxpool2d":        bindPool(qMaxPool2D),
-	"avgpool2d":        bindPool(qAvgPool2D),
-	"maxpool1d":        bindPool(qMaxPool1D),
-	"gap2d":            bindPool(qGAP),
-}
-
-// bind adapts a compute kernel to the executor: the run's flat arena
-// views are wrapped in the scratch's two tensor headers.
-func bind(f func(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32)) qKernel {
-	return func(op *nn.Op[*QOp], in, out []int8, sc *scratch) {
-		sc.in.Data, sc.out.Data = in, out
-		f(op.Node, &sc.in, &sc.out, sc.acc, sc.vp)
-	}
-}
-
-// bindPool is bind for the pooling kernels, which need no scratch rows.
-func bindPool(f func(op *QOp, in, out *tensor.I8)) qKernel {
-	return func(op *nn.Op[*QOp], in, out []int8, sc *scratch) {
-		sc.in.Data, sc.out.Data = in, out
-		f(op.Node, &sc.in, &sc.out)
-	}
-}
-
-// requant converts an int32 accumulator to the quantized output domain
-// (the scalar reference; batch requantization goes through simd.RequantI8,
-// which is bit-for-bit identical).
-func requant(op *QOp, acc int32) int8 {
-	v := multiplyByQuantizedMultiplier(acc, op.mult, op.shift) + op.OutQ.ZeroPoint
-	return int8(clampI32(v, op.ActMin, op.ActMax))
+	"dense":            qDense,
+	"conv2d":           qConv2D,
+	"depthwise_conv2d": qDepthwise,
+	"conv1d":           qConv1D,
+	"maxpool2d":        qMaxPool2D,
+	"avgpool2d":        qAvgPool2D,
+	"maxpool1d":        qMaxPool1D,
+	"gap2d":            qGAP,
 }
 
 // requantParams is op's requantization for the simd kernels.
@@ -137,71 +116,23 @@ func (o *QOp) axis(in int) nn.Axis {
 	return nn.NewAxis(in, int(o.Attrs["kernel"]), int(o.Attrs["stride"]), nn.Padding(o.Attrs["padding"]))
 }
 
-func qDense(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) {
-	nIn := op.InShape.Elems()
-	nOut := op.OutShape.Elems()
-	row := acc[:nOut]
-	inZP := op.InQ.ZeroPoint
-	if op.wPair != nil {
-		pairs := simd.PackPairs(vp, in.Data[:nIn], inZP)
-		simd.ConvTileI8(row, op.Bias, op.wPair, vp, simd.Tile{P: 1, N: pairs, Rows: 1})
-		simd.RequantI8(out.Data[:nOut], row, op.requantParams())
-		return
-	}
-	copy(row, op.Bias)
-	for i := 0; i < nIn; i++ {
-		v := int32(in.Data[i]) - inZP
-		wRow := op.W[i*nOut : (i+1)*nOut]
-		for j, wv := range wRow {
-			row[j] += v * int32(wv)
-		}
-	}
-	for j, a := range row {
-		out.Data[j] = requant(op, a)
-	}
+func qDense(op *nn.Op[*QOp], in, out []int8, sc *scratch) {
+	o := op.Node
+	row := sc.acc[:len(out)]
+	pairs := simd.PackPairs(sc.vp, in, o.InQ.ZeroPoint)
+	simd.ConvTileI8(row, o.Bias, o.wPair, sc.vp, simd.Tile{P: 1, N: pairs, Rows: 1})
+	simd.RequantI8(out, row, o.requantParams())
 }
 
-func qConv2D(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) {
-	h, w, cin := op.InShape[0], op.InShape[1], op.InShape[2]
-	if op.wPair != nil {
-		y, x := nn.ConvAxes(h, w, int(op.Attrs["kernel"]), int(op.Attrs["stride"]), nn.Padding(op.Attrs["padding"]))
-		qConvTiles(op, in.Data, out.Data, acc, vp, y, x, cin)
-		return
-	}
-	y, x := op.axis(h), op.axis(w)
-	filters, kernel, stride := op.OutShape[2], x.Kernel, x.Stride
-	inZP := op.InQ.ZeroPoint
-	row := acc[:filters]
-	for oy := 0; oy < y.Out; oy++ {
-		for ox := 0; ox < x.Out; ox++ {
-			copy(row, op.Bias)
-			for ky := 0; ky < kernel; ky++ {
-				iy := oy*stride + ky - y.Pad
-				if iy < 0 || iy >= h {
-					continue
-				}
-				for kx := 0; kx < kernel; kx++ {
-					ix := ox*stride + kx - x.Pad
-					if ix < 0 || ix >= w {
-						continue
-					}
-					inBase := (iy*w + ix) * cin
-					wBase := (ky*kernel + kx) * cin * filters
-					for ci := 0; ci < cin; ci++ {
-						v := int32(in.Data[inBase+ci]) - inZP
-						wRow := op.W[wBase+ci*filters : wBase+(ci+1)*filters]
-						for f, wv := range wRow {
-							row[f] += v * int32(wv)
-						}
-					}
-				}
-			}
-			dst := out.Data[(oy*x.Out+ox)*filters : (oy*x.Out+ox+1)*filters]
-			for f, a := range row {
-				dst[f] = requant(op, a)
-			}
-		}
-	}
+func qConv2D(op *nn.Op[*QOp], in, out []int8, sc *scratch) {
+	o := op.Node
+	y, x := nn.ConvAxes(o.InShape[0], o.InShape[1], int(o.Attrs["kernel"]), int(o.Attrs["stride"]), nn.Padding(o.Attrs["padding"]))
+	qConvTiles(o, in, out, sc, y, x, o.InShape[2])
+}
+
+func qConv1D(op *nn.Op[*QOp], in, out []int8, sc *scratch) {
+	o := op.Node
+	qConvTiles(o, in, out, sc, nn.NewAxis(1, 1, 1, nn.Valid), o.axis(o.InShape[0]), o.InShape[1])
 }
 
 // qConvTiles is the pair-panel convolution of conv2d and conv1d (one
@@ -216,7 +147,8 @@ func qConv2D(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) {
 // with a whole window reduce kernel/2 pairs per row instead, from two
 // more packings of every input row, one per pair-alignment phase, so a
 // window may start at any x offset.
-func qConvTiles(op *QOp, in, out []int8, acc []int32, vp []uint32, y, x nn.Axis, cin int) {
+func qConvTiles(op *QOp, in, out []int8, sc *scratch, y, x nn.Axis, cin int) {
+	acc, vp := sc.acc, sc.vp
 	filters, k := len(op.Bias), x.Kernel
 	inZP := op.InQ.ZeroPoint
 	pp := packInput(vp, in, cin, inZP)
@@ -267,53 +199,20 @@ func qConvTiles(op *QOp, in, out []int8, acc []int32, vp []uint32, y, x nn.Axis,
 
 // qDepthwise needs no scratch: the pixel kernel requantizes in its
 // registers.
-func qDepthwise(op *QOp, in, out *tensor.I8, _ []int32, _ []uint32) {
-	w, ch := op.InShape[1], op.InShape[2]
-	y, x := op.axis(op.InShape[0]), op.axis(w)
-	inZP, rq := op.InQ.ZeroPoint, op.requantParams()
+func qDepthwise(op *nn.Op[*QOp], in, out []int8, _ *scratch) {
+	o := op.Node
+	w, ch := o.InShape[1], o.InShape[2]
+	y, x := o.axis(o.InShape[0]), o.axis(w)
+	inZP, rq := o.InQ.ZeroPoint, o.requantParams()
 	for oy := 0; oy < y.Out; oy++ {
 		kyLo, kyHi, iy := y.Taps(oy)
 		for ox, n := 0, 0; ox < x.Out; ox += n {
 			var kxLo, kxHi, ix int
 			n, kxLo, kxHi, ix = x.Run(ox, x.Out)
-			simd.DepthwiseI8(out.Data[(oy*x.Out+ox)*ch:], op.Bias, op.W[(kyLo*x.Kernel+kxLo)*ch:], in.Data[(iy*w+ix)*ch:], simd.Tile{
+			simd.DepthwiseI8(out[(oy*x.Out+ox)*ch:], o.Bias, o.W[(kyLo*x.Kernel+kxLo)*ch:], in[(iy*w+ix)*ch:], simd.Tile{
 				P: n, N: kxHi - kxLo, Rows: kyHi - kyLo,
 				PixStride: x.Stride * ch, InRowStride: w * ch, WRowStride: x.Kernel * ch,
 			}, inZP, rq)
-		}
-	}
-}
-
-func qConv1D(op *QOp, in, out *tensor.I8, acc []int32, vp []uint32) {
-	t, cin := op.InShape[0], op.InShape[1]
-	x := op.axis(t)
-	if op.wPair != nil {
-		qConvTiles(op, in.Data, out.Data, acc, vp, nn.NewAxis(1, 1, 1, nn.Valid), x, cin)
-		return
-	}
-	filters := op.OutShape[1]
-	inZP := op.InQ.ZeroPoint
-	row := acc[:filters]
-	for o := 0; o < x.Out; o++ {
-		copy(row, op.Bias)
-		for k := 0; k < x.Kernel; k++ {
-			i := o*x.Stride + k - x.Pad
-			if i < 0 || i >= t {
-				continue
-			}
-			inBase := i * cin
-			wBase := k * cin * filters
-			for ci := 0; ci < cin; ci++ {
-				v := int32(in.Data[inBase+ci]) - inZP
-				wRow := op.W[wBase+ci*filters : wBase+(ci+1)*filters]
-				for f, wv := range wRow {
-					row[f] += v * int32(wv)
-				}
-			}
-		}
-		dst := out.Data[o*filters : (o+1)*filters]
-		for f, a := range row {
-			dst[f] = requant(op, a)
 		}
 	}
 }
@@ -327,29 +226,29 @@ func poolDims(op *QOp) (size, stride int) {
 	return size, stride
 }
 
-func qMaxPool2D(op *QOp, in, out *tensor.I8) {
+func qMaxPool2D(op *nn.Op[*QOp], in, out []int8, _ *scratch) {
 	w, ch := op.InShape[1], op.InShape[2]
 	oh, ow := op.OutShape[0], op.OutShape[1]
-	size, stride := poolDims(op)
+	size, stride := poolDims(op.Node)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			best := out.Data[(oy*ow+ox)*ch:][:ch]
+			best := out[(oy*ow+ox)*ch:][:ch]
 			for c := range best {
 				best[c] = -128
 			}
 			for ky := 0; ky < size; ky++ {
 				for kx := 0; kx < size; kx++ {
-					simd.MaxI8(best, in.Data[((oy*stride+ky)*w+ox*stride+kx)*ch:][:ch])
+					simd.MaxI8(best, in[((oy*stride+ky)*w+ox*stride+kx)*ch:][:ch])
 				}
 			}
 		}
 	}
 }
 
-func qAvgPool2D(op *QOp, in, out *tensor.I8) {
+func qAvgPool2D(op *nn.Op[*QOp], in, out []int8, _ *scratch) {
 	w, ch := op.InShape[1], op.InShape[2]
 	oh, ow := op.OutShape[0], op.OutShape[1]
-	size, stride := poolDims(op)
+	size, stride := poolDims(op.Node)
 	n := int32(size * size)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
@@ -357,42 +256,39 @@ func qAvgPool2D(op *QOp, in, out *tensor.I8) {
 				var acc int32
 				for ky := 0; ky < size; ky++ {
 					for kx := 0; kx < size; kx++ {
-						acc += int32(in.Data[((oy*stride+ky)*w+(ox*stride+kx))*ch+c])
+						acc += int32(in[((oy*stride+ky)*w+(ox*stride+kx))*ch+c])
 					}
 				}
-				out.Data[(oy*ow+ox)*ch+c] = int8(clampI32(roundDiv(acc, n), -128, 127))
+				out[(oy*ow+ox)*ch+c] = int8(clampI32(roundDiv(acc, n), -128, 127))
 			}
 		}
 	}
 }
 
-func qMaxPool1D(op *QOp, in, out *tensor.I8) {
+func qMaxPool1D(op *nn.Op[*QOp], in, out []int8, _ *scratch) {
 	ch := op.InShape[1]
 	ot := op.OutShape[0]
-	size, stride := poolDims(op)
+	size, stride := poolDims(op.Node)
 	for o := 0; o < ot; o++ {
 		for c := 0; c < ch; c++ {
 			best := int8(-128)
 			for k := 0; k < size; k++ {
-				v := in.Data[(o*stride+k)*ch+c]
-				if v > best {
-					best = v
-				}
+				best = max(best, in[(o*stride+k)*ch+c])
 			}
-			out.Data[o*ch+c] = best
+			out[o*ch+c] = best
 		}
 	}
 }
 
-func qGAP(op *QOp, in, out *tensor.I8) {
+func qGAP(op *nn.Op[*QOp], in, out []int8, _ *scratch) {
 	h, w, ch := op.InShape[0], op.InShape[1], op.InShape[2]
 	n := int32(h * w)
 	for c := 0; c < ch; c++ {
 		var acc int32
 		for i := 0; i < h*w; i++ {
-			acc += int32(in.Data[i*ch+c])
+			acc += int32(in[i*ch+c])
 		}
-		out.Data[c] = int8(clampI32(roundDiv(acc, n), -128, 127))
+		out[c] = int8(clampI32(roundDiv(acc, n), -128, 127))
 	}
 }
 

@@ -1,15 +1,47 @@
 package quant
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"edgepulse/internal/kernelref"
 	"edgepulse/internal/nn"
 	"edgepulse/internal/simd"
 	"edgepulse/internal/tensor"
 )
+
+// multiplyByQuantizedMultiplier is the int32 half of simd.Requant.Apply
+// written out on its own, the requantization the references below use:
+// acc·2^shift times the Q31 mantissa mult by a doubling high multiply
+// with gemmlowp's nudge (2^30, or 1-2^30 for a negative product) but
+// floored by >> 31 where gemmlowp's SaturatingRoundingDoublingHighMul
+// truncates toward zero, then a right shift rounding halves up, then
+// int32 saturation. Under a right shift of one or more the floor is
+// absorbed and the result is TFLite's; at shift >= 0 (a real multiplier
+// of 0.5 or more) a negative product whose high half is inexact comes
+// out one below TFLite's.
+func multiplyByQuantizedMultiplier(acc int32, mult int32, shift int) int32 {
+	leftShift, rightShift := max(shift, 0), max(-shift, 0)
+	prod := (int64(acc) << leftShift) * int64(mult)
+	nudge := int64(1) << 30
+	if prod < 0 {
+		nudge = 1 - nudge
+	}
+	high := (prod + nudge) >> 31
+	if rightShift > 0 {
+		high = (high + int64(1)<<(rightShift-1)) >> rightShift
+	}
+	return int32(min(max(high, math.MinInt32), math.MaxInt32))
+}
+
+// requant is the reference requantization of one accumulator of op.
+func requant(op *QOp, acc int32) int8 {
+	v := multiplyByQuantizedMultiplier(acc, op.mult, op.shift) + op.OutQ.ZeroPoint
+	return int8(clampI32(v, op.ActMin, op.ActMax))
+}
 
 // qOutDim mirrors the conv output-size rule the quantizer uses.
 func qOutDim(in, kernel, stride, pad int) int {
@@ -76,39 +108,28 @@ func randQOp(rng *rand.Rand, kind string, inShape tensor.Shape, filters, kernel,
 	return op
 }
 
-// runBoth executes op through the pair-panel kernels and through the
-// scalar reference (wPair stripped) and requires bitwise-equal outputs.
-func runBoth(t *testing.T, q *QModel, op *QOp, in *tensor.I8) {
-	t.Helper()
-	if op.wPair == nil && op.Kind != "depthwise_conv2d" {
-		t.Fatalf("%s: Rebind did not build wPair", op.Kind)
+// reference runs op's compute kernel as internal/kernelref's naive loop.
+func reference(op *QOp, in []int8) []int8 {
+	rq := func(a int32) int8 { return requant(op, a) }
+	k, s, same := int(op.Attrs["kernel"]), int(op.Attrs["stride"]), op.Attrs["padding"] == 1
+	switch op.Kind {
+	case "dense":
+		return kernelref.DenseI8(in, op.W, op.Bias, op.InQ.ZeroPoint, rq)
+	case "conv1d":
+		g := kernelref.Window1D{T: op.InShape[0], C: op.InShape[1], Kernel: k, Stride: s, Same: same}
+		return kernelref.Conv1DI8(g, in, op.W, op.Bias, op.InQ.ZeroPoint, rq)
 	}
-	fast := q.RunOp(op, in)
-	ref := *op
-	ref.wPair = nil
-	ref.wPairRow = nil
-	slow := q.RunOp(&ref, in)
-	if !bytes.Equal(int8Bytes(fast.Data), int8Bytes(slow.Data)) {
-		for i := range fast.Data {
-			if fast.Data[i] != slow.Data[i] {
-				t.Fatalf("%s: elem %d = %d, reference %d", op.Kind, i, fast.Data[i], slow.Data[i])
-			}
-		}
+	g := kernelref.Window{H: op.InShape[0], W: op.InShape[1], C: op.InShape[2], Kernel: k, Stride: s, Same: same}
+	if op.Kind == "conv2d" {
+		return kernelref.Conv2DI8(g, in, op.W, op.Bias, op.InQ.ZeroPoint, rq)
 	}
+	return kernelref.DepthwiseI8(g, in, op.W, op.Bias, op.InQ.ZeroPoint, rq)
 }
 
-func int8Bytes(s []int8) []byte {
-	b := make([]byte, len(s))
-	for i, v := range s {
-		b[i] = byte(v)
-	}
-	return b
-}
-
-// TestQuantKernelsGolden checks the vectorized int8 kernels are bitwise
-// identical to the historical scalar loops across shapes (odd and even
-// cin, cin=1 like the KWS head conv), strides and padding modes, with
-// the assembly path both enabled and disabled.
+// TestQuantKernelsGolden holds RunOp's kernels to internal/kernelref
+// bit for bit across shapes (odd and even cin, cin=1 like the KWS head
+// conv, whose weights are also row-paired), strides and padding modes,
+// with the assembly path both enabled and disabled.
 func TestQuantKernelsGolden(t *testing.T) {
 	type tc struct {
 		kind    string
@@ -142,7 +163,13 @@ func TestQuantKernelsGolden(t *testing.T) {
 				for i := range in.Data {
 					in.Data[i] = int8(rng.Intn(256) - 128)
 				}
-				runBoth(t, q, op, in)
+				want := reference(op, in.Data)
+				got := q.RunOp(op, in)
+				for i := range want {
+					if got.Data[i] != want[i] {
+						t.Fatalf("elem %d = %d, reference %d", i, got.Data[i], want[i])
+					}
+				}
 			})
 		}
 	}
@@ -163,6 +190,31 @@ func TestRunOpUnknownKindPanics(t *testing.T) {
 		}
 	}()
 	q.RunOp(op, in)
+}
+
+// TestUnboundOpRefused is the guard for the deleted scalar fallback: a
+// compute op built field by field without Rebind has no pair layout,
+// and the executor refuses it by name while RunOp panics.
+func TestUnboundOpRefused(t *testing.T) {
+	op := randQOp(rand.New(rand.NewSource(1)), "conv1d", tensor.Shape{8, 3}, 4, 3, 1, 1)
+	bare := &QOp{OpSpec: op.OpSpec, W: op.W, WScale: op.WScale, Bias: op.Bias, InQ: op.InQ, OutQ: op.OutQ, ActMin: -128, ActMax: 127}
+	q := &QModel{InputShape: op.InShape, InQ: op.InQ, Ops: []*QOp{bare}}
+	_, err := NewExecutor(q, nn.Layout{}, nn.BindAtBuild)
+	if err == nil || !strings.Contains(err.Error(), "op 0: conv1d") {
+		t.Fatalf("NewExecutor on an op without Rebind: err = %v, want one naming op 0 (conv1d)", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("RunOp ran an op without Rebind")
+			}
+		}()
+		q.RunOp(bare, tensor.NewI8(op.InQ, op.InShape...))
+	}()
+	bare.Rebind()
+	if _, err := NewExecutor(q, nn.Layout{}, nn.BindAtBuild); err != nil {
+		t.Fatalf("after Rebind: %v", err)
+	}
 }
 
 // TestRunOpFlattenCopies is the regression test for the aliasing bug:

@@ -34,10 +34,10 @@ type QOp struct {
 
 	mult  int32
 	shift int
-	// wPair holds the pair-interleaved int16 weight layout the VPMADDWD
-	// kernels consume, one [ceil(cin/2) x filters] pair panel per kernel
-	// tap (see simd.PairWeights). Built by Rebind; when nil the kernels
-	// fall back to the scalar reference loops.
+	// wPair holds the pair-interleaved int16 weight layout the dense,
+	// conv2d and conv1d kernels consume, one [ceil(cin/2) x filters] pair
+	// panel per kernel tap (see simd.PairWeights). Built by Rebind; an
+	// op without it is refused (see bound).
 	wPair []int16
 	// wPairRow is the cin==1 conv2d alternative layout: per kernel row
 	// ky, the kx taps pair as if they were input channels, turning the
@@ -79,6 +79,17 @@ func (o *QOp) Rebind() {
 	}
 }
 
+// bound reports a compute op whose pair layout Rebind never built.
+func (o *QOp) bound() error {
+	switch o.Kind {
+	case "dense", "conv2d", "conv1d":
+		if o.wPair == nil {
+			return fmt.Errorf("%s op has no pair-interleaved weights: Rebind was not called", o.Kind)
+		}
+	}
+	return nil
+}
+
 // pairTaps builds the per-tap pair panels for a conv weight tensor laid
 // out as taps x [cin x nf].
 func pairTaps(w []int8, taps, cin, nf int) []int16 {
@@ -104,13 +115,11 @@ type QModel struct {
 	exec atomic.Pointer[Executor]
 }
 
-// scratch is the int8 kernels' per-run workspace: the two tensor headers
-// they are handed (rebound for every op), the int32 accumulator row and
-// the packed input pairs.
+// scratch is the int8 kernels' per-run workspace: the int32
+// accumulator row and the packed input pairs.
 type scratch struct {
-	in, out tensor.I8
-	acc     []int32
-	vp      []uint32
+	acc []int32
+	vp  []uint32
 }
 
 // qKernel is an int8 op kernel.
@@ -122,15 +131,19 @@ type Executor = nn.Executor[int8, *QOp, scratch]
 // NewExecutor builds the int8 executor of a model: the float input is
 // quantized into the arena, every op up to a softmax runs in int8, and
 // the result is dequantized — through a float softmax head when the
-// model ends in one, as TFLM does for its reference int8 kernels.
+// model ends in one, as TFLM does for its reference int8 kernels. A
+// compute op that Rebind never prepared is an error.
 func NewExecutor(q *QModel, layout nn.Layout, binding nn.Binding) (*Executor, error) {
 	var ops []nn.Op[*QOp]
 	outQ, softmax := q.InQ, false
 	var maxAcc, maxVp int
-	for _, op := range q.Ops {
+	for i, op := range q.Ops {
 		if op.Kind == "softmax" {
 			softmax = true
 			break
+		}
+		if err := op.bound(); err != nil {
+			return nil, fmt.Errorf("quant: op %d: %w", i, err)
 		}
 		ops = append(ops, nn.Op[*QOp]{OpSpec: op.OpSpec, Node: op})
 		if !nn.Aliases(op.Kind) {
@@ -143,7 +156,7 @@ func NewExecutor(q *QModel, layout nn.Layout, binding nn.Binding) (*Executor, er
 		layout.Offsets = layout.Offsets[:n] // the float head's output is not in the arena
 	}
 	return nn.NewExecutor(q.InputShape, ops, layout, binding, nn.Precision[int8, *QOp, scratch]{
-		Resolve: func(kind string) qKernel { return kernels[kind] },
+		Kernels: kernels,
 		NewScratch: func() *scratch {
 			return &scratch{acc: make([]int32, maxAcc), vp: make([]uint32, maxVp)}
 		},
@@ -155,7 +168,7 @@ func NewExecutor(q *QModel, layout nn.Layout, binding nn.Binding) (*Executor, er
 			if softmax {
 				// The float head. Softmax is element-wise after its max
 				// pass, so it is safe in place.
-				new(nn.Softmax).InferInto(res, res)
+				new(nn.Softmax).InferInto(res.Shape, res.Data, res.Data)
 			}
 		},
 	})

@@ -388,19 +388,29 @@ func convTileI8Go(acc, bias []int32, wPair []int16, vp []uint32, t Tile, f0 int)
 }
 
 // Requant holds the parameters that take an int32 accumulator to the
-// quantized int8 output domain the way the TFLite reference does:
-// rounding-doubling-high-multiply by the Q31 mantissa Mult with Shift
-// (negative = right shift), int32 saturation, add the output zero point
-// ZP (int32 wrap), clamp to [Lo, Hi].
+// quantized int8 output domain: a doubling high multiply by the Q31
+// mantissa Mult after a left Shift, or followed by a right shift
+// rounding halves up when Shift is negative, int32 saturation, add the
+// output zero point ZP (int32 wrap), clamp to [Lo, Hi].
+//
+// The high multiply adds gemmlowp's nudge (2^30, or 1-2^30 for a
+// negative product) and then floors (>> 31), where TFLite's
+// SaturatingRoundingDoublingHighMul truncates toward zero. Under a right
+// shift of one or more the rounding shift absorbs the difference and
+// the result is TFLite's; at Shift >= 0 (a real multiplier of 0.5 or
+// more) a negative product whose high half is inexact comes out one
+// below TFLite's. No op of the reference models has such a multiplier
+// (quant's TestReferenceModelsRequantMatchTFLite).
 type Requant struct {
 	Mult       int32
 	Shift      int
 	ZP, Lo, Hi int32
 }
 
-// Apply requantizes one accumulator (TFLM MultiplyByQuantizedMultiplier
-// followed by zero point and clamp); it is the reference the vector
-// paths are held to.
+// Apply requantizes one accumulator as Requant describes — TFLM's
+// MultiplyByQuantizedMultiplier followed by zero point and clamp, except
+// for the floor at Shift >= 0; it is the reference the vector paths are
+// held to.
 func (q Requant) Apply(a int32) int8 {
 	ls, rs := 0, 0
 	if q.Shift > 0 {

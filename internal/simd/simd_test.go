@@ -355,7 +355,8 @@ func TestRequantI8MatchesScalar(t *testing.T) {
 }
 
 // TestRequantApplyKnownValues pins the reference itself to hand-worked
-// TFLite results, so the tests above are not circular.
+// values, so the tests above are not circular. They are TFLite's except
+// the negative accumulator at Shift 0, where Apply floors (see Requant).
 func TestRequantApplyKnownValues(t *testing.T) {
 	for _, c := range []struct {
 		q    Requant
@@ -363,7 +364,7 @@ func TestRequantApplyKnownValues(t *testing.T) {
 		want int8
 	}{
 		{Requant{Mult: 1 << 30, Shift: 0, Lo: -128, Hi: 127}, 100, 50},
-		{Requant{Mult: 1 << 30, Shift: 0, Lo: -128, Hi: 127}, -101, -51}, // -50.5 rounds away from zero
+		{Requant{Mult: 1 << 30, Shift: 0, Lo: -128, Hi: 127}, -101, -51}, // -50.5 floors to -51; TFLite truncates to -50
 		{Requant{Mult: 1 << 30, Shift: -1, Lo: -128, Hi: 127}, 102, 26},  // 25.5 rounds up
 		{Requant{Mult: 1 << 30, Shift: 1, ZP: 3, Lo: -128, Hi: 127}, 20, 23},
 		{Requant{Mult: math.MaxInt32, Shift: 0, Lo: -128, Hi: 127}, math.MaxInt32, 127},

@@ -1,7 +1,7 @@
 // Package tflm reimplements the interpreter-style inference engine that
 // the paper's EON Compiler is compared against (Sec. 4.5, Table 4): a
-// serialized flat model format, an op registry, and an interpreter that
-// resolves and dispatches kernels at runtime.
+// serialized flat model format and an interpreter that looks every op's
+// kernel up by kind at runtime.
 //
 // The on-disk format ("EPTM") plays the role of the TFLite flatbuffer: a
 // self-contained binary holding the graph topology, attributes and
@@ -67,12 +67,12 @@ type Runner interface {
 	Invocations() int64
 }
 
-// NewExecutor builds the shared executor in the model's precision.
-// resolve finds float32 kernels; int8 kernels come from package quant.
-func (mf *ModelFile) NewExecutor(layout nn.Layout, binding nn.Binding, resolve func(kind string) nn.FloatKernel) (Runner, error) {
+// NewExecutor builds the shared executor in the model's precision, on
+// package nn's float32 or package quant's int8 kernel table.
+func (mf *ModelFile) NewExecutor(layout nn.Layout, binding nn.Binding) (Runner, error) {
 	switch {
 	case mf.Precision == Float32 && mf.Float != nil:
-		return nn.NewFloatExecutor(mf.Float, layout, binding, resolve)
+		return nn.NewFloatExecutor(mf.Float, layout, binding)
 	case mf.Precision == Int8 && mf.Quant != nil:
 		return quant.NewExecutor(mf.Quant, layout, binding)
 	}
