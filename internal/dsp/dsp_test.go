@@ -134,6 +134,55 @@ func TestMFEToneSelectsCorrectFilter(t *testing.T) {
 	}
 }
 
+// TestBinCentredSinePeaksInItsMelFilter: a sine on the centre of FFT
+// bin k has its largest power in bin k, and its largest mel energy in the
+// filter whose centre is nearest that bin, at the three sample rates the
+// platform's audio front ends see. The expected filter comes from the mel
+// scale itself (HTK, 0 Hz to Nyquist), not from the filterbank.
+func TestBinCentredSinePeaksInItsMelFilter(t *testing.T) {
+	const n, filters = 512, 32
+	for _, rate := range []int{8000, 16000, 44100} {
+		hiMel := 2595 * math.Log10(1+float64(rate)/2/700)
+		for _, want := range []int{6, 15, 24} {
+			mel := hiMel * float64(want+1) / (filters + 1)
+			centre := 700 * (math.Pow(10, mel/2595) - 1) / (float64(rate) / 2) * (n / 2)
+			k := int(math.Round(centre))
+			secs := float64(n) / float64(rate)
+			m, err := NewMFE(map[string]float64{"frame_length": secs, "frame_stride": secs, "num_filters": filters, "fft_length": n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig := sine(rate, 4*secs, float64(k)*float64(rate)/n, 0.5)
+			feat, err := m.Extract(sig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := m.rt.Load()
+			st := rt.pool.Get().(*audioScratch)
+			rt.powerFrame(sig.Data, 0, st)
+			if got := argmax(st.power); got != k {
+				t.Errorf("%d Hz, bin %d: power peaks in bin %d", rate, k, got)
+			}
+			rt.pool.Put(st)
+			for r := 0; r < feat.Shape[0]; r++ {
+				if got := argmax(feat.Data[r*filters : (r+1)*filters]); got != want {
+					t.Errorf("%d Hz, bin %d (centre of filter %d at %.2f): frame %d peaks in filter %d", rate, k, want, centre, r, got)
+				}
+			}
+		}
+	}
+}
+
+func argmax(x []float32) int {
+	best := 0
+	for i, v := range x {
+		if v > x[best] {
+			best = i
+		}
+	}
+	return best
+}
+
 func TestMFEValidation(t *testing.T) {
 	if _, err := NewMFE(map[string]float64{"fft_length": 300}); err == nil {
 		t.Error("accepted non-pow2 fft")
@@ -518,5 +567,79 @@ func BenchmarkImageResize96(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		im.Extract(src)
+	}
+}
+
+// BenchmarkMFCCStagesKWS splits a 1 s keyword-spotting MFCC extraction
+// (16 kHz, 32 ms frames every 20 ms, 512-point FFT, 32 filters, 10
+// coefficients: 49 frames) into its stages, each timed over all frames
+// on inputs the previous stage produced. "spectrum" is the windowed
+// power spectrum; internal/fft's benchmark of the same name splits it
+// into load, butterflies and power.
+func BenchmarkMFCCStagesKWS(b *testing.B) {
+	m, err := NewMFCC(map[string]float64{"frame_length": 0.032, "frame_stride": 0.02, "num_filters": 32, "num_cepstral": 10, "fft_length": 512})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sig := noiseSignal(rand.New(rand.NewSource(1)), 16000, 16000, 1)
+	if _, err := m.Extract(sig); err != nil {
+		b.Fatal(err)
+	}
+	rt := m.rt.Load()
+	st := rt.pool.Get().(*audioScratch)
+	defer rt.pool.Put(st)
+	frames, nf, nc := frameCount(len(sig.Data), rt.frameLen, rt.stride), m.NumFilters, m.NumCoeffs
+	power := make([]float32, frames*len(st.power))
+	energy := make([]float32, frames*nf)
+	logE := make([]float32, frames*nf)
+	coeffs := make([]float32, frames*nc)
+	for i := 0; i < frames; i++ {
+		rt.powerFrame(sig.Data, i*rt.stride, st)
+		copy(power[i*len(st.power):], st.power)
+		applyFilterbankInto(energy[i*nf:], st.power, rt.filters)
+		for j, e := range energy[i*nf : (i+1)*nf] {
+			logE[i*nf+j] = logSafe(e)
+		}
+		rt.cepstrum(coeffs[i*nc:(i+1)*nc], logE[i*nf:(i+1)*nf])
+	}
+	stages := []struct {
+		name string
+		run  func()
+	}{
+		{"spectrum", func() {
+			for i := 0; i < frames; i++ {
+				rt.powerFrame(sig.Data, i*rt.stride, st)
+			}
+		}},
+		{"filterbank", func() {
+			for i := 0; i < frames; i++ {
+				applyFilterbankInto(st.work, power[i*len(st.power):(i+1)*len(st.power)], rt.filters)
+			}
+		}},
+		{"log10", func() {
+			for i := 0; i < frames; i++ {
+				for j, e := range energy[i*nf : (i+1)*nf] {
+					st.work[j] = logSafe(e)
+				}
+			}
+		}},
+		{"dct", func() {
+			for i := 0; i < frames; i++ {
+				rt.cepstrum(coeffs[i*nc:(i+1)*nc], logE[i*nf:(i+1)*nf])
+			}
+		}},
+		{"standardize", func() { standardizeColumns(coeffs, frames, nc) }},
+		{"extract", func() {
+			if _, err := m.Extract(sig); err != nil {
+				b.Fatal(err)
+			}
+		}},
+	}
+	for _, s := range stages {
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.run()
+			}
+		})
 	}
 }

@@ -49,7 +49,6 @@ type audioRT struct {
 
 // audioScratch is one call's working state.
 type audioScratch struct {
-	frame []float32 // windowed analysis frame
 	power []float32 // plan.Bins() power spectrum
 	work  []float32 // numFilters intermediate energies
 	fftSc *fft.RealScratch
@@ -98,7 +97,6 @@ func newAudioRT(key audioKey) (*audioRT, error) {
 	}
 	rt.pool.New = func() any {
 		return &audioScratch{
-			frame: make([]float32, rt.eff),
 			power: make([]float32, plan.Bins()),
 			work:  make([]float32, key.numFilters),
 			fftSc: plan.Scratch(),
@@ -107,13 +105,11 @@ func newAudioRT(key audioKey) (*audioRT, error) {
 	return rt, nil
 }
 
-// powerFrame windows samples at frame offset off into the scratch and
-// computes its power spectrum (left in s.power).
-func (rt *audioRT) powerFrame(samples []float32, off int, s *audioScratch) error {
-	for j := 0; j < rt.eff; j++ {
-		s.frame[j] = samples[off+j] * rt.window[j]
-	}
-	return rt.plan.PowerSpectrumInto(s.power, s.frame, s.fftSc)
+// powerFrame computes the power spectrum of the windowed analysis frame
+// at sample offset off into s.power; the window is applied as the FFT
+// loads the frame.
+func (rt *audioRT) powerFrame(samples []float32, off int, s *audioScratch) {
+	rt.plan.WindowedPowerSpectrumInto(s.power, samples[off:off+rt.eff], rt.window, s.fftSc)
 }
 
 // runtime returns the cached runtime for key, building it on first use
@@ -128,4 +124,17 @@ func runtime(cache *atomic.Pointer[audioRT], key audioKey) (*audioRT, error) {
 	}
 	cache.Store(rt)
 	return rt, nil
+}
+
+// cepstrum writes the liftered orthonormal DCT-II of the log filterbank
+// energies logE into row (one coefficient per element).
+func (rt *audioRT) cepstrum(row, logE []float32) {
+	nf := len(logE)
+	for j := range row {
+		var s float64
+		for k, c := range rt.dct[j*nf : (j+1)*nf] {
+			s += float64(logE[k]) * c
+		}
+		row[j] = float32(s*rt.dctScale[j]) * rt.lifter[j]
+	}
 }

@@ -250,3 +250,41 @@ func TestRuntimeRebuildOnRateOrParamChange(t *testing.T) {
 		t.Fatalf("stale runtime: shape %v after NumFilters change", got2.Shape)
 	}
 }
+
+// applyFilterbank computes the filterbank energies of a power spectrum.
+func applyFilterbank(power []float32, filters []melFilter) []float32 {
+	out := make([]float32, len(filters))
+	applyFilterbankInto(out, power, filters)
+	return out
+}
+
+// powerFrames slices sig (single axis) into windowed power spectra.
+// Returns one power spectrum per frame. Frames longer than fftSize are
+// truncated to fftSize (the stride still advances by the configured
+// amount, so frame count is unchanged).
+func powerFrames(samples []float32, frameLen, stride, fftSize int, win fft.Window) ([][]float32, error) {
+	n := frameCount(len(samples), frameLen, stride)
+	eff := frameLen
+	if eff > fftSize {
+		eff = fftSize
+	}
+	coeffs := win.Coefficients(eff)
+	frames := make([][]float32, n)
+	buf := make([]float32, fftSize)
+	for i := 0; i < n; i++ {
+		off := i * stride
+		for j := 0; j < fftSize; j++ {
+			if j < eff {
+				buf[j] = samples[off+j] * coeffs[j]
+			} else {
+				buf[j] = 0
+			}
+		}
+		ps, err := fft.PowerSpectrum(buf)
+		if err != nil {
+			return nil, err
+		}
+		frames[i] = ps
+	}
+	return frames, nil
+}

@@ -1,10 +1,6 @@
 package dsp
 
-import (
-	"math"
-
-	"edgepulse/internal/fft"
-)
+import "math"
 
 // melScale converts a frequency in Hz to mels (HTK convention).
 func melScale(hz float64) float64 {
@@ -72,13 +68,6 @@ func melFilterbank(numFilters, fftSize, rate int, lowHz, highHz float64) []melFi
 	return filters
 }
 
-// applyFilterbank computes the filterbank energies of a power spectrum.
-func applyFilterbank(power []float32, filters []melFilter) []float32 {
-	out := make([]float32, len(filters))
-	applyFilterbankInto(out, power, filters)
-	return out
-}
-
 // applyFilterbankInto computes filterbank energies into dst (len >=
 // len(filters)) without allocating.
 func applyFilterbankInto(dst, power []float32, filters []melFilter) {
@@ -122,35 +111,4 @@ func logSafe(v float32) float32 {
 		v = floor
 	}
 	return float32(math.Log10(float64(v)))
-}
-
-// powerFrames slices sig (single axis) into windowed power spectra.
-// Returns one power spectrum per frame. Frames longer than fftSize are
-// truncated to fftSize (the stride still advances by the configured
-// amount, so frame count is unchanged).
-func powerFrames(samples []float32, frameLen, stride, fftSize int, win fft.Window) ([][]float32, error) {
-	n := frameCount(len(samples), frameLen, stride)
-	eff := frameLen
-	if eff > fftSize {
-		eff = fftSize
-	}
-	coeffs := win.Coefficients(eff)
-	frames := make([][]float32, n)
-	buf := make([]float32, fftSize)
-	for i := 0; i < n; i++ {
-		off := i * stride
-		for j := 0; j < fftSize; j++ {
-			if j < eff {
-				buf[j] = samples[off+j] * coeffs[j]
-			} else {
-				buf[j] = 0
-			}
-		}
-		ps, err := fft.PowerSpectrum(buf)
-		if err != nil {
-			return nil, err
-		}
-		frames[i] = ps
-	}
-	return frames, nil
 }

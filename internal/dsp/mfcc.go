@@ -119,24 +119,14 @@ func (m *MFCC) Extract(sig Signal) (*tensor.F32, error) {
 	}
 	out := tensor.NewF32(shape...)
 	st := rt.pool.Get().(*audioScratch)
-	nf, nc := m.NumFilters, m.NumCoeffs
+	nc := m.NumCoeffs
 	for i := 0; i < shape[0]; i++ {
-		if err := rt.powerFrame(samples, i*rt.stride, st); err != nil {
-			return nil, err
-		}
+		rt.powerFrame(samples, i*rt.stride, st)
 		applyFilterbankInto(st.work, st.power, rt.filters)
 		for j, e := range st.work {
 			st.work[j] = logSafe(e)
 		}
-		row := out.Data[i*nc : (i+1)*nc]
-		for j := 0; j < nc; j++ {
-			var s float64
-			dctRow := rt.dct[j*nf : (j+1)*nf]
-			for k, c := range dctRow {
-				s += float64(st.work[k]) * c
-			}
-			row[j] = float32(s*rt.dctScale[j]) * rt.lifter[j]
-		}
+		rt.cepstrum(out.Data[i*nc:(i+1)*nc], st.work)
 	}
 	rt.pool.Put(st)
 	// Standardize to zero mean / unit variance per coefficient so

@@ -134,9 +134,7 @@ func (m *MFE) Extract(sig Signal) (*tensor.F32, error) {
 	st := rt.pool.Get().(*audioScratch)
 	nf := m.NumFilters
 	for i := 0; i < shape[0]; i++ {
-		if err := rt.powerFrame(samples, i*rt.stride, st); err != nil {
-			return nil, err
-		}
+		rt.powerFrame(samples, i*rt.stride, st)
 		row := out.Data[i*nf : (i+1)*nf]
 		applyFilterbankInto(row, st.power, rt.filters)
 		for j, e := range row {

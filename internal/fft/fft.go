@@ -175,14 +175,6 @@ func (w Window) Coefficients(n int) []float32 {
 	return c
 }
 
-// Apply multiplies frame by the window coefficients in place.
-// len(coeffs) must be >= len(frame).
-func Apply(frame, coeffs []float32) {
-	for i := range frame {
-		frame[i] *= coeffs[i]
-	}
-}
-
 // DCTII computes the orthonormal DCT-II of x, returning the first k
 // coefficients. This is the transform used to derive MFCCs from log
 // filterbank energies.

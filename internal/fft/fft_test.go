@@ -231,17 +231,6 @@ func TestWindowStrings(t *testing.T) {
 	}
 }
 
-func TestApply(t *testing.T) {
-	frame := []float32{1, 2, 3, 4}
-	Apply(frame, []float32{0.5, 0.5, 2, 0})
-	want := []float32{0.5, 1, 6, 0}
-	for i := range frame {
-		if frame[i] != want[i] {
-			t.Errorf("frame[%d] = %g, want %g", i, frame[i], want[i])
-		}
-	}
-}
-
 func TestDCTIIConstantSignal(t *testing.T) {
 	// DCT-II of a constant signal has all energy in coefficient 0.
 	x := []float32{3, 3, 3, 3, 3, 3, 3, 3}

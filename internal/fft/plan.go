@@ -3,6 +3,8 @@ package fft
 import (
 	"fmt"
 	"math"
+
+	"edgepulse/internal/simd"
 )
 
 // RealPlan is a precomputed transform plan for real-input FFTs of a fixed
@@ -20,7 +22,7 @@ type RealPlan struct {
 
 	rev []int32 // bit-reversal permutation for the size-h FFT
 	// Stage-major complex-FFT twiddles for stages of length 4..h (the
-	// length-2 stage is multiplication-free and handled specially):
+	// length-2 stage is multiplication-free and done by the load):
 	// stage with butterfly span L contributes L/2 sequential entries
 	// wr = cos(2πj/L), wi = -sin(2πj/L).
 	swr, swi []float32
@@ -80,63 +82,68 @@ func (p *RealPlan) Scratch() *RealScratch {
 	return &RealScratch{re: make([]float32, p.h), im: make([]float32, p.h)}
 }
 
-// fft runs the packed complex FFT of the (zero-padded) frame, leaving
-// the size-h transform in s.re/s.im.
-func (p *RealPlan) fft(frame []float32, s *RealScratch) {
+// load packs the frame times the window (win nil means no window; both
+// zero-padded to n) as x[2t] + i·x[2t+1] into s.re/s.im in bit-reversed
+// order and runs the length-2 stage: for even j the bit-reversal partner
+// of j+1 is rev[j]+h/2, so the two points that stage combines are packed
+// from samples 2·rev[j] and 2·rev[j]+h and are added and subtracted as
+// they are read.
+func (p *RealPlan) load(frame, win []float32, s *RealScratch) {
 	h := p.h
 	re, im := s.re[:h], s.im[:h]
-	// Pack x[2k] + i·x[2k+1] in bit-reversed order, zero-padding.
-	for i := 0; i < h; i++ {
-		j := p.rev[i]
-		var a, b float32
-		if k := 2 * i; k < len(frame) {
-			a = frame[k]
-		}
-		if k := 2*i + 1; k < len(frame) {
-			b = frame[k]
-		}
-		re[j], im[j] = a, b
+	if h == 1 {
+		re[0], im[0] = sample(frame, win, 0), sample(frame, win, 1)
+		return
 	}
-	// Length-2 stage: the twiddle is 1+0i, so butterflies are pure adds.
-	for j := 0; j+1 < h; j += 2 {
-		ar, ai := re[j], im[j]
-		br, bi := re[j+1], im[j+1]
-		re[j], im[j] = ar+br, ai+bi
-		re[j+1], im[j+1] = ar-br, ai-bi
-	}
-	// Remaining stages with stage-major sequential twiddle tables.
-	off := 0
-	for length := 4; length <= h; length <<= 1 {
-		half := length / 2
-		wr := p.swr[off : off+half]
-		wi := p.swi[off : off+half]
-		off += half
-		for base := 0; base < h; base += length {
-			x := re[base : base+length]
-			y := im[base : base+length]
-			for j := 0; j < half; j++ {
-				k := j + half
-				cr, ci := wr[j], wi[j]
-				vr := x[k]*cr - y[k]*ci
-				vi := x[k]*ci + y[k]*cr
-				x[k] = x[j] - vr
-				y[k] = y[j] - vi
-				x[j] += vr
-				y[j] += vi
-			}
+	switch {
+	case len(frame) == p.n && win == nil:
+		for j := 0; j < h; j += 2 {
+			i := 2 * int(p.rev[j])
+			a, b := frame[i], frame[i+1]
+			c, d := frame[i+h], frame[i+h+1]
+			re[j], im[j] = a+c, b+d
+			re[j+1], im[j+1] = a-c, b-d
+		}
+	case len(frame) == p.n:
+		win = win[:p.n]
+		for j := 0; j < h; j += 2 {
+			i := 2 * int(p.rev[j])
+			a, b := frame[i]*win[i], frame[i+1]*win[i+1]
+			c, d := frame[i+h]*win[i+h], frame[i+h+1]*win[i+h+1]
+			re[j], im[j] = a+c, b+d
+			re[j+1], im[j+1] = a-c, b-d
+		}
+	default:
+		for j := 0; j < h; j += 2 {
+			i := 2 * int(p.rev[j])
+			a, b := sample(frame, win, i), sample(frame, win, i+1)
+			c, d := sample(frame, win, i+h), sample(frame, win, i+h+1)
+			re[j], im[j] = a+c, b+d
+			re[j+1], im[j+1] = a-c, b-d
 		}
 	}
 }
 
-// checkInto validates the Into arguments.
-func (p *RealPlan) checkInto(dst, frame []float32) error {
-	if len(frame) > p.n {
-		return fmt.Errorf("fft: frame length %d exceeds plan size %d", len(frame), p.n)
+// stages runs the butterfly stages after the length-2 one, leaving the
+// size-h transform in s.re/s.im.
+func (p *RealPlan) stages(s *RealScratch) {
+	off := 0
+	for half := 2; half < p.h; half <<= 1 {
+		simd.ButterflyStageF32(s.re, s.im, p.swr[off:off+half], p.swi[off:off+half])
+		off += half
 	}
-	if len(dst) < p.Bins() {
-		return fmt.Errorf("fft: dst length %d < %d bins", len(dst), p.Bins())
+}
+
+// sample is frame[k]·win[k], or frame[k] without a window, and zero past
+// the end of the frame.
+func sample(frame, win []float32, k int) float32 {
+	if k >= len(frame) {
+		return 0
 	}
-	return nil
+	if win == nil {
+		return frame[k]
+	}
+	return frame[k] * win[k]
 }
 
 // PowerSpectrumInto writes |X_k|²/n for the n/2+1 real-spectrum bins of
@@ -147,58 +154,27 @@ func (p *RealPlan) checkInto(dst, frame []float32) error {
 // transform Z: Xe[k] = (Z[k]+conj(Z[h-k]))/2, Xo[k] = -i(Z[k]-conj(Z[h-k]))/2
 // and X[k] = Xe[k] + W_n^k·Xo[k].
 func (p *RealPlan) PowerSpectrumInto(dst, frame []float32, s *RealScratch) error {
-	if err := p.checkInto(dst, frame); err != nil {
-		return err
+	if len(frame) > p.n {
+		return fmt.Errorf("fft: frame length %d exceeds plan size %d", len(frame), p.n)
 	}
-	p.fft(frame, s)
-	h := p.h
-	re, im := s.re, s.im
-	inv := 1 / float32(p.n)
-	x0 := re[0] + im[0]
-	dst[0] = x0 * x0 * inv
-	for k := 1; k < h; k++ {
-		a, b := re[k], im[k]
-		c, d := re[h-k], im[h-k]
-		er, ei := 0.5*(a+c), 0.5*(b-d)
-		or, oi := 0.5*(b+d), 0.5*(c-a)
-		wr, wi := p.cr[k], p.ci[k]
-		xr := er + wr*or - wi*oi
-		xi := ei + wr*oi + wi*or
-		dst[k] = (xr*xr + xi*xi) * inv
+	if len(dst) < p.Bins() {
+		return fmt.Errorf("fft: dst length %d < %d bins", len(dst), p.Bins())
 	}
-	xh := re[0] - im[0]
-	dst[h] = xh * xh * inv
+	p.WindowedPowerSpectrumInto(dst, frame, nil, s)
 	return nil
 }
 
-// SpectrumInto writes the magnitudes |X_k| of the n/2+1 real-spectrum
-// bins of frame into dst. The frame is zero-padded to the plan size; dst
-// must have at least Bins() elements.
-func (p *RealPlan) SpectrumInto(dst, frame []float32, s *RealScratch) error {
-	if err := p.checkInto(dst, frame); err != nil {
-		return err
+// WindowedPowerSpectrumInto is PowerSpectrumInto of frame multiplied
+// sample by sample by win (nil: no window), each product rounded to
+// float32 as in a separately windowed copy of the frame. Callers size the
+// frame, the window and dst from the plan, so a frame longer than
+// Size(), a window shorter than the frame or a dst shorter than Bins() is
+// a bug and panics.
+func (p *RealPlan) WindowedPowerSpectrumInto(dst, frame, win []float32, s *RealScratch) {
+	if len(frame) > p.n || (win != nil && len(win) < len(frame)) || len(dst) < p.Bins() {
+		panic("fft: WindowedPowerSpectrumInto geometry")
 	}
-	p.fft(frame, s)
-	h := p.h
-	re, im := s.re, s.im
-	dst[0] = abs32(re[0] + im[0])
-	for k := 1; k < h; k++ {
-		a, b := re[k], im[k]
-		c, d := re[h-k], im[h-k]
-		er, ei := 0.5*(a+c), 0.5*(b-d)
-		or, oi := 0.5*(b+d), 0.5*(c-a)
-		wr, wi := p.cr[k], p.ci[k]
-		xr := float64(er + wr*or - wi*oi)
-		xi := float64(ei + wr*oi + wi*or)
-		dst[k] = float32(math.Sqrt(xr*xr + xi*xi))
-	}
-	dst[h] = abs32(re[0] - im[0])
-	return nil
-}
-
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
+	p.load(frame, win, s)
+	p.stages(s)
+	simd.RealPowerF32(dst, s.re, s.im, p.cr, p.ci, 1/float32(p.n))
 }

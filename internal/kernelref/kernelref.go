@@ -1,8 +1,10 @@
 // Package kernelref holds the naive reference loops the optimised
-// convolution, dense and pooling kernels are tested against: one scalar
-// accumulator per output element, bias first, then every tap that lands
-// on the input in ky, kx, ci order, padding worked out per tap with a
-// bounds test. They share no code with internal/nn, internal/quant or
+// kernels are tested against. For convolution, dense and pooling: one
+// scalar accumulator per output element, bias first, then every tap that
+// lands on the input in ky, kx, ci order, padding worked out per tap with
+// a bounds test. For the DSP front ends: a float64 DFT by its definition
+// and the image resize computed pixel by pixel. They share no code with
+// internal/nn, internal/quant, internal/dsp, internal/fft or
 // internal/simd — not even the padding arithmetic — and only tests
 // import them.
 package kernelref
@@ -292,4 +294,80 @@ func AvgPoolI8(g Pool, in []int8) []int8 {
 // GlobalAvgPoolI8 is AvgPoolI8 over the whole H x W plane.
 func GlobalAvgPoolI8(h, w, c int, in []int8) []int8 {
 	return AvgPoolI8(Pool{H: h, W: w, C: c, KH: h, KW: w, Stride: 1}, in)
+}
+
+// DFTPower returns |X_k|²/n for the n/2+1 bins k of the n-point discrete
+// Fourier transform of frame zero-padded to n: X_k = Σ_t x_t·e^(-2πikt/n),
+// summed in float64 with the angle reduced to kt mod n.
+func DFTPower(frame []float32, n int) []float64 {
+	out := make([]float64, n/2+1)
+	for k := range out {
+		var re, im float64
+		for t, v := range frame {
+			s, c := math.Sincos(2 * math.Pi * float64(k*t%n) / float64(n))
+			re += float64(v) * c
+			im -= float64(v) * s
+		}
+		out[k] = (re*re + im*im) / float64(n)
+	}
+	return out
+}
+
+// ResizeBilinear resizes a row-major H x W x axes image (axes 1 or 3,
+// values in [0, 255]) to outH x outW pixel by pixel, as the image block
+// defines it: each channel is sampled at the pixel centre mapped back to
+// the source, ((o+½)·in/out) - ½ per axis, from the four taps around it,
+// the lower tap the floor of the centre, taps clamped to the image, in
+// float32: top = a·(1-fx) + b·fx on the upper and the lower tap row, then
+// top·(1-fy) + bot·fy. A 1-channel image is replicated into three
+// channels; gray folds them to 0.299·r + 0.587·g + 0.114·b. Every output
+// is divided by 255.
+func ResizeBilinear(src []float32, w, h, axes, outW, outH int, gray bool) []float32 {
+	outC := 3
+	if gray {
+		outC = 1
+	}
+	out := make([]float32, outW*outH*outC)
+	sx := float64(w) / float64(outW)
+	sy := float64(h) / float64(outH)
+	for y := 0; y < outH; y++ {
+		srcY := (float64(y) + 0.5) * sy
+		for x := 0; x < outW; x++ {
+			srcX := (float64(x) + 0.5) * sx
+			var px [3]float32
+			for c := 0; c < axes; c++ {
+				px[c] = bilinear(src, w, h, axes, srcX, srcY, c)
+			}
+			if axes == 1 {
+				px[1], px[2] = px[0], px[0]
+			}
+			base := (y*outW + x) * outC
+			if gray {
+				out[base] = (0.299*px[0] + 0.587*px[1] + 0.114*px[2]) / 255
+			} else {
+				for c := 0; c < 3; c++ {
+					out[base+c] = px[c] / 255
+				}
+			}
+		}
+	}
+	return out
+}
+
+// bilinear samples channel c at continuous pixel coordinates (x, y).
+func bilinear(src []float32, w, h, axes int, x, y float64, c int) float32 {
+	x -= 0.5
+	y -= 0.5
+	x0 := int(math.Floor(x))
+	y0 := int(math.Floor(y))
+	fx := float32(x - float64(x0))
+	fy := float32(y - float64(y0))
+	get := func(xi, yi int) float32 {
+		xi = min(max(xi, 0), w-1)
+		yi = min(max(yi, 0), h-1)
+		return src[(yi*w+xi)*axes+c]
+	}
+	top := get(x0, y0)*(1-fx) + get(x0+1, y0)*fx
+	bot := get(x0, y0+1)*(1-fx) + get(x0+1, y0+1)*fx
+	return top*(1-fy) + bot*fy
 }

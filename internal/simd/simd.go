@@ -2,7 +2,9 @@
 // and int8 inference kernels: register-tiled convolution (the body of
 // conv2d/conv1d/dense), the depthwise pixel kernel, input quantization
 // and pair packing, requantization, pooling maxima and the fused
-// activation clamps.
+// activation clamps; and behind the DSP front ends: the real FFT's
+// radix-2 butterfly stages and unpack into a power spectrum, and the
+// image resize's vertical blend.
 //
 // A conv tile is a run of P output pixels that share one tap window.
 // The kernel walks it four pixels at a time (then one at a time) by 16
@@ -23,6 +25,10 @@
 //     `s += v * w` rounds it, and per output lane the accumulation order
 //     is bias, then kernel row, then tap, then input channel in both
 //     paths and for every tile width.
+//   - The FFT primitives and BlendDivF32 evaluate every lane as the
+//     scalar expression of their Go reference, one VMULPS, VADDPS,
+//     VSUBPS or VDIVPS per Go operator, so each intermediate rounds to
+//     float32 identically.
 //   - Integer kernels are exact: int32 addition and multiplication are
 //     associative and wrap identically in Go and in VPMADDWD/VPMULLD
 //     lanes, so any regrouping (the assembly pairs adjacent input lanes)
@@ -525,6 +531,99 @@ func depthwiseI8Go(dst []int8, bias []int32, w, in []int8, t Tile, zp int32, q R
 			}
 			dst[p*ch+c] = q.Apply(a)
 		}
+	}
+}
+
+// ButterflyStageF32 runs one radix-2 decimation-in-time stage of a
+// complex FFT held as split re/im arrays: with half = len(wr), every
+// group of 2·half points starting at base combines, for j < half and
+// k = base+half+j,
+//
+//	vr = re[k]*wr[j] - im[k]*wi[j]
+//	vi = re[k]*wi[j] + im[k]*wr[j]
+//	re[k], im[k] = re[base+j]-vr, im[base+j]-vi
+//	re[base+j], im[base+j] = re[base+j]+vr, im[base+j]+vi
+//
+// each product and sum rounded to float32 as written. len(wi) must
+// equal len(wr), len(im) must equal len(re), and len(re) must be a
+// multiple of 2·half. Stages of an even half run on AVX2.
+func ButterflyStageF32(re, im, wr, wi []float32) {
+	half := len(wr)
+	if half == 0 || len(wi) != half || len(im) != len(re) || len(re)%(2*half) != 0 {
+		panic("simd: ButterflyStageF32 geometry")
+	}
+	if half%2 == 0 && enabled.Load() {
+		butterflyF32SIMD(re, im, wr, wi)
+		return
+	}
+	for base := 0; base < len(re); base += 2 * half {
+		x := re[base : base+2*half]
+		y := im[base : base+2*half]
+		for j := 0; j < half; j++ {
+			k := j + half
+			cr, ci := wr[j], wi[j]
+			vr := x[k]*cr - y[k]*ci
+			vi := x[k]*ci + y[k]*cr
+			x[k] = x[j] - vr
+			y[k] = y[j] - vi
+			x[j] += vr
+			y[j] += vi
+		}
+	}
+}
+
+// RealPowerF32 unpacks the h-point complex FFT Z = re + i·im of a real
+// frame packed as x[2t] + i·x[2t+1] into the power of its h+1 real
+// spectrum bins, times scale:
+//
+//	dst[0] = (re[0]+im[0])² · scale,  dst[h] = (re[0]-im[0])² · scale
+//	dst[k] = |Xe + W^k·Xo|² · scale,   0 < k < h
+//
+// with Xe = (Z[k]+conj(Z[h-k]))/2, Xo = -i(Z[k]-conj(Z[h-k]))/2 and
+// W^k = wr[k] + i·wi[k], each operation rounded to float32 in the order
+// the Go reference writes it. len(im), len(wr) and len(wi) must equal
+// h = len(re), and len(dst) must be at least h+1. Bins 1 to h-1 run on
+// AVX2 eight at a time.
+func RealPowerF32(dst, re, im, wr, wi []float32, scale float32) {
+	h := len(re)
+	if h == 0 || len(im) != h || len(wr) != h || len(wi) != h || len(dst) <= h {
+		panic("simd: RealPowerF32 geometry")
+	}
+	x0 := re[0] + im[0]
+	dst[0] = x0 * x0 * scale
+	k := 1
+	if n8 := (h - 1) &^ 7; n8 > 0 && enabled.Load() {
+		realPowerF32SIMD(dst[1:1+n8], re, im, wr[1:], wi[1:], scale)
+		k += n8
+	}
+	for ; k < h; k++ {
+		a, b := re[k], im[k]
+		c, d := re[h-k], im[h-k]
+		er, ei := 0.5*(a+c), 0.5*(b-d)
+		or, oi := 0.5*(b+d), 0.5*(c-a)
+		cr, ci := wr[k], wi[k]
+		xr := er + cr*or - ci*oi
+		xi := ei + cr*oi + ci*or
+		dst[k] = (xr*xr + xi*xi) * scale
+	}
+	xh := re[0] - im[0]
+	dst[h] = xh * xh * scale
+}
+
+// BlendDivF32 writes dst[i] = (a[i]*wa + b[i]*wb) / div, each product,
+// the sum and the quotient rounded to float32 (a true division, not a
+// multiply by the reciprocal). len(a) and len(b) must be at least
+// len(dst).
+func BlendDivF32(dst, a, b []float32, wa, wb, div float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	n8 := 0
+	if enabled.Load() {
+		if n8 = len(dst) &^ 7; n8 > 0 {
+			blendDivF32SIMD(dst[:n8], a, b, wa, wb, div)
+		}
+	}
+	for i := n8; i < len(dst); i++ {
+		dst[i] = (a[i]*wa + b[i]*wb) / div
 	}
 }
 

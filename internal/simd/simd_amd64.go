@@ -114,3 +114,22 @@ func depthwiseI8SIMD(a *dwI8Args)
 //
 //go:noescape
 func requantI8SIMD(dst []int8, acc []int32, a *requantArgs)
+
+// butterflyF32SIMD requires len(wr) == len(wi) positive and even,
+// len(im) == len(re) and len(re) a positive multiple of 2*len(wr).
+//
+//go:noescape
+func butterflyF32SIMD(re, im, wr, wi []float32)
+
+// realPowerF32SIMD writes bins 1 to len(dst) of RealPowerF32 into dst:
+// len(dst) a positive multiple of 8 below h = len(re) == len(im), wr and
+// wi the twiddles from bin 1 on.
+//
+//go:noescape
+func realPowerF32SIMD(dst, re, im, wr, wi []float32, scale float32)
+
+// blendDivF32SIMD requires len(dst) a positive multiple of 8 and len(a),
+// len(b) >= len(dst).
+//
+//go:noescape
+func blendDivF32SIMD(dst, a, b []float32, wa, wb, div float32)

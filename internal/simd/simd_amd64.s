@@ -722,3 +722,175 @@ qdwnext:
 	JNZ  qdwpixel
 	VZEROUPPER
 	RET
+
+// BFLY is one block of butterflies: eight lanes (MOV = VMOVUPS on Y
+// registers), four (VMOVUPS on X) or two (VMOVSD on X, whose upper lanes
+// load as zeros and are not stored): the scalar reference's six
+// multiplies, adds and subtracts per lane, in its order. R13/R14 point
+// at re/im[base+half], DI/SI at re/im[base], R8/R9 at wr/wi, R12 is the
+// byte offset of j.
+#define BFLY(MOV, R0, R1, R2, R3, R4, R5, R6, R7) \
+	MOV (R13)(R12*1), R0; \
+	MOV (R14)(R12*1), R1; \
+	MOV (R8)(R12*1), R2; \
+	MOV (R9)(R12*1), R3; \
+	VMULPS R2, R0, R4; \
+	VMULPS R3, R1, R5; \
+	VSUBPS R5, R4, R4; \
+	VMULPS R3, R0, R6; \
+	VMULPS R2, R1, R7; \
+	VADDPS R7, R6, R6; \
+	MOV (DI)(R12*1), R0; \
+	MOV (SI)(R12*1), R1; \
+	VSUBPS R4, R0, R2; \
+	VSUBPS R6, R1, R3; \
+	VADDPS R4, R0, R0; \
+	VADDPS R6, R1, R1; \
+	MOV R2, (R13)(R12*1); \
+	MOV R3, (R14)(R12*1); \
+	MOV R0, (DI)(R12*1); \
+	MOV R1, (SI)(R12*1)
+
+// func butterflyF32SIMD(re, im, wr, wi []float32)
+//
+// One radix-2 stage: per group of 2*half points, eight butterflies per
+// step while eight remain, then four, then two. len(wr) = half, even;
+// len(re) a multiple of 2*half.
+TEXT ·butterflyF32SIMD(SB), NOSPLIT, $0-96
+	MOVQ re_base+0(FP), DI
+	MOVQ re_len+8(FP), DX
+	MOVQ im_base+24(FP), SI
+	MOVQ wr_base+48(FP), R8
+	MOVQ wr_len+56(FP), R10
+	MOVQ wi_base+72(FP), R9
+	SHLQ $2, R10              // half in bytes
+	LEAQ (DI)(DX*4), R11      // end of re
+
+bfgroup:
+	LEAQ (DI)(R10*1), R13     // re[base+half]
+	LEAQ (SI)(R10*1), R14     // im[base+half]
+	XORQ R12, R12
+
+bfly8:
+	LEAQ 32(R12), AX
+	CMPQ AX, R10
+	JGT  bfly4
+	BFLY(VMOVUPS, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	MOVQ AX, R12
+	JMP  bfly8
+
+bfly4:
+	LEAQ 16(R12), AX
+	CMPQ AX, R10
+	JGT  bfly2
+	BFLY(VMOVUPS, X0, X1, X2, X3, X4, X5, X6, X7)
+	MOVQ AX, R12
+
+bfly2:
+	CMPQ R12, R10
+	JGE  bfnext
+	BFLY(VMOVSD, X0, X1, X2, X3, X4, X5, X6, X7)
+
+bfnext:
+	LEAQ (DI)(R10*2), DI
+	LEAQ (SI)(R10*2), SI
+	CMPQ DI, R11
+	JLT  bfgroup
+	VZEROUPPER
+	RET
+
+// Lane indices that reverse a YMM of float32.
+DATA revLanes<>+0(SB)/4, $7
+DATA revLanes<>+4(SB)/4, $6
+DATA revLanes<>+8(SB)/4, $5
+DATA revLanes<>+12(SB)/4, $4
+DATA revLanes<>+16(SB)/4, $3
+DATA revLanes<>+20(SB)/4, $2
+DATA revLanes<>+24(SB)/4, $1
+DATA revLanes<>+28(SB)/4, $0
+GLOBL revLanes<>(SB), RODATA|NOPTR, $32
+
+// func realPowerF32SIMD(dst, re, im, wr, wi []float32, scale float32)
+//
+// Bins k = 1 .. len(dst) of RealPowerF32, eight per iteration. Z[h-k]
+// for eight consecutive k is eight consecutive elements read backwards:
+// load them from h-k-7 and reverse the lanes. dst and wr/wi start at bin
+// 1; re and im at bin 0.
+TEXT ·realPowerF32SIMD(SB), NOSPLIT, $0-124
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ re_base+24(FP), SI
+	MOVQ re_len+32(FP), DX    // h
+	MOVQ im_base+48(FP), BX
+	MOVQ wr_base+72(FP), R8
+	MOVQ wi_base+96(FP), R9
+	VBROADCASTSS scale+120(FP), Y15
+	MOVL $0x3F000000, AX      // float32(0.5)
+	VMOVD AX, X14
+	VPBROADCASTD X14, Y14
+	VMOVDQU revLanes<>(SB), Y13
+	LEAQ -32(SI)(DX*4), R10   // &re[h-8]: Z[h-k] lanes for k = 1..8
+	LEAQ -32(BX)(DX*4), R11   // &im[h-8]
+	XORQ R12, R12             // byte offset from bin 1
+
+rp8:
+	VMOVUPS 4(SI)(R12*1), Y0  // a = re[k]
+	VMOVUPS 4(BX)(R12*1), Y1  // b = im[k]
+	VPERMPS (R10), Y13, Y2    // c = re[h-k]
+	VPERMPS (R11), Y13, Y3    // d = im[h-k]
+	VADDPS Y2, Y0, Y4
+	VMULPS Y4, Y14, Y4        // er = 0.5*(a+c)
+	VSUBPS Y3, Y1, Y5
+	VMULPS Y5, Y14, Y5        // ei = 0.5*(b-d)
+	VADDPS Y3, Y1, Y6
+	VMULPS Y6, Y14, Y6        // or = 0.5*(b+d)
+	VSUBPS Y0, Y2, Y7
+	VMULPS Y7, Y14, Y7        // oi = 0.5*(c-a)
+	VMOVUPS (R8)(R12*1), Y8   // cr
+	VMOVUPS (R9)(R12*1), Y9   // ci
+	VMULPS Y6, Y8, Y10
+	VADDPS Y10, Y4, Y10       // er + cr*or
+	VMULPS Y7, Y9, Y11
+	VSUBPS Y11, Y10, Y10      // xr = er + cr*or - ci*oi
+	VMULPS Y7, Y8, Y11
+	VADDPS Y11, Y5, Y11       // ei + cr*oi
+	VMULPS Y6, Y9, Y12
+	VADDPS Y12, Y11, Y11      // xi = ei + cr*oi + ci*or
+	VMULPS Y10, Y10, Y10
+	VMULPS Y11, Y11, Y11
+	VADDPS Y11, Y10, Y10
+	VMULPS Y15, Y10, Y10      // (xr*xr + xi*xi) * scale
+	VMOVUPS Y10, (DI)(R12*1)
+	SUBQ $32, R10
+	SUBQ $32, R11
+	ADDQ $32, R12
+	SUBQ $8, CX
+	JNZ  rp8
+	VZEROUPPER
+	RET
+
+// func blendDivF32SIMD(dst, a, b []float32, wa, wb, div float32)
+//
+// dst = (a*wa + b*wb) / div, eight lanes per iteration; VDIVPS rounds
+// the quotient as DIVSS does. len(dst) a multiple of 8.
+TEXT ·blendDivF32SIMD(SB), NOSPLIT, $0-84
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), DX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), BX
+	VBROADCASTSS wa+72(FP), Y3
+	VBROADCASTSS wb+76(FP), Y4
+	VBROADCASTSS div+80(FP), Y5
+	XORQ R9, R9
+
+blend8:
+	VMULPS (SI)(R9*4), Y3, Y0
+	VMULPS (BX)(R9*4), Y4, Y1
+	VADDPS Y1, Y0, Y0
+	VDIVPS Y5, Y0, Y0
+	VMOVUPS Y0, (DI)(R9*4)
+	ADDQ $8, R9
+	CMPQ R9, DX
+	JLT  blend8
+	VZEROUPPER
+	RET

@@ -28,3 +28,15 @@ func packPairsSIMD(vp []uint32, in []int8, zp int32) {
 func requantI8SIMD(dst []int8, acc []int32, a *requantArgs) {
 	panic("simd: assembly path in a build without it")
 }
+
+func butterflyF32SIMD(re, im, wr, wi []float32) {
+	panic("simd: assembly path in a build without it")
+}
+
+func realPowerF32SIMD(dst, re, im, wr, wi []float32, scale float32) {
+	panic("simd: assembly path in a build without it")
+}
+
+func blendDivF32SIMD(dst, a, b []float32, wa, wb, div float32) {
+	panic("simd: assembly path in a build without it")
+}

@@ -640,3 +640,146 @@ func TestRoundHalfAwayTrick(t *testing.T) {
 		check(float64(rng.Intn(1<<20)) + 0.5)
 	}
 }
+
+// TestButterflyStageF32MatchesScalar holds both paths to the butterfly
+// written out per point, on every stage width of a 1024-point transform
+// (the vector path takes the widths that are multiples of 8) and with
+// NaN, infinities and signed zeros among the inputs.
+func TestButterflyStageF32MatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 1024
+	for half := 1; half <= n/2; half <<= 1 {
+		re, im := randF32(rng, n), randF32(rng, n)
+		wr, wi := randF32(rng, half), randF32(rng, half)
+		re[3], im[5] = float32(math.NaN()), float32(math.Inf(-1))
+		re[n-1], im[n-2] = float32(math.Copysign(0, -1)), float32(math.Inf(1))
+		wantRe, wantIm := append([]float32(nil), re...), append([]float32(nil), im...)
+		for base := 0; base < n; base += 2 * half {
+			for j := 0; j < half; j++ {
+				a, b := base+j, base+j+half
+				vr := wantRe[b]*wr[j] - wantIm[b]*wi[j]
+				vi := wantRe[b]*wi[j] + wantIm[b]*wr[j]
+				wantRe[a], wantRe[b] = wantRe[a]+vr, wantRe[a]-vr
+				wantIm[a], wantIm[b] = wantIm[a]+vi, wantIm[a]-vi
+			}
+		}
+		withSIMD(t, func(t *testing.T, _ bool) {
+			gotRe, gotIm := append([]float32(nil), re...), append([]float32(nil), im...)
+			ButterflyStageF32(gotRe, gotIm, wr, wi)
+			sameF32(t, fmt.Sprintf("half=%d re", half), gotRe, wantRe)
+			sameF32(t, fmt.Sprintf("half=%d im", half), gotIm, wantIm)
+		})
+	}
+}
+
+// TestRealPowerF32MatchesScalar checks the unpack on every size from 1
+// to 300 complex points, so the vector path's eight-bin blocks meet
+// every tail length and the reversed loads reach both ends.
+func TestRealPowerF32MatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for h := 1; h <= 300; h++ {
+		re, im, wr, wi := randF32(rng, h), randF32(rng, h), randF32(rng, h), randF32(rng, h)
+		if h > 20 {
+			re[7], im[h-3] = float32(math.NaN()), float32(math.Inf(1))
+		}
+		scale := float32(1) / float32(2*h)
+		want := make([]float32, h+1)
+		for k := 0; k <= h; k++ {
+			switch k {
+			case 0:
+				v := re[0] + im[0]
+				want[k] = v * v * scale
+			case h:
+				v := re[0] - im[0]
+				want[k] = v * v * scale
+			default:
+				a, b, c, d := re[k], im[k], re[h-k], im[h-k]
+				er, ei, or, oi := 0.5*(a+c), 0.5*(b-d), 0.5*(b+d), 0.5*(c-a)
+				xr := er + wr[k]*or - wi[k]*oi
+				xi := ei + wr[k]*oi + wi[k]*or
+				want[k] = (xr*xr + xi*xi) * scale
+			}
+		}
+		withSIMD(t, func(t *testing.T, _ bool) {
+			got := randF32(rng, h+2)
+			RealPowerF32(got, re, im, wr, wi, scale)
+			sameF32(t, fmt.Sprintf("h=%d", h), got[:h+1], want)
+		})
+	}
+}
+
+func TestFFTPrimitivesRejectBadGeometry(t *testing.T) {
+	for name, f := range map[string]func(){
+		"stage len": func() {
+			ButterflyStageF32(make([]float32, 12), make([]float32, 12), make([]float32, 8), make([]float32, 8))
+		},
+		"stage im": func() {
+			ButterflyStageF32(make([]float32, 16), make([]float32, 8), make([]float32, 8), make([]float32, 8))
+		},
+		"stage wi": func() {
+			ButterflyStageF32(make([]float32, 16), make([]float32, 16), make([]float32, 8), make([]float32, 4))
+		},
+		"stage empty": func() { ButterflyStageF32(nil, nil, nil, nil) },
+		"power dst": func() {
+			RealPowerF32(make([]float32, 16), make([]float32, 16), make([]float32, 16), make([]float32, 16), make([]float32, 16), 1)
+		},
+		"power tw": func() {
+			RealPowerF32(make([]float32, 17), make([]float32, 16), make([]float32, 16), make([]float32, 15), make([]float32, 16), 1)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func BenchmarkButterflyStageF32(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	re, im := randF32(rng, 256), randF32(rng, 256)
+	for _, half := range []int{8, 32, 128} {
+		wr, wi := randF32(rng, half), randF32(rng, half)
+		b.Run(fmt.Sprintf("n=256/half=%d", half), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ButterflyStageF32(re, im, wr, wi)
+			}
+		})
+	}
+}
+
+func BenchmarkRealPowerF32(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	re, im, wr, wi := randF32(rng, 256), randF32(rng, 256), randF32(rng, 256), randF32(rng, 256)
+	dst := make([]float32, 257)
+	for i := 0; i < b.N; i++ {
+		RealPowerF32(dst, re, im, wr, wi, 1.0/512)
+	}
+}
+
+// TestBlendDivF32MatchesScalar checks both paths against the expression
+// on every tail length, with special values and a divisor whose
+// reciprocal is inexact.
+func TestBlendDivF32MatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for n := 0; n <= 40; n++ {
+		a, b := randF32(rng, n+3), randF32(rng, n+1)
+		if n > 4 {
+			a[1], b[2], a[3] = float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
+		}
+		wb := rng.Float32()
+		wa := 1 - wb
+		want := make([]float32, n)
+		for i := range want {
+			want[i] = (a[i]*wa + b[i]*wb) / 255
+		}
+		withSIMD(t, func(t *testing.T, _ bool) {
+			got := randF32(rng, n)
+			BlendDivF32(got, a, b, wa, wb, 255)
+			sameF32(t, fmt.Sprintf("n=%d", n), got, want)
+		})
+	}
+}
