@@ -188,7 +188,7 @@ func newDecodeRequest(body []byte) *decodeRequest {
 	return d
 }
 
-func (d *decodeRequest) into(buf *classifyBuf, req *v1.ClassifyRequest) error {
+func (d *decodeRequest) into(buf *bodyBuf, req *v1.ClassifyRequest) error {
 	d.rd.Reset(d.body)
 	body, err := buf.readBody(d.w, d.req)
 	if err != nil {
@@ -209,7 +209,7 @@ func TestClassifyDecodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, buf := newDecodeRequest(body), new(classifyBuf)
+	d, buf := newDecodeRequest(body), new(bodyBuf)
 	var req v1.ClassifyRequest
 	decode := func() {
 		if err := d.into(buf, &req); err != nil {
@@ -286,7 +286,7 @@ func TestClassResultOutlivesBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	body, _ := v1.ClassifyRequest{Features: window}.MarshalJSON()
-	buf := new(classifyBuf)
+	buf := new(bodyBuf)
 	var req v1.ClassifyRequest
 	if err := newDecodeRequest(body).into(buf, &req); err != nil {
 		t.Fatal(err)

@@ -229,8 +229,8 @@ func (s *Server) handleUploadData(w http.ResponseWriter, r *http.Request, u *pro
 	format := r.URL.Query().Get("format")
 	// Every importer copies what it keeps out of body, so the buffer can
 	// go back to the pool when the handler returns.
-	buf := classifyBufs.Get().(*classifyBuf)
-	defer classifyBufs.Put(buf)
+	buf := bodyBufs.Get().(*bodyBuf)
+	defer bodyBufs.Put(buf)
 	body, err := buf.readBody(w, r)
 	if err != nil {
 		s.badRequest(w, r, err)
@@ -516,24 +516,24 @@ func tunerTrials(trials []tuner.Trial) []v1.TunerTrial {
 	return out
 }
 
-// classifyBuf is what a handler of signal-sized bodies needs per request
+// bodyBuf is what a handler of signal-sized bodies needs per request
 // and gives back when it returns: the raw body (classify, upload, stream
 // push) and the decoder whose float arrays a decoded classify request
 // points into. Nothing that outlives the handler may keep a reference
 // to either (core.ClassResult does not; the importers and a stream
 // session get copies).
-type classifyBuf struct {
+type bodyBuf struct {
 	body bytes.Buffer
 	dec  v1.ClassifyDecoder
 }
 
-var classifyBufs = sync.Pool{New: func() any { return new(classifyBuf) }}
+var bodyBufs = sync.Pool{New: func() any { return new(bodyBuf) }}
 
 // readBody reads the request body, bounded like every data route's (an
 // oversized one is a *http.MaxBytesError, 413 in badRequest), into the
 // buffer's own storage, grown once up front when Content-Length says
 // how far.
-func (b *classifyBuf) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+func (b *bodyBuf) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	b.body.Reset()
 	if n := r.ContentLength; n > 0 && n <= maxDataBody {
 		b.body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead free to see EOF
@@ -543,8 +543,8 @@ func (b *classifyBuf) readBody(w http.ResponseWriter, r *http.Request) ([]byte, 
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
-	buf := classifyBufs.Get().(*classifyBuf)
-	defer classifyBufs.Put(buf)
+	buf := bodyBufs.Get().(*bodyBuf)
+	defer bodyBufs.Put(buf)
 	var req v1.ClassifyRequest
 	body, err := buf.readBody(w, r)
 	if err == nil {
@@ -577,8 +577,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, u *proje
 }
 
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
-	buf := classifyBufs.Get().(*classifyBuf)
-	defer classifyBufs.Put(buf)
+	buf := bodyBufs.Get().(*bodyBuf)
+	defer bodyBufs.Put(buf)
 	var req v1.ClassifyBatchRequest
 	body, err := buf.readBody(w, r)
 	if err == nil {

@@ -168,8 +168,8 @@ func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request, u *pro
 	if !ok {
 		return
 	}
-	buf := classifyBufs.Get().(*classifyBuf)
-	defer classifyBufs.Put(buf)
+	buf := bodyBufs.Get().(*bodyBuf)
+	defer bodyBufs.Put(buf)
 	var req v1.StreamPushRequest
 	body, err := buf.readBody(w, r)
 	if err == nil {

@@ -2,6 +2,9 @@ package api
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -76,7 +79,7 @@ func sameSignal(got, want []float32) bool {
 func TestUploadOutlivesBuffer(t *testing.T) {
 	_, p := durableEnv(t)
 	window := distinctWindow(5)
-	buf := new(classifyBuf)
+	buf := new(bodyBuf)
 	d := newDecodeRequest(uploadDoc(t, window, p.HMACKey))
 	body, err := buf.readBody(d.w, d.req)
 	if err != nil {
@@ -160,6 +163,33 @@ func TestUploadErrorsUnchanged(t *testing.T) {
 		if env := decodeErr(t, raw); resp.StatusCode != http.StatusBadRequest || env.Error.Message != want.Error() {
 			t.Errorf("%.60s…: %d %q, want 400 %q", body, resp.StatusCode, env.Error.Message, want)
 		}
+	}
+}
+
+// TestUploadRateOutOfRange: a correctly signed document whose interval
+// gives a rate no int32 holds is a 400 bad_request in ingest's words, and
+// nothing is stored.
+func TestUploadRateOutOfRange(t *testing.T) {
+	e, p := durableEnv(t)
+	doc := bytes.Replace(uploadDoc(t, distinctWindow(2), p.HMACKey), []byte(`"interval_ms":0.25`), []byte(`"interval_ms":1e-300`), 1)
+	if !bytes.Contains(doc, []byte("1e-300")) {
+		t.Fatal("the document does not hold the interval")
+	}
+	// Sign it again, as a device that skips Validate would have.
+	sigAt := bytes.Index(doc, []byte(`"signature":"`)) + len(`"signature":"`)
+	copy(doc[sigAt:], strings.Repeat("0", 64))
+	h := hmac.New(sha256.New, []byte(p.HMACKey))
+	h.Write(doc)
+	copy(doc[sigAt:], hex.EncodeToString(h.Sum(nil)))
+
+	path := fmt.Sprintf("/api/v1/projects/%d/data?label=high", p.ID)
+	resp, raw := e.doRaw("POST", path, e.apiKey, doc, "application/json")
+	want := "ingest: interval_ms 1e-300 gives a sample rate above 2147483647 Hz"
+	if env := decodeErr(t, raw); resp.StatusCode != http.StatusBadRequest || env.Error.Code != v1.CodeBadRequest || env.Error.Message != want {
+		t.Fatalf("%d %+v, want 400 %s %q", resp.StatusCode, env.Error, v1.CodeBadRequest, want)
+	}
+	if n := p.Dataset().Len(); n != 0 {
+		t.Fatalf("%d samples stored", n)
 	}
 }
 

@@ -101,6 +101,11 @@ func (p Payload) Validate() error {
 	if !finite(p.IntervalMS) {
 		return fmt.Errorf("ingest: interval_ms is not a finite number")
 	}
+	// The rate must fit an int32: a sample's hash takes it as 32 bits, and
+	// the DSP blocks size their frames by it.
+	if 1000/p.IntervalMS > math.MaxInt32 {
+		return fmt.Errorf("ingest: interval_ms %g gives a sample rate above %d Hz", p.IntervalMS, math.MaxInt32)
+	}
 	for i, row := range p.Values {
 		if len(row) != len(p.Sensors) {
 			return fmt.Errorf("ingest: row %d has %d values for %d sensors", i, len(row), len(p.Sensors))

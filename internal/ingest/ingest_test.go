@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -125,6 +127,30 @@ func TestPayloadValidate(t *testing.T) {
 	}
 	if _, err := SignJSON(p, "k", 1); err == nil {
 		t.Error("signed invalid payload")
+	}
+}
+
+// TestIntervalRateBounded: an interval whose rate does not fit an int32
+// is refused by name — 1e-300 used to give a Rate of MinInt64, and 1e-12
+// a rate of 10^15 Hz that the sample hash cut to 32 bits.
+func TestIntervalRateBounded(t *testing.T) {
+	for _, iv := range []float64{1e-300, 1e-12, 5e-324, 1000.0 / (math.MaxInt32 + 1)} {
+		p := samplePayload()
+		p.IntervalMS = iv
+		want := fmt.Sprintf("ingest: interval_ms %g gives a sample rate above 2147483647 Hz", iv)
+		if err := p.Validate(); err == nil || err.Error() != want {
+			t.Errorf("interval_ms %g: Validate says %v, want %q", iv, err, want)
+		}
+		if _, err := SignJSON(p, "k", 1); err == nil {
+			t.Errorf("interval_ms %g: signed", iv)
+		}
+	}
+	for iv, rate := range map[float64]int{1e-6: 1e9, 0.0625: 16000, 16: 63} {
+		p := samplePayload()
+		p.IntervalMS = iv
+		if err := p.Validate(); err != nil || p.Rate() != rate {
+			t.Errorf("interval_ms %g: rate %d, want %d (%v)", iv, p.Rate(), rate, err)
+		}
 	}
 }
 

@@ -67,3 +67,58 @@ func BenchmarkAppendFloat32(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScanFloats reads one second of 16 kHz audio back from JSON,
+// the synthetic keyword of BenchmarkAppendFloat32: Keyword32 as a
+// classify body's float32 array (9 digits at most: the exact path),
+// Acquisition64 as a signed acquisition document's values — the same
+// samples widened to float64, 16 or 17 digits, one row each, scanned
+// row by row into one array as ingest.Verify does (the Eisel–Lemire
+// tier).
+func BenchmarkScanFloats(b *testing.B) {
+	const n = 16000
+	sig, err := synth.Keyword("yes", n, 1.0, 0.05, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	body32, err := numjson.AppendFloats(nil, sig.Data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := []byte{'['}
+	for i, v := range sig.Data {
+		if i > 0 {
+			rows = append(rows, ',')
+		}
+		rows, _ = numjson.AppendFloats(rows, []float64{float64(v)})
+	}
+	rows = append(rows, ']')
+	perFloat := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/float")
+	}
+
+	b.Run("Keyword32", func(b *testing.B) {
+		out := make([]float32, 0, n)
+		for i := 0; i < b.N; i++ {
+			if got, _, ok := numjson.ScanFloats(body32, 0, out); !ok || len(got) != n {
+				b.Fatalf("scanned %d of %d (ok=%v)", len(got), n, ok)
+			}
+		}
+		perFloat(b)
+	})
+	b.Run("Acquisition64", func(b *testing.B) {
+		flat := make([]float64, 0, n)
+		row := func(i int) (int, bool) {
+			var ok bool
+			flat, i, ok = numjson.ScanFloats(rows, i, flat)
+			return i, ok
+		}
+		for i := 0; i < b.N; i++ {
+			flat = flat[:0]
+			if _, ok := numjson.Array(rows, 0, row); !ok || len(flat) != n {
+				b.Fatalf("scanned %d of %d (ok=%v)", len(flat), n, ok)
+			}
+		}
+		perFloat(b)
+	})
+}

@@ -3,11 +3,42 @@
 package numjson
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// exhaustFloat32 runs a check on every one of the 2^32 float32 bit
+// patterns and returns how many failed, stopping after 20. The 512 sign
+// × exponent blocks of 2^23 patterns are shared out over GOMAXPROCS
+// goroutines, each with the check newCheck gives it (and whatever buffers
+// that keeps).
+func exhaustFloat32(newCheck func() func(b uint32) bool) int64 {
+	var next, diffs atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check := newCheck()
+			for {
+				block := next.Add(1) - 1
+				if block >= 512 || diffs.Load() > 20 {
+					return
+				}
+				for frac := uint32(0); frac < 1<<23; frac++ {
+					if !check(uint32(block)<<23|frac) && diffs.Add(1) > 20 {
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return diffs.Load()
+}
 
 // TestAppendFloat32Exhaustive holds appendFloat32 to strconv on every
 // one of the 2^32 float32 bit patterns: the same bytes in the layout
@@ -15,39 +46,53 @@ import (
 //
 //	go test -tags exhaustive -run Exhaustive ./internal/numjson
 //
-// The 512 sign × exponent blocks of 2^23 patterns are shared out over
-// GOMAXPROCS goroutines; about 5 min of wall time on two 2.1 GHz cores
-// (10 min of CPU), so give it -timeout 30m on a slower box.
+// This one takes about 5 min of wall time on two 2.1 GHz cores (10 min
+// of CPU), the next one about as long, so give the pair -timeout 30m on
+// a slower box.
 func TestAppendFloat32Exhaustive(t *testing.T) {
-	var next, diffs atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var got, want []byte
-			for {
-				block := next.Add(1) - 1
-				if block >= 512 || diffs.Load() > 20 {
-					return
-				}
-				for frac := uint32(0); frac < 1<<23; frac++ {
-					b := uint32(block)<<23 | frac
-					var ok bool
-					got, ok = appendFloat32(got[:0], b)
-					finite := b>>23&0xff != 0xff
-					if want = want[:0]; finite {
-						want = appendFloat32Strconv(want, b)
-					}
-					if ok != finite || string(got) != string(want) {
-						t.Errorf("%#08x: %q (ok=%v), strconv %q", b, got, ok, want)
-						if diffs.Add(1) > 20 {
-							return
-						}
-					}
-				}
+	diffs := exhaustFloat32(func() func(uint32) bool {
+		var got, want []byte
+		return func(b uint32) bool {
+			var ok bool
+			got, ok = appendFloat32(got[:0], b)
+			finite := b>>23&0xff != 0xff
+			if want = want[:0]; finite {
+				want = appendFloat32Strconv(want, b)
 			}
-		}()
-	}
-	wg.Wait()
+			if ok != finite || string(got) != string(want) {
+				t.Errorf("%#08x: %q (ok=%v), strconv %q", b, got, ok, want)
+				return false
+			}
+			return true
+		}
+	})
+	t.Logf("%d mismatches", diffs)
+}
+
+// TestScanFloat64OfFloat32Exhaustive holds ScanFloat at bitSize 64 to
+// the round trip on every finite float32 widened to float64 and written
+// by AppendFloat(…, 64), as ingest.SignJSON writes an acquisition's
+// values: the float64 read back has the same bits. strconv guarantees
+// that round trip, so this is ScanFloat agreeing with strconv on every
+// value a float32 device can send — through the exact path, the
+// Eisel–Lemire tier or strconv itself.
+func TestScanFloat64OfFloat32Exhaustive(t *testing.T) {
+	diffs := exhaustFloat32(func() func(uint32) bool {
+		var tok []byte
+		return func(b uint32) bool {
+			if b>>23&0xff == 0xff {
+				return true // NaN and ±Inf have no JSON spelling
+			}
+			v := float64(math.Float32frombits(b))
+			tok = AppendFloat(tok[:0], v, 64)
+			back, next, ok := ScanFloat(tok, 0, 64)
+			if !ok || next != len(tok) || math.Float64bits(back) != math.Float64bits(v) {
+				t.Errorf("%#08x: wrote %s, read back %#x (ok=%v, next=%d), want %#x",
+					b, tok, math.Float64bits(back), ok, next, math.Float64bits(v))
+				return false
+			}
+			return true
+		}
+	})
+	t.Logf("%d mismatches", diffs)
 }

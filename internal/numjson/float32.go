@@ -20,9 +20,13 @@ import (
 // checks the table, TestAppendFloat32Exhaustive (-tags exhaustive) every
 // one of the 2^32 bit patterns against strconv.
 
-// pow10f32[k+31] is ⌈10^k·2^-r⌉ for the r that puts it in [2^63, 2^64):
-// r = ⌊log2 10^k⌋ - 63. Literals, so that no start-up work builds them.
-var pow10f32 = [77]uint64{
+// pow10f32[k-pow10MinExp] is ⌈10^k·2^-r⌉ for the r that puts it in
+// [2^63, 2^64): r = ⌊log2 10^k⌋ - 63. Literals, so that no start-up work
+// builds them. ScanFloat's float64 tier reads the same table through
+// pow10Trunc.
+const pow10MinExp, pow10MaxExp = -31, 45
+
+var pow10f32 = [pow10MaxExp - pow10MinExp + 1]uint64{
 	0x81ceb32c4b43fcf5, // 1e-31
 	0xa2425ff75e14fc32, // 1e-30
 	0xcad2f7f5359a3b3f, // 1e-29
@@ -100,6 +104,17 @@ var pow10f32 = [77]uint64{
 	0xe596b7b0c643c71a, // 1e43
 	0x8f7e32ce7bea5c70, // 1e44
 	0xb35dbf821ae4f38c, // 1e45
+}
+
+// pow10Trunc is ⌊10^k·2^-r⌋, the power Eisel–Lemire multiplies by: the
+// table's entry, less one where it was rounded up — everywhere but
+// 10^0…10^27, whose 5^k fits in 64 bits.
+func pow10Trunc(k int) uint64 {
+	p := pow10f32[k-pow10MinExp]
+	if k < 0 || k > 27 {
+		p--
+	}
+	return p
 }
 
 // roundToOdd is the integer part of g·cp·2^-64 with its lowest bit set

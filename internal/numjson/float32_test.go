@@ -56,9 +56,11 @@ func (c *float32Checker) check(b uint32, viaJSON bool) {
 	}
 }
 
-// TestPow10TableMatchesBigInt: pow10f32[k+31] is the 64-bit ⌈10^k·2^-r⌉.
+// TestPow10TableMatchesBigInt: pow10f32[k+31] is the 64-bit ⌈10^k·2^-r⌉
+// the formatter multiplies by, and pow10Trunc(k) the ⌊10^k·2^-r⌋ that
+// ScanFloat's float64 tier does.
 func TestPow10TableMatchesBigInt(t *testing.T) {
-	for k := -31; k <= 45; k++ {
+	for k := pow10MinExp; k <= pow10MaxExp; k++ {
 		// 10^k = num/den, scaled by 2^-r into [2^63, 2^64) and rounded up.
 		num, den := big.NewInt(1), big.NewInt(1)
 		pow := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(max(k, -k))), nil)
@@ -73,9 +75,13 @@ func TestPow10TableMatchesBigInt(t *testing.T) {
 		} else {
 			num.Lsh(num, uint(-r))
 		}
-		want, rem := new(big.Int).QuoRem(num, den, new(big.Int))
+		floor, rem := new(big.Int).QuoRem(num, den, new(big.Int))
+		if got := pow10Trunc(k); floor.BitLen() != 64 || got != floor.Uint64() {
+			t.Errorf("1e%d: truncated %#016x, math/big %#016x", k, got, floor)
+		}
+		want := floor
 		if rem.Sign() != 0 {
-			want.Add(want, big.NewInt(1))
+			want = new(big.Int).Add(floor, big.NewInt(1))
 		}
 		if want.BitLen() != 64 {
 			t.Fatalf("1e%d: ⌈10^k·2^%d⌉ has %d bits: the formatter's log2 is off", k, -r, want.BitLen())

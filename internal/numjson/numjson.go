@@ -26,6 +26,19 @@
 // side of an upload) is not what an upload waits for. strconv is also
 // what the tests hold the float32 formatter to.
 //
+// Numbers are read in three tiers (ScanFloat). Most tokens of either
+// width take the exact path: a mantissa below 2^53 times or over an
+// exact power of ten. A float64 the exact path cannot take — a float32
+// sample widened to float64 mostly prints 17 digits, past 2^53, so
+// nearly every value of an acquisition document is one — goes through
+// Eisel–Lemire: one 64×64-bit multiply by a power from the float32
+// formatter's own table, which is why the tier covers 10^-31…10^45.
+// Everything else goes to strconv.ParseFloat: more than 19 significant
+// digits, an exponent outside the table, the rare product too near a
+// rounding boundary for 64 bits of power to settle, and a float32 token
+// that the exact path's double rounding could get wrong. The middle tier
+// is float64's alone: float32 tokens keep to the exact path and strconv.
+//
 // The package is a leaf: it knows no DTO and no route.
 package numjson
 
@@ -33,6 +46,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"reflect"
 	"strconv"
 	"unicode/utf8"
@@ -249,14 +263,19 @@ var pow10 = [...]float64{
 // non-zero value of the exact path lies in [1e-22, 2^53·1e22], well
 // inside float32's normal range, so the midpoint test needs no subnormal
 // or overflow case.
+//
+// A float64 beyond the exact range with at most 19 significant digits
+// and a power of ten in pow10f32 (10^-31…10^45) goes through
+// eiselLemire64 next; only what that declines reaches strconv. Either
+// way the bits are strconv's.
 func ScanFloat(data []byte, i, bitSize int) (float64, int, bool) {
 	start := i
 	neg := i < len(data) && data[i] == '-'
 	if neg {
 		i++
 	}
-	// mant collects every digit and wraps beyond 19 of them; exact says
-	// whether mant and exp10 still are the token.
+	// mant collects every digit and wraps beyond 19 significant ones;
+	// exact says whether mant and exp10 still are the token.
 	var mant uint64
 	exp10 := 0
 
@@ -285,6 +304,13 @@ func ScanFloat(data []byte, i, bitSize int) (float64, int, bool) {
 		}
 		digits += i - first
 		exp10 = first - i
+	}
+	if digits > 19 {
+		// Zeros ahead of the first significant digit (0.000123…) add
+		// nothing to mant. Counted only here, and from start: counting them
+		// in the loops above, or from intStart, costs the float32 path
+		// 8–10%.
+		digits -= leadingZeros(data[start:i])
 	}
 	exact := digits <= 19
 	// Exponent: e or E, an optional sign and at least one digit.
@@ -327,8 +353,71 @@ func ScanFloat(data []byte, i, bitSize int) (float64, int, bool) {
 			return f, i, true
 		}
 	}
+	if bitSize == 64 && exact && mant != 0 && pow10MinExp <= exp10 && exp10 <= pow10MaxExp {
+		if f, ok := eiselLemire64(mant, exp10, neg); ok {
+			return f, i, true
+		}
+	}
 	f, err := strconv.ParseFloat(string(data[start:i]), bitSize)
 	return f, i, err == nil
+}
+
+// leadingZeros counts the zeros of the number text m (a sign, digits and
+// at most one point) ahead of its first non-zero digit.
+func leadingZeros(m []byte) int {
+	n := 0
+	for _, c := range m {
+		if c == '0' {
+			n++
+		} else if c != '.' && c != '-' {
+			break
+		}
+	}
+	return n
+}
+
+// eiselLemire64 is the float64 nearest mant·10^exp10, for mant != 0 and
+// exp10 within pow10f32, by Lemire's algorithm ("Number parsing at a
+// gigabyte per second", 2021) — strconv's eiselLemire64 with the 64-bit
+// truncated power alone. mant, shifted up to 64 bits, times the power
+// leaves the 53 bits of the float64 and a rounding bit at the top of the
+// high word. The part of 10^exp10 the truncation drops adds less than
+// mant to the low word, so where that could carry into the bits that are
+// kept, strconv's version multiplies by the next 64 bits of the power;
+// this one declines, as it does where the product sits too close to a
+// halfway point to tell the rounding, and where the result would be
+// subnormal or overflow (which no exp10 of the table reaches). Where it
+// answers, the answer is strconv's.
+func eiselLemire64(mant uint64, exp10 int, neg bool) (float64, bool) {
+	clz := bits.LeadingZeros64(mant)
+	mant <<= uint(clz)
+	// ⌊log2 10^exp10⌋ as the formatter computes it, plus the product's 64
+	// bits and the bias.
+	exp2 := uint64(exp10*1741647>>19+64+1023) - uint64(clz)
+	hi, lo := bits.Mul64(mant, pow10Trunc(exp10))
+	if hi&0x1FF == 0x1FF && lo+mant < mant {
+		return 0, false // needs the wider product
+	}
+	msb := hi >> 63
+	m := hi >> (msb + 9) // 54 bits
+	exp2 -= 1 ^ msb
+	if lo == 0 && hi&0x1FF == 0 && m&3 == 1 {
+		return 0, false // maybe a tie whose even neighbour is below
+	}
+	m += m & 1 // round half up, which only that tie gets wrong
+	m >>= 1
+	if m>>53 > 0 {
+		m >>= 1
+		exp2++
+	}
+	if exp2-1 >= 0x7FF-1 {
+		return 0, false // subnormal, or infinite
+	}
+	b := exp2<<52 | m&(1<<52-1)
+	if neg {
+		b |= 1 << 63
+	}
+	return math.Float64frombits(b), true
 }
 
 // ScanFloats appends the numbers of the JSON array at data[i] to out and

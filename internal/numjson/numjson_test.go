@@ -2,7 +2,9 @@ package numjson
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -21,6 +23,46 @@ var numberTokens = []string{
 	"0e999999", "1e99999999999", "0.000000000000000000000000000001",
 	"1e308", "1.7976931348623157e308", "1.7976931348623159e308", "1e309", "-1e400", "5e-324", "2e-324", "1e-400",
 	"-0.00031250000000000001", "0.062500000000000000001", "123456789012345678901234567890",
+	// Leading zeros are not significant digits; trailing ones are.
+	"0.0012345678901234567", "-0.00000000000000000000012345678901234567", "0.00000000000000000000",
+	"0.00000000000000000001", "0.000000000000000000012345678901234567891", "1.00000000000000000000",
+	// The ends of the float64 tier's exponents, and its ties.
+	"12345678901234567e-32", "12345678901234567e-31", "12345678901234567e45", "12345678901234567e46",
+	"9007199254740993e1", "9007199254740993e-1", "18446744073709551615", "9999999999999999999e45",
+}
+
+// float64EdgeTokens returns tokens of 17 to 19 significant digits around
+// the point halfway between v and the float64 above it — the decimal
+// rounded to that many digits and one unit in its last digit either side;
+// where the midpoint has no more digits, the tie itself — and a mantissa
+// of random length at the exponents either side of the ends of the
+// float64 tier's table.
+func float64EdgeTokens(rng *rand.Rand, v float64) []string {
+	mid := new(big.Float).SetPrec(64).SetFloat64(v)
+	mid.Add(mid, new(big.Float).SetFloat64(math.Nextafter(v, math.Inf(1))))
+	mid.SetMantExp(mid, -1) // exact: 54 bits at most
+	var toks []string
+	for n := 17; n <= 19; n++ {
+		text := mid.Text('e', n-1) // d.ddde±x
+		at := strings.IndexByte(text, 'e')
+		d, _ := strconv.ParseUint(text[:1]+text[2:at], 10, 64)
+		e, _ := strconv.Atoi(text[at+1:])
+		for _, near := range []uint64{d - 1, d, d + 1} {
+			toks = append(toks, fmt.Sprintf("%de%d", near, e-(n-1)))
+		}
+	}
+	mant := rng.Uint64() >> rng.Intn(64) // 1 to 20 digits
+	for _, e := range []int{pow10MinExp - 1, pow10MinExp, pow10MaxExp, pow10MaxExp + 1} {
+		toks = append(toks, fmt.Sprintf("%de%d", mant, e), fmt.Sprintf("-%de%d", mant, e))
+	}
+	return toks
+}
+
+// tierFloat64 draws a positive float64 whose 17-digit decimal has an
+// exponent in and just around the float64 tier's range.
+func tierFloat64(rng *rand.Rand) float64 {
+	exp2 := 1023 - 60 + rng.Intn(270) // 2^-60 … 2^209: about 1e-18 … 1e63
+	return math.Float64frombits(uint64(exp2)<<52 | rng.Uint64()&(1<<52-1))
 }
 
 // float32Midpoint returns the decimal of the value halfway between f
@@ -91,16 +133,29 @@ func FuzzParseFloat64(f *testing.F) {
 	for _, v := range []float32{0.3, -0.0123, 16000.5, 1e-7, 3e21} {
 		f.Add(string(AppendFloat(nil, float64(v), 64)))
 	}
+	// Ties and near-ties of the float64 tier, and the ends of its table.
+	rng := rand.New(rand.NewSource(31))
+	for _, v := range []float64{0.1, 0.3, 1 << 53, 1e19, 1e22, 1e23, tierFloat64(rng), tierFloat64(rng)} {
+		for _, tok := range float64EdgeTokens(rng, v) {
+			f.Add(tok)
+		}
+	}
 	f.Fuzz(func(t *testing.T, tok string) { checkToken(t, tok, 64) })
 }
 
 // TestScanFloatSweep checks ScanFloat against strconv on the tokens the
 // bodies are made of: shortest decimals of random floats of either
 // width, float32s printed as float64s (an acquisition document's
-// values), plus decimals engineered to sit at float32 midpoints.
+// values), plus decimals engineered to sit at float32 midpoints and,
+// for the float64 tier, at float64 midpoints and the ends of its table.
 func TestScanFloatSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 200000; i++ {
+		if i%4 == 0 {
+			for _, tok := range float64EdgeTokens(rng, tierFloat64(rng)) {
+				checkToken(t, tok, 64)
+			}
+		}
 		// Uniform over the bit patterns, so over the exponents.
 		v := math.Float32frombits(rng.Uint32())
 		if v != v || math.IsInf(float64(v), 0) {
@@ -120,6 +175,49 @@ func TestScanFloatSweep(t *testing.T) {
 				checkToken(t, strconv.FormatFloat(math.Nextafter(near, toward), 'e', -1, 64), 32) // first one past the guard
 			}
 		}
+	}
+}
+
+// decimal splits a JSON number of at most 19 significant digits into
+// mant·10^exp10.
+func decimal(tok []byte) (mant uint64, exp10 int) {
+	s := strings.TrimPrefix(string(tok), "-")
+	if at := strings.IndexAny(s, "eE"); at >= 0 {
+		exp10, _ = strconv.Atoi(s[at+1:])
+		s = s[:at]
+	}
+	if at := strings.IndexByte(s, '.'); at >= 0 {
+		exp10 -= len(s) - at - 1
+		s = s[:at] + s[at+1:]
+	}
+	mant, _ = strconv.ParseUint(s, 10, 64)
+	return mant, exp10
+}
+
+// TestFloat64TierTakesSamples: the float64 tier, not strconv, reads the
+// values an acquisition document is made of — float32 audio samples
+// widened to float64, 16 or 17 digits — and gets each one's bits; it
+// declines (to strconv) only rarely.
+func TestFloat64TierTakesSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 100000
+	declined := 0
+	for i := 0; i < n; i++ {
+		v := float64(float32(0.3 * rng.NormFloat64()))
+		tok := AppendFloat(nil, v, 64)
+		mant, exp10 := decimal(tok)
+		if mant == 0 || exp10 < pow10MinExp {
+			continue
+		}
+		got, ok := eiselLemire64(mant, exp10, v < 0)
+		if !ok {
+			declined++
+		} else if math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("%s: tier %g (%#x), want %#x", tok, got, math.Float64bits(got), math.Float64bits(v))
+		}
+	}
+	if declined > n/200 {
+		t.Errorf("the tier declined %d of %d samples", declined, n)
 	}
 }
 

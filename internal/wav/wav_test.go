@@ -108,13 +108,13 @@ func TestRandomRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(500)
-		a := Audio{Rate: 1000 * (1 + rng.Intn(48)), Channels: 1 + rng.Intn(2), Samples: make([]float32, n)}
-		// Make length divisible by channels.
+		a := Audio{Rate: 1000 * (1 + rng.Intn(48)), Channels: 1 + rng.Intn(2)}
+		// Make length divisible by channels (one stereo sample becomes two).
 		n -= n % a.Channels
 		if n == 0 {
 			n = a.Channels
 		}
-		a.Samples = a.Samples[:n]
+		a.Samples = make([]float32, n)
 		for i := range a.Samples {
 			a.Samples[i] = float32(rng.Float64()*2 - 1)
 		}
