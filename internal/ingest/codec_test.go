@@ -272,6 +272,38 @@ func FuzzVerifyJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkAgainstParent(t, data, "k") })
 }
 
+// FuzzVerifyCBOR: Verify refuses what it must on any CBOR input without
+// panicking, and a payload it accepts signs again with SignCBOR into a
+// document that verifies back to the same payload, bit for bit.
+func FuzzVerifyCBOR(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	odd := samplePayload()
+	odd.DeviceName, odd.DeviceType = "signature", string(zeroSignature)
+	for _, p := range []Payload{samplePayload(), odd, randomPayload(rng), randomPayload(rng), audioPayload(4)} {
+		doc, err := SignCBOR(p, "k", 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 && data[0] == '{' {
+			return // JSON: FuzzVerifyJSON's
+		}
+		p, err := Verify(data, "k")
+		if err != nil {
+			return
+		}
+		doc, err := SignCBOR(p, "k", 1)
+		if err != nil {
+			t.Fatalf("accepted %+v, which SignCBOR refuses: %v", p, err)
+		}
+		if back, err := Verify(doc, "k"); err != nil || !samePayload(back, p) {
+			t.Fatalf("accepted %+v; signed again, it verifies as %+v (%v)", p, back, err)
+		}
+	})
+}
+
 // TestScanTakesWhatSignWrites: the documents devices actually send are
 // read by the one-pass scan, not by the fallback, rows out of one array.
 func TestScanTakesWhatSignWrites(t *testing.T) {
@@ -304,21 +336,28 @@ func TestScanTakesWhatSignWrites(t *testing.T) {
 
 // TestSignatureLocatedByPosition: the signature is the contents of the
 // signature field, not the first stretch of the document that reads the
-// same. A device named as the placeholder, in a CBOR document (whose
-// payload sorts ahead of its signature), used to get the MAC written
-// into its name. The mirror case in Verify — a device named as its own
+// same. In a CBOR document the payload sorts ahead of the signature, and
+// SignCBOR used to write the MAC over the first placeholder it found: in
+// the name of a device named as the placeholder, and, once the search
+// began after the first "signature", in the type of a device named
+// "signature" whose type is the placeholder (a document Verify then
+// refused). The mirror case in Verify — a device named as its own
 // document's signature — needs a fixed point of the MAC to build, so
 // there the position itself is checked, on all three paths.
 func TestSignatureLocatedByPosition(t *testing.T) {
 	p := samplePayload()
-	p.DeviceName = string(zeroSignature)
+	named, typed := p, p
+	named.DeviceName = string(zeroSignature)
+	typed.DeviceName, typed.DeviceType = "signature", string(zeroSignature)
 	for name, sign := range map[string]func(Payload, string, int64) ([]byte, error){"JSON": SignJSON, "CBOR": SignCBOR} {
-		signed, err := sign(p, "k", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := Verify(signed, "k"); err != nil || got.DeviceName != p.DeviceName {
-			t.Errorf("%s, device named as the placeholder: %q, %v", name, got.DeviceName, err)
+		for _, p := range []Payload{named, typed} {
+			signed, err := sign(p, "k", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := Verify(signed, "k"); err != nil || !samePayload(got, p) {
+				t.Errorf("%s, device %q of type %q: %+v, %v", name, p.DeviceName, p.DeviceType, got, err)
+			}
 		}
 	}
 

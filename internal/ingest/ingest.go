@@ -240,7 +240,10 @@ func SignCBOR(p Payload, hmacKey string, iat int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	copy(unsigned[signatureAt(unsigned, zeroSignature):], mac(hmacKey, unsigned))
+	// cbor.Marshal sorts keys, so "signature" is the last of the three and
+	// its value, the 64 zeros, the document's last 64 bytes — wherever the
+	// payload's strings spell "signature" or zeros too.
+	copy(unsigned[len(unsigned)-len(zeroSignature):], mac(hmacKey, unsigned))
 	return unsigned, nil
 }
 
@@ -287,8 +290,8 @@ func Verify(data []byte, hmacKey string) (Payload, error) {
 
 // signatureAt locates the signature field's contents in a document
 // that was not scanned byte by byte: the first occurrence of sig after
-// the signature key (a device may be named anything, including what its
-// document's signature turns out to be), or -1.
+// the first "signature" (a device may be named anything, including what
+// its document's signature turns out to be), or -1.
 func signatureAt(data, sig []byte) int {
 	from := bytes.Index(data, []byte("signature"))
 	if from < 0 {

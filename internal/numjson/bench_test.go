@@ -68,34 +68,70 @@ func BenchmarkAppendFloat32(b *testing.B) {
 	}
 }
 
-// BenchmarkScanFloats reads one second of 16 kHz audio back from JSON,
-// the synthetic keyword of BenchmarkAppendFloat32: Keyword32 as a
-// classify body's float32 array (9 digits at most: the exact path),
-// Acquisition64 as a signed acquisition document's values — the same
-// samples widened to float64, 16 or 17 digits, one row each, scanned
-// row by row into one array as ingest.Verify does (the Eisel–Lemire
-// tier).
-func BenchmarkScanFloats(b *testing.B) {
-	const n = 16000
-	sig, err := synth.Keyword("yes", n, 1.0, 0.05, rand.New(rand.NewSource(1)))
+// keywordBodies is one second of 16 kHz audio, the synthetic keyword of
+// BenchmarkAppendFloat32, in the two shapes it travels in: a classify
+// body's float32 array, and a signed acquisition document's values — the
+// same samples widened to float64, 16 or 17 digits, one row each.
+func keywordBodies(b *testing.B) (samples []float32, body32, rows []byte) {
+	sig, err := synth.Keyword("yes", 16000, 1.0, 0.05, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	body32, err := numjson.AppendFloats(nil, sig.Data)
-	if err != nil {
+	if body32, err = numjson.AppendFloats(nil, sig.Data); err != nil {
 		b.Fatal(err)
 	}
-	rows := []byte{'['}
-	for i, v := range sig.Data {
+	return sig.Data, body32, appendRows(nil, sig.Data)
+}
+
+// appendRows writes samples as ingest.SignJSON writes an acquisition's
+// values: one float64 row each.
+func appendRows(dst []byte, samples []float32) []byte {
+	dst = append(dst, '[')
+	for i, v := range samples {
 		if i > 0 {
-			rows = append(rows, ',')
+			dst = append(dst, ',')
 		}
-		rows, _ = numjson.AppendFloats(rows, []float64{float64(v)})
+		dst, _ = numjson.AppendFloats(dst, []float64{float64(v)})
 	}
-	rows = append(rows, ']')
-	perFloat := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/float")
-	}
+	return append(dst, ']')
+}
+
+func nsPerFloat(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/float")
+}
+
+// BenchmarkAppendFloats writes the bodies of BenchmarkScanFloats:
+// Keyword32 as a classify body (the float32 formatter), Acquisition64
+// row by row as ingest.SignJSON does (the float64 formatter).
+func BenchmarkAppendFloats(b *testing.B) {
+	samples, body32, rows := keywordBodies(b)
+	b.Run("Keyword32", func(b *testing.B) {
+		dst := make([]byte, 0, len(body32))
+		for i := 0; i < b.N; i++ {
+			if out, err := numjson.AppendFloats(dst, samples); err != nil || len(out) != len(body32) {
+				b.Fatalf("wrote %d bytes of %d (%v)", len(out), len(body32), err)
+			}
+		}
+		nsPerFloat(b, len(samples))
+	})
+	b.Run("Acquisition64", func(b *testing.B) {
+		dst := make([]byte, 0, len(rows))
+		for i := 0; i < b.N; i++ {
+			if out := appendRows(dst, samples); len(out) != len(rows) {
+				b.Fatalf("wrote %d bytes of %d", len(out), len(rows))
+			}
+		}
+		nsPerFloat(b, len(samples))
+	})
+}
+
+// BenchmarkScanFloats reads the keyword back from JSON: Keyword32 as a
+// classify body's float32 array (9 digits at most: the exact path),
+// Acquisition64 as a signed acquisition document's values, scanned row
+// by row into one array as ingest.Verify does (the Eisel–Lemire tier).
+func BenchmarkScanFloats(b *testing.B) {
+	samples, body32, rows := keywordBodies(b)
+	n := len(samples)
 
 	b.Run("Keyword32", func(b *testing.B) {
 		out := make([]float32, 0, n)
@@ -104,7 +140,7 @@ func BenchmarkScanFloats(b *testing.B) {
 				b.Fatalf("scanned %d of %d (ok=%v)", len(got), n, ok)
 			}
 		}
-		perFloat(b)
+		nsPerFloat(b, n)
 	})
 	b.Run("Acquisition64", func(b *testing.B) {
 		flat := make([]float64, 0, n)
@@ -119,6 +155,6 @@ func BenchmarkScanFloats(b *testing.B) {
 				b.Fatalf("scanned %d of %d (ok=%v)", len(flat), n, ok)
 			}
 		}
-		perFloat(b)
+		nsPerFloat(b, n)
 	})
 }

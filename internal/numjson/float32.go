@@ -18,7 +18,8 @@ import (
 // to odd: the sticky bit keeps the two bits below the integer part
 // exact enough for every comparison made on them. TestPow10TableMatchesBigInt
 // checks the table, TestAppendFloat32Exhaustive (-tags exhaustive) every
-// one of the 2^32 bit patterns against strconv.
+// one of the 2^32 bit patterns against strconv. float64.go runs the
+// same algorithm on float64s, over the same powers widened to 128 bits.
 
 // pow10f32[k-pow10MinExp] is ⌈10^k·2^-r⌉ for the r that puts it in
 // [2^63, 2^64): r = ⌊log2 10^k⌋ - 63. Literals, so that no start-up work
@@ -104,6 +105,91 @@ var pow10f32 = [pow10MaxExp - pow10MinExp + 1]uint64{
 	0xe596b7b0c643c71a, // 1e43
 	0x8f7e32ce7bea5c70, // 1e44
 	0xb35dbf821ae4f38c, // 1e45
+}
+
+// pow10lo[k-pow10MinExp] is the next 64 bits of 10^k·2^-r, truncated:
+// pow10Trunc(k)·2^64 + pow10lo[k-pow10MinExp] is ⌊10^k·2^-(r-64)⌋, the
+// 128-bit power the float64 formatter and the wide multiply of
+// ScanFloat's float64 tier use. Zero for 10^0…10^27, exact up to 10^45
+// (5^45 fits in 128 bits).
+var pow10lo = [pow10MaxExp - pow10MinExp + 1]uint64{
+	0x80eacf948770ced7, // 1e-31
+	0xa1258379a94d028d, // 1e-30
+	0x096ee45813a04330, // 1e-29
+	0x8bca9d6e188853fc, // 1e-28
+	0x775ea264cf55347d, // 1e-27
+	0x95364afe032a819d, // 1e-26
+	0x3a83ddbd83f52204, // 1e-25
+	0xc4926a9672793542, // 1e-24
+	0x75b7053c0f178293, // 1e-23
+	0x5324c68b12dd6338, // 1e-22
+	0xd3f6fc16ebca5e03, // 1e-21
+	0x88f4bb1ca6bcf584, // 1e-20
+	0x2b31e9e3d06c32e5, // 1e-19
+	0x3aff322e62439fcf, // 1e-18
+	0x09befeb9fad487c2, // 1e-17
+	0x4c2ebe687989a9b3, // 1e-16
+	0x0f9d37014bf60a10, // 1e-15
+	0x538484c19ef38c94, // 1e-14
+	0x2865a5f206b06fb9, // 1e-13
+	0xf93f87b7442e45d3, // 1e-12
+	0xf78f69a51539d748, // 1e-11
+	0xb573440e5a884d1b, // 1e-10
+	0x31680a88f8953030, // 1e-9
+	0xfdc20d2b36ba7c3d, // 1e-8
+	0x3d32907604691b4c, // 1e-7
+	0xa63f9a49c2c1b10f, // 1e-6
+	0x0fcf80dc33721d53, // 1e-5
+	0xd3c36113404ea4a8, // 1e-4
+	0x645a1cac083126e9, // 1e-3
+	0x3d70a3d70a3d70a3, // 1e-2
+	0xcccccccccccccccc, // 1e-1
+	0x0000000000000000, // 1e0
+	0x0000000000000000, // 1e1
+	0x0000000000000000, // 1e2
+	0x0000000000000000, // 1e3
+	0x0000000000000000, // 1e4
+	0x0000000000000000, // 1e5
+	0x0000000000000000, // 1e6
+	0x0000000000000000, // 1e7
+	0x0000000000000000, // 1e8
+	0x0000000000000000, // 1e9
+	0x0000000000000000, // 1e10
+	0x0000000000000000, // 1e11
+	0x0000000000000000, // 1e12
+	0x0000000000000000, // 1e13
+	0x0000000000000000, // 1e14
+	0x0000000000000000, // 1e15
+	0x0000000000000000, // 1e16
+	0x0000000000000000, // 1e17
+	0x0000000000000000, // 1e18
+	0x0000000000000000, // 1e19
+	0x0000000000000000, // 1e20
+	0x0000000000000000, // 1e21
+	0x0000000000000000, // 1e22
+	0x0000000000000000, // 1e23
+	0x0000000000000000, // 1e24
+	0x0000000000000000, // 1e25
+	0x0000000000000000, // 1e26
+	0x0000000000000000, // 1e27
+	0x4000000000000000, // 1e28
+	0x5000000000000000, // 1e29
+	0xa400000000000000, // 1e30
+	0x4d00000000000000, // 1e31
+	0xf020000000000000, // 1e32
+	0x6c28000000000000, // 1e33
+	0xc732000000000000, // 1e34
+	0x3c7f400000000000, // 1e35
+	0x4b9f100000000000, // 1e36
+	0x1e86d40000000000, // 1e37
+	0x1314448000000000, // 1e38
+	0x17d955a000000000, // 1e39
+	0x5dcfab0800000000, // 1e40
+	0x5aa1cae500000000, // 1e41
+	0xf14a3d9e40000000, // 1e42
+	0x6d9ccd05d0000000, // 1e43
+	0xe4820023a2000000, // 1e44
+	0xdda2802c8a800000, // 1e45
 }
 
 // pow10Trunc is ⌊10^k·2^-r⌋, the power Eisel–Lemire multiplies by: the

@@ -57,8 +57,10 @@ func (c *float32Checker) check(b uint32, viaJSON bool) {
 }
 
 // TestPow10TableMatchesBigInt: pow10f32[k+31] is the 64-bit ⌈10^k·2^-r⌉
-// the formatter multiplies by, and pow10Trunc(k) the ⌊10^k·2^-r⌋ that
-// ScanFloat's float64 tier does.
+// the float32 formatter multiplies by, pow10Trunc(k) the ⌊10^k·2^-r⌋
+// that ScanFloat's float64 tier does, and pow10lo[k+31] the next 64 bits
+// of 10^k·2^-r that the float64 formatter and the tier's wide multiply
+// add to it.
 func TestPow10TableMatchesBigInt(t *testing.T) {
 	for k := pow10MinExp; k <= pow10MaxExp; k++ {
 		// 10^k = num/den, scaled by 2^-r into [2^63, 2^64) and rounded up.
@@ -88,6 +90,12 @@ func TestPow10TableMatchesBigInt(t *testing.T) {
 		}
 		if got := pow10f32[k+31]; got != want.Uint64() {
 			t.Errorf("1e%d: table %#016x, math/big %#016x", k, got, want.Uint64())
+		}
+		// ⌊10^k·2^-(r-64)⌋ is the truncated power followed by the low word.
+		wide := new(big.Int).Quo(num.Lsh(num, 64), den)
+		lo := new(big.Int).And(wide, new(big.Int).SetUint64(math.MaxUint64))
+		if got := pow10lo[k+31]; wide.BitLen() != 128 || got != lo.Uint64() {
+			t.Errorf("1e%d: low word %#016x, math/big %#016x", k, got, lo)
 		}
 	}
 }

@@ -13,31 +13,33 @@
 // Where a scanner does accept, the value is the one encoding/json
 // stores, bit for bit. AppendFloat writes the bytes json.Marshal writes.
 //
-// The two widths are formatted by different algorithms. A float32 — a
-// sample of a classify body or a stream push, 16 000 to a request and
-// the largest share of one — goes through this package's own Schubfach
-// formatter (float32.go): one 64-bit table entry and three multiplies
-// per value, digits written in place, half the time strconv takes; with
-// only 2^32 values its equality with strconv is checked on every one of
-// them (TestAppendFloat32Exhaustive). A float64 — a row of a signed
-// acquisition document — stays on strconv.AppendFloat: the same
-// algorithm at that width needs a 617-entry table of 128-bit powers, and
-// the one route that writes float64s (ingest.SignJSON, on the device
-// side of an upload) is not what an upload waits for. strconv is also
-// what the tests hold the float32 formatter to.
+// Both widths are formatted by this package's own Schubfach formatter,
+// digits written in place. A float32 — a sample of a classify body or a
+// stream push, 16 000 to a request and the largest share of one — takes
+// one 64-bit power of ten and three multiplies (float32.go), half the
+// time strconv takes; with only 2^32 values its equality with strconv is
+// checked on every one of them (TestAppendFloat32Exhaustive). A float64
+// — a row of a signed acquisition document, which ingest.SignJSON writes
+// on the device side of an upload — takes the same powers widened to
+// 128 bits and six multiplies (float64.go). The powers cover
+// 10^-31…10^45, which serves every float64 from 2^-97 to below 2^159 and
+// so every float32 sample widened from 2^-97 up; the rest (and NaN and
+// the infinities) go to strconv.AppendFloat, the formatters' reference
+// in the tests.
 //
 // Numbers are read in three tiers (ScanFloat). Most tokens of either
 // width take the exact path: a mantissa below 2^53 times or over an
 // exact power of ten. A float64 the exact path cannot take — a float32
 // sample widened to float64 mostly prints 17 digits, past 2^53, so
 // nearly every value of an acquisition document is one — goes through
-// Eisel–Lemire: one 64×64-bit multiply by a power from the float32
-// formatter's own table, which is why the tier covers 10^-31…10^45.
+// Eisel–Lemire over the formatters' powers: one 64×64-bit multiply, and
+// a second by the power's low word where the first leaves a carry open.
 // Everything else goes to strconv.ParseFloat: more than 19 significant
-// digits, an exponent outside the table, the rare product too near a
-// rounding boundary for 64 bits of power to settle, and a float32 token
-// that the exact path's double rounding could get wrong. The middle tier
-// is float64's alone: float32 tokens keep to the exact path and strconv.
+// digits, an exponent outside the table, a decimal too near a rounding
+// boundary for 128 bits of power to settle (in practice one that is a
+// float64 itself), and a float32 token that the exact path's double
+// rounding could get wrong. The middle tier is float64's alone: float32
+// tokens keep to the exact path and strconv.
 //
 // The package is a leaf: it knows no DTO and no route.
 package numjson
@@ -265,9 +267,9 @@ var pow10 = [...]float64{
 // or overflow case.
 //
 // A float64 beyond the exact range with at most 19 significant digits
-// and a power of ten in pow10f32 (10^-31…10^45) goes through
-// eiselLemire64 next; only what that declines reaches strconv. Either
-// way the bits are strconv's.
+// and a power of ten in the formatters' table (10^-31…10^45) goes
+// through eiselLemire64 next; only what that declines reaches strconv.
+// Either way the bits are strconv's.
 func ScanFloat(data []byte, i, bitSize int) (float64, int, bool) {
 	start := i
 	neg := i < len(data) && data[i] == '-'
@@ -378,16 +380,16 @@ func leadingZeros(m []byte) int {
 
 // eiselLemire64 is the float64 nearest mant·10^exp10, for mant != 0 and
 // exp10 within pow10f32, by Lemire's algorithm ("Number parsing at a
-// gigabyte per second", 2021) — strconv's eiselLemire64 with the 64-bit
-// truncated power alone. mant, shifted up to 64 bits, times the power
+// gigabyte per second", 2021) — strconv's eiselLemire64 over the same
+// 128-bit truncated powers. mant, shifted up to 64 bits, times the power
 // leaves the 53 bits of the float64 and a rounding bit at the top of the
-// high word. The part of 10^exp10 the truncation drops adds less than
+// high word. The part of 10^exp10 the 64-bit power drops adds less than
 // mant to the low word, so where that could carry into the bits that are
-// kept, strconv's version multiplies by the next 64 bits of the power;
-// this one declines, as it does where the product sits too close to a
-// halfway point to tell the rounding, and where the result would be
-// subnormal or overflow (which no exp10 of the table reaches). Where it
-// answers, the answer is strconv's.
+// kept, the product takes in the next 64 bits of the power too
+// (pow10lo). It declines where even that leaves the carry open, where
+// the product sits too close to a halfway point to tell the rounding,
+// and where the result would be subnormal or overflow (which no exp10 of
+// the table reaches). Where it answers, the answer is strconv's.
 func eiselLemire64(mant uint64, exp10 int, neg bool) (float64, bool) {
 	clz := bits.LeadingZeros64(mant)
 	mant <<= uint(clz)
@@ -396,7 +398,13 @@ func eiselLemire64(mant uint64, exp10 int, neg bool) (float64, bool) {
 	exp2 := uint64(exp10*1741647>>19+64+1023) - uint64(clz)
 	hi, lo := bits.Mul64(mant, pow10Trunc(exp10))
 	if hi&0x1FF == 0x1FF && lo+mant < mant {
-		return 0, false // needs the wider product
+		wide, below := bits.Mul64(mant, pow10lo[exp10-pow10MinExp])
+		var carry uint64
+		lo, carry = bits.Add64(lo, wide, 0)
+		hi += carry
+		if hi&0x1FF == 0x1FF && lo+1 == 0 && below+mant < mant {
+			return 0, false // the 128-bit power still leaves the carry open
+		}
 	}
 	msb := hi >> 63
 	m := hi >> (msb + 9) // 54 bits
@@ -468,7 +476,9 @@ func MaxFloats(data []byte) int {
 // AppendFloat formats a finite float as encoding/json does: the shortest
 // decimal that round-trips at bitSize, in ES6 style — exponent form
 // below 1e-6 and from 1e21, with a two-digit exponent's leading zero
-// dropped (e-07 → e-7). At bitSize 32 it formats float32(f).
+// dropped (e-07 → e-7). At bitSize 32 it formats float32(f). Either
+// width goes through the package's own formatter, a float64 outside
+// 2^-97…2^159 through strconv.
 func AppendFloat(dst []byte, f float64, bitSize int) []byte {
 	if bitSize == 32 {
 		if out, ok := appendFloat32(dst, math.Float32bits(float32(f))); ok {
@@ -478,19 +488,6 @@ func AppendFloat(dst []byte, f float64, bitSize int) []byte {
 		// infinities alike at either width.
 	}
 	return appendFloat64(dst, f)
-}
-
-func appendFloat64(dst []byte, f float64) []byte {
-	abs := math.Abs(f)
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-		return dst
-	}
-	return strconv.AppendFloat(dst, f, 'f', -1, 64)
 }
 
 // AppendFloats appends vals as a JSON array, null for a nil slice. NaN
