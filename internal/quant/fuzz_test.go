@@ -83,6 +83,13 @@ func FuzzConvI8(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(68), uint8(10), uint8(4), uint8(2), true, int64(9))   // kernel > input
 	f.Add(uint8(12), uint8(9), uint8(0), uint8(8), uint8(3), uint8(0), true, int64(10))   // row-paired, odd stride
 	f.Add(uint8(8), uint8(6), uint8(4), uint8(8), uint8(2), uint8(1), false, int64(11))   // valid, stride 2
+	// Odd-lane pixel packs whose pixel count leaves the 4-pixel (cin 3)
+	// and 2-pixel (cin 5, 7) steps a tail, or never reaches a step.
+	f.Add(uint8(10), uint8(32), uint8(2), uint8(7), uint8(2), uint8(1), true, int64(12)) // 11x33x3
+	f.Add(uint8(6), uint8(16), uint8(4), uint8(15), uint8(2), uint8(0), true, int64(13)) // 7x17x5
+	f.Add(uint8(4), uint8(8), uint8(6), uint8(8), uint8(0), uint8(0), true, int64(14))   // 5x9x7
+	f.Add(uint8(0), uint8(4), uint8(2), uint8(3), uint8(0), uint8(0), false, int64(15))  // 1x5x3
+	f.Add(uint8(2), uint8(6), uint8(4), uint8(9), uint8(2), uint8(2), true, int64(16))   // 3x7x5, stride 3
 	f.Fuzz(func(t *testing.T, h, w, cin, nf, kernel, stride uint8, same bool, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		op, g, ok := fuzzQOp(rng, "conv2d", h, w, cin, nf, kernel, stride, same)
@@ -95,24 +102,40 @@ func FuzzConvI8(f *testing.F) {
 	})
 }
 
-// FuzzDepthwiseI8 is FuzzConvI8 for the int8 depthwise pixel kernel and
-// its in-register requantization.
+// FuzzDepthwiseI8 is FuzzConvI8 for the int8 depthwise conv — the
+// tap-pair pack of its input, the tap-paired weights and the kernel's
+// in-register requantization — with the input zero point a parameter,
+// so the centred zeros of the pads meet inputs at the int8 limits.
 func FuzzDepthwiseI8(f *testing.F) {
-	// h, w, channels-1, kernel-1, stride-1, same, seed
-	f.Add(uint8(24), uint8(4), uint8(63), uint8(2), uint8(0), true, int64(1))  // kws
-	f.Add(uint8(47), uint8(47), uint8(7), uint8(2), uint8(0), true, int64(2))  // vww first block
-	f.Add(uint8(47), uint8(47), uint8(15), uint8(2), uint8(1), true, int64(3)) // vww stride 2
-	f.Add(uint8(5), uint8(5), uint8(127), uint8(2), uint8(0), true, int64(4))  // vww 6x6x128
-	f.Add(uint8(2), uint8(2), uint8(255), uint8(2), uint8(0), true, int64(5))  // vww 3x3x256
-	f.Add(uint8(5), uint8(5), uint8(127), uint8(2), uint8(1), true, int64(6))  // vww 6x6 -> 3x3
-	f.Add(uint8(1), uint8(2), uint8(68), uint8(4), uint8(2), true, int64(7))   // kernel > input
-	f.Add(uint8(8), uint8(7), uint8(4), uint8(2), uint8(1), false, int64(8))   // valid, odd channels
-	f.Fuzz(func(t *testing.T, h, w, ch, kernel, stride uint8, same bool, seed int64) {
+	// h, w, channels-1, kernel-1, stride-1, same, input zero point, seed
+	f.Add(uint8(24), uint8(4), uint8(63), uint8(2), uint8(0), true, int8(-128), int64(1))  // kws
+	f.Add(uint8(47), uint8(47), uint8(7), uint8(2), uint8(0), true, int8(-128), int64(2))  // vww first block
+	f.Add(uint8(47), uint8(47), uint8(15), uint8(2), uint8(1), true, int8(-128), int64(3)) // vww stride 2
+	f.Add(uint8(5), uint8(5), uint8(127), uint8(2), uint8(0), true, int8(-128), int64(4))  // vww 6x6x128
+	f.Add(uint8(2), uint8(2), uint8(255), uint8(2), uint8(0), true, int8(-128), int64(5))  // vww 3x3x256
+	f.Add(uint8(5), uint8(5), uint8(127), uint8(2), uint8(1), true, int8(-128), int64(6))  // vww 6x6 -> 3x3
+	f.Add(uint8(1), uint8(2), uint8(68), uint8(4), uint8(2), true, int8(7), int64(7))      // kernel > input
+	f.Add(uint8(8), uint8(7), uint8(4), uint8(2), uint8(1), false, int8(-20), int64(8))    // valid, odd channels
+	// Kernels without a phantom tap (2, 4) and with a lone one (1).
+	f.Add(uint8(10), uint8(6), uint8(6), uint8(1), uint8(0), true, int8(127), int64(9))    // 11x7x7, k2
+	f.Add(uint8(11), uint8(11), uint8(8), uint8(3), uint8(1), true, int8(-128), int64(10)) // 12x12x9, k4 s2
+	f.Add(uint8(9), uint8(9), uint8(15), uint8(0), uint8(1), false, int8(127), int64(11))  // k1 s2: odd rows, columns unread
+	// Stride 3, and VALID windows that leave the last rows and columns unread.
+	f.Add(uint8(19), uint8(19), uint8(14), uint8(2), uint8(2), true, int8(127), int64(12))   // 20x20x15, k3 s3
+	f.Add(uint8(15), uint8(17), uint8(12), uint8(4), uint8(2), false, int8(-128), int64(13)) // 16x18x13, k5 s3
+	f.Add(uint8(9), uint8(10), uint8(31), uint8(2), uint8(1), false, int8(0), int64(14))     // 10x11x32, k3 s2
+	// 1-7 channels (Go lanes only) and 9-15 (one 8-lane block and a Go tail).
+	f.Add(uint8(6), uint8(6), uint8(0), uint8(2), uint8(0), true, int8(-128), int64(15))  // 1 channel
+	f.Add(uint8(6), uint8(9), uint8(2), uint8(2), uint8(1), true, int8(127), int64(16))   // 3
+	f.Add(uint8(4), uint8(4), uint8(8), uint8(2), uint8(0), true, int8(127), int64(17))   // 9
+	f.Add(uint8(7), uint8(3), uint8(14), uint8(2), uint8(1), true, int8(-128), int64(18)) // 15
+	f.Fuzz(func(t *testing.T, h, w, ch, kernel, stride uint8, same bool, zp int8, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		op, g, ok := fuzzQOp(rng, "depthwise_conv2d", h, w, ch, 0, kernel, stride, same)
 		if !ok {
 			t.Skip()
 		}
+		op.InQ.ZeroPoint = int32(zp)
 		fuzzRunOp(t, rng, op, func(in []int8) []int8 {
 			return kernelref.DepthwiseI8(g, in, op.W, op.Bias, op.InQ.ZeroPoint, func(a int32) int8 { return requant(op, a) })
 		})

@@ -41,9 +41,10 @@ func (q *QModel) RunOp(op *QOp, in *tensor.I8) *tensor.I8 {
 // batches over a run), the whole output for dense; the depthwise kernel
 // requantizes in its registers and needs none. vp is the packed
 // input-pair length in uint32 words: every input pixel padded to whole
-// pairs (see simd.PackPairs); single-channel conv2d with row-paired
+// pairs (see simd.PackPixels); single-channel conv2d with row-paired
 // weights adds each input row twice more — once per pair alignment
-// phase — so a row-paired reduction may start at any x offset.
+// phase — so a row-paired reduction may start at any x offset; the
+// depthwise conv needs its tap-pair stream (see tapPairs).
 func scratchLens(op *QOp) (acc, vp int) {
 	in, out := op.InShape, op.OutShape
 	switch op.Kind {
@@ -57,32 +58,11 @@ func scratchLens(op *QOp) (acc, vp int) {
 		return min(nn.MaxRun, out[0]*out[1]) * out[2], vp
 	case "conv1d":
 		return min(nn.MaxRun, out[0]) * out[1], in[0] * ((in[1] + 1) / 2)
+	case "depthwise_conv2d":
+		_, _, rows, n, _ := op.tapPairs()
+		return 0, rows * n * in[2]
 	}
 	return 1, 0
-}
-
-// packInput packs a whole activation tensor of pixel rows with cin lanes
-// each into the pair stream the int8 kernels consume, returning the
-// per-pixel pitch in pairs. Even cin packs in one sweep; odd cin pads
-// every pixel to a whole pair (the phantom lane multiplies a zero weight
-// lane, contributing nothing).
-func packInput(vp []uint32, data []int8, cin int, zp int32) int {
-	if cin%2 == 0 {
-		simd.PackPairs(vp, data, zp)
-		return cin / 2
-	}
-	pp := (cin + 1) / 2
-	o := 0
-	for i := 0; i+cin <= len(data); i += cin {
-		px := data[i : i+cin]
-		for c := 1; c < cin; c += 2 {
-			vp[o] = uint32(uint16(int32(px[c-1])-zp)) | uint32(uint16(int32(px[c])-zp))<<16
-			o++
-		}
-		vp[o] = uint32(uint16(int32(px[cin-1]) - zp))
-		o++
-	}
-	return pp
 }
 
 // kernels is the int8 kernel table. All compute kernels use int32
@@ -90,11 +70,12 @@ func packInput(vp []uint32, data []int8, cin int, zp int32) int {
 // bias, requantize with the op's fixed-point multiplier, add the output
 // zero point and clamp to the fused activation range — the same dataflow
 // as CMSIS-NN / TFLM reference int8 kernels. The inner loops are the
-// package simd tiles (VPMADDWD dual-MAC conv tiles, the depthwise pixel
-// kernel, vectorized requantization) over the same nn.Axis tap windows
-// as the float kernels; integer arithmetic is exact, so results are
-// bitwise identical to internal/kernelref's naive loops. Aliasing ops never
-// reach a kernel, and softmax has none: it runs in the float head.
+// package simd kernels (VPMADDWD dual-MAC conv tiles over the same
+// nn.Axis tap windows as the float kernels, the tap-paired depthwise
+// over a padded stream, vectorized requantization); integer arithmetic
+// is exact, so results are bitwise identical to internal/kernelref's
+// naive loops. Aliasing ops never reach a kernel, and softmax has none:
+// it runs in the float head.
 var kernels = map[string]qKernel{
 	"dense":            qDense,
 	"conv2d":           qConv2D,
@@ -151,7 +132,7 @@ func qConvTiles(op *QOp, in, out []int8, sc *scratch, y, x nn.Axis, cin int) {
 	acc, vp := sc.acc, sc.vp
 	filters, k := len(op.Bias), x.Kernel
 	inZP := op.InQ.ZeroPoint
-	pp := packInput(vp, in, cin, inZP)
+	pp := simd.PackPixels(vp, in, cin, inZP)
 	// Phase streams: phases[iy*2S .. ] pairs lanes (0,1),(2,3),...;
 	// phases[iy*2S+S .. ] pairs lanes (1,2),(3,4),...
 	var phases []uint32
@@ -197,23 +178,47 @@ func qConvTiles(op *QOp, in, out []int8, sc *scratch, y, x nn.Axis, cin int) {
 	}
 }
 
-// qDepthwise needs no scratch: the pixel kernel requantizes in its
-// registers.
-func qDepthwise(op *nn.Op[*QOp], in, out []int8, _ *scratch) {
+// tapPairs is the geometry of the depthwise op's tap-pair stream (see
+// simd.PackTapPairs): its row and column axes, the padded rows its
+// windows read, the positions packed per row and their column step — 2
+// for an even stride, whose windows start on even columns only, else 1.
+// The last position of a row is the last window's last tap pair.
+func (o *QOp) tapPairs() (y, x nn.Axis, rows, n, step int) {
+	y, x = o.axis(o.InShape[0]), o.axis(o.InShape[1])
+	if y.Out == 0 || x.Out == 0 {
+		return y, x, 0, 0, 1
+	}
+	step = 2 - x.Stride%2
+	rows = (y.Out-1)*y.Stride + y.Kernel
+	n = ((x.Out-1)*x.Stride+2*((x.Kernel+1)/2-1))/step + 1
+	return y, x, rows, n, step
+}
+
+// qDepthwise packs its input once into the scratch as the tap-pair
+// stream — every padded row a window reads, pad rows and columns as
+// centred zeros written on every call — and runs each output row as one
+// simd.DepthwiseI8 call over whole windows: no tap is clipped.
+func qDepthwise(op *nn.Op[*QOp], in, out []int8, sc *scratch) {
 	o := op.Node
 	w, ch := o.InShape[1], o.InShape[2]
-	y, x := o.axis(o.InShape[0]), o.axis(w)
-	inZP, rq := o.InQ.ZeroPoint, o.requantParams()
-	for oy := 0; oy < y.Out; oy++ {
-		kyLo, kyHi, iy := y.Taps(oy)
-		for ox, n := 0, 0; ox < x.Out; ox += n {
-			var kxLo, kxHi, ix int
-			n, kxLo, kxHi, ix = x.Run(ox, x.Out)
-			simd.DepthwiseI8(out[(oy*x.Out+ox)*ch:], o.Bias, o.W[(kyLo*x.Kernel+kxLo)*ch:], in[(iy*w+ix)*ch:], simd.Tile{
-				P: n, N: kxHi - kxLo, Rows: kyHi - kyLo,
-				PixStride: x.Stride * ch, InRowStride: w * ch, WRowStride: x.Kernel * ch,
-			}, inZP, rq)
+	y, x, rows, n, step := o.tapPairs()
+	pitch := n * ch
+	for r := 0; r < rows; r++ {
+		row := sc.vp[r*pitch : (r+1)*pitch]
+		if iy := r - y.Pad; iy >= 0 && iy < y.In {
+			simd.PackTapPairs(row, in[iy*w*ch:(iy+1)*w*ch], ch, -x.Pad, step, n, o.InQ.ZeroPoint)
+		} else {
+			clear(row)
 		}
+	}
+	taps := (x.Kernel + 1) / 2
+	t := simd.Tile{
+		P: x.Out, N: taps, Rows: y.Kernel,
+		PixStride: x.Stride / step * ch, InRowStride: pitch, WRowStride: taps * ch, StepStride: 2 / step * ch,
+	}
+	rq := o.requantParams()
+	for oy := 0; oy < y.Out; oy++ {
+		simd.DepthwiseI8(out[oy*x.Out*ch:(oy+1)*x.Out*ch], o.Bias, o.wPair, sc.vp[oy*y.Stride*pitch:], t, rq)
 	}
 }
 

@@ -2,12 +2,14 @@ package quant
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"edgepulse/internal/kernelref"
+	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
 	"edgepulse/internal/simd"
 	"edgepulse/internal/tensor"
@@ -174,6 +176,161 @@ func TestQuantKernelsGolden(t *testing.T) {
 		}
 	}
 	simd.SetEnabled(true)
+}
+
+// referenceForward is q's forward pass on internal/kernelref's naive
+// loops, ending in the executor's dequantize and float softmax head.
+func referenceForward(q *QModel, in *tensor.F32) *tensor.F32 {
+	x := make([]int8, len(in.Data))
+	q.InQ.QuantizeInto(x, in.Data)
+	outQ, shape, softmax := q.InQ, q.InputShape, false
+	for _, op := range q.Ops {
+		if op.Kind == "softmax" {
+			softmax = true
+			break
+		}
+		shape = op.OutShape
+		if nn.Aliases(op.Kind) {
+			continue
+		}
+		outQ = op.OutQ
+		if len(op.W) > 0 {
+			x = reference(op, x)
+			continue
+		}
+		h, w, c := op.InShape[0], op.InShape[1], op.InShape[2]
+		size, stride := poolDims(op)
+		switch op.Kind {
+		case "gap2d":
+			x = kernelref.GlobalAvgPoolI8(h, w, c, x)
+		case "maxpool2d":
+			x = kernelref.MaxPoolI8(kernelref.Pool{H: h, W: w, C: c, KH: size, KW: size, Stride: stride}, x)
+		default:
+			panic("referenceForward: no reference for " + op.Kind)
+		}
+	}
+	res := tensor.NewF32(shape...)
+	for i, v := range x {
+		res.Data[i] = outQ.Dequantize(v)
+	}
+	if softmax {
+		new(nn.Softmax).InferInto(res.Shape, res.Data, res.Data)
+	}
+	return res
+}
+
+// TestForwardIgnoresScratchContents runs the reference models' int8
+// executors with every kernel handed a scratch full of junk and holds
+// them to internal/kernelref's loops bit for bit, assembly on and off:
+// each pair a kernel reads — the depthwise conv's pad rows and columns
+// included — is written in the same call, never left from an earlier
+// op or assumed zero.
+func TestForwardIgnoresScratchContents(t *testing.T) {
+	saved := maps.Clone(kernels)
+	defer maps.Copy(kernels, saved)
+	for kind, k := range saved {
+		kernels[kind] = func(op *nn.Op[*QOp], in, out []int8, sc *scratch) {
+			for i := range sc.acc {
+				sc.acc[i] = -0x5a5a5a5b
+			}
+			for i := range sc.vp {
+				sc.vp[i] = 0xa5a5a5a5
+			}
+			k(op, in, out, sc)
+		}
+	}
+	defer simd.SetEnabled(simd.Enabled())
+	for name, m := range map[string]*nn.Model{
+		"kws": models.KWSDSCNN(49, 10, 12),
+		"vww": models.VWWMobileNetV1(96, 3, 0.25, 2),
+		"ic":  models.CIFARCNN(32, 3, 10),
+	} {
+		if err := nn.InitWeights(m, 1); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(2))
+		in := tensor.NewF32(m.InputShape...)
+		for i := range in.Data {
+			in.Data[i] = rng.Float32()
+		}
+		q, err := Quantize(m, []*tensor.F32{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewExecutor(q, nn.Layout{}, nn.BindAtBuild)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceForward(q, in)
+		for _, on := range []bool{true, false} {
+			simd.SetEnabled(on)
+			got, err := e.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s simd=%v: output %d = %v, kernelref %v", name, on, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// depthwiseLayers are the depthwise convolutions of the reference
+// models, 3x3 SAME windows all: kws's four 25x5x64 stride-1 layers and
+// every vww shape at the strides it runs.
+var depthwiseLayers = []struct {
+	name             string
+	h, w, ch, stride int
+}{
+	{"kws/25x5x64", 25, 5, 64, 1},
+	{"vww/48x48x8", 48, 48, 8, 1},
+	{"vww/48x48x16/s2", 48, 48, 16, 2},
+	{"vww/24x24x32", 24, 24, 32, 1},
+	{"vww/24x24x32/s2", 24, 24, 32, 2},
+	{"vww/12x12x64", 12, 12, 64, 1},
+	{"vww/12x12x64/s2", 12, 12, 64, 2},
+	{"vww/6x6x128", 6, 6, 128, 1},
+	{"vww/6x6x128/s2", 6, 6, 128, 2},
+	{"vww/3x3x256", 3, 3, 256, 1},
+}
+
+// BenchmarkDepthwiseLayers times one whole depthwise op of each
+// reference-model shape in both precisions on the executor's kernels:
+// the float layer's InferInto, and the int8 kernel with its tap-pair
+// pack. MB/s reads as MMAC/s.
+func BenchmarkDepthwiseLayers(b *testing.B) {
+	for _, l := range depthwiseLayers {
+		m := nn.NewModel(l.h, l.w, l.ch).Add(nn.NewDepthwiseConv2D(3, l.stride, nn.Same, nn.ReLU6))
+		if err := nn.InitWeights(m, 1); err != nil {
+			b.Fatal(err)
+		}
+		in := randTensor(rand.New(rand.NewSource(1)), l.h, l.w, l.ch)
+		qm, err := Quantize(m, []*tensor.F32{in})
+		if err != nil {
+			b.Fatal(err)
+		}
+		op := qm.Ops[0]
+		b.Run(l.name+"/f32", func(b *testing.B) {
+			out := make([]float32, op.OutShape.Elems())
+			b.SetBytes(op.MACs)
+			for i := 0; i < b.N; i++ {
+				m.Layers[0].InferInto(op.InShape, in.Data, out)
+			}
+		})
+		b.Run(l.name+"/i8", func(b *testing.B) {
+			qin, out := make([]int8, len(in.Data)), make([]int8, op.OutShape.Elems())
+			op.InQ.QuantizeInto(qin, in.Data)
+			acc, vp := scratchLens(op)
+			sc := &scratch{acc: make([]int32, acc), vp: make([]uint32, vp)}
+			k := &nn.Op[*QOp]{OpSpec: op.OpSpec, Node: op}
+			b.SetBytes(op.MACs)
+			for i := 0; i < b.N; i++ {
+				qDepthwise(k, qin, out, sc)
+			}
+		})
+	}
 }
 
 // TestRunOpUnknownKindPanics is the regression test for the silent

@@ -34,10 +34,12 @@ type QOp struct {
 
 	mult  int32
 	shift int
-	// wPair holds the pair-interleaved int16 weight layout the dense,
-	// conv2d and conv1d kernels consume, one [ceil(cin/2) x filters] pair
-	// panel per kernel tap (see simd.PairWeights). Built by Rebind; an
-	// op without it is refused (see bound).
+	// wPair holds the int16 weight pairs the compute kernels consume:
+	// for dense, conv2d and conv1d one pair-interleaved [ceil(cin/2) x
+	// filters] panel per kernel tap (see simd.PairWeights), for the
+	// depthwise conv the horizontal taps of every kernel row paired per
+	// channel (see simd.PairDepthwise). Built by Rebind; an op without it is
+	// refused (see bound).
 	wPair []int16
 	// wPairRow is the cin==1 conv2d alternative layout: per kernel row
 	// ky, the kx taps pair as if they were input channels, turning the
@@ -76,13 +78,15 @@ func (o *QOp) Rebind() {
 	case "conv1d":
 		kernel := int(o.Attrs["kernel"])
 		o.wPair = pairTaps(o.W, kernel, o.InShape[1], o.OutShape[1])
+	case "depthwise_conv2d":
+		o.wPair = simd.PairDepthwise(o.W, int(o.Attrs["kernel"]), o.InShape[2])
 	}
 }
 
 // bound reports a compute op whose pair layout Rebind never built.
 func (o *QOp) bound() error {
 	switch o.Kind {
-	case "dense", "conv2d", "conv1d":
+	case "dense", "conv2d", "conv1d", "depthwise_conv2d":
 		if o.wPair == nil {
 			return fmt.Errorf("%s op has no pair-interleaved weights: Rebind was not called", o.Kind)
 		}
@@ -116,7 +120,9 @@ type QModel struct {
 }
 
 // scratch is the int8 kernels' per-run workspace: the int32
-// accumulator row and the packed input pairs.
+// accumulator row and the packed input pairs — channel pairs for the
+// convs and dense, the tap-pair stream for the depthwise conv. A kernel
+// writes every pair it reads on every call.
 type scratch struct {
 	acc []int32
 	vp  []uint32

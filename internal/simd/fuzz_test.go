@@ -70,22 +70,22 @@ func FuzzRequantI8(f *testing.F) {
 				t.Fatalf("%+v.Apply(%d) = %d, want %d", q, accs[i], got, want[i])
 			}
 		}
-		zeros := make([]int8, len(accs))
-		withSIMD(t, func(t *testing.T, on bool) {
+		zeroW, zeroIn := make([]int16, 2*len(accs)), make([]uint32, len(accs))
+		withTiers(t, func(t *testing.T, tier string) {
 			got := make([]int8, len(accs))
 			RequantI8(got, accs, q)
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("RequantI8 %+v acc=%d: %d, want %d (simd=%v avx512=%v)", q, accs[i], got[i], want[i], on, haveAVX512)
+					t.Fatalf("RequantI8 %+v acc=%d: %d, want %d (%s)", q, accs[i], got[i], want[i], tier)
 				}
 			}
-			// One pixel, one tap of weight zero: the accumulators are the
-			// biases, requantized where DepthwiseI8 keeps them.
+			// One pixel, one tap pair of weight zero: the accumulators are
+			// the biases, requantized where DepthwiseI8 keeps them.
 			clear(got)
-			DepthwiseI8(got, accs, zeros, zeros, Tile{P: 1, N: 1, Rows: 1}, 0, q)
+			DepthwiseI8(got, accs, zeroW, zeroIn, Tile{P: 1, N: 1, Rows: 1, WRowStride: len(accs)}, q)
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("DepthwiseI8 %+v acc=%d: %d, want %d (simd=%v avx512=%v)", q, accs[i], got[i], want[i], on, haveAVX512)
+					t.Fatalf("DepthwiseI8 %+v acc=%d: %d, want %d (%s)", q, accs[i], got[i], want[i], tier)
 				}
 			}
 		})

@@ -1,18 +1,23 @@
 // Package simd provides the vectorized inner loops behind the float32
 // and int8 inference kernels: register-tiled convolution (the body of
-// conv2d/conv1d/dense), the depthwise pixel kernel, input quantization
-// and pair packing, requantization, pooling maxima and the fused
-// activation clamps; and behind the DSP front ends: the real FFT's
-// radix-2 butterfly stages and unpack into a power spectrum, and the
-// image resize's vertical blend.
+// conv2d/conv1d/dense), the depthwise kernels, input quantization,
+// the int8 pair packs (channel pairs for the convs, tap pairs for the
+// depthwise), requantization, pooling maxima and the fused activation
+// clamps; and behind the DSP front ends: the real FFT's radix-2
+// butterfly stages and unpack into a power spectrum, and the image
+// resize's vertical blend.
 //
 // A conv tile is a run of P output pixels that share one tap window.
 // The kernel walks it four pixels at a time (then one at a time) by 16
 // output lanes (then 8), keeps that block's accumulators in registers
 // from the bias load through the whole reduction — every kernel row,
 // every tap of the row, every input channel — and stores each output
-// once. The depthwise kernel does the same per pixel, four 8-lane
-// channel blocks at a time, and in int8 requantizes from the registers.
+// once. The float depthwise kernel does the same per pixel, four 8-lane
+// channel blocks at a time. The int8 one reads its input as a padded
+// stream of horizontal tap pairs, so a whole output row is one call with
+// no clipped window; it takes four pixels by 8 channels (the last P%4
+// pixels one at a time by 32 channels, then 8), retires two taps per
+// VPMADDWD and requantizes from the registers.
 //
 // On amd64 with AVX2 the primitives dispatch to hand-written assembly;
 // everywhere else (under the noasm build tag, and when a test calls
@@ -30,14 +35,19 @@
 //     VSUBPS or VDIVPS per Go operator, so each intermediate rounds to
 //     float32 identically.
 //   - Integer kernels are exact: int32 addition and multiplication are
-//     associative and wrap identically in Go and in VPMADDWD/VPMULLD
-//     lanes, so any regrouping (the assembly pairs adjacent input lanes)
-//     yields the same accumulator bits.
+//     associative and wrap identically in Go and in VPMADDWD lanes, so
+//     any regrouping (the assembly pairs adjacent input lanes, or
+//     adjacent taps) yields the same accumulator bits.
 //
 // The EON-vs-interpreter story of the source paper rests on quantized
 // kernels beating float on real hardware (CMSIS-NN's SMLAD dual-MAC is
-// the canonical example); ConvTileI8's VPMADDWD inner loop is the x86
-// equivalent — two int16 lanes per multiply.
+// the canonical example); the VPMADDWD inner loops of ConvTileI8 and
+// DepthwiseI8 are the x86 equivalent — two int16 lanes per multiply.
+//
+// The int8 requantization needs AVX-512 F+VL (RequantI8, and the
+// in-register requantization of DepthwiseI8); on an AVX2-only host the
+// packs and the conv tiles run in assembly and those two run their Go
+// references.
 package simd
 
 import (
@@ -64,11 +74,13 @@ func SetEnabled(on bool) { enabled.Store(on && haveAVX2) }
 
 // Tile is the geometry of one kernel call: a run of P output pixels
 // whose windows hold the same taps. Each pixel reduces Rows segments of
-// its input, N steps each; consecutive steps are consecutive in memory.
-// A step is one input element for ConvTileF32 (N = taps in the row ×
-// input channels), one packed pair for ConvTileI8, and one tap — a
-// whole channel row — for the depthwise kernels. Strides count elements
-// of the slice they index (pairs for a packed input and its weights).
+// its input, N steps each. A step is one input element for ConvTileF32
+// (N = taps in the row × input channels), one packed pair for
+// ConvTileI8, one tap — a whole channel row — for DepthwiseF32, and one
+// tap pair — a channel row of horizontal tap pairs, see PackTapPairs —
+// for DepthwiseI8. A segment's steps are consecutive in memory, except
+// DepthwiseI8's, which lie StepStride apart. Strides count elements of
+// the slice they index (pairs for a packed input and its weights).
 type Tile struct {
 	P           int // output pixels in the run
 	N           int // reduction steps per row segment
@@ -76,13 +88,15 @@ type Tile struct {
 	PixStride   int // input distance between adjacent output pixels
 	InRowStride int // input distance between row segments
 	WRowStride  int // weight distance between row segments
+	StepStride  int // input distance between adjacent steps (DepthwiseI8 only)
 }
 
-// checked panics unless a kernel that reads step input elements and nf
-// weight lanes per reduction step stays inside its slices. It returns t
-// with an empty reduction normalized to Rows = 0.
-func (t Tile) checked(name string, nf, step, dstLen, wLen, inLen int) Tile {
-	if t.P < 0 || t.N < 0 || t.Rows < 0 || t.PixStride < 0 || t.InRowStride < 0 || t.WRowStride < 0 {
+// checked panics unless a kernel whose steps lie stepStride input
+// elements apart, read stepLen elements each and nf weight lanes per
+// step stays inside its slices. It returns t with an empty reduction
+// normalized to Rows = 0.
+func (t Tile) checked(name string, nf, stepStride, stepLen, dstLen, wLen, inLen int) Tile {
+	if t.P < 0 || t.N < 0 || t.Rows < 0 || t.PixStride < 0 || t.InRowStride < 0 || t.WRowStride < 0 || t.StepStride < 0 {
 		panic("simd: " + name + " negative tile geometry")
 	}
 	if t.P*nf > dstLen {
@@ -92,7 +106,7 @@ func (t Tile) checked(name string, nf, step, dstLen, wLen, inLen int) Tile {
 		t.Rows = 0
 		return t
 	}
-	if (t.P-1)*t.PixStride+(t.Rows-1)*t.InRowStride+t.N*step > inLen {
+	if (t.P-1)*t.PixStride+(t.Rows-1)*t.InRowStride+(t.N-1)*stepStride+stepLen > inLen {
 		panic("simd: " + name + " input out of bounds")
 	}
 	if (t.Rows-1)*t.WRowStride+t.N*nf > wLen {
@@ -135,7 +149,7 @@ func args[D, B, W, I any](t Tile, dst []D, bias []B, w []W, in []I, lanes, size,
 // are all this call.
 func ConvTileF32(dst, bias, w, in []float32, t Tile) {
 	nf := len(bias)
-	t = t.checked("ConvTileF32", nf, 1, len(dst), len(w), len(in))
+	t = t.checked("ConvTileF32", nf, 1, 1, len(dst), len(w), len(in))
 	if t.P == 0 || nf == 0 {
 		return
 	}
@@ -178,7 +192,7 @@ func convTileF32Go(dst, bias, w, in []float32, t Tile, f0 int) {
 // with r, then k, increasing per channel.
 func DepthwiseF32(dst, bias, w, in []float32, t Tile) {
 	ch := len(bias)
-	t = t.checked("DepthwiseF32", ch, ch, len(dst), len(w), len(in))
+	t = t.checked("DepthwiseF32", ch, ch, ch, len(dst), len(w), len(in))
 	if t.P == 0 || ch == 0 {
 		return
 	}
@@ -341,6 +355,107 @@ func PackPairs(vp []uint32, in []int8, zp int32) int {
 	return n
 }
 
+// pixelPackArgs is one step of packPixelsSIMD (simd_amd64.s): which
+// input byte lands in each of 16 int16 output lanes and what is
+// subtracted from it, and how far a step moves in and out.
+type pixelPackArgs struct {
+	shuf            [16]byte  // input byte per output lane; 0x80 reads a zero
+	zp              [16]int16 // the zero point, or 0 under a phantom lane
+	inStep, outStep int       // bytes per step
+}
+
+// PackPixels packs an activation of pixels with cin lanes each into the
+// pair stream ConvTileI8 consumes and returns the pairs per pixel,
+// (cin+1)/2. An even cin is one PackPairs sweep; an odd cin packs every
+// pixel as PackPairs packs it alone, its last pair closed by a zero
+// phantom lane (so an image's pixel pitch stays whole pairs). vp must
+// have room for len(in)/cin pixels.
+//
+// With AVX2 an odd cin up to 15 moves 16/(cin+1) pixels per step — four
+// of a 3-channel image — with one byte shuffle that opens the phantom
+// lanes, one widening and one subtraction; the Go loop packs the tail.
+func PackPixels(vp []uint32, in []int8, cin int, zp int32) int {
+	if cin%2 == 0 {
+		PackPairs(vp, in, zp)
+		return cin / 2
+	}
+	pp := (cin + 1) / 2
+	px := len(in) / cin
+	vp = vp[:px*pp]
+	i := 0
+	if k := 16 / (cin + 1); k > 0 && len(in) >= 16 && len(vp) >= 8 && enabled.Load() {
+		// A step reads 16 bytes and writes 16 lanes (8 pairs), more than
+		// it keeps: run the steps whose reads and writes stay inside.
+		steps := min((len(in)-16)/(k*cin), (len(vp)-8)/(k*pp)) + 1
+		a := pixelPackArgs{inStep: k * cin, outStep: k * pp * 4}
+		for l := range a.shuf {
+			a.shuf[l] = 0x80
+			if q, c := l/(cin+1), l%(cin+1); q < k && c < cin {
+				a.shuf[l], a.zp[l] = byte(q*cin+c), int16(zp)
+			}
+		}
+		packPixelsSIMD(vp, in, steps, &a)
+		i = steps * k
+	}
+	for ; i < px; i++ {
+		PackPairs(vp[i*pp:], in[i*cin:(i+1)*cin], zp)
+	}
+	return pp
+}
+
+// PackTapPairs packs one activation row of w = len(row)/ch pixels into
+// the tap-pair stream DepthwiseI8 reads: n positions of ch pairs, the
+// one at p pairing columns x = x0 + p*step and x+1 channel by channel,
+//
+//	vp[p*ch+c] = v(x, c) | v(x+1, c)<<16,  v(x, c) = int16(row[x*ch+c] - zp), or 0 outside [0, w)
+//
+// so a padded column — and the partner of a phantom tap — reads as a
+// centred zero and no window needs clipping. A window of an odd stride
+// may start on any column (step 1); one of an even stride starts on even
+// columns only, and step 2 packs just those. Every position is written.
+func PackTapPairs(vp []uint32, row []int8, ch, x0, step, n int, zp int32) {
+	if ch <= 0 || step <= 0 || n < 0 || len(row)%ch != 0 {
+		panic("simd: PackTapPairs geometry")
+	}
+	w := len(row) / ch
+	vp = vp[:n*ch]
+	for p := 0; p < n; {
+		x := x0 + p*step
+		d := vp[p*ch : (p+1)*ch]
+		switch left, right := x >= 0 && x < w, x+1 >= 0 && x+1 < w; {
+		case left && right: // the run of positions inside the row
+			end := min(n, (w-2-x0)/step+1)
+			packPairRun(vp[p*ch:end*ch], row[x*ch:], ch, step*ch, ch, zp, 0xffffffff)
+			p = end
+			continue
+		case right: // (pad, column x+1)
+			packPairRun(d, row[(x+1)*ch:], ch, 0, 0, zp, 0xffff0000)
+		case left: // (column x, pad)
+			packPairRun(d, row[x*ch:], ch, 0, 0, zp, 0x0000ffff)
+		default:
+			clear(d)
+		}
+		p++
+	}
+}
+
+// packPairRun writes len(vp)/ch positions of ch pairs, position p
+// pairing in[p*inStep+c] with in[p*inStep+hiOff+c], both centred, and
+// keeping the bits of mask: all of them for two columns of a row, one
+// half beside a pad column.
+func packPairRun(vp []uint32, in []int8, ch, inStep, hiOff int, zp int32, mask uint32) {
+	if ch%8 == 0 && enabled.Load() {
+		packTapPairsSIMD(vp, in, ch, inStep, hiOff, zp, mask)
+		return
+	}
+	for p := 0; p < len(vp)/ch; p++ {
+		lo, hi, d := in[p*inStep:][:ch], in[p*inStep+hiOff:][:ch], vp[p*ch:(p+1)*ch]
+		for c := range d {
+			d[c] = (uint32(uint16(int32(lo[c])-zp)) | uint32(uint16(int32(hi[c])-zp))<<16) & mask
+		}
+	}
+}
+
 // ConvTileI8 is ConvTileF32 for a packed input-pair stream (see
 // PackPairs) and pair-interleaved int16 weight lanes (see PairWeights),
 // accumulating in int32 from an int32 bias:
@@ -353,7 +468,7 @@ func PackPairs(vp []uint32, in []int8, zp int32) int {
 // unpaired scalar accumulation.
 func ConvTileI8(acc, bias []int32, wPair []int16, vp []uint32, t Tile) {
 	nf := len(bias)
-	t = t.checked("ConvTileI8", nf, 1, len(acc), len(wPair)/2, len(vp))
+	t = t.checked("ConvTileI8", nf, 1, 1, len(acc), len(wPair)/2, len(vp))
 	if t.P == 0 || nf == 0 {
 		return
 	}
@@ -493,40 +608,50 @@ func RequantI8(dst []int8, acc []int32, q Requant) {
 type dwI8Args struct {
 	tileArgs
 	requantArgs
-	inZP int64
+	stepStride int // bytes between adjacent tap pairs of the input
 }
 
-// DepthwiseI8 is DepthwiseF32 in the quantized domain: per channel an
-// int32 accumulator starts at bias[c], adds (in-zp)*w over the taps and
-// is requantized by q straight into dst — no accumulator row is written.
-func DepthwiseI8(dst []int8, bias []int32, w, in []int8, t Tile, zp int32, q Requant) {
+// DepthwiseI8 is DepthwiseF32 in the quantized domain, over a tap-pair
+// stream (PackTapPairs) and tap-paired int16 weights (PairDepthwise): per
+// channel an int32 accumulator starts at bias[c] and adds both taps of a
+// pair per step,
+//
+//	acc[p*ch+c] = bias[c] + Σ_r Σ_j v0*wPair[2i] + v1*wPair[2i+1],  i = r*WRowStride + j*ch + c
+//
+// where (v0, v1) is the pair vp[p*PixStride + r*InRowStride + j*StepStride + c];
+// it is requantized by q straight into dst — no accumulator row is
+// written. A step is one VPMADDWD and one VPADDD per 8 channels. The
+// assembly takes contiguous weight rows (WRowStride = N*ch, PairDepthwise's
+// layout); any other geometry runs the Go reference.
+func DepthwiseI8(dst []int8, bias []int32, wPair []int16, vp []uint32, t Tile, q Requant) {
 	ch := len(bias)
-	t = t.checked("DepthwiseI8", ch, ch, len(dst), len(w), len(in))
+	t = t.checked("DepthwiseI8", ch, t.StepStride, ch, len(dst), len(wPair)/2, len(vp))
 	if t.P == 0 || ch == 0 {
 		return
 	}
 	c0 := 0
-	if ch >= 8 && t.Rows > 0 && q.vector() {
+	if ch >= 8 && t.Rows > 0 && t.WRowStride == t.N*ch && q.vector() {
 		c0 = ch &^ 7
-		a := dwI8Args{tileArgs: args(t, dst, bias, w, in, c0, 1, 1), requantArgs: q.args(), inZP: int64(zp)}
-		depthwiseI8SIMD(&a)
+		a := dwI8Args{tileArgs: args(t, dst, bias, wPair, vp, c0, 4, 1), requantArgs: q.args(), stepStride: t.StepStride * 4}
+		depthwisePairsI8SIMD(&a)
 	}
 	if c0 < ch {
-		depthwiseI8Go(dst, bias, w, in, t, zp, q, c0)
+		depthwiseI8Go(dst, bias, wPair, vp, t, q, c0)
 	}
 }
 
 // depthwiseI8Go is the reference for channels [c0, ch).
-func depthwiseI8Go(dst []int8, bias []int32, w, in []int8, t Tile, zp int32, q Requant, c0 int) {
+func depthwiseI8Go(dst []int8, bias []int32, wPair []int16, vp []uint32, t Tile, q Requant, c0 int) {
 	ch := len(bias)
 	for p := 0; p < t.P; p++ {
 		for c := c0; c < ch; c++ {
 			a := bias[c]
 			for r := 0; r < t.Rows; r++ {
-				x := in[p*t.PixStride+r*t.InRowStride+c:]
-				wr := w[r*t.WRowStride+c:]
-				for k := 0; k < t.N; k++ {
-					a += (int32(x[k*ch]) - zp) * int32(wr[k*ch])
+				x := vp[p*t.PixStride+r*t.InRowStride+c:]
+				wr := wPair[(r*t.WRowStride+c)*2:]
+				for j := 0; j < t.N; j++ {
+					v0, v1 := unpackPair(x[j*t.StepStride])
+					a += v0*int32(wr[j*ch*2]) + v1*int32(wr[j*ch*2+1])
 				}
 			}
 			dst[p*ch+c] = q.Apply(a)
@@ -646,6 +771,27 @@ func PairWeights(w []int8, cin, nf int) []int16 {
 			r1 := w[(2*cp+1)*nf : (2*cp+1)*nf+nf]
 			for f := 0; f < nf; f++ {
 				out[base+2*f+1] = int16(r1[f])
+			}
+		}
+	}
+	return out
+}
+
+// PairDepthwise builds the tap-paired int16 weight layout DepthwiseI8
+// consumes from a [k x k x ch] depthwise kernel: per kernel row ky and
+// tap pair j < n = (k+1)/2, channel c's lane pair (w[ky][2j][c],
+// w[ky][2j+1][c]) lands at out[((ky*n+j)*ch+c)*2 .. +1]. An odd k closes
+// every row with a zero phantom tap, so whatever PackTapPairs pairs with
+// the last tap contributes nothing. The returned slice has k*n*ch*2
+// elements.
+func PairDepthwise(w []int8, k, ch int) []int16 {
+	n := (k + 1) / 2
+	out := make([]int16, k*n*ch*2)
+	for ky := 0; ky < k; ky++ {
+		for kx := 0; kx < k; kx++ {
+			d := out[(ky*n+kx/2)*ch*2+kx%2:]
+			for c, v := range w[(ky*k+kx)*ch : (ky*k+kx+1)*ch] {
+				d[2*c] = int16(v)
 			}
 		}
 	}

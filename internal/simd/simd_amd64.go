@@ -98,16 +98,29 @@ func quantizeI8SIMD(dst []int8, src []float32, scale float64, zp int32)
 //go:noescape
 func packPairsSIMD(vp []uint32, in []int8, zp int32)
 
+// packPixelsSIMD runs steps > 0 steps of a; every step reads 16 bytes of
+// in and writes 32 bytes of vp, which must both be there.
+//
+//go:noescape
+func packPixelsSIMD(vp []uint32, in []int8, steps int, a *pixelPackArgs)
+
+// packTapPairsSIMD writes len(vp)/ch > 0 positions, ch a positive
+// multiple of 8; position p reads ch bytes at p*inStep and ch bytes at
+// p*inStep+hiOff.
+//
+//go:noescape
+func packTapPairsSIMD(vp []uint32, in []int8, ch, inStep, hiOff int, zp int32, mask uint32)
+
 // convTileI8SIMD has convTileF32SIMD's requirements.
 //
 //go:noescape
 func convTileI8SIMD(a *tileArgs)
 
-// depthwiseI8SIMD has convTileF32SIMD's requirements and needs AVX-512
-// F+VL and a Requant its vector method accepts.
+// depthwisePairsI8SIMD has convTileF32SIMD's requirements and needs
+// AVX-512 F+VL and a Requant its vector method accepts.
 //
 //go:noescape
-func depthwiseI8SIMD(a *dwI8Args)
+func depthwisePairsI8SIMD(a *dwI8Args)
 
 // requantI8SIMD requires len(dst) == len(acc) > 0, a multiple of 8, and
 // AVX-512 F+VL and a Requant its vector method accepts.

@@ -20,9 +20,9 @@
 #define A_PIX 72
 #define A_INROW 80
 #define A_WROW 88
-// dwI8Args continues with a requantArgs at 96 and inZP after it.
+// dwI8Args continues with a requantArgs at 96 and stepStride after it.
 #define A_REQUANT 96
-#define A_INZP 144
+#define A_STEP 144
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -546,6 +546,78 @@ pp16:
 	VZEROUPPER
 	RET
 
+// func packPixelsSIMD(vp []uint32, in []int8, steps int, a *pixelPackArgs)
+//
+// Per step: 16 input bytes, shuffled so every pixel's lanes sit in front
+// of a zero byte (its phantom lane), widened to 16 int16, the zero point
+// subtracted under the real lanes only, stored as 8 pairs.
+TEXT ·packPixelsSIMD(SB), NOSPLIT, $0-64
+	MOVQ vp_base+0(FP), DI
+	MOVQ in_base+24(FP), SI
+	MOVQ steps+48(FP), CX
+	MOVQ a+56(FP), AX
+	VMOVDQU 0(AX), X2         // shuffle
+	VMOVDQU 16(AX), Y3        // zero points
+	MOVQ 48(AX), R8           // input bytes per step
+	MOVQ 56(AX), R9           // output bytes per step
+
+pxstep:
+	VMOVDQU (SI), X0
+	VPSHUFB X2, X0, X0
+	VPMOVSXBW X0, Y0
+	VPSUBW Y3, Y0, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ R8, SI
+	ADDQ R9, DI
+	DECQ CX
+	JNZ  pxstep
+	VZEROUPPER
+	RET
+
+// func packTapPairsSIMD(vp []uint32, in []int8, ch, inStep, hiOff int, zp int32, mask uint32)
+//
+// Per position and 8 channels: the low-half channels and the high-half
+// ones (hiOff bytes on) widened to int32 and centred, the high ones
+// shifted up and blended over the low ones, the pairs masked — 8 (x,
+// x+1) pairs.
+TEXT ·packTapPairsSIMD(SB), NOSPLIT, $0-80
+	MOVQ vp_base+0(FP), DI
+	MOVQ vp_len+8(FP), DX
+	MOVQ in_base+24(FP), SI
+	MOVQ ch+48(FP), R8
+	MOVQ inStep+56(FP), R9
+	MOVQ hiOff+64(FP), R10
+	MOVL zp+72(FP), AX
+	VMOVD AX, X2
+	VPBROADCASTD X2, Y2
+	MOVL mask+76(FP), AX
+	VMOVD AX, X3
+	VPBROADCASTD X3, Y3
+	LEAQ (DI)(DX*4), DX       // end of vp
+
+tpos:
+	LEAQ (SI)(R10*1), BX      // high halves
+	XORQ CX, CX
+
+tpc8:
+	VPMOVSXBD (SI)(CX*1), Y0
+	VPMOVSXBD (BX)(CX*1), Y1
+	VPSUBD Y2, Y0, Y0
+	VPSUBD Y2, Y1, Y1
+	VPSLLD $16, Y1, Y1
+	VPBLENDW $0xAA, Y1, Y0, Y0
+	VPAND Y3, Y0, Y0
+	VMOVDQU Y0, (DI)(CX*4)
+	ADDQ $8, CX
+	CMPQ CX, R8
+	JLT  tpc8
+	LEAQ (DI)(R8*4), DI
+	ADDQ R9, SI
+	CMPQ DI, DX
+	JLT  tpos
+	VZEROUPPER
+	RET
+
 // TFLite requantization for a right shift rs = -shift in [0, 31], 8
 // lanes at a time on AVX-512 F+VL YMM registers. REQUANT_LOAD reads a
 // requantArgs at offset O of AX into Y8-Y12, Y14 and Y15; REQUANT8 then
@@ -618,63 +690,144 @@ rq8:
 	VZEROUPPER
 	RET
 
-// DWI8_TAP accumulates 8 channels of one tap: ACC += (in-zp)*w, with
-// the input zero point broadcast in Y16.
-#define DWI8_TAP(O, T0, T1, ACC) \
-	VPMOVSXBD O(BX), T0; \
-	VPMOVSXBD O(SI), T1; \
-	VPSUBD Y16, T0, T0; \
-	VPMULLD T1, T0, T0; \
-	VPADDD T0, ACC, ACC
+// DW_BLOCK accumulates one tap pair of 8 channels at input offset O:
+// ACC += VPMADDWD(in[O], w[O]), T a temporary.
+#define DW_BLOCK(O, T, ACC) \
+	VMOVDQU O(BX), T; \
+	VPMADDWD O(SI), T, T; \
+	VPADDD T, ACC, ACC
 
-// func depthwiseI8SIMD(a *dwI8Args)
+// func depthwisePairsI8SIMD(a *dwI8Args)
 //
-// depthwiseF32SIMD's walk on int32 accumulators that start at the bias,
-// are requantized in their registers and stored as int8: no accumulator
-// row is written. Elements are one byte, so offsets are channels.
-TEXT ·depthwiseI8SIMD(SB), NOSPLIT, $0-8
+// depthwiseF32SIMD's reduction over tap pairs, on int32 accumulators
+// that start at the bias, take one VPMADDWD of 8 (x, x+1) input pairs by
+// 8 (w[2j], w[2j+1]) weight pairs per step, are requantized in their
+// registers and stored as int8: no accumulator row is written. Input,
+// weight and bias lanes are 4 bytes, output lanes 1: R14 counts
+// channels. The weight rows are contiguous (a.wRowStride is n tap
+// pairs), so SI walks every row's tap pairs in one sweep. The pixels
+// come in two phases:
+//
+//	groups of 4:  for each block of 8 channels, for each group: the
+//	              group's 4 accumulators share every weight load
+//	the last P%4: per pixel, 32 channels at a time, then 8
+//
+// AX args, R8 input bytes per tap pair, R9 weight bytes per tap pair
+// (4ch), R10 pixel stride, R12 3x pixel stride, R11 input of the pixel
+// (group), R13 pixels (groups) left, DI output, R15/BX input row/step,
+// SI weights, DX rows left, CX tap pairs left.
+TEXT ·depthwisePairsI8SIMD(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), AX
 	REQUANT_LOAD(A_REQUANT)
-	VPBROADCASTD A_INZP(AX), Y16
-	MOVQ A_PITCH(AX), R10
+	MOVQ A_PITCH(AX), R9
+	SHLQ $2, R9
+	MOVQ A_STEP(AX), R8
+	MOVQ A_PIX(AX), R10
+	LEAQ (R10)(R10*2), R12
+	XORQ R14, R14
+
+qdwlanes:
+	CMPQ R14, A_LANES(AX)
+	JGE  qdwtail
 	MOVQ A_P(AX), R13
+	SHRQ $2, R13
+	JZ   qdwtail
 	MOVQ A_DST(AX), DI
+	ADDQ R14, DI
 	MOVQ A_IN(AX), R11
+	LEAQ (R11)(R14*4), R11
+
+qdwgroup:
+	MOVQ A_BIAS(AX), SI
+	VMOVDQU (SI)(R14*4), Y0
+	VMOVDQU Y0, Y1
+	VMOVDQU Y0, Y2
+	VMOVDQU Y0, Y3
+	MOVQ A_W(AX), SI
+	LEAQ (SI)(R14*4), SI
+	MOVQ R11, R15
+	MOVQ A_ROWS(AX), DX
+
+qdwrow4:
+	MOVQ R15, BX
+	MOVQ A_N(AX), CX
+
+qdwtap4:
+	VMOVDQU (SI), Y13
+	VPMADDWD (BX), Y13, Y4
+	VPADDD Y4, Y0, Y0
+	VPMADDWD (BX)(R10*1), Y13, Y5
+	VPADDD Y5, Y1, Y1
+	VPMADDWD (BX)(R10*2), Y13, Y6
+	VPADDD Y6, Y2, Y2
+	VPMADDWD (BX)(R12*1), Y13, Y7
+	VPADDD Y7, Y3, Y3
+	ADDQ R8, BX
+	ADDQ R9, SI
+	DECQ CX
+	JNZ  qdwtap4
+	ADDQ A_INROW(AX), R15
+	DECQ DX
+	JNZ  qdwrow4
+	REQUANT8(Y0, (DI))
+	ADDQ A_PITCH(AX), DI
+	REQUANT8(Y1, (DI))
+	ADDQ A_PITCH(AX), DI
+	REQUANT8(Y2, (DI))
+	ADDQ A_PITCH(AX), DI
+	REQUANT8(Y3, (DI))
+	ADDQ A_PITCH(AX), DI
+	LEAQ (R11)(R10*4), R11
+	DECQ R13
+	JNZ  qdwgroup
+	ADDQ $8, R14
+	JMP  qdwlanes
+
+qdwtail:
+	MOVQ A_P(AX), R13
+	ANDQ $3, R13
+	JZ   qdwdone
+	MOVQ A_P(AX), CX
+	ANDQ $-4, CX
+	MOVQ CX, DI
+	IMULQ A_PITCH(AX), DI
+	ADDQ A_DST(AX), DI
+	IMULQ R10, CX
+	MOVQ A_IN(AX), R11
+	ADDQ CX, R11
 
 qdwpixel:
-	XORQ R14, R14             // channel
+	XORQ R14, R14
 
 qdwc32:
 	MOVQ A_LANES(AX), R15
 	SUBQ R14, R15
 	CMPQ R15, $32
 	JLT  qdwc8
-	MOVQ A_BIAS(AX), R15
-	VMOVDQU (R15)(R14*4), Y0
-	VMOVDQU 32(R15)(R14*4), Y1
-	VMOVDQU 64(R15)(R14*4), Y2
-	VMOVDQU 96(R15)(R14*4), Y3
-	MOVQ A_W(AX), R12
-	ADDQ R14, R12
-	LEAQ (R11)(R14*1), R15
+	MOVQ A_BIAS(AX), SI
+	VMOVDQU (SI)(R14*4), Y0
+	VMOVDQU 32(SI)(R14*4), Y1
+	VMOVDQU 64(SI)(R14*4), Y2
+	VMOVDQU 96(SI)(R14*4), Y3
+	MOVQ A_W(AX), SI
+	LEAQ (SI)(R14*4), SI
+	LEAQ (R11)(R14*4), R15
 	MOVQ A_ROWS(AX), DX
 
 qdwrow32:
 	MOVQ R15, BX
-	MOVQ R12, SI
 	MOVQ A_N(AX), CX
 
 qdwtap32:
-	DWI8_TAP(0, Y4, Y5, Y0)
-	DWI8_TAP(8, Y6, Y7, Y1)
-	DWI8_TAP(16, Y4, Y5, Y2)
-	DWI8_TAP(24, Y6, Y7, Y3)
-	ADDQ R10, BX
-	ADDQ R10, SI
+	DW_BLOCK(0, Y4, Y0)
+	DW_BLOCK(32, Y5, Y1)
+	DW_BLOCK(64, Y6, Y2)
+	DW_BLOCK(96, Y7, Y3)
+	ADDQ R8, BX
+	ADDQ R9, SI
 	DECQ CX
 	JNZ  qdwtap32
 	ADDQ A_INROW(AX), R15
-	ADDQ A_WROW(AX), R12
 	DECQ DX
 	JNZ  qdwrow32
 	REQUANT8(Y0, (DI)(R14*1))
@@ -687,26 +840,24 @@ qdwtap32:
 qdwc8:
 	CMPQ R15, $8
 	JLT  qdwnext
-	MOVQ A_BIAS(AX), R15
-	VMOVDQU (R15)(R14*4), Y0
-	MOVQ A_W(AX), R12
-	ADDQ R14, R12
-	LEAQ (R11)(R14*1), R15
+	MOVQ A_BIAS(AX), SI
+	VMOVDQU (SI)(R14*4), Y0
+	MOVQ A_W(AX), SI
+	LEAQ (SI)(R14*4), SI
+	LEAQ (R11)(R14*4), R15
 	MOVQ A_ROWS(AX), DX
 
 qdwrow8:
 	MOVQ R15, BX
-	MOVQ R12, SI
 	MOVQ A_N(AX), CX
 
 qdwtap8:
-	DWI8_TAP(0, Y4, Y5, Y0)
-	ADDQ R10, BX
-	ADDQ R10, SI
+	DW_BLOCK(0, Y4, Y0)
+	ADDQ R8, BX
+	ADDQ R9, SI
 	DECQ CX
 	JNZ  qdwtap8
 	ADDQ A_INROW(AX), R15
-	ADDQ A_WROW(AX), R12
 	DECQ DX
 	JNZ  qdwrow8
 	REQUANT8(Y0, (DI)(R14*1))
@@ -716,10 +867,12 @@ qdwtap8:
 	JMP  qdwc8
 
 qdwnext:
-	ADDQ R10, DI
-	ADDQ A_PIX(AX), R11
+	ADDQ A_PITCH(AX), DI
+	ADDQ R10, R11
 	DECQ R13
 	JNZ  qdwpixel
+
+qdwdone:
 	VZEROUPPER
 	RET
 

@@ -4,24 +4,34 @@ package simd
 
 // Builds without the amd64 assembly (other architectures, and the noasm
 // tag CI uses to keep the portable path honest) run the Go references;
-// enabled stays false and the stubs below are unreachable.
+// enabled stays false and the stubs below are unreachable. haveAVX512 is
+// a variable only so the package's tests can hide it on every build.
 const haveAVX2 = false
-const haveAVX512 = false
 
-func convTileF32SIMD(a *tileArgs)   { panic("simd: assembly path in a build without it") }
-func depthwiseF32SIMD(a *tileArgs)  { panic("simd: assembly path in a build without it") }
-func reluF32SIMD(x []float32)       { panic("simd: assembly path in a build without it") }
-func relu6F32SIMD(x []float32)      { panic("simd: assembly path in a build without it") }
-func maxF32SIMD(dst, src []float32) { panic("simd: assembly path in a build without it") }
-func maxI8SIMD(dst, src []int8)     { panic("simd: assembly path in a build without it") }
-func convTileI8SIMD(a *tileArgs)    { panic("simd: assembly path in a build without it") }
-func depthwiseI8SIMD(a *dwI8Args)   { panic("simd: assembly path in a build without it") }
+var haveAVX512 = false
+
+func convTileF32SIMD(a *tileArgs)      { panic("simd: assembly path in a build without it") }
+func depthwiseF32SIMD(a *tileArgs)     { panic("simd: assembly path in a build without it") }
+func reluF32SIMD(x []float32)          { panic("simd: assembly path in a build without it") }
+func relu6F32SIMD(x []float32)         { panic("simd: assembly path in a build without it") }
+func maxF32SIMD(dst, src []float32)    { panic("simd: assembly path in a build without it") }
+func maxI8SIMD(dst, src []int8)        { panic("simd: assembly path in a build without it") }
+func convTileI8SIMD(a *tileArgs)       { panic("simd: assembly path in a build without it") }
+func depthwisePairsI8SIMD(a *dwI8Args) { panic("simd: assembly path in a build without it") }
 
 func quantizeI8SIMD(dst []int8, src []float32, scale float64, zp int32) {
 	panic("simd: assembly path in a build without it")
 }
 
 func packPairsSIMD(vp []uint32, in []int8, zp int32) {
+	panic("simd: assembly path in a build without it")
+}
+
+func packPixelsSIMD(vp []uint32, in []int8, steps int, a *pixelPackArgs) {
+	panic("simd: assembly path in a build without it")
+}
+
+func packTapPairsSIMD(vp []uint32, in []int8, ch, inStep, hiOff int, zp int32, mask uint32) {
 	panic("simd: assembly path in a build without it")
 }
 

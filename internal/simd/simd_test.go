@@ -19,6 +19,34 @@ func withSIMD(t *testing.T, f func(t *testing.T, simdOn bool)) {
 	f(t, false)
 }
 
+// withTiers runs f once per implementation tier of the int8 kernels:
+// the assembly with AVX-512, the assembly with AVX-512 hidden — an
+// AVX2-only host, where the packs and conv tiles run in assembly and
+// the requantizing kernels in Go — and pure Go, restoring the host's
+// state afterwards. A tier the build or host lacks runs as the next one
+// down; tier names what actually ran.
+func withTiers(t *testing.T, f func(t *testing.T, tier string)) {
+	t.Helper()
+	on, avx512 := Enabled(), haveAVX512
+	defer func() { SetEnabled(on); haveAVX512 = avx512 }()
+	tier := func() string {
+		switch {
+		case !Enabled():
+			return "go"
+		case haveAVX512:
+			return "avx512"
+		}
+		return "avx2"
+	}
+	SetEnabled(true)
+	f(t, tier())
+	haveAVX512 = false
+	f(t, tier())
+	haveAVX512 = avx512
+	SetEnabled(false)
+	f(t, tier())
+}
+
 func randF32(rng *rand.Rand, n int) []float32 {
 	out := make([]float32, n)
 	for i := range out {
@@ -150,6 +178,20 @@ func TestTileBoundsPanic(t *testing.T) {
 		}()
 	}
 	ConvTileF32(make([]float32, 16), bias, make([]float32, 48), make([]float32, 12), ok)
+
+	// DepthwiseI8's last step of the last row of the last pixel ends at
+	// 8 + 40 + 16 + 8 = 72 pairs.
+	dw := Tile{P: 2, N: 2, Rows: 2, PixStride: 8, InRowStride: 40, WRowStride: 16, StepStride: 16}
+	q := Requant{Mult: 1 << 30, Shift: -1, Lo: -128, Hi: 127}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("DepthwiseI8 read past its input: no panic")
+			}
+		}()
+		DepthwiseI8(make([]int8, 16), make([]int32, 8), make([]int16, 64), make([]uint32, 71), dw, q)
+	}()
+	DepthwiseI8(make([]int8, 16), make([]int32, 8), make([]int16, 64), make([]uint32, 72), dw, q)
 }
 
 func TestDepthwiseF32MatchesNaive(t *testing.T) {
@@ -293,40 +335,204 @@ func requantCases() []Requant {
 	return out
 }
 
+// dwGeom is a depthwise window over an h x w image: a k x k kernel
+// moved by s, with lead pads pt (top) and pl (left) and as many trailing
+// pad rows and columns as the last window needs.
+type dwGeom struct{ h, w, k, s, pt, pl, oh, ow int }
+
+// randDwGeom draws a geometry with at least one output, pads up to k-1
+// on every side (so VALID-like windows that leave the last rows and
+// columns unread occur as well as padded ones) and strides 1 to 3.
+func randDwGeom(rng *rand.Rand) dwGeom {
+	for {
+		g := dwGeom{h: 1 + rng.Intn(9), w: 1 + rng.Intn(9), k: 1 + rng.Intn(5), s: 1 + rng.Intn(3)}
+		g.pt, g.pl = rng.Intn(g.k), rng.Intn(g.k)
+		padH, padW := g.h+g.pt+rng.Intn(g.k), g.w+g.pl+rng.Intn(g.k)
+		if padH >= g.k && padW >= g.k {
+			g.oh, g.ow = (padH-g.k)/g.s+1, (padW-g.k)/g.s+1
+			return g
+		}
+	}
+}
+
+// depthwiseI8Naive is the textbook int8 depthwise loop over the raw
+// image: per output and channel the bias plus (in-zp)*w over the taps
+// that land inside the image, requantized by q.
+func depthwiseI8Naive(g dwGeom, in, w []int8, bias []int32, zp int32, q Requant) []int8 {
+	ch := len(bias)
+	out := make([]int8, g.oh*g.ow*ch)
+	for oy := 0; oy < g.oh; oy++ {
+		for ox := 0; ox < g.ow; ox++ {
+			for c := 0; c < ch; c++ {
+				a := bias[c]
+				for ky := 0; ky < g.k; ky++ {
+					for kx := 0; kx < g.k; kx++ {
+						iy, ix := oy*g.s+ky-g.pt, ox*g.s+kx-g.pl
+						if iy >= 0 && iy < g.h && ix >= 0 && ix < g.w {
+							a += (int32(in[(iy*g.w+ix)*ch+c]) - zp) * int32(w[(ky*g.k+kx)*ch+c])
+						}
+					}
+				}
+				out[(oy*g.ow+ox)*ch+c] = q.Apply(a)
+			}
+		}
+	}
+	return out
+}
+
+// depthwiseI8Packed runs g the way the int8 executor does: every padded
+// row a window reads packed once by PackTapPairs (pad rows cleared), the
+// weights paired by PairDepthwise, one DepthwiseI8 call per output row. The
+// stream starts out full of junk, so a position the pack skipped shows.
+func depthwiseI8Packed(g dwGeom, in, w []int8, bias []int32, zp int32, q Requant) []int8 {
+	ch := len(bias)
+	step := 2 - g.s%2
+	taps := (g.k + 1) / 2
+	rows, n := (g.oh-1)*g.s+g.k, ((g.ow-1)*g.s+2*(taps-1))/step+1
+	pitch := n * ch
+	vp := make([]uint32, rows*pitch)
+	for i := range vp {
+		vp[i] = 0xdeadbeef
+	}
+	for r := 0; r < rows; r++ {
+		if iy := r - g.pt; iy >= 0 && iy < g.h {
+			PackTapPairs(vp[r*pitch:(r+1)*pitch], in[iy*g.w*ch:(iy+1)*g.w*ch], ch, -g.pl, step, n, zp)
+		} else {
+			clear(vp[r*pitch : (r+1)*pitch])
+		}
+	}
+	wPair := PairDepthwise(w, g.k, ch)
+	t := Tile{P: g.ow, N: taps, Rows: g.k, PixStride: g.s / step * ch, InRowStride: pitch, WRowStride: taps * ch, StepStride: 2 / step * ch}
+	out := make([]int8, g.oh*g.ow*ch)
+	for oy := 0; oy < g.oh; oy++ {
+		DepthwiseI8(out[oy*g.ow*ch:(oy+1)*g.ow*ch], bias, wPair, vp[oy*g.s*pitch:], t, q)
+	}
+	return out
+}
+
+// TestDepthwiseI8MatchesNaive holds the int8 depthwise path — tap-pair
+// pack, paired weights, DepthwiseI8 — to the textbook loop on every
+// tier, bit for bit: kernels 1 to 5 (a phantom tap closes the odd
+// ones), strides 1 to 3, pads on either side or none, channel counts
+// that leave Go remainder lanes beside the 32- and 8-lane blocks, zero
+// points at the int8 limits and every requantization case.
 func TestDepthwiseI8MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i, q := range requantCases() {
 		zp := []int32{-128, 0, 127}[i%3]
-		for _, ch := range []int{1, 5, 8, 16, 31, 32, 40, 72, 128} {
-			tile, wLen, inLen := randTile(rng, ch, ch, 5)
-			w, in := randI8(rng, wLen), randI8(rng, inLen)
+		for _, ch := range []int{1, 5, 7, 8, 9, 15, 16, 31, 32, 40, 72, 128} {
+			g := randDwGeom(rng)
+			in, w := randI8(rng, g.h*g.w*ch), randI8(rng, g.k*g.k*ch)
+			in[0], w[0] = -128, -128
 			bias := make([]int32, ch)
 			for c := range bias {
 				bias[c] = int32(rng.Uint32()) >> uint(rng.Intn(24))
 			}
-			want := make([]int8, tile.P*ch)
-			for p := 0; p < tile.P; p++ {
-				for c := 0; c < ch; c++ {
-					a := bias[c]
-					for r := 0; r < tile.Rows; r++ {
-						for k := 0; k < tile.N; k++ {
-							a += (int32(in[p*tile.PixStride+r*tile.InRowStride+k*ch+c]) - zp) * int32(w[r*tile.WRowStride+k*ch+c])
-						}
-					}
-					want[p*ch+c] = q.Apply(a)
-				}
-			}
-			withSIMD(t, func(t *testing.T, _ bool) {
-				got := make([]int8, len(want))
-				DepthwiseI8(got, bias, w, in, tile, zp, q)
+			want := depthwiseI8Naive(g, in, w, bias, zp, q)
+			withTiers(t, func(t *testing.T, tier string) {
+				got := depthwiseI8Packed(g, in, w, bias, zp, q)
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("%+v zp=%d ch=%d %+v elem %d: %d want %d (simd=%v avx512=%v)",
-							q, zp, ch, tile, i, got[i], want[i], Enabled(), haveAVX512)
+						t.Fatalf("%+v zp=%d ch=%d %+v elem %d: %d want %d (%s)", q, zp, ch, g, i, got[i], want[i], tier)
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestPackTapPairsMatchesFormula checks every position of the stream —
+// pads on both sides, both column steps, rows shorter than a pair —
+// against its definition, on every tier.
+func TestPackTapPairsMatchesFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, zp := range []int32{-128, -3, 127} {
+		for _, ch := range []int{1, 3, 8, 12, 16, 64} {
+			for trial := 0; trial < 6; trial++ {
+				w, step := 1+rng.Intn(12), 1+rng.Intn(2)
+				x0, n := rng.Intn(7)-3, rng.Intn(10)
+				row := randI8(rng, w*ch)
+				row[0] = -128
+				v := func(x, c int) uint32 {
+					if x < 0 || x >= w {
+						return 0
+					}
+					return uint32(uint16(int32(row[x*ch+c]) - zp))
+				}
+				withTiers(t, func(t *testing.T, tier string) {
+					got := make([]uint32, n*ch+1)
+					for i := range got {
+						got[i] = 0xdeadbeef
+					}
+					PackTapPairs(got, row, ch, x0, step, n, zp)
+					for p := 0; p < n; p++ {
+						for c := 0; c < ch; c++ {
+							x := x0 + p*step
+							if want := v(x, c) | v(x+1, c)<<16; got[p*ch+c] != want {
+								t.Fatalf("zp=%d ch=%d w=%d x0=%d step=%d: pair (%d, %d) = %08x, want %08x (%s)", zp, ch, w, x0, step, p, c, got[p*ch+c], want, tier)
+							}
+						}
+					}
+					if got[n*ch] != 0xdeadbeef {
+						t.Fatalf("ch=%d w=%d x0=%d step=%d n=%d: wrote past n positions (%s)", ch, w, x0, step, n, tier)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPackPixelsMatchesScalar checks the pixel pack against packing
+// each pixel alone, for every lane count up to 17 and pixel counts that
+// leave the vector steps every tail.
+func TestPackPixelsMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for cin := 1; cin <= 17; cin++ {
+		pp := (cin + 1) / 2
+		for _, px := range []int{1, 2, 3, 5, 6, 11, 33, 97} {
+			for _, zp := range []int32{-128, 4, 127} {
+				in := randI8(rng, px*cin)
+				in[len(in)-1] = -128
+				want := make([]uint32, px*pp)
+				for i := 0; i < px; i++ {
+					for c := 0; c < cin; c += 2 {
+						lo, hi := uint32(uint16(int32(in[i*cin+c])-zp)), uint32(0)
+						if c+1 < cin {
+							hi = uint32(uint16(int32(in[i*cin+c+1]) - zp))
+						}
+						want[i*pp+c/2] = lo | hi<<16
+					}
+				}
+				withTiers(t, func(t *testing.T, tier string) {
+					got := make([]uint32, len(want))
+					if k := PackPixels(got, in, cin, zp); k != pp {
+						t.Fatalf("cin=%d: %d pairs per pixel, want %d", cin, k, pp)
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("cin=%d px=%d zp=%d pair %d: %08x want %08x (%s)", cin, px, zp, i, got[i], want[i], tier)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+func TestPairDepthwise(t *testing.T) {
+	w := []int8{ // k=3, ch=2: w[ky][kx][c] = 10*(ky*3+kx) + c
+		0, 1, 10, 11, 20, 21,
+		30, 31, 40, 41, 50, 51,
+		60, 61, 70, 71, 80, 81,
+	}
+	want := []int16{ // per row: pair (kx 0, 1) per channel, then (kx 2, phantom)
+		0, 10, 1, 11, 20, 0, 21, 0,
+		30, 40, 31, 41, 50, 0, 51, 0,
+		60, 70, 61, 71, 80, 0, 81, 0,
+	}
+	got := PairDepthwise(w, 3, 2)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("PairDepthwise = %v, want %v", got, want)
 	}
 }
 
@@ -557,41 +763,14 @@ func BenchmarkConvTileI8(b *testing.B) {
 	}
 }
 
-// depthwiseBench is a 3x3 stride-1 window over a row of 24 pixels.
-func depthwiseBench(ch int) (t Tile, wLen, inLen int) {
-	const w = 26
-	return Tile{P: 24, N: 3, Rows: 3, PixStride: ch, InRowStride: w * ch, WRowStride: 3 * ch}, 9 * ch, 3 * w * ch
-}
-
-func BenchmarkDepthwisePixelF32(b *testing.B) {
-	for _, ch := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("ch=%d", ch), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			tile, wLen, inLen := depthwiseBench(ch)
-			bias, w, in := randF32(rng, ch), randF32(rng, wLen), randF32(rng, inLen)
-			dst := make([]float32, tile.P*ch)
-			b.SetBytes(int64(tile.P * 9 * ch))
-			for i := 0; i < b.N; i++ {
-				DepthwiseF32(dst, bias, w, in, tile)
-			}
-		})
-	}
-}
-
-func BenchmarkDepthwisePixelI8(b *testing.B) {
-	for _, ch := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("ch=%d", ch), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			tile, wLen, inLen := depthwiseBench(ch)
-			w, in := randI8(rng, wLen), randI8(rng, inLen)
-			bias := make([]int32, ch)
-			dst := make([]int8, tile.P*ch)
-			q := Requant{Mult: 1412090957, Shift: -6, ZP: -4, Lo: -128, Hi: 127}
-			b.SetBytes(int64(tile.P * 9 * ch))
-			for i := 0; i < b.N; i++ {
-				DepthwiseI8(dst, bias, w, in, tile, 3, q)
-			}
-		})
+// BenchmarkPackStem times packing the vww stem's 96x96x3 input into
+// per-pixel pairs, the odd-lane path of PackPixels.
+func BenchmarkPackStem(b *testing.B) {
+	in := randI8(rand.New(rand.NewSource(1)), 96*96*3)
+	vp := make([]uint32, 96*96*2)
+	b.SetBytes(int64(len(in)))
+	for i := 0; i < b.N; i++ {
+		PackPixels(vp, in, 3, -128)
 	}
 }
 
