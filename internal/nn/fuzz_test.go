@@ -83,6 +83,10 @@ func FuzzConvF32(f *testing.F) {
 	f.Add(uint8(15), uint8(15), uint8(15), uint8(23), uint8(2), uint8(0), true, true, int64(8))  // ic conv2
 	f.Add(uint8(1), uint8(2), uint8(68), uint8(10), uint8(4), uint8(2), true, true, int64(9))    // kernel > input
 	f.Add(uint8(8), uint8(6), uint8(4), uint8(8), uint8(2), uint8(1), false, false, int64(10))   // valid, stride 2
+	// Filter counts that split between the 512-bit blocks and a 256-bit 8.
+	f.Add(uint8(11), uint8(11), uint8(7), uint8(23), uint8(2), uint8(0), true, true, int64(11)) // 24 = 16 + 8
+	f.Add(uint8(9), uint8(7), uint8(4), uint8(39), uint8(0), uint8(0), false, false, int64(12)) // 40 = 32 + 8
+	f.Add(uint8(6), uint8(6), uint8(12), uint8(55), uint8(2), uint8(1), true, true, int64(13))  // 56 = 32 + 16 + 8
 	f.Fuzz(func(t *testing.T, h, w, cin, nf, kernel, stride uint8, same, special bool, seed int64) {
 		in, k, s, pad, ok := fuzzShape(h, w, cin, nf, kernel, stride, same, func(ch, nf, k int) int { return ch * nf * k * k })
 		if !ok {

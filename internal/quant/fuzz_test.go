@@ -90,6 +90,10 @@ func FuzzConvI8(f *testing.F) {
 	f.Add(uint8(4), uint8(8), uint8(6), uint8(8), uint8(0), uint8(0), true, int64(14))   // 5x9x7
 	f.Add(uint8(0), uint8(4), uint8(2), uint8(3), uint8(0), uint8(0), false, int64(15))  // 1x5x3
 	f.Add(uint8(2), uint8(6), uint8(4), uint8(9), uint8(2), uint8(2), true, int64(16))   // 3x7x5, stride 3
+	// Filter counts that split between the 512-bit blocks and a 256-bit 8.
+	f.Add(uint8(11), uint8(11), uint8(7), uint8(23), uint8(2), uint8(0), true, int64(17)) // 24 = 16 + 8
+	f.Add(uint8(9), uint8(7), uint8(4), uint8(39), uint8(0), uint8(0), false, int64(18))  // 40 = 32 + 8
+	f.Add(uint8(6), uint8(6), uint8(12), uint8(55), uint8(2), uint8(1), true, int64(19))  // 56 = 32 + 16 + 8
 	f.Fuzz(func(t *testing.T, h, w, cin, nf, kernel, stride uint8, same bool, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		op, g, ok := fuzzQOp(rng, "conv2d", h, w, cin, nf, kernel, stride, same)

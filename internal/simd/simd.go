@@ -8,46 +8,55 @@
 // resize's vertical blend.
 //
 // A conv tile is a run of P output pixels that share one tap window.
-// The kernel walks it four pixels at a time (then one at a time) by 16
-// output lanes (then 8), keeps that block's accumulators in registers
-// from the bias load through the whole reduction — every kernel row,
-// every tap of the row, every input channel — and stores each output
-// once. The float depthwise kernel does the same per pixel, four 8-lane
-// channel blocks at a time. The int8 one reads its input as a padded
-// stream of horizontal tap pairs, so a whole output row is one call with
-// no clipped window; it takes four pixels by 8 channels (the last P%4
-// pixels one at a time by 32 channels, then 8), retires two taps per
-// VPMADDWD and requantizes from the registers.
+// The kernel walks it four pixels at a time (then one at a time) by two
+// vector registers of output lanes (then one), keeps that block's
+// accumulators in registers from the bias load through the whole
+// reduction — every kernel row, every tap of the row, every input
+// channel — and stores each output once. The float depthwise kernel does
+// the same per pixel, four 8-lane channel blocks at a time. The int8 one
+// reads its input as a padded stream of horizontal tap pairs, so a whole
+// output row is one call with no clipped window; it takes four pixels by
+// 8 channels (the last P%4 pixels one at a time by 32 channels, then 8),
+// retires two taps per VPDPWSSD and requantizes from the registers.
 //
-// On amd64 with AVX2 the primitives dispatch to hand-written assembly;
-// everywhere else (under the noasm build tag, and when a test calls
-// SetEnabled(false)) they run a pure Go reference. Both paths are
-// bit-for-bit identical:
+// The assembly comes in three tiers, chosen from CPUID with no setting:
+//
+//   - avx512 (AVX-512 F+VL+VNNI): the conv tiles run on ZMM registers,
+//     blocks of 32 lanes then 16, and a last 8 lanes on the YMM tile;
+//     the int8 MAC is one VPDPWSSD. DepthwiseI8 and RequantI8 run their
+//     assembly.
+//   - avx2: the conv tiles run on YMM registers, blocks of 16 lanes then
+//     8, the int8 MAC VPMADDWD + VPADDD; the packs and the float
+//     kernels run in assembly, DepthwiseI8 and RequantI8 their Go
+//     references (their requantization needs AVX-512's 64-bit lane
+//     shifts and narrows).
+//   - go: everywhere else (other architectures, the noasm build tag, and
+//     when a test calls SetEnabled(false)) every primitive runs its pure
+//     Go reference.
+//
+// All three are bit-for-bit identical:
 //
 //   - Float kernels use separate multiply and add instructions
 //     (VMULPS + VADDPS), never FMA, so every product and every partial
 //     sum is rounded to float32 exactly as the scalar Go expression
 //     `s += v * w` rounds it, and per output lane the accumulation order
-//     is bias, then kernel row, then tap, then input channel in both
-//     paths and for every tile width.
+//     is bias, then kernel row, then tap, then input channel in every
+//     tier and for every tile width.
 //   - The FFT primitives and BlendDivF32 evaluate every lane as the
 //     scalar expression of their Go reference, one VMULPS, VADDPS,
 //     VSUBPS or VDIVPS per Go operator, so each intermediate rounds to
 //     float32 identically.
 //   - Integer kernels are exact: int32 addition and multiplication are
-//     associative and wrap identically in Go and in VPMADDWD lanes, so
-//     any regrouping (the assembly pairs adjacent input lanes, or
-//     adjacent taps) yields the same accumulator bits.
+//     associative and wrap identically in Go, in VPMADDWD + VPADDD lanes
+//     and in VPDPWSSD lanes (the non-saturating form), so any regrouping
+//     (the assembly pairs adjacent input lanes, or adjacent taps) yields
+//     the same accumulator bits.
 //
 // The EON-vs-interpreter story of the source paper rests on quantized
 // kernels beating float on real hardware (CMSIS-NN's SMLAD dual-MAC is
-// the canonical example); the VPMADDWD inner loops of ConvTileI8 and
-// DepthwiseI8 are the x86 equivalent — two int16 lanes per multiply.
-//
-// The int8 requantization needs AVX-512 F+VL (RequantI8, and the
-// in-register requantization of DepthwiseI8); on an AVX2-only host the
-// packs and the conv tiles run in assembly and those two run their Go
-// references.
+// the canonical example); the VPDPWSSD and VPMADDWD inner loops of
+// ConvTileI8 and DepthwiseI8 are the x86 equivalent — two int16 lanes
+// per multiply, and with VNNI the add into the accumulator as well.
 package simd
 
 import (
@@ -138,6 +147,25 @@ func args[D, B, W, I any](t Tile, dst []D, bias []B, w []W, in []I, lanes, size,
 	}
 }
 
+// zmmLanes is how many of a conv tile's lanes the ZMM tile takes: with
+// AVX-512 the multiples of 16, leaving at most 8 for the YMM one.
+func zmmLanes(lanes int) int {
+	if !haveAVX512 {
+		return 0
+	}
+	return lanes &^ 15
+}
+
+// skip moves the conv tile a past its first n lanes and leaves it rest
+// lanes (every lane is 4 bytes in dst, bias and w). The pointers stay
+// put when nothing is left, so none points past its slice.
+func (a *tileArgs) skip(n, rest int) {
+	if a.lanes = rest; rest > 0 {
+		off := uintptr(n * 4)
+		a.dst, a.bias, a.w = unsafe.Add(a.dst, off), unsafe.Add(a.bias, off), unsafe.Add(a.w, off)
+	}
+}
+
 // ConvTileF32 computes len(bias) output lanes of t.P pixels:
 //
 //	dst[p*nf+f] = bias[f] + Σ_r Σ_j in[p*PixStride+r*InRowStride+j] * w[r*WRowStride+j*nf+f]
@@ -157,7 +185,14 @@ func ConvTileF32(dst, bias, w, in []float32, t Tile) {
 	if nf >= 8 && t.Rows > 0 && enabled.Load() {
 		f0 = nf &^ 7
 		a := args(t, dst, bias, w, in, f0, 4, 4)
-		convTileF32SIMD(&a)
+		if z := zmmLanes(f0); z > 0 {
+			a.lanes = z
+			convTileF32AVX512(&a)
+			a.skip(z, f0-z)
+		}
+		if a.lanes > 0 {
+			convTileF32SIMD(&a)
+		}
 	}
 	if f0 < nf {
 		convTileF32Go(dst, bias, w, in, t, f0)
@@ -476,7 +511,14 @@ func ConvTileI8(acc, bias []int32, wPair []int16, vp []uint32, t Tile) {
 	if nf >= 8 && t.Rows > 0 && enabled.Load() {
 		f0 = nf &^ 7
 		a := args(t, acc, bias, wPair, vp, f0, 4, 4)
-		convTileI8SIMD(&a)
+		if z := zmmLanes(f0); z > 0 {
+			a.lanes = z
+			convTileI8AVX512(&a)
+			a.skip(z, f0-z)
+		}
+		if a.lanes > 0 {
+			convTileI8SIMD(&a)
+		}
 	}
 	if f0 < nf {
 		convTileI8Go(acc, bias, wPair, vp, t, f0)
@@ -564,7 +606,7 @@ func (q Requant) Apply(a int32) int8 {
 }
 
 // vector reports whether the assembly requantization covers q: it needs
-// AVX-512 F+VL (64-bit lane arithmetic shifts) and handles the right
+// the avx512 tier (64-bit lane arithmetic shifts) and handles the right
 // shifts that every sub-unit requant multiplier produces.
 func (q Requant) vector() bool {
 	return q.Shift <= 0 && q.Shift >= -31 && haveAVX512 && enabled.Load()
@@ -620,7 +662,7 @@ type dwI8Args struct {
 //
 // where (v0, v1) is the pair vp[p*PixStride + r*InRowStride + j*StepStride + c];
 // it is requantized by q straight into dst — no accumulator row is
-// written. A step is one VPMADDWD and one VPADDD per 8 channels. The
+// written. A step is one VPDPWSSD per 8 channels. The
 // assembly takes contiguous weight rows (WRowStride = N*ch, PairDepthwise's
 // layout); any other geometry runs the Go reference.
 func DepthwiseI8(dst []int8, bias []int32, wPair []int16, vp []uint32, t Tile, q Requant) {

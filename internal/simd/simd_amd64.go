@@ -8,10 +8,11 @@ package simd
 // context switches.
 var haveAVX2 = detectAVX2()
 
-// haveAVX512 additionally requires AVX-512 F+VL (EVEX 64-bit lane
-// shifts and saturating narrows on YMM registers) plus the OS enabling
-// the opmask/upper-ZMM register state in XCR0. Only the requant path
-// uses it; everything else is plain AVX2.
+// haveAVX512 additionally requires AVX-512 F+VL+VNNI plus the OS
+// enabling the opmask/upper-ZMM register state in XCR0. It selects the
+// 512-bit conv tiles (ZMM registers, VPDPWSSD), the int8 depthwise
+// kernel (VPDPWSSD on YMM) and the requantization (EVEX 64-bit lane
+// shifts and narrows on YMM); without it those run AVX2 or Go.
 var haveAVX512 = detectAVX512()
 
 func detectAVX512() bool {
@@ -21,10 +22,11 @@ func detectAVX512() bool {
 	if xlo, _ := xgetbv(); xlo&0xE6 != 0xE6 {
 		return false
 	}
-	_, b7, _, _ := cpuid(7, 0)
+	_, b7, c7, _ := cpuid(7, 0)
 	const avx512f = 1 << 16
 	const avx512vl = 1 << 31
-	return b7&avx512f != 0 && b7&avx512vl != 0
+	const avx512vnni = 1 << 11 // ECX
+	return b7&avx512f != 0 && b7&avx512vl != 0 && c7&avx512vnni != 0
 }
 
 func detectAVX2() bool {
@@ -116,14 +118,23 @@ func packTapPairsSIMD(vp []uint32, in []int8, ch, inStep, hiOff int, zp int32, m
 //go:noescape
 func convTileI8SIMD(a *tileArgs)
 
+// convTileF32AVX512 and convTileI8AVX512 are the tiles at ZMM width:
+// a.lanes a positive multiple of 16, and haveAVX512.
+//
+//go:noescape
+func convTileF32AVX512(a *tileArgs)
+
+//go:noescape
+func convTileI8AVX512(a *tileArgs)
+
 // depthwisePairsI8SIMD has convTileF32SIMD's requirements and needs
-// AVX-512 F+VL and a Requant its vector method accepts.
+// haveAVX512 and a Requant its vector method accepts.
 //
 //go:noescape
 func depthwisePairsI8SIMD(a *dwI8Args)
 
 // requantI8SIMD requires len(dst) == len(acc) > 0, a multiple of 8, and
-// AVX-512 F+VL and a Requant its vector method accepts.
+// haveAVX512 and a Requant its vector method accepts.
 //
 //go:noescape
 func requantI8SIMD(dst []int8, acc []int32, a *requantArgs)

@@ -1,6 +1,6 @@
 //go:build amd64 && !noasm
 
-// AVX2 / AVX-512VL inner loops for the inference kernels. See simd.go
+// AVX2 / AVX-512 inner loops for the inference kernels. See simd.go
 // for the bitwise-identity contract: float paths use separate VMULPS +
 // VADDPS (never FMA) in the scalar reduction order; integer paths are
 // exact.
@@ -43,22 +43,26 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// CONV_TILE is the body of both conv tile kernels; the float32 and the
-// paired-int16 reduction differ only in their four instructions (an
-// input element and a packed pair are both 4 bytes, a weight row and a
-// pair row both nf*4).
+// CONV_TILE is the body of all four conv tile kernels. It is written
+// once for either vector width: V0-V13 alias the YMM or the ZMM
+// registers and VB is their width in bytes, both defined before each
+// instantiation (the assembler expands a macro body where it is used).
+// The float32 and the paired-int16 reductions differ only in LOAD, BCAST
+// and MAC (an input element and a packed pair are both 4 bytes, a weight
+// row and a pair row both nf*4).
 //
-//	for each block of 16 output lanes, then a last block of 8:
+//	for each block of 2*VB/4 output lanes, then a last block of VB/4:
 //	    for each 4 pixels of the run, then each remaining pixel:
-//	        acc = bias[lanes]                      (8, 4, 2 or 1 YMM)
+//	        acc = bias[lanes]                      (8, 4, 2 or 1 registers)
 //	        for r in rows: for j in n:
 //	            acc[pixel] = ADD(acc[pixel], MUL(BCAST(in[pixel][r][j]), w[r][j][lanes]))
 //	        dst[pixel][lanes] = acc
 //
-// Lane blocks are outermost so one block's weights (n*64 bytes per row)
-// stay in L1 across the pixels of the run. Products and sums are
-// separate instructions with the accumulator as the first source, as in
-// the scalar `s += v * w`.
+// so YMM takes blocks of 16 lanes and a last 8, ZMM blocks of 32 and a
+// last 16. Lane blocks are outermost so one block's weights (n*2*VB
+// bytes per row) stay in L1 across the pixels of the run. Float products
+// and sums are separate instructions with the accumulator as the first
+// source, as in the scalar `s += v * w`, at both widths.
 //
 // AX args, R10 output/weight-row pitch, R8 pixel stride, R9 3x pixel
 // stride, R14 lane byte offset, R13 pixels left, DI output, R11 input
@@ -69,199 +73,221 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVQ A_PIX(AX), R8; \
 	LEAQ (R8)(R8*2), R9; \
 	XORQ R14, R14; \
-lanes16: \
+lanes2: \
 	MOVQ A_LANES(AX), R15; \
 	SHLQ $2, R15; \
 	SUBQ R14, R15; \
-	CMPQ R15, $64; \
-	JLT  lanes8; \
+	CMPQ R15, $(2*VB); \
+	JLT  lanes1; \
 	MOVQ A_P(AX), R13; \
 	MOVQ A_DST(AX), DI; \
 	ADDQ R14, DI; \
 	MOVQ A_IN(AX), R11; \
-px4x16: \
+px4x2: \
 	CMPQ R13, $4; \
-	JLT  px1x16; \
+	JLT  px1x2; \
 	MOVQ A_BIAS(AX), R15; \
-	LOAD (R15)(R14*1), Y0; \
-	LOAD 32(R15)(R14*1), Y1; \
-	LOAD (R15)(R14*1), Y2; \
-	LOAD 32(R15)(R14*1), Y3; \
-	LOAD (R15)(R14*1), Y4; \
-	LOAD 32(R15)(R14*1), Y5; \
-	LOAD (R15)(R14*1), Y6; \
-	LOAD 32(R15)(R14*1), Y7; \
+	LOAD (R15)(R14*1), V0; \
+	LOAD VB(R15)(R14*1), V1; \
+	LOAD (R15)(R14*1), V2; \
+	LOAD VB(R15)(R14*1), V3; \
+	LOAD (R15)(R14*1), V4; \
+	LOAD VB(R15)(R14*1), V5; \
+	LOAD (R15)(R14*1), V6; \
+	LOAD VB(R15)(R14*1), V7; \
 	MOVQ A_W(AX), R12; \
 	ADDQ R14, R12; \
 	MOVQ R11, R15; \
 	MOVQ A_ROWS(AX), DX; \
-row4x16: \
+row4x2: \
 	MOVQ R15, BX; \
 	MOVQ R12, SI; \
 	MOVQ A_N(AX), CX; \
-mac4x16: \
-	LOAD (SI), Y8; \
-	LOAD 32(SI), Y9; \
-	BCAST (BX), Y10; \
-	MAC(Y8, Y10, Y11, Y0); \
-	MAC(Y9, Y10, Y12, Y1); \
-	BCAST (BX)(R8*1), Y13; \
-	MAC(Y8, Y13, Y11, Y2); \
-	MAC(Y9, Y13, Y12, Y3); \
-	BCAST (BX)(R8*2), Y10; \
-	MAC(Y8, Y10, Y11, Y4); \
-	MAC(Y9, Y10, Y12, Y5); \
-	BCAST (BX)(R9*1), Y13; \
-	MAC(Y8, Y13, Y11, Y6); \
-	MAC(Y9, Y13, Y12, Y7); \
+mac4x2: \
+	LOAD (SI), V8; \
+	LOAD VB(SI), V9; \
+	BCAST (BX), V10; \
+	MAC(V8, V10, V11, V0); \
+	MAC(V9, V10, V12, V1); \
+	BCAST (BX)(R8*1), V13; \
+	MAC(V8, V13, V11, V2); \
+	MAC(V9, V13, V12, V3); \
+	BCAST (BX)(R8*2), V10; \
+	MAC(V8, V10, V11, V4); \
+	MAC(V9, V10, V12, V5); \
+	BCAST (BX)(R9*1), V13; \
+	MAC(V8, V13, V11, V6); \
+	MAC(V9, V13, V12, V7); \
 	ADDQ $4, BX; \
 	ADDQ R10, SI; \
 	DECQ CX; \
-	JNZ  mac4x16; \
+	JNZ  mac4x2; \
 	ADDQ A_INROW(AX), R15; \
 	ADDQ A_WROW(AX), R12; \
 	DECQ DX; \
-	JNZ  row4x16; \
-	LOAD Y0, (DI); \
-	LOAD Y1, 32(DI); \
+	JNZ  row4x2; \
+	LOAD V0, (DI); \
+	LOAD V1, VB(DI); \
 	ADDQ R10, DI; \
-	LOAD Y2, (DI); \
-	LOAD Y3, 32(DI); \
+	LOAD V2, (DI); \
+	LOAD V3, VB(DI); \
 	ADDQ R10, DI; \
-	LOAD Y4, (DI); \
-	LOAD Y5, 32(DI); \
+	LOAD V4, (DI); \
+	LOAD V5, VB(DI); \
 	ADDQ R10, DI; \
-	LOAD Y6, (DI); \
-	LOAD Y7, 32(DI); \
+	LOAD V6, (DI); \
+	LOAD V7, VB(DI); \
 	ADDQ R10, DI; \
 	LEAQ (R11)(R8*4), R11; \
 	SUBQ $4, R13; \
-	JMP  px4x16; \
-px1x16: \
+	JMP  px4x2; \
+px1x2: \
 	TESTQ R13, R13; \
-	JZ   next16; \
+	JZ   next2; \
 	MOVQ A_BIAS(AX), R15; \
-	LOAD (R15)(R14*1), Y0; \
-	LOAD 32(R15)(R14*1), Y1; \
+	LOAD (R15)(R14*1), V0; \
+	LOAD VB(R15)(R14*1), V1; \
 	MOVQ A_W(AX), R12; \
 	ADDQ R14, R12; \
 	MOVQ R11, R15; \
 	MOVQ A_ROWS(AX), DX; \
-row1x16: \
+row1x2: \
 	MOVQ R15, BX; \
 	MOVQ R12, SI; \
 	MOVQ A_N(AX), CX; \
-mac1x16: \
-	LOAD (SI), Y8; \
-	LOAD 32(SI), Y9; \
-	BCAST (BX), Y10; \
-	MAC(Y8, Y10, Y11, Y0); \
-	MAC(Y9, Y10, Y12, Y1); \
+mac1x2: \
+	LOAD (SI), V8; \
+	LOAD VB(SI), V9; \
+	BCAST (BX), V10; \
+	MAC(V8, V10, V11, V0); \
+	MAC(V9, V10, V12, V1); \
 	ADDQ $4, BX; \
 	ADDQ R10, SI; \
 	DECQ CX; \
-	JNZ  mac1x16; \
+	JNZ  mac1x2; \
 	ADDQ A_INROW(AX), R15; \
 	ADDQ A_WROW(AX), R12; \
 	DECQ DX; \
-	JNZ  row1x16; \
-	LOAD Y0, (DI); \
-	LOAD Y1, 32(DI); \
+	JNZ  row1x2; \
+	LOAD V0, (DI); \
+	LOAD V1, VB(DI); \
 	ADDQ R10, DI; \
 	ADDQ R8, R11; \
 	DECQ R13; \
-	JMP  px1x16; \
-next16: \
-	ADDQ $64, R14; \
-	JMP  lanes16; \
-lanes8: \
-	CMPQ R15, $32; \
+	JMP  px1x2; \
+next2: \
+	ADDQ $(2*VB), R14; \
+	JMP  lanes2; \
+lanes1: \
+	CMPQ R15, $VB; \
 	JLT  done; \
 	MOVQ A_P(AX), R13; \
 	MOVQ A_DST(AX), DI; \
 	ADDQ R14, DI; \
 	MOVQ A_IN(AX), R11; \
-px4x8: \
+px4x1: \
 	CMPQ R13, $4; \
-	JLT  px1x8; \
+	JLT  px1x1; \
 	MOVQ A_BIAS(AX), R15; \
-	LOAD (R15)(R14*1), Y0; \
-	LOAD (R15)(R14*1), Y1; \
-	LOAD (R15)(R14*1), Y2; \
-	LOAD (R15)(R14*1), Y3; \
+	LOAD (R15)(R14*1), V0; \
+	LOAD (R15)(R14*1), V1; \
+	LOAD (R15)(R14*1), V2; \
+	LOAD (R15)(R14*1), V3; \
 	MOVQ A_W(AX), R12; \
 	ADDQ R14, R12; \
 	MOVQ R11, R15; \
 	MOVQ A_ROWS(AX), DX; \
-row4x8: \
+row4x1: \
 	MOVQ R15, BX; \
 	MOVQ R12, SI; \
 	MOVQ A_N(AX), CX; \
-mac4x8: \
-	LOAD (SI), Y8; \
-	BCAST (BX), Y10; \
-	MAC(Y8, Y10, Y11, Y0); \
-	BCAST (BX)(R8*1), Y13; \
-	MAC(Y8, Y13, Y12, Y1); \
-	BCAST (BX)(R8*2), Y10; \
-	MAC(Y8, Y10, Y11, Y2); \
-	BCAST (BX)(R9*1), Y13; \
-	MAC(Y8, Y13, Y12, Y3); \
+mac4x1: \
+	LOAD (SI), V8; \
+	BCAST (BX), V10; \
+	MAC(V8, V10, V11, V0); \
+	BCAST (BX)(R8*1), V13; \
+	MAC(V8, V13, V12, V1); \
+	BCAST (BX)(R8*2), V10; \
+	MAC(V8, V10, V11, V2); \
+	BCAST (BX)(R9*1), V13; \
+	MAC(V8, V13, V12, V3); \
 	ADDQ $4, BX; \
 	ADDQ R10, SI; \
 	DECQ CX; \
-	JNZ  mac4x8; \
+	JNZ  mac4x1; \
 	ADDQ A_INROW(AX), R15; \
 	ADDQ A_WROW(AX), R12; \
 	DECQ DX; \
-	JNZ  row4x8; \
-	LOAD Y0, (DI); \
+	JNZ  row4x1; \
+	LOAD V0, (DI); \
 	ADDQ R10, DI; \
-	LOAD Y1, (DI); \
+	LOAD V1, (DI); \
 	ADDQ R10, DI; \
-	LOAD Y2, (DI); \
+	LOAD V2, (DI); \
 	ADDQ R10, DI; \
-	LOAD Y3, (DI); \
+	LOAD V3, (DI); \
 	ADDQ R10, DI; \
 	LEAQ (R11)(R8*4), R11; \
 	SUBQ $4, R13; \
-	JMP  px4x8; \
-px1x8: \
+	JMP  px4x1; \
+px1x1: \
 	TESTQ R13, R13; \
 	JZ   done; \
 	MOVQ A_BIAS(AX), R15; \
-	LOAD (R15)(R14*1), Y0; \
+	LOAD (R15)(R14*1), V0; \
 	MOVQ A_W(AX), R12; \
 	ADDQ R14, R12; \
 	MOVQ R11, R15; \
 	MOVQ A_ROWS(AX), DX; \
-row1x8: \
+row1x1: \
 	MOVQ R15, BX; \
 	MOVQ R12, SI; \
 	MOVQ A_N(AX), CX; \
-mac1x8: \
-	LOAD (SI), Y8; \
-	BCAST (BX), Y10; \
-	MAC(Y8, Y10, Y11, Y0); \
+mac1x1: \
+	LOAD (SI), V8; \
+	BCAST (BX), V10; \
+	MAC(V8, V10, V11, V0); \
 	ADDQ $4, BX; \
 	ADDQ R10, SI; \
 	DECQ CX; \
-	JNZ  mac1x8; \
+	JNZ  mac1x1; \
 	ADDQ A_INROW(AX), R15; \
 	ADDQ A_WROW(AX), R12; \
 	DECQ DX; \
-	JNZ  row1x8; \
-	LOAD Y0, (DI); \
+	JNZ  row1x1; \
+	LOAD V0, (DI); \
 	ADDQ R10, DI; \
 	ADDQ R8, R11; \
 	DECQ R13; \
-	JMP  px1x8; \
+	JMP  px1x1; \
 done: \
 	VZEROUPPER; \
 	RET
 
 #define MAC_F32(W, X, T, ACC) VMULPS W, X, T; VADDPS T, ACC, ACC
 #define MAC_I8(W, X, T, ACC) VPMADDWD W, X, T; VPADDD T, ACC, ACC
+
+// MAC_VNNI is MAC_I8 in one instruction: VPDPWSSD adds both products of
+// a pair to the accumulator, wrapping as VPADDD does (VPDPWSSDS would
+// saturate). |v| <= 255 and |w| <= 127, so no product or pair sum
+// overflows and the int32 lanes are MAC_I8's bit for bit.
+#define MAC_VNNI(W, X, T, ACC) VPDPWSSD W, X, ACC
+
+#define VB 32
+#define V0 Y0
+#define V1 Y1
+#define V2 Y2
+#define V3 Y3
+#define V4 Y4
+#define V5 Y5
+#define V6 Y6
+#define V7 Y7
+#define V8 Y8
+#define V9 Y9
+#define V10 Y10
+#define V11 Y11
+#define V12 Y12
+#define V13 Y13
 
 // func convTileF32SIMD(a *tileArgs)
 TEXT ·convTileF32SIMD(SB), NOSPLIT, $0-8
@@ -277,6 +303,50 @@ TEXT ·convTileF32SIMD(SB), NOSPLIT, $0-8
 TEXT ·convTileI8SIMD(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), AX
 	CONV_TILE(VMOVDQU, VPBROADCASTD, MAC_I8)
+
+// The same two tiles at ZMM width, the tier haveAVX512 selects.
+#undef VB
+#undef V0
+#undef V1
+#undef V2
+#undef V3
+#undef V4
+#undef V5
+#undef V6
+#undef V7
+#undef V8
+#undef V9
+#undef V10
+#undef V11
+#undef V12
+#undef V13
+#define VB 64
+#define V0 Z0
+#define V1 Z1
+#define V2 Z2
+#define V3 Z3
+#define V4 Z4
+#define V5 Z5
+#define V6 Z6
+#define V7 Z7
+#define V8 Z8
+#define V9 Z9
+#define V10 Z10
+#define V11 Z11
+#define V12 Z12
+#define V13 Z13
+
+// func convTileF32AVX512(a *tileArgs)
+TEXT ·convTileF32AVX512(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), AX
+	CONV_TILE(VMOVUPS, VBROADCASTSS, MAC_F32)
+
+// func convTileI8AVX512(a *tileArgs)
+//
+// convTileI8SIMD with one VPDPWSSD per MAC.
+TEXT ·convTileI8AVX512(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), AX
+	CONV_TILE(VMOVDQU32, VPBROADCASTD, MAC_VNNI)
 
 // func depthwiseF32SIMD(a *tileArgs)
 //
@@ -691,16 +761,15 @@ rq8:
 	RET
 
 // DW_BLOCK accumulates one tap pair of 8 channels at input offset O:
-// ACC += VPMADDWD(in[O], w[O]), T a temporary.
+// ACC += in[O]·w[O] pairwise (MAC_VNNI), T the loaded input.
 #define DW_BLOCK(O, T, ACC) \
 	VMOVDQU O(BX), T; \
-	VPMADDWD O(SI), T, T; \
-	VPADDD T, ACC, ACC
+	VPDPWSSD O(SI), T, ACC
 
 // func depthwisePairsI8SIMD(a *dwI8Args)
 //
 // depthwiseF32SIMD's reduction over tap pairs, on int32 accumulators
-// that start at the bias, take one VPMADDWD of 8 (x, x+1) input pairs by
+// that start at the bias, take one VPDPWSSD of 8 (x, x+1) input pairs by
 // 8 (w[2j], w[2j+1]) weight pairs per step, are requantized in their
 // registers and stored as int8: no accumulator row is written. Input,
 // weight and bias lanes are 4 bytes, output lanes 1: R14 counts
@@ -754,14 +823,10 @@ qdwrow4:
 
 qdwtap4:
 	VMOVDQU (SI), Y13
-	VPMADDWD (BX), Y13, Y4
-	VPADDD Y4, Y0, Y0
-	VPMADDWD (BX)(R10*1), Y13, Y5
-	VPADDD Y5, Y1, Y1
-	VPMADDWD (BX)(R10*2), Y13, Y6
-	VPADDD Y6, Y2, Y2
-	VPMADDWD (BX)(R12*1), Y13, Y7
-	VPADDD Y7, Y3, Y3
+	VPDPWSSD (BX), Y13, Y0
+	VPDPWSSD (BX)(R10*1), Y13, Y1
+	VPDPWSSD (BX)(R10*2), Y13, Y2
+	VPDPWSSD (BX)(R12*1), Y13, Y3
 	ADDQ R8, BX
 	ADDQ R9, SI
 	DECQ CX

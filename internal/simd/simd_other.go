@@ -17,6 +17,8 @@ func relu6F32SIMD(x []float32)         { panic("simd: assembly path in a build w
 func maxF32SIMD(dst, src []float32)    { panic("simd: assembly path in a build without it") }
 func maxI8SIMD(dst, src []int8)        { panic("simd: assembly path in a build without it") }
 func convTileI8SIMD(a *tileArgs)       { panic("simd: assembly path in a build without it") }
+func convTileF32AVX512(a *tileArgs)    { panic("simd: assembly path in a build without it") }
+func convTileI8AVX512(a *tileArgs)     { panic("simd: assembly path in a build without it") }
 func depthwisePairsI8SIMD(a *dwI8Args) { panic("simd: assembly path in a build without it") }
 
 func quantizeI8SIMD(dst []int8, src []float32, scale float64, zp int32) {

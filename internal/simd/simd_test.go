@@ -19,10 +19,10 @@ func withSIMD(t *testing.T, f func(t *testing.T, simdOn bool)) {
 	f(t, false)
 }
 
-// withTiers runs f once per implementation tier of the int8 kernels:
-// the assembly with AVX-512, the assembly with AVX-512 hidden — an
-// AVX2-only host, where the packs and conv tiles run in assembly and
-// the requantizing kernels in Go — and pure Go, restoring the host's
+// withTiers runs f once per implementation tier: the assembly with
+// AVX-512 (ZMM conv tiles, VNNI), the assembly with AVX-512 hidden — an
+// AVX2-only host, where the packs and the YMM conv tiles run in assembly
+// and the requantizing kernels in Go — and pure Go, restoring the host's
 // state afterwards. A tier the build or host lacks runs as the next one
 // down; tier names what actually ran.
 func withTiers(t *testing.T, f func(t *testing.T, tier string)) {
@@ -103,54 +103,74 @@ func sameF32(t *testing.T, what string, got, want []float32) {
 	t.Helper()
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) && (got[i] == got[i] || want[i] == want[i]) {
-			t.Fatalf("%s: elem %d = %x, want %x (simd=%v)", what, i, math.Float32bits(got[i]), math.Float32bits(want[i]), Enabled())
+			t.Fatalf("%s: elem %d = %x, want %x (simd=%v avx512=%v)", what, i, math.Float32bits(got[i]), math.Float32bits(want[i]), Enabled(), haveAVX512)
 		}
 	}
 }
 
-// TestConvTileF32MatchesNaive asserts both paths are bitwise identical
-// to the naive loop across lane counts that exercise the 16-wide
-// blocks, the 8-wide block and the scalar tail, and across run lengths
-// that exercise the 4-pixel groups and the single-pixel remainder.
+// TestConvTileF32MatchesNaive asserts every tier is bitwise identical
+// to the naive loop across lane counts that exercise the 32-, 16- and
+// 8-lane blocks in every combination (a YMM remainder after ZMM blocks
+// among them) and the scalar tail, and across run lengths that exercise
+// the 4-pixel groups and the single-pixel remainder.
 func TestConvTileF32MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, nf := range []int{1, 3, 8, 12, 16, 24, 31, 40, 64, 65} {
+	for _, nf := range []int{1, 3, 8, 12, 16, 24, 31, 32, 40, 48, 56, 64, 65, 72, 256} {
 		for trial := 0; trial < 8; trial++ {
 			tile, wLen, inLen := randTile(rng, nf, 1, 20)
 			bias, w, in := randF32(rng, nf), randF32(rng, wLen), randF32(rng, inLen)
 			want := naiveConvF32(bias, w, in, tile)
-			withSIMD(t, func(t *testing.T, _ bool) {
+			withTiers(t, func(t *testing.T, tier string) {
 				got := randF32(rng, tile.P*nf) // stale output must be overwritten
 				ConvTileF32(got, bias, w, in, tile)
-				sameF32(t, fmt.Sprintf("nf=%d %+v", nf, tile), got, want)
+				sameF32(t, fmt.Sprintf("nf=%d %+v (%s)", nf, tile, tier), got, want)
 			})
 		}
 	}
 }
 
-// TestConvTileF32SpecialValues checks NaN/Inf/-0 propagate identically.
+// TestConvTileF32SpecialValues checks NaN/Inf/-0 propagate identically,
+// over 56 lanes: one ZMM block of 32, one of 16 and a YMM remainder.
 func TestConvTileF32SpecialValues(t *testing.T) {
 	nan := float32(math.NaN())
 	inf := float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
-	w := []float32{1, nan, -2, inf, 3, 0.5, negZero, 7, 2, 1, 0, -1, 5, 6, 7, 8}
+	vals := []float32{1, nan, -2, inf, 3, 0.5, negZero, 7, 2, 1, 0, -1, 5, 6, 7, 8, -inf}
+	const nf = 56
+	bias, w := make([]float32, nf), make([]float32, 2*nf)
+	for i := range bias {
+		bias[i] = vals[(5*i+6)%len(vals)]
+	}
+	for i := range w {
+		w[i] = vals[i%len(vals)]
+	}
 	in := []float32{2, inf, negZero, nan, 0, -inf, 1, 2}
-	bias := []float32{negZero, 0, 1, -inf, inf, nan, 2, -1}
 	tile := Tile{P: 7, N: 2, Rows: 1, PixStride: 1}
 	want := naiveConvF32(bias, w, in, tile)
-	withSIMD(t, func(t *testing.T, _ bool) {
+	withTiers(t, func(t *testing.T, tier string) {
 		got := make([]float32, len(want))
 		ConvTileF32(got, bias, w, in, tile)
-		sameF32(t, "special values", got, want)
+		sameF32(t, "special values ("+tier+")", got, want)
 	})
 }
 
 func TestConvTileEmptyReductionIsBias(t *testing.T) {
-	bias := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	withSIMD(t, func(t *testing.T, _ bool) {
-		got := make([]float32, 18)
+	const nf = 57
+	bias, biasI := make([]float32, nf), make([]int32, nf)
+	for i := range bias {
+		bias[i], biasI[i] = float32(i+1), int32(-i)
+	}
+	withTiers(t, func(t *testing.T, tier string) {
+		got := make([]float32, 2*nf)
 		ConvTileF32(got, bias, nil, nil, Tile{P: 2, Rows: 3})
-		sameF32(t, "empty", got, append(append([]float32(nil), bias...), bias...))
+		sameF32(t, "empty ("+tier+")", got, append(append([]float32(nil), bias...), bias...))
+		gotI := make([]int32, 2*nf)
+		ConvTileI8(gotI, biasI, nil, nil, Tile{P: 2, Rows: 3})
+		for i, v := range gotI {
+			if v != biasI[i%nf] {
+				t.Fatalf("ConvTileI8 empty: elem %d = %d, want %d (%s)", i, v, biasI[i%nf], tier)
+			}
+		}
 	})
 }
 
@@ -255,15 +275,17 @@ func TestReLUF32MatchesScalar(t *testing.T) {
 }
 
 // TestConvTileI8MatchesNaive covers extreme zero points and weights so
-// any VPMADDWD range assumption violation would surface. The expected
-// values come from a direct per-lane scalar accumulation over the raw
-// int8 inputs — independent of the pair packing.
+// any VPMADDWD or VPDPWSSD range assumption violation would surface, on
+// every tier and over lane counts that exercise every block combination.
+// The expected values come from a direct per-lane scalar accumulation
+// over the raw int8 inputs — independent of the pair packing.
 func TestConvTileI8MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, zp := range []int32{-128, -1, 0, 5, 127} {
 		for _, s := range []struct{ nf, cin, pix, rows int }{
 			{1, 1, 1, 1}, {1, 2, 3, 1}, {8, 1, 4, 2}, {8, 2, 5, 1}, {8, 6, 9, 3}, {12, 4, 2, 1},
-			{16, 8, 4, 1}, {24, 9, 7, 2}, {32, 64, 6, 1}, {40, 12, 8, 1}, {64, 64, 5, 1}, {67, 31, 3, 2},
+			{16, 8, 4, 1}, {24, 9, 7, 2}, {32, 64, 6, 1}, {40, 12, 8, 1}, {48, 5, 6, 2}, {56, 10, 5, 1},
+			{64, 64, 5, 1}, {65, 3, 9, 1}, {67, 31, 3, 2}, {72, 7, 4, 2}, {256, 16, 5, 1},
 		} {
 			// rows weight panels of [cin x nf], and pix*rows input
 			// pixels of cin lanes; pixel p's row r is input pixel p+r.
@@ -302,12 +324,12 @@ func TestConvTileI8MatchesNaive(t *testing.T) {
 				}
 			}
 			tile := Tile{P: s.pix, N: pairs, Rows: s.rows, PixStride: pairs, InRowStride: pairs, WRowStride: pairs * s.nf}
-			withSIMD(t, func(t *testing.T, _ bool) {
+			withTiers(t, func(t *testing.T, tier string) {
 				got := make([]int32, len(want))
 				ConvTileI8(got, bias, wPair, vp, tile)
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("zp=%d %+v elem %d: %d want %d (simd=%v)", zp, s, i, got[i], want[i], Enabled())
+						t.Fatalf("zp=%d %+v elem %d: %d want %d (%s)", zp, s, i, got[i], want[i], tier)
 					}
 				}
 			})
@@ -715,52 +737,74 @@ func TestPairWeights(t *testing.T) {
 }
 
 // benchShapes are the conv tile benchmark's reductions: input channels
-// by output lanes, as in the reference models' pointwise layers.
-var benchShapes = []struct{ cin, nf int }{{8, 16}, {64, 16}, {64, 64}, {256, 64}}
+// by output lanes, as in the reference models' pointwise layers, plus
+// the 24 and 32 lanes that split differently between the tile widths.
+var benchShapes = []struct{ cin, nf int }{{8, 16}, {64, 16}, {64, 24}, {64, 32}, {64, 64}, {256, 64}}
+
+// benchTiers runs f once per assembly tier the host has — avx512, then
+// avx2 with AVX-512 hidden — so one binary on one host times both (go
+// in a build without the assembly).
+func benchTiers(b *testing.B, f func(b *testing.B)) {
+	avx512 := haveAVX512
+	defer func() { haveAVX512 = avx512 }()
+	if avx512 {
+		b.Run("avx512", f)
+	}
+	haveAVX512 = false
+	if Enabled() {
+		b.Run("avx2", f)
+	} else {
+		b.Run("go", f)
+	}
+}
 
 // BenchmarkConvTileF32 times one 4-pixel run as one tile (P=4) and as
 // four single-pixel calls (P=1): the difference is what register tiling
 // buys over reloading the weights per pixel.
 func BenchmarkConvTileF32(b *testing.B) {
-	for _, s := range benchShapes {
-		rng := rand.New(rand.NewSource(1))
-		bias, w, in := randF32(rng, s.nf), randF32(rng, s.cin*s.nf), randF32(rng, 4*s.cin)
-		dst := make([]float32, 4*s.nf)
-		for _, p := range []int{1, 4} {
-			b.Run(fmt.Sprintf("cin=%d/nf=%d/P=%d", s.cin, s.nf, p), func(b *testing.B) {
-				tile := Tile{P: p, N: s.cin, Rows: 1, PixStride: s.cin}
-				b.SetBytes(int64(4 * s.cin * s.nf)) // MACs, so MB/s reads as MMAC/s
-				for i := 0; i < b.N; i++ {
-					for px := 0; px < 4; px += p {
-						ConvTileF32(dst[px*s.nf:], bias, w, in[px*s.cin:], tile)
+	benchTiers(b, func(b *testing.B) {
+		for _, s := range benchShapes {
+			rng := rand.New(rand.NewSource(1))
+			bias, w, in := randF32(rng, s.nf), randF32(rng, s.cin*s.nf), randF32(rng, 4*s.cin)
+			dst := make([]float32, 4*s.nf)
+			for _, p := range []int{1, 4} {
+				b.Run(fmt.Sprintf("cin=%d/nf=%d/P=%d", s.cin, s.nf, p), func(b *testing.B) {
+					tile := Tile{P: p, N: s.cin, Rows: 1, PixStride: s.cin}
+					b.SetBytes(int64(4 * s.cin * s.nf)) // MACs, so MB/s reads as MMAC/s
+					for i := 0; i < b.N; i++ {
+						for px := 0; px < 4; px += p {
+							ConvTileF32(dst[px*s.nf:], bias, w, in[px*s.cin:], tile)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
-	}
+	})
 }
 
 func BenchmarkConvTileI8(b *testing.B) {
-	for _, s := range benchShapes {
-		rng := rand.New(rand.NewSource(1))
-		pairs := s.cin / 2
-		wPair := PairWeights(randI8(rng, s.cin*s.nf), s.cin, s.nf)
-		vp := make([]uint32, 4*pairs)
-		PackPairs(vp, randI8(rng, 4*s.cin), 5)
-		bias := make([]int32, s.nf)
-		acc := make([]int32, 4*s.nf)
-		for _, p := range []int{1, 4} {
-			b.Run(fmt.Sprintf("cin=%d/nf=%d/P=%d", s.cin, s.nf, p), func(b *testing.B) {
-				tile := Tile{P: p, N: pairs, Rows: 1, PixStride: pairs}
-				b.SetBytes(int64(4 * s.cin * s.nf))
-				for i := 0; i < b.N; i++ {
-					for px := 0; px < 4; px += p {
-						ConvTileI8(acc[px*s.nf:], bias, wPair, vp[px*pairs:], tile)
+	benchTiers(b, func(b *testing.B) {
+		for _, s := range benchShapes {
+			rng := rand.New(rand.NewSource(1))
+			pairs := s.cin / 2
+			wPair := PairWeights(randI8(rng, s.cin*s.nf), s.cin, s.nf)
+			vp := make([]uint32, 4*pairs)
+			PackPairs(vp, randI8(rng, 4*s.cin), 5)
+			bias := make([]int32, s.nf)
+			acc := make([]int32, 4*s.nf)
+			for _, p := range []int{1, 4} {
+				b.Run(fmt.Sprintf("cin=%d/nf=%d/P=%d", s.cin, s.nf, p), func(b *testing.B) {
+					tile := Tile{P: p, N: pairs, Rows: 1, PixStride: pairs}
+					b.SetBytes(int64(4 * s.cin * s.nf))
+					for i := 0; i < b.N; i++ {
+						for px := 0; px < 4; px += p {
+							ConvTileI8(acc[px*s.nf:], bias, wPair, vp[px*pairs:], tile)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkPackStem times packing the vww stem's 96x96x3 input into

@@ -105,7 +105,7 @@ func Decode(r io.Reader) (Audio, error) {
 			a.Samples = make([]float32, n)
 			for i := 0; i < n; i++ {
 				s := int16(binary.LittleEndian.Uint16(data[body+i*2:]))
-				a.Samples[i] = float32(s) / 32767
+				a.Samples[i] = max(float32(s)/32767, -1) // -32768/32767 is below -1
 			}
 			foundData = true
 		}

@@ -2,6 +2,8 @@ package wav
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -81,6 +83,65 @@ func TestDecodeErrors(t *testing.T) {
 			t.Errorf("case %d: accepted", i)
 		}
 	}
+}
+
+// TestDecodeClampsMostNegative pins the int16 extremes to the ends of
+// [-1, 1]: -32768, which Encode never writes, decodes to -1 rather than
+// one step beyond it.
+func TestDecodeClampsMostNegative(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, Audio{Rate: 8000, Channels: 1, Samples: []float32{1, -1, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint16(b[len(b)-2:], 0x8000) // the last sample becomes -32768
+	got, err := Decode(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float32{1, -1, -1}; fmt.Sprint(got.Samples) != fmt.Sprint(want) {
+		t.Fatalf("samples %v, want %v", got.Samples, want)
+	}
+}
+
+// FuzzWAVDecode feeds Decode arbitrary bytes. It must return an error or
+// audio whose samples all lie in [-1, 1], and audio it accepts must come
+// back from Encode and Decode with the same rate, channel count and
+// sample count.
+func FuzzWAVDecode(f *testing.F) {
+	var buf bytes.Buffer
+	Encode(&buf, Audio{Rate: 16000, Channels: 1, Samples: []float32{0, 0.5, -1, 1}})
+	f.Add(buf.Bytes())
+	// Stereo behind an unknown odd-sized chunk, -32768 in an odd-length
+	// data chunk, and a second fmt chunk after the data.
+	f.Add([]byte("RIFF\x00\x00\x00\x00WAVEjunk\x03\x00\x00\x00abc\x00" +
+		"fmt \x10\x00\x00\x00\x01\x00\x02\x00\x40\x1f\x00\x00\x00\x7d\x00\x00\x04\x00\x10\x00" +
+		"data\x05\x00\x00\x00\x00\x80\xff\x7f\x01\x00" +
+		"fmt \x10\x00\x00\x00\x01\x00\x01\x00\x11\x2b\x00\x00\x22\x56\x00\x00\x02\x00\x10\x00"))
+	f.Add([]byte("RIFF1234WAVEdata\x04\x00\x00\x00abcd"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, s := range a.Samples {
+			if !(s >= -1 && s <= 1) {
+				t.Fatalf("sample %d = %v, outside [-1, 1]", i, s)
+			}
+		}
+		var buf bytes.Buffer
+		if err := Encode(&buf, a); err != nil {
+			t.Fatalf("Encode of decoded audio (rate %d, channels %d): %v", a.Rate, a.Channels, err)
+		}
+		b, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("Decode of re-encoded audio: %v", err)
+		}
+		if b.Rate != a.Rate || b.Channels != a.Channels || len(b.Samples) != len(a.Samples) {
+			t.Fatalf("round trip: rate %d, channels %d, %d samples; decoded %d, %d, %d",
+				b.Rate, b.Channels, len(b.Samples), a.Rate, a.Channels, len(a.Samples))
+		}
+	})
 }
 
 func TestDecodeTruncationProperty(t *testing.T) {

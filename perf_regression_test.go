@@ -111,7 +111,8 @@ func ablationModels(t *testing.T) map[string]*tflm.ModelFile {
 // kernels: outputs are bitwise equal, the compiled program's planned
 // arena is the profiler's liveness plan and strictly smaller than the
 // interpreter's slot-per-op arena, the interpreter resolves every op on
-// every Invoke, and neither allocates beyond the returned tensor.
+// every Invoke, and neither allocates beyond the returned tensor (not
+// checked under the race detector, whose instrumentation allocates).
 func TestEONAblationOnSharedKernels(t *testing.T) {
 	for name, mf := range ablationModels(t) {
 		it, err := tflm.NewInterpreter(mf)
@@ -162,6 +163,9 @@ func TestEONAblationOnSharedKernels(t *testing.T) {
 			}
 		}
 
+		if raceEnabled {
+			continue
+		}
 		// Both pools are warm after the runs above.
 		for engine, run := range map[string]func(*tensor.F32) (*tensor.F32, error){"EON": prog.Run, "interpreter": it.Invoke} {
 			allocs := testing.AllocsPerRun(10, func() {
@@ -179,6 +183,9 @@ func TestEONAblationOnSharedKernels(t *testing.T) {
 // TestFloatForwardAllocBudget pins the raw float kernel path's budget:
 // repeated Model.Forward calls must reuse the pooled arena.
 func TestFloatForwardAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation count: the race detector's instrumentation allocates")
+	}
 	m, _, in := kwsModelAndQuant(t)
 	m.Forward(in) // warm the plan and pool
 	allocs := testing.AllocsPerRun(10, func() { m.Forward(in) })
@@ -189,6 +196,9 @@ func TestFloatForwardAllocBudget(t *testing.T) {
 
 // TestInt8ForwardAllocBudget pins the quantized pipeline's budget.
 func TestInt8ForwardAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation count: the race detector's instrumentation allocates")
+	}
 	_, qm, in := kwsModelAndQuant(t)
 	qm.Forward(in) // warm the pool
 	allocs := testing.AllocsPerRun(10, func() { qm.Forward(in) })

@@ -2,6 +2,6 @@
 
 package edgepulse_test
 
-// raceEnabled reports that the race detector is active; timing tests
-// skip themselves under it.
+// raceEnabled reports that the race detector is active; timing and
+// allocation-count checks skip themselves under it.
 const raceEnabled = true
