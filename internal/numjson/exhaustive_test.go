@@ -14,7 +14,7 @@ import (
 // patterns and returns how many failed, stopping after 20. The 512 sign
 // × exponent blocks of 2^23 patterns are shared out over GOMAXPROCS
 // goroutines, each with the check newCheck gives it (and whatever buffers
-// that keeps).
+// that keeps), which sees a block's patterns in order.
 func exhaustFloat32(newCheck func() func(b uint32) bool) int64 {
 	var next, diffs atomic.Int64
 	var wg sync.WaitGroup
@@ -40,33 +40,33 @@ func exhaustFloat32(newCheck func() func(b uint32) bool) int64 {
 	return diffs.Load()
 }
 
-// TestAppendFloat32Exhaustive holds appendFloat32 to strconv on every
-// one of the 2^32 float32 bit patterns: the same bytes in the layout
-// encoding/json chooses, and a refusal exactly for NaN and ±Inf.
+// TestAppendFloat32Exhaustive holds the float32 formatter to strconv on
+// every one of the 2^32 float32 bit patterns, on both tiers: the same
+// bytes in the layout encoding/json chooses, through AppendFloats in
+// batches — where the avx512 tier runs, its kernel writes every record —
+// and through AppendFloat(…, 32) one value at a time, and a refusal
+// exactly for NaN and ±Inf.
 //
 //	go test -tags exhaustive -run Exhaustive ./internal/numjson
 //
-// This one takes about 4 min of wall time on two 2.1 GHz cores, the
-// float64 formatter's 9 (strconv's float64 digits, its reference, are
-// the slower half) and the float64 scan's 6: give the three -timeout 45m.
+// This one takes about 8 min of wall time per tier on two cores (strconv,
+// its reference, is most of it), the float64 formatter's 9 (strconv's
+// float64 digits are the slower half) and the float64 scan's 6: give the
+// three -timeout 60m.
 func TestAppendFloat32Exhaustive(t *testing.T) {
-	diffs := exhaustFloat32(func() func(uint32) bool {
-		var got, want []byte
-		return func(b uint32) bool {
-			var ok bool
-			got, ok = appendFloat32(got[:0], b)
-			finite := b>>23&0xff != 0xff
-			if want = want[:0]; finite {
-				want = appendFloat32Strconv(want, b)
+	forTiers(t, func(t *testing.T) {
+		diffs := exhaustFloat32(func() func(uint32) bool {
+			var c float32Checker
+			return func(b uint32) bool {
+				if msg := c.check(b, false); msg != "" {
+					t.Error(msg)
+					return false
+				}
+				return true
 			}
-			if ok != finite || string(got) != string(want) {
-				t.Errorf("%#08x: %q (ok=%v), strconv %q", b, got, ok, want)
-				return false
-			}
-			return true
-		}
+		})
+		t.Logf("%d mismatches", diffs)
 	})
-	t.Logf("%d mismatches", diffs)
 }
 
 // TestAppendFloat64OfFloat32Exhaustive holds the float64 formatter to

@@ -1,8 +1,12 @@
 package numjson
 
 import (
+	"encoding/binary"
+	"math"
 	"math/bits"
 	"slices"
+
+	"edgepulse/internal/simd"
 )
 
 // The float32 formatter: Schubfach (Giulietti, "The Schubfach way to
@@ -18,8 +22,18 @@ import (
 // to odd: the sticky bit keeps the two bits below the integer part
 // exact enough for every comparison made on them. TestPow10TableMatchesBigInt
 // checks the table, TestAppendFloat32Exhaustive (-tags exhaustive) every
-// one of the 2^32 bit patterns against strconv. float64.go runs the
-// same algorithm on float64s, over the same powers widened to 128 bits.
+// one of the 2^32 bit patterns against strconv, on both tiers below.
+// float64.go runs the same algorithm on float64s, over the same powers
+// widened to 128 bits.
+//
+// A float32 is written in two stages. The record stage spells its
+// shortest decimal out in a fixed form (simd.ShortestF32 documents it):
+// the nine ASCII digits of d·10^(9-n), n the count of significant
+// digits, and the decimal exponent. It is arithmetic with no branch on
+// the value, so where the avx512 tier runs, simd.ShortestF32 does it
+// eight floats to a ZMM register; elsewhere record32 does, the
+// reference the kernel is held to. The layout stage, layoutFloats32,
+// writes encoding/json's text from the records with whole-word stores.
 
 // pow10f32[k-pow10MinExp] is ⌈10^k·2^-r⌉ for the r that puts it in
 // [2^63, 2^64): r = ⌊log2 10^k⌋ - 63. Literals, so that no start-up work
@@ -214,35 +228,10 @@ func roundToOdd(g uint64, cp uint32) uint32 {
 	return y
 }
 
-// shortest32 returns the shortest decimal d·10^k that reads back as the
-// finite, nonzero float32 with mantissa field frac and exponent field
-// exp — the one nearest the value where several are as short. d has no
-// trailing zero.
-func shortest32(frac, exp uint32) (d uint32, k int) {
-	const (
-		mantBits = 23
-		bias     = 127 + mantBits
-	)
-	c, q := frac, 1-bias // subnormal
-	if exp != 0 {
-		c, q = frac|1<<mantBits, int(exp)-bias
-	}
-	if 0 <= -q && -q <= mantBits && c&(1<<-q-1) == 0 {
-		// An integer below 2^24: its own digits are the answer.
-		d = c >> -q
-	} else {
-		d, k = schubfach32(c, q, frac == 0 && exp > 1)
-	}
-	for d%10 == 0 {
-		d /= 10
-		k++
-	}
-	return d, k
-}
-
-// schubfach32 is shortest32 for c·2^q, before trailing zeros are taken
-// off. At a power of two (lowerCloser) the float below is half as far
-// away as the one above.
+// schubfach32 returns a shortest decimal d·10^k that reads back as c·2^q
+// — the one nearest the value where several are as short — with d
+// possibly ending in zeros. At a power of two (lowerCloser) the float
+// below is half as far away as the one above.
 func schubfach32(c uint32, q int, lowerCloser bool) (d uint32, k int) {
 	k = q * 1262611 >> 22 // ⌊log10 2^q⌋
 	cbl := 4*c - 2
@@ -288,10 +277,6 @@ func schubfach32(c uint32, q int, lowerCloser bool) (d uint32, k int) {
 	}
 	return s, k
 }
-
-// maxFloat32Len bounds the text of a float32: the longest is a sign and
-// the 21 digits of 1e20 in fixed layout.
-const maxFloat32Len = 24
 
 const digitPairs = "00010203040506070809" +
 	"10111213141516171819" +
@@ -344,85 +329,210 @@ func putDigits(buf []byte, end int, d uint32) {
 	buf[end-1] = byte('0' + d)
 }
 
-// appendFloat32 appends the float32 with the given bits as encoding/json
-// writes it — the shortest decimal that reads back as the same float32,
-// fixed for 1e-6 <= |v| < 1e21 and d.ddde±x otherwise — and reports
-// false, appending nothing, for NaN and the infinities.
-func appendFloat32(dst []byte, b uint32) ([]byte, bool) {
-	exp, frac := b>>23&0xff, b&(1<<23-1)
-	if exp == 0xff {
-		return dst, false
+// --- Record stage ---
+
+// ascii8 is "00000000" as a little-endian word, zeroPoint "0.000000".
+const ascii8, zeroPoint = 0x3030303030303030, 0x3030303030302e30
+
+// pow10u32[i] is 10^i.
+var pow10u32 = [10]uint32{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// record32 is the record stage's reference: the record of the float32
+// with bits b, in simd.ShortestF32's form, which the kernel writes for
+// the same bits.
+func record32(b uint32) (digits uint64, head uint32) {
+	const (
+		mantBits = 23
+		bias     = 127 + mantBits
+	)
+	exp, frac := b>>23&0xff, b&(1<<mantBits-1)
+	head = b >> 31 << 24
+	switch {
+	case exp == 0xff:
+		return 0, head // no significant digits: not finite
+	case exp|frac == 0:
+		return ascii8, head | 1<<8 | '0'
 	}
-	start := len(dst)
-	dst = slices.Grow(dst, maxFloat32Len)
-	buf := dst[start : start+maxFloat32Len]
-	i := 0
-	if b>>31 != 0 {
-		buf[0] = '-'
-		i = 1
+	c, q := frac, 1-bias // subnormal
+	if exp != 0 {
+		c, q = frac|1<<mantBits, int(exp)-bias
 	}
-	if exp|frac == 0 {
-		buf[i] = '0'
-		return dst[:start+i+1], true
+	var d uint32
+	k := 0
+	if 0 <= -q && -q <= mantBits && c&(1<<-q-1) == 0 {
+		// An integer below 2^24: its own digits are the answer.
+		d = c >> -q
+	} else {
+		d, k = schubfach32(c, q, frac == 0 && exp > 1)
 	}
-	d, k := shortest32(frac, exp)
 	n := decimalLen(d)
-	// The shortest decimals of two float32s are ordered as the floats
-	// are, and those of float32(1e-6) and float32(1e21) are 1e-6 and
-	// 1e21: comparing the decimal exponent is comparing the values.
-	switch e10 := k + n - 1; {
-	case e10 < -6 || e10 >= 21:
-		// d.ddde±x
-		putDigits(buf, i+n+1, d)
-		buf[i] = buf[i+1]
-		i++
-		if n > 1 {
-			buf[i] = '.'
-			i += n
-		}
-		buf[i] = 'e'
-		// An exponent of either sign here has two digits, except e-7 to e-9:
-		// strconv writes e-07 and encoding/json takes the zero out again.
-		if e10 < 0 {
-			buf[i+1] = '-'
-			e10 = -e10
-		} else {
-			buf[i+1] = '+'
-		}
-		i += 2
-		if e10 >= 10 {
-			buf[i] = digitPairs[e10*2]
-			i++
-		}
-		buf[i] = digitPairs[e10*2+1]
-		i++
-	case e10 < 0:
-		// 0.000ddd
-		buf[i], buf[i+1] = '0', '.'
-		i += 2
-		for z := e10 + 1; z < 0; z++ {
-			buf[i] = '0'
-			i++
-		}
-		i += n
-		putDigits(buf, i, d)
-	case k >= 0:
-		// ddd000
-		i += n
-		putDigits(buf, i, d)
-		for ; k > 0; k-- {
-			buf[i] = '0'
-			i++
-		}
-	default:
-		// dd.ddd: the digits one place to the right, then the integer
-		// part moved back over the gap.
-		putDigits(buf, i+n+1, d)
-		for point := i + e10 + 1; i < point; i++ {
-			buf[i] = buf[i+1]
-		}
-		buf[i] = '.'
-		i = i + n - e10
+	full := d * pow10u32[9-n] // nine digits: [10^8, 10^9)
+	lead := full / 1e8
+	digits = swarDigits(full - lead*1e8)
+	// The zeros d ends in are '0' bytes at the top of digits.
+	sig := 9 - bits.LeadingZeros64(digits^ascii8)/8
+	return digits, head | uint32(uint8(int8(k+n-1)))<<16 | uint32(sig)<<8 | '0' + lead
+}
+
+// swarDigits spells x < 10^8 as eight ASCII digits, the most significant
+// in the low byte, dividing in every lane of a word at once: x into two
+// halves of four digits (a uint32 each), each half into two pairs (a
+// uint16 each), each pair into two digits (a byte each). Every quotient
+// is a multiply and a shift, exact below the bound of its lane, and no
+// lane's product reaches the next lane.
+func swarDigits(x uint32) uint64 {
+	hi := x / 1e4
+	y := uint64(hi) | uint64(x-hi*1e4)<<32
+	q := y * 5243 >> 19 & 0x0000007f0000007f // /100 per uint32 lane, below 10^4
+	y = q | (y-q*100)<<16
+	q = y * 103 >> 10 & 0x000f000f000f000f // /10 per uint16 lane, below 100
+	return (q | (y-q*10)<<8) + ascii8
+}
+
+// records32 writes the records of vals: the avx512 kernel where it runs,
+// record32 elsewhere.
+func records32(digits []uint64, heads []uint32, vals []float32) {
+	if simd.ShortestF32(digits, heads, vals, pow10f32[:]) {
+		return
 	}
-	return dst[:start+i], true
+	digits = digits[:len(vals)]
+	heads = heads[:len(vals)]
+	for i, v := range vals {
+		digits[i], heads[i] = record32(math.Float32bits(v))
+	}
+}
+
+// --- Layout stage ---
+
+// float32Slot is the room layoutFloats32 needs per record: it stores
+// whole words, some of them past the text, up to 26 bytes from where a
+// record starts (a sign, 1e20's 21 digits and a comma are 23 of them).
+const float32Slot = 32
+
+// float32Block is how many floats AppendFloats takes through each stage
+// at a time.
+const float32Block = 64
+
+// layoutFloats32 writes the records as encoding/json writes the floats —
+// fixed for 1e-6 <= |v| < 1e21 and d.ddde±x otherwise — each followed by
+// a comma, from buf[0]; buf holds float32Slot bytes per record. It
+// returns the bytes written and how many records it wrote: all, or those
+// before the first that is not finite.
+//
+// Nine digits always follow the first digit's position, so every layout
+// is a few stores that write more than they keep: the digits of the
+// integer part and of the fraction are one word each, and the zeros an
+// integer ends in are the record's own.
+func layoutFloats32(buf []byte, digits []uint64, heads []uint32) (i, done int) {
+	digits = digits[:len(heads)]
+	for j, h := range heads {
+		sig := int(h >> 8 & 0xff)
+		if sig == 0 {
+			return i, j
+		}
+		w, lead := digits[j], byte(h)
+		b := buf[i : i+float32Slot]
+		b[0] = '-'
+		o := int(h >> 24) // past the sign
+		switch e10 := int(int8(h >> 16)); {
+		case e10 < -6 || e10 >= 21:
+			// d.ddde±x
+			b[o], b[o+1] = lead, '.'
+			binary.LittleEndian.PutUint64(b[o+2:], w)
+			o++
+			if sig > 1 {
+				o += sig
+			}
+			b[o], b[o+1] = 'e', '+'
+			if e10 < 0 {
+				b[o+1] = '-'
+				e10 = -e10
+			}
+			// strconv writes e-07 here and encoding/json takes the zero out
+			// again: one digit below ten.
+			if e10 >= 10 {
+				b[o+2], b[o+3] = digitPairs[e10*2], digitPairs[e10*2+1]
+				o += 4
+			} else {
+				b[o+2] = byte('0' + e10)
+				o += 3
+			}
+		case e10 < 0:
+			// 0.000ddd
+			binary.LittleEndian.PutUint64(b[o:], zeroPoint)
+			o += 1 - e10
+			b[o] = lead
+			binary.LittleEndian.PutUint64(b[o+1:], w)
+			o += sig
+		case e10 >= sig-1:
+			// ddd000: the record's digits, then more zeros past the ninth.
+			b[o] = lead
+			binary.LittleEndian.PutUint64(b[o+1:], w)
+			if e10 >= 9 {
+				binary.LittleEndian.PutUint64(b[o+9:], ascii8)
+				binary.LittleEndian.PutUint64(b[o+17:], ascii8)
+			}
+			o += e10 + 1
+		default:
+			// dd.ddd: the digits, then the fraction's again one place on,
+			// behind the point.
+			b[o] = lead
+			binary.LittleEndian.PutUint64(b[o+1:], w)
+			b[o+e10+1] = '.'
+			binary.LittleEndian.PutUint64(b[o+e10+2:], w>>(8*e10))
+			o += sig + 1
+		}
+		b[o] = ','
+		i += o + 1
+	}
+	return i, len(heads)
+}
+
+// appendFloats32 is AppendFloats for a non-nil []float32: blocks of
+// float32Block floats, each through the record stage and then the
+// layout, written in place where dst has the room for a block's slots
+// and through a buffer on the stack where it has not.
+func appendFloats32(dst []byte, vals []float32) ([]byte, error) {
+	dst = append(dst, '[')
+	if len(vals) == 0 {
+		return append(dst, ']'), nil
+	}
+	var (
+		digits [float32Block]uint64
+		heads  [float32Block]uint32
+		spare  [float32Block * float32Slot]byte
+	)
+	for len(vals) > 0 {
+		blk := vals[:min(len(vals), float32Block)]
+		vals = vals[len(blk):]
+		records32(digits[:], heads[:], blk)
+		need, start := len(blk)*float32Slot, len(dst)
+		var n, done int
+		if cap(dst)-start >= need {
+			n, done = layoutFloats32(dst[start:start+need], digits[:], heads[:len(blk)])
+			dst = dst[:start+n]
+		} else {
+			n, done = layoutFloats32(spare[:need], digits[:], heads[:len(blk)])
+			dst = append(dst, spare[:n]...)
+		}
+		if done < len(blk) {
+			return dst, unsupportedValue(blk[done])
+		}
+	}
+	dst[len(dst)-1] = ']' // in place of the last comma
+	return dst, nil
+}
+
+// appendFloat32 appends the float32 with the given bits as encoding/json
+// writes it, through the same record and layout as AppendFloats, and
+// reports false, appending nothing, for NaN and the infinities.
+func appendFloat32(dst []byte, b uint32) ([]byte, bool) {
+	digits, head := record32(b)
+	start := len(dst)
+	dst = slices.Grow(dst, float32Slot)
+	n, done := layoutFloats32(dst[start:start+float32Slot], []uint64{digits}, []uint32{head})
+	if done == 0 {
+		return dst[:start], false
+	}
+	return dst[:start+n-1], true // less the comma
 }

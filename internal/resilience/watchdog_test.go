@@ -9,11 +9,13 @@ import (
 )
 
 // startBlockedJob submits a job that parks until release is closed (or
-// its context is cancelled) and waits for it to be running.
+// its context is cancelled) and waits for it to be running: the job
+// closes started once its body runs.
 func startBlockedJob(t *testing.T, sched *jobs.Scheduler) (*jobs.Job, chan struct{}) {
 	t.Helper()
-	release := make(chan struct{})
+	release, started := make(chan struct{}), make(chan struct{})
 	j, err := sched.Submit("train", func(ctx context.Context, job *jobs.Job) error {
+		close(started)
 		select {
 		case <-release:
 			return nil
@@ -24,12 +26,10 @@ func startBlockedJob(t *testing.T, sched *jobs.Scheduler) (*jobs.Job, chan struc
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for j.Status() != jobs.Running {
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started running (status %s)", j.Status())
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("job never started running (status %s)", j.Status())
 	}
 	return j, release
 }

@@ -3,9 +3,10 @@
 // conv2d/conv1d/dense), the depthwise kernels, input quantization,
 // the int8 pair packs (channel pairs for the convs, tap pairs for the
 // depthwise), requantization, pooling maxima and the fused activation
-// clamps; and behind the DSP front ends: the real FFT's radix-2
-// butterfly stages and unpack into a power spectrum, and the image
-// resize's vertical blend.
+// clamps; behind the DSP front ends: the real FFT's radix-2 butterfly
+// stages and unpack into a power spectrum, and the image resize's
+// vertical blend; and behind numjson's float32 formatter, the shortest
+// decimal of eight floats at a time (ShortestF32, shortest.go).
 //
 // A conv tile is a run of P output pixels that share one tap window.
 // The kernel walks it four pixels at a time (then one at a time) by two
@@ -21,15 +22,17 @@
 //
 // The assembly comes in three tiers, chosen from CPUID with no setting:
 //
-//   - avx512 (AVX-512 F+VL+VNNI): the conv tiles run on ZMM registers,
-//     blocks of 32 lanes then 16, and a last 8 lanes on the YMM tile;
-//     the int8 MAC is one VPDPWSSD. DepthwiseI8 and RequantI8 run their
-//     assembly.
+//   - avx512 (AVX-512 F+VL+CD+BW+VNNI): the conv tiles run on ZMM
+//     registers, blocks of 32 lanes then 16, and a last 8 lanes on the
+//     YMM tile; the int8 MAC is one VPDPWSSD. DepthwiseI8, RequantI8 and
+//     ShortestF32 run their assembly.
 //   - avx2: the conv tiles run on YMM registers, blocks of 16 lanes then
 //     8, the int8 MAC VPMADDWD + VPADDD; the packs and the float
 //     kernels run in assembly, DepthwiseI8 and RequantI8 their Go
 //     references (their requantization needs AVX-512's 64-bit lane
-//     shifts and narrows).
+//     shifts and narrows), and ShortestF32 leaves the records to
+//     numjson's reference (its kernel needs 64-bit lane shifts and
+//     compares into masks, VPLZCNTQ and a gather).
 //   - go: everywhere else (other architectures, the noasm build tag, and
 //     when a test calls SetEnabled(false)) every primitive runs its pure
 //     Go reference.
@@ -51,6 +54,11 @@
 //     and in VPDPWSSD lanes (the non-saturating form), so any regrouping
 //     (the assembly pairs adjacent input lanes, or adjacent taps) yields
 //     the same accumulator bits.
+//   - ShortestF32 is integer arithmetic with no rounding of its own:
+//     every lane computes what numjson's record32 computes, with the
+//     scalar code's branches turned into mask blends, and the two agree
+//     on every one of the 2^32 float32 bit patterns
+//     (TestAppendFloat32Exhaustive, -tags exhaustive).
 //
 // The EON-vs-interpreter story of the source paper rests on quantized
 // kernels beating float on real hardware (CMSIS-NN's SMLAD dual-MAC is

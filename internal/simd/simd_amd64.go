@@ -8,11 +8,13 @@ package simd
 // context switches.
 var haveAVX2 = detectAVX2()
 
-// haveAVX512 additionally requires AVX-512 F+VL+VNNI plus the OS
+// haveAVX512 additionally requires AVX-512 F+VL+CD+BW+VNNI plus the OS
 // enabling the opmask/upper-ZMM register state in XCR0. It selects the
 // 512-bit conv tiles (ZMM registers, VPDPWSSD), the int8 depthwise
-// kernel (VPDPWSSD on YMM) and the requantization (EVEX 64-bit lane
-// shifts and narrows on YMM); without it those run AVX2 or Go.
+// kernel (VPDPWSSD on YMM), the requantization (EVEX 64-bit lane shifts
+// and narrows on YMM) and the float32 decimal records (VPLZCNTQ, word
+// multiplies on ZMM); without it those run AVX2 or Go. Every CPU with
+// VNNI has CD and BW; they are checked because the records use them.
 var haveAVX512 = detectAVX512()
 
 func detectAVX512() bool {
@@ -24,9 +26,12 @@ func detectAVX512() bool {
 	}
 	_, b7, c7, _ := cpuid(7, 0)
 	const avx512f = 1 << 16
+	const avx512cd = 1 << 28
+	const avx512bw = 1 << 30
 	const avx512vl = 1 << 31
 	const avx512vnni = 1 << 11 // ECX
-	return b7&avx512f != 0 && b7&avx512vl != 0 && c7&avx512vnni != 0
+	const need = avx512f | avx512cd | avx512bw | avx512vl
+	return b7&need == need && c7&avx512vnni != 0
 }
 
 func detectAVX2() bool {
@@ -157,3 +162,10 @@ func realPowerF32SIMD(dst, re, im, wr, wi []float32, scale float32)
 //
 //go:noescape
 func blendDivF32SIMD(dst, a, b []float32, wa, wb, div float32)
+
+// shortestF32AVX512 requires len(vals) a positive multiple of 8,
+// len(digits) and len(heads) >= len(vals), pow10 ShortestF32's table,
+// and haveAVX512.
+//
+//go:noescape
+func shortestF32AVX512(digits []uint64, heads []uint32, vals []float32, pow10 *uint64)

@@ -52,3 +52,7 @@ func realPowerF32SIMD(dst, re, im, wr, wi []float32, scale float32) {
 func blendDivF32SIMD(dst, a, b []float32, wa, wb, div float32) {
 	panic("simd: assembly path in a build without it")
 }
+
+func shortestF32AVX512(digits []uint64, heads []uint32, vals []float32, pow10 *uint64) {
+	panic("simd: assembly path in a build without it")
+}
