@@ -8,11 +8,6 @@
 //	ei-bench                   regenerate everything
 //	ei-bench -quick            smaller budgets (fast CI runs)
 //	ei-bench -out results      also write results/<id>.txt files
-//
-// It also converts `go test -bench` output into the repository's
-// committed benchmark trajectory files (see scripts/bench.sh):
-//
-//	go test -run '^$' -bench . -benchmem ./... | ei-bench -bench-json BENCH_STAMP.json
 package main
 
 import (
@@ -38,15 +33,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced budgets for quick runs")
 	seed := flag.Int64("seed", 42, "random seed")
 	out := flag.String("out", "", "directory to write per-experiment outputs")
-	benchJSON := flag.String("bench-json", "", "parse `go test -bench` output from stdin into the given JSON file (STAMP expands to a UTC timestamp)")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := emitBenchJSON(os.Stdin, *benchJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	// Table 3 trials feed Fig. 3; cache them across experiments.
 	var cachedTrials []tuner.Trial

@@ -10,7 +10,7 @@
 //	ei-fleet -target http://host:4800     storm a running target
 //	ei-fleet -devices 32 -ops 8           bigger fleet
 //	ei-fleet -mix classify=4,stream=2     custom scenario mix
-//	ei-fleet -out FLEET_STAMP.json        write the committed record
+//	ei-fleet -out FLEET_STAMP.json        also write the result as JSON
 //	ei-fleet -check                       exit 1 on SLO violations
 //
 // Runs are deterministic from -seed: the same devices replay the same
@@ -44,7 +44,7 @@ func main() {
 	quantized := flag.Bool("quantized", false, "serve the int8 model instead of float32")
 	streamSeconds := flag.Float64("stream-seconds", 0, "seconds of audio per streaming session (0 = default)")
 	streamEvents := flag.Int("stream-events", 0, "embedded utterances per streaming session (0 = default)")
-	out := flag.String("out", "", "write the result as a FLEET record (STAMP expands to a UTC timestamp)")
+	out := flag.String("out", "", "write the result as a JSON record (STAMP expands to a UTC timestamp)")
 	check := flag.Bool("check", false, "evaluate the default SLO and exit 1 on violations")
 	timeout := flag.Duration("timeout", 10*time.Minute, "overall run deadline")
 	flag.Parse()
@@ -140,7 +140,7 @@ func startInproc() (shutdown func(), url string, err error) {
 func report(res *fleet.Result) {
 	fmt.Printf("target    %s\n", res.Target)
 	fmt.Printf("fleet     %d devices x %d ops, seed %d, mix %s\n",
-		res.Config.Devices, res.Config.OpsPerDevice, res.Config.Seed, mixString(res.Config.Mix))
+		res.Config.Devices, res.Config.OpsPerDevice, res.Config.Seed, res.Config.Mix)
 	fmt.Printf("timing    setup %.2fs, storm %.2fs\n\n", res.SetupSeconds, res.WallSeconds)
 
 	fmt.Printf("%-15s %7s %7s %9s %9s %9s %9s %6s %6s\n",
@@ -159,24 +159,6 @@ func report(res *fleet.Result) {
 		fmt.Printf("target Δ  %+d goroutines, %+.1f KiB heap\n",
 			res.TargetDelta.Goroutines, float64(res.TargetDelta.HeapAllocBytes)/1024)
 	}
-}
-
-// mixString renders a Mix as the -mix flag syntax.
-func mixString(m fleet.Mix) string {
-	weights := map[string]int{
-		"upload": m.Upload, "classify": m.Classify, "batch": m.Batch,
-		"stream": m.Stream, "train": m.Train, "tune": m.Tune,
-	}
-	var s string
-	for _, name := range fleet.Scenarios() {
-		if weights[name] > 0 {
-			if s != "" {
-				s += ","
-			}
-			s += fmt.Sprintf("%s=%d", name, weights[name])
-		}
-	}
-	return s
 }
 
 func fatal(err error) {

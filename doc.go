@@ -31,16 +31,16 @@
 //   - internal/deploy, eim — deployment artifacts and the EIM runner
 //   - internal/bench, report — the paper's tables and figures
 //   - internal/fleet, e2e — the verification plane: the macro load
-//     harness (synthetic device fleets, SLO gates, committed FLEET_*
-//     records; see docs/LOADTEST.md) and the end-to-end suite that
+//     harness (synthetic device fleets, SLO gates; see
+//     docs/LOADTEST.md) and the end-to-end suite that
 //     boots real platform instances and asserts the platform contract
 //
 // Entry points: cmd/ei-studio (REST server), cmd/ei-cli (client),
 // cmd/ei-daemon (device bridge), cmd/ei-run (EIM runner), cmd/ei-bench
 // (regenerate the paper's evaluation), cmd/ei-fleet (macro load
-// harness), cmd/ei-ratchet (CI gate over the committed BENCH_*/FLEET_*
-// series). See README.md for a quickstart and docs/ARCHITECTURE.md for
-// the package map and data flow.
+// harness). Performance is measured by the end-to-end benchmark in
+// benchmark/. See README.md for a quickstart and docs/ARCHITECTURE.md
+// for the package map and data flow.
 package edgepulse
 
 // Version identifies this reproduction build.

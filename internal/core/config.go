@@ -34,8 +34,8 @@ type LearnBlockSpec struct {
 	// Name is the block's instance name, unique within the impulse.
 	// Defaults to Type.
 	Name string `json:"name,omitempty"`
-	// Type is a registered learn block type: "classification",
-	// "regression" or "anomaly".
+	// Type is a registered learn block type: "classification" or
+	// "anomaly".
 	Type string `json:"type"`
 	// Inputs names the DSP blocks whose outputs this block consumes;
 	// its feature vector is the concatenation of those blocks' outputs

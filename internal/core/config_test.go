@@ -374,7 +374,7 @@ func TestDesignValidation(t *testing.T) {
 	}
 	// Two classifier heads exceed the runtime's single-model state.
 	c = base()
-	c.Learn = []LearnBlockSpec{{Name: "c1", Type: LearnClassification}, {Name: "c2", Type: LearnRegression}}
+	c.Learn = []LearnBlockSpec{{Name: "c1", Type: LearnClassification}, {Name: "c2", Type: LearnClassification}}
 	if _, err := FromConfig(c); err == nil {
 		t.Error("two classifier heads accepted")
 	}
@@ -388,11 +388,11 @@ func TestDesignValidation(t *testing.T) {
 	if imp.DSP[0].Name != "raw" || imp.DSP[1].Name != "raw-2" {
 		t.Fatalf("auto names: %q, %q", imp.DSP[0].Name, imp.DSP[1].Name)
 	}
-	// Regression is a design slot: it validates but refuses to train.
+	// "regression" is not a learn type: the platform cannot train it.
 	c = base()
-	c.Learn = []LearnBlockSpec{{Type: LearnRegression}}
-	if _, err := FromConfig(c); err != nil {
-		t.Errorf("regression slot rejected: %v", err)
+	c.Learn = []LearnBlockSpec{{Type: "regression"}}
+	if _, err := FromConfig(c); err == nil || !strings.Contains(err.Error(), "unknown learn block type") {
+		t.Errorf("regression learn block: err = %v, want unknown learn block type", err)
 	}
 }
 
@@ -411,8 +411,8 @@ func TestCatalogsSorted(t *testing.T) {
 			t.Errorf("LearnTypes()[%d] = %q, want %q", i, lt.Type, learn[i])
 		}
 	}
-	if len(learn) < 3 {
-		t.Fatalf("expected at least classification/regression/anomaly, got %v", learn)
+	if len(learn) < 2 {
+		t.Fatalf("expected at least anomaly/classification, got %v", learn)
 	}
 }
 

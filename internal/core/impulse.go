@@ -220,7 +220,7 @@ func (imp *Impulse) validateDesign() error {
 			consumed[in] = true
 		}
 		switch t.Type {
-		case LearnClassification, LearnRegression:
+		case LearnClassification:
 			classifiers++
 		case LearnAnomaly:
 			anomalies++
@@ -233,7 +233,7 @@ func (imp *Impulse) validateDesign() error {
 	// state per impulse; the schema allows lists so richer runtimes can
 	// grow into them.
 	if classifiers > 1 {
-		return fmt.Errorf("core: at most one classification/regression learn block per impulse (have %d)", classifiers)
+		return fmt.Errorf("core: at most one classification learn block per impulse (have %d)", classifiers)
 	}
 	if anomalies > 1 {
 		return fmt.Errorf("core: at most one anomaly learn block per impulse (have %d)", anomalies)
@@ -671,11 +671,6 @@ func (imp *Impulse) Train(ds *data.Dataset, cfg trainer.Config) (*trainer.Result
 	if imp.Model == nil {
 		return nil, fmt.Errorf("core: no classifier attached")
 	}
-	for _, spec := range imp.Learn {
-		if spec.Type == LearnRegression {
-			return nil, fmt.Errorf("core: learn block %q: regression training is not implemented yet", spec.Name)
-		}
-	}
 	examples, err := imp.BuildExamples(ds, data.Training)
 	if err != nil {
 		return nil, err
@@ -927,14 +922,6 @@ func (imp *Impulse) Describe() string {
 	learn := ""
 	if len(imp.Classes) > 0 {
 		learn = fmt.Sprintf("Classification (%d classes)", len(imp.Classes))
-	}
-	for _, spec := range imp.Learn {
-		if spec.Type == LearnRegression {
-			if learn != "" {
-				learn += " + "
-			}
-			learn += "Regression"
-		}
 	}
 	if imp.Anomaly != nil {
 		if learn != "" {

@@ -6,7 +6,6 @@ import "sort"
 // LearnBlockSpec.Type and listed by the REST block catalog.
 const (
 	LearnClassification = "classification"
-	LearnRegression     = "regression"
 	LearnAnomaly        = "anomaly"
 )
 
@@ -21,9 +20,7 @@ type LearnBlockType struct {
 	// Defaults is the accepted hyperparameter set with default values
 	// (the block's param schema).
 	Defaults map[string]float64
-	// Trainable reports whether the platform can currently fit this
-	// block. Regression is registered as a design-schema slot ahead of
-	// trainer support, so designs carrying it validate and round-trip.
+	// Trainable reports whether the platform can fit this block.
 	Trainable bool
 }
 
@@ -76,11 +73,6 @@ func init() {
 		Type:        LearnClassification,
 		Description: "Neural network classifier over the selected DSP block outputs",
 		Trainable:   true,
-	})
-	RegisterLearn(LearnBlockType{
-		Type:        LearnRegression,
-		Description: "Neural network regression head (design slot; training not yet implemented)",
-		Trainable:   false,
 	})
 	RegisterLearn(LearnBlockType{
 		Type:        LearnAnomaly,

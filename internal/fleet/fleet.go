@@ -7,8 +7,8 @@
 // typed internal/client. It measures per-op p50/p95/p99 latency,
 // throughput, the shed/error breakdown by stable code, detection
 // recall against the synthesizer's ground truth, and the target's
-// goroutine/heap movement via /metrics, and can emit the committed
-// FLEET_<stamp>.json records cmd/ei-ratchet gates on.
+// goroutine/heap movement via /metrics, and can write the result as a
+// stamped JSON record (WriteRecord).
 //
 // Everything is deterministic from Config.Seed: device i derives its
 // stream with synth.Derive(seed, i), so a run is reproducible up to
@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -119,9 +118,14 @@ func (m Mix) Total() int {
 	return t
 }
 
+// maxMixWeight bounds one scenario's weight: the weights are ratios,
+// and pattern expands them into a slice of Total entries.
+const maxMixWeight = 1000
+
 // ParseMix parses "classify=4,stream=1,upload=2" into a Mix. Unknown
-// scenario names and non-numeric weights are errors; omitted scenarios
-// get weight 0.
+// scenario names and weights that are not integers in 0..maxMixWeight
+// are errors; omitted scenarios get weight 0. It accepts what
+// Mix.String writes.
 func ParseMix(s string) (Mix, error) {
 	var m Mix
 	if strings.TrimSpace(s) == "" {
@@ -137,8 +141,8 @@ func ParseMix(s string) (Mix, error) {
 			return m, fmt.Errorf("fleet: mix entry %q is not name=weight", part)
 		}
 		w, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || w < 0 {
-			return m, fmt.Errorf("fleet: mix weight %q must be a non-negative integer", val)
+		if err != nil || w < 0 || w > maxMixWeight {
+			return m, fmt.Errorf("fleet: mix weight %q must be an integer in 0..%d", val, maxMixWeight)
 		}
 		switch strings.TrimSpace(name) {
 		case "upload":
@@ -161,6 +165,18 @@ func ParseMix(s string) (Mix, error) {
 		return m, fmt.Errorf("fleet: mix has no positive weights")
 	}
 	return m, nil
+}
+
+// String renders the mix in ParseMix's syntax, positive weights only,
+// in canonical scenario order.
+func (m Mix) String() string {
+	var parts []string
+	for _, s := range scenarios {
+		if w := s.weight(m); w > 0 {
+			parts = append(parts, s.name+"="+strconv.Itoa(w))
+		}
+	}
+	return strings.Join(parts, ",")
 }
 
 // Config describes one fleet run. The zero value is not runnable; use
@@ -770,14 +786,4 @@ func (r *runner) awaitJob(ctx context.Context, op, jobID string) {
 	if done.Status != v1.JobFinished {
 		r.rec.fail(op, "job_"+done.Status)
 	}
-}
-
-// Scenarios lists the valid mix scenario names in canonical order.
-func Scenarios() []string {
-	names := make([]string, len(scenarios))
-	for i, s := range scenarios {
-		names[i] = s.name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"testing"
 	"time"
 
@@ -17,15 +19,45 @@ func TestParseMix(t *testing.T) {
 	if m.Classify != 4 || m.Stream != 1 || m.Upload != 2 || m.Total() != 7 {
 		t.Fatalf("parsed %+v", m)
 	}
-	for _, bad := range []string{"", "bogus=1", "classify", "classify=x", "classify=-1", "classify=0"} {
+	for _, bad := range []string{"", "bogus=1", "classify", "classify=x", "classify=-1", "classify=0", "classify=1001"} {
 		if _, err := ParseMix(bad); err == nil {
 			t.Fatalf("ParseMix(%q) accepted", bad)
 		}
 	}
-	// All weights present parse cleanly.
-	if _, err := ParseMix("upload=1,classify=1,batch=1,stream=1,train=1,tune=1"); err != nil {
-		t.Fatal(err)
+	// All weights present parse cleanly, and String writes them back
+	// in canonical order.
+	all := "upload=1,classify=1,batch=1,stream=1,train=1,tune=1"
+	if m, err := ParseMix(all); err != nil || m.String() != all {
+		t.Fatalf("ParseMix(%q) = %v, %v", all, m, err)
 	}
+}
+
+// FuzzParseMix: ParseMix never panics, and whatever it accepts has
+// positive total weight, no negative weight, and round-trips through
+// Mix.String.
+func FuzzParseMix(f *testing.F) {
+	for _, s := range []string{"classify=4, stream=1,upload=2", "upload=1,classify=1,batch=1,stream=1,train=1,tune=1",
+		"", ",", "classify", "classify=-1", "classify=0,upload=+3", "tune=1000", "batch=9223372036854775807,upload=1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseMix(s)
+		if err != nil {
+			return
+		}
+		if m.Total() <= 0 {
+			t.Fatalf("ParseMix(%q) accepted total %d", s, m.Total())
+		}
+		for _, sc := range scenarios {
+			if sc.weight(m) < 0 {
+				t.Fatalf("ParseMix(%q) accepted negative %s weight", s, sc.name)
+			}
+		}
+		back, err := ParseMix(m.String())
+		if err != nil || back != m {
+			t.Fatalf("ParseMix(%q) = %+v; String %q parses to %+v, %v", s, m, m.String(), back, err)
+		}
+	})
 }
 
 func TestMixPatternDeterministic(t *testing.T) {
@@ -39,9 +71,6 @@ func TestMixPatternDeterministic(t *testing.T) {
 		if p[i] != want[i] {
 			t.Fatalf("pattern[%d] = %s, want %s (%v)", i, p[i], want[i], p)
 		}
-	}
-	if len(Scenarios()) != 6 {
-		t.Fatalf("scenarios: %v", Scenarios())
 	}
 }
 
@@ -177,31 +206,22 @@ func TestRecordRoundTrip(t *testing.T) {
 	if path == dir+"/FLEET_STAMP.json" {
 		t.Fatalf("STAMP not substituted: %s", path)
 	}
-	series, err := LoadRecords(dir)
-	if err != nil {
+	var got Record
+	if err := json.Unmarshal(readFile(t, path), &got); err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 1 || series[0].Stamp == "" {
-		t.Fatalf("series: %+v", series)
-	}
-	got := series[0]
-	if got.Target != res.Target || got.Config.Devices != 4 || got.Ops[0].P99MS != 12.5 || got.Recall.Recall != 1 {
+	if got.Stamp == "" || got.Target != res.Target || got.Config.Devices != 4 || got.Ops[0].P99MS != 12.5 || got.Recall.Recall != 1 {
 		t.Fatalf("round trip: %+v", got)
 	}
-	// A second record joins the series.
-	if _, err := WriteRecord(dir+"/FLEET_second.json", res); err != nil {
-		t.Fatal(err)
-	}
-	series, err = LoadRecords(dir)
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("series: %d records", len(series))
-	}
-	if series[0].Stamp > series[1].Stamp {
-		t.Fatalf("series out of order: %s > %s", series[0].Stamp, series[1].Stamp)
-	}
+	return data
 }
 
 func TestConfigDefaults(t *testing.T) {

@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 )
@@ -168,11 +166,10 @@ func (r *Result) Violations(s SLO) []string {
 	return v
 }
 
-// Record is the committed FLEET_<stamp>.json schema: a Result plus the
-// stamp and platform fields the ratchet series needs, mirroring the
-// BENCH_*.json layout.
+// Record is the schema WriteRecord writes: a Result plus the stamp and
+// platform it was measured on.
 type Record struct {
-	// Stamp is UTC YYYYMMDD-HHMMSS; the series sorts by it.
+	// Stamp is UTC YYYYMMDD-HHMMSS.
 	Stamp  string `json:"stamp"`
 	GoOS   string `json:"goos"`
 	GoArch string `json:"goarch"`
@@ -180,9 +177,8 @@ type Record struct {
 }
 
 // WriteRecord stamps the result and writes it as indented JSON. A
-// literal "STAMP" in path is replaced with the UTC timestamp, matching
-// cmd/ei-bench's BENCH_STAMP.json convention. It returns the final
-// path.
+// literal "STAMP" in path is replaced with the UTC timestamp. It
+// returns the final path.
 func WriteRecord(path string, res *Result) (string, error) {
 	stamp := time.Now().UTC().Format("20060102-150405")
 	path = strings.ReplaceAll(path, "STAMP", stamp)
@@ -192,30 +188,4 @@ func WriteRecord(path string, res *Result) (string, error) {
 		return "", err
 	}
 	return path, os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadRecords parses every FLEET_*.json in dir, ordered oldest to
-// newest by stamp (lexicographic; the stamps are YYYYMMDD-HHMMSS).
-func LoadRecords(dir string) ([]Record, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "FLEET_*.json"))
-	if err != nil {
-		return nil, err
-	}
-	var series []Record
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		var rec Record
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		if rec.Stamp == "" {
-			return nil, fmt.Errorf("%s: missing stamp", p)
-		}
-		series = append(series, rec)
-	}
-	sort.Slice(series, func(i, j int) bool { return series[i].Stamp < series[j].Stamp })
-	return series, nil
 }

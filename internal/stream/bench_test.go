@@ -6,8 +6,7 @@ import (
 
 // BenchmarkStreamWindow measures one steady-state rolling-window step of
 // a live session — ring copy + DSP + forward + debounce + event emission
-// — on the real impulse hot path. Tracked in BENCH_*.json via
-// scripts/bench.sh; the paired allocation gate is
+// — on the real impulse hot path. The paired allocation gate is
 // TestStreamWindowAllocBudget.
 func BenchmarkStreamWindow(b *testing.B) {
 	imp := toneImpulse(b)

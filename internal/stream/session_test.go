@@ -109,7 +109,6 @@ func TestSessionRollingWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(50 * time.Millisecond)
 	s.Close("test done")
 	events := collect(t, s)
 
@@ -257,7 +256,6 @@ func TestSessionOverrunSkipsAndCounts(t *testing.T) {
 	if err := s.Push(make([]float32, 40)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
 	s.Close("done")
 	events := collect(t, s)
 	var starts []int64
@@ -318,12 +316,27 @@ func TestSessionSubscribeResume(t *testing.T) {
 	if err := s.Push(make([]float32, 16)); err != nil { // windows 0,4,8? 16 frames → starts 0,4,8
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
-	replay, _, cancel := s.Subscribe(0)
-	cancel()
-	if len(replay) == 0 {
-		t.Fatal("no replayed events")
+	// Follow the log until the three results (windows 0, 4, 8) are in.
+	replay, ch, cancel := s.Subscribe(0)
+	replay = append([]Event(nil), replay...)
+	results := 0
+	for _, e := range replay {
+		if e.Type == EventResult {
+			results++
+		}
 	}
+	for results < 3 {
+		select {
+		case e := <-ch:
+			replay = append(replay, e)
+			if e.Type == EventResult {
+				results++
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out with %d of 3 results", results)
+		}
+	}
+	cancel()
 	mid := replay[len(replay)/2].Seq
 	rest, _, cancel2 := s.Subscribe(mid)
 	cancel2()
@@ -444,7 +457,6 @@ func TestSessionMatchesOneShotClassify(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(100 * time.Millisecond)
 	s.Close("done")
 	events := collect(t, s)
 
