@@ -2,9 +2,11 @@ package api
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -286,6 +288,27 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request, u *pr
 	})
 }
 
+// lineScanner splits a duplex request body into its NDJSON lines.
+func lineScanner(body io.Reader) *bufio.Scanner {
+	scan := bufio.NewScanner(body)
+	scan.Buffer(make([]byte, 64<<10), maxStreamLine)
+	return scan
+}
+
+// openLine reads a duplex body's first line as the StreamOpenRequest, as
+// strictly as POST .../stream reads its body (v1.DecodeStrict): an
+// unknown field, such as a misspelt one, is refused rather than ignored.
+func openLine(scan *bufio.Scanner) (v1.StreamOpenRequest, error) {
+	var req v1.StreamOpenRequest
+	if !scan.Scan() {
+		return req, errors.New("missing open request line")
+	}
+	if err := v1.DecodeStrict(bytes.NewReader(scan.Bytes()), &req); err != nil {
+		return req, fmt.Errorf("bad open request line: %w", err)
+	}
+	return req, nil
+}
+
 // handleStreamDuplex implements POST .../stream/duplex: one chunked
 // HTTP connection carrying NDJSON both ways. The first request line is a
 // StreamOpenRequest; every following line is a StreamPushRequest. The
@@ -303,15 +326,10 @@ func (s *Server) handleStreamDuplex(w http.ResponseWriter, r *http.Request, u *p
 	// Errors mean the transport is already duplex (or a test recorder).
 	rc.EnableFullDuplex()
 
-	scan := bufio.NewScanner(r.Body)
-	scan.Buffer(make([]byte, 64<<10), maxStreamLine)
-	if !scan.Scan() {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "missing open request line")
-		return
-	}
-	var req v1.StreamOpenRequest
-	if err := json.Unmarshal(scan.Bytes(), &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "bad open request line: "+err.Error())
+	scan := lineScanner(r.Body)
+	req, err := openLine(scan)
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	sess := s.openSession(w, r, p, req)

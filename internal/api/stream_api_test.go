@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"edgepulse/internal/jobs"
 	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
+	"edgepulse/internal/project"
 )
 
 // newSubServer serves an already-built Server for tests that need
@@ -63,7 +65,7 @@ func doJSON(t *testing.T, ts *httptest.Server, method, path, apiKey string, body
 // streamTestImpulse builds a small trained MFE+conv impulse (untrained
 // weights — streaming correctness does not depend on accuracy) and
 // attaches it to the project directly, skipping the training job.
-func streamTestImpulse(t *testing.T) *core.Impulse {
+func streamTestImpulse(t testing.TB) *core.Impulse {
 	t.Helper()
 	imp := core.New("stream-api-test")
 	imp.Input = core.InputBlock{Kind: core.TimeSeries, WindowMS: 250, StrideMS: 125, FrequencyHz: 4000, Axes: 1}
@@ -448,14 +450,53 @@ func TestStreamDuplex(t *testing.T) {
 }
 
 // TestStreamDuplexBadOpenLine: a malformed first line fails with the
-// error envelope before any session is admitted.
+// error envelope before any session is admitted — as does one with a
+// misspelt field, which POST .../stream refuses too.
 func TestStreamDuplexBadOpenLine(t *testing.T) {
 	e, id := streamEnv(t)
-	resp, raw := e.doRaw("POST", fmt.Sprintf("/api/v1/projects/%d/stream/duplex", id), e.apiKey,
-		[]byte("not json\n"), "application/x-ndjson")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	for _, line := range []string{"not json\n", `{"treshold":0.9}` + "\n"} {
+		resp, raw := e.doRaw("POST", fmt.Sprintf("/api/v1/projects/%d/stream/duplex", id), e.apiKey,
+			[]byte(line), "application/x-ndjson")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status %d: %s", line, resp.StatusCode, raw)
+		}
 	}
+}
+
+// FuzzStreamOpenLine: for any line, the duplex feed's open line is
+// accepted exactly when v1.DecodeStrict accepts it as a POST .../stream
+// body, with the same StreamOpenRequest, and streamConfig does not panic
+// on what is accepted.
+func FuzzStreamOpenLine(f *testing.F) {
+	for _, line := range []string{
+		`{}`, `{"threshold":0.9}`, `{"treshold":0.9}`, `{"stride_ms":-5}`, `{"stride_ms":1e9}`,
+		`{"idle_timeout_ms":9223372036854775807}`, `{"quantized":true,"smooth":3,"suppress":2,"release":0.5}`,
+		`{"ignore_labels":["noise",null]}`, `{"threshold":1e39}`, `{} {}`, `{}` + "\r", ` {"smooth":1} `,
+		`not json`, `null`, `[]`, `{"smooth":"3"}`, `{"Threshold":0.9}`,
+	} {
+		f.Add([]byte(line))
+	}
+	p := &project.Project{ID: 1}
+	p.SetImpulse(streamTestImpulse(f))
+	s := &Server{}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		if bytes.IndexByte(line, '\n') >= 0 {
+			return // not one line
+		}
+		got, err := openLine(lineScanner(bytes.NewReader(append(line, '\n'))))
+		var want v1.StreamOpenRequest
+		wantErr := v1.DecodeStrict(bytes.NewReader(line), &want)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%q: duplex %v, POST body %v", line, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: duplex %+v, POST body %+v", line, got, want)
+		}
+		s.streamConfig(p, got)
+	})
 }
 
 // TestJobEventsStreamingHeaders pins the no-cache / no-proxy-buffering

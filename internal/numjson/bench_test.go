@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edgepulse/internal/numjson"
+	"edgepulse/internal/simd"
 	"edgepulse/internal/synth"
 )
 
@@ -126,22 +127,46 @@ func BenchmarkAppendFloats(b *testing.B) {
 }
 
 // BenchmarkScanFloats reads the keyword back from JSON: Keyword32 as a
-// classify body's float32 array (9 digits at most: the exact path),
+// classify body's float32 array (9 digits at most: the exact path) on
+// each tier — simd (simd.ParseF32's kernel where the host has AVX-512)
+// and go (ScanFloat alone); AnyBits32 as an array of any finite float32
+// bit patterns, mostly nine digits with an exponent, which the kernel
+// declines token by token, so that what falling back costs shows; and
 // Acquisition64 as a signed acquisition document's values, scanned row
 // by row into one array as ingest.Verify does (the Eisel–Lemire tier).
 func BenchmarkScanFloats(b *testing.B) {
 	samples, body32, rows := keywordBodies(b)
 	n := len(samples)
-
-	b.Run("Keyword32", func(b *testing.B) {
-		out := make([]float32, 0, n)
-		for i := 0; i < b.N; i++ {
-			if got, _, ok := numjson.ScanFloats(body32, 0, out); !ok || len(got) != n {
-				b.Fatalf("scanned %d of %d (ok=%v)", len(got), n, ok)
-			}
+	anyBits := make([]float32, 0, n)
+	rng := rand.New(rand.NewSource(1))
+	for len(anyBits) < n {
+		if v := math.Float32frombits(rng.Uint32()); v == v && !math.IsInf(float64(v), 0) {
+			anyBits = append(anyBits, v)
 		}
-		nsPerFloat(b, n)
-	})
+	}
+	anyBody, err := numjson.AppendFloats(nil, anyBits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scan32 := func(body []byte) func(b *testing.B) {
+		return func(b *testing.B) {
+			out := make([]float32, 0, numjson.MaxFloats(body))
+			for i := 0; i < b.N; i++ {
+				if got, _, ok := numjson.ScanFloats(body, 0, out); !ok || len(got) != n {
+					b.Fatalf("scanned %d of %d (ok=%v)", len(got), n, ok)
+				}
+			}
+			nsPerFloat(b, n)
+		}
+	}
+	on := simd.Enabled()
+	defer simd.SetEnabled(on)
+	for _, tier := range []string{"simd", "go"} {
+		simd.SetEnabled(tier == "simd")
+		b.Run("Keyword32/"+tier, scan32(body32))
+	}
+	simd.SetEnabled(on)
+	b.Run("AnyBits32", scan32(anyBody))
 	b.Run("Acquisition64", func(b *testing.B) {
 		flat := make([]float64, 0, n)
 		row := func(i int) (int, bool) {

@@ -50,9 +50,9 @@ func exhaustFloat32(newCheck func() func(b uint32) bool) int64 {
 //	go test -tags exhaustive -run Exhaustive ./internal/numjson
 //
 // This one takes about 8 min of wall time per tier on two cores (strconv,
-// its reference, is most of it), the float64 formatter's 9 (strconv's
-// float64 digits are the slower half) and the float64 scan's 6: give the
-// three -timeout 60m.
+// its reference, is most of it), the float32 scan's 4 (5 on the Go tier), the float64
+// formatter's 9 (strconv's float64 digits are the slower half) and the
+// float64 scan's 6: give the four -timeout 60m.
 func TestAppendFloat32Exhaustive(t *testing.T) {
 	forTiers(t, func(t *testing.T) {
 		diffs := exhaustFloat32(func() func(uint32) bool {
@@ -61,6 +61,55 @@ func TestAppendFloat32Exhaustive(t *testing.T) {
 				if msg := c.check(b, false); msg != "" {
 					t.Error(msg)
 					return false
+				}
+				return true
+			}
+		})
+		t.Logf("%d mismatches", diffs)
+	})
+}
+
+// TestScanFloat32Exhaustive reads every finite float32 back: written by
+// AppendFloats in batches of checkBatch, as a classify body's array, and
+// scanned by ScanFloats into the same bits, on both tiers. The array sits
+// between 16 bytes of whitespace and 128, with room for eight values more
+// than it holds, so that where the avx512 tier runs, simd.ParseF32's
+// kernel reads every token it takes — all the plain ones of up to 16
+// bytes — inside an array, and ScanFloat the rest.
+func TestScanFloat32Exhaustive(t *testing.T) {
+	const lead, pad = 16, 128
+	forTiers(t, func(t *testing.T) {
+		diffs := exhaustFloat32(func() func(uint32) bool {
+			vals, back := make([]float32, 0, checkBatch), make([]float32, 0, checkBatch+8)
+			body := make([]byte, lead, lead+16*checkBatch+pad)
+			for k := range body {
+				body[k] = ' '
+			}
+			return func(b uint32) bool {
+				if b>>23&0xff == 0xff {
+					return true // NaN and ±Inf have no JSON spelling
+				}
+				if vals = append(vals, math.Float32frombits(b)); len(vals) < checkBatch {
+					return true
+				}
+				defer func() { vals = vals[:0] }()
+				data, err := AppendFloats(body[:lead], vals)
+				if err != nil {
+					t.Error(err)
+					return false
+				}
+				end := len(data)
+				data = append(data, body[:pad]...)
+				got, next, ok := ScanFloats(data, lead, back[:0])
+				if !ok || next != end || len(got) != len(vals) {
+					t.Errorf("batch ending %#08x: scanned %d of %d values (ok=%v, next=%d of %d)", b, len(got), len(vals), ok, next, end)
+					return false
+				}
+				for k, v := range vals {
+					if math.Float32bits(got[k]) != math.Float32bits(v) {
+						t.Errorf("%#08x: read back %#08x", math.Float32bits(v), math.Float32bits(got[k]))
+						return false
+					}
 				}
 				return true
 			}

@@ -44,7 +44,14 @@
 // boundary for 128 bits of power to settle (in practice one that is a
 // float64 itself), and a float32 token that the exact path's double
 // rounding could get wrong. The middle tier is float64's alone: float32
-// tokens keep to the exact path and strconv.
+// tokens keep to the exact path and strconv. A float32 array — a classify
+// body, a batch window, a stream push — has its exact path run eight
+// tokens at a time on AVX-512 hosts: ScanFloats hands runs of plain
+// tokens (no exponent, at most 16 bytes) to internal/simd's ParseF32,
+// which does ScanFloat's arithmetic in every 64-bit lane and stops
+// before any token ScanFloat would treat otherwise; ScanFloat reads that
+// one. Its equality with the Go tier is checked on every float32 written
+// as an array (TestScanFloat32Exhaustive) and by FuzzScanFloats32.
 //
 // The package is a leaf: it knows no DTO and no route.
 package numjson
@@ -57,6 +64,8 @@ import (
 	"reflect"
 	"strconv"
 	"unicode/utf8"
+
+	"edgepulse/internal/simd"
 )
 
 // Float is the element type of a numeric array.
@@ -437,6 +446,13 @@ func eiselLemire64(mant uint64, exp10 int, neg bool) (float64, bool) {
 // returns the position after the array. null in place of the array or of
 // a number declines. (It is Array with ScanFloat for elem, written out:
 // this loop runs once per sample.)
+//
+// A float32 array is read by simd.ParseF32 where it runs, eight plain
+// tokens at a time into out's spare capacity (callers reserve it with
+// MaxFloats; a step may write up to seven slots past what it takes,
+// which append would later overwrite); each token it stops at is read here by ScanFloat, and the
+// kernel is called again after it (scanFloats32). What is taken, refused
+// and returned is ScanFloat's either way.
 func ScanFloats[T Float](data []byte, i int, out []T) ([]T, int, bool) {
 	if i >= len(data) || data[i] != '[' {
 		return out, i, false
@@ -445,6 +461,16 @@ func ScanFloats[T Float](data []byte, i int, out []T) ([]T, int, bool) {
 	if i < len(data) && data[i] == ']' {
 		return out, i + 1, true
 	}
+	if out32, is32 := any(&out).(*[]float32); is32 {
+		var ok bool
+		*out32, i, ok = scanFloats32(data, i, *out32)
+		return out, i, ok
+	}
+	return scanFloats(data, i, out)
+}
+
+// scanFloats is ScanFloats' loop from the first element on.
+func scanFloats[T Float](data []byte, i int, out []T) ([]T, int, bool) {
 	bits := bitSize[T]()
 	for {
 		f, next, ok := ScanFloat(data, i, bits)
@@ -452,6 +478,46 @@ func ScanFloats[T Float](data []byte, i int, out []T) ([]T, int, bool) {
 			return out, i, false
 		}
 		out = append(out, T(f))
+		i = skipSpace(data, next)
+		if i >= len(data) {
+			return out, i, false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case ']':
+			return out, i + 1, true
+		default:
+			return out, i, false
+		}
+	}
+}
+
+// scanFloats32 is scanFloats for float32 with simd.ParseF32 ahead of
+// the elements it reads itself. Where the kernel keeps stopping short of
+// a step of eight — an array of exponents or long tokens — the loop
+// waits 1, 3, 7, … up to 63 elements between calls, and calls it after
+// every element again once one call takes eight.
+func scanFloats32(data []byte, i int, out []float32) ([]float32, int, bool) {
+	kernel, idle, wait := true, 0, 0
+	for {
+		if wait > 0 {
+			wait--
+		} else if kernel {
+			var n int
+			n, i, kernel = simd.ParseF32(out[len(out):cap(out)], data, i)
+			out = out[:len(out)+n]
+			i = skipSpace(data, i)
+			if idle = min(2*idle+1, 63); n >= 8 {
+				idle = 0
+			}
+			wait = idle
+		}
+		f, next, ok := ScanFloat(data, i, 32)
+		if !ok {
+			return out, i, false
+		}
+		out = append(out, float32(f))
 		i = skipSpace(data, next)
 		if i >= len(data) {
 			return out, i, false

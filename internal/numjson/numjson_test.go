@@ -1,6 +1,7 @@
 package numjson
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"edgepulse/internal/simd"
 )
 
 // numberTokens are tokens at and around the edges of the JSON number
@@ -327,4 +330,116 @@ func TestStructure(t *testing.T) {
 			t.Errorf("%q accepted", doc)
 		}
 	}
+}
+
+// scanTiers scans the float32 array at data[i] on both tiers — simd
+// enabled (on an AVX-512 host, simd.ParseF32's kernel reads runs of
+// plain tokens) and disabled (ScanFloat reads every token) — into
+// storage reserved as the callers reserve it, and fails unless both
+// give the same values, bit for bit, position and ok.
+func scanTiers(t *testing.T, data []byte, i int) {
+	t.Helper()
+	on := simd.Enabled()
+	defer simd.SetEnabled(on)
+	simd.SetEnabled(true)
+	got, next, ok := ScanFloats(data, i, make([]float32, 0, MaxFloats(data)))
+	simd.SetEnabled(false)
+	want, wantNext, wantOK := ScanFloats(data, i, make([]float32, 0, MaxFloats(data)))
+	same := next == wantNext && ok == wantOK && len(got) == len(want)
+	for k := 0; same && k < len(got); k++ {
+		same = math.Float32bits(got[k]) == math.Float32bits(want[k])
+	}
+	if !same {
+		t.Fatalf("%q at %d:\nsimd tier %v, %d, %v\nGo tier   %v, %d, %v", data, i, got, next, ok, want, wantNext, wantOK)
+	}
+}
+
+// float32ArrayTokens are elements for the float32 array tests: what the
+// kernel takes (plain tokens of up to 16 bytes) beside everything it
+// must leave to ScanFloat — 17 bytes, a mantissa past 2^53, integers at
+// float32 midpoints, exponents, whitespace, and what is not a number.
+var float32ArrayTokens = []string{
+	"0", "-0", "1", "-1", "0.5", "-0.25", "12.125", "100", "0.001", "-0.0123456",
+	"0.12345678901234", "-0.1234567890123", "1234567890123456", "9007199254740991", // 16 bytes
+	"0.123456789012345", "-0.12345678901234", "12345678901234567", // 17 bytes
+	"9007199254740992", "9007199254740993", "9999999999999999",
+	"16777217", "-16777217", "16777218", "16777219", "33554434", "33554438",
+	// Decimals whose float64 is a float32 midpoint that they are not, so
+	// that rounding the float64 again would go wrong.
+	"3.81840717792511", "0.98154017329216", "-0.73000368475914", "9.48609209060669",
+	".123456789012345", "-.5", "1-2", "12-5", "0-0", "1.-2", "1..2", "1.2-",
+	"1e5", "-1E-3", "1.5e+2", "3.4028235e38", "1e-45", "1e39",
+	" 1", "1 ", "\t2\n", "01", "00", "-01", "1.", ".5", "-", "--1", "1-", "1.2.3", "+1",
+	"0x1", "1,", "", "null", "true", `"1"`, "[1]", "1]", "NaN",
+}
+
+// TestScanFloats32Tiers scans random float32 arrays — shortest decimals
+// of samples at several scales, with the tokens above mixed in — on both
+// tiers, from a few positions so that the tokens fall at every offset of
+// the kernel's 64-byte blocks and around the start and end of data.
+func TestScanFloats32Tiers(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for iter := 0; iter < 4000; iter++ {
+		data := bytes.Repeat([]byte{' '}, rng.Intn(24))
+		at := len(data)
+		data = append(data, '[')
+		for k, n := 0, rng.Intn(300); k < n; k++ {
+			if k > 0 {
+				data = append(data, ',')
+			}
+			if rng.Intn(32) == 0 {
+				data = append(data, float32ArrayTokens[rng.Intn(len(float32ArrayTokens))]...)
+				continue
+			}
+			v := float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(10)-5)))
+			data = AppendFloat(data, float64(v), 32)
+		}
+		data = append(data, ']')
+		data = append(data, bytes.Repeat([]byte{' '}, rng.Intn(2)*rng.Intn(200))...)
+		scanTiers(t, data, at)
+	}
+}
+
+// FuzzScanFloats32 wraps arbitrary bytes as a float32 array, after lead
+// bytes of whitespace and before pad, and scans it on both tiers: the
+// same values, bit for bit, position and ok. pad of 128 or more lets the
+// kernel read up to the array's last element.
+func FuzzScanFloats32(f *testing.F) {
+	add := func(lead, pad uint8, toks ...string) {
+		f.Add([]byte(strings.Join(toks, ",")), lead, pad)
+	}
+	rng := rand.New(rand.NewSource(32))
+	keyword := func(n int) []string {
+		toks := make([]string, n)
+		for k := range toks {
+			toks[k] = string(AppendFloat(nil, float64(float32(rng.NormFloat64()*0.1)), 32))
+		}
+		return toks
+	}
+	for _, tok := range float32ArrayTokens {
+		toks := keyword(24)
+		toks[rng.Intn(len(toks))] = tok
+		add(16, 128, toks...)
+	}
+	// FuzzParseFloat32's midpoints, among plain tokens.
+	for _, at := range []float32{1, 0.1, 3.1415927, 16777216, 1e-10, 6.5e20, 0.99999994} {
+		mid := float32Midpoint(at)
+		for _, v := range []float64{mid, math.Nextafter(mid, 0), math.Nextafter(mid, math.Inf(1))} {
+			add(16, 128, append(keyword(12), strconv.FormatFloat(v, 'f', -1, 64), strconv.FormatFloat(v, 'e', -1, 64))...)
+		}
+	}
+	// 16- and 17-byte tokens at every offset of a 64-byte block, and
+	// tokens running into the end of data.
+	for lead := uint8(0); lead < 20; lead++ {
+		add(lead, 128, append(keyword(8), "-0.1234567890123", "0.123456789012345", "0", "-0")...)
+		add(lead, 0, keyword(20)...)
+	}
+	// Whitespace around commas.
+	add(16, 128, "0.5 ", " 0.25", "1\t", "\n2", "3\r", "4")
+	f.Fuzz(func(t *testing.T, elems []byte, lead, pad uint8) {
+		data := append(bytes.Repeat([]byte{' '}, int(lead%32)), '[')
+		data = append(append(data, elems...), ']')
+		data = append(data, bytes.Repeat([]byte{' '}, int(pad))...)
+		scanTiers(t, data, int(lead%32))
+	})
 }

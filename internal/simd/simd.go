@@ -5,8 +5,10 @@
 // depthwise), requantization, pooling maxima and the fused activation
 // clamps; behind the DSP front ends: the real FFT's radix-2 butterfly
 // stages and unpack into a power spectrum, and the image resize's
-// vertical blend; and behind numjson's float32 formatter, the shortest
-// decimal of eight floats at a time (ShortestF32, shortest.go).
+// vertical blend; behind numjson's float32 formatter, the shortest
+// decimal of eight floats at a time (ShortestF32, shortest.go); and
+// behind its float32 array scan, the value of eight plain decimal tokens
+// at a time (ParseF32, tokens.go).
 //
 // A conv tile is a run of P output pixels that share one tap window.
 // The kernel walks it four pixels at a time (then one at a time) by two
@@ -25,14 +27,16 @@
 //   - avx512 (AVX-512 F+VL+CD+BW+VNNI): the conv tiles run on ZMM
 //     registers, blocks of 32 lanes then 16, and a last 8 lanes on the
 //     YMM tile; the int8 MAC is one VPDPWSSD. DepthwiseI8, RequantI8 and
-//     ShortestF32 run their assembly.
+//     ShortestF32 run their assembly, and ParseF32 too where the host
+//     also has AVX-512 DQ and BMI1/BMI2 (which gate that kernel alone).
 //   - avx2: the conv tiles run on YMM registers, blocks of 16 lanes then
 //     8, the int8 MAC VPMADDWD + VPADDD; the packs and the float
 //     kernels run in assembly, DepthwiseI8 and RequantI8 their Go
 //     references (their requantization needs AVX-512's 64-bit lane
 //     shifts and narrows), and ShortestF32 leaves the records to
 //     numjson's reference (its kernel needs 64-bit lane shifts and
-//     compares into masks, VPLZCNTQ and a gather).
+//     compares into masks, VPLZCNTQ and a gather), as ParseF32 leaves
+//     the tokens to numjson's ScanFloat.
 //   - go: everywhere else (other architectures, the noasm build tag, and
 //     when a test calls SetEnabled(false)) every primitive runs its pure
 //     Go reference.
@@ -59,6 +63,13 @@
 //     scalar code's branches turned into mask blends, and the two agree
 //     on every one of the 2^32 float32 bit patterns
 //     (TestAppendFloat32Exhaustive, -tags exhaustive).
+//   - ParseF32 per lane is ScanFloat's exact path: an exact integer
+//     mantissa (below 2^53, so VCVTUQQ2PD is exact) divided by an exact
+//     power of ten in one VDIVPD, rounded to float32 by VCVTPD2PS — the
+//     IEEE operations Go's conversion, division and float32() are — and
+//     it declines what ScanFloat sends elsewhere, including the float64s
+//     whose second rounding could go wrong. Scanned back from arrays it
+//     agrees with ScanFloat on every float32 (TestScanFloat32Exhaustive).
 //
 // The EON-vs-interpreter story of the source paper rests on quantized
 // kernels beating float on real hardware (CMSIS-NN's SMLAD dual-MAC is

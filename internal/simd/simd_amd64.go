@@ -34,6 +34,20 @@ func detectAVX512() bool {
 	return b7&need == need && c7&avx512vnni != 0
 }
 
+// haveParseF32 adds what ParseF32's kernel alone needs: AVX-512 DQ for
+// VCVTUQQ2PD and BMI1/BMI2 for its scalar mask work. It gates nothing
+// else, so a host without them keeps every other avx512 kernel.
+var haveParseF32 = haveAVX512 && detectParseF32()
+
+func detectParseF32() bool {
+	_, b7, _, _ := cpuid(7, 0)
+	const bmi1 = 1 << 3
+	const bmi2 = 1 << 8
+	const avx512dq = 1 << 17
+	const need = bmi1 | bmi2 | avx512dq
+	return b7&need == need
+}
+
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -169,3 +183,9 @@ func blendDivF32SIMD(dst, a, b []float32, wa, wb, div float32)
 //
 //go:noescape
 func shortestF32AVX512(digits []uint64, heads []uint32, vals []float32, pow10 *uint64)
+
+// parseF32AVX512 requires 0 <= i <= len(data), haveAVX512 and
+// haveParseF32.
+//
+//go:noescape
+func parseF32AVX512(dst []float32, data []byte, i int) (n, next int)

@@ -10,6 +10,8 @@ const haveAVX2 = false
 
 var haveAVX512 = false
 
+const haveParseF32 = false
+
 func convTileF32SIMD(a *tileArgs)      { panic("simd: assembly path in a build without it") }
 func depthwiseF32SIMD(a *tileArgs)     { panic("simd: assembly path in a build without it") }
 func reluF32SIMD(x []float32)          { panic("simd: assembly path in a build without it") }
@@ -54,5 +56,9 @@ func blendDivF32SIMD(dst, a, b []float32, wa, wb, div float32) {
 }
 
 func shortestF32AVX512(digits []uint64, heads []uint32, vals []float32, pow10 *uint64) {
+	panic("simd: assembly path in a build without it")
+}
+
+func parseF32AVX512(dst []float32, data []byte, i int) (n, next int) {
 	panic("simd: assembly path in a build without it")
 }

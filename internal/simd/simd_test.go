@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -1005,4 +1007,46 @@ func TestBlendDivF32MatchesScalar(t *testing.T) {
 			sameF32(t, fmt.Sprintf("n=%d", n), got, want)
 		})
 	}
+}
+
+// TestParseF32: on the avx512 tier the kernel takes the plain tokens
+// ahead of the first it must leave — here a 17-byte one, then an
+// exponent — with strconv's float32 bits, and returns the position after
+// the last comma it took; it writes nothing on the other tiers.
+func TestParseF32(t *testing.T) {
+	lead := "                [" // the first token ends past data's 16th byte
+	plain := []string{"0", "-0", "0.5", "-12.125", "100", "0.0001234", "1234567890123456", "-0.1234567890123"}
+	var toks []string
+	for k := 0; k < 5; k++ {
+		toks = append(toks, plain...)
+	}
+	toks = append(toks, "0.123456789012345", "1", "1e5", "2")
+	data := []byte(lead + strings.Join(toks, ",") + "]" + strings.Repeat(" ", 128))
+	withTiers(t, func(t *testing.T, tier string) {
+		dst := make([]float32, 64)
+		n, next, ok := ParseF32(dst, data, len(lead))
+		if tier != "avx512" || !haveParseF32 {
+			if ok || n != 0 || next != len(lead) {
+				t.Fatalf("%s: took %d (ok=%v, next=%d)", tier, n, ok, next)
+			}
+			return
+		}
+		if want := 5 * len(plain); !ok || n != want {
+			t.Fatalf("took %d tokens (ok=%v), want %d", n, ok, want)
+		}
+		if want := len(lead) + len(strings.Join(toks[:n], ",")) + 1; next != want {
+			t.Fatalf("next = %d, want %d", next, want)
+		}
+		for k, tok := range toks[:n] {
+			want, _ := strconv.ParseFloat(tok, 32)
+			if math.Float32bits(dst[k]) != math.Float32bits(float32(want)) {
+				t.Fatalf("%q: %g, want %g", tok, dst[k], want)
+			}
+		}
+		// After the 17-byte token and "1": "1e5" stops it again.
+		at := next + len(toks[n]) + 1
+		if n, next, _ = ParseF32(dst, data, at); n != 1 || next != at+2 || dst[0] != 1 {
+			t.Fatalf("from %q: took %d (next=%d)", data[at:at+8], n, next)
+		}
+	})
 }

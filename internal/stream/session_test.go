@@ -185,23 +185,29 @@ func TestSessionCloseDrainsQueue(t *testing.T) {
 func TestSessionBackpressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 2
-	gate := make(chan struct{})
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
 	cls := meanClassifier()
 	inner := cls.fn
 	cls.fn = func(win dsp.Signal, scores []float32) error {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
 		<-gate
 		return inner(win, scores)
 	}
 	_, s := openTestSession(t, cfg, cls)
-	// The run loop consumes at most one batch (then blocks in Classify);
-	// depth 2 + 1 in-flight = 3 accepted, 4th must shed.
+	// The run loop takes the first batch (a whole window) and blocks in
+	// Classify; depth 2 + 1 in-flight = 3 accepted, 4th must shed.
 	var got error
 	for i := 0; i < 4; i++ {
 		if err := s.Push(make([]float32, 8)); err != nil {
 			got = err
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
+		if i == 0 {
+			<-entered
+		}
 	}
 	if !errors.Is(got, ErrBackpressure) {
 		t.Fatalf("push error = %v, want ErrBackpressure", got)
