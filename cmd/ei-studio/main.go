@@ -7,8 +7,7 @@
 //
 //	ei-studio -addr :4800 -workers 4 [-rate 100 -burst 200]
 //
-// Bootstrap a user, then drive everything over the versioned API
-// (the unversioned /api prefix remains as a legacy alias):
+// Bootstrap a user, then drive everything over the versioned API:
 //
 //	curl -XPOST localhost:4800/api/v1/users -d '{"name":"ada"}'
 //	curl -H "x-api-key: $KEY" -XPOST localhost:4800/api/v1/projects -d '{"name":"kws"}'

@@ -1,10 +1,8 @@
-// Package anomaly implements the unsupervised learning blocks of the
-// platform (paper Sec. 4.3): K-means clustering for anomaly detection,
-// plus the Gaussian mixture model the paper lists as upcoming ("will
-// support GMM in the near future") — implemented here as an extension.
+// Package anomaly implements the unsupervised learning block of the
+// platform (paper Sec. 4.3): K-means clustering for anomaly detection.
 //
-// Both models are trained on feature vectors of normal operation; at
-// inference they emit an anomaly score that grows with distance from the
+// The model is trained on feature vectors of normal operation; at
+// inference it emits an anomaly score that grows with distance from the
 // training distribution. A threshold on the score flags anomalies.
 package anomaly
 
@@ -162,143 +160,4 @@ func (m *KMeans) Assign(x []float32) int {
 func (m *KMeans) Score(x []float32) float64 {
 	c := m.Assign(x)
 	return math.Sqrt(sqDist(x, m.Centroids[c])) / float64(m.Spread[c])
-}
-
-// GMM is a diagonal-covariance Gaussian mixture model.
-type GMM struct {
-	Weights []float64
-	Means   [][]float64
-	Vars    [][]float64
-	// trainFloor is the 5th-percentile training log-likelihood, used to
-	// normalize scores.
-	trainFloor float64
-}
-
-// FitGMM fits a k-component diagonal GMM with EM, initialized from
-// K-means. Deterministic for a given seed.
-func FitGMM(x [][]float32, k, iters int, seed int64) (*GMM, error) {
-	km, err := FitKMeans(x, k, 10, seed)
-	if err != nil {
-		return nil, err
-	}
-	dim := len(x[0])
-	g := &GMM{
-		Weights: make([]float64, k),
-		Means:   make([][]float64, k),
-		Vars:    make([][]float64, k),
-	}
-	for c := 0; c < k; c++ {
-		g.Weights[c] = 1 / float64(k)
-		g.Means[c] = make([]float64, dim)
-		g.Vars[c] = make([]float64, dim)
-		for j := 0; j < dim; j++ {
-			g.Means[c][j] = float64(km.Centroids[c][j])
-			g.Vars[c][j] = 1
-		}
-	}
-	resp := make([][]float64, len(x))
-	for i := range resp {
-		resp[i] = make([]float64, k)
-	}
-	for it := 0; it < iters; it++ {
-		// E step.
-		for i, row := range x {
-			var total float64
-			for c := 0; c < k; c++ {
-				resp[i][c] = g.Weights[c] * math.Exp(g.logGauss(row, c))
-				total += resp[i][c]
-			}
-			if total < 1e-300 {
-				for c := 0; c < k; c++ {
-					resp[i][c] = 1 / float64(k)
-				}
-				continue
-			}
-			for c := 0; c < k; c++ {
-				resp[i][c] /= total
-			}
-		}
-		// M step.
-		for c := 0; c < k; c++ {
-			var nc float64
-			mean := make([]float64, dim)
-			for i, row := range x {
-				nc += resp[i][c]
-				for j, v := range row {
-					mean[j] += resp[i][c] * float64(v)
-				}
-			}
-			if nc < 1e-10 {
-				continue
-			}
-			for j := range mean {
-				mean[j] /= nc
-			}
-			vr := make([]float64, dim)
-			for i, row := range x {
-				for j, v := range row {
-					d := float64(v) - mean[j]
-					vr[j] += resp[i][c] * d * d
-				}
-			}
-			for j := range vr {
-				vr[j] = vr[j]/nc + 1e-6
-			}
-			g.Weights[c] = nc / float64(len(x))
-			g.Means[c] = mean
-			g.Vars[c] = vr
-		}
-	}
-	// Normalization floor: 5th percentile of training log-likelihoods.
-	lls := make([]float64, len(x))
-	for i, row := range x {
-		lls[i] = g.logLik(row)
-	}
-	sortFloat64s(lls)
-	g.trainFloor = lls[len(lls)/20]
-	return g, nil
-}
-
-func sortFloat64s(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-// logGauss computes the log density of component c at x.
-func (g *GMM) logGauss(x []float32, c int) float64 {
-	var ll float64
-	for j, v := range x {
-		d := float64(v) - g.Means[c][j]
-		ll += -0.5*(d*d/g.Vars[c][j]) - 0.5*math.Log(2*math.Pi*g.Vars[c][j])
-	}
-	return ll
-}
-
-// logLik computes the mixture log-likelihood of a point.
-func (g *GMM) logLik(x []float32) float64 {
-	best := math.Inf(-1)
-	for c := range g.Weights {
-		if g.Weights[c] <= 0 {
-			continue
-		}
-		ll := math.Log(g.Weights[c]) + g.logGauss(x, c)
-		if ll > best {
-			best = ll
-		}
-	}
-	return best
-}
-
-// Score returns the anomaly score: how far the point's log-likelihood
-// falls below the training floor (0 for in-distribution points, growing
-// positive for anomalies).
-func (g *GMM) Score(x []float32) float64 {
-	s := g.trainFloor - g.logLik(x)
-	if s < 0 {
-		return 0
-	}
-	return s
 }

@@ -135,57 +135,6 @@ func TestKMeansSingleCluster(t *testing.T) {
 	}
 }
 
-func TestGMMScores(t *testing.T) {
-	x := twoBlobs(300, 2, 10)
-	g, err := FitGMM(x, 2, 20, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	normal := []float32{0.1, 0.1}
-	anomalous := []float32{50, -50}
-	if s := g.Score(normal); s > 5 {
-		t.Errorf("normal GMM score %g", s)
-	}
-	if s := g.Score(anomalous); s < 10 {
-		t.Errorf("anomalous GMM score %g too low", s)
-	}
-}
-
-func TestGMMWeightsSumToOne(t *testing.T) {
-	x := twoBlobs(200, 2, 12)
-	g, err := FitGMM(x, 3, 15, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, w := range g.Weights {
-		if w < 0 {
-			t.Errorf("negative weight %g", w)
-		}
-		sum += w
-	}
-	if sum < 0.99 || sum > 1.01 {
-		t.Errorf("weights sum to %g", sum)
-	}
-}
-
-func TestGMMOrderingProperty(t *testing.T) {
-	// Score must be monotone in distance from the data, along a ray.
-	x := twoBlobs(200, 2, 14)
-	g, err := FitGMM(x, 2, 15, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := -1.0
-	for d := float32(20); d <= 100; d += 20 {
-		s := g.Score([]float32{d, d})
-		if s < prev {
-			t.Fatalf("score not monotone at distance %g: %g < %g", d, s, prev)
-		}
-		prev = s
-	}
-}
-
 func BenchmarkKMeansScore(b *testing.B) {
 	x := twoBlobs(500, 16, 1)
 	m, _ := FitKMeans(x, 8, 30, 2)

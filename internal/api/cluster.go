@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	v1 "edgepulse/internal/api/v1"
@@ -93,12 +94,7 @@ func (s *Server) clusterAuth(next http.HandlerFunc) http.HandlerFunc {
 // like the health probes: a follower tailing at a tight interval must
 // not be throttled into falling behind.
 func isClusterPath(path string) bool {
-	const p = "/cluster/"
-	return pathHasPrefix(path, v1.Prefix+p) || pathHasPrefix(path, v1.LegacyPrefix+p)
-}
-
-func pathHasPrefix(path, prefix string) bool {
-	return len(path) >= len(prefix) && path[:len(prefix)] == prefix
+	return strings.HasPrefix(path, v1.Prefix+"/cluster/")
 }
 
 // handleClusterNode reports the node's identity and per-project store
@@ -146,7 +142,7 @@ func (s *Server) handleClusterAdmitUser(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleReplicationMeta exports the registry's control-plane state
-// (users, orgs, project headers, impulse designs, model blobs).
+// (users, project headers, impulse designs, model blobs).
 func (s *Server) handleReplicationMeta(w http.ResponseWriter, r *http.Request) {
 	b, err := s.registry.ExportMeta()
 	if err != nil {

@@ -91,7 +91,7 @@ func TestImpulseDTODrift(t *testing.T) {
 // the server stores and serves it as v2.
 func TestImpulseV1MigrationThroughAPI(t *testing.T) {
 	e := newEnv(t)
-	created := e.expectStatus("POST", "/api/projects", e.apiKey, map[string]any{"name": "legacy"}, http.StatusCreated)
+	created := e.expectStatus("POST", "/api/v1/projects", e.apiKey, map[string]any{"name": "legacy"}, http.StatusCreated)
 	id := int(created["id"].(float64))
 	v1Body := []byte(`{
 		"name": "kws",
@@ -101,11 +101,11 @@ func TestImpulseV1MigrationThroughAPI(t *testing.T) {
 		"classes": ["noise", "yes"],
 		"anomaly_clusters": 2
 	}`)
-	resp, _ := e.doRaw("POST", fmt.Sprintf("/api/projects/%d/impulse", id), e.apiKey, v1Body, "application/json")
+	resp, _ := e.doRaw("POST", fmt.Sprintf("/api/v1/projects/%d/impulse", id), e.apiKey, v1Body, "application/json")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("v1 design rejected: %d", resp.StatusCode)
 	}
-	got := e.expectStatus("GET", fmt.Sprintf("/api/projects/%d/impulse", id), e.apiKey, nil, http.StatusOK)
+	got := e.expectStatus("GET", fmt.Sprintf("/api/v1/projects/%d/impulse", id), e.apiKey, nil, http.StatusOK)
 	if got["version"] != float64(core.ConfigVersion) {
 		t.Fatalf("served version: %v", got["version"])
 	}

@@ -75,8 +75,10 @@ func TestCancelJobAccessControl(t *testing.T) {
 func TestJobEventsLongPoll(t *testing.T) {
 	e := newEnv(t)
 	step := make(chan struct{})
+	started := make(chan struct{})
 	job, err := e.sched.Submit("train", func(ctx context.Context, j *jobs.Job) error {
 		j.SetProgress("train", 25)
+		close(started)
 		j.Logf("epoch 1")
 		<-step
 		return nil
@@ -84,7 +86,9 @@ func TestJobEventsLongPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First poll returns the early events without waiting.
+	// First poll, once the job has reported progress, returns the early
+	// events without waiting.
+	<-started
 	out := e.expectStatus("GET", "/api/v1/jobs/"+job.ID+"/events?mode=poll&timeout_ms=5000", e.apiKey, nil, http.StatusOK)
 	events := out["events"].([]any)
 	if len(events) < 3 { // queued, running, progress (log may race in)

@@ -346,10 +346,9 @@ const (
 	routeThrottled = "(rate-limited)"
 )
 
-// apiMetrics aggregates request counters per v1 route pattern; legacy
-// alias traffic folds into the v1 route it aliases. Requests that miss
-// every route or are throttled before dispatch are counted under the
-// synthetic (unmatched) and (rate-limited) labels.
+// apiMetrics aggregates request counters per v1 route pattern. Requests
+// that miss every route or are throttled before dispatch are counted
+// under the synthetic (unmatched) and (rate-limited) labels.
 type apiMetrics struct {
 	start time.Time
 

@@ -181,7 +181,7 @@ func TestRequestIDPropagation(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	e := newEnv(t)
 	e.expectStatus("GET", "/api/v1/devices", "", nil, http.StatusOK)
-	e.expectStatus("GET", "/api/devices", "", nil, http.StatusOK) // legacy alias folds into v1 route
+	e.expectStatus("GET", "/api/v1/devices", "", nil, http.StatusOK)
 	e.expectStatus("GET", "/api/v1/projects", "", nil, http.StatusUnauthorized)
 
 	// Metrics expose operational internals and require auth.
@@ -202,7 +202,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		byRoute[rt.Route] = rt
 	}
 	if got := byRoute["GET /api/v1/devices"]; got.Count != 2 {
-		t.Fatalf("devices route count %d (legacy alias not folded?)", got.Count)
+		t.Fatalf("devices route count %d", got.Count)
 	}
 	if got := byRoute["GET /api/v1/projects"]; got.Err4xx != 1 {
 		t.Fatalf("projects route: %+v", got)
@@ -317,16 +317,21 @@ func TestDataListPagination(t *testing.T) {
 	}
 }
 
-func TestLegacyAliasParity(t *testing.T) {
+// TestUnversionedPathsNotFound pins that only /api/v1 is routed: the
+// unversioned /api prefix answers 404 with the v1 error envelope.
+func TestUnversionedPathsNotFound(t *testing.T) {
 	e := newEnv(t)
-	for _, path := range []string{"/devices", "/projects/public"} {
-		legacy, legacyRaw := e.doRaw("GET", "/api"+path, "", nil, "")
-		v1resp, v1Raw := e.doRaw("GET", "/api/v1"+path, "", nil, "")
-		if legacy.StatusCode != v1resp.StatusCode {
-			t.Fatalf("%s: legacy %d, v1 %d", path, legacy.StatusCode, v1resp.StatusCode)
+	for _, path := range []string{"/api/devices", "/api/healthz"} {
+		resp, raw := e.doRaw("GET", path, "", nil, "")
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
 		}
-		if string(legacyRaw) != string(v1Raw) {
-			t.Fatalf("%s: legacy %s != v1 %s", path, legacyRaw, v1Raw)
+		var env v1.ErrorResponse
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("%s: %v (%s)", path, err, raw)
+		}
+		if env.Success || env.Error.Code != v1.CodeNotFound {
+			t.Fatalf("%s: envelope %s", path, raw)
 		}
 	}
 }

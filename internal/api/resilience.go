@@ -191,8 +191,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // would flap the instance out of the load balancer under churn.
 func isHealthPath(path string) bool {
 	switch path {
-	case v1.Prefix + "/healthz", v1.Prefix + "/readyz",
-		v1.LegacyPrefix + "/healthz", v1.LegacyPrefix + "/readyz":
+	case v1.Prefix + "/healthz", v1.Prefix + "/readyz":
 		return true
 	}
 	return false

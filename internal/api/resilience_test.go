@@ -35,15 +35,13 @@ func TestHealthzAlwaysOK(t *testing.T) {
 	srv := httptest.NewServer(NewServer(reg, sched).Handler())
 	t.Cleanup(srv.Close)
 
-	for _, path := range []string{"/api/v1/healthz", "/api/healthz"} {
-		var out v1.HealthResponse
-		resp := getJSON(t, srv.URL+path, &out)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		if !out.Success || out.Status != "ok" || out.UptimeSeconds < 0 {
-			t.Fatalf("%s: %+v", path, out)
-		}
+	var out v1.HealthResponse
+	resp := getJSON(t, srv.URL+"/api/v1/healthz", &out)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if !out.Success || out.Status != "ok" || out.UptimeSeconds < 0 {
+		t.Fatalf("%+v", out)
 	}
 }
 

@@ -2,11 +2,7 @@
 // (paper Sec. 4.9: "all functionality is exposed via publicly accessible
 // REST APIs, which allows users to automate the data collection, model
 // training, and deployment processes"). Every endpoint lives under
-// /api/v1 with typed request/response DTOs declared in internal/api/v1;
-// the unversioned /api prefix stays routable as an alias onto the same
-// v1 handlers — old paths keep working, but with v1 semantics (the
-// structured error envelope, strict JSON decoding, v1 body limits,
-// and default pagination on list endpoints).
+// /api/v1 with typed request/response DTOs declared in internal/api/v1.
 // A composable middleware chain provides panic recovery,
 // request IDs, structured logging, per-API-key token-bucket rate
 // limiting, and request metrics (GET /api/v1/metrics). Failures use a
@@ -244,10 +240,9 @@ func (s *Server) Close() {
 // probes or flip draining themselves.
 func (s *Server) Health() *resilience.Health { return s.health }
 
-// route registers a handler under both the versioned and the legacy
-// prefix. pattern is "METHOD /path"; metrics for both registrations are
-// keyed by the v1 pattern, so alias traffic folds into its v1 route.
-// ro selects the route's admission class and deadline budget.
+// route registers a handler under the v1 prefix. pattern is
+// "METHOD /path"; metrics are keyed by the full v1 pattern. ro selects
+// the route's admission class and deadline budget.
 func (s *Server) route(pattern string, ro routeOpts, h http.HandlerFunc) {
 	method, path, ok := strings.Cut(pattern, " ")
 	if !ok {
@@ -255,7 +250,6 @@ func (s *Server) route(pattern string, ro routeOpts, h http.HandlerFunc) {
 	}
 	v1pat := method + " " + v1.Prefix + path
 	s.mux.Handle(v1pat, s.instrument(v1pat, ro, h))
-	s.mux.Handle(method+" "+v1.LegacyPrefix+path, s.instrument(v1pat, ro, h))
 }
 
 // routeStream registers a long-lived NDJSON route: connection lifetime
@@ -269,7 +263,6 @@ func (s *Server) routeStream(pattern string, ro routeOpts, h http.HandlerFunc) {
 	ro.noDeadline = true
 	v1pat := method + " " + v1.Prefix + path
 	s.mux.Handle(v1pat, s.instrumentStream(v1pat, ro, h))
-	s.mux.Handle(method+" "+v1.LegacyPrefix+path, s.instrumentStream(v1pat, ro, h))
 }
 
 func (s *Server) routes() {

@@ -96,7 +96,7 @@ func streamTestImpulse(t testing.TB) *core.Impulse {
 func streamEnv(t *testing.T) (*testEnv, int) {
 	t.Helper()
 	e := newEnv(t)
-	created := e.expectStatus("POST", "/api/projects", e.apiKey, map[string]any{"name": "stream"}, http.StatusCreated)
+	created := e.expectStatus("POST", "/api/v1/projects", e.apiKey, map[string]any{"name": "stream"}, http.StatusCreated)
 	id := int(created["id"].(float64))
 	p, err := e.reg.GetProject(id)
 	if err != nil {
@@ -150,7 +150,7 @@ func readStreamEvents(e *testEnv, path, lastEventID string) (*http.Response, []v
 
 func TestStreamSessionLifecycle(t *testing.T) {
 	e, id := streamEnv(t)
-	open := e.expectStatus("POST", fmt.Sprintf("/api/projects/%d/stream", id), e.apiKey,
+	open := e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream", id), e.apiKey,
 		map[string]any{"threshold": 0.4, "smooth": 1}, http.StatusOK)
 	sid := open["session_id"].(string)
 	if sid == "" {
@@ -167,13 +167,13 @@ func TestStreamSessionLifecycle(t *testing.T) {
 	}
 
 	// 2000 samples = windows at frame 0, 500, 1000.
-	push := e.expectStatus("POST", fmt.Sprintf("/api/projects/%d/stream/%s/frames", id, sid), e.apiKey,
+	push := e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream/%s/frames", id, sid), e.apiKey,
 		map[string]any{"samples": toneSamples(2000, 4000)}, http.StatusOK)
 	if fi := push["frames_in"].(float64); fi != 2000 {
 		t.Fatalf("frames_in = %v", fi)
 	}
 
-	closed := e.expectStatus("DELETE", fmt.Sprintf("/api/projects/%d/stream/%s", id, sid), e.apiKey, nil, http.StatusOK)
+	closed := e.expectStatus("DELETE", fmt.Sprintf("/api/v1/projects/%d/stream/%s", id, sid), e.apiKey, nil, http.StatusOK)
 	stats := closed["stats"].(map[string]any)
 	if w := stats["windows"].(float64); w != 3 {
 		t.Fatalf("windows = %v, want 3", w)
@@ -240,7 +240,7 @@ func TestStreamSessionLifecycle(t *testing.T) {
 
 	// A closed session stays addressable for event replay, but refuses
 	// further frames.
-	e.expectStatus("POST", fmt.Sprintf("/api/projects/%d/stream/%s/frames", id, sid), e.apiKey,
+	e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream/%s/frames", id, sid), e.apiKey,
 		map[string]any{"samples": toneSamples(10, 4000)}, http.StatusConflict)
 }
 
@@ -248,37 +248,37 @@ func TestStreamValidationAndScoping(t *testing.T) {
 	e, id := streamEnv(t)
 
 	// A project without a trained impulse cannot open a stream.
-	bare := e.expectStatus("POST", "/api/projects", e.apiKey, map[string]any{"name": "bare"}, http.StatusCreated)
+	bare := e.expectStatus("POST", "/api/v1/projects", e.apiKey, map[string]any{"name": "bare"}, http.StatusCreated)
 	bareID := int(bare["id"].(float64))
-	e.expectStatus("POST", fmt.Sprintf("/api/projects/%d/stream", bareID), e.apiKey,
+	e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream", bareID), e.apiKey,
 		map[string]any{}, http.StatusBadRequest)
 
 	// Bad tuning values are rejected.
-	e.expectStatus("POST", fmt.Sprintf("/api/projects/%d/stream", id), e.apiKey,
+	e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream", id), e.apiKey,
 		map[string]any{"stride_ms": -5}, http.StatusBadRequest)
-	e.expectStatus("POST", fmt.Sprintf("/api/projects/%d/stream", id), e.apiKey,
+	e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream", id), e.apiKey,
 		map[string]any{"stride_ms": 10000}, http.StatusBadRequest) // stride > window
 
-	open := e.expectStatus("POST", fmt.Sprintf("/api/projects/%d/stream", id), e.apiKey,
+	open := e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream", id), e.apiKey,
 		map[string]any{}, http.StatusOK)
 	sid := open["session_id"].(string)
 
 	// Unknown session and cross-project access both read as 404.
-	e.expectStatus("POST", fmt.Sprintf("/api/projects/%d/stream/nope/frames", id), e.apiKey,
+	e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream/nope/frames", id), e.apiKey,
 		map[string]any{"samples": []float32{1}}, http.StatusNotFound)
-	e.expectStatus("POST", fmt.Sprintf("/api/projects/%d/stream/%s/frames", bareID, sid), e.apiKey,
+	e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream/%s/frames", bareID, sid), e.apiKey,
 		map[string]any{"samples": []float32{1}}, http.StatusNotFound)
-	e.expectStatus("GET", fmt.Sprintf("/api/projects/%d/stream/%s/events", bareID, sid), e.apiKey,
+	e.expectStatus("GET", fmt.Sprintf("/api/v1/projects/%d/stream/%s/events", bareID, sid), e.apiKey,
 		nil, http.StatusNotFound)
 
 	// Empty batches are rejected.
-	e.expectStatus("POST", fmt.Sprintf("/api/projects/%d/stream/%s/frames", id, sid), e.apiKey,
+	e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream/%s/frames", id, sid), e.apiKey,
 		map[string]any{"samples": []float32{}}, http.StatusBadRequest)
 	// Bad resume cursor.
-	e.expectStatus("GET", fmt.Sprintf("/api/projects/%d/stream/%s/events?from=x", id, sid), e.apiKey,
+	e.expectStatus("GET", fmt.Sprintf("/api/v1/projects/%d/stream/%s/events?from=x", id, sid), e.apiKey,
 		nil, http.StatusBadRequest)
 
-	e.expectStatus("DELETE", fmt.Sprintf("/api/projects/%d/stream/%s", id, sid), e.apiKey, nil, http.StatusOK)
+	e.expectStatus("DELETE", fmt.Sprintf("/api/v1/projects/%d/stream/%s", id, sid), e.apiKey, nil, http.StatusOK)
 }
 
 // TestStreamCapacityAndMetrics drives the server-wide session cap and
@@ -335,10 +335,10 @@ func TestStreamCapacityAndMetrics(t *testing.T) {
 // recorded-zero duration.
 func TestStreamConnectionMetricsSeparate(t *testing.T) {
 	e, id := streamEnv(t)
-	open := e.expectStatus("POST", fmt.Sprintf("/api/projects/%d/stream", id), e.apiKey,
+	open := e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream", id), e.apiKey,
 		map[string]any{}, http.StatusOK)
 	sid := open["session_id"].(string)
-	e.expectStatus("DELETE", fmt.Sprintf("/api/projects/%d/stream/%s", id, sid), e.apiKey, nil, http.StatusOK)
+	e.expectStatus("DELETE", fmt.Sprintf("/api/v1/projects/%d/stream/%s", id, sid), e.apiKey, nil, http.StatusOK)
 	// Drain the (now terminal) feed so one streaming connection completes.
 	if _, _, err := readStreamEvents(e, fmt.Sprintf("/api/v1/projects/%d/stream/%s/events", id, sid), ""); err != nil {
 		t.Fatal(err)

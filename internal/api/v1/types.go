@@ -15,11 +15,6 @@ import (
 // Prefix is the path prefix of the versioned API surface.
 const Prefix = "/api/v1"
 
-// LegacyPrefix is the unversioned prefix kept routable as an alias onto
-// the v1 handlers. Old paths keep working but responses follow v1
-// semantics (structured error envelope, strict JSON decoding).
-const LegacyPrefix = "/api"
-
 // Stable machine-readable error codes carried in the error envelope.
 // Clients should branch on these, never on message text.
 const (
@@ -606,8 +601,7 @@ type VersionsResponse struct {
 
 // RouteMetrics aggregates one route's traffic.
 type RouteMetrics struct {
-	// Route is the v1 pattern ("GET /api/v1/projects"); legacy alias
-	// traffic is folded into its v1 route.
+	// Route is the v1 pattern ("GET /api/v1/projects").
 	Route string `json:"route"`
 	Count int64  `json:"count"`
 	// Err4xx/Err5xx count client and server failures.

@@ -17,16 +17,11 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	v1 "edgepulse/internal/api/v1"
 	"edgepulse/internal/resilience"
 )
-
-// ErrCircuitOpen is returned without issuing a request while the
-// client's circuit breaker (WithCircuitBreaker) is open.
-var ErrCircuitOpen = resilience.ErrCircuitOpen
 
 // APIError is the decoded error envelope of a non-2xx response.
 type APIError struct {
@@ -69,62 +64,12 @@ func WithRetries(n int) Option {
 	return func(c *Client) { c.retries = n }
 }
 
-// WithCircuitBreaker trips the client open after threshold consecutive
-// hard failures (transport errors and 5xx — rate limiting doesn't
-// count), failing calls fast with ErrCircuitOpen until cooldown passes
-// and a probe request succeeds. threshold <= 0 disables the breaker.
-func WithCircuitBreaker(threshold int, cooldown time.Duration) Option {
-	return func(c *Client) {
-		if threshold <= 0 {
-			c.breaker = nil
-			return
-		}
-		c.breaker = &resilience.Breaker{Threshold: threshold, Cooldown: cooldown}
-	}
-}
-
-// WithRetryBudget caps how many retries the client may spend beyond
-// what successful calls earn back, so a hard outage degrades to roughly
-// one attempt per call instead of multiplying load by 1+retries.
-// max <= 0 disables the budget.
-func WithRetryBudget(max float64) Option {
-	return func(c *Client) {
-		if max <= 0 {
-			c.budget = nil
-			return
-		}
-		c.budget = &resilience.RetryBudget{Max: max}
-	}
-}
-
-// WithEndpoints adds alternate base URLs (e.g. a second gateway). The
-// client sticks to one endpoint until it fails with a transport error
-// or 502/503, then rotates to the next for the retry and for all
-// subsequent calls — combined with WithCircuitBreaker/WithRetryBudget
-// this is the multi-endpoint awareness a clustered deployment needs.
-func WithEndpoints(urls ...string) Option {
-	return func(c *Client) { c.alternates = append(c.alternates, urls...) }
-}
-
-// Client talks to one edgepulse studio server (or gateway), optionally
-// rotating across alternates on failure.
+// Client talks to one edgepulse studio server (or gateway).
 type Client struct {
-	baseURL    string
-	alternates []string
-	apiKey     string
-	hc         *http.Client
-	retries    int
-	breaker    *resilience.Breaker
-	budget     *resilience.RetryBudget
-	// ep is the endpoint ring cursor, shared by WithAPIKey copies so
-	// every view of the client agrees on which endpoint is healthy.
-	ep *epCursor
-}
-
-// epCursor tracks which endpoint of the ring is in use.
-type epCursor struct {
-	mu sync.Mutex
-	i  int // 0 = baseURL, i > 0 = alternates[i-1]
+	baseURL string
+	apiKey  string
+	hc      *http.Client
+	retries int
 }
 
 // New builds a client for a server base URL like "http://localhost:4800".
@@ -133,33 +78,11 @@ func New(baseURL string, opts ...Option) *Client {
 		baseURL: baseURL,
 		hc:      http.DefaultClient,
 		retries: 2,
-		ep:      &epCursor{},
 	}
 	for _, opt := range opts {
 		opt(c)
 	}
 	return c
-}
-
-// endpoint returns the base URL currently in use.
-func (c *Client) endpoint() string {
-	c.ep.mu.Lock()
-	defer c.ep.mu.Unlock()
-	if c.ep.i == 0 || c.ep.i > len(c.alternates) {
-		return c.baseURL
-	}
-	return c.alternates[c.ep.i-1]
-}
-
-// rotateEndpoint advances the ring after an endpoint-level failure, so
-// the retry — and every later call — targets the next endpoint.
-func (c *Client) rotateEndpoint() {
-	if len(c.alternates) == 0 {
-		return
-	}
-	c.ep.mu.Lock()
-	c.ep.i = (c.ep.i + 1) % (len(c.alternates) + 1)
-	c.ep.mu.Unlock()
 }
 
 // WithAPIKey returns a copy of the client authenticated as key — handy
@@ -210,18 +133,9 @@ func (c *Client) doBytes(ctx context.Context, method, path string, q url.Values,
 	if len(q) > 0 {
 		rel += "?" + q.Encode()
 	}
+	u := c.baseURL + rel
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		// Resolved per attempt: endpoint rotation redirects retries.
-		u := c.endpoint() + rel
-		if c.breaker != nil {
-			if err := c.breaker.Allow(); err != nil {
-				if lastErr != nil {
-					return nil, fmt.Errorf("%w (last failure: %w)", err, lastErr)
-				}
-				return nil, err
-			}
-		}
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
@@ -237,55 +151,27 @@ func (c *Client) doBytes(ctx context.Context, method, path string, q url.Values,
 			req.Header.Set("Content-Type", contentType)
 		}
 		raw, apiErr, err := c.roundTrip(req)
-		c.recordOutcome(apiErr, err)
 		if err == nil && apiErr == nil {
-			if c.budget != nil {
-				c.budget.Credit()
-			}
 			return raw, nil
 		}
 		if err != nil {
 			lastErr = err
-			// The endpoint itself failed: later calls (and any retry)
-			// go to the next one in the ring.
-			c.rotateEndpoint()
 			// Transport errors: retry only idempotent requests.
 			if method != http.MethodGet || attempt >= c.retries {
 				return nil, lastErr
 			}
 		} else {
 			lastErr = apiErr
-			if apiErr.Status == http.StatusBadGateway || apiErr.Status == http.StatusServiceUnavailable {
-				c.rotateEndpoint()
-			}
 			if !retryable(method, apiErr.Status) || attempt >= c.retries {
 				return nil, lastErr
 			}
 		}
-		// A retry is load the server didn't ask for: spend budget first,
-		// so a hard outage degrades to ~one attempt per call.
-		if c.budget != nil && !c.budget.Spend() {
-			return nil, lastErr
-		}
-		apiErr, _ = lastErr.(*APIError)
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-time.After(RetryDelay(attempt, apiErr)):
 		}
 	}
-}
-
-// recordOutcome feeds the circuit breaker. Only hard failures count
-// against it: transport errors and 5xx. Rate limiting (429) is the
-// server working as designed, and 4xx is the caller's bug — neither
-// says the server is down.
-func (c *Client) recordOutcome(apiErr *APIError, err error) {
-	if c.breaker == nil {
-		return
-	}
-	failure := err != nil || (apiErr != nil && apiErr.Status >= 500)
-	c.breaker.Record(!failure)
 }
 
 // roundTrip performs one HTTP exchange. A non-2xx status yields an

@@ -1,118 +1,9 @@
 package client
 
 import (
-	"context"
-	"errors"
-	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// flakyServer answers every request with the configured status until
-// healed, then 200 with an empty JSON object.
-type flakyServer struct {
-	status atomic.Int64
-	hits   atomic.Int64
-}
-
-func newFlakyServer(t *testing.T, status int) (*flakyServer, *Client, func(...Option) *Client) {
-	t.Helper()
-	f := &flakyServer{}
-	f.status.Store(int64(status))
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		f.hits.Add(1)
-		if st := int(f.status.Load()); st != http.StatusOK {
-			http.Error(w, `{"success":false}`, st)
-			return
-		}
-		w.Write([]byte(`{"success":true}`))
-	}))
-	t.Cleanup(srv.Close)
-	mk := func(opts ...Option) *Client { return New(srv.URL, opts...) }
-	return f, mk(), mk
-}
-
-func TestClientCircuitBreakerOpensOn5xx(t *testing.T) {
-	ctx := context.Background()
-	f, _, mk := newFlakyServer(t, http.StatusInternalServerError)
-	c := mk(WithRetries(0), WithCircuitBreaker(3, time.Hour))
-
-	// Three consecutive hard failures trip the breaker...
-	for i := 0; i < 3; i++ {
-		if _, err := c.Devices(ctx); err == nil {
-			t.Fatal("expected 500 error")
-		}
-	}
-	hits := f.hits.Load()
-	// ...after which calls fail fast without touching the network.
-	_, err := c.Devices(ctx)
-	if !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("want ErrCircuitOpen, got %v", err)
-	}
-	if f.hits.Load() != hits {
-		t.Fatal("open breaker still issued a request")
-	}
-}
-
-func TestClientCircuitBreakerRecoversViaProbe(t *testing.T) {
-	ctx := context.Background()
-	f, _, mk := newFlakyServer(t, http.StatusInternalServerError)
-	c := mk(WithRetries(0), WithCircuitBreaker(2, 20*time.Millisecond))
-
-	for i := 0; i < 2; i++ {
-		c.Devices(ctx)
-	}
-	if _, err := c.Devices(ctx); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("breaker not open: %v", err)
-	}
-
-	// Server heals; after the cooldown one probe goes through, succeeds,
-	// and the breaker closes for everyone.
-	f.status.Store(http.StatusOK)
-	time.Sleep(30 * time.Millisecond)
-	if _, err := c.Devices(ctx); err != nil {
-		t.Fatalf("probe after cooldown: %v", err)
-	}
-	if _, err := c.Devices(ctx); err != nil {
-		t.Fatalf("closed breaker: %v", err)
-	}
-}
-
-func TestClientRateLimitDoesNotTripBreaker(t *testing.T) {
-	ctx := context.Background()
-	_, _, mk := newFlakyServer(t, http.StatusTooManyRequests)
-	c := mk(WithRetries(0), WithCircuitBreaker(2, time.Hour))
-
-	// 429 is the server coping, not the server down: any number of them
-	// must leave the breaker closed.
-	for i := 0; i < 10; i++ {
-		if _, err := c.Devices(ctx); errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("breaker opened on rate limiting after %d calls", i)
-		}
-	}
-}
-
-func TestClientRetryBudgetBoundsRetries(t *testing.T) {
-	ctx := context.Background()
-	f, _, mk := newFlakyServer(t, http.StatusServiceUnavailable)
-	// Each GET would retry 3 times; a budget of 2 allows only two
-	// retries in total before hard failures stop being amplified.
-	c := mk(WithRetries(3), WithRetryBudget(2))
-
-	if _, err := c.Devices(ctx); err == nil {
-		t.Fatal("expected failure")
-	}
-	if _, err := c.Devices(ctx); err == nil {
-		t.Fatal("expected failure")
-	}
-	// 2 calls × (1 attempt + retries) with only 2 retry tokens between
-	// them: 4 requests total instead of 8.
-	if got := f.hits.Load(); got != 4 {
-		t.Fatalf("server saw %d requests, want 4 (budget-capped)", got)
-	}
-}
 
 func TestRetryDelayHonorsRetryAfter(t *testing.T) {
 	if d := RetryDelay(0, &APIError{RetryAfter: 3 * time.Second}); d != 3*time.Second {

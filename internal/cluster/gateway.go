@@ -604,12 +604,9 @@ func (w *gwWriter) Flush() {
 	}
 }
 
-// stripAPIPrefix maps /api/v1/x and the legacy /api/x alias to /x.
+// stripAPIPrefix maps /api/v1/x to /x.
 func stripAPIPrefix(path string) (string, bool) {
 	if rest, ok := strings.CutPrefix(path, v1.Prefix); ok && (rest == "" || rest[0] == '/') {
-		return rest, true
-	}
-	if rest, ok := strings.CutPrefix(path, v1.LegacyPrefix); ok && len(rest) > 0 && rest[0] == '/' {
 		return rest, true
 	}
 	return "", false

@@ -382,8 +382,7 @@ func TestGatewayOperationalSurface(t *testing.T) {
 	if resp, body := get("/api/v1/readyz"); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"shard-0":"ok"`) {
 		t.Fatalf("readyz: %d %s", resp.StatusCode, body)
 	}
-	// The legacy /api alias routes too.
-	if resp, _ := get("/api/devices"); resp.StatusCode != http.StatusOK {
+	if resp, _ := get("/api/v1/devices"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("devices passthrough: %d", resp.StatusCode)
 	}
 	if resp, _ := get("/api/v1/blocks"); resp.StatusCode != http.StatusOK {
@@ -406,6 +405,12 @@ func TestGatewayOperationalSurface(t *testing.T) {
 	}
 	if resp, _ := get("/outside"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("non-API path: %d", resp.StatusCode)
+	}
+	// Only /api/v1 is routed; the unversioned prefix is not an alias.
+	for _, path := range []string{"/api/devices", "/api/healthz"} {
+		if resp, body := get(path); resp.StatusCode != http.StatusNotFound || !strings.Contains(body, "unknown path") {
+			t.Fatalf("%s: %d %s", path, resp.StatusCode, body)
+		}
 	}
 	// An unauthenticated job lookup surfaces the worker's 401 untouched.
 	if resp, body := get("/api/v1/jobs/job-999"); resp.StatusCode != http.StatusUnauthorized {

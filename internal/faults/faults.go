@@ -96,9 +96,9 @@ func Inject(name string) error {
 	return err
 }
 
-// Hits reports how many times the named point has fired since it was
+// hits reports how many times the named point has fired since it was
 // last armed (0 when never armed).
-func Hits(name string) int64 {
+func hits(name string) int64 {
 	mu.Lock()
 	defer mu.Unlock()
 	if p, ok := points[name]; ok {

@@ -19,7 +19,7 @@ func TestArmAndDisarm(t *testing.T) {
 	if err := Inject("t.point"); !errors.Is(err, boom) {
 		t.Fatalf("armed point returned %v", err)
 	}
-	if got := Hits("t.point"); got != 1 {
+	if got := hits("t.point"); got != 1 {
 		t.Fatalf("hits = %d, want 1", got)
 	}
 	disarm()
@@ -43,7 +43,7 @@ func TestTimesBoundsInjections(t *testing.T) {
 	if err := Inject("t.times"); err != nil {
 		t.Fatalf("exhausted point injected: %v", err)
 	}
-	if got := Hits("t.times"); got != 2 {
+	if got := hits("t.times"); got != 2 {
 		t.Fatalf("hits = %d, want 2", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"edgepulse/internal/nn"
-	"edgepulse/internal/tensor"
 )
 
 // KWSDSCNN builds the depthwise-separable CNN used for keyword spotting
@@ -187,7 +186,3 @@ func humanCount(n int64) string {
 		return fmt.Sprint(n)
 	}
 }
-
-// InputShapeFor returns the model input shape as a tensor.Shape (helper
-// for harnesses that construct feature tensors).
-func InputShapeFor(m *nn.Model) tensor.Shape { return m.InputShape.Clone() }

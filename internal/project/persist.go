@@ -16,7 +16,7 @@ import (
 
 // On-disk layout (v2):
 //
-//	<dir>/registry.json                    users, orgs, project headers (atomic write)
+//	<dir>/registry.json                    users, project headers (atomic write)
 //	<dir>/projects/<id>/dataset/           segmented sample store (internal/store):
 //	                      manifest.json    header index snapshot
 //	                      journal.log      manifest op journal
@@ -39,13 +39,6 @@ type persistedUser struct {
 	APIKey string `json:"api_key"`
 }
 
-// persistedOrg is one organization row in registry.json.
-type persistedOrg struct {
-	ID      string   `json:"id"`
-	Name    string   `json:"name"`
-	Members []string `json:"members"`
-}
-
 // persistedProject is one project header row in registry.json.
 type persistedProject struct {
 	ID            int       `json:"id"`
@@ -60,11 +53,9 @@ type persistedProject struct {
 // persistedRegistry is the registry.json schema.
 type persistedRegistry struct {
 	Users    []persistedUser    `json:"users"`
-	Orgs     []persistedOrg     `json:"orgs"`
 	Projects []persistedProject `json:"projects"`
 	NextUser int                `json:"next_user"`
 	NextProj int                `json:"next_proj"`
-	NextOrg  int                `json:"next_org"`
 }
 
 // persistedSample is the v1 dataset.json sample schema, kept for
@@ -143,18 +134,11 @@ func loadRegistry(dir string, blob []byte) (*Registry, error) {
 		return nil, fmt.Errorf("project: corrupt registry: %w", err)
 	}
 	r := NewRegistry()
-	r.nextUser, r.nextProj, r.nextOrg = pr.NextUser, pr.NextProj, pr.NextOrg
+	r.nextUser, r.nextProj = pr.NextUser, pr.NextProj
 	for _, u := range pr.Users {
 		user := &User{ID: u.ID, Name: u.Name, APIKey: u.APIKey}
 		r.users[user.ID] = user
 		r.byKey[user.APIKey] = user
-	}
-	for _, o := range pr.Orgs {
-		org := &Organization{ID: o.ID, Name: o.Name, Members: map[string]bool{}}
-		for _, m := range o.Members {
-			org.Members[m] = true
-		}
-		r.orgs[org.ID] = org
 	}
 	for _, pp := range pr.Projects {
 		p := &Project{
@@ -184,16 +168,9 @@ func loadRegistry(dir string, blob []byte) (*Registry, error) {
 // renderRegistryLocked marshals registry metadata. Caller holds r.mu
 // (read or write).
 func (r *Registry) renderRegistryLocked() ([]byte, error) {
-	pr := persistedRegistry{NextUser: r.nextUser, NextProj: r.nextProj, NextOrg: r.nextOrg}
+	pr := persistedRegistry{NextUser: r.nextUser, NextProj: r.nextProj}
 	for _, u := range r.users {
 		pr.Users = append(pr.Users, persistedUser{ID: u.ID, Name: u.Name, APIKey: u.APIKey})
-	}
-	for _, o := range r.orgs {
-		po := persistedOrg{ID: o.ID, Name: o.Name}
-		for m := range o.Members {
-			po.Members = append(po.Members, m)
-		}
-		pr.Orgs = append(pr.Orgs, po)
 	}
 	for _, p := range r.projects {
 		pr.Projects = append(pr.Projects, persistedProject{

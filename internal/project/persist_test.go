@@ -1,6 +1,7 @@
 package project
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,8 +20,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	owner, _ := r.CreateUser("owner")
 	guest, _ := r.CreateUser("guest")
-	org, _ := r.CreateOrganization("acme", owner.ID)
-	r.JoinOrganization(org.ID, guest.ID)
 	p, _ := r.CreateProject("kws", owner.ID)
 	p.AddCollaborator(guest.ID)
 	p.SetPublic(true)
@@ -120,6 +119,86 @@ func TestLoadErrors(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, "registry.json"), []byte("{bad"), 0o644)
 	if _, err := Load(dir); err == nil {
 		t.Error("loaded corrupt registry")
+	}
+}
+
+// TestLoadRegistryWithOrgs opens a registry.json written when the
+// registry still kept organizations: every user, API key and project
+// comes back, and the next save drops the org keys.
+func TestLoadRegistryWithOrgs(t *testing.T) {
+	dir := t.TempDir()
+	old := `{
+  "users": [
+    {"id": "user-1", "name": "owner", "api_key": "ei_owner"},
+    {"id": "user-2", "name": "guest", "api_key": "ei_guest"}
+  ],
+  "orgs": [
+    {"id": "org-1", "name": "acme", "members": ["user-1", "user-2"]}
+  ],
+  "projects": [
+    {"id": 1, "name": "kws", "owner_id": "user-1", "hmac_key": "h1",
+     "public": true, "collaborators": ["user-2"], "versions": null},
+    {"id": 2, "name": "vww", "owner_id": "user-2", "hmac_key": "h2",
+     "public": false, "collaborators": null, "versions": null}
+  ],
+  "next_user": 2,
+  "next_proj": 2,
+  "next_org": 1
+}`
+	if err := os.WriteFile(filepath.Join(dir, "registry.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for key, id := range map[string]string{"ei_owner": "user-1", "ei_guest": "user-2"} {
+		u, err := r.Authenticate(key)
+		if err != nil || u.ID != id {
+			t.Fatalf("key %s: user %v, err %v", key, u, err)
+		}
+	}
+	p1, err := r.GetProject(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1.Name != "kws" || p1.OwnerID != "user-1" || p1.HMACKey != "h1" || !p1.Public() || !p1.CanAccess("user-2") {
+		t.Fatalf("project 1: %+v", p1)
+	}
+	p2, err := r.GetProject(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2.Name != "vww" || p2.OwnerID != "user-2" || p2.HMACKey != "h2" || p2.Public() || p2.CanAccess("user-1") {
+		t.Fatalf("project 2: %+v", p2)
+	}
+
+	// A write-through save continues the counters and drops the org keys.
+	u, err := r.CreateUser("carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.ID != "user-3" {
+		t.Fatalf("new user %s, want user-3", u.ID)
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, "registry.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"orgs", "next_org"} {
+		if _, ok := keys[k]; ok {
+			t.Errorf("saved registry still writes %q", k)
+		}
+	}
+	for _, k := range []string{"users", "projects", "next_user", "next_proj"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("saved registry lost %q", k)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package project implements the collaboration layer of the platform
-// (paper Sec. 3 and 6.3): users with API keys, organizations, projects
-// holding a dataset and an impulse, multi-user collaboration, project
+// (paper Sec. 3 and 6.3): users with API keys, projects holding a
+// dataset and an impulse, multi-user collaboration, project
 // versioning (snapshots of dataset version + impulse design), and public
 // projects discoverable by everyone.
 package project
@@ -26,13 +26,6 @@ type User struct {
 	ID     string
 	Name   string
 	APIKey string
-}
-
-// Organization groups users for enterprise collaboration.
-type Organization struct {
-	ID      string
-	Name    string
-	Members map[string]bool
 }
 
 // Version is a project snapshot: the paper's answer to the ML
@@ -219,7 +212,7 @@ func (p *Project) Versions() []Version {
 	return append([]Version(nil), p.versions...)
 }
 
-// Registry is the store of users, organizations and projects. A
+// Registry is the store of users and projects. A
 // registry created by NewRegistry is purely in-memory; one opened via
 // Open or Load is rooted at a directory and persists every project's
 // dataset incrementally through internal/store.
@@ -242,11 +235,9 @@ type Registry struct {
 	mu        sync.RWMutex
 	users     map[string]*User // by ID
 	byKey     map[string]*User // by API key
-	orgs      map[string]*Organization
 	projects  map[int]*Project
 	nextUser  int
 	nextProj  int
-	nextOrg   int
 }
 
 // NewRegistry creates an empty registry.
@@ -254,7 +245,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		users:    map[string]*User{},
 		byKey:    map[string]*User{},
-		orgs:     map[string]*Organization{},
 		projects: map[int]*Project{},
 	}
 }
@@ -363,50 +353,6 @@ func (r *Registry) GetUser(id string) (*User, error) {
 		return nil, fmt.Errorf("project: no user %s", id)
 	}
 	return u, nil
-}
-
-// CreateOrganization registers an organization owned by a user.
-func (r *Registry) CreateOrganization(name, ownerID string) (*Organization, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.replica {
-		return nil, ErrReplica
-	}
-	if _, ok := r.users[ownerID]; !ok {
-		return nil, fmt.Errorf("project: no user %s", ownerID)
-	}
-	r.nextOrg++
-	org := &Organization{
-		ID:      fmt.Sprintf("org-%d", r.nextOrg),
-		Name:    name,
-		Members: map[string]bool{ownerID: true},
-	}
-	r.orgs[org.ID] = org
-	if err := r.persistMetaLocked(); err != nil {
-		delete(r.orgs, org.ID)
-		r.nextOrg--
-		return nil, fmt.Errorf("project: persist registry: %w", err)
-	}
-	return org, nil
-}
-
-// JoinOrganization adds a member.
-func (r *Registry) JoinOrganization(orgID, userID string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	org, ok := r.orgs[orgID]
-	if !ok {
-		return fmt.Errorf("project: no organization %s", orgID)
-	}
-	if _, ok := r.users[userID]; !ok {
-		return fmt.Errorf("project: no user %s", userID)
-	}
-	org.Members[userID] = true
-	if err := r.persistMetaLocked(); err != nil {
-		delete(org.Members, userID)
-		return fmt.Errorf("project: persist registry: %w", err)
-	}
-	return nil
 }
 
 // CreateProject makes a project owned by the user, with a fresh dataset

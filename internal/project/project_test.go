@@ -175,34 +175,6 @@ func TestSnapshotVersioning(t *testing.T) {
 	}
 }
 
-func TestOrganizations(t *testing.T) {
-	r := NewRegistry()
-	a, _ := r.CreateUser("a")
-	b, _ := r.CreateUser("b")
-	org, err := r.CreateOrganization("acme", a.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !org.Members[a.ID] {
-		t.Error("owner not a member")
-	}
-	if err := r.JoinOrganization(org.ID, b.ID); err != nil {
-		t.Fatal(err)
-	}
-	if !org.Members[b.ID] {
-		t.Error("join failed")
-	}
-	if err := r.JoinOrganization("nope", b.ID); err == nil {
-		t.Error("joined ghost org")
-	}
-	if err := r.JoinOrganization(org.ID, "ghost"); err == nil {
-		t.Error("ghost user joined")
-	}
-	if _, err := r.CreateOrganization("x", "ghost"); err == nil {
-		t.Error("ghost owner accepted")
-	}
-}
-
 func TestHMACKeysUnique(t *testing.T) {
 	r := NewRegistry()
 	u, _ := r.CreateUser("u")

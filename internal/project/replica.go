@@ -15,7 +15,7 @@ import (
 // Registry replication: a follower runs a read-only standby of one
 // worker's registry. Dataset samples replicate at the store layer
 // (segment bytes + journal frames, internal/store/replication.go);
-// everything else — users, orgs, project headers, impulse designs,
+// everything else — users, project headers, impulse designs,
 // trained model blobs — is small metadata that replicates as a whole
 // bundle: the primary exports a MetaBundle, the follower applies it,
 // reconciling its in-memory registry and rewriting the same files a
@@ -117,7 +117,7 @@ func (r *Registry) ExportMeta() (MetaBundle, error) {
 }
 
 // ApplyMeta reconciles a replica registry against a primary's exported
-// bundle: users, orgs and counters are replaced; projects are created
+// bundle: users and counters are replaced; projects are created
 // (with replica-mode dataset stores), updated, or dropped; the registry
 // blob and per-project design blobs land on disk so a follower restart
 // reopens the same state.
@@ -165,16 +165,8 @@ func (r *Registry) applyRegistryBlobLocked(blob []byte) error {
 		users[user.ID] = user
 		byKey[user.APIKey] = user
 	}
-	orgs := make(map[string]*Organization, len(pr.Orgs))
-	for _, o := range pr.Orgs {
-		org := &Organization{ID: o.ID, Name: o.Name, Members: map[string]bool{}}
-		for _, m := range o.Members {
-			org.Members[m] = true
-		}
-		orgs[org.ID] = org
-	}
-	r.users, r.byKey, r.orgs = users, byKey, orgs
-	r.nextUser, r.nextProj, r.nextOrg = pr.NextUser, pr.NextProj, pr.NextOrg
+	r.users, r.byKey = users, byKey
+	r.nextUser, r.nextProj = pr.NextUser, pr.NextProj
 
 	seen := make(map[int]bool, len(pr.Projects))
 	for _, pp := range pr.Projects {

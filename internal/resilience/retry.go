@@ -1,14 +1,12 @@
 // Package resilience is the daemon-wide robustness layer: priority-aware
 // admission control (Gate), readiness probing (Health), a stuck-job
-// watchdog (Watchdog), and the client-side retry primitives — jittered
-// exponential backoff, a retry token budget, and a circuit breaker — so
-// overload is shed server-side without being amplified client-side.
+// watchdog (Watchdog), and the client-side retry delay (Backoff, a
+// jittered exponential backoff) so overload is shed server-side without
+// clients retrying in lockstep.
 package resilience
 
 import (
-	"errors"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -72,184 +70,4 @@ func (b Backoff) Delay(attempt int) time.Duration {
 		d = time.Millisecond
 	}
 	return d
-}
-
-// RetryBudget is a token bucket bounding how many retries a client may
-// issue relative to its successes: each retry spends one token, each
-// success credits Ratio tokens back (capped at Max). Under a persistent
-// outage the budget drains and retries stop, so shed requests cannot
-// retry-storm the server back down.
-type RetryBudget struct {
-	// Max is the bucket capacity (default 16); the bucket starts full.
-	Max float64
-	// Ratio is the credit per success (default 0.25).
-	Ratio float64
-
-	mu     sync.Mutex
-	tokens float64
-	inited bool
-}
-
-func (b *RetryBudget) maxTokens() float64 {
-	if b.Max > 0 {
-		return b.Max
-	}
-	return 16
-}
-
-// Spend consumes one retry token, reporting false when the budget is
-// exhausted (the caller should surface the last error instead of
-// retrying).
-func (b *RetryBudget) Spend() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.inited {
-		b.tokens = b.maxTokens()
-		b.inited = true
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// Credit refunds Ratio tokens on a successful request, up to Max.
-func (b *RetryBudget) Credit() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.inited {
-		b.tokens = b.maxTokens()
-		b.inited = true
-		return
-	}
-	ratio := b.Ratio
-	if ratio <= 0 {
-		ratio = 0.25
-	}
-	b.tokens += ratio
-	if max := b.maxTokens(); b.tokens > max {
-		b.tokens = max
-	}
-}
-
-// ErrCircuitOpen is returned by Breaker.Allow while the breaker is open:
-// the upstream has failed consecutively and calls are refused locally
-// until the cooldown elapses.
-var ErrCircuitOpen = errors.New("resilience: circuit open")
-
-// Breaker is a consecutive-failure circuit breaker. Closed passes every
-// call; Threshold consecutive failures open it, refusing calls for
-// Cooldown; then one half-open probe is admitted — success re-closes the
-// breaker, failure re-opens it for another cooldown.
-type Breaker struct {
-	// Threshold is the consecutive-failure count that opens the breaker
-	// (default 8).
-	Threshold int
-	// Cooldown is how long the breaker stays open before admitting a
-	// probe (default 2s).
-	Cooldown time.Duration
-	// Clock substitutes the time source (tests).
-	Clock func() time.Time
-
-	mu       sync.Mutex
-	failures int
-	state    breakerState
-	openedAt time.Time
-	probing  bool
-}
-
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-func (b *Breaker) now() time.Time {
-	if b.Clock != nil {
-		return b.Clock()
-	}
-	return time.Now()
-}
-
-func (b *Breaker) threshold() int {
-	if b.Threshold > 0 {
-		return b.Threshold
-	}
-	return 8
-}
-
-func (b *Breaker) cooldown() time.Duration {
-	if b.Cooldown > 0 {
-		return b.Cooldown
-	}
-	return 2 * time.Second
-}
-
-// Allow reports whether a call may proceed, returning ErrCircuitOpen
-// while the breaker is refusing traffic. Callers that get nil must
-// report the outcome via Record.
-func (b *Breaker) Allow() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return nil
-	case breakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown() {
-			return ErrCircuitOpen
-		}
-		b.state = breakerHalfOpen
-		b.probing = true
-		return nil
-	default: // half-open: one probe at a time
-		if b.probing {
-			return ErrCircuitOpen
-		}
-		b.probing = true
-		return nil
-	}
-}
-
-// Record reports a call outcome. Failures while closed count toward the
-// threshold; a half-open probe's outcome closes or re-opens the breaker.
-func (b *Breaker) Record(ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == breakerHalfOpen {
-		b.probing = false
-		if ok {
-			b.state = breakerClosed
-			b.failures = 0
-		} else {
-			b.state = breakerOpen
-			b.openedAt = b.now()
-		}
-		return
-	}
-	if ok {
-		b.failures = 0
-		return
-	}
-	b.failures++
-	if b.state == breakerClosed && b.failures >= b.threshold() {
-		b.state = breakerOpen
-		b.openedAt = b.now()
-	}
-}
-
-// State renders the breaker state for diagnostics.
-func (b *Breaker) State() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
 }

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -58,134 +57,5 @@ func TestBackoffZeroValueDefaults(t *testing.T) {
 	}
 	if d := b.Delay(100); d > 2200*time.Millisecond {
 		t.Fatalf("zero-value max delay %s", d)
-	}
-}
-
-func TestRetryBudgetDrainsAndRefills(t *testing.T) {
-	b := &RetryBudget{Max: 2, Ratio: 0.5}
-	if !b.Spend() || !b.Spend() {
-		t.Fatal("budget should start full")
-	}
-	if b.Spend() {
-		t.Fatal("budget should be exhausted")
-	}
-	// Two successes at ratio 0.5 earn one retry back.
-	b.Credit()
-	if b.Spend() {
-		t.Fatal("half a token should not afford a retry")
-	}
-	b.Credit()
-	if !b.Spend() {
-		t.Fatal("one full token refunded, retry should pass")
-	}
-	// Credits never exceed Max.
-	for i := 0; i < 100; i++ {
-		b.Credit()
-	}
-	if !b.Spend() || !b.Spend() {
-		t.Fatal("capped budget should hold exactly Max tokens")
-	}
-	if b.Spend() {
-		t.Fatal("budget exceeded its cap")
-	}
-}
-
-func TestRetryBudgetDefaultsAndCreditFirst(t *testing.T) {
-	// Credit before any Spend initializes the bucket full (not full+ratio).
-	b := &RetryBudget{}
-	b.Credit()
-	for i := 0; i < 16; i++ {
-		if !b.Spend() {
-			t.Fatalf("default budget exhausted after %d spends, want 16", i)
-		}
-	}
-	if b.Spend() {
-		t.Fatal("default budget should hold 16 tokens")
-	}
-}
-
-func TestBreakerOpensAfterThreshold(t *testing.T) {
-	clk := newFakeClock()
-	b := &Breaker{Threshold: 3, Cooldown: time.Second, Clock: clk.Now}
-	if b.State() != "closed" {
-		t.Fatalf("initial state %s", b.State())
-	}
-	for i := 0; i < 2; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatal(err)
-		}
-		b.Record(false)
-	}
-	// A success resets the consecutive count.
-	b.Record(true)
-	for i := 0; i < 3; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatalf("failure %d: %v", i, err)
-		}
-		b.Record(false)
-	}
-	if b.State() != "open" {
-		t.Fatalf("state after threshold failures: %s", b.State())
-	}
-	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("open breaker allowed a call: %v", err)
-	}
-}
-
-func TestBreakerHalfOpenProbe(t *testing.T) {
-	clk := newFakeClock()
-	b := &Breaker{Threshold: 1, Cooldown: time.Second, Clock: clk.Now}
-	b.Allow()
-	b.Record(false)
-	if b.State() != "open" {
-		t.Fatalf("state %s", b.State())
-	}
-	// Cooldown elapses: exactly one probe is admitted.
-	clk.Advance(2 * time.Second)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("probe refused after cooldown: %v", err)
-	}
-	if b.State() != "half-open" {
-		t.Fatalf("state %s", b.State())
-	}
-	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatal("second concurrent probe admitted")
-	}
-	// Probe fails: re-open for another cooldown.
-	b.Record(false)
-	if b.State() != "open" {
-		t.Fatalf("state after failed probe: %s", b.State())
-	}
-	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatal("re-opened breaker admitted a call before cooldown")
-	}
-	// Second probe succeeds: breaker closes and calls flow again.
-	clk.Advance(2 * time.Second)
-	if err := b.Allow(); err != nil {
-		t.Fatal(err)
-	}
-	b.Record(true)
-	if b.State() != "closed" {
-		t.Fatalf("state after successful probe: %s", b.State())
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatalf("closed breaker refused a call: %v", err)
-	}
-}
-
-func TestBreakerDefaults(t *testing.T) {
-	b := &Breaker{}
-	for i := 0; i < 7; i++ {
-		b.Record(false)
-	}
-	if b.State() != "closed" {
-		t.Fatalf("state before default threshold: %s", b.State())
-	}
-	b.Record(false)
-	if b.State() != "open" {
-		t.Fatalf("state at default threshold: %s", b.State())
-	}
-	if b.cooldown() != 2*time.Second {
-		t.Fatalf("default cooldown %s", b.cooldown())
 	}
 }

@@ -181,6 +181,45 @@ func TestJournalSinceGapAndBounds(t *testing.T) {
 	}
 }
 
+// TestReplicationReadsRefuseBadInput covers the refusals of the
+// primary-side feed: an unknown segment, an offset outside the committed
+// range, and any read after Close.
+func TestReplicationReadsRefuseBadInput(t *testing.T) {
+	primary := openT(t, t.TempDir(), Options{})
+	if err := primary.Append(mkSample("a", 16)); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := primary.ReplicationState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := rs.Segments[0]
+	if _, _, err := primary.SegmentReader(seg.Index+1000, 0); err == nil {
+		t.Error("unknown segment read")
+	}
+	for _, from := range []int64{-1, seg.Size + 1} {
+		if _, _, err := primary.SegmentReader(seg.Index, from); err == nil {
+			t.Errorf("offset %d outside [0,%d] read", from, seg.Size)
+		}
+	}
+
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.ReplicationState(); err == nil {
+		t.Error("state of a closed store")
+	}
+	if _, _, err := primary.SegmentReader(seg.Index, 0); err == nil {
+		t.Error("segment read from a closed store")
+	}
+	if _, _, err := primary.JournalSince(0, 0); err == nil {
+		t.Error("journal read from a closed store")
+	}
+	if _, _, err := primary.ManifestBlob(); err == nil {
+		t.Error("manifest of a closed store")
+	}
+}
+
 func TestReplicationBootstrap(t *testing.T) {
 	primary := openT(t, t.TempDir(), Options{SegmentBytes: 2048})
 	for i := 0; i < 8; i++ {

@@ -84,9 +84,9 @@ func NewF32(shape ...int) *F32 {
 	return &F32{Shape: s, Data: make([]float32, s.Elems())}
 }
 
-// FromSlice wraps data in a tensor of the given shape. The slice is used
+// fromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); it must have exactly Shape.Elems() elements.
-func FromSlice(data []float32, shape ...int) (*F32, error) {
+func fromSlice(data []float32, shape ...int) (*F32, error) {
 	s := Shape(shape).Clone()
 	if s.Elems() != len(data) {
 		return nil, fmt.Errorf("tensor: shape %v wants %d elems, slice has %d", s, s.Elems(), len(data))
@@ -94,10 +94,10 @@ func FromSlice(data []float32, shape ...int) (*F32, error) {
 	return &F32{Shape: s, Data: data}, nil
 }
 
-// MustFromSlice is FromSlice but panics on shape mismatch. Use in tests and
+// MustFromSlice is fromSlice but panics on shape mismatch. Use in tests and
 // static model construction where the shape is known correct.
 func MustFromSlice(data []float32, shape ...int) *F32 {
-	t, err := FromSlice(data, shape...)
+	t, err := fromSlice(data, shape...)
 	if err != nil {
 		panic(err)
 	}
@@ -152,14 +152,6 @@ func (t *F32) Scale(v float32) {
 	}
 }
 
-// AddScaled adds a*o element-wise in place. Shapes must match in element
-// count; shape structure is not checked (used by optimizers on flat params).
-func (t *F32) AddScaled(o *F32, a float32) {
-	for i := range t.Data {
-		t.Data[i] += a * o.Data[i]
-	}
-}
-
 // MinMax returns the minimum and maximum element. Empty tensors return 0,0.
 func (t *F32) MinMax() (lo, hi float32) {
 	if len(t.Data) == 0 {
@@ -190,15 +182,6 @@ func (t *F32) AbsMax() float32 {
 		}
 	}
 	return m
-}
-
-// L2 returns the Euclidean norm of the tensor's data.
-func (t *F32) L2() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // ArgMax returns the index of the largest element (first on ties), or -1

@@ -75,10 +75,10 @@ func TestIndexPanics(t *testing.T) {
 }
 
 func TestFromSlice(t *testing.T) {
-	if _, err := FromSlice([]float32{1, 2, 3}, 2, 2); err == nil {
-		t.Fatal("FromSlice accepted wrong length")
+	if _, err := fromSlice([]float32{1, 2, 3}, 2, 2); err == nil {
+		t.Fatal("fromSlice accepted wrong length")
 	}
-	m, err := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
+	m, err := fromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,10 @@ func TestFromSlice(t *testing.T) {
 	MustFromSlice([]float32{1}, 3)
 }
 
-func TestFillScaleAddScaled(t *testing.T) {
+func TestFillScaleZero(t *testing.T) {
 	a := NewF32(4)
-	a.Fill(2)
-	b := NewF32(4)
-	b.Fill(3)
-	a.AddScaled(b, 2) // 2 + 2*3 = 8
-	a.Scale(0.5)      // 4
+	a.Fill(8)
+	a.Scale(0.5) // 4
 	for _, v := range a.Data {
 		if v != 4 {
 			t.Fatalf("got %g, want 4", v)
@@ -131,13 +128,6 @@ func TestMinMaxAbsMaxArgMax(t *testing.T) {
 	}
 	if empty.ArgMax() != -1 {
 		t.Fatal("empty ArgMax not -1")
-	}
-}
-
-func TestL2(t *testing.T) {
-	m := MustFromSlice([]float32{3, 4}, 2)
-	if math.Abs(m.L2()-5) > 1e-12 {
-		t.Fatalf("L2 = %g", m.L2())
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 
 	"edgepulse/internal/nn"
 	"edgepulse/internal/tensor"
@@ -346,42 +345,4 @@ func F1Scores(confusion [][]int) []float64 {
 		}
 	}
 	return out
-}
-
-// MacroF1 averages per-class F1 scores.
-func MacroF1(confusion [][]int) float64 {
-	scores := F1Scores(confusion)
-	if len(scores) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range scores {
-		s += v
-	}
-	return s / float64(len(scores))
-}
-
-// SplitStratified partitions examples into train and test sets with
-// per-class proportions preserved, deterministically for a seed.
-func SplitStratified(data []Example, testFraction float64, seed int64) (train, test []Example) {
-	byClass := map[int][]Example{}
-	for _, ex := range data {
-		byClass[ex.Y] = append(byClass[ex.Y], ex)
-	}
-	classes := make([]int, 0, len(byClass))
-	for c := range byClass {
-		classes = append(classes, c)
-	}
-	sort.Ints(classes)
-	rng := rand.New(rand.NewSource(seed))
-	for _, c := range classes {
-		group := byClass[c]
-		rng.Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
-		nTest := int(testFraction * float64(len(group)))
-		test = append(test, group[:nTest]...)
-		train = append(train, group[nTest:]...)
-	}
-	rng.Shuffle(len(train), func(i, j int) { train[i], train[j] = train[j], train[i] })
-	rng.Shuffle(len(test), func(i, j int) { test[i], test[j] = test[j], test[i] })
-	return train, test
 }

@@ -154,9 +154,6 @@ func TestConfusionAndF1(t *testing.T) {
 			t.Errorf("class %d F1 = %.3f", c, v)
 		}
 	}
-	if MacroF1(conf) < 0.9 {
-		t.Errorf("macro F1 = %.3f", MacroF1(conf))
-	}
 }
 
 func TestF1KnownValues(t *testing.T) {
@@ -172,47 +169,6 @@ func TestF1KnownValues(t *testing.T) {
 	f1 := F1Scores(conf)
 	if f1[1] != 0 {
 		t.Fatalf("f1[1] = %g", f1[1])
-	}
-	if MacroF1(nil) != 0 {
-		t.Fatal("empty macro f1")
-	}
-}
-
-func TestSplitStratified(t *testing.T) {
-	// 80 of class 0, 20 of class 1.
-	var data []Example
-	for i := 0; i < 100; i++ {
-		y := 0
-		if i >= 80 {
-			y = 1
-		}
-		data = append(data, Example{X: tensor.NewF32(1), Y: y})
-	}
-	train, test := SplitStratified(data, 0.25, 42)
-	if len(train)+len(test) != 100 {
-		t.Fatalf("split sizes %d+%d", len(train), len(test))
-	}
-	count := func(set []Example, y int) int {
-		n := 0
-		for _, ex := range set {
-			if ex.Y == y {
-				n++
-			}
-		}
-		return n
-	}
-	if got := count(test, 0); got != 20 {
-		t.Errorf("test class0 = %d, want 20", got)
-	}
-	if got := count(test, 1); got != 5 {
-		t.Errorf("test class1 = %d, want 5", got)
-	}
-	// Deterministic.
-	train2, _ := SplitStratified(data, 0.25, 42)
-	for i := range train {
-		if train[i].Y != train2[i].Y {
-			t.Fatal("split not deterministic")
-		}
 	}
 }
 
