@@ -47,18 +47,7 @@ func buildWorkload(name, id string, block dsp.Block, sig dsp.Signal, model *nn.M
 	if err != nil {
 		return Workload{}, err
 	}
-	// Calibration with synthetic feature tensors (activation ranges only;
-	// accuracy is evaluated separately on trained proxies).
-	rng := rand.New(rand.NewSource(seed + 1))
-	calib := make([]*tensor.F32, 8)
-	for i := range calib {
-		c := tensor.NewF32(model.InputShape...)
-		for j := range c.Data {
-			c.Data[j] = float32(rng.Float64()) // feature-like range [0,1]
-		}
-		calib[i] = c
-	}
-	qm, err := quant.Quantize(model, calib)
+	qm, err := quant.Quantize(model, calibrationSet(model.InputShape, 8, seed+1))
 	if err != nil {
 		return Workload{}, err
 	}
@@ -71,6 +60,22 @@ func buildWorkload(name, id string, block dsp.Block, sig dsp.Signal, model *nn.M
 		Specs:   specs,
 		QModel:  qm,
 	}, nil
+}
+
+// calibrationSet is n synthetic feature tensors in the feature-like range
+// [0,1): they set activation ranges only, accuracy is evaluated
+// separately on trained proxies.
+func calibrationSet(shape tensor.Shape, n int, seed int64) []*tensor.F32 {
+	rng := rand.New(rand.NewSource(seed))
+	calib := make([]*tensor.F32, n)
+	for i := range calib {
+		c := tensor.NewF32(shape...)
+		for j := range c.Data {
+			c.Data[j] = float32(rng.Float64())
+		}
+		calib[i] = c
+	}
+	return calib
 }
 
 // KWSWorkload is the paper's keyword spotting task: 1 s of 16 kHz audio

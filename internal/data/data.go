@@ -126,14 +126,20 @@ func (s *Sample) hash() string {
 	io.WriteString(h, "\x00")
 	io.WriteString(h, s.Name)
 	io.WriteString(h, "\x00")
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(s.Signal.Rate))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint32(b[:], uint32(s.Signal.Axes))
-	h.Write(b[:])
-	for _, v := range s.Signal.Data {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		h.Write(b[:])
+	// Rate, axes and every sample as little-endian 32-bit words, encoded
+	// a block at a time so SHA-256 sees a few large writes, not one per
+	// value.
+	var buf [4096]byte
+	binary.LittleEndian.PutUint32(buf[0:], uint32(s.Signal.Rate))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(s.Signal.Axes))
+	h.Write(buf[:8])
+	for data := s.Signal.Data; len(data) > 0; {
+		n := min(len(data), len(buf)/4)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+		}
+		h.Write(buf[:4*n])
+		data = data[n:]
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

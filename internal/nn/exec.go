@@ -84,11 +84,14 @@ type runState[T Elem, S any] struct {
 }
 
 // Executor runs an op list over a pooled arena. It is the one inference
-// loop of the repo: Model.Forward, quant.QModel.Forward, eon.Program and
-// tflm.Interpreter differ only in the element type, Layout and Binding
-// they construct it with. An Executor is immutable and safe for
-// concurrent Run calls: each run draws its own arena and scratch from a
-// pool, and the returned tensor never aliases them.
+// loop of the repo: Model.Forward and ForwardTo, quant.QModel.Forward,
+// quant.Quantize's calibration, eon.Program and tflm.Interpreter differ
+// only in the element type, Layout and Binding they construct it with.
+// Run returns the result; Observe hands a caller every activation on the
+// way (ForwardTo copies one out, calibration reduces each to its range).
+// An Executor is immutable and safe for concurrent Run and Observe
+// calls: each run draws its own arena and scratch from a pool, and the
+// tensor Run returns never aliases them.
 type Executor[T Elem, N, S any] struct {
 	p             Precision[T, N, S]
 	input, output tensor.Shape
@@ -181,32 +184,54 @@ func (e *Executor[T, N, S]) Invocations() int64 { return e.walked.Load() }
 
 // Run executes one inference. It is safe to call concurrently.
 func (e *Executor[T, N, S]) Run(in *tensor.F32) (*tensor.F32, error) {
+	var res *tensor.F32
+	last := len(e.steps)
+	err := e.walk(in, func(b int, x []T) {
+		if b == last {
+			res = tensor.NewF32(e.output...)
+			e.p.Result(res, x)
+		}
+	})
+	return res, err
+}
+
+// Observe runs one inference as Run does and hands fn every activation
+// in order: b 0 is the staged input, b i+1 the output of op i, and an
+// aliasing op hands on its input. x is a view into the run's arena, valid
+// only during the call. Observe allocates nothing once the pool holds an
+// arena, and is safe to call concurrently.
+func (e *Executor[T, N, S]) Observe(in *tensor.F32, fn func(b int, x []T)) error {
+	return e.walk(in, fn)
+}
+
+// walk is the executor's one loop: it stages in into a pooled arena,
+// runs every op and hands fn each activation while the arena is held.
+func (e *Executor[T, N, S]) walk(in *tensor.F32, fn func(b int, x []T)) error {
 	if !in.Shape.Equal(e.input) || len(in.Data) != e.input.Elems() {
-		return nil, fmt.Errorf("nn: input %v (%d elems) != model input %v", in.Shape, len(in.Data), e.input)
+		return fmt.Errorf("nn: input %v (%d elems) != model input %v", in.Shape, len(in.Data), e.input)
 	}
 	s := e.pool.Get().(*runState[T, S])
 	x := s.arena[e.inOff : e.inOff+len(in.Data)]
 	e.p.Stage(x, in.Data)
+	fn(0, x)
 	for i := range e.steps {
 		st := &e.steps[i]
-		if st.off < 0 {
-			continue // aliasing op: its output is its input
+		if st.off >= 0 { // an aliasing op (off -1) hands on its input
+			k := st.kernel
+			if k == nil {
+				k = e.p.Kernels[st.op.Kind]
+			}
+			out := s.arena[st.off : st.off+st.elems]
+			k(&st.op, x, out, s.scratch)
+			x = out
 		}
-		k := st.kernel
-		if k == nil {
-			k = e.p.Kernels[st.op.Kind]
-		}
-		out := s.arena[st.off : st.off+st.elems]
-		k(&st.op, x, out, s.scratch)
-		x = out
+		fn(i+1, x)
 	}
-	res := tensor.NewF32(e.output...)
-	e.p.Result(res, x)
 	e.pool.Put(s)
 	if e.binding == ResolvePerCall {
 		e.walked.Add(int64(len(e.steps)))
 	}
-	return res, nil
+	return nil
 }
 
 // FloatExecutor is the float32 instantiation; its kernels need no

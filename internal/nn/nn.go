@@ -180,6 +180,16 @@ func (m *Model) OutputShape() (tensor.Shape, error) {
 // check the shape first (core.Impulse.classify does). Training code must
 // use ForwardTraining, which caches the state Backward consumes.
 func (m *Model) Forward(in *tensor.F32) *tensor.F32 {
+	out, err := m.executor().Run(in)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// executor returns the model's cached executor, building it on first use
+// or after layers were added.
+func (m *Model) executor() *FloatExecutor {
 	e := m.exec.Load()
 	if e == nil || e.NumOps() != len(m.Layers) {
 		var err error
@@ -188,11 +198,7 @@ func (m *Model) Forward(in *tensor.F32) *tensor.F32 {
 		}
 		m.exec.Store(e)
 	}
-	out, err := e.Run(in)
-	if err != nil {
-		panic(err)
-	}
-	return out
+	return e
 }
 
 // ForwardTraining runs inference through the stateful per-layer path,
@@ -206,14 +212,26 @@ func (m *Model) ForwardTraining(in *tensor.F32) *tensor.F32 {
 	return x
 }
 
-// ForwardTo runs inference through the first n layers and returns the
-// intermediate activation (used for embeddings in active learning).
+// ForwardTo runs inference on the model's executor and returns a copy
+// of the activation after the first n layers, n clamped to [0, layers]
+// (used for embeddings in active learning). Dropout is the identity, as
+// in Forward. It panics where Forward does.
 func (m *Model) ForwardTo(in *tensor.F32, n int) *tensor.F32 {
-	x := in
-	for i := 0; i < n && i < len(m.Layers); i++ {
-		x = m.Layers[i].Forward(x)
+	e := m.executor()
+	n = min(max(n, 0), len(e.steps))
+	shape := e.input
+	if n > 0 {
+		shape = e.steps[n-1].op.OutShape
 	}
-	return x
+	out := tensor.NewF32(shape...)
+	if err := e.Observe(in, func(b int, x []float32) {
+		if b == n {
+			copy(out.Data, x)
+		}
+	}); err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // Backward backpropagates from the output gradient through all layers.

@@ -427,14 +427,53 @@ func TestLayerFromSpecUnknown(t *testing.T) {
 	}
 }
 
+// TestForwardTo holds every boundary ForwardTo copies out of the
+// executor, bit for bit and shape for shape, to a test-local walk of
+// Layer.Forward, on models covering every layer kind that computes at
+// inference and the aliasing ones between them.
 func TestForwardTo(t *testing.T) {
-	m := NewModel(4)
-	m.Add(NewDense(8, ReLU)).Add(NewDense(2, None)).Add(NewSoftmax())
-	InitWeights(m, 5)
-	in := randInput(rand.New(rand.NewSource(13)), 4)
-	emb := m.ForwardTo(in, 1)
-	if len(emb.Data) != 8 {
-		t.Fatalf("embedding len = %d", len(emb.Data))
+	dense := NewModel(4)
+	dense.Add(NewDense(8, ReLU)).Add(NewDense(2, None)).Add(NewSoftmax())
+	conv := NewModel(10, 9, 3)
+	conv.Add(NewConv2D(8, 3, 1, Same, ReLU)).
+		Add(NewBatchNorm()).
+		Add(NewDepthwiseConv2D(3, 2, Same, ReLU6)).
+		Add(NewMaxPool2D(2, 2)).
+		Add(NewAvgPool2D(2, 1)).
+		Add(NewFlatten()).
+		Add(NewDropout(0.5)).
+		Add(NewDense(5, None)).
+		Add(NewSoftmax())
+	audio := NewModel(20, 6)
+	audio.Add(NewConv1D(8, 3, 2, Same, ReLU)).
+		Add(NewMaxPool1D(2, 2)).
+		Add(NewReshape(5, 1, 8)).
+		Add(NewGlobalAvgPool2D()).
+		Add(NewDense(3, None)).
+		Add(NewSoftmax())
+	rng := rand.New(rand.NewSource(13))
+	for mi, m := range []*Model{dense, conv, audio} {
+		if err := InitWeights(m, int64(5+mi)); err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 3; trial++ {
+			in := randInput(rng, m.InputShape...)
+			for n := -1; n <= len(m.Layers)+1; n++ {
+				want := in
+				for i := 0; i < n && i < len(m.Layers); i++ {
+					want = m.Layers[i].Forward(want)
+				}
+				got := m.ForwardTo(in, n)
+				if !got.Shape.Equal(want.Shape) || len(got.Data) != len(want.Data) {
+					t.Fatalf("model %d n=%d: shape %v, want %v", mi, n, got.Shape, want.Shape)
+				}
+				for i := range got.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("model %d n=%d elem %d: %v, want %v", mi, n, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
 	}
 }
 

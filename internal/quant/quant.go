@@ -229,7 +229,12 @@ func (q *QModel) MACs() int64 {
 
 // Quantize converts a trained float model to int8 using the calibration
 // set to determine activation ranges. BatchNorm layers are folded first;
-// Dropout layers are dropped (inference no-ops).
+// Dropout layers are dropped (inference no-ops). Calibration runs every
+// sample through the folded model's float executor (Observe) and
+// reduces each activation to its range with simd.MinMaxF32, allocating
+// nothing per sample. The quantization parameters are those of a
+// Layer.Forward walk with a scalar min/max loop, bit for bit: the ranges
+// can differ only in the sign of a zero, which ChooseQParams maps alike.
 func Quantize(m *nn.Model, calibration []*tensor.F32) (*QModel, error) {
 	if len(calibration) == 0 {
 		return nil, fmt.Errorf("quant: calibration set is empty")
@@ -247,6 +252,10 @@ func Quantize(m *nn.Model, calibration []*tensor.F32) (*QModel, error) {
 		layers = append(layers, l)
 	}
 	folded.Layers = layers
+	exec, err := nn.NewFloatExecutor(folded, nn.Layout{}, nn.BindAtBuild)
+	if err != nil {
+		return nil, fmt.Errorf("quant: %w", err)
+	}
 
 	// Calibration: record min/max at every activation boundary.
 	nBounds := len(folded.Layers) + 1
@@ -256,8 +265,8 @@ func Quantize(m *nn.Model, calibration []*tensor.F32) (*QModel, error) {
 		lo[i] = float32(math.Inf(1))
 		hi[i] = float32(math.Inf(-1))
 	}
-	observe := func(b int, t *tensor.F32) {
-		l, h := t.MinMax()
+	observe := func(b int, x []float32) {
+		l, h := simd.MinMaxF32(x)
 		if l < lo[b] {
 			lo[b] = l
 		}
@@ -269,11 +278,8 @@ func Quantize(m *nn.Model, calibration []*tensor.F32) (*QModel, error) {
 		if !sample.Shape.Equal(folded.InputShape) {
 			return nil, fmt.Errorf("quant: calibration sample shape %v != input %v", sample.Shape, folded.InputShape)
 		}
-		observe(0, sample)
-		x := sample
-		for i, l := range folded.Layers {
-			x = l.Forward(x)
-			observe(i+1, x)
+		if err := exec.Observe(sample, observe); err != nil {
+			return nil, fmt.Errorf("quant: %w", err)
 		}
 	}
 	qparams := make([]tensor.QParams, nBounds)

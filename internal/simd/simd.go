@@ -8,7 +8,9 @@
 // vertical blend; behind numjson's float32 formatter, the shortest
 // decimal of eight floats at a time (ShortestF32, shortest.go); and
 // behind its float32 array scan, the value of eight plain decimal tokens
-// at a time (ParseF32, tokens.go).
+// at a time (ParseF32, tokens.go); and behind int8 calibration, the
+// range and the absolute maximum of a float32 slice (MinMaxF32,
+// AbsMaxF32).
 //
 // A conv tile is a run of P output pixels that share one tap window.
 // The kernel walks it four pixels at a time (then one at a time) by two
@@ -70,6 +72,10 @@
 //     it declines what ScanFloat sends elsewhere, including the float64s
 //     whose second rounding could go wrong. Scanned back from arrays it
 //     agrees with ScanFloat on every float32 (TestScanFloat32Exhaustive).
+//   - MinMaxF32 and AbsMaxF32 compare and select, with the running
+//     extreme as the operand VMINPS/VMAXPS return on NaN; their results
+//     equal the scalar loop's, and MinMaxF32's may differ only in the sign
+//     of a zero extreme.
 //
 // The EON-vs-interpreter story of the source paper rests on quantized
 // kernels beating float on real hardware (CMSIS-NN's SMLAD dual-MAC is
@@ -332,6 +338,70 @@ func MaxF32(dst, src []float32) {
 			dst[i] = src[i]
 		}
 	}
+}
+
+// MinMaxF32 returns the least and the greatest element of x, and 0, 0
+// for an empty x. The Go reference is the scalar loop that seeds both
+// with x[0] and replaces them on v < lo and v > hi. So the result is NaN
+// exactly when x[0] is; a later NaN never wins. The assembly seeds every
+// lane with x[0] and keeps the running extreme as VMINPS/VMAXPS's second
+// operand, which those return on a NaN or on two zeros: each lane is
+// the scalar loop over its own elements. The result equals the scalar
+// loop's under ==, and only the sign of a zero extreme can differ.
+func MinMaxF32(x []float32) (lo, hi float32) {
+	if len(x) == 0 {
+		return 0, 0
+	}
+	lo, hi = x[0], x[0]
+	if n8 := len(x) &^ 7; n8 > 0 && enabled.Load() {
+		var lanes [16]float32 // eight minima, then eight maxima
+		minMaxF32SIMD(x[:n8], &lanes)
+		lo, _ = minMaxF32(lo, lo, lanes[:8])
+		_, hi = minMaxF32(hi, hi, lanes[8:])
+		x = x[n8:]
+	}
+	return minMaxF32(lo, hi, x)
+}
+
+func minMaxF32(lo, hi float32, x []float32) (float32, float32) {
+	for _, v := range x {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
+}
+
+// AbsMaxF32 returns the greatest |x[i]|, and 0 for an empty x. The Go
+// reference is the scalar loop that starts from +0, negates v < 0 and
+// replaces the running maximum on |v| > m, so NaNs never win and the
+// result is never NaN or -0. The assembly clears the sign bit and keeps
+// the running maximum as VMAXPS's second operand: its result has the
+// scalar loop's bits.
+func AbsMaxF32(x []float32) float32 {
+	var m float32
+	if n8 := len(x) &^ 7; n8 > 0 && enabled.Load() {
+		var lanes [8]float32
+		absMaxF32SIMD(x[:n8], &lanes)
+		m = absMaxF32(m, lanes[:])
+		x = x[n8:]
+	}
+	return absMaxF32(m, x)
+}
+
+func absMaxF32(m float32, x []float32) float32 {
+	for _, v := range x {
+		if v < 0 {
+			v = -v
+		}
+		if v > m {
+			m = v
+		}
+	}
+	return m
 }
 
 // MaxI8 is MaxF32 for int8 lanes.

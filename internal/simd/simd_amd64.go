@@ -101,6 +101,18 @@ func relu6F32SIMD(x []float32)
 //go:noescape
 func maxF32SIMD(dst, src []float32)
 
+// minMaxF32SIMD requires len(x) > 0 and a multiple of 8; it writes the
+// eight lane minima, then the eight lane maxima.
+//
+//go:noescape
+func minMaxF32SIMD(x []float32, lanes *[16]float32)
+
+// absMaxF32SIMD requires len(x) > 0 and a multiple of 8; it writes the
+// eight lane maxima of |x|.
+//
+//go:noescape
+func absMaxF32SIMD(x []float32, lanes *[8]float32)
+
 // maxI8SIMD requires len(dst) > 0 and a multiple of 16, len(src) >=
 // len(dst).
 //

@@ -1112,3 +1112,114 @@ blend8:
 	JLT  blend8
 	VZEROUPPER
 	RET
+
+// func minMaxF32SIMD(x []float32, lanes *[16]float32)
+//
+// Four minimum (Y0-Y3) and four maximum (Y4-Y7) accumulators, every lane
+// seeded with x[0]. Each step is lo = v < lo ? v : lo: VMINPS returns its
+// second source, the accumulator, when either is NaN or both are zero,
+// so every lane runs the scalar loop over its own elements. 32 floats
+// per iteration, then 8. len(x) a multiple of 8.
+TEXT ·minMaxF32SIMD(SB), NOSPLIT, $0-32
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), DX
+	MOVQ lanes+24(FP), DI
+	VBROADCASTSS (SI), Y0
+	VMOVAPS Y0, Y1
+	VMOVAPS Y0, Y2
+	VMOVAPS Y0, Y3
+	VMOVAPS Y0, Y4
+	VMOVAPS Y0, Y5
+	VMOVAPS Y0, Y6
+	VMOVAPS Y0, Y7
+	XORQ R9, R9
+	MOVQ DX, R10
+	ANDQ $-32, R10
+	JZ   mm8
+
+mm32:
+	VMOVUPS (SI)(R9*4), Y8
+	VMOVUPS 32(SI)(R9*4), Y9
+	VMOVUPS 64(SI)(R9*4), Y10
+	VMOVUPS 96(SI)(R9*4), Y11
+	VMINPS Y0, Y8, Y0
+	VMAXPS Y4, Y8, Y4
+	VMINPS Y1, Y9, Y1
+	VMAXPS Y5, Y9, Y5
+	VMINPS Y2, Y10, Y2
+	VMAXPS Y6, Y10, Y6
+	VMINPS Y3, Y11, Y3
+	VMAXPS Y7, Y11, Y7
+	ADDQ $32, R9
+	CMPQ R9, R10
+	JLT  mm32
+
+mm8:
+	CMPQ R9, DX
+	JGE  mmdone
+	VMOVUPS (SI)(R9*4), Y8
+	VMINPS Y0, Y8, Y0
+	VMAXPS Y4, Y8, Y4
+	ADDQ $8, R9
+	JMP  mm8
+
+mmdone:
+	VMINPS Y1, Y0, Y0
+	VMINPS Y3, Y2, Y2
+	VMINPS Y2, Y0, Y0
+	VMAXPS Y5, Y4, Y4
+	VMAXPS Y7, Y6, Y6
+	VMAXPS Y6, Y4, Y4
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y4, 32(DI)
+	VZEROUPPER
+	RET
+
+// func absMaxF32SIMD(x []float32, lanes *[8]float32)
+//
+// Four maximum accumulators (Y0-Y3) from +0; each step clears the sign
+// bit and keeps m = a > m ? a : m, VMAXPS's second source being the
+// accumulator, so a NaN never wins. len(x) a multiple of 8.
+TEXT ·absMaxF32SIMD(SB), NOSPLIT, $0-32
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), DX
+	MOVQ lanes+24(FP), DI
+	VPCMPEQD Y15, Y15, Y15
+	VPSRLD   $1, Y15, Y15
+	VXORPS   Y0, Y0, Y0
+	VXORPS   Y1, Y1, Y1
+	VXORPS   Y2, Y2, Y2
+	VXORPS   Y3, Y3, Y3
+	XORQ     R9, R9
+	MOVQ     DX, R10
+	ANDQ     $-32, R10
+	JZ       am8
+
+am32:
+	VANDPS (SI)(R9*4), Y15, Y8
+	VANDPS 32(SI)(R9*4), Y15, Y9
+	VANDPS 64(SI)(R9*4), Y15, Y10
+	VANDPS 96(SI)(R9*4), Y15, Y11
+	VMAXPS Y0, Y8, Y0
+	VMAXPS Y1, Y9, Y1
+	VMAXPS Y2, Y10, Y2
+	VMAXPS Y3, Y11, Y3
+	ADDQ   $32, R9
+	CMPQ   R9, R10
+	JLT    am32
+
+am8:
+	CMPQ   R9, DX
+	JGE    amdone
+	VANDPS (SI)(R9*4), Y15, Y8
+	VMAXPS Y0, Y8, Y0
+	ADDQ   $8, R9
+	JMP    am8
+
+amdone:
+	VMAXPS  Y1, Y0, Y0
+	VMAXPS  Y3, Y2, Y2
+	VMAXPS  Y2, Y0, Y0
+	VMOVUPS Y0, (DI)
+	VZEROUPPER
+	RET

@@ -62,3 +62,11 @@ func shortestF32AVX512(digits []uint64, heads []uint32, vals []float32, pow10 *u
 func parseF32AVX512(dst []float32, data []byte, i int) (n, next int) {
 	panic("simd: assembly path in a build without it")
 }
+
+func minMaxF32SIMD(x []float32, lanes *[16]float32) {
+	panic("simd: assembly path in a build without it")
+}
+
+func absMaxF32SIMD(x []float32, lanes *[8]float32) {
+	panic("simd: assembly path in a build without it")
+}

@@ -1050,3 +1050,80 @@ func TestParseF32(t *testing.T) {
 		}
 	})
 }
+
+// TestMinMaxAbsMaxMatchScalar runs both reductions, assembly on and off,
+// against the scalar loops on every length across the 32- and 8-lane
+// blocks and on vectors whose extremes sit in each lane position, with a
+// NaN first (the result is NaN), a NaN later (it never wins), both zeros
+// and both infinities.
+func TestMinMaxAbsMaxMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	nan, negZero := float32(math.NaN()), float32(math.Copysign(0, -1))
+	var inputs [][]float32
+	for n := 0; n <= 100; n++ {
+		inputs = append(inputs, randF32(rng, n))
+	}
+	for _, n := range []int{1, 8, 9, 40, 67} {
+		nanFirst, nanLater, zeros, infs := randF32(rng, n), randF32(rng, n), make([]float32, n), randF32(rng, n)
+		nanFirst[0] = nan
+		nanLater[n-1] = nan
+		for i := range zeros {
+			if i%3 == 1 {
+				zeros[i] = negZero
+			}
+		}
+		infs[n/2] = float32(math.Inf(-1))
+		infs[n-1-n/3] = float32(math.Inf(1))
+		inputs = append(inputs, nanFirst, nanLater, zeros, infs)
+	}
+	for pos := 0; pos < 40; pos++ {
+		x := randF32(rng, 40)
+		x[pos] = -100
+		x[(pos+13)%40] = 100
+		inputs = append(inputs, x)
+	}
+	// A NaN later in the same accumulator lane as the extreme (32 floats
+	// on in the four-register loop, 8 on in the one-register loop) must
+	// not wipe the extreme out.
+	for pos := 0; pos < 80; pos++ {
+		for _, gap := range []int{8, 32} {
+			if pos+gap >= 80 {
+				continue
+			}
+			for _, extreme := range []float32{-100, 100} {
+				x := randF32(rng, 80)
+				x[pos], x[pos+gap] = extreme, nan
+				inputs = append(inputs, x)
+			}
+		}
+	}
+	for _, x := range inputs {
+		wantLo, wantHi := scalarMinMax(x)
+		wantAbs := scalarAbsMax(x)
+		withSIMD(t, func(t *testing.T, simdOn bool) {
+			if lo, hi := MinMaxF32(x); !sameExtreme(lo, wantLo, simdOn) || !sameExtreme(hi, wantHi, simdOn) {
+				t.Fatalf("MinMaxF32 n=%d: %v, %v, want %v, %v (simd=%v)", len(x), lo, hi, wantLo, wantHi, simdOn)
+			}
+			if got := AbsMaxF32(x); math.Float32bits(got) != math.Float32bits(wantAbs) {
+				t.Fatalf("AbsMaxF32 n=%d: %v, want %v (simd=%v)", len(x), got, wantAbs, simdOn)
+			}
+		})
+	}
+}
+
+// BenchmarkMinMaxF32 scans 64 Ki floats, the size of a large
+// calibration activation, on both paths.
+func BenchmarkMinMaxF32(b *testing.B) {
+	x := randF32(rand.New(rand.NewSource(1)), 64<<10)
+	for _, on := range []bool{true, false} {
+		b.Run(fmt.Sprintf("simd=%v", on), func(b *testing.B) {
+			prev := Enabled()
+			defer SetEnabled(prev)
+			SetEnabled(on)
+			b.SetBytes(int64(4 * len(x)))
+			for i := 0; i < b.N; i++ {
+				MinMaxF32(x)
+			}
+		})
+	}
+}

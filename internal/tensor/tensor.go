@@ -152,37 +152,13 @@ func (t *F32) Scale(v float32) {
 	}
 }
 
-// MinMax returns the minimum and maximum element. Empty tensors return 0,0.
-func (t *F32) MinMax() (lo, hi float32) {
-	if len(t.Data) == 0 {
-		return 0, 0
-	}
-	lo, hi = t.Data[0], t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
+// MinMax returns the minimum and maximum element. Empty tensors return
+// 0,0. A NaN first element makes both NaN; a later NaN never wins (see
+// simd.MinMaxF32).
+func (t *F32) MinMax() (lo, hi float32) { return simd.MinMaxF32(t.Data) }
 
-// AbsMax returns the maximum absolute element value.
-func (t *F32) AbsMax() float32 {
-	var m float32
-	for _, v := range t.Data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
+// AbsMax returns the maximum absolute element value, ignoring NaNs.
+func (t *F32) AbsMax() float32 { return simd.AbsMaxF32(t.Data) }
 
 // ArgMax returns the index of the largest element (first on ties), or -1
 // for an empty tensor.
