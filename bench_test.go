@@ -14,7 +14,6 @@ import (
 	"edgepulse/internal/dsp"
 	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
-	"edgepulse/internal/profiler"
 	"edgepulse/internal/quant"
 	"edgepulse/internal/renode"
 	"edgepulse/internal/search"
@@ -200,11 +199,11 @@ func BenchmarkAblationArenaPlanner(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bufs := profiler.ActivationBuffers(specs, 4)
+	bufs, _ := nn.ActivationAssignments(m.InputShape, specs, 4)
 	var planned, naive int64
 	for i := 0; i < b.N; i++ {
-		planned, _ = profiler.PlanArena(bufs)
-		naive = profiler.NaiveArena(bufs)
+		planned, _ = nn.PlanArena(bufs)
+		naive = nn.NaiveArena(bufs)
 	}
 	b.ReportMetric(float64(planned), "planned_bytes")
 	b.ReportMetric(float64(naive), "naive_bytes")

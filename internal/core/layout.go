@@ -60,7 +60,7 @@ func (imp *Impulse) Layout() (*FeatureLayout, error) {
 	if c := imp.layout.Load(); c != nil && c.fingerprint == fp {
 		return c.layout, nil
 	}
-	l := &FeatureLayout{}
+	l := new(FeatureLayout)
 	for _, inst := range imp.DSP {
 		shape, err := inst.Block.OutputShape(imp.canonicalFor(inst))
 		if err != nil {

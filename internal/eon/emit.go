@@ -133,7 +133,7 @@ func kernelCall(kind string) string {
 func emitInvoke(w *strings.Builder, mf *tflm.ModelFile, p *Program, name string) {
 	fmt.Fprintf(w, "\nint %s_invoke(const float *input, float *output) {\n", name)
 	fmt.Fprintf(w, "    // Statically scheduled direct kernel calls.\n")
-	specs, _, _ := mf.Specs() // Compile already validated the model
+	specs, _ := mf.Specs() // Compile already validated the model
 	for i, s := range specs {
 		if nn.Aliases(s.Kind) {
 			fmt.Fprintf(w, "    // layer %d: %s (no-op at inference)\n", i, s.Kind)

@@ -8,7 +8,9 @@
 // Two artifacts come out of a compilation:
 //
 //   - Program: a runnable in-process plan (used by the SDK and the EIM
-//     runner) with no per-op kernel lookups.
+//     runner) with no per-op kernel lookups. Its activation arena is the
+//     interpreter's: every engine plans its arena with the same
+//     liveness planner.
 //   - C++ source (EmitCPP): the deployable library the real platform
 //     ships, reproduced here as generated text with the same structure.
 package eon
@@ -17,7 +19,6 @@ import (
 	"slices"
 
 	"edgepulse/internal/nn"
-	"edgepulse/internal/profiler"
 	"edgepulse/internal/tensor"
 	"edgepulse/internal/tflm"
 )
@@ -29,26 +30,17 @@ type Program struct {
 }
 
 // Compile builds a static execution plan for the model: the shared
-// executor with every kernel bound now and every activation placed by
-// the memory profiler's liveness-based arena planner (the same plan
-// Table 4's RAM estimates are built on). Run therefore executes the
-// interpreter's kernels at the interpreter's speed; what compiling
-// removes is the per-op kernel table lookup and the arena bytes a
-// slot-per-op layout wastes.
+// executor with every kernel bound now. Its activations are placed by
+// the executor's liveness planner (nn.PlanArena, the plan Table 4's RAM
+// estimates are built on), as the interpreter's are. Run therefore
+// executes the interpreter's kernels in the interpreter's arena; what
+// compiling removes is the per-op kernel table lookup.
 func Compile(mf *tflm.ModelFile) (*Program, error) {
-	specs, elemSize, err := mf.Specs()
+	specs, err := mf.Specs()
 	if err != nil {
 		return nil, err
 	}
-	bufs, bufOf := profiler.ActivationAssignments(specs, elemSize)
-	arenaBytes, offs := profiler.PlanArena(bufs)
-	offsets := make([]int, len(bufOf))
-	for b, buf := range bufOf {
-		offsets[b] = int(offs[buf] / elemSize)
-	}
-	layout := nn.Layout{Offsets: offsets, Len: int(arenaBytes / elemSize)}
-
-	exec, err := mf.NewExecutor(layout, nn.BindAtBuild)
+	exec, err := mf.NewExecutor(nn.BindAtBuild)
 	if err != nil {
 		return nil, err
 	}

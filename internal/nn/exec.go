@@ -11,8 +11,8 @@ import (
 
 // Aliases reports whether an op kind is an identity over its input data
 // at inference time (flatten, reshape, dropout): the executor gives such
-// ops a view of the input buffer instead of output storage. The memory
-// profiler uses the same predicate when planning arenas.
+// ops a view of the input buffer instead of output storage, and the arena
+// planner (ActivationAssignments) gives them no buffer of their own.
 func Aliases(kind string) bool {
 	switch kind {
 	case "flatten", "reshape", "dropout":
@@ -34,17 +34,6 @@ type Op[N any] struct {
 // Kernel computes one op. in and out are flat views into the run's
 // arena, shaped per op.InShape and op.OutShape; sc is the run's scratch.
 type Kernel[T Elem, N, S any] func(op *Op[N], in, out []T, sc *S)
-
-// Layout fixes where every activation lives in the arena. The zero
-// Layout is the bump layout: the input and each non-aliasing op output
-// get consecutive slots of their own, with no lifetime reuse. A planned
-// layout puts activation b (0 is the input, b the output of op b-1) at
-// Offsets[b] elements inside an arena of Len elements; the offsets come
-// from the profiler's liveness-based arena planner.
-type Layout struct {
-	Offsets []int
-	Len     int
-}
 
 // Binding fixes when an op's kernel is looked up in its precision's
 // kernel table: once when the executor is built (what the EON compiler
@@ -86,7 +75,8 @@ type runState[T Elem, S any] struct {
 // Executor runs an op list over a pooled arena. It is the one inference
 // loop of the repo: Model.Forward and ForwardTo, quant.QModel.Forward,
 // quant.Quantize's calibration, eon.Program and tflm.Interpreter differ
-// only in the element type, Layout and Binding they construct it with.
+// only in the element type and Binding they construct it with; every one
+// places its activations with the liveness planner.
 // Run returns the result; Observe hands a caller every activation on the
 // way (ForwardTo copies one out, calibration reduces each to its range).
 // An Executor is immutable and safe for concurrent Run and Observe
@@ -103,38 +93,24 @@ type Executor[T Elem, N, S any] struct {
 	pool          sync.Pool
 }
 
-// NewExecutor validates the op list (known kernels, chained shapes) and
-// the layout (one in-arena offset per activation, no op output
-// overlapping its input — in a sequential model the only other buffer
-// live while an op writes) and builds the executor.
-func NewExecutor[T Elem, N, S any](input tensor.Shape, ops []Op[N], layout Layout, binding Binding, p Precision[T, N, S]) (*Executor[T, N, S], error) {
-	planned := layout.Offsets != nil
+// NewExecutor validates the op list (known kernels, chained shapes),
+// places every activation with the liveness planner (PlanArena) and
+// builds the executor. It refuses a plan in which an op's output overlaps
+// its input — in a sequential model the only other buffer live while an
+// op writes.
+func NewExecutor[T Elem, N, S any](input tensor.Shape, ops []Op[N], binding Binding, p Precision[T, N, S]) (*Executor[T, N, S], error) {
 	if !input.Valid() {
 		return nil, fmt.Errorf("nn: invalid input shape %v", input)
 	}
-	if planned && len(layout.Offsets) != len(ops)+1 {
-		return nil, fmt.Errorf("nn: layout has %d offsets, %d ops need %d", len(layout.Offsets), len(ops), len(ops)+1)
+	specs := make([]OpSpec, len(ops))
+	for i := range ops {
+		specs[i] = ops[i].OpSpec
 	}
-	e := &Executor[T, N, S]{p: p, input: input.Clone(), binding: binding}
+	bufs, bufOf := ActivationAssignments(input, specs, 1)
+	arenaLen, offs := PlanArena(bufs)
+	e := &Executor[T, N, S]{p: p, input: input.Clone(), inOff: int(offs[0]), arenaLen: int(arenaLen), binding: binding}
 	e.output = e.input
-	// place returns the arena offset of activation b.
-	place := func(b, elems int) (int, error) {
-		if !planned {
-			e.arenaLen += elems
-			return e.arenaLen - elems, nil
-		}
-		off := layout.Offsets[b]
-		if off < 0 || elems > layout.Len || off > layout.Len-elems {
-			return 0, fmt.Errorf("nn: activation %d at offset %d + %d elems is outside arena %d", b, off, elems, layout.Len)
-		}
-		return off, nil
-	}
-	inElems := input.Elems()
-	inOff, err := place(0, inElems)
-	if err != nil {
-		return nil, err
-	}
-	e.inOff = inOff
+	inOff, inElems := e.inOff, input.Elems()
 	for i, op := range ops {
 		st := step[T, N, S]{op: op, off: -1, elems: op.OutShape.Elems()}
 		alias := Aliases(op.Kind)
@@ -148,9 +124,7 @@ func NewExecutor[T Elem, N, S any](input tensor.Shape, ops []Op[N], layout Layou
 			if binding == ResolvePerCall {
 				st.kernel = nil
 			}
-			if st.off, err = place(i+1, st.elems); err != nil {
-				return nil, err
-			}
+			st.off = int(offs[bufOf[i+1]])
 			if st.off < inOff+inElems && inOff < st.off+st.elems {
 				return nil, fmt.Errorf("nn: op %d (%s): output [%d,%d) overlaps its input [%d,%d)",
 					i, op.Kind, st.off, st.off+st.elems, inOff, inOff+inElems)
@@ -159,9 +133,6 @@ func NewExecutor[T Elem, N, S any](input tensor.Shape, ops []Op[N], layout Layou
 		}
 		e.steps = append(e.steps, st)
 		e.output = op.OutShape
-	}
-	if planned {
-		e.arenaLen = layout.Len
 	}
 	e.pool.New = func() any {
 		return &runState[T, S]{arena: make([]T, e.arenaLen), scratch: p.NewScratch()}
@@ -251,7 +222,7 @@ func inferLayer(op *Op[Layer], src, dst []float32, _ *struct{}) {
 }
 
 // NewFloatExecutor builds the float32 executor of a model.
-func NewFloatExecutor(m *Model, layout Layout, binding Binding) (*FloatExecutor, error) {
+func NewFloatExecutor(m *Model, binding Binding) (*FloatExecutor, error) {
 	specs, err := m.Spec()
 	if err != nil {
 		return nil, fmt.Errorf("nn: %w", err)
@@ -260,7 +231,7 @@ func NewFloatExecutor(m *Model, layout Layout, binding Binding) (*FloatExecutor,
 	for i, s := range specs {
 		ops[i] = Op[Layer]{OpSpec: s, Node: m.Layers[i]}
 	}
-	return NewExecutor(m.InputShape, ops, layout, binding, Precision[float32, Layer, struct{}]{
+	return NewExecutor(m.InputShape, ops, binding, Precision[float32, Layer, struct{}]{
 		Kernels:    floatKernels,
 		NewScratch: func() *struct{} { return new(struct{}) },
 		Stage:      func(dst, src []float32) { copy(dst, src) },

@@ -1,7 +1,6 @@
 package nn_test
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,7 +8,6 @@ import (
 	"testing"
 
 	"edgepulse/internal/nn"
-	"edgepulse/internal/profiler"
 	"edgepulse/internal/quant"
 	"edgepulse/internal/tensor"
 )
@@ -93,23 +91,17 @@ func randInputs(rng *rand.Rand, shape tensor.Shape, n int) []*tensor.F32 {
 	return ins
 }
 
-// plannedLayout is the liveness plan eon.Compile hands the executor.
-func plannedLayout(specs []nn.OpSpec, elemSize int64) nn.Layout {
-	bufs, bufOf := profiler.ActivationAssignments(specs, elemSize)
-	arenaBytes, offs := profiler.PlanArena(bufs)
-	offsets := make([]int, len(bufOf))
-	for b, buf := range bufOf {
-		offsets[b] = int(offs[buf] / elemSize)
-	}
-	return nn.Layout{Offsets: offsets, Len: int(arenaBytes / elemSize)}
-}
-
 // int8Reference runs the int8 pipeline one op at a time into fresh
-// buffers (no arena, no executor) and dequantizes the last activation.
-// It covers models without a softmax head.
+// buffers (no arena, no executor) and dequantizes the last activation,
+// through the float softmax head when the model ends in one.
 func int8Reference(qm *quant.QModel, in *tensor.F32) *tensor.F32 {
 	x := tensor.QuantizeF32(in, qm.InQ)
 	for _, op := range qm.Ops {
+		if op.Kind == "softmax" {
+			out := x.Dequantize()
+			new(nn.Softmax).InferInto(out.Shape, out.Data, out.Data)
+			return out
+		}
 		x = qm.RunOp(op, x)
 	}
 	return x.Dequantize()
@@ -117,7 +109,6 @@ func int8Reference(qm *quant.QModel, in *tensor.F32) *tensor.F32 {
 
 type runner interface {
 	Run(*tensor.F32) (*tensor.F32, error)
-	ArenaBytes() int64
 }
 
 func requireBitwise(t *testing.T, what string, got, want *tensor.F32) {
@@ -133,9 +124,9 @@ func requireBitwise(t *testing.T, what string, got, want *tensor.F32) {
 }
 
 // TestExecutorLayoutsAndBindingsBitwiseEqual is the executor's property
-// test: over seeded random models, every layout x binding x precision
-// combination reproduces the arena-free reference bit for bit, on
-// arenas poisoned before the first run and dirty with another input's
+// test: over seeded random models, every binding x precision combination
+// of the planned arena reproduces the arena-free reference bit for bit,
+// on arenas poisoned before the first run and dirty with another input's
 // activations on every later one — so a planned offset that clobbered a
 // live buffer, or a kernel reading a slot nobody wrote, shows up as a
 // wrong answer.
@@ -148,59 +139,37 @@ func TestExecutorLayoutsAndBindingsBitwiseEqual(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		fspecs, err := m.Spec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		endsInSoftmax := fspecs[len(fspecs)-1].Kind == "softmax"
-
 		floatWant := make([]*tensor.F32, len(ins))
 		int8Want := make([]*tensor.F32, len(ins))
 		for i, in := range ins {
 			floatWant[i] = m.ForwardTraining(in)
-			if endsInSoftmax {
-				int8Want[i] = qm.Forward(in) // head is not reachable op by op
-			} else {
-				int8Want[i] = int8Reference(qm, in)
-			}
+			int8Want[i] = int8Reference(qm, in)
 		}
 
-		for _, lay := range []string{"bump", "planned"} {
-			for _, binding := range []nn.Binding{nn.BindAtBuild, nn.ResolvePerCall} {
-				fl, ql := nn.Layout{}, nn.Layout{}
-				if lay == "planned" {
-					fl, ql = plannedLayout(fspecs, 4), plannedLayout(qm.Specs(), 1)
-				}
-				fe, err := nn.NewFloatExecutor(m, fl, binding)
-				if err != nil {
-					t.Fatalf("seed %d %s: float executor: %v", seed, lay, err)
-				}
-				fe.PoisonArenas(float32(math.NaN()))
-				qe, err := quant.NewExecutor(qm, ql, binding)
-				if err != nil {
-					t.Fatalf("seed %d %s: int8 executor: %v", seed, lay, err)
-				}
-				qe.PoisonArenas(0x55)
-				for _, c := range []struct {
-					name string
-					r    runner
-					want []*tensor.F32
-				}{{"float32", fe, floatWant}, {"int8", qe, int8Want}} {
-					for round := 0; round < 2; round++ {
-						for i, in := range ins {
-							got, err := c.r.Run(in)
-							if err != nil {
-								t.Fatal(err)
-							}
-							requireBitwise(t, fmt.Sprintf("seed %d %s/%s/binding=%v round %d input %d",
-								seed, c.name, lay, binding, round, i), got, c.want[i])
+		for _, binding := range []nn.Binding{nn.BindAtBuild, nn.ResolvePerCall} {
+			fe, err := nn.NewFloatExecutor(m, binding)
+			if err != nil {
+				t.Fatalf("seed %d: float executor: %v", seed, err)
+			}
+			fe.PoisonArenas(float32(math.NaN()))
+			qe, err := quant.NewExecutor(qm, binding)
+			if err != nil {
+				t.Fatalf("seed %d: int8 executor: %v", seed, err)
+			}
+			qe.PoisonArenas(0x55)
+			for _, c := range []struct {
+				name string
+				r    runner
+				want []*tensor.F32
+			}{{"float32", fe, floatWant}, {"int8", qe, int8Want}} {
+				for round := 0; round < 2; round++ {
+					for i, in := range ins {
+						got, err := c.r.Run(in)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-				}
-				if lay == "planned" {
-					bump, _ := nn.NewFloatExecutor(m, nn.Layout{}, binding)
-					if fe.ArenaBytes() > bump.ArenaBytes() {
-						t.Errorf("seed %d: planned float arena %d > bump %d", seed, fe.ArenaBytes(), bump.ArenaBytes())
+						requireBitwise(t, fmt.Sprintf("seed %d %s/binding=%v round %d input %d",
+							seed, c.name, binding, round, i), got, c.want[i])
 					}
 				}
 			}
@@ -208,7 +177,7 @@ func TestExecutorLayoutsAndBindingsBitwiseEqual(t *testing.T) {
 	}
 }
 
-// TestExecutorConcurrentRun shares one executor per layout and precision
+// TestExecutorConcurrentRun shares one executor per binding and precision
 // between goroutines (run it under -race): every result must match the
 // serial answer, so pooled arenas are neither raced on nor aliased by a
 // returned tensor.
@@ -220,18 +189,13 @@ func TestExecutorConcurrentRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fspecs, _ := m.Spec()
 	var runners []runner
-	for _, planned := range []bool{false, true} {
-		fl, ql := nn.Layout{}, nn.Layout{}
-		if planned {
-			fl, ql = plannedLayout(fspecs, 4), plannedLayout(qm.Specs(), 1)
-		}
-		fe, err := nn.NewFloatExecutor(m, fl, nn.ResolvePerCall)
+	for _, binding := range []nn.Binding{nn.BindAtBuild, nn.ResolvePerCall} {
+		fe, err := nn.NewFloatExecutor(m, binding)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qe, err := quant.NewExecutor(qm, ql, nn.BindAtBuild)
+		qe, err := quant.NewExecutor(qm, binding)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +235,7 @@ func TestExecutorConcurrentRun(t *testing.T) {
 // shape or length is not the model's is an error, never a panic.
 func TestExecutorRejectsBadInput(t *testing.T) {
 	m := randModel(t, 3)
-	e, err := nn.NewFloatExecutor(m, nn.Layout{}, nn.BindAtBuild)
+	e, err := nn.NewFloatExecutor(m, nn.BindAtBuild)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +247,7 @@ func TestExecutorRejectsBadInput(t *testing.T) {
 	}
 	odd := nn.NewModel(4).Add(warpDrive{nn.NewDense(2, nn.None)})
 	for _, b := range []nn.Binding{nn.BindAtBuild, nn.ResolvePerCall} {
-		if _, err := nn.NewFloatExecutor(odd, nn.Layout{}, b); err == nil {
+		if _, err := nn.NewFloatExecutor(odd, b); err == nil {
 			t.Errorf("binding %v: built an executor for a kind with no kernel", b)
 		}
 	}
@@ -293,65 +257,3 @@ func TestExecutorRejectsBadInput(t *testing.T) {
 type warpDrive struct{ *nn.Dense }
 
 func (warpDrive) Kind() string { return "warp_drive" }
-
-// FuzzPlanOffsets feeds the executor arbitrary planned layouts for a
-// fixed model: short, overlong, negative and out-of-arena offset lists
-// and ones where an op's output overlaps its input must be rejected
-// with an error — never a panic — and any layout that is accepted must
-// still compute the right answer.
-func FuzzPlanOffsets(f *testing.F) {
-	m := randModel(f, 11)
-	specs, err := m.Spec()
-	if err != nil {
-		f.Fatal(err)
-	}
-	in := randInputs(rand.New(rand.NewSource(12)), m.InputShape, 1)[0]
-	want := m.ForwardTraining(in)
-
-	encode := func(arenaLen int, offsets ...int) []byte {
-		b := binary.LittleEndian.AppendUint32(nil, uint32(int32(arenaLen)))
-		for _, o := range offsets {
-			b = binary.LittleEndian.AppendUint32(b, uint32(int32(o)))
-		}
-		return b
-	}
-	bump, err := nn.NewFloatExecutor(m, nn.Layout{}, nn.BindAtBuild)
-	if err != nil {
-		f.Fatal(err)
-	}
-	arena := int(bump.ArenaBytes() / 4)
-	disjoint := make([]int, len(specs)+1) // every activation in its own arena-sized lane
-	for i := range disjoint {
-		disjoint[i] = i * arena
-	}
-	f.Add(encode(arena*len(disjoint), disjoint...))                   // valid
-	f.Add(encode(arena*len(disjoint), disjoint[:len(disjoint)-1]...)) // short
-	f.Add(encode(arena*len(disjoint), append(disjoint, 0)...))        // overlong
-	f.Add(encode(arena, make([]int, len(disjoint))...))               // everything at 0: overlaps
-	f.Add(encode(arena*len(disjoint), append([]int{-4}, disjoint[1:]...)...))
-	f.Add(encode(arena, disjoint...)) // out of arena
-	f.Add(encode(-1, disjoint...))
-	f.Add(encode(0))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			return
-		}
-		// Keep accepted arenas allocatable.
-		arenaLen := int(int32(binary.LittleEndian.Uint32(data))) % (1 << 20)
-		var offsets []int
-		for data = data[4:]; len(data) >= 4; data = data[4:] {
-			offsets = append(offsets, int(int32(binary.LittleEndian.Uint32(data))))
-		}
-		e, err := nn.NewFloatExecutor(m, nn.Layout{Offsets: offsets, Len: arenaLen}, nn.BindAtBuild)
-		if err != nil {
-			return
-		}
-		e.PoisonArenas(float32(math.NaN()))
-		got, err := e.Run(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitwise(t, "accepted layout", got, want)
-	})
-}

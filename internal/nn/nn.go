@@ -170,10 +170,10 @@ func (m *Model) OutputShape() (tensor.Shape, error) {
 	return s, nil
 }
 
-// Forward runs single-sample inference on the model's executor (bump
-// arena, kernels bound at build): steady-state calls reuse pooled
-// activation buffers, concurrent calls each draw their own, and the
-// returned tensor is freshly allocated.
+// Forward runs single-sample inference on the model's executor, the one
+// eon.Compile builds (planned arena, kernels bound at build):
+// steady-state calls reuse pooled activation buffers, concurrent calls
+// each draw their own, and the returned tensor is freshly allocated.
 //
 // Forward panics when the layer stack is shape-inconsistent or in does
 // not have the model's input shape; callers holding untrusted input
@@ -193,7 +193,7 @@ func (m *Model) executor() *FloatExecutor {
 	e := m.exec.Load()
 	if e == nil || e.NumOps() != len(m.Layers) {
 		var err error
-		if e, err = NewFloatExecutor(m, Layout{}, BindAtBuild); err != nil {
+		if e, err = NewFloatExecutor(m, BindAtBuild); err != nil {
 			panic(err)
 		}
 		m.exec.Store(e)

@@ -384,7 +384,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CopyWeights(m2, m); err != nil {
+	if err := copyWeights(m2, m); err != nil {
 		t.Fatal(err)
 	}
 	in := randInput(rand.New(rand.NewSource(11)), 16, 16, 3)
@@ -422,7 +422,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestLayerFromSpecUnknown(t *testing.T) {
-	if _, err := LayerFromSpec(OpSpec{Kind: "warp_drive"}); err == nil {
+	if _, err := layerFromSpec(OpSpec{Kind: "warp_drive"}); err == nil {
 		t.Fatal("accepted unknown kind")
 	}
 }

@@ -100,8 +100,8 @@ func layerState(l Layer) []*tensor.F32 {
 	return nil
 }
 
-// LayerFromSpec reconstructs an untrained layer from its spec.
-func LayerFromSpec(s OpSpec) (Layer, error) {
+// layerFromSpec reconstructs an untrained layer from its spec.
+func layerFromSpec(s OpSpec) (Layer, error) {
 	a := func(k string) int { return int(s.Attrs[k]) }
 	switch s.Kind {
 	case "dense":
@@ -149,7 +149,7 @@ func ModelFromSpecs(inputShape tensor.Shape, specs []OpSpec, numClasses int) (*M
 	m := NewModel(inputShape...)
 	m.NumClasses = numClasses
 	for _, s := range specs {
-		l, err := LayerFromSpec(s)
+		l, err := layerFromSpec(s)
 		if err != nil {
 			return nil, err
 		}
@@ -173,9 +173,9 @@ func SerializableTensors(m *Model) []*tensor.F32 {
 	return out
 }
 
-// CopyWeights copies all serializable tensors from src to dst; the models
+// copyWeights copies all serializable tensors from src to dst; the models
 // must have identical architecture.
-func CopyWeights(dst, src *Model) error {
+func copyWeights(dst, src *Model) error {
 	ds := SerializableTensors(dst)
 	ss := SerializableTensors(src)
 	if len(ds) != len(ss) {
@@ -201,7 +201,7 @@ func (m *Model) Clone() (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := CopyWeights(c, m); err != nil {
+	if err := copyWeights(c, m); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -3,7 +3,6 @@ package profiler
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"edgepulse/internal/device"
 	"edgepulse/internal/models"
@@ -12,84 +11,6 @@ import (
 	"edgepulse/internal/renode"
 	"edgepulse/internal/tensor"
 )
-
-func TestPlanArenaNoOverlapProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(20)
-		bufs := make([]Buffer, n)
-		for i := range bufs {
-			start := rng.Intn(16)
-			bufs[i] = Buffer{
-				Size:  int64(1 + rng.Intn(1000)),
-				Start: start,
-				End:   start + rng.Intn(8),
-			}
-		}
-		arena, offsets := PlanArena(bufs)
-		// Arena must hold the largest buffer and not exceed the naive sum.
-		for _, b := range bufs {
-			if arena < b.Size {
-				return false
-			}
-		}
-		if arena > NaiveArena(bufs) {
-			return false
-		}
-		// No two time-overlapping buffers may overlap in space.
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				timeOverlap := bufs[i].Start <= bufs[j].End && bufs[j].Start <= bufs[i].End
-				if !timeOverlap {
-					continue
-				}
-				a0, a1 := offsets[i], offsets[i]+bufs[i].Size
-				b0, b1 := offsets[j], offsets[j]+bufs[j].Size
-				if a0 < b1 && b0 < a1 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPlanArenaReusesMemory(t *testing.T) {
-	// Disjoint lifetimes must share space.
-	bufs := []Buffer{
-		{Size: 1000, Start: 0, End: 1},
-		{Size: 1000, Start: 2, End: 3},
-		{Size: 1000, Start: 4, End: 5},
-	}
-	arena, _ := PlanArena(bufs)
-	if arena != 1000 {
-		t.Fatalf("arena = %d, want 1000 (full reuse)", arena)
-	}
-	if NaiveArena(bufs) != 3000 {
-		t.Fatal("naive should be 3000")
-	}
-}
-
-func TestActivationBuffersAliasing(t *testing.T) {
-	m := nn.NewModel(4, 4, 1)
-	m.NumClasses = 2
-	m.Add(nn.NewFlatten()).Add(nn.NewDense(2, nn.None)).Add(nn.NewSoftmax())
-	specs, err := m.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufs := ActivationBuffers(specs, 4)
-	// flatten aliases: buffers = input, dense out, softmax out.
-	if len(bufs) != 3 {
-		t.Fatalf("%d buffers, want 3", len(bufs))
-	}
-	if bufs[0].Size != 16*4 {
-		t.Errorf("input buffer %d bytes", bufs[0].Size)
-	}
-}
 
 func kwsModels(t testing.TB) (*nn.Model, *quant.QModel) {
 	t.Helper()
@@ -238,17 +159,5 @@ func TestKernelCodeDedup(t *testing.T) {
 	}
 	if e2.KernelBytes != e1.KernelBytes {
 		t.Errorf("kernel code grew with duplicate ops: %d vs %d", e1.KernelBytes, e2.KernelBytes)
-	}
-}
-
-func BenchmarkPlanArenaKWS(b *testing.B) {
-	m := models.KWSDSCNN(49, 10, 12)
-	nn.InitWeights(m, 1)
-	specs, _ := m.Spec()
-	bufs := ActivationBuffers(specs, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PlanArena(bufs)
 	}
 }

@@ -257,7 +257,7 @@ func TestForwardIgnoresScratchContents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewExecutor(q, nn.Layout{}, nn.BindAtBuild)
+		e, err := NewExecutor(q, nn.BindAtBuild)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestUnboundOpRefused(t *testing.T) {
 	op := randQOp(rand.New(rand.NewSource(1)), "conv1d", tensor.Shape{8, 3}, 4, 3, 1, 1)
 	bare := &QOp{OpSpec: op.OpSpec, W: op.W, WScale: op.WScale, Bias: op.Bias, InQ: op.InQ, OutQ: op.OutQ, ActMin: -128, ActMax: 127}
 	q := &QModel{InputShape: op.InShape, InQ: op.InQ, Ops: []*QOp{bare}}
-	_, err := NewExecutor(q, nn.Layout{}, nn.BindAtBuild)
+	_, err := NewExecutor(q, nn.BindAtBuild)
 	if err == nil || !strings.Contains(err.Error(), "op 0: conv1d") {
 		t.Fatalf("NewExecutor on an op without Rebind: err = %v, want one naming op 0 (conv1d)", err)
 	}
@@ -369,7 +369,7 @@ func TestUnboundOpRefused(t *testing.T) {
 		q.RunOp(bare, tensor.NewI8(op.InQ, op.InShape...))
 	}()
 	bare.Rebind()
-	if _, err := NewExecutor(q, nn.Layout{}, nn.BindAtBuild); err != nil {
+	if _, err := NewExecutor(q, nn.BindAtBuild); err != nil {
 		t.Fatalf("after Rebind: %v", err)
 	}
 }

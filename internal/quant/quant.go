@@ -135,11 +135,11 @@ type qKernel = nn.Kernel[int8, *QOp, scratch]
 type Executor = nn.Executor[int8, *QOp, scratch]
 
 // NewExecutor builds the int8 executor of a model: the float input is
-// quantized into the arena, every op up to a softmax runs in int8, and
-// the result is dequantized — through a float softmax head when the
+// quantized into the arena, every op up to a softmax runs in int8 (the
+// arena is planned over those ops alone), and the result is dequantized — through a float softmax head when the
 // model ends in one, as TFLM does for its reference int8 kernels. A
 // compute op that Rebind never prepared is an error.
-func NewExecutor(q *QModel, layout nn.Layout, binding nn.Binding) (*Executor, error) {
+func NewExecutor(q *QModel, binding nn.Binding) (*Executor, error) {
 	var ops []nn.Op[*QOp]
 	outQ, softmax := q.InQ, false
 	var maxAcc, maxVp int
@@ -158,10 +158,7 @@ func NewExecutor(q *QModel, layout nn.Layout, binding nn.Binding) (*Executor, er
 		acc, vp := scratchLens(op)
 		maxAcc, maxVp = max(maxAcc, acc), max(maxVp, vp)
 	}
-	if n := len(ops) + 1; n < len(layout.Offsets) {
-		layout.Offsets = layout.Offsets[:n] // the float head's output is not in the arena
-	}
-	return nn.NewExecutor(q.InputShape, ops, layout, binding, nn.Precision[int8, *QOp, scratch]{
+	return nn.NewExecutor(q.InputShape, ops, binding, nn.Precision[int8, *QOp, scratch]{
 		Kernels: kernels,
 		NewScratch: func() *scratch {
 			return &scratch{acc: make([]int32, maxAcc), vp: make([]uint32, maxVp)}
@@ -180,15 +177,15 @@ func NewExecutor(q *QModel, layout nn.Layout, binding nn.Binding) (*Executor, er
 	})
 }
 
-// Forward runs the int8 pipeline on the model's executor (bump arena,
-// kernels bound at build) and returns float class probabilities; only
-// the returned tensor is allocated. Like nn.Model.Forward it panics on
+// Forward runs the int8 pipeline on the model's executor, the one
+// eon.Compile builds (planned arena, kernels bound at build), and returns
+// float class probabilities; only the returned tensor is allocated. Like nn.Model.Forward it panics on
 // an inconsistent model or a mis-shaped input.
 func (q *QModel) Forward(in *tensor.F32) *tensor.F32 {
 	e := q.exec.Load()
 	if e == nil {
 		var err error
-		if e, err = NewExecutor(q, nn.Layout{}, nn.BindAtBuild); err != nil {
+		if e, err = NewExecutor(q, nn.BindAtBuild); err != nil {
 			panic(err)
 		}
 		q.exec.Store(e)
@@ -252,7 +249,7 @@ func Quantize(m *nn.Model, calibration []*tensor.F32) (*QModel, error) {
 		layers = append(layers, l)
 	}
 	folded.Layers = layers
-	exec, err := nn.NewFloatExecutor(folded, nn.Layout{}, nn.BindAtBuild)
+	exec, err := nn.NewFloatExecutor(folded, nn.BindAtBuild)
 	if err != nil {
 		return nil, fmt.Errorf("quant: %w", err)
 	}

@@ -52,8 +52,8 @@ func (p Precision) String() string {
 	return "float32"
 }
 
-// DSPCycles estimates the cycles of one feature extraction.
-func DSPCycles(t device.Target, c dsp.Cost) int64 {
+// dspCycles estimates the cycles of one feature extraction.
+func dspCycles(t device.Target, c dsp.Cost) int64 {
 	cycles := float64(c.FloatOps)*t.CyclesPerFloatOp +
 		float64(c.MACs)*t.CyclesPerFloatOp*2 + // DSP MACs are float mul+add
 		float64(c.FFTButterflies)*t.CyclesPerButterfly +
@@ -61,14 +61,14 @@ func DSPCycles(t device.Target, c dsp.Cost) int64 {
 	return int64(cycles)
 }
 
-// NNCyclesFloat estimates the cycles of one float32 inference from the
+// nnCyclesFloat estimates the cycles of one float32 inference from the
 // model's op specs.
-func NNCyclesFloat(t device.Target, specs []nn.OpSpec, engine Engine) int64 {
+func nnCyclesFloat(t device.Target, specs []nn.OpSpec, engine Engine) int64 {
 	return nnCycles(t, specs, engine, t.CyclesPerMACF32)
 }
 
-// NNCyclesInt8 estimates the cycles of one int8 inference.
-func NNCyclesInt8(t device.Target, qm *quant.QModel, engine Engine) int64 {
+// nnCyclesInt8 estimates the cycles of one int8 inference.
+func nnCyclesInt8(t device.Target, qm *quant.QModel, engine Engine) int64 {
 	return nnCycles(t, qm.Specs(), engine, t.CyclesPerMACI8)
 }
 
@@ -127,8 +127,8 @@ const overheadFraction = 0.005
 // EstimateFloat produces the timing estimate for a float32 deployment.
 func EstimateFloat(t device.Target, dspCost dsp.Cost, specs []nn.OpSpec, engine Engine) Estimate {
 	e := Estimate{Target: t, Engine: engine, Precision: Float32}
-	e.DSPCycles = DSPCycles(t, dspCost)
-	e.NNCycles = NNCyclesFloat(t, specs, engine)
+	e.DSPCycles = dspCycles(t, dspCost)
+	e.NNCycles = nnCyclesFloat(t, specs, engine)
 	fill(&e, t)
 	return e
 }
@@ -139,8 +139,8 @@ func EstimateFloat(t device.Target, dspCost dsp.Cost, specs []nn.OpSpec, engine 
 func EstimateInt8(t device.Target, dspCost dsp.Cost, qm *quant.QModel, engine Engine) Estimate {
 	e := Estimate{Target: t, Engine: engine, Precision: Int8}
 	quantizePass := dsp.Cost{FloatOps: int64(qm.InputShape.Elems()) * 2}
-	e.DSPCycles = DSPCycles(t, dspCost.Add(quantizePass))
-	e.NNCycles = NNCyclesInt8(t, qm, engine)
+	e.DSPCycles = dspCycles(t, dspCost.Add(quantizePass))
+	e.NNCycles = nnCyclesInt8(t, qm, engine)
 	fill(&e, t)
 	return e
 }

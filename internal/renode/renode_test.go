@@ -43,8 +43,8 @@ func kwsSetup(t testing.TB) ([]nn.OpSpec, *quant.QModel, dsp.Cost) {
 func TestInt8FasterThanFloatOnM4(t *testing.T) {
 	specs, qm, _ := kwsSetup(t)
 	nano := device.MustGet("nano-33-ble-sense")
-	f := NNCyclesFloat(nano, specs, TFLM)
-	i := NNCyclesInt8(nano, qm, TFLM)
+	f := nnCyclesFloat(nano, specs, TFLM)
+	i := nnCyclesInt8(nano, qm, TFLM)
 	ratio := float64(f) / float64(i)
 	// Paper Table 2: KWS inference 2866ms float vs 323ms int8 (~8.9x).
 	if ratio < 4 || ratio > 15 {
@@ -55,8 +55,8 @@ func TestInt8FasterThanFloatOnM4(t *testing.T) {
 func TestESP32ModestInt8Speedup(t *testing.T) {
 	specs, qm, _ := kwsSetup(t)
 	esp := device.MustGet("esp-eye")
-	f := NNCyclesFloat(esp, specs, TFLM)
-	i := NNCyclesInt8(esp, qm, TFLM)
+	f := nnCyclesFloat(esp, specs, TFLM)
+	i := nnCyclesInt8(esp, qm, TFLM)
 	ratio := float64(f) / float64(i)
 	// Paper: 648ms float vs 314ms int8 (~2.1x).
 	if ratio < 1.2 || ratio > 4 {
@@ -68,8 +68,8 @@ func TestPicoSoftFloatPenalty(t *testing.T) {
 	specs, _, _ := kwsSetup(t)
 	nano := device.MustGet("nano-33-ble-sense")
 	pico := device.MustGet("pi-pico")
-	nanoMs := nano.Millis(NNCyclesFloat(nano, specs, TFLM))
-	picoMs := pico.Millis(NNCyclesFloat(pico, specs, TFLM))
+	nanoMs := nano.Millis(nnCyclesFloat(nano, specs, TFLM))
+	picoMs := pico.Millis(nnCyclesFloat(pico, specs, TFLM))
 	// Despite double the clock, the FPU-less Pico is ~2x slower (paper:
 	// 5700ms vs 2866ms).
 	if picoMs < nanoMs*1.3 {
@@ -83,13 +83,13 @@ func TestEONRemovesDispatchOverhead(t *testing.T) {
 		if EON.String() != "eon" || TFLM.String() != "tflm" {
 			t.Fatal("engine strings")
 		}
-		f1 := NNCyclesFloat(tgt, specs, TFLM)
-		f2 := NNCyclesFloat(tgt, specs, EON)
+		f1 := nnCyclesFloat(tgt, specs, TFLM)
+		f2 := nnCyclesFloat(tgt, specs, EON)
 		if f2 >= f1 {
 			t.Errorf("%s: EON float %d not cheaper than TFLM %d", tgt.ID, f2, f1)
 		}
-		i1 := NNCyclesInt8(tgt, qm, TFLM)
-		i2 := NNCyclesInt8(tgt, qm, EON)
+		i1 := nnCyclesInt8(tgt, qm, TFLM)
+		i2 := nnCyclesInt8(tgt, qm, EON)
 		if i2 >= i1 {
 			t.Errorf("%s: EON int8 %d not cheaper than TFLM %d", tgt.ID, i2, i1)
 		}

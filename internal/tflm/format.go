@@ -47,17 +47,15 @@ func (mf *ModelFile) InputShape() tensor.Shape {
 	return mf.Float.InputShape
 }
 
-// Specs returns the model's op list and its activation element size in
-// bytes, whichever precision it holds.
-func (mf *ModelFile) Specs() ([]nn.OpSpec, int64, error) {
+// Specs returns the model's op list, whichever precision it holds.
+func (mf *ModelFile) Specs() ([]nn.OpSpec, error) {
 	switch {
 	case mf.Precision == Float32 && mf.Float != nil:
-		specs, err := mf.Float.Spec()
-		return specs, 4, err
+		return mf.Float.Spec()
 	case mf.Precision == Int8 && mf.Quant != nil:
-		return mf.Quant.Specs(), 1, nil
+		return mf.Quant.Specs(), nil
 	}
-	return nil, 0, fmt.Errorf("tflm: no model of precision %d", mf.Precision)
+	return nil, fmt.Errorf("tflm: no model of precision %d", mf.Precision)
 }
 
 // Runner is the model's nn.Executor with its element type erased.
@@ -69,12 +67,12 @@ type Runner interface {
 
 // NewExecutor builds the shared executor in the model's precision, on
 // package nn's float32 or package quant's int8 kernel table.
-func (mf *ModelFile) NewExecutor(layout nn.Layout, binding nn.Binding) (Runner, error) {
+func (mf *ModelFile) NewExecutor(binding nn.Binding) (Runner, error) {
 	switch {
 	case mf.Precision == Float32 && mf.Float != nil:
-		return nn.NewFloatExecutor(mf.Float, layout, binding)
+		return nn.NewFloatExecutor(mf.Float, binding)
 	case mf.Precision == Int8 && mf.Quant != nil:
-		return quant.NewExecutor(mf.Quant, layout, binding)
+		return quant.NewExecutor(mf.Quant, binding)
 	}
 	return nil, fmt.Errorf("tflm: no model of precision %d", mf.Precision)
 }
@@ -273,7 +271,7 @@ func Marshal(mf *ModelFile) ([]byte, error) {
 	w.u32(version)
 	w.u8(uint8(mf.Precision))
 	w.u32(uint32(mf.NumClasses))
-	specs, _, err := mf.Specs()
+	specs, err := mf.Specs()
 	if err != nil {
 		return nil, err
 	}

@@ -9,14 +9,14 @@ import (
 // Interpreter executes a ModelFile on the shared executor the way an
 // interpreter engine does: every op's kernel is looked up by kind in
 // its precision's kernel table on every Invoke — the runtime dispatch
-// the EON compiler eliminates — and activations live in an arena with
-// one slot per op (no lifetime reuse — the planning the EON compiler
-// performs).
+// the EON compiler eliminates. Its activations live in the same
+// liveness-planned arena as the compiled program's, as TFLM's greedy
+// memory planner places them.
 type Interpreter struct{ Runner }
 
 // NewInterpreter validates the model and prepares it for execution.
 func NewInterpreter(mf *ModelFile) (*Interpreter, error) {
-	exec, err := mf.NewExecutor(nn.Layout{}, nn.ResolvePerCall)
+	exec, err := mf.NewExecutor(nn.ResolvePerCall)
 	if err != nil {
 		return nil, err
 	}
