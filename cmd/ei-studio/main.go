@@ -45,7 +45,7 @@ func main() {
 	trustProxy := flag.Bool("trust-proxy", false, "rate-limit by X-Forwarded-For client IP (only behind a proxy that sets it)")
 	streams := flag.Int("streams", 0, "max concurrent streaming inference sessions (0 = default)")
 	inflight := flag.Int("inflight", 0, "max concurrent in-flight requests before the admission gate hard-sheds (0 = default)")
-	memLimitMB := flag.Int("mem-limit-mb", 0, "heap budget in MiB fed into the admission gate's load score (0 = ignore memory)")
+	memLimitMB := flag.Int("mem-limit-mb", 0, "budget in MiB for live heap object bytes, fed into the admission gate's load score (0 = ignore memory)")
 	watchdog := flag.Duration("watchdog", 2*time.Minute, "flag running jobs with no progress for this long as stalled (0 = disable)")
 	watchdogCancel := flag.Bool("watchdog-cancel", false, "also cancel jobs the watchdog flags as stalled")
 	flag.Parse()

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"time"
 
@@ -68,7 +68,11 @@ func WithGate(cfg resilience.GateConfig) Option {
 }
 
 // WithMemoryLimit adds heap pressure to the admission gate's load
-// score: heap-in-use approaching bytes contributes to shedding. 0 (the
+// score: live heap object bytes (runtime/metrics'
+// /memory/classes/heap/objects:bytes, read without stopping the world)
+// approaching bytes contribute to shedding. That is less than
+// MemStats.HeapInuse, which also counts free slots in in-use spans, so
+// a given limit sheds later than a HeapInuse budget would. 0 (the
 // default) ignores memory.
 func WithMemoryLimit(bytes uint64) Option {
 	return func(s *Server) { s.memLimit = bytes }
@@ -100,9 +104,11 @@ func (s *Server) sampleLoad() resilience.Load {
 		SessionCap: s.streams.Max(),
 	}
 	if s.memLimit > 0 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		load.HeapBytes = ms.HeapInuse
+		// The gate calls this at most once per SamplePeriod, under
+		// its own mutex, so a fresh one-element sample is enough.
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		metrics.Read(sample)
+		load.HeapBytes = sample[0].Value.Uint64()
 		load.HeapLimit = s.memLimit
 	}
 	return load

@@ -252,3 +252,19 @@ func TestStatusWriterWriteAfterCancel(t *testing.T) {
 		t.Fatalf("status clobbered: %d", sw.status)
 	}
 }
+
+// TestGateHeapProbe: with a memory limit the gate's load sample carries
+// the live heap bytes, read through runtime/metrics with at most the one
+// small sample slice allocated.
+func TestGateHeapProbe(t *testing.T) {
+	reg := project.NewRegistry()
+	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 1})
+	t.Cleanup(sched.Shutdown)
+	s := NewServer(reg, sched, WithMemoryLimit(1<<30))
+	if l := s.sampleLoad(); l.HeapBytes == 0 || l.HeapLimit != 1<<30 {
+		t.Fatalf("load %+v: want heap bytes > 0 against a 1 GiB limit", l)
+	}
+	if a := testing.AllocsPerRun(100, func() { s.sampleLoad() }); a > 1 {
+		t.Fatalf("sampleLoad allocates %.1f times per call", a)
+	}
+}

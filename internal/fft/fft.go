@@ -15,8 +15,8 @@ func IsPow2(n int) bool {
 	return n > 0 && n&(n-1) == 0
 }
 
-// NextPow2 returns the smallest power of two >= n (n must be positive).
-func NextPow2(n int) int {
+// nextPow2 returns the smallest power of two >= n (n must be positive).
+func nextPow2(n int) int {
 	if n <= 1 {
 		return 1
 	}
@@ -38,9 +38,9 @@ func Forward(x []complex128) error {
 	return nil
 }
 
-// Inverse computes the inverse FFT of x in place, including the 1/n
+// inverse computes the inverse FFT of x in place, including the 1/n
 // normalization. len(x) must be a power of two.
-func Inverse(x []complex128) error {
+func inverse(x []complex128) error {
 	n := len(x)
 	if !IsPow2(n) {
 		return fmt.Errorf("fft: length %d is not a power of two", n)
@@ -87,11 +87,11 @@ func transform(x []complex128, inverse bool) {
 	}
 }
 
-// RealForward computes the FFT of a real signal, returning the first
+// realForward computes the FFT of a real signal, returning the first
 // n/2+1 complex bins (the rest are conjugate-symmetric). The input is
 // zero-padded to the next power of two if needed.
-func RealForward(x []float32) ([]complex128, error) {
-	n := NextPow2(len(x))
+func realForward(x []float32) ([]complex128, error) {
+	n := nextPow2(len(x))
 	buf := make([]complex128, n)
 	for i, v := range x {
 		buf[i] = complex(float64(v), 0)
@@ -102,10 +102,10 @@ func RealForward(x []float32) ([]complex128, error) {
 	return buf[:n/2+1], nil
 }
 
-// Spectrum computes the magnitude spectrum |X_k| of a real frame: the
+// spectrum computes the magnitude spectrum |X_k| of a real frame: the
 // first n/2+1 bins of the zero-padded FFT.
-func Spectrum(x []float32) ([]float32, error) {
-	bins, err := RealForward(x)
+func spectrum(x []float32) ([]float32, error) {
+	bins, err := realForward(x)
 	if err != nil {
 		return nil, err
 	}
@@ -119,8 +119,8 @@ func Spectrum(x []float32) ([]float32, error) {
 // PowerSpectrum computes |X_k|^2 / n for the first n/2+1 bins, matching the
 // periodogram estimate used by speech front ends.
 func PowerSpectrum(x []float32) ([]float32, error) {
-	n := NextPow2(len(x))
-	bins, err := RealForward(x)
+	n := nextPow2(len(x))
+	bins, err := realForward(x)
 	if err != nil {
 		return nil, err
 	}

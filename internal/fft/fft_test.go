@@ -23,8 +23,8 @@ func TestIsPow2(t *testing.T) {
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 5: 8, 256: 256, 257: 512}
 	for n, want := range cases {
-		if got := NextPow2(n); got != want {
-			t.Errorf("NextPow2(%d) = %d, want %d", n, got, want)
+		if got := nextPow2(n); got != want {
+			t.Errorf("nextPow2(%d) = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -33,8 +33,8 @@ func TestForwardRejectsNonPow2(t *testing.T) {
 	if err := Forward(make([]complex128, 3)); err == nil {
 		t.Fatal("Forward accepted length 3")
 	}
-	if err := Inverse(make([]complex128, 12)); err == nil {
-		t.Fatal("Inverse accepted length 12")
+	if err := inverse(make([]complex128, 12)); err == nil {
+		t.Fatal("inverse accepted length 12")
 	}
 }
 
@@ -87,7 +87,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := Forward(x); err != nil {
 			return false
 		}
-		if err := Inverse(x); err != nil {
+		if err := inverse(x); err != nil {
 			return false
 		}
 		for i := range x {
@@ -155,7 +155,7 @@ func TestParsevalProperty(t *testing.T) {
 }
 
 func TestRealForwardLength(t *testing.T) {
-	bins, err := RealForward(make([]float32, 300)) // pads to 512
+	bins, err := realForward(make([]float32, 300)) // pads to 512
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSpectrumDC(t *testing.T) {
 	for i := range x {
 		x[i] = 2
 	}
-	spec, err := Spectrum(x)
+	spec, err := spectrum(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestPowerSpectrumMatchesSpectrum(t *testing.T) {
 	for i := range x {
 		x[i] = float32(rng.NormFloat64())
 	}
-	spec, _ := Spectrum(x)
+	spec, _ := spectrum(x)
 	pow, _ := PowerSpectrum(x)
 	for i := range spec {
 		want := float64(spec[i]) * float64(spec[i]) / 128
@@ -293,6 +293,6 @@ func BenchmarkSpectrum512(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Spectrum(x)
+		spectrum(x)
 	}
 }

@@ -39,6 +39,11 @@ func FoldBatchNorm(m *nn.Model) (*nn.Model, error) {
 	return folded, nil
 }
 
+func isBatchNorm(l nn.Layer) bool {
+	_, ok := l.(*nn.BatchNorm)
+	return ok
+}
+
 // foldInto rewrites prev's weights so that prev(x) == bn(prev_old(x)).
 // Requires prev to have no nonlinearity after its affine part... since our
 // layers fuse activations, folding is only valid when prev.Act == None or

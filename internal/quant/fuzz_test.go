@@ -1,7 +1,9 @@
 package quant
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -197,5 +199,66 @@ func FuzzPoolI8(f *testing.F) {
 			}
 			return kernelref.MaxPoolI8(g, in)
 		})
+	})
+}
+
+// quantizeWeightRef is the weight quantizer's expression before the
+// one-pass loop, kept here as the reference.
+func quantizeWeightRef(v, scale float32) int8 {
+	return int8(clampI32(roundToInt32(float64(v)/float64(scale)), -127, 127))
+}
+
+// f32Bytes encodes v as the little-endian float32 stream
+// FuzzQuantizeWeights decodes.
+func f32Bytes(v ...float32) []byte {
+	b := make([]byte, 0, 4*len(v))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+	}
+	return b
+}
+
+// FuzzQuantizeWeights holds quantizeWeights to quantizeWeightRef byte for
+// byte, at the scale quantizeLayer picks for the slice (AbsMax/127) and
+// at an arbitrary one. The seeds cover NaN payloads, ±Inf, ±0,
+// subnormals, exact ties at (k+½)·scale and ±127.5·scale, where a
+// round-half-to-even loop would differ.
+func FuzzQuantizeWeights(f *testing.F) {
+	bits := math.Float32frombits
+	specials := f32Bytes(bits(0x7fc00000), bits(0x7f800001), bits(0xffc00123), bits(0x7fbfffff),
+		float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, bits(0x007fffff), bits(0x807fffff),
+		1, -1, math.MaxFloat32, -math.MaxFloat32)
+	f.Add(specials, math.Float32bits(1))
+	f.Add(specials, math.Float32bits(1e-8/127))
+	// AbsMax 127 gives scale 1: every (k+½) below is a tie.
+	ties := f32Bytes(127, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 64.5, -64.5, 126.5, -126.5)
+	f.Add(ties, math.Float32bits(0.25))
+	// ±127.5·scale and beyond, at scale 2^-7 and at scale 3.
+	f.Add(f32Bytes(127.5/128, -127.5/128, 128.5/128, -126.5/128, 0.5/128, 1.5/128), math.Float32bits(1.0/128))
+	f.Add(f32Bytes(382.5, -382.5, 1.5, -4.5, 7.5, 379.5, 385.5), math.Float32bits(3))
+	f.Add(f32Bytes(0.5, -0.5, 1, -2.5), uint32(0))                // scale 0: ±Inf and NaN quotients
+	f.Add(f32Bytes(0.5, -0.5, 1, -2.5), math.Float32bits(-0.5))   // negative scale
+	f.Add(f32Bytes(1e-45, -1e-45, 1e30), math.Float32bits(1e-45)) // subnormal scale
+	f.Add(f32Bytes(3, -2.5, 0.001), math.Float32bits(float32(math.NaN())))
+	f.Fuzz(func(t *testing.T, raw []byte, scaleBits uint32) {
+		w := make([]float32, len(raw)/4)
+		for i := range w {
+			w[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		absMax := (&tensor.F32{Data: w}).AbsMax()
+		if absMax == 0 {
+			absMax = 1e-8
+		}
+		got := make([]int8, len(w))
+		for _, scale := range []float32{absMax / 127, math.Float32frombits(scaleBits)} {
+			quantizeWeights(got, w, scale)
+			for i, v := range w {
+				if want := quantizeWeightRef(v, scale); got[i] != want {
+					t.Fatalf("scale %v (%#08x): weight %d = %v (%#08x) quantized to %d, reference %d",
+						scale, math.Float32bits(scale), i, v, math.Float32bits(v), got[i], want)
+				}
+			}
+		}
 	})
 }

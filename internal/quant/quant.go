@@ -10,6 +10,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"edgepulse/internal/nn"
@@ -232,23 +233,28 @@ func (q *QModel) MACs() int64 {
 // nothing per sample. The quantization parameters are those of a
 // Layer.Forward walk with a scalar min/max loop, bit for bit: the ranges
 // can differ only in the sign of a zero, which ChooseQParams maps alike.
+//
+// A built model without BatchNorm is not copied: Quantize reads its
+// layers and writes none, so the model may serve Forward calls meanwhile.
 func Quantize(m *nn.Model, calibration []*tensor.F32) (*QModel, error) {
 	if len(calibration) == 0 {
 		return nil, fmt.Errorf("quant: calibration set is empty")
 	}
-	folded, err := FoldBatchNorm(m)
-	if err != nil {
-		return nil, err
-	}
-	// Drop inference no-ops.
-	var layers []nn.Layer
-	for _, l := range folded.Layers {
-		if _, isDrop := l.(*nn.Dropout); isDrop {
-			continue
+	src := m
+	if slices.ContainsFunc(m.Layers, isBatchNorm) {
+		var err error
+		if src, err = FoldBatchNorm(m); err != nil {
+			return nil, err
 		}
-		layers = append(layers, l)
 	}
-	folded.Layers = layers
+	// A shallow model over src's layers without the inference no-ops;
+	// nothing below writes a layer.
+	folded := &nn.Model{InputShape: src.InputShape, NumClasses: src.NumClasses}
+	for _, l := range src.Layers {
+		if _, isDrop := l.(*nn.Dropout); !isDrop {
+			folded.Layers = append(folded.Layers, l)
+		}
+	}
 	exec, err := nn.NewFloatExecutor(folded, nn.BindAtBuild)
 	if err != nil {
 		return nil, fmt.Errorf("quant: %w", err)
@@ -328,6 +334,27 @@ func roundToInt32(x float64) int32 {
 	}
 }
 
+// quantizeWeights writes round(w[i]/scale), halves away from zero,
+// clamped to ±127 with NaN as 0, into dst[:len(w)]: what roundToInt32
+// and a ±127 clamp give, in one branch chain on the rounded float64.
+func quantizeWeights(dst []int8, w []float32, scale float32) {
+	s := float64(scale)
+	dst = dst[:len(w)]
+	for i, v := range w {
+		r := math.Round(float64(v) / s)
+		switch {
+		case r > 127:
+			dst[i] = 127
+		case r < -127:
+			dst[i] = -127
+		case r != r:
+			dst[i] = 0
+		default:
+			dst[i] = int8(r)
+		}
+	}
+}
+
 // quantizeLayer fills op with quantized weights for compute layers and
 // adjusts pass-through ops.
 func quantizeLayer(op *QOp, l nn.Layer) error {
@@ -363,9 +390,7 @@ func quantizeLayer(op *QOp, l nn.Layer) error {
 	}
 	op.WScale = absMax / 127
 	op.W = make([]int8, len(w.Data))
-	for i, v := range w.Data {
-		op.W[i] = int8(clampI32(roundToInt32(float64(v)/float64(op.WScale)), -127, 127))
-	}
+	quantizeWeights(op.W, w.Data, op.WScale)
 	// Bias at accumulator scale.
 	biasScale := float64(op.InQ.Scale) * float64(op.WScale)
 	op.Bias = make([]int32, len(b.Data))

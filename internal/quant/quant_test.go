@@ -1,11 +1,16 @@
 package quant
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
 	"edgepulse/internal/tensor"
 )
@@ -408,5 +413,95 @@ func TestQuantizeTinyScaleSaturatesBias(t *testing.T) {
 				t.Errorf("weight %d outside the symmetric range", w)
 			}
 		}
+	}
+}
+
+// weightsDigest hashes every serializable tensor of m, bit for bit.
+func weightsDigest(m *nn.Model) [sha256.Size]byte {
+	h := sha256.New()
+	for _, p := range nn.SerializableTensors(m) {
+		for _, v := range p.Data {
+			binary.Write(h, binary.LittleEndian, math.Float32bits(v))
+		}
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// TestQuantizeSharesNothingItWrites quantizes models without BatchNorm,
+// which Quantize does not copy, while two goroutines run Forward on
+// them: under -race any write to a shared layer is reported (weight
+// reads inside the amd64 assembly kernels are seen only with -tags
+// noasm). The weights must come out unchanged and the QModel must
+// equal, field by field, the one quantized from a deep copy.
+func TestQuantizeSharesNothingItWrites(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		m    *nn.Model
+	}{
+		{"kws_ds_cnn", models.KWSDSCNN(49, 10, 12)},
+		{"cifar_cnn", models.CIFARCNN(32, 3, 10)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.m
+			if err := nn.InitWeights(m, 61); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(62))
+			calib := []*tensor.F32{randTensor(rng, m.InputShape...), randTensor(rng, m.InputShape...)}
+			before := weightsDigest(m)
+			clone, err := m.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Quantize(clone, calib)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			stop := make(chan struct{})
+			var started, done sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				in := randTensor(rng, m.InputShape...)
+				started.Add(1)
+				done.Add(1)
+				go func() {
+					defer done.Done()
+					m.Forward(in)
+					started.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							m.Forward(in)
+						}
+					}
+				}()
+			}
+			started.Wait()
+			got, err := Quantize(m, calib)
+			close(stop)
+			done.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if weightsDigest(m) != before {
+				t.Error("Quantize changed the model's weights")
+			}
+			if !got.InputShape.Equal(want.InputShape) || got.InQ != want.InQ ||
+				got.NumClasses != want.NumClasses || len(got.Ops) != len(want.Ops) {
+				t.Fatalf("QModel header %v %v %d (%d ops), from a copy %v %v %d (%d ops)",
+					got.InputShape, got.InQ, got.NumClasses, len(got.Ops),
+					want.InputShape, want.InQ, want.NumClasses, len(want.Ops))
+			}
+			for i := range want.Ops {
+				if !reflect.DeepEqual(*got.Ops[i], *want.Ops[i]) {
+					t.Errorf("op %d (%s) differs from the one quantized from a copy", i, want.Ops[i].Kind)
+				}
+			}
+		})
 	}
 }

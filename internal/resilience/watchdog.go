@@ -50,6 +50,7 @@ type Watchdog struct {
 
 	stalled   atomic.Int64
 	cancelled atomic.Int64
+	sweeps    atomic.Int64 // completed Sweep calls, so tests can wait on one
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -123,6 +124,7 @@ func (w *Watchdog) Sweep() int {
 			}
 		}
 	}
+	w.sweeps.Add(1)
 	return flagged
 }
 

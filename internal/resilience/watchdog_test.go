@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -148,7 +149,14 @@ func TestWatchdogStartStopIdempotent(t *testing.T) {
 	w2 := NewWatchdog(sched, WatchdogConfig{Window: time.Hour, Poll: time.Millisecond})
 	w2.Start()
 	w2.Start()
-	time.Sleep(5 * time.Millisecond) // let the ticker fire a few sweeps
+	// The loop must really run: wait for its ticker's first two sweeps.
+	deadline := time.Now().Add(5 * time.Second)
+	for w2.sweeps.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sweeps 5s after Start", w2.sweeps.Load())
+		}
+		runtime.Gosched()
+	}
 	w2.Stop()
 	w2.Stop()
 }
