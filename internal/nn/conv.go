@@ -56,11 +56,7 @@ type Conv2D struct {
 	Pad     Padding
 	Act     Activation
 
-	W, B   *tensor.F32
-	GW, GB *tensor.F32
-
-	lastIn  *tensor.F32
-	lastOut *tensor.F32
+	W, B *tensor.F32
 }
 
 // NewConv2D creates a 2-D convolution layer.
@@ -78,8 +74,6 @@ func (c *Conv2D) Build(cin int) {
 	}
 	c.W = tensor.NewF32(c.Kernel, c.Kernel, cin, c.Filters)
 	c.B = tensor.NewF32(c.Filters)
-	c.GW = tensor.NewF32(c.Kernel, c.Kernel, cin, c.Filters)
-	c.GB = tensor.NewF32(c.Filters)
 }
 
 // Kind implements Layer.
@@ -90,7 +84,6 @@ func (c *Conv2D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("conv2d: want [H W C] input, got %v", in)
 	}
-	c.Build(in[2])
 	oh := convOutDim(in[0], c.Kernel, c.Stride, c.Pad)
 	ow := convOutDim(in[1], c.Kernel, c.Stride, c.Pad)
 	if oh <= 0 || ow <= 0 {
@@ -99,23 +92,9 @@ func (c *Conv2D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{oh, ow, c.Filters}, nil
 }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(in *tensor.F32) *tensor.F32 {
-	h, w, cin := in.Shape[0], in.Shape[1], in.Shape[2]
-	c.Build(cin)
-	oh := convOutDim(h, c.Kernel, c.Stride, c.Pad)
-	ow := convOutDim(w, c.Kernel, c.Stride, c.Pad)
-	out := tensor.NewF32(oh, ow, c.Filters)
-	c.InferInto(in.Shape, in.Data, out.Data)
-	c.lastIn = in
-	c.lastOut = out
-	return out
-}
-
 // InferInto implements Layer: the shared register-tiled convolution
 // forward (convForward).
 func (c *Conv2D) InferInto(in tensor.Shape, src, dst []float32) {
-	c.Build(in[2])
 	y, x := ConvAxes(in[0], in[1], c.Kernel, c.Stride, c.Pad)
 	convForward{y: y, x: x, cin: in[2], in: src, out: dst, w: c.W.Data, b: c.B.Data, act: c.Act}.infer()
 }
@@ -159,23 +138,22 @@ func (c convForward) infer() {
 // benchmark module still calls it.
 func SetConvWorkers(n int) int { return 0 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(gradOut *tensor.F32) *tensor.F32 {
-	in := c.lastIn
-	h, w, cin := in.Shape[0], in.Shape[1], in.Shape[2]
-	oh, ow := gradOut.Shape[0], gradOut.Shape[1]
+func (c *Conv2D) backward(in tensor.Shape, x, y, gy, gx []float32, grads []*tensor.F32) {
+	h, w, cin := in[0], in[1], in[2]
+	oh, ow := convOutDim(h, c.Kernel, c.Stride, c.Pad), convOutDim(w, c.Kernel, c.Stride, c.Pad)
 	py := padOffset(h, c.Kernel, c.Stride, c.Pad)
 	px := padOffset(w, c.Kernel, c.Stride, c.Pad)
-	gradIn := tensor.NewF32(h, w, cin)
+	gw, gb := grads[0].Data, grads[1].Data
+	clear(gx)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			for f := 0; f < c.Filters; f++ {
 				idx := (oy*ow+ox)*c.Filters + f
-				g := gradOut.Data[idx] * c.Act.grad(c.lastOut.Data[idx])
+				g := gy[idx] * c.Act.grad(y[idx])
 				if g == 0 {
 					continue
 				}
-				c.GB.Data[f] += g
+				gb[f] += g
 				for ky := 0; ky < c.Kernel; ky++ {
 					iy := oy*c.Stride + ky - py
 					if iy < 0 || iy >= h {
@@ -189,15 +167,14 @@ func (c *Conv2D) Backward(gradOut *tensor.F32) *tensor.F32 {
 						inBase := (iy*w + ix) * cin
 						wBase := ((ky*c.Kernel + kx) * cin) * c.Filters
 						for ci := 0; ci < cin; ci++ {
-							c.GW.Data[wBase+ci*c.Filters+f] += g * in.Data[inBase+ci]
-							gradIn.Data[inBase+ci] += g * c.W.Data[wBase+ci*c.Filters+f]
+							gw[wBase+ci*c.Filters+f] += g * x[inBase+ci]
+							gx[inBase+ci] += g * c.W.Data[wBase+ci*c.Filters+f]
 						}
 					}
 				}
 			}
 		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
@@ -206,14 +183,6 @@ func (c *Conv2D) Params() []*tensor.F32 {
 		return nil
 	}
 	return []*tensor.F32{c.W, c.B}
-}
-
-// Grads implements Layer.
-func (c *Conv2D) Grads() []*tensor.F32 {
-	if c.GW == nil {
-		return nil
-	}
-	return []*tensor.F32{c.GW, c.GB}
 }
 
 // MACs implements Layer.
@@ -235,11 +204,7 @@ type DepthwiseConv2D struct {
 	Pad    Padding
 	Act    Activation
 
-	W, B   *tensor.F32
-	GW, GB *tensor.F32
-
-	lastIn  *tensor.F32
-	lastOut *tensor.F32
+	W, B *tensor.F32
 }
 
 // NewDepthwiseConv2D creates a depthwise convolution layer.
@@ -257,8 +222,6 @@ func (c *DepthwiseConv2D) Build(ch int) {
 	}
 	c.W = tensor.NewF32(c.Kernel, c.Kernel, ch)
 	c.B = tensor.NewF32(ch)
-	c.GW = tensor.NewF32(c.Kernel, c.Kernel, ch)
-	c.GB = tensor.NewF32(ch)
 }
 
 // Kind implements Layer.
@@ -269,7 +232,6 @@ func (c *DepthwiseConv2D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("depthwise_conv2d: want [H W C] input, got %v", in)
 	}
-	c.Build(in[2])
 	oh := convOutDim(in[0], c.Kernel, c.Stride, c.Pad)
 	ow := convOutDim(in[1], c.Kernel, c.Stride, c.Pad)
 	if oh <= 0 || ow <= 0 {
@@ -278,26 +240,12 @@ func (c *DepthwiseConv2D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{oh, ow, in[2]}, nil
 }
 
-// Forward implements Layer.
-func (c *DepthwiseConv2D) Forward(in *tensor.F32) *tensor.F32 {
-	h, w, ch := in.Shape[0], in.Shape[1], in.Shape[2]
-	c.Build(ch)
-	oh := convOutDim(h, c.Kernel, c.Stride, c.Pad)
-	ow := convOutDim(w, c.Kernel, c.Stride, c.Pad)
-	out := tensor.NewF32(oh, ow, ch)
-	c.InferInto(in.Shape, in.Data, out.Data)
-	c.lastIn = in
-	c.lastOut = out
-	return out
-}
-
 // InferInto implements Layer. Each run of output pixels that share a
 // tap window is one simd.DepthwiseF32 call (input row, [K,K,C] weight
 // row and output row are all contiguous over the kx taps); per channel
 // the tap accumulation order is the channel-major loop's.
 func (c *DepthwiseConv2D) InferInto(in tensor.Shape, src, dst []float32) {
 	w, ch := in[1], in[2]
-	c.Build(ch)
 	y := NewAxis(in[0], c.Kernel, c.Stride, c.Pad)
 	x := NewAxis(w, c.Kernel, c.Stride, c.Pad)
 	for oy := 0; oy < y.Out; oy++ {
@@ -315,23 +263,22 @@ func (c *DepthwiseConv2D) InferInto(in tensor.Shape, src, dst []float32) {
 	}
 }
 
-// Backward implements Layer.
-func (c *DepthwiseConv2D) Backward(gradOut *tensor.F32) *tensor.F32 {
-	in := c.lastIn
-	h, w, ch := in.Shape[0], in.Shape[1], in.Shape[2]
-	oh, ow := gradOut.Shape[0], gradOut.Shape[1]
+func (c *DepthwiseConv2D) backward(in tensor.Shape, x, y, gy, gx []float32, grads []*tensor.F32) {
+	h, w, ch := in[0], in[1], in[2]
+	oh, ow := convOutDim(h, c.Kernel, c.Stride, c.Pad), convOutDim(w, c.Kernel, c.Stride, c.Pad)
 	py := padOffset(h, c.Kernel, c.Stride, c.Pad)
 	px := padOffset(w, c.Kernel, c.Stride, c.Pad)
-	gradIn := tensor.NewF32(h, w, ch)
+	gw, gb := grads[0].Data, grads[1].Data
+	clear(gx)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			for ci := 0; ci < ch; ci++ {
 				idx := (oy*ow+ox)*ch + ci
-				g := gradOut.Data[idx] * c.Act.grad(c.lastOut.Data[idx])
+				g := gy[idx] * c.Act.grad(y[idx])
 				if g == 0 {
 					continue
 				}
-				c.GB.Data[ci] += g
+				gb[ci] += g
 				for ky := 0; ky < c.Kernel; ky++ {
 					iy := oy*c.Stride + ky - py
 					if iy < 0 || iy >= h {
@@ -342,14 +289,13 @@ func (c *DepthwiseConv2D) Backward(gradOut *tensor.F32) *tensor.F32 {
 						if ix < 0 || ix >= w {
 							continue
 						}
-						c.GW.Data[(ky*c.Kernel+kx)*ch+ci] += g * in.Data[(iy*w+ix)*ch+ci]
-						gradIn.Data[(iy*w+ix)*ch+ci] += g * c.W.Data[(ky*c.Kernel+kx)*ch+ci]
+						gw[(ky*c.Kernel+kx)*ch+ci] += g * x[(iy*w+ix)*ch+ci]
+						gx[(iy*w+ix)*ch+ci] += g * c.W.Data[(ky*c.Kernel+kx)*ch+ci]
 					}
 				}
 			}
 		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
@@ -358,14 +304,6 @@ func (c *DepthwiseConv2D) Params() []*tensor.F32 {
 		return nil
 	}
 	return []*tensor.F32{c.W, c.B}
-}
-
-// Grads implements Layer.
-func (c *DepthwiseConv2D) Grads() []*tensor.F32 {
-	if c.GW == nil {
-		return nil
-	}
-	return []*tensor.F32{c.GW, c.GB}
 }
 
 // MACs implements Layer.
@@ -388,11 +326,7 @@ type Conv1D struct {
 	Pad     Padding
 	Act     Activation
 
-	W, B   *tensor.F32
-	GW, GB *tensor.F32
-
-	lastIn  *tensor.F32
-	lastOut *tensor.F32
+	W, B *tensor.F32
 }
 
 // NewConv1D creates a 1-D convolution layer.
@@ -410,8 +344,6 @@ func (c *Conv1D) Build(cin int) {
 	}
 	c.W = tensor.NewF32(c.Kernel, cin, c.Filters)
 	c.B = tensor.NewF32(c.Filters)
-	c.GW = tensor.NewF32(c.Kernel, cin, c.Filters)
-	c.GB = tensor.NewF32(c.Filters)
 }
 
 // Kind implements Layer.
@@ -422,7 +354,6 @@ func (c *Conv1D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	if len(in) != 2 {
 		return nil, fmt.Errorf("conv1d: want [T C] input, got %v", in)
 	}
-	c.Build(in[1])
 	ot := convOutDim(in[0], c.Kernel, c.Stride, c.Pad)
 	if ot <= 0 {
 		return nil, fmt.Errorf("conv1d: kernel %d does not fit input %v", c.Kernel, in)
@@ -430,41 +361,27 @@ func (c *Conv1D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{ot, c.Filters}, nil
 }
 
-// Forward implements Layer.
-func (c *Conv1D) Forward(in *tensor.F32) *tensor.F32 {
-	t, cin := in.Shape[0], in.Shape[1]
-	c.Build(cin)
-	ot := convOutDim(t, c.Kernel, c.Stride, c.Pad)
-	out := tensor.NewF32(ot, c.Filters)
-	c.InferInto(in.Shape, in.Data, out.Data)
-	c.lastIn = in
-	c.lastOut = out
-	return out
-}
-
 // InferInto implements Layer: a Conv2D over one input row, on the same
 // convForward.
 func (c *Conv1D) InferInto(in tensor.Shape, src, dst []float32) {
-	c.Build(in[1])
 	convForward{y: NewAxis(1, 1, 1, Valid), x: NewAxis(in[0], c.Kernel, c.Stride, c.Pad), cin: in[1],
 		in: src, out: dst, w: c.W.Data, b: c.B.Data, act: c.Act}.infer()
 }
 
-// Backward implements Layer.
-func (c *Conv1D) Backward(gradOut *tensor.F32) *tensor.F32 {
-	in := c.lastIn
-	t, cin := in.Shape[0], in.Shape[1]
-	ot := gradOut.Shape[0]
+func (c *Conv1D) backward(in tensor.Shape, x, y, gy, gx []float32, grads []*tensor.F32) {
+	t, cin := in[0], in[1]
+	ot := convOutDim(t, c.Kernel, c.Stride, c.Pad)
 	p := padOffset(t, c.Kernel, c.Stride, c.Pad)
-	gradIn := tensor.NewF32(t, cin)
+	gw, gb := grads[0].Data, grads[1].Data
+	clear(gx)
 	for o := 0; o < ot; o++ {
 		for f := 0; f < c.Filters; f++ {
 			idx := o*c.Filters + f
-			g := gradOut.Data[idx] * c.Act.grad(c.lastOut.Data[idx])
+			g := gy[idx] * c.Act.grad(y[idx])
 			if g == 0 {
 				continue
 			}
-			c.GB.Data[f] += g
+			gb[f] += g
 			for k := 0; k < c.Kernel; k++ {
 				i := o*c.Stride + k - p
 				if i < 0 || i >= t {
@@ -473,13 +390,12 @@ func (c *Conv1D) Backward(gradOut *tensor.F32) *tensor.F32 {
 				inBase := i * cin
 				wBase := k * cin * c.Filters
 				for ci := 0; ci < cin; ci++ {
-					c.GW.Data[wBase+ci*c.Filters+f] += g * in.Data[inBase+ci]
-					gradIn.Data[inBase+ci] += g * c.W.Data[wBase+ci*c.Filters+f]
+					gw[wBase+ci*c.Filters+f] += g * x[inBase+ci]
+					gx[inBase+ci] += g * c.W.Data[wBase+ci*c.Filters+f]
 				}
 			}
 		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
@@ -488,14 +404,6 @@ func (c *Conv1D) Params() []*tensor.F32 {
 		return nil
 	}
 	return []*tensor.F32{c.W, c.B}
-}
-
-// Grads implements Layer.
-func (c *Conv1D) Grads() []*tensor.F32 {
-	if c.GW == nil {
-		return nil
-	}
-	return []*tensor.F32{c.GW, c.GB}
 }
 
 // MACs implements Layer.

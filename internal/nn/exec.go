@@ -108,12 +108,26 @@ func NewExecutor[T Elem, N, S any](input tensor.Shape, ops []Op[N], binding Bind
 	}
 	bufs, bufOf := ActivationAssignments(input, specs, 1)
 	arenaLen, offs := PlanArena(bufs)
-	e := &Executor[T, N, S]{p: p, input: input.Clone(), inOff: int(offs[0]), arenaLen: int(arenaLen), binding: binding}
+	at := make([]int, len(bufOf))
+	for b, buf := range bufOf {
+		at[b] = int(offs[buf])
+		if b > 0 && buf == bufOf[b-1] {
+			at[b] = -1
+		}
+	}
+	return placedExecutor(input, ops, binding, p, int(arenaLen), at)
+}
+
+// placedExecutor builds an executor on an arena of arenaLen elements:
+// at[0] is the input's offset and at[i+1] that of op i's output, or -1
+// where op i hands on its input instead.
+func placedExecutor[T Elem, N, S any](input tensor.Shape, ops []Op[N], binding Binding, p Precision[T, N, S], arenaLen int, at []int) (*Executor[T, N, S], error) {
+	e := &Executor[T, N, S]{p: p, input: input.Clone(), inOff: at[0], arenaLen: arenaLen, binding: binding}
 	e.output = e.input
 	inOff, inElems := e.inOff, input.Elems()
 	for i, op := range ops {
-		st := step[T, N, S]{op: op, off: -1, elems: op.OutShape.Elems()}
-		alias := Aliases(op.Kind)
+		st := step[T, N, S]{op: op, off: at[i+1], elems: op.OutShape.Elems()}
+		alias := st.off < 0
 		if !op.InShape.Equal(e.output) || !op.OutShape.Valid() || alias && st.elems != inElems {
 			return nil, fmt.Errorf("nn: op %d (%s): shapes %v -> %v do not follow %v", i, op.Kind, op.InShape, op.OutShape, e.output)
 		}
@@ -124,7 +138,6 @@ func NewExecutor[T Elem, N, S any](input tensor.Shape, ops []Op[N], binding Bind
 			if binding == ResolvePerCall {
 				st.kernel = nil
 			}
-			st.off = int(offs[bufOf[i+1]])
 			if st.off < inOff+inElems && inOff < st.off+st.elems {
 				return nil, fmt.Errorf("nn: op %d (%s): output [%d,%d) overlaps its input [%d,%d)",
 					i, op.Kind, st.off, st.off+st.elems, inOff, inOff+inElems)
@@ -178,10 +191,18 @@ func (e *Executor[T, N, S]) Observe(in *tensor.F32, fn func(b int, x []T)) error
 // walk is the executor's one loop: it stages in into a pooled arena,
 // runs every op and hands fn each activation while the arena is held.
 func (e *Executor[T, N, S]) walk(in *tensor.F32, fn func(b int, x []T)) error {
+	s := e.pool.Get().(*runState[T, S])
+	err := e.walkOn(s, in, fn)
+	e.pool.Put(s)
+	return err
+}
+
+// walkOn is walk on a caller-owned arena, which keeps every activation
+// once the walk returns (a training state's).
+func (e *Executor[T, N, S]) walkOn(s *runState[T, S], in *tensor.F32, fn func(b int, x []T)) error {
 	if !in.Shape.Equal(e.input) || len(in.Data) != e.input.Elems() {
 		return fmt.Errorf("nn: input %v (%d elems) != model input %v", in.Shape, len(in.Data), e.input)
 	}
-	s := e.pool.Get().(*runState[T, S])
 	x := s.arena[e.inOff : e.inOff+len(in.Data)]
 	e.p.Stage(x, in.Data)
 	fn(0, x)
@@ -198,7 +219,6 @@ func (e *Executor[T, N, S]) walk(in *tensor.F32, fn func(b int, x []T)) error {
 		}
 		fn(i+1, x)
 	}
-	e.pool.Put(s)
 	if e.binding == ResolvePerCall {
 		e.walked.Add(int64(len(e.steps)))
 	}
@@ -210,19 +230,27 @@ func (e *Executor[T, N, S]) walk(in *tensor.F32, fn func(b int, x []T)) error {
 type FloatExecutor = Executor[float32, Layer, struct{}]
 
 // floatKernels is the float32 kernel table: every layer kind that
-// computes runs the layer's own stateless InferInto.
+// computes runs the layer's own stateless InferInto. Dropout computes
+// only in a training plan, where its node is the run's maskedDropout.
 var floatKernels = map[string]Kernel[float32, Layer, struct{}]{
 	"dense": inferLayer, "conv2d": inferLayer, "depthwise_conv2d": inferLayer, "conv1d": inferLayer,
 	"maxpool2d": inferLayer, "avgpool2d": inferLayer, "maxpool1d": inferLayer, "gap2d": inferLayer,
-	"softmax": inferLayer, "batchnorm": inferLayer,
+	"softmax": inferLayer, "batchnorm": inferLayer, "dropout": inferLayer,
 }
 
 func inferLayer(op *Op[Layer], src, dst []float32, _ *struct{}) {
 	op.Node.InferInto(op.InShape, src, dst)
 }
 
-// NewFloatExecutor builds the float32 executor of a model.
-func NewFloatExecutor(m *Model, binding Binding) (*FloatExecutor, error) {
+var floatPrecision = Precision[float32, Layer, struct{}]{
+	Kernels:    floatKernels,
+	NewScratch: func() *struct{} { return new(struct{}) },
+	Stage:      func(dst, src []float32) { copy(dst, src) },
+	Result:     func(res *tensor.F32, x []float32) { copy(res.Data, x) },
+}
+
+// floatOps is a model's op list, each op's node its layer.
+func floatOps(m *Model) ([]Op[Layer], error) {
 	specs, err := m.Spec()
 	if err != nil {
 		return nil, fmt.Errorf("nn: %w", err)
@@ -231,10 +259,14 @@ func NewFloatExecutor(m *Model, binding Binding) (*FloatExecutor, error) {
 	for i, s := range specs {
 		ops[i] = Op[Layer]{OpSpec: s, Node: m.Layers[i]}
 	}
-	return NewExecutor(m.InputShape, ops, binding, Precision[float32, Layer, struct{}]{
-		Kernels:    floatKernels,
-		NewScratch: func() *struct{} { return new(struct{}) },
-		Stage:      func(dst, src []float32) { copy(dst, src) },
-		Result:     func(res *tensor.F32, x []float32) { copy(res.Data, x) },
-	})
+	return ops, nil
+}
+
+// NewFloatExecutor builds the float32 executor of a model.
+func NewFloatExecutor(m *Model, binding Binding) (*FloatExecutor, error) {
+	ops, err := floatOps(m)
+	if err != nil {
+		return nil, err
+	}
+	return NewExecutor(m.InputShape, ops, binding, floatPrecision)
 }

@@ -91,6 +91,22 @@ func randInputs(rng *rand.Rand, shape tensor.Shape, n int) []*tensor.F32 {
 	return ins
 }
 
+// floatReference runs the layers' InferInto one at a time into fresh
+// buffers (no arena, no executor).
+func floatReference(m *nn.Model, in *tensor.F32) *tensor.F32 {
+	x := in
+	for _, l := range m.Layers {
+		shape, err := l.OutShape(x.Shape)
+		if err != nil {
+			panic(err)
+		}
+		y := tensor.NewF32(shape...)
+		l.InferInto(x.Shape, x.Data, y.Data)
+		x = y
+	}
+	return x
+}
+
 // int8Reference runs the int8 pipeline one op at a time into fresh
 // buffers (no arena, no executor) and dequantizes the last activation,
 // through the float softmax head when the model ends in one.
@@ -142,7 +158,7 @@ func TestExecutorLayoutsAndBindingsBitwiseEqual(t *testing.T) {
 		floatWant := make([]*tensor.F32, len(ins))
 		int8Want := make([]*tensor.F32, len(ins))
 		for i, in := range ins {
-			floatWant[i] = m.ForwardTraining(in)
+			floatWant[i] = floatReference(m, in)
 			int8Want[i] = int8Reference(qm, in)
 		}
 

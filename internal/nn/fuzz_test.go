@@ -98,6 +98,7 @@ func FuzzConvF32(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.Build(in[2])
 		fillParams(rng, c.Params())
 		x := tensor.NewF32(in...)
 		fuzzFill(rng, x, special)
@@ -127,6 +128,7 @@ func FuzzDepthwiseF32(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.Build(in[2])
 		fillParams(rng, c.Params())
 		x := tensor.NewF32(in...)
 		fuzzFill(rng, x, special)

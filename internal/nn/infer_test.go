@@ -79,7 +79,7 @@ func TestConv2DReorderBitwiseIdentical(t *testing.T) {
 		in := randTensor(rng, 9, 7, 3)
 		c.Build(3)
 		fillParams(rng, c.Params())
-		got := c.Forward(in)
+		got := forward(t, c, in)
 		want := refConv2D(c, in)
 		if !got.Shape.Equal(want.Shape) {
 			t.Fatalf("%+v: shape %v != %v", cfg, got.Shape, want.Shape)
@@ -99,7 +99,7 @@ func TestDepthwiseReorderBitwiseIdentical(t *testing.T) {
 		in := randTensor(rng, 8, 6, 4)
 		c.Build(4)
 		fillParams(rng, c.Params())
-		got := c.Forward(in)
+		got := forward(t, c, in)
 		want := refDepthwise(c, in)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
@@ -115,7 +115,7 @@ func TestDenseReorderBitwiseIdentical(t *testing.T) {
 	in := randTensor(rng, 31)
 	d.Build(31)
 	fillParams(rng, d.Params())
-	got := d.Forward(in)
+	got := forward(t, d, in)
 	want := refDense(d, in)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
@@ -145,22 +145,37 @@ func testModel(t testing.TB) *Model {
 	return m
 }
 
-// TestInferPlanMatchesTrainingForward is the arena-backed golden check:
-// the pooled plan path must reproduce the stateful per-layer path
-// bitwise, across repeated (buffer-reusing) calls.
+// TestInferPlanMatchesTrainingForward holds the float executor's two
+// arenas to each other: a TrainState's, which keeps every activation for
+// the backward, and the pooled inference plan give the same
+// probabilities bit for bit across repeated calls, once the training
+// dropout (the identity at inference) is taken out.
 func TestInferPlanMatchesTrainingForward(t *testing.T) {
 	m := testModel(t)
+	noDrop := &Model{InputShape: m.InputShape, NumClasses: m.NumClasses}
+	for _, l := range m.Layers {
+		if _, ok := l.(*Dropout); !ok {
+			noDrop.Layers = append(noDrop.Layers, l)
+		}
+	}
+	s, err := NewTrainState(noDrop)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 5; trial++ {
 		in := randTensor(rng, 12, 10)
-		want := m.ForwardTraining(in)
-		got := m.Forward(in)
-		if !got.Shape.Equal(want.Shape) {
-			t.Fatalf("shape %v != %v", got.Shape, want.Shape)
+		want := m.Forward(in)
+		got, err := s.Forward(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want.Data) {
+			t.Fatalf("%d probabilities, want %d", len(got), len(want.Data))
 		}
 		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("trial %d elem %d: %v != %v", trial, i, got.Data[i], want.Data[i])
+			if got[i] != want.Data[i] {
+				t.Fatalf("trial %d elem %d: %v != %v", trial, i, got[i], want.Data[i])
 			}
 		}
 	}

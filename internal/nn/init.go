@@ -7,8 +7,8 @@ import (
 
 // InitWeights initializes all trainable weights with fan-in-scaled
 // Gaussian noise (He initialization for ReLU-family activations, Glorot
-// otherwise) and zero biases. It forces lazy layer construction first, so
-// the model must have a valid InputShape. Deterministic for a given seed.
+// otherwise) and zero biases, as Model.Add allocated them. It validates
+// the layer stack first. Deterministic for a given seed.
 func InitWeights(m *Model, seed int64) error {
 	if _, err := m.OutputShape(); err != nil {
 		return err

@@ -103,30 +103,25 @@ func (a Activation) grad(y float32) float32 {
 	}
 }
 
-// Layer is one operation in a sequential model.
+// Layer is one operation in a sequential model. A layer holds its
+// hyperparameters and parameters and nothing else: every method below
+// reads the layer and writes none of its fields. Parameters are allocated
+// once, when the layer joins a model (Model.Add) or by an explicit Build
+// on a standalone layer.
 type Layer interface {
 	// Kind returns the op type identifier, e.g. "conv2d".
 	Kind() string
 	// OutShape returns the output shape for the given input shape.
 	OutShape(in tensor.Shape) (tensor.Shape, error)
-	// Forward runs inference, caching whatever Backward needs.
-	Forward(in *tensor.F32) *tensor.F32
-	// InferInto runs stateless inference on src, an activation of shape
-	// in, writing the result into dst, which holds OutShape(in)
-	// elements. It mutates no layer state, so one layer may serve
-	// concurrent inferences as long as each caller owns its dst. Layers whose
-	// inference is the identity (flatten, reshape, dropout) copy;
-	// arena-backed drivers skip the call and alias the buffers instead
-	// (see Aliases).
+	// InferInto runs inference on src, an activation of shape in,
+	// writing the result into dst, which holds OutShape(in) elements.
+	// One layer may serve concurrent inferences as long as each caller
+	// owns its dst. Layers whose inference is the identity (flatten,
+	// reshape, dropout) copy; arena-backed drivers skip the call and
+	// alias the buffers instead (see Aliases).
 	InferInto(in tensor.Shape, src, dst []float32)
-	// Backward consumes the gradient w.r.t. this layer's output and
-	// returns the gradient w.r.t. its input, accumulating parameter
-	// gradients. It must be called after Forward.
-	Backward(gradOut *tensor.F32) *tensor.F32
 	// Params returns trainable parameter tensors (possibly empty).
 	Params() []*tensor.F32
-	// Grads returns gradient tensors matching Params element-wise.
-	Grads() []*tensor.F32
 	// MACs returns multiply-accumulate count for the given input shape.
 	MACs(in tensor.Shape) int64
 }
@@ -150,8 +145,16 @@ func NewModel(inputShape ...int) *Model {
 	return &Model{InputShape: tensor.Shape(inputShape).Clone()}
 }
 
-// Add appends a layer and returns the model for chaining.
+// Add appends a layer, allocating its parameters for the shape it
+// receives unless they already fit, and returns the model for chaining.
 func (m *Model) Add(l Layer) *Model {
+	if b, ok := l.(interface{ Build(int) }); ok {
+		if in, err := m.OutputShape(); err == nil {
+			if _, err := l.OutShape(in); err == nil {
+				b.Build(in[len(in)-1])
+			}
+		}
+	}
 	m.Layers = append(m.Layers, l)
 	m.exec.Store(nil) // the cached executor is stale
 	return m
@@ -177,8 +180,8 @@ func (m *Model) OutputShape() (tensor.Shape, error) {
 //
 // Forward panics when the layer stack is shape-inconsistent or in does
 // not have the model's input shape; callers holding untrusted input
-// check the shape first (core.Impulse.classify does). Training code must
-// use ForwardTraining, which caches the state Backward consumes.
+// check the shape first (core.Impulse.classify does). Training runs the
+// same executor on a TrainState's arena.
 func (m *Model) Forward(in *tensor.F32) *tensor.F32 {
 	out, err := m.executor().Run(in)
 	if err != nil {
@@ -199,17 +202,6 @@ func (m *Model) executor() *FloatExecutor {
 		m.exec.Store(e)
 	}
 	return e
-}
-
-// ForwardTraining runs inference through the stateful per-layer path,
-// caching the activations Backward needs. It allocates per layer and
-// must not be called concurrently on one model.
-func (m *Model) ForwardTraining(in *tensor.F32) *tensor.F32 {
-	x := in
-	for _, l := range m.Layers {
-		x = l.Forward(x)
-	}
-	return x
 }
 
 // ForwardTo runs inference on the model's executor and returns a copy
@@ -234,15 +226,6 @@ func (m *Model) ForwardTo(in *tensor.F32, n int) *tensor.F32 {
 	return out
 }
 
-// Backward backpropagates from the output gradient through all layers.
-func (m *Model) Backward(gradOut *tensor.F32) *tensor.F32 {
-	g := gradOut
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		g = m.Layers[i].Backward(g)
-	}
-	return g
-}
-
 // Params returns all trainable tensors in layer order.
 func (m *Model) Params() []*tensor.F32 {
 	var out []*tensor.F32
@@ -250,22 +233,6 @@ func (m *Model) Params() []*tensor.F32 {
 		out = append(out, l.Params()...)
 	}
 	return out
-}
-
-// Grads returns all gradient tensors matching Params.
-func (m *Model) Grads() []*tensor.F32 {
-	var out []*tensor.F32
-	for _, l := range m.Layers {
-		out = append(out, l.Grads()...)
-	}
-	return out
-}
-
-// ZeroGrads clears all accumulated gradients.
-func (m *Model) ZeroGrads() {
-	for _, g := range m.Grads() {
-		g.Zero()
-	}
 }
 
 // ParamCount returns the total number of trainable scalars.

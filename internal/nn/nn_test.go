@@ -26,31 +26,41 @@ func lossOf(out *tensor.F32) float64 {
 	return s
 }
 
-// checkGradients numerically verifies parameter and input gradients of a
-// layer for a given input.
-func checkGradients(t *testing.T, layer Layer, in *tensor.F32, tol float64) {
+// forward runs a layer's InferInto on in into a fresh tensor.
+func forward(t testing.TB, l Layer, in *tensor.F32) *tensor.F32 {
 	t.Helper()
-	// Force build.
-	if _, err := layer.OutShape(in.Shape); err != nil {
+	shape, err := l.OutShape(in.Shape)
+	if err != nil {
 		t.Fatalf("OutShape: %v", err)
 	}
-	out := layer.Forward(in)
-	gradOut := out.Clone() // dL/dout = out for the quadratic loss
-	for _, g := range layer.Grads() {
-		g.Zero()
+	out := tensor.NewF32(shape...)
+	l.InferInto(in.Shape, in.Data, out.Data)
+	return out
+}
+
+// checkGradients numerically verifies a layer's backward kernel,
+// parameter and input gradients, for a given input.
+func checkGradients(t *testing.T, layer Layer, in *tensor.F32, tol float64) {
+	t.Helper()
+	out := forward(t, layer, in)
+	var grads []*tensor.F32
+	for _, p := range layer.Params() {
+		grads = append(grads, tensor.NewF32(p.Shape...))
 	}
-	gradIn := layer.Backward(gradOut)
+	gradIn := tensor.NewF32(in.Shape...)
+	// dL/dout = out for the quadratic loss
+	layer.(trainable).backward(in.Shape, in.Data, out.Data, out.Clone().Data, gradIn.Data, grads)
 
 	const eps = 1e-3
 	// Parameter gradients.
 	for pi, p := range layer.Params() {
-		g := layer.Grads()[pi]
+		g := grads[pi]
 		for i := 0; i < len(p.Data); i += 1 + len(p.Data)/17 { // sample indices
 			orig := p.Data[i]
 			p.Data[i] = orig + eps
-			lp := lossOf(layer.Forward(in))
+			lp := lossOf(forward(t, layer, in))
 			p.Data[i] = orig - eps
-			lm := lossOf(layer.Forward(in))
+			lm := lossOf(forward(t, layer, in))
 			p.Data[i] = orig
 			want := (lp - lm) / (2 * eps)
 			got := float64(g.Data[i])
@@ -63,9 +73,9 @@ func checkGradients(t *testing.T, layer Layer, in *tensor.F32, tol float64) {
 	for i := 0; i < len(in.Data); i += 1 + len(in.Data)/17 {
 		orig := in.Data[i]
 		in.Data[i] = orig + eps
-		lp := lossOf(layer.Forward(in))
+		lp := lossOf(forward(t, layer, in))
 		in.Data[i] = orig - eps
-		lm := lossOf(layer.Forward(in))
+		lm := lossOf(forward(t, layer, in))
 		in.Data[i] = orig
 		want := (lp - lm) / (2 * eps)
 		got := float64(gradIn.Data[i])
@@ -73,8 +83,6 @@ func checkGradients(t *testing.T, layer Layer, in *tensor.F32, tol float64) {
 			t.Errorf("%s input[%d]: grad %g, numeric %g", layer.Kind(), i, got, want)
 		}
 	}
-	// Restore cached state for any later use.
-	layer.Forward(in)
 }
 
 func TestDenseKnownValues(t *testing.T) {
@@ -83,7 +91,7 @@ func TestDenseKnownValues(t *testing.T) {
 	// W[in][out]
 	copy(d.W.Data, []float32{1, 2, 3, 4, 5, 6}) // row i: [i*2, i*2+1]
 	copy(d.B.Data, []float32{0.5, -0.5})
-	out := d.Forward(tensor.MustFromSlice([]float32{1, 1, 1}, 3))
+	out := forward(t, d, tensor.MustFromSlice([]float32{1, 1, 1}, 3))
 	// out0 = 1+3+5+0.5 = 9.5; out1 = 2+4+6-0.5 = 11.5
 	if out.Data[0] != 9.5 || out.Data[1] != 11.5 {
 		t.Fatalf("out = %v", out.Data)
@@ -109,7 +117,7 @@ func TestConv2DKnownValues(t *testing.T) {
 		c.W.Data[i] = 1
 	}
 	in := tensor.MustFromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 3, 3, 1)
-	out := c.Forward(in)
+	out := forward(t, c, in)
 	want := []float32{12, 16, 24, 28}
 	if !out.Shape.Equal([]int{2, 2, 1}) {
 		t.Fatalf("shape = %v", out.Shape)
@@ -163,7 +171,7 @@ func TestDepthwiseChannelIsolation(t *testing.T) {
 	}
 	c.B.Data[1] = 7
 	rng := rand.New(rand.NewSource(4))
-	out := c.Forward(randInput(rng, 4, 4, 2))
+	out := forward(t, c, randInput(rng, 4, 4, 2))
 	for i := 0; i < 16; i++ {
 		if out.Data[i*2+1] != 7 {
 			t.Fatalf("channel 1 leaked: %g", out.Data[i*2+1])
@@ -190,7 +198,7 @@ func TestPoolGradients(t *testing.T) {
 func TestMaxPoolKnownValues(t *testing.T) {
 	p := NewMaxPool2D(2, 2)
 	in := tensor.MustFromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 4, 4, 1)
-	out := p.Forward(in)
+	out := forward(t, p, in)
 	want := []float32{6, 8, 14, 16}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -202,7 +210,7 @@ func TestMaxPoolKnownValues(t *testing.T) {
 func TestGlobalAvgPool(t *testing.T) {
 	g := NewGlobalAvgPool2D()
 	in := tensor.MustFromSlice([]float32{1, 10, 2, 20, 3, 30, 4, 40}, 2, 2, 2)
-	out := g.Forward(in)
+	out := forward(t, g, in)
 	if out.Data[0] != 2.5 || out.Data[1] != 25 {
 		t.Fatalf("out = %v", out.Data)
 	}
@@ -210,7 +218,7 @@ func TestGlobalAvgPool(t *testing.T) {
 
 func TestSoftmax(t *testing.T) {
 	s := NewSoftmax()
-	out := s.Forward(tensor.MustFromSlice([]float32{1, 2, 3}, 3))
+	out := forward(t, s, tensor.MustFromSlice([]float32{1, 2, 3}, 3))
 	var sum float32
 	for _, v := range out.Data {
 		sum += v
@@ -222,17 +230,12 @@ func TestSoftmax(t *testing.T) {
 		t.Fatal("softmax not monotone")
 	}
 	// Large logits must not overflow.
-	out = s.Forward(tensor.MustFromSlice([]float32{1000, 1000, 999}, 3))
+	out = forward(t, s, tensor.MustFromSlice([]float32{1000, 1000, 999}, 3))
 	for _, v := range out.Data {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatal("softmax overflow")
 		}
 	}
-}
-
-func TestSoftmaxGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	checkGradients(t, NewSoftmax(), randInput(rng, 5), 1e-2)
 }
 
 func TestBatchNormGradients(t *testing.T) {
@@ -249,7 +252,8 @@ func TestBatchNormGradients(t *testing.T) {
 func TestBatchNormIdentityDefaults(t *testing.T) {
 	bn := NewBatchNorm()
 	in := tensor.MustFromSlice([]float32{1, -2, 3}, 3)
-	out := bn.Forward(in)
+	bn.Build(3)
+	out := forward(t, bn, in)
 	for i := range in.Data {
 		if math.Abs(float64(out.Data[i]-in.Data[i])) > 5e-3 {
 			t.Errorf("default BN not identity: %g -> %g", in.Data[i], out.Data[i])
@@ -262,15 +266,14 @@ func TestDropout(t *testing.T) {
 	in := tensor.NewF32(1000)
 	in.Fill(1)
 	// Inference: identity.
-	out := d.Forward(in)
+	out := forward(t, d, in)
 	for _, v := range out.Data {
 		if v != 1 {
 			t.Fatal("dropout not identity at inference")
 		}
 	}
 	// Training: roughly half dropped, survivors scaled 2x.
-	d.Training = true
-	out = d.Forward(in)
+	out = forward(t, &maskedDropout{Dropout: d, rng: rand.New(rand.NewSource(42)), mask: make([]bool, 1000)}, in)
 	kept := 0
 	for _, v := range out.Data {
 		if v != 0 {
@@ -285,16 +288,37 @@ func TestDropout(t *testing.T) {
 	}
 }
 
+// fixedMask is a training dropout whose every forward draws the same
+// mask, so a numeric gradient sees one function.
+type fixedMask struct {
+	*maskedDropout
+}
+
+func (d fixedMask) InferInto(in tensor.Shape, src, dst []float32) {
+	d.rng.Seed(9)
+	d.maskedDropout.InferInto(in, src, dst)
+}
+
+func TestDropoutGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	d := &maskedDropout{Dropout: NewDropout(0.3), mask: make([]bool, 20), rng: rand.New(rand.NewSource(0))}
+	checkGradients(t, fixedMask{d}, randInput(rng, 4, 5), 1e-2)
+}
+
 func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten()
 	in := randInput(rand.New(rand.NewSource(9)), 2, 3, 4)
-	out := f.Forward(in)
+	out := forward(t, f, in)
 	if !out.Shape.Equal([]int{24}) {
 		t.Fatalf("shape = %v", out.Shape)
 	}
-	back := f.Backward(out)
-	if !back.Shape.Equal(in.Shape) {
-		t.Fatalf("backward shape = %v", back.Shape)
+	for i := range in.Data {
+		if out.Data[i] != in.Data[i] {
+			t.Fatalf("flatten moved element %d", i)
+		}
+	}
+	if !Aliases(f.Kind()) {
+		t.Fatal("flatten must alias its input in the arena")
 	}
 }
 
@@ -429,7 +453,7 @@ func TestLayerFromSpecUnknown(t *testing.T) {
 
 // TestForwardTo holds every boundary ForwardTo copies out of the
 // executor, bit for bit and shape for shape, to a test-local walk of
-// Layer.Forward, on models covering every layer kind that computes at
+// Layer.InferInto into fresh tensors, on models covering every layer kind that computes at
 // inference and the aliasing ones between them.
 func TestForwardTo(t *testing.T) {
 	dense := NewModel(4)
@@ -461,7 +485,7 @@ func TestForwardTo(t *testing.T) {
 			for n := -1; n <= len(m.Layers)+1; n++ {
 				want := in
 				for i := 0; i < n && i < len(m.Layers); i++ {
-					want = m.Layers[i].Forward(want)
+					want = forward(t, m.Layers[i], want)
 				}
 				got := m.ForwardTo(in, n)
 				if !got.Shape.Equal(want.Shape) || len(got.Data) != len(want.Data) {
@@ -517,7 +541,7 @@ func BenchmarkConv2DForward32(b *testing.B) {
 	in := randInput(rng, 32, 32, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Forward(in)
+		forward(b, c, in)
 	}
 }
 
@@ -529,6 +553,6 @@ func BenchmarkDenseForward256(b *testing.B) {
 	in := randInput(rng, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.Forward(in)
+		forward(b, d, in)
 	}
 }

@@ -12,9 +12,6 @@ import (
 type MaxPool2D struct {
 	Size   int
 	Stride int
-
-	lastIn *tensor.F32
-	argmax []int
 }
 
 // NewMaxPool2D creates a max pooling layer; stride defaults to size.
@@ -41,40 +38,7 @@ func (p *MaxPool2D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{oh, ow, in[2]}, nil
 }
 
-// Forward implements Layer.
-func (p *MaxPool2D) Forward(in *tensor.F32) *tensor.F32 {
-	h, w, ch := in.Shape[0], in.Shape[1], in.Shape[2]
-	oh := convOutDim(h, p.Size, p.Stride, Valid)
-	ow := convOutDim(w, p.Size, p.Stride, Valid)
-	out := tensor.NewF32(oh, ow, ch)
-	p.lastIn = in
-	p.argmax = make([]int, oh*ow*ch)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			for c := 0; c < ch; c++ {
-				best := float32(math.Inf(-1))
-				bestIdx := 0
-				for ky := 0; ky < p.Size; ky++ {
-					for kx := 0; kx < p.Size; kx++ {
-						iy := oy*p.Stride + ky
-						ix := ox*p.Stride + kx
-						idx := (iy*w+ix)*ch + c
-						if in.Data[idx] > best {
-							best = in.Data[idx]
-							bestIdx = idx
-						}
-					}
-				}
-				oidx := (oy*ow+ox)*ch + c
-				out.Data[oidx] = best
-				p.argmax[oidx] = bestIdx
-			}
-		}
-	}
-	return out
-}
-
-// InferInto implements Layer (no argmax bookkeeping). Taps are the outer
+// InferInto implements Layer. Taps are the outer
 // loops so each one is a contiguous channel row for simd.MaxF32; per
 // channel the comparisons are the channel-major loop's, in its order.
 func (p *MaxPool2D) InferInto(in tensor.Shape, src, dst []float32) {
@@ -95,20 +59,35 @@ func (p *MaxPool2D) InferInto(in tensor.Shape, src, dst []float32) {
 	}
 }
 
-// Backward implements Layer.
-func (p *MaxPool2D) Backward(gradOut *tensor.F32) *tensor.F32 {
-	gradIn := tensor.NewF32(p.lastIn.Shape...)
-	for i, g := range gradOut.Data {
-		gradIn.Data[p.argmax[i]] += g
+// backward sends each window's gradient to its maximum, recomputed from
+// x in the scalar forward's tap order: the first tap that exceeds every
+// earlier one and -Inf, or the window's first tap if none does.
+func (p *MaxPool2D) backward(in tensor.Shape, x, _, gy, gx []float32, _ []*tensor.F32) {
+	w, ch := in[1], in[2]
+	oh, ow := convOutDim(in[0], p.Size, p.Stride, Valid), convOutDim(w, p.Size, p.Stride, Valid)
+	clear(gx)
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			for c := 0; c < ch; c++ {
+				best := float32(math.Inf(-1))
+				bestIdx := (oy*p.Stride*w+ox*p.Stride)*ch + c
+				for ky := 0; ky < p.Size; ky++ {
+					for kx := 0; kx < p.Size; kx++ {
+						idx := ((oy*p.Stride+ky)*w+ox*p.Stride+kx)*ch + c
+						if x[idx] > best {
+							best = x[idx]
+							bestIdx = idx
+						}
+					}
+				}
+				gx[bestIdx] += gy[(oy*ow+ox)*ch+c]
+			}
+		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
 func (p *MaxPool2D) Params() []*tensor.F32 { return nil }
-
-// Grads implements Layer.
-func (p *MaxPool2D) Grads() []*tensor.F32 { return nil }
 
 // MACs implements Layer. Pooling does comparisons, not MACs; counted as 0.
 func (p *MaxPool2D) MACs(in tensor.Shape) int64 { return 0 }
@@ -117,8 +96,6 @@ func (p *MaxPool2D) MACs(in tensor.Shape) int64 { return 0 }
 type AvgPool2D struct {
 	Size   int
 	Stride int
-
-	lastIn *tensor.F32
 }
 
 // NewAvgPool2D creates an average pooling layer; stride defaults to size.
@@ -145,17 +122,6 @@ func (p *AvgPool2D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{oh, ow, in[2]}, nil
 }
 
-// Forward implements Layer.
-func (p *AvgPool2D) Forward(in *tensor.F32) *tensor.F32 {
-	h, w, ch := in.Shape[0], in.Shape[1], in.Shape[2]
-	oh := convOutDim(h, p.Size, p.Stride, Valid)
-	ow := convOutDim(w, p.Size, p.Stride, Valid)
-	out := tensor.NewF32(oh, ow, ch)
-	p.InferInto(in.Shape, in.Data, out.Data)
-	p.lastIn = in
-	return out
-}
-
 // InferInto implements Layer.
 func (p *AvgPool2D) InferInto(in tensor.Shape, src, dst []float32) {
 	w, ch := in[1], in[2]
@@ -178,34 +144,29 @@ func (p *AvgPool2D) InferInto(in tensor.Shape, src, dst []float32) {
 	}
 }
 
-// Backward implements Layer.
-func (p *AvgPool2D) Backward(gradOut *tensor.F32) *tensor.F32 {
-	h, w, ch := p.lastIn.Shape[0], p.lastIn.Shape[1], p.lastIn.Shape[2]
-	oh, ow := gradOut.Shape[0], gradOut.Shape[1]
-	gradIn := tensor.NewF32(h, w, ch)
+func (p *AvgPool2D) backward(in tensor.Shape, _, _, gy, gx []float32, _ []*tensor.F32) {
+	w, ch := in[1], in[2]
+	oh, ow := convOutDim(in[0], p.Size, p.Stride, Valid), convOutDim(w, p.Size, p.Stride, Valid)
+	clear(gx)
 	inv := 1 / float32(p.Size*p.Size)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			for c := 0; c < ch; c++ {
-				g := gradOut.Data[(oy*ow+ox)*ch+c] * inv
+				g := gy[(oy*ow+ox)*ch+c] * inv
 				for ky := 0; ky < p.Size; ky++ {
 					for kx := 0; kx < p.Size; kx++ {
 						iy := oy*p.Stride + ky
 						ix := ox*p.Stride + kx
-						gradIn.Data[(iy*w+ix)*ch+c] += g
+						gx[(iy*w+ix)*ch+c] += g
 					}
 				}
 			}
 		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
 func (p *AvgPool2D) Params() []*tensor.F32 { return nil }
-
-// Grads implements Layer.
-func (p *AvgPool2D) Grads() []*tensor.F32 { return nil }
 
 // MACs implements Layer.
 func (p *AvgPool2D) MACs(in tensor.Shape) int64 { return 0 }
@@ -214,9 +175,6 @@ func (p *AvgPool2D) MACs(in tensor.Shape) int64 { return 0 }
 type MaxPool1D struct {
 	Size   int
 	Stride int
-
-	lastIn *tensor.F32
-	argmax []int
 }
 
 // NewMaxPool1D creates a 1-D max pooling layer; stride defaults to size.
@@ -242,32 +200,7 @@ func (p *MaxPool1D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{ot, in[1]}, nil
 }
 
-// Forward implements Layer.
-func (p *MaxPool1D) Forward(in *tensor.F32) *tensor.F32 {
-	t, ch := in.Shape[0], in.Shape[1]
-	ot := convOutDim(t, p.Size, p.Stride, Valid)
-	out := tensor.NewF32(ot, ch)
-	p.lastIn = in
-	p.argmax = make([]int, ot*ch)
-	for o := 0; o < ot; o++ {
-		for c := 0; c < ch; c++ {
-			best := float32(math.Inf(-1))
-			bestIdx := 0
-			for k := 0; k < p.Size; k++ {
-				idx := (o*p.Stride+k)*ch + c
-				if in.Data[idx] > best {
-					best = in.Data[idx]
-					bestIdx = idx
-				}
-			}
-			out.Data[o*ch+c] = best
-			p.argmax[o*ch+c] = bestIdx
-		}
-	}
-	return out
-}
-
-// InferInto implements Layer (no argmax bookkeeping).
+// InferInto implements Layer.
 func (p *MaxPool1D) InferInto(in tensor.Shape, src, dst []float32) {
 	ch := in[1]
 	ot := convOutDim(in[0], p.Size, p.Stride, Valid)
@@ -285,29 +218,37 @@ func (p *MaxPool1D) InferInto(in tensor.Shape, src, dst []float32) {
 	}
 }
 
-// Backward implements Layer.
-func (p *MaxPool1D) Backward(gradOut *tensor.F32) *tensor.F32 {
-	gradIn := tensor.NewF32(p.lastIn.Shape...)
-	for i, g := range gradOut.Data {
-		gradIn.Data[p.argmax[i]] += g
+// backward is MaxPool2D's over one row: the first tap that exceeds
+// every earlier one and -Inf, or the window's first tap if none does.
+func (p *MaxPool1D) backward(in tensor.Shape, x, _, gy, gx []float32, _ []*tensor.F32) {
+	ch := in[1]
+	ot := convOutDim(in[0], p.Size, p.Stride, Valid)
+	clear(gx)
+	for o := 0; o < ot; o++ {
+		for c := 0; c < ch; c++ {
+			best := float32(math.Inf(-1))
+			bestIdx := o*p.Stride*ch + c
+			for k := 0; k < p.Size; k++ {
+				idx := (o*p.Stride+k)*ch + c
+				if x[idx] > best {
+					best = x[idx]
+					bestIdx = idx
+				}
+			}
+			gx[bestIdx] += gy[o*ch+c]
+		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
 func (p *MaxPool1D) Params() []*tensor.F32 { return nil }
-
-// Grads implements Layer.
-func (p *MaxPool1D) Grads() []*tensor.F32 { return nil }
 
 // MACs implements Layer.
 func (p *MaxPool1D) MACs(in tensor.Shape) int64 { return 0 }
 
 // GlobalAvgPool2D averages each channel over all spatial positions,
 // producing a [C] vector (MobileNet's head).
-type GlobalAvgPool2D struct {
-	lastIn *tensor.F32
-}
+type GlobalAvgPool2D struct{}
 
 // NewGlobalAvgPool2D creates a global average pooling layer.
 func NewGlobalAvgPool2D() *GlobalAvgPool2D { return &GlobalAvgPool2D{} }
@@ -321,14 +262,6 @@ func (p *GlobalAvgPool2D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 		return nil, fmt.Errorf("gap2d: want [H W C] input, got %v", in)
 	}
 	return tensor.Shape{in[2]}, nil
-}
-
-// Forward implements Layer.
-func (p *GlobalAvgPool2D) Forward(in *tensor.F32) *tensor.F32 {
-	out := tensor.NewF32(in.Shape[2])
-	p.InferInto(in.Shape, in.Data, out.Data)
-	p.lastIn = in
-	return out
 }
 
 // InferInto implements Layer.
@@ -346,24 +279,18 @@ func (p *GlobalAvgPool2D) InferInto(in tensor.Shape, src, dst []float32) {
 	}
 }
 
-// Backward implements Layer.
-func (p *GlobalAvgPool2D) Backward(gradOut *tensor.F32) *tensor.F32 {
-	h, w, ch := p.lastIn.Shape[0], p.lastIn.Shape[1], p.lastIn.Shape[2]
-	gradIn := tensor.NewF32(h, w, ch)
+func (p *GlobalAvgPool2D) backward(in tensor.Shape, _, _, gy, gx []float32, _ []*tensor.F32) {
+	h, w, ch := in[0], in[1], in[2]
 	inv := 1 / float32(h*w)
 	for i := 0; i < h*w; i++ {
 		for c := 0; c < ch; c++ {
-			gradIn.Data[i*ch+c] = gradOut.Data[c] * inv
+			gx[i*ch+c] = gy[c] * inv
 		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
 func (p *GlobalAvgPool2D) Params() []*tensor.F32 { return nil }
-
-// Grads implements Layer.
-func (p *GlobalAvgPool2D) Grads() []*tensor.F32 { return nil }
 
 // MACs implements Layer.
 func (p *GlobalAvgPool2D) MACs(in tensor.Shape) int64 { return 0 }

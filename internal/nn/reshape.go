@@ -10,8 +10,6 @@ import (
 // count, e.g. MFCC [49, 13] features into a conv2d [49, 13, 1] image.
 type Reshape struct {
 	Target tensor.Shape
-
-	lastShape tensor.Shape
 }
 
 // NewReshape creates a reshape layer to the target shape.
@@ -31,27 +29,13 @@ func (r *Reshape) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return r.Target.Clone(), nil
 }
 
-// Forward implements Layer.
-func (r *Reshape) Forward(in *tensor.F32) *tensor.F32 {
-	r.lastShape = in.Shape
-	return &tensor.F32{Shape: r.Target.Clone(), Data: in.Data}
-}
-
 // InferInto implements Layer. Arena drivers alias instead (see Aliases).
 func (r *Reshape) InferInto(_ tensor.Shape, src, dst []float32) {
 	copy(dst, src)
 }
 
-// Backward implements Layer.
-func (r *Reshape) Backward(gradOut *tensor.F32) *tensor.F32 {
-	return &tensor.F32{Shape: r.lastShape, Data: gradOut.Data}
-}
-
 // Params implements Layer.
 func (r *Reshape) Params() []*tensor.F32 { return nil }
-
-// Grads implements Layer.
-func (r *Reshape) Grads() []*tensor.F32 { return nil }
 
 // MACs implements Layer.
 func (r *Reshape) MACs(in tensor.Shape) int64 { return 0 }

@@ -10,9 +10,9 @@ import (
 	"edgepulse/internal/tensor"
 )
 
-// referenceRanges is calibration as a walk of Layer.Forward over the
-// folded, dropout-free model with the scalar min/max loop: the
-// quantization parameters of every activation boundary.
+// referenceRanges is calibration as a walk of Layer.InferInto into fresh
+// tensors over the folded, dropout-free model with the scalar min/max
+// loop: the quantization parameters of every activation boundary.
 func referenceRanges(t *testing.T, m *nn.Model, calib []*tensor.F32) []tensor.QParams {
 	t.Helper()
 	folded, err := FoldBatchNorm(m)
@@ -44,7 +44,13 @@ func referenceRanges(t *testing.T, m *nn.Model, calib []*tensor.F32) []tensor.QP
 		x := sample
 		observe(0, x.Data)
 		for i, l := range layers {
-			x = l.Forward(x)
+			shape, err := l.OutShape(x.Shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y := tensor.NewF32(shape...)
+			l.InferInto(x.Shape, x.Data, y.Data)
+			x = y
 			observe(i+1, x.Data)
 		}
 	}

@@ -230,12 +230,13 @@ func (q *QModel) MACs() int64 {
 // Dropout layers are dropped (inference no-ops). Calibration runs every
 // sample through the folded model's float executor (Observe) and
 // reduces each activation to its range with simd.MinMaxF32, allocating
-// nothing per sample. The quantization parameters are those of a
-// Layer.Forward walk with a scalar min/max loop, bit for bit: the ranges
-// can differ only in the sign of a zero, which ChooseQParams maps alike.
+// nothing per sample. The quantization parameters are those of a walk
+// of the layers' InferInto with a scalar min/max loop, bit for bit: the
+// ranges can differ only in the sign of a zero, which ChooseQParams maps
+// alike.
 //
-// A built model without BatchNorm is not copied: Quantize reads its
-// layers and writes none, so the model may serve Forward calls meanwhile.
+// A model without BatchNorm is not copied: Quantize reads its layers and
+// writes none, so the model may serve Forward calls meanwhile.
 func Quantize(m *nn.Model, calibration []*tensor.F32) (*QModel, error) {
 	if len(calibration) == 0 {
 		return nil, fmt.Errorf("quant: calibration set is empty")

@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 
 	"edgepulse/internal/nn"
 	"edgepulse/internal/tensor"
@@ -31,7 +32,8 @@ type Config struct {
 	// one at a time, microcontroller-kernel style, but updates are
 	// batched).
 	BatchSize int
-	// LearningRate is the initial step size. Zero means "use FindLR".
+	// LearningRate is the initial step size. Zero means "find one": a
+	// short range test on copies of the model picks it.
 	LearningRate float64
 	// Optimizer is "adam" (default) or "sgd".
 	Optimizer string
@@ -43,7 +45,10 @@ type Config struct {
 	// RestoreBest restores the weights from the epoch with the highest
 	// validation accuracy ("best model checkpoint restoration").
 	RestoreBest bool
-	// Seed makes shuffling and dropout deterministic.
+	// Seed seeds the train/validation split and the per-epoch shuffle.
+	// Dropout masks do not depend on it: each dropout layer draws from
+	// its own rand.NewSource(42) stream, restarted by every Train (see
+	// nn.NewTrainState).
 	Seed int64
 	// Log receives per-epoch progress lines; nil discards them.
 	Log io.Writer
@@ -121,7 +126,7 @@ func Train(m *nn.Model, data []Example, cfg Config) (*Result, error) {
 
 	lr := cfg.LearningRate
 	if lr <= 0 {
-		lr = FindLR(m, train, cfg.Seed)
+		lr = findLR(m, train)
 	}
 
 	// Class-prior bias initialization.
@@ -133,9 +138,11 @@ func Train(m *nn.Model, data []Example, cfg Config) (*Result, error) {
 	}
 	nn.InitClassifierBias(m, priors)
 
-	opt := newOptimizer(cfg.Optimizer, lr, cfg.Momentum, m.Params(), m.Grads())
-	setTraining(m, true)
-	defer setTraining(m, false)
+	st, err := nn.NewTrainState(m)
+	if err != nil {
+		return nil, fmt.Errorf("trainer: %w", err)
+	}
+	opt := newOptimizer(cfg.Optimizer, lr, cfg.Momentum, m.Params(), st.Grads())
 
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -148,20 +155,20 @@ func Train(m *nn.Model, data []Example, cfg Config) (*Result, error) {
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		perm := rng.Perm(len(train))
 		var lossSum float64
-		m.ZeroGrads()
+		st.ZeroGrads()
 		inBatch := 0
 		for _, j := range perm {
 			ex := train[j]
-			probs := m.ForwardTraining(ex.X)
+			probs, err := st.Forward(ex.X)
+			if err != nil {
+				return nil, fmt.Errorf("trainer: %w", err)
+			}
 			lossSum += crossEntropy(probs, ex.Y)
-			// Fused softmax+CE gradient: dL/dlogits = p - onehot.
-			grad := probs.Clone()
-			grad.Data[ex.Y] -= 1
-			backpropThroughLogits(m, grad)
+			st.Backward(ex.Y)
 			inBatch++
 			if inBatch == cfg.BatchSize {
 				opt.Step(float32(1 / float64(inBatch)))
-				m.ZeroGrads()
+				st.ZeroGrads()
 				inBatch = 0
 				// Cooperative cancellation at batch granularity: a
 				// cancelled job abandons the rest of the epoch.
@@ -172,14 +179,12 @@ func Train(m *nn.Model, data []Example, cfg Config) (*Result, error) {
 		}
 		if inBatch > 0 {
 			opt.Step(float32(1 / float64(inBatch)))
-			m.ZeroGrads()
+			st.ZeroGrads()
 		}
 		res.TrainLoss = append(res.TrainLoss, lossSum/float64(len(train)))
 
 		if len(val) > 0 {
-			setTraining(m, false)
 			acc := Accuracy(m, val)
-			setTraining(m, true)
 			res.ValAccuracy = append(res.ValAccuracy, acc)
 			if acc > bestAcc {
 				bestAcc = acc
@@ -203,30 +208,12 @@ func Train(m *nn.Model, data []Example, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// backpropThroughLogits backpropagates a gradient w.r.t. the logits,
-// skipping the final Softmax layer (whose gradient is fused into the
-// cross-entropy term).
-func backpropThroughLogits(m *nn.Model, grad *tensor.F32) {
-	g := grad
-	for i := len(m.Layers) - 2; i >= 0; i-- {
-		g = m.Layers[i].Backward(g)
-	}
-}
-
-func crossEntropy(probs *tensor.F32, y int) float64 {
-	p := float64(probs.Data[y])
+func crossEntropy(probs []float32, y int) float64 {
+	p := float64(probs[y])
 	if p < 1e-12 {
 		p = 1e-12
 	}
 	return -math.Log(p)
-}
-
-func setTraining(m *nn.Model, on bool) {
-	for _, l := range m.Layers {
-		if d, ok := l.(*nn.Dropout); ok {
-			d.Training = on
-		}
-	}
 }
 
 func snapshot(m *nn.Model) [][]float32 {
@@ -250,10 +237,11 @@ func logf(w io.Writer, format string, args ...any) {
 	}
 }
 
-// FindLR implements a small learning-rate range test: it probes a grid of
+// findLR implements a small learning-rate range test: it probes a grid of
 // learning rates on a copy of the model for a handful of steps each and
-// returns the rate with the best short-horizon loss decrease.
-func FindLR(m *nn.Model, data []Example, seed int64) float64 {
+// returns the rate with the best short-horizon loss decrease. The copies
+// train without their dropout layers, so the probes draw no mask.
+func findLR(m *nn.Model, data []Example) float64 {
 	candidates := []float64{0.1, 0.03, 0.01, 0.003, 0.001}
 	if len(data) == 0 {
 		return 0.01
@@ -268,18 +256,27 @@ func FindLR(m *nn.Model, data []Example, seed int64) float64 {
 		if err != nil {
 			return 0.01
 		}
-		opt := newOptimizer("adam", lr, 0, c.Params(), c.Grads())
+		c.Layers = slices.DeleteFunc(c.Layers, func(l nn.Layer) bool {
+			_, drop := l.(*nn.Dropout)
+			return drop
+		})
+		st, err := nn.NewTrainState(c)
+		if err != nil {
+			return 0.01
+		}
+		opt := newOptimizer("adam", lr, 0, c.Params(), st.Grads())
 		var finalLoss float64
 		diverged := false
 		for step := 0; step < 3 && !diverged; step++ {
-			c.ZeroGrads()
+			st.ZeroGrads()
 			finalLoss = 0
 			for _, ex := range probe {
-				probs := c.ForwardTraining(ex.X)
+				probs, err := st.Forward(ex.X)
+				if err != nil {
+					return 0.01
+				}
 				finalLoss += crossEntropy(probs, ex.Y)
-				grad := probs.Clone()
-				grad.Data[ex.Y] -= 1
-				backpropThroughLogits(c, grad)
+				st.Backward(ex.Y)
 			}
 			finalLoss /= float64(len(probe))
 			if math.IsNaN(finalLoss) || math.IsInf(finalLoss, 0) {
