@@ -97,14 +97,12 @@ func Train(m *nn.Model, data []Example, cfg Config) (*Result, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("trainer: no training data")
 	}
-	if len(m.Layers) == 0 {
-		return nil, fmt.Errorf("trainer: empty model")
-	}
-	if _, ok := m.Layers[len(m.Layers)-1].(*nn.Softmax); !ok {
-		return nil, fmt.Errorf("trainer: model must end with a Softmax layer")
-	}
 	if err := m.Validate(); err != nil {
 		return nil, err
+	}
+	st, err := nn.NewTrainState(m)
+	if err != nil {
+		return nil, fmt.Errorf("trainer: %w", err)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -138,10 +136,6 @@ func Train(m *nn.Model, data []Example, cfg Config) (*Result, error) {
 	}
 	nn.InitClassifierBias(m, priors)
 
-	st, err := nn.NewTrainState(m)
-	if err != nil {
-		return nil, fmt.Errorf("trainer: %w", err)
-	}
 	opt := newOptimizer(cfg.Optimizer, lr, cfg.Momentum, m.Params(), st.Grads())
 
 	ctx := cfg.Ctx
