@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"edgepulse/internal/simd/simdtest"
 	"edgepulse/internal/tensor"
 )
 
@@ -199,8 +200,9 @@ func TestKWSWorkloadBudget(t *testing.T) {
 }
 
 // BenchmarkForward times one forward pass of each reference model in
-// each precision on one core, as on the paper's MCUs: the number the
-// conv kernels move, without DSP, engines or HTTP around it.
+// each precision on one core, as on the paper's MCUs, on every simd
+// tier: the number the conv kernels move, without DSP, engines or HTTP
+// around it.
 func BenchmarkForward(b *testing.B) {
 	workloads, err := AllWorkloads()
 	if err != nil {
@@ -213,14 +215,18 @@ func BenchmarkForward(b *testing.B) {
 			in.Data[i] = rng.Float32()
 		}
 		b.Run(w.ID+"/f32", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w.Model.Forward(in)
-			}
+			simdtest.ForEachTier(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					w.Model.Forward(in)
+				}
+			})
 		})
 		b.Run(w.ID+"/i8", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w.QModel.Forward(in)
-			}
+			simdtest.ForEachTier(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					w.QModel.Forward(in)
+				}
+			})
 		})
 	}
 }

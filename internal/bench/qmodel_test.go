@@ -13,6 +13,7 @@ import (
 	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
 	"edgepulse/internal/quant"
+	"edgepulse/internal/simd/simdtest"
 	"edgepulse/internal/tensor"
 )
 
@@ -114,7 +115,8 @@ func foldedDropoutModel() *nn.Model {
 // TestQModelDigests pins every quantized model bit for bit: the three
 // reference workloads as the benchmark builds them, the model families
 // the EON Tuner sweeps, and a model with a batchnorm to fold and a
-// dropout to drop. A digest may only change in a change that says why.
+// dropout to drop, each quantized on every simd tier. A digest may only
+// change in a change that says why.
 func TestQModelDigests(t *testing.T) {
 	conv1d, err := models.Conv1DStack(49, 13, 4, 16, 64, 4)
 	if err != nil {
@@ -140,15 +142,17 @@ func TestQModelDigests(t *testing.T) {
 		{"cifar_cnn", quantizeWith(seeded(models.CIFARCNN(32, 3, 10), 57), 58), "5812b0b14b7f2a8d42585770581f55b301a907fe286aa11823c5e1f5d7c45d88"},
 		{"batchnorm_dropout", quantizeWith(foldedDropoutModel(), 59), "939860d30a3d9040b51b36d48b194db03ae39b191628372965c359f4f1292138"},
 	}
-	for _, c := range cases {
-		q, err := c.build()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+	simdtest.ForEachTier(t, func(t *testing.T) {
+		for _, c := range cases {
+			q, err := c.build()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got := qmodelDigest(q); got != c.want {
+				t.Errorf("%s: QModel digest %s, want %s", c.name, got, c.want)
+			}
 		}
-		if got := qmodelDigest(q); got != c.want {
-			t.Errorf("%s: QModel digest %s, want %s", c.name, got, c.want)
-		}
-	}
+	})
 }
 
 func workloadQModel(build func() (Workload, error)) func() (*quant.QModel, error) {

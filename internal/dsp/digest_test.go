@@ -10,7 +10,7 @@ import (
 	"strconv"
 	"testing"
 
-	"edgepulse/internal/simd"
+	"edgepulse/internal/simd/simdtest"
 	"edgepulse/internal/tensor"
 )
 
@@ -113,29 +113,26 @@ func digest(x *tensor.F32) string {
 }
 
 // TestExtractDigests checks every front end against its committed
-// digest, with the simd fast paths on and off. The digests are amd64
-// facts: the Go spec lets other architectures fuse a multiply and an
-// add into one rounding, which moves float32 bits.
+// digest, on every simd tier. The digests are amd64 facts: the Go spec
+// lets other architectures fuse a multiply and an add into one
+// rounding, which moves float32 bits.
 func TestExtractDigests(t *testing.T) {
 	if goruntime.GOARCH != "amd64" {
 		t.Skip("digests are recorded on amd64")
 	}
-	prev := simd.Enabled()
-	defer simd.SetEnabled(prev)
 	cases := digestCases(t)
 	if len(cases) != len(extractDigests) {
 		t.Fatalf("%d cases, %d digests", len(cases), len(extractDigests))
 	}
-	for _, on := range []bool{true, false} {
-		simd.SetEnabled(on)
+	simdtest.ForEachTier(t, func(t *testing.T) {
 		for name, c := range cases {
 			out, err := c.block.Extract(c.sig)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if got := digest(out); got != extractDigests[name] {
-				t.Errorf("%s (simd=%v): digest %s, want %s", name, simd.Enabled(), got, extractDigests[name])
+				t.Errorf("%s: digest %s, want %s", name, got, extractDigests[name])
 			}
 		}
-	}
+	})
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"edgepulse/internal/kernelref"
-	"edgepulse/internal/simd"
+	"edgepulse/internal/simd/simdtest"
 )
 
 // randImage returns a w x h x axes image of pixel values in [0, 255],
@@ -28,10 +28,10 @@ func randImage(rng *rand.Rand, w, h, axes int) Signal {
 	return Signal{Data: px, Axes: axes, Width: w, Height: h}
 }
 
-// FuzzImageResize holds Image.Extract, with the simd paths on and off,
-// bit for bit to the per-pixel kernelref.ResizeBilinear over source and
-// destination sizes 1 to 64 in both directions, 1 or 3 source channels,
-// grayscale on and off.
+// FuzzImageResize holds Image.Extract, on every simd tier, bit for bit
+// to the per-pixel kernelref.ResizeBilinear over source and destination
+// sizes 1 to 64 in both directions, 1 or 3 source channels, grayscale
+// on and off.
 func FuzzImageResize(f *testing.F) {
 	f.Add(int64(1), uint8(159), uint8(119), uint8(95), uint8(95), true, false)
 	f.Add(int64(2), uint8(31), uint8(31), uint8(31), uint8(31), true, false)
@@ -46,10 +46,7 @@ func FuzzImageResize(f *testing.F) {
 		}
 		sig := randImage(rand.New(rand.NewSource(seed)), w, h, axes)
 		want := kernelref.ResizeBilinear(sig.Data, w, h, axes, outW, outH, gray)
-		prev := simd.Enabled()
-		defer simd.SetEnabled(prev)
-		for _, on := range []bool{true, false} {
-			simd.SetEnabled(on)
+		simdtest.ForEachTier(t, func(t *testing.T) {
 			im := &Image{Width: outW, Height: outH, Grayscale: gray}
 			got, err := im.Extract(sig)
 			if err != nil {
@@ -57,11 +54,11 @@ func FuzzImageResize(f *testing.F) {
 			}
 			for i, v := range want {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
-					t.Fatalf("%dx%dx%d -> %dx%d gray=%v simd=%v: elem %d = %g, want %g",
-						w, h, axes, outW, outH, gray, simd.Enabled(), i, got.Data[i], v)
+					t.Fatalf("%dx%dx%d -> %dx%d gray=%v: elem %d = %g, want %g",
+						w, h, axes, outW, outH, gray, i, got.Data[i], v)
 				}
 			}
-		}
+		})
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"edgepulse/internal/kernelref"
 	"edgepulse/internal/simd"
+	"edgepulse/internal/simd/simdtest"
 )
 
 func TestNewRealPlanRejectsBadSizes(t *testing.T) {
@@ -88,8 +89,8 @@ func TestRealPlanSingleTone(t *testing.T) {
 // FuzzRealFFT holds the planned real FFT to a float64 DFT by definition
 // (kernelref.DFTPower) on power-of-two sizes 4 to 1024, frames of any
 // length up to the size, a random window or none, and amplitudes over
-// twelve octaves either way; and the vector path to the portable one bit
-// for bit. The reference transforms the same float32 products of sample
+// twelve octaves either way; and every simd tier to the top one bit for
+// bit. The reference transforms the same float32 products of sample
 // and window, so only the FFT's own rounding is measured: every bin must
 // lie within 4·log2(n)·2⁻²⁴ of the windowed frame's energy E = Σ(x·w)²
 // (the power of any one bin is at most E, by Parseval).
@@ -124,29 +125,30 @@ func FuzzRealFFT(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := simd.Enabled()
-		defer simd.SetEnabled(prev)
-		var got [2][]float32
-		for i, on := range []bool{true, false} {
-			simd.SetEnabled(on)
-			got[i] = make([]float32, p.Bins())
+		tol := 4 * math.Log2(float64(n)) * 0x1p-24 * energy
+		dft := kernelref.DFTPower(xw, n)
+		var first []float32
+		simdtest.ForEachTier(t, func(t *testing.T) {
+			got := make([]float32, p.Bins())
 			if win == nil {
-				if err := p.PowerSpectrumInto(got[i], frame, p.Scratch()); err != nil {
+				if err := p.PowerSpectrumInto(got, frame, p.Scratch()); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				p.WindowedPowerSpectrumInto(got[i], frame, win, p.Scratch())
+				p.WindowedPowerSpectrumInto(got, frame, win, p.Scratch())
 			}
-		}
-		tol := 4 * math.Log2(float64(n)) * 0x1p-24 * energy
-		for k, want := range kernelref.DFTPower(xw, n) {
-			if math.Float32bits(got[0][k]) != math.Float32bits(got[1][k]) {
-				t.Fatalf("n=%d frame=%d bin %d: simd %g, portable %g", n, len(frame), k, got[0][k], got[1][k])
+			if first == nil {
+				first = got
 			}
-			if d := math.Abs(float64(got[0][k]) - want); d > tol {
-				t.Fatalf("n=%d frame=%d bin %d: %g, DFT %g (|d| %g > %g)", n, len(frame), k, got[0][k], want, d, tol)
+			for k, want := range dft {
+				if math.Float32bits(got[k]) != math.Float32bits(first[k]) {
+					t.Fatalf("n=%d frame=%d bin %d: %g, %g on the first tier", n, len(frame), k, got[k], first[k])
+				}
+				if d := math.Abs(float64(got[k]) - want); d > tol {
+					t.Fatalf("n=%d frame=%d bin %d: %g, DFT %g (|d| %g > %g)", n, len(frame), k, got[k], want, d, tol)
+				}
 			}
-		}
+		})
 	})
 }
 

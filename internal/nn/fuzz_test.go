@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edgepulse/internal/kernelref"
+	"edgepulse/internal/simd/simdtest"
 	"edgepulse/internal/tensor"
 )
 
@@ -67,10 +68,10 @@ func inferPoisoned(l Layer, x *tensor.F32, outShape tensor.Shape) *tensor.F32 {
 }
 
 // FuzzConvF32 holds the tiled Conv2D to the naive triple loop, bit for
-// bit, over random shapes,
-// odd and even channel counts, filter counts that are not a multiple of
-// 8, strides, padding modes and non-finite inputs. The seeds are the
-// reference models' layers.
+// bit, on every simd tier, over random shapes, odd and even channel
+// counts, filter counts that are not a multiple of 8, strides, padding
+// modes and non-finite inputs. The seeds are the reference models'
+// layers.
 func FuzzConvF32(f *testing.F) {
 	// h, w, cin-1, filters-1, kernel-1, stride-1, same, special, seed
 	f.Add(uint8(48), uint8(9), uint8(0), uint8(63), uint8(3), uint8(1), true, false, int64(1))   // kws head
@@ -102,7 +103,10 @@ func FuzzConvF32(f *testing.F) {
 		fillParams(rng, c.Params())
 		x := tensor.NewF32(in...)
 		fuzzFill(rng, x, special)
-		sameBits(t, "conv2d", inferPoisoned(c, x, outShape), refConv2D(c, x))
+		want := refConv2D(c, x)
+		simdtest.ForEachTier(t, func(t *testing.T) {
+			sameBits(t, "conv2d", inferPoisoned(c, x, outShape), want)
+		})
 	})
 }
 
@@ -132,13 +136,16 @@ func FuzzDepthwiseF32(f *testing.F) {
 		fillParams(rng, c.Params())
 		x := tensor.NewF32(in...)
 		fuzzFill(rng, x, special)
-		sameBits(t, "depthwise", inferPoisoned(c, x, outShape), refDepthwise(c, x))
+		want := refDepthwise(c, x)
+		simdtest.ForEachTier(t, func(t *testing.T) {
+			sameBits(t, "depthwise", inferPoisoned(c, x, outShape), want)
+		})
 	})
 }
 
 // FuzzPoolF32 holds the four float pooling layers to the naive window
-// loops of internal/kernelref, bit for bit, over random shapes, window
-// sizes, strides and non-finite inputs.
+// loops of internal/kernelref, bit for bit, on every simd tier, over
+// random shapes, window sizes, strides and non-finite inputs.
 func FuzzPoolF32(f *testing.F) {
 	// kind (max2d, avg2d, max1d, gap), h, w, channels-1, size-1, stride, special, seed
 	f.Add(uint8(0), uint8(31), uint8(31), uint8(15), uint8(1), uint8(0), false, int64(1)) // ic max 2x2
@@ -182,6 +189,8 @@ func FuzzPoolF32(f *testing.F) {
 		case 3:
 			want = kernelref.GlobalAvgPoolF32(g.H, g.W, g.C, x.Data)
 		}
-		sameBits(t, l.Kind(), inferPoisoned(l, x, outShape), &tensor.F32{Shape: outShape, Data: want})
+		simdtest.ForEachTier(t, func(t *testing.T) {
+			sameBits(t, l.Kind(), inferPoisoned(l, x, outShape), &tensor.F32{Shape: outShape, Data: want})
+		})
 	})
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"edgepulse/internal/numjson"
-	"edgepulse/internal/simd"
+	"edgepulse/internal/simd/simdtest"
 	"edgepulse/internal/synth"
 )
 
@@ -128,12 +128,13 @@ func BenchmarkAppendFloats(b *testing.B) {
 
 // BenchmarkScanFloats reads the keyword back from JSON: Keyword32 as a
 // classify body's float32 array (9 digits at most: the exact path) on
-// each tier — simd (simd.ParseF32's kernel where the host has AVX-512)
-// and go (ScanFloat alone); AnyBits32 as an array of any finite float32
-// bit patterns, mostly nine digits with an exponent, which the kernel
-// declines token by token, so that what falling back costs shows; and
-// Acquisition64 as a signed acquisition document's values, scanned row
-// by row into one array as ingest.Verify does (the Eisel–Lemire tier).
+// each simd tier — avx512 (simd.ParseF32's kernel where the host has
+// it), avx2 and go (ScanFloat alone); AnyBits32 as an array of any
+// finite float32 bit patterns, mostly nine digits with an exponent,
+// which the kernel declines token by token, so that what falling back
+// costs shows; and Acquisition64 as a signed acquisition document's
+// values, scanned row by row into one array as ingest.Verify does (the
+// Eisel–Lemire tier).
 func BenchmarkScanFloats(b *testing.B) {
 	samples, body32, rows := keywordBodies(b)
 	n := len(samples)
@@ -159,13 +160,7 @@ func BenchmarkScanFloats(b *testing.B) {
 			nsPerFloat(b, n)
 		}
 	}
-	on := simd.Enabled()
-	defer simd.SetEnabled(on)
-	for _, tier := range []string{"simd", "go"} {
-		simd.SetEnabled(tier == "simd")
-		b.Run("Keyword32/"+tier, scan32(body32))
-	}
-	simd.SetEnabled(on)
+	b.Run("Keyword32", func(b *testing.B) { simdtest.ForEachTier(b, scan32(body32)) })
 	b.Run("AnyBits32", scan32(anyBody))
 	b.Run("Acquisition64", func(b *testing.B) {
 		flat := make([]float64, 0, n)

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"edgepulse/internal/simd"
 )
 
 // exhaustFloat32 runs a check on every one of the 2^32 float32 bit
@@ -40,6 +42,10 @@ func exhaustFloat32(newCheck func() func(b uint32) bool) int64 {
 	return diffs.Load()
 }
 
+// exhaustiveTiers are avx512, where ShortestF32 and ParseF32 run their
+// kernels, and go, their reference: numjson's avx2 tier is its go tier.
+var exhaustiveTiers = []simd.Tier{simd.TierAVX512, simd.TierGo}
+
 // TestAppendFloat32Exhaustive holds the float32 formatter to strconv on
 // every one of the 2^32 float32 bit patterns, on both tiers: the same
 // bytes in the layout encoding/json chooses, through AppendFloats in
@@ -54,19 +60,22 @@ func exhaustFloat32(newCheck func() func(b uint32) bool) int64 {
 // formatter's 9 (strconv's float64 digits are the slower half) and the
 // float64 scan's 6: give the four -timeout 60m.
 func TestAppendFloat32Exhaustive(t *testing.T) {
-	forTiers(t, func(t *testing.T) {
-		diffs := exhaustFloat32(func() func(uint32) bool {
-			var c float32Checker
-			return func(b uint32) bool {
-				if msg := c.check(b, false); msg != "" {
-					t.Error(msg)
-					return false
+	for _, tier := range exhaustiveTiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			defer simd.SetTier(tier)()
+			diffs := exhaustFloat32(func() func(uint32) bool {
+				var c float32Checker
+				return func(b uint32) bool {
+					if msg := c.check(b, false); msg != "" {
+						t.Error(msg)
+						return false
+					}
+					return true
 				}
-				return true
-			}
+			})
+			t.Logf("%d mismatches", diffs)
 		})
-		t.Logf("%d mismatches", diffs)
-	})
+	}
 }
 
 // TestScanFloat32Exhaustive reads every finite float32 back: written by
@@ -78,44 +87,47 @@ func TestAppendFloat32Exhaustive(t *testing.T) {
 // bytes — inside an array, and ScanFloat the rest.
 func TestScanFloat32Exhaustive(t *testing.T) {
 	const lead, pad = 16, 128
-	forTiers(t, func(t *testing.T) {
-		diffs := exhaustFloat32(func() func(uint32) bool {
-			vals, back := make([]float32, 0, checkBatch), make([]float32, 0, checkBatch+8)
-			body := make([]byte, lead, lead+16*checkBatch+pad)
-			for k := range body {
-				body[k] = ' '
-			}
-			return func(b uint32) bool {
-				if b>>23&0xff == 0xff {
-					return true // NaN and ±Inf have no JSON spelling
+	for _, tier := range exhaustiveTiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			defer simd.SetTier(tier)()
+			diffs := exhaustFloat32(func() func(uint32) bool {
+				vals, back := make([]float32, 0, checkBatch), make([]float32, 0, checkBatch+8)
+				body := make([]byte, lead, lead+16*checkBatch+pad)
+				for k := range body {
+					body[k] = ' '
 				}
-				if vals = append(vals, math.Float32frombits(b)); len(vals) < checkBatch {
-					return true
-				}
-				defer func() { vals = vals[:0] }()
-				data, err := AppendFloats(body[:lead], vals)
-				if err != nil {
-					t.Error(err)
-					return false
-				}
-				end := len(data)
-				data = append(data, body[:pad]...)
-				got, next, ok := ScanFloats(data, lead, back[:0])
-				if !ok || next != end || len(got) != len(vals) {
-					t.Errorf("batch ending %#08x: scanned %d of %d values (ok=%v, next=%d of %d)", b, len(got), len(vals), ok, next, end)
-					return false
-				}
-				for k, v := range vals {
-					if math.Float32bits(got[k]) != math.Float32bits(v) {
-						t.Errorf("%#08x: read back %#08x", math.Float32bits(v), math.Float32bits(got[k]))
+				return func(b uint32) bool {
+					if b>>23&0xff == 0xff {
+						return true // NaN and ±Inf have no JSON spelling
+					}
+					if vals = append(vals, math.Float32frombits(b)); len(vals) < checkBatch {
+						return true
+					}
+					defer func() { vals = vals[:0] }()
+					data, err := AppendFloats(body[:lead], vals)
+					if err != nil {
+						t.Error(err)
 						return false
 					}
+					end := len(data)
+					data = append(data, body[:pad]...)
+					got, next, ok := ScanFloats(data, lead, back[:0])
+					if !ok || next != end || len(got) != len(vals) {
+						t.Errorf("batch ending %#08x: scanned %d of %d values (ok=%v, next=%d of %d)", b, len(got), len(vals), ok, next, end)
+						return false
+					}
+					for k, v := range vals {
+						if math.Float32bits(got[k]) != math.Float32bits(v) {
+							t.Errorf("%#08x: read back %#08x", math.Float32bits(v), math.Float32bits(got[k]))
+							return false
+						}
+					}
+					return true
 				}
-				return true
-			}
+			})
+			t.Logf("%d mismatches", diffs)
 		})
-		t.Logf("%d mismatches", diffs)
-	})
+	}
 }
 
 // TestAppendFloat64OfFloat32Exhaustive holds the float64 formatter to

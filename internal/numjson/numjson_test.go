@@ -332,18 +332,16 @@ func TestStructure(t *testing.T) {
 	}
 }
 
-// scanTiers scans the float32 array at data[i] on both tiers — simd
-// enabled (on an AVX-512 host, simd.ParseF32's kernel reads runs of
-// plain tokens) and disabled (ScanFloat reads every token) — into
+// scanTiers scans the float32 array at data[i] on both tiers — the
+// host's top simd tier (on an AVX-512 host, simd.ParseF32's kernel reads
+// runs of plain tokens) and go (ScanFloat reads every token) — into
 // storage reserved as the callers reserve it, and fails unless both
 // give the same values, bit for bit, position and ok.
 func scanTiers(t *testing.T, data []byte, i int) {
 	t.Helper()
-	on := simd.Enabled()
-	defer simd.SetEnabled(on)
-	simd.SetEnabled(true)
+	defer simd.SetTier(simd.TierAVX512)()
 	got, next, ok := ScanFloats(data, i, make([]float32, 0, MaxFloats(data)))
-	simd.SetEnabled(false)
+	simd.SetTier(simd.TierGo)
 	want, wantNext, wantOK := ScanFloats(data, i, make([]float32, 0, MaxFloats(data)))
 	same := next == wantNext && ok == wantOK && len(got) == len(want)
 	for k := 0; same && k < len(got); k++ {

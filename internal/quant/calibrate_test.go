@@ -7,6 +7,7 @@ import (
 
 	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
+	"edgepulse/internal/simd/simdtest"
 	"edgepulse/internal/tensor"
 )
 
@@ -66,7 +67,8 @@ func referenceRanges(t *testing.T, m *nn.Model, calib []*tensor.F32) []tensor.QP
 // for every model family in internal/models and a model with a
 // batchnorm to fold and a dropout to drop: every op's input parameters
 // are its boundary's, and every op that is not a pass-through outputs
-// at the next boundary's. A new model is covered by adding it here.
+// at the next boundary's, on every simd tier. A new model is covered by
+// adding it here.
 func TestCalibrationMatchesLayerWalk(t *testing.T) {
 	conv1d, err := models.Conv1DStack(40, 13, 3, 8, 32, 4)
 	if err != nil {
@@ -93,42 +95,44 @@ func TestCalibrationMatchesLayerWalk(t *testing.T) {
 		{"batchnorm_dropout", bn},
 	}
 	passThrough := map[string]bool{"maxpool2d": true, "avgpool2d": true, "maxpool1d": true, "gap2d": true, "flatten": true, "reshape": true}
-	rng := rand.New(rand.NewSource(71))
-	for _, c := range cases {
-		name, m := c.name, c.m
-		if err := nn.InitWeights(m, rng.Int63()); err != nil {
-			t.Fatal(err)
-		}
-		if bn, ok := m.Layers[1].(*nn.BatchNorm); ok {
-			for ch := range bn.Mean.Data {
-				bn.Mean.Data[ch] = float32(rng.NormFloat64())
-				bn.Var.Data[ch] = float32(0.5 + rng.Float64())
-				bn.Gamma.Data[ch] = float32(0.5 + rng.Float64())
+	simdtest.ForEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(71))
+		for _, c := range cases {
+			name, m := c.name, c.m
+			if err := nn.InitWeights(m, rng.Int63()); err != nil {
+				t.Fatal(err)
+			}
+			if bn, ok := m.Layers[1].(*nn.BatchNorm); ok {
+				for ch := range bn.Mean.Data {
+					bn.Mean.Data[ch] = float32(rng.NormFloat64())
+					bn.Var.Data[ch] = float32(0.5 + rng.Float64())
+					bn.Gamma.Data[ch] = float32(0.5 + rng.Float64())
+				}
+			}
+			calib := make([]*tensor.F32, 3)
+			for i := range calib {
+				calib[i] = randTensor(rng, m.InputShape...)
+			}
+			want := referenceRanges(t, m, calib)
+			q, err := Quantize(m, calib)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			same := func(a, b tensor.QParams) bool {
+				return math.Float32bits(a.Scale) == math.Float32bits(b.Scale) && a.ZeroPoint == b.ZeroPoint
+			}
+			if len(q.Ops)+1 != len(want) || !same(q.InQ, want[0]) {
+				t.Fatalf("%s: %d ops, input %+v; reference %d boundaries, input %+v", name, len(q.Ops), q.InQ, len(want), want[0])
+			}
+			for i, op := range q.Ops {
+				out := want[i+1]
+				if passThrough[op.Kind] {
+					out = want[i]
+				}
+				if !same(op.InQ, want[i]) || !same(op.OutQ, out) {
+					t.Errorf("%s op %d (%s): in %+v out %+v, want in %+v out %+v", name, i, op.Kind, op.InQ, op.OutQ, want[i], out)
+				}
 			}
 		}
-		calib := make([]*tensor.F32, 3)
-		for i := range calib {
-			calib[i] = randTensor(rng, m.InputShape...)
-		}
-		want := referenceRanges(t, m, calib)
-		q, err := Quantize(m, calib)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		same := func(a, b tensor.QParams) bool {
-			return math.Float32bits(a.Scale) == math.Float32bits(b.Scale) && a.ZeroPoint == b.ZeroPoint
-		}
-		if len(q.Ops)+1 != len(want) || !same(q.InQ, want[0]) {
-			t.Fatalf("%s: %d ops, input %+v; reference %d boundaries, input %+v", name, len(q.Ops), q.InQ, len(want), want[0])
-		}
-		for i, op := range q.Ops {
-			out := want[i+1]
-			if passThrough[op.Kind] {
-				out = want[i]
-			}
-			if !same(op.InQ, want[i]) || !same(op.OutQ, out) {
-				t.Errorf("%s op %d (%s): in %+v out %+v, want in %+v out %+v", name, i, op.Kind, op.InQ, op.OutQ, want[i], out)
-			}
-		}
-	}
+	})
 }

@@ -9,7 +9,7 @@ import (
 
 	"edgepulse/internal/kernelref"
 	"edgepulse/internal/nn"
-	"edgepulse/internal/simd"
+	"edgepulse/internal/simd/simdtest"
 	"edgepulse/internal/tensor"
 )
 
@@ -44,8 +44,8 @@ func fuzzQOp(rng *rand.Rand, kind string, h, w, ch, nf, kernel, stride uint8, sa
 	return op, g, true
 }
 
-// fuzzRunOp runs op on a random input with the assembly on and off and
-// requires both to equal want bit for bit.
+// fuzzRunOp runs op on a random input on every simd tier and requires
+// each to equal the reference bit for bit.
 func fuzzRunOp(t *testing.T, rng *rand.Rand, op *QOp, reference func(in []int8) []int8) {
 	q := &QModel{InputShape: op.InShape.Clone(), InQ: op.InQ, Ops: []*QOp{op}}
 	in := tensor.NewI8(op.InQ, op.InShape...)
@@ -53,19 +53,17 @@ func fuzzRunOp(t *testing.T, rng *rand.Rand, op *QOp, reference func(in []int8) 
 		in.Data[i] = int8(rng.Intn(256) - 128)
 	}
 	want := reference(in.Data)
-	defer simd.SetEnabled(simd.Enabled())
-	for _, on := range []bool{true, false} {
-		simd.SetEnabled(on)
+	simdtest.ForEachTier(t, func(t *testing.T) {
 		got := q.RunOp(op, in)
 		if len(got.Data) != len(want) {
-			t.Fatalf("simd=%v: %d outputs, reference %d", on, len(got.Data), len(want))
+			t.Fatalf("%d outputs, reference %d", len(got.Data), len(want))
 		}
 		for i := range want {
 			if got.Data[i] != want[i] {
-				t.Fatalf("simd=%v %s: elem %d = %d, reference %d", on, fmt.Sprint(op.InShape, op.Attrs), i, got.Data[i], want[i])
+				t.Fatalf("%s: elem %d = %d, reference %d", fmt.Sprint(op.InShape, op.Attrs), i, got.Data[i], want[i])
 			}
 		}
-	}
+	})
 }
 
 // FuzzConvI8 holds the pair-tiled int8 conv2d — generic and row-paired
@@ -149,7 +147,7 @@ func FuzzDepthwiseI8(f *testing.F) {
 }
 
 // FuzzPoolI8 holds the four int8 pooling kernels to the naive window
-// loops of internal/kernelref, bit for bit, assembly on and off, over
+// loops of internal/kernelref, bit for bit, on every simd tier, over
 // random shapes, window sizes, strides and zero points (pooling keeps
 // its input's quantization, so a zero point must not enter the
 // arithmetic).
@@ -219,10 +217,10 @@ func f32Bytes(v ...float32) []byte {
 }
 
 // FuzzQuantizeWeights holds quantizeWeights to quantizeWeightRef byte for
-// byte, at the scale quantizeLayer picks for the slice (AbsMax/127) and
-// at an arbitrary one. The seeds cover NaN payloads, ±Inf, ±0,
-// subnormals, exact ties at (k+½)·scale and ±127.5·scale, where a
-// round-half-to-even loop would differ.
+// byte, at the scale quantizeLayer picks for the slice (AbsMax/127, on
+// every simd tier) and at an arbitrary one. The seeds cover NaN
+// payloads, ±Inf, ±0, subnormals, exact ties at (k+½)·scale and
+// ±127.5·scale, where a round-half-to-even loop would differ.
 func FuzzQuantizeWeights(f *testing.F) {
 	bits := math.Float32frombits
 	specials := f32Bytes(bits(0x7fc00000), bits(0x7f800001), bits(0xffc00123), bits(0x7fbfffff),
@@ -246,19 +244,21 @@ func FuzzQuantizeWeights(f *testing.F) {
 		for i := range w {
 			w[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
-		absMax := (&tensor.F32{Data: w}).AbsMax()
-		if absMax == 0 {
-			absMax = 1e-8
-		}
-		got := make([]int8, len(w))
-		for _, scale := range []float32{absMax / 127, math.Float32frombits(scaleBits)} {
-			quantizeWeights(got, w, scale)
-			for i, v := range w {
-				if want := quantizeWeightRef(v, scale); got[i] != want {
-					t.Fatalf("scale %v (%#08x): weight %d = %v (%#08x) quantized to %d, reference %d",
-						scale, math.Float32bits(scale), i, v, math.Float32bits(v), got[i], want)
+		simdtest.ForEachTier(t, func(t *testing.T) {
+			absMax := (&tensor.F32{Data: w}).AbsMax()
+			if absMax == 0 {
+				absMax = 1e-8
+			}
+			got := make([]int8, len(w))
+			for _, scale := range []float32{absMax / 127, math.Float32frombits(scaleBits)} {
+				quantizeWeights(got, w, scale)
+				for i, v := range w {
+					if want := quantizeWeightRef(v, scale); got[i] != want {
+						t.Fatalf("scale %v (%#08x): weight %d = %v (%#08x) quantized to %d, reference %d",
+							scale, math.Float32bits(scale), i, v, math.Float32bits(v), got[i], want)
+					}
 				}
 			}
-		}
+		})
 	})
 }

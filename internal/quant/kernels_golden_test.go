@@ -11,7 +11,7 @@ import (
 	"edgepulse/internal/kernelref"
 	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
-	"edgepulse/internal/simd"
+	"edgepulse/internal/simd/simdtest"
 	"edgepulse/internal/tensor"
 )
 
@@ -131,7 +131,7 @@ func reference(op *QOp, in []int8) []int8 {
 // TestQuantKernelsGolden holds RunOp's kernels to internal/kernelref
 // bit for bit across shapes (odd and even cin, cin=1 like the KWS head
 // conv, whose weights are also row-paired), strides and padding modes,
-// with the assembly path both enabled and disabled.
+// on every simd tier.
 func TestQuantKernelsGolden(t *testing.T) {
 	type tc struct {
 		kind    string
@@ -154,18 +154,17 @@ func TestQuantKernelsGolden(t *testing.T) {
 		{"conv1d", tensor.Shape{40, 6}, 10, 5, 1, 1},
 		{"conv1d", tensor.Shape{31, 3}, 8, 3, 2, 0},
 	}
-	for _, enabled := range []bool{true, false} {
-		simd.SetEnabled(enabled)
-		for _, c := range cases {
-			t.Run(fmt.Sprintf("%s/%v/simd=%v", c.kind, c.in, enabled), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(len(c.kind)) + int64(c.in.Elems())))
-				op := randQOp(rng, c.kind, c.in, c.filters, c.kernel, c.stride, c.pad)
-				q := &QModel{InputShape: c.in.Clone(), InQ: op.InQ, Ops: []*QOp{op}}
-				in := tensor.NewI8(op.InQ, c.in...)
-				for i := range in.Data {
-					in.Data[i] = int8(rng.Intn(256) - 128)
-				}
-				want := reference(op, in.Data)
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/%v", c.kind, c.in), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(c.kind)) + int64(c.in.Elems())))
+			op := randQOp(rng, c.kind, c.in, c.filters, c.kernel, c.stride, c.pad)
+			q := &QModel{InputShape: c.in.Clone(), InQ: op.InQ, Ops: []*QOp{op}}
+			in := tensor.NewI8(op.InQ, c.in...)
+			for i := range in.Data {
+				in.Data[i] = int8(rng.Intn(256) - 128)
+			}
+			want := reference(op, in.Data)
+			simdtest.ForEachTier(t, func(t *testing.T) {
 				got := q.RunOp(op, in)
 				for i := range want {
 					if got.Data[i] != want[i] {
@@ -173,9 +172,8 @@ func TestQuantKernelsGolden(t *testing.T) {
 					}
 				}
 			})
-		}
+		})
 	}
-	simd.SetEnabled(true)
 }
 
 // referenceForward is q's forward pass on internal/kernelref's naive
@@ -221,7 +219,7 @@ func referenceForward(q *QModel, in *tensor.F32) *tensor.F32 {
 
 // TestForwardIgnoresScratchContents runs the reference models' int8
 // executors with every kernel handed a scratch full of junk and holds
-// them to internal/kernelref's loops bit for bit, assembly on and off:
+// them to internal/kernelref's loops bit for bit, on every simd tier:
 // each pair a kernel reads — the depthwise conv's pad rows and columns
 // included — is written in the same call, never left from an earlier
 // op or assumed zero.
@@ -239,42 +237,40 @@ func TestForwardIgnoresScratchContents(t *testing.T) {
 			k(op, in, out, sc)
 		}
 	}
-	defer simd.SetEnabled(simd.Enabled())
-	for name, m := range map[string]*nn.Model{
-		"kws": models.KWSDSCNN(49, 10, 12),
-		"vww": models.VWWMobileNetV1(96, 3, 0.25, 2),
-		"ic":  models.CIFARCNN(32, 3, 10),
-	} {
-		if err := nn.InitWeights(m, 1); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(2))
-		in := tensor.NewF32(m.InputShape...)
-		for i := range in.Data {
-			in.Data[i] = rng.Float32()
-		}
-		q, err := Quantize(m, []*tensor.F32{in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewExecutor(q, nn.BindAtBuild)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := referenceForward(q, in)
-		for _, on := range []bool{true, false} {
-			simd.SetEnabled(on)
+	simdtest.ForEachTier(t, func(t *testing.T) {
+		for name, m := range map[string]*nn.Model{
+			"kws": models.KWSDSCNN(49, 10, 12),
+			"vww": models.VWWMobileNetV1(96, 3, 0.25, 2),
+			"ic":  models.CIFARCNN(32, 3, 10),
+		} {
+			if err := nn.InitWeights(m, 1); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(2))
+			in := tensor.NewF32(m.InputShape...)
+			for i := range in.Data {
+				in.Data[i] = rng.Float32()
+			}
+			q, err := Quantize(m, []*tensor.F32{in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewExecutor(q, nn.BindAtBuild)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceForward(q, in)
 			got, err := e.Run(in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range want.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("%s simd=%v: output %d = %v, kernelref %v", name, on, i, got.Data[i], want.Data[i])
+					t.Fatalf("%s: output %d = %v, kernelref %v", name, i, got.Data[i], want.Data[i])
 				}
 			}
 		}
-	}
+	})
 }
 
 // depthwiseLayers are the depthwise convolutions of the reference

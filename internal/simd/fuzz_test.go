@@ -1,10 +1,13 @@
-package simd
+package simd_test
 
 import (
 	"encoding/binary"
 	"math"
 	"math/big"
 	"testing"
+
+	. "edgepulse/internal/simd"
+	"edgepulse/internal/simd/simdtest"
 )
 
 // requantBig is Requant.Apply as its comment defines it, in integers
@@ -72,12 +75,12 @@ func FuzzRequantI8(f *testing.F) {
 			}
 		}
 		zeroW, zeroIn := make([]int16, 2*len(accs)), make([]uint32, len(accs))
-		withTiers(t, func(t *testing.T, tier string) {
+		simdtest.ForEachTier(t, func(t *testing.T) {
 			got := make([]int8, len(accs))
 			RequantI8(got, accs, q)
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("RequantI8 %+v acc=%d: %d, want %d (%s)", q, accs[i], got[i], want[i], tier)
+					t.Fatalf("RequantI8 %+v acc=%d: %d, want %d", q, accs[i], got[i], want[i])
 				}
 			}
 			// One pixel, one tap pair of weight zero: the accumulators are
@@ -86,7 +89,7 @@ func FuzzRequantI8(f *testing.F) {
 			DepthwiseI8(got, accs, zeroW, zeroIn, Tile{P: 1, N: 1, Rows: 1, WRowStride: len(accs)}, q)
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("DepthwiseI8 %+v acc=%d: %d, want %d (%s)", q, accs[i], got[i], want[i], tier)
+					t.Fatalf("DepthwiseI8 %+v acc=%d: %d, want %d", q, accs[i], got[i], want[i])
 				}
 			}
 		})
@@ -129,8 +132,8 @@ func scalarAbsMax(x []float32) float32 {
 // sameExtreme reports a reduction result equal to the scalar loop's: the
 // same bits from the Go reference, and from the assembly equal under ==
 // (only a zero's sign may differ) or NaN together.
-func sameExtreme(got, want float32, simdOn bool) bool {
-	if !simdOn {
+func sameExtreme(got, want float32) bool {
+	if ActiveTier() == TierGo {
 		return math.Float32bits(got) == math.Float32bits(want)
 	}
 	return got == want || got != got && want != want
@@ -178,32 +181,32 @@ func addReductionSeeds(f *testing.F) {
 	}
 }
 
-// FuzzMinMaxF32 holds MinMaxF32, assembly on and off, to the scalar loop
+// FuzzMinMaxF32 holds MinMaxF32, on every tier, to the scalar loop
 // on lengths 0-70 with NaN, zeros and infinities anywhere.
 func FuzzMinMaxF32(f *testing.F) {
 	addReductionSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, n, at, special uint8) {
 		x := reductionInput(data, n, at, special)
 		wantLo, wantHi := scalarMinMax(x)
-		withSIMD(t, func(t *testing.T, simdOn bool) {
+		simdtest.ForEachTier(t, func(t *testing.T) {
 			lo, hi := MinMaxF32(x)
-			if !sameExtreme(lo, wantLo, simdOn) || !sameExtreme(hi, wantHi, simdOn) {
-				t.Fatalf("MinMaxF32(%v) = %v, %v, want %v, %v (simd=%v)", x, lo, hi, wantLo, wantHi, simdOn)
+			if !sameExtreme(lo, wantLo) || !sameExtreme(hi, wantHi) {
+				t.Fatalf("MinMaxF32(%v) = %v, %v, want %v, %v", x, lo, hi, wantLo, wantHi)
 			}
 		})
 	})
 }
 
-// FuzzAbsMaxF32 holds AbsMaxF32, assembly on and off, to the scalar loop
+// FuzzAbsMaxF32 holds AbsMaxF32, on every tier, to the scalar loop
 // bit for bit on the same inputs.
 func FuzzAbsMaxF32(f *testing.F) {
 	addReductionSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, n, at, special uint8) {
 		x := reductionInput(data, n, at, special)
 		want := scalarAbsMax(x)
-		withSIMD(t, func(t *testing.T, simdOn bool) {
+		simdtest.ForEachTier(t, func(t *testing.T) {
 			if got := AbsMaxF32(x); math.Float32bits(got) != math.Float32bits(want) {
-				t.Fatalf("AbsMaxF32(%v) = %v, want %v (simd=%v)", x, got, want, simdOn)
+				t.Fatalf("AbsMaxF32(%v) = %v, want %v", x, got, want)
 			}
 		})
 	})

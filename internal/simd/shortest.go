@@ -28,7 +28,7 @@ package simd
 // runs its own reference (numjson's record32), which the kernel matches
 // bit for bit on every one of the 2^32 patterns.
 func ShortestF32(digits []uint64, heads []uint32, vals []float32, pow10 []uint64) bool {
-	if !haveAVX512 || !enabled.Load() {
+	if ActiveTier() != TierAVX512 {
 		return false
 	}
 	if len(pow10) < 31+45+1 { // pow10[31-k] for k = -45…31

@@ -24,7 +24,9 @@
 // 8 channels (the last P%4 pixels one at a time by 32 channels, then 8),
 // retires two taps per VPDPWSSD and requantizes from the registers.
 //
-// The assembly comes in three tiers, chosen from CPUID with no setting:
+// The kernels come in three tiers (Tier), the top one the CPU has chosen
+// from CPUID with no setting; tests and benchmarks lower it with SetTier
+// (simdtest.ForEachTier runs one on every tier the build and CPU have):
 //
 //   - avx512 (AVX-512 F+VL+CD+BW+VNNI): the conv tiles run on ZMM
 //     registers, blocks of 32 lanes then 16, and a last 8 lanes on the
@@ -39,9 +41,8 @@
 //     numjson's reference (its kernel needs 64-bit lane shifts and
 //     compares into masks, VPLZCNTQ and a gather), as ParseF32 leaves
 //     the tokens to numjson's ScanFloat.
-//   - go: everywhere else (other architectures, the noasm build tag, and
-//     when a test calls SetEnabled(false)) every primitive runs its pure
-//     Go reference.
+//   - go: everywhere else (other architectures and the noasm build tag)
+//     every primitive runs its pure Go reference.
 //
 // All three are bit-for-bit identical:
 //
@@ -90,21 +91,46 @@ import (
 	"unsafe"
 )
 
-// enabled gates the assembly fast paths; it is true only on amd64 with
-// AVX2 support (and may be cleared via SetEnabled for testing).
-var enabled atomic.Bool
+// Tier is a level of the kernels, ordered by what it runs in assembly:
+// TierGo none of it, TierAVX2 and TierAVX512 what the package comment
+// lists under their names.
+type Tier int32
 
-func init() {
-	enabled.Store(haveAVX2)
+const (
+	TierGo Tier = iota
+	TierAVX2
+	TierAVX512
+)
+
+func (t Tier) String() string { return [...]string{"go", "avx2", "avx512"}[t] }
+
+// tier is the active Tier, the one state every primitive dispatches on.
+var tier atomic.Int32
+
+func init() { tier.Store(int32(hostTier())) }
+
+// hostTier is the highest tier the build and the CPU have.
+func hostTier() Tier {
+	switch {
+	case haveAVX512:
+		return TierAVX512
+	case haveAVX2:
+		return TierAVX2
+	}
+	return TierGo
 }
 
-// Enabled reports whether the vectorized fast paths are active.
-func Enabled() bool { return enabled.Load() }
+// SetTier makes t the active tier, clamped to what the build and the
+// CPU have, and returns a func that restores the tier it replaced. It
+// lets tests and benchmarks run every tier in one process (see
+// internal/simd/simdtest); each gives the same bits.
+func SetTier(t Tier) (restore func()) {
+	prev := tier.Swap(int32(max(TierGo, min(t, hostTier()))))
+	return func() { tier.Store(prev) }
+}
 
-// SetEnabled forces the fast paths on or off. Enabling has no effect on
-// platforms without AVX2 support. It exists so tests and benchmarks can
-// compare the assembly and reference implementations.
-func SetEnabled(on bool) { enabled.Store(on && haveAVX2) }
+// ActiveTier reports the tier the primitives run.
+func ActiveTier() Tier { return Tier(tier.Load()) }
 
 // Tile is the geometry of one kernel call: a run of P output pixels
 // whose windows hold the same taps. Each pixel reduces Rows segments of
@@ -175,7 +201,7 @@ func args[D, B, W, I any](t Tile, dst []D, bias []B, w []W, in []I, lanes, size,
 // zmmLanes is how many of a conv tile's lanes the ZMM tile takes: with
 // AVX-512 the multiples of 16, leaving at most 8 for the YMM one.
 func zmmLanes(lanes int) int {
-	if !haveAVX512 {
+	if ActiveTier() != TierAVX512 {
 		return 0
 	}
 	return lanes &^ 15
@@ -207,7 +233,7 @@ func ConvTileF32(dst, bias, w, in []float32, t Tile) {
 		return
 	}
 	f0 := 0
-	if nf >= 8 && t.Rows > 0 && enabled.Load() {
+	if nf >= 8 && t.Rows > 0 && ActiveTier() >= TierAVX2 {
 		f0 = nf &^ 7
 		a := args(t, dst, bias, w, in, f0, 4, 4)
 		if z := zmmLanes(f0); z > 0 {
@@ -257,7 +283,7 @@ func DepthwiseF32(dst, bias, w, in []float32, t Tile) {
 		return
 	}
 	c0 := 0
-	if ch >= 8 && t.Rows > 0 && enabled.Load() {
+	if ch >= 8 && t.Rows > 0 && ActiveTier() >= TierAVX2 {
 		c0 = ch &^ 7
 		a := args(t, dst, bias, w, in, c0, 4, 4)
 		depthwiseF32SIMD(&a)
@@ -289,7 +315,7 @@ func depthwiseF32Go(dst, bias, w, in []float32, t Tile, c0 int) {
 // ReLUF32 clamps negatives to zero in place. NaNs and -0 propagate
 // exactly as the scalar `if v < 0 { v = 0 }` does.
 func ReLUF32(x []float32) {
-	if enabled.Load() {
+	if ActiveTier() >= TierAVX2 {
 		if n8 := len(x) &^ 7; n8 > 0 {
 			reluF32SIMD(x[:n8])
 		}
@@ -304,7 +330,7 @@ func ReLUF32(x []float32) {
 
 // ReLU6F32 clamps to [0, 6] in place with scalar-identical NaN behavior.
 func ReLU6F32(x []float32) {
-	if enabled.Load() {
+	if ActiveTier() >= TierAVX2 {
 		if n8 := len(x) &^ 7; n8 > 0 {
 			relu6F32SIMD(x[:n8])
 		}
@@ -328,7 +354,7 @@ func MaxF32(dst, src []float32) {
 		panic("simd: MaxF32 length mismatch")
 	}
 	n8 := 0
-	if enabled.Load() {
+	if ActiveTier() >= TierAVX2 {
 		if n8 = len(dst) &^ 7; n8 > 0 {
 			maxF32SIMD(dst[:n8], src)
 		}
@@ -353,7 +379,7 @@ func MinMaxF32(x []float32) (lo, hi float32) {
 		return 0, 0
 	}
 	lo, hi = x[0], x[0]
-	if n8 := len(x) &^ 7; n8 > 0 && enabled.Load() {
+	if n8 := len(x) &^ 7; n8 > 0 && ActiveTier() >= TierAVX2 {
 		var lanes [16]float32 // eight minima, then eight maxima
 		minMaxF32SIMD(x[:n8], &lanes)
 		lo, _ = minMaxF32(lo, lo, lanes[:8])
@@ -383,7 +409,7 @@ func minMaxF32(lo, hi float32, x []float32) (float32, float32) {
 // scalar loop's bits.
 func AbsMaxF32(x []float32) float32 {
 	var m float32
-	if n8 := len(x) &^ 7; n8 > 0 && enabled.Load() {
+	if n8 := len(x) &^ 7; n8 > 0 && ActiveTier() >= TierAVX2 {
 		var lanes [8]float32
 		absMaxF32SIMD(x[:n8], &lanes)
 		m = absMaxF32(m, lanes[:])
@@ -410,7 +436,7 @@ func MaxI8(dst, src []int8) {
 		panic("simd: MaxI8 length mismatch")
 	}
 	n16 := 0
-	if enabled.Load() {
+	if ActiveTier() >= TierAVX2 {
 		if n16 = len(dst) &^ 15; n16 > 0 {
 			maxI8SIMD(dst[:n16], src)
 		}
@@ -431,7 +457,7 @@ func QuantizeI8(dst []int8, src []float32, scale float32, zp int32) {
 		panic("simd: QuantizeI8 length mismatch")
 	}
 	n8 := 0
-	if enabled.Load() {
+	if ActiveTier() >= TierAVX2 {
 		if n8 = len(src) &^ 7; n8 > 0 {
 			quantizeI8SIMD(dst[:n8], src, float64(scale), zp)
 		}
@@ -463,7 +489,7 @@ func PackPairs(vp []uint32, in []int8, zp int32) int {
 	n := len(in) / 2
 	_ = vp[:(len(in)+1)/2]
 	i := 0
-	if n16 := len(in) &^ 15; n16 > 0 && enabled.Load() {
+	if n16 := len(in) &^ 15; n16 > 0 && ActiveTier() >= TierAVX2 {
 		packPairsSIMD(vp[:n16/2], in[:n16], zp)
 		i = n16
 	}
@@ -507,7 +533,7 @@ func PackPixels(vp []uint32, in []int8, cin int, zp int32) int {
 	px := len(in) / cin
 	vp = vp[:px*pp]
 	i := 0
-	if k := 16 / (cin + 1); k > 0 && len(in) >= 16 && len(vp) >= 8 && enabled.Load() {
+	if k := 16 / (cin + 1); k > 0 && len(in) >= 16 && len(vp) >= 8 && ActiveTier() >= TierAVX2 {
 		// A step reads 16 bytes and writes 16 lanes (8 pairs), more than
 		// it keeps: run the steps whose reads and writes stay inside.
 		steps := min((len(in)-16)/(k*cin), (len(vp)-8)/(k*pp)) + 1
@@ -568,7 +594,7 @@ func PackTapPairs(vp []uint32, row []int8, ch, x0, step, n int, zp int32) {
 // keeping the bits of mask: all of them for two columns of a row, one
 // half beside a pad column.
 func packPairRun(vp []uint32, in []int8, ch, inStep, hiOff int, zp int32, mask uint32) {
-	if ch%8 == 0 && enabled.Load() {
+	if ch%8 == 0 && ActiveTier() >= TierAVX2 {
 		packTapPairsSIMD(vp, in, ch, inStep, hiOff, zp, mask)
 		return
 	}
@@ -597,7 +623,7 @@ func ConvTileI8(acc, bias []int32, wPair []int16, vp []uint32, t Tile) {
 		return
 	}
 	f0 := 0
-	if nf >= 8 && t.Rows > 0 && enabled.Load() {
+	if nf >= 8 && t.Rows > 0 && ActiveTier() >= TierAVX2 {
 		f0 = nf &^ 7
 		a := args(t, acc, bias, wPair, vp, f0, 4, 4)
 		if z := zmmLanes(f0); z > 0 {
@@ -698,7 +724,7 @@ func (q Requant) Apply(a int32) int8 {
 // the avx512 tier (64-bit lane arithmetic shifts) and handles the right
 // shifts that every sub-unit requant multiplier produces.
 func (q Requant) vector() bool {
-	return q.Shift <= 0 && q.Shift >= -31 && haveAVX512 && enabled.Load()
+	return q.Shift <= 0 && q.Shift >= -31 && ActiveTier() == TierAVX512
 }
 
 // requantArgs is the assembly's view of a Requant (simd_amd64.s): the
@@ -808,7 +834,7 @@ func ButterflyStageF32(re, im, wr, wi []float32) {
 	if half == 0 || len(wi) != half || len(im) != len(re) || len(re)%(2*half) != 0 {
 		panic("simd: ButterflyStageF32 geometry")
 	}
-	if half%2 == 0 && enabled.Load() {
+	if half%2 == 0 && ActiveTier() >= TierAVX2 {
 		butterflyF32SIMD(re, im, wr, wi)
 		return
 	}
@@ -848,7 +874,7 @@ func RealPowerF32(dst, re, im, wr, wi []float32, scale float32) {
 	x0 := re[0] + im[0]
 	dst[0] = x0 * x0 * scale
 	k := 1
-	if n8 := (h - 1) &^ 7; n8 > 0 && enabled.Load() {
+	if n8 := (h - 1) &^ 7; n8 > 0 && ActiveTier() >= TierAVX2 {
 		realPowerF32SIMD(dst[1:1+n8], re, im, wr[1:], wi[1:], scale)
 		k += n8
 	}
@@ -873,7 +899,7 @@ func RealPowerF32(dst, re, im, wr, wi []float32, scale float32) {
 func BlendDivF32(dst, a, b []float32, wa, wb, div float32) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	n8 := 0
-	if enabled.Load() {
+	if ActiveTier() >= TierAVX2 {
 		if n8 = len(dst) &^ 7; n8 > 0 {
 			blendDivF32SIMD(dst[:n8], a, b, wa, wb, div)
 		}

@@ -4,11 +4,10 @@ package simd
 
 // Builds without the amd64 assembly (other architectures, and the noasm
 // tag CI uses to keep the portable path honest) run the Go references;
-// enabled stays false and the stubs below are unreachable. haveAVX512 is
-// a variable only so the package's tests can hide it on every build.
+// the tier is TierGo and the stubs below are unreachable.
 const haveAVX2 = false
 
-var haveAVX512 = false
+const haveAVX512 = false
 
 const haveParseF32 = false
 

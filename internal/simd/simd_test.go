@@ -1,4 +1,4 @@
-package simd
+package simd_test
 
 import (
 	"fmt"
@@ -7,47 +7,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	. "edgepulse/internal/simd"
+	"edgepulse/internal/simd/simdtest"
 )
-
-// withSIMD runs f twice, once with the assembly path forced on (when the
-// host supports it) and once forced off, restoring the previous state.
-func withSIMD(t *testing.T, f func(t *testing.T, simdOn bool)) {
-	t.Helper()
-	prev := Enabled()
-	defer SetEnabled(prev)
-	SetEnabled(true)
-	f(t, Enabled())
-	SetEnabled(false)
-	f(t, false)
-}
-
-// withTiers runs f once per implementation tier: the assembly with
-// AVX-512 (ZMM conv tiles, VNNI), the assembly with AVX-512 hidden — an
-// AVX2-only host, where the packs and the YMM conv tiles run in assembly
-// and the requantizing kernels in Go — and pure Go, restoring the host's
-// state afterwards. A tier the build or host lacks runs as the next one
-// down; tier names what actually ran.
-func withTiers(t *testing.T, f func(t *testing.T, tier string)) {
-	t.Helper()
-	on, avx512 := Enabled(), haveAVX512
-	defer func() { SetEnabled(on); haveAVX512 = avx512 }()
-	tier := func() string {
-		switch {
-		case !Enabled():
-			return "go"
-		case haveAVX512:
-			return "avx512"
-		}
-		return "avx2"
-	}
-	SetEnabled(true)
-	f(t, tier())
-	haveAVX512 = false
-	f(t, tier())
-	haveAVX512 = avx512
-	SetEnabled(false)
-	f(t, tier())
-}
 
 func randF32(rng *rand.Rand, n int) []float32 {
 	out := make([]float32, n)
@@ -105,7 +68,7 @@ func sameF32(t *testing.T, what string, got, want []float32) {
 	t.Helper()
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) && (got[i] == got[i] || want[i] == want[i]) {
-			t.Fatalf("%s: elem %d = %x, want %x (simd=%v avx512=%v)", what, i, math.Float32bits(got[i]), math.Float32bits(want[i]), Enabled(), haveAVX512)
+			t.Fatalf("%s: elem %d = %x, want %x", what, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 		}
 	}
 }
@@ -122,10 +85,10 @@ func TestConvTileF32MatchesNaive(t *testing.T) {
 			tile, wLen, inLen := randTile(rng, nf, 1, 20)
 			bias, w, in := randF32(rng, nf), randF32(rng, wLen), randF32(rng, inLen)
 			want := naiveConvF32(bias, w, in, tile)
-			withTiers(t, func(t *testing.T, tier string) {
+			simdtest.ForEachTier(t, func(t *testing.T) {
 				got := randF32(rng, tile.P*nf) // stale output must be overwritten
 				ConvTileF32(got, bias, w, in, tile)
-				sameF32(t, fmt.Sprintf("nf=%d %+v (%s)", nf, tile, tier), got, want)
+				sameF32(t, fmt.Sprintf("nf=%d %+v", nf, tile), got, want)
 			})
 		}
 	}
@@ -149,10 +112,10 @@ func TestConvTileF32SpecialValues(t *testing.T) {
 	in := []float32{2, inf, negZero, nan, 0, -inf, 1, 2}
 	tile := Tile{P: 7, N: 2, Rows: 1, PixStride: 1}
 	want := naiveConvF32(bias, w, in, tile)
-	withTiers(t, func(t *testing.T, tier string) {
+	simdtest.ForEachTier(t, func(t *testing.T) {
 		got := make([]float32, len(want))
 		ConvTileF32(got, bias, w, in, tile)
-		sameF32(t, "special values ("+tier+")", got, want)
+		sameF32(t, "special values", got, want)
 	})
 }
 
@@ -162,15 +125,15 @@ func TestConvTileEmptyReductionIsBias(t *testing.T) {
 	for i := range bias {
 		bias[i], biasI[i] = float32(i+1), int32(-i)
 	}
-	withTiers(t, func(t *testing.T, tier string) {
+	simdtest.ForEachTier(t, func(t *testing.T) {
 		got := make([]float32, 2*nf)
 		ConvTileF32(got, bias, nil, nil, Tile{P: 2, Rows: 3})
-		sameF32(t, "empty ("+tier+")", got, append(append([]float32(nil), bias...), bias...))
+		sameF32(t, "empty", got, append(append([]float32(nil), bias...), bias...))
 		gotI := make([]int32, 2*nf)
 		ConvTileI8(gotI, biasI, nil, nil, Tile{P: 2, Rows: 3})
 		for i, v := range gotI {
 			if v != biasI[i%nf] {
-				t.Fatalf("ConvTileI8 empty: elem %d = %d, want %d (%s)", i, v, biasI[i%nf], tier)
+				t.Fatalf("ConvTileI8 empty: elem %d = %d, want %d", i, v, biasI[i%nf])
 			}
 		}
 	})
@@ -235,7 +198,7 @@ func TestDepthwiseF32MatchesNaive(t *testing.T) {
 					want[p*ch+c] = s
 				}
 			}
-			withSIMD(t, func(t *testing.T, _ bool) {
+			simdtest.ForEachTier(t, func(t *testing.T) {
 				got := randF32(rng, tile.P*ch)
 				DepthwiseF32(got, bias, w, in, tile)
 				sameF32(t, fmt.Sprintf("ch=%d %+v", ch, tile), got, want)
@@ -260,7 +223,7 @@ func TestReLUF32MatchesScalar(t *testing.T) {
 	for _, six := range []bool{false, true} {
 		want := append([]float32(nil), base...)
 		scalar(want, six)
-		withSIMD(t, func(t *testing.T, _ bool) {
+		simdtest.ForEachTier(t, func(t *testing.T) {
 			g := append([]float32(nil), base...)
 			if six {
 				ReLU6F32(g)
@@ -269,7 +232,7 @@ func TestReLUF32MatchesScalar(t *testing.T) {
 			}
 			for i := range g {
 				if math.Float32bits(g[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("six=%v lane %d: %x want %x (simd=%v)", six, i, math.Float32bits(g[i]), math.Float32bits(want[i]), Enabled())
+					t.Fatalf("six=%v lane %d: %x want %x", six, i, math.Float32bits(g[i]), math.Float32bits(want[i]))
 				}
 			}
 		})
@@ -326,12 +289,12 @@ func TestConvTileI8MatchesNaive(t *testing.T) {
 				}
 			}
 			tile := Tile{P: s.pix, N: pairs, Rows: s.rows, PixStride: pairs, InRowStride: pairs, WRowStride: pairs * s.nf}
-			withTiers(t, func(t *testing.T, tier string) {
+			simdtest.ForEachTier(t, func(t *testing.T) {
 				got := make([]int32, len(want))
 				ConvTileI8(got, bias, wPair, vp, tile)
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("zp=%d %+v elem %d: %d want %d (%s)", zp, s, i, got[i], want[i], tier)
+						t.Fatalf("zp=%d %+v elem %d: %d want %d", zp, s, i, got[i], want[i])
 					}
 				}
 			})
@@ -453,11 +416,11 @@ func TestDepthwiseI8MatchesNaive(t *testing.T) {
 				bias[c] = int32(rng.Uint32()) >> uint(rng.Intn(24))
 			}
 			want := depthwiseI8Naive(g, in, w, bias, zp, q)
-			withTiers(t, func(t *testing.T, tier string) {
+			simdtest.ForEachTier(t, func(t *testing.T) {
 				got := depthwiseI8Packed(g, in, w, bias, zp, q)
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("%+v zp=%d ch=%d %+v elem %d: %d want %d (%s)", q, zp, ch, g, i, got[i], want[i], tier)
+						t.Fatalf("%+v zp=%d ch=%d %+v elem %d: %d want %d", q, zp, ch, g, i, got[i], want[i])
 					}
 				}
 			})
@@ -483,7 +446,7 @@ func TestPackTapPairsMatchesFormula(t *testing.T) {
 					}
 					return uint32(uint16(int32(row[x*ch+c]) - zp))
 				}
-				withTiers(t, func(t *testing.T, tier string) {
+				simdtest.ForEachTier(t, func(t *testing.T) {
 					got := make([]uint32, n*ch+1)
 					for i := range got {
 						got[i] = 0xdeadbeef
@@ -493,12 +456,12 @@ func TestPackTapPairsMatchesFormula(t *testing.T) {
 						for c := 0; c < ch; c++ {
 							x := x0 + p*step
 							if want := v(x, c) | v(x+1, c)<<16; got[p*ch+c] != want {
-								t.Fatalf("zp=%d ch=%d w=%d x0=%d step=%d: pair (%d, %d) = %08x, want %08x (%s)", zp, ch, w, x0, step, p, c, got[p*ch+c], want, tier)
+								t.Fatalf("zp=%d ch=%d w=%d x0=%d step=%d: pair (%d, %d) = %08x, want %08x", zp, ch, w, x0, step, p, c, got[p*ch+c], want)
 							}
 						}
 					}
 					if got[n*ch] != 0xdeadbeef {
-						t.Fatalf("ch=%d w=%d x0=%d step=%d n=%d: wrote past n positions (%s)", ch, w, x0, step, n, tier)
+						t.Fatalf("ch=%d w=%d x0=%d step=%d n=%d: wrote past n positions", ch, w, x0, step, n)
 					}
 				})
 			}
@@ -527,14 +490,14 @@ func TestPackPixelsMatchesScalar(t *testing.T) {
 						want[i*pp+c/2] = lo | hi<<16
 					}
 				}
-				withTiers(t, func(t *testing.T, tier string) {
+				simdtest.ForEachTier(t, func(t *testing.T) {
 					got := make([]uint32, len(want))
 					if k := PackPixels(got, in, cin, zp); k != pp {
 						t.Fatalf("cin=%d: %d pairs per pixel, want %d", cin, k, pp)
 					}
 					for i := range got {
 						if got[i] != want[i] {
-							t.Fatalf("cin=%d px=%d zp=%d pair %d: %08x want %08x (%s)", cin, px, zp, i, got[i], want[i], tier)
+							t.Fatalf("cin=%d px=%d zp=%d pair %d: %08x want %08x", cin, px, zp, i, got[i], want[i])
 						}
 					}
 				})
@@ -572,12 +535,12 @@ func TestRequantI8MatchesScalar(t *testing.T) {
 	edge := []int32{0, 1, -1, math.MaxInt32, math.MinInt32, 1 << 30, -(1 << 30), 12345, -99999}
 	copy(accs, edge)
 	for _, q := range requantCases() {
-		withSIMD(t, func(t *testing.T, _ bool) {
+		simdtest.ForEachTier(t, func(t *testing.T) {
 			got := make([]int8, len(accs))
 			RequantI8(got, accs, q)
 			for i := range got {
 				if want := q.Apply(accs[i]); got[i] != want {
-					t.Fatalf("%+v acc=%d: got %d want %d (simd=%v avx512=%v)", q, accs[i], got[i], want, Enabled(), haveAVX512)
+					t.Fatalf("%+v acc=%d: got %d want %d", q, accs[i], got[i], want)
 				}
 			}
 		})
@@ -607,7 +570,7 @@ func TestRequantApplyKnownValues(t *testing.T) {
 	}
 }
 
-// TestMaxMatchesScalar holds both paths to the scalar comparison,
+// TestMaxMatchesScalar holds every tier to the scalar comparison,
 // including a NaN that must not win and the two zeros.
 func TestMaxMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -630,26 +593,26 @@ func TestMaxMatchesScalar(t *testing.T) {
 		for i, v := range srcI {
 			wantI[i] = max(wantI[i], v)
 		}
-		withSIMD(t, func(t *testing.T, _ bool) {
+		simdtest.ForEachTier(t, func(t *testing.T) {
 			gotF := append([]float32(nil), dstF...)
 			MaxF32(gotF, srcF)
 			for i := range gotF {
 				if math.Float32bits(gotF[i]) != math.Float32bits(wantF[i]) {
-					t.Fatalf("MaxF32 n=%d lane %d: %x want %x (simd=%v)", n, i, math.Float32bits(gotF[i]), math.Float32bits(wantF[i]), Enabled())
+					t.Fatalf("MaxF32 n=%d lane %d: %x want %x", n, i, math.Float32bits(gotF[i]), math.Float32bits(wantF[i]))
 				}
 			}
 			gotI := append([]int8(nil), dstI...)
 			MaxI8(gotI, srcI)
 			for i := range gotI {
 				if gotI[i] != wantI[i] {
-					t.Fatalf("MaxI8 n=%d lane %d: %d want %d (simd=%v)", n, i, gotI[i], wantI[i], Enabled())
+					t.Fatalf("MaxI8 n=%d lane %d: %d want %d", n, i, gotI[i], wantI[i])
 				}
 			}
 		})
 	}
 }
 
-// TestQuantizeI8MatchesRound holds both paths to the textbook form —
+// TestQuantizeI8MatchesRound holds every tier to the textbook form —
 // math.Round of the float64 quotient, Go's int32 conversion, wrapping
 // zero-point add, clamp — on halves, their neighbours, NaN, infinities,
 // both zeros and values far outside int32.
@@ -674,12 +637,12 @@ func TestQuantizeI8MatchesRound(t *testing.T) {
 			q := int32(math.Round(float64(v)/float64(c.scale))) + c.zp
 			want[i] = int8(max(-128, min(127, q)))
 		}
-		withSIMD(t, func(t *testing.T, _ bool) {
+		simdtest.ForEachTier(t, func(t *testing.T) {
 			got := make([]int8, len(src))
 			QuantizeI8(got, src, c.scale, c.zp)
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("scale=%g zp=%d: q(%g [%#x]) = %d, want %d (simd=%v)", c.scale, c.zp, src[i], math.Float32bits(src[i]), got[i], want[i], Enabled())
+					t.Fatalf("scale=%g zp=%d: q(%g [%#x]) = %d, want %d", c.scale, c.zp, src[i], math.Float32bits(src[i]), got[i], want[i])
 				}
 			}
 		})
@@ -703,14 +666,14 @@ func TestPackPairsMatchesScalar(t *testing.T) {
 			if n%2 == 1 {
 				want[n/2] = uint32(uint16(int32(in[n-1]) - zp))
 			}
-			withSIMD(t, func(t *testing.T, _ bool) {
+			simdtest.ForEachTier(t, func(t *testing.T) {
 				got := make([]uint32, (n+1)/2)
 				if k := PackPairs(got, in, zp); k != (n+1)/2 {
 					t.Fatalf("n=%d: %d pairs, want %d", n, k, (n+1)/2)
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("zp=%d n=%d pair %d: %08x want %08x (simd=%v)", zp, n, i, got[i], want[i], Enabled())
+						t.Fatalf("zp=%d n=%d pair %d: %08x want %08x", zp, n, i, got[i], want[i])
 					}
 				}
 			})
@@ -743,28 +706,11 @@ func TestPairWeights(t *testing.T) {
 // the 24 and 32 lanes that split differently between the tile widths.
 var benchShapes = []struct{ cin, nf int }{{8, 16}, {64, 16}, {64, 24}, {64, 32}, {64, 64}, {256, 64}}
 
-// benchTiers runs f once per assembly tier the host has — avx512, then
-// avx2 with AVX-512 hidden — so one binary on one host times both (go
-// in a build without the assembly).
-func benchTiers(b *testing.B, f func(b *testing.B)) {
-	avx512 := haveAVX512
-	defer func() { haveAVX512 = avx512 }()
-	if avx512 {
-		b.Run("avx512", f)
-	}
-	haveAVX512 = false
-	if Enabled() {
-		b.Run("avx2", f)
-	} else {
-		b.Run("go", f)
-	}
-}
-
 // BenchmarkConvTileF32 times one 4-pixel run as one tile (P=4) and as
 // four single-pixel calls (P=1): the difference is what register tiling
 // buys over reloading the weights per pixel.
 func BenchmarkConvTileF32(b *testing.B) {
-	benchTiers(b, func(b *testing.B) {
+	simdtest.ForEachTier(b, func(b *testing.B) {
 		for _, s := range benchShapes {
 			rng := rand.New(rand.NewSource(1))
 			bias, w, in := randF32(rng, s.nf), randF32(rng, s.cin*s.nf), randF32(rng, 4*s.cin)
@@ -785,7 +731,7 @@ func BenchmarkConvTileF32(b *testing.B) {
 }
 
 func BenchmarkConvTileI8(b *testing.B) {
-	benchTiers(b, func(b *testing.B) {
+	simdtest.ForEachTier(b, func(b *testing.B) {
 		for _, s := range benchShapes {
 			rng := rand.New(rand.NewSource(1))
 			pairs := s.cin / 2
@@ -820,10 +766,7 @@ func BenchmarkPackStem(b *testing.B) {
 	}
 }
 
-func benchRequant(b *testing.B, on bool) {
-	prev := Enabled()
-	defer SetEnabled(prev)
-	SetEnabled(on)
+func BenchmarkRequantI8(b *testing.B) {
 	acc := make([]int32, 64)
 	rng := rand.New(rand.NewSource(1))
 	for i := range acc {
@@ -831,14 +774,12 @@ func benchRequant(b *testing.B, on bool) {
 	}
 	dst := make([]int8, 64)
 	q := Requant{Mult: 1412090957, Shift: -6, ZP: -4, Lo: -128, Hi: 127}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RequantI8(dst, acc, q)
-	}
+	simdtest.ForEachTier(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			RequantI8(dst, acc, q)
+		}
+	})
 }
-
-func BenchmarkRequantI8SIMD(b *testing.B)   { benchRequant(b, true) }
-func BenchmarkRequantI8Scalar(b *testing.B) { benchRequant(b, false) }
 
 // TestRoundHalfAwayTrick checks the Trunc form QuantizeI8 uses against
 // math.Round on doubles around every half and on random bit patterns.
@@ -866,7 +807,7 @@ func TestRoundHalfAwayTrick(t *testing.T) {
 	}
 }
 
-// TestButterflyStageF32MatchesScalar holds both paths to the butterfly
+// TestButterflyStageF32MatchesScalar holds every tier to the butterfly
 // written out per point, on every stage width of a 1024-point transform
 // (the vector path takes the widths that are multiples of 8) and with
 // NaN, infinities and signed zeros among the inputs.
@@ -888,7 +829,7 @@ func TestButterflyStageF32MatchesScalar(t *testing.T) {
 				wantIm[a], wantIm[b] = wantIm[a]+vi, wantIm[a]-vi
 			}
 		}
-		withSIMD(t, func(t *testing.T, _ bool) {
+		simdtest.ForEachTier(t, func(t *testing.T) {
 			gotRe, gotIm := append([]float32(nil), re...), append([]float32(nil), im...)
 			ButterflyStageF32(gotRe, gotIm, wr, wi)
 			sameF32(t, fmt.Sprintf("half=%d re", half), gotRe, wantRe)
@@ -925,7 +866,7 @@ func TestRealPowerF32MatchesScalar(t *testing.T) {
 				want[k] = (xr*xr + xi*xi) * scale
 			}
 		}
-		withSIMD(t, func(t *testing.T, _ bool) {
+		simdtest.ForEachTier(t, func(t *testing.T) {
 			got := randF32(rng, h+2)
 			RealPowerF32(got, re, im, wr, wi, scale)
 			sameF32(t, fmt.Sprintf("h=%d", h), got[:h+1], want)
@@ -985,7 +926,7 @@ func BenchmarkRealPowerF32(b *testing.B) {
 	}
 }
 
-// TestBlendDivF32MatchesScalar checks both paths against the expression
+// TestBlendDivF32MatchesScalar checks every tier against the expression
 // on every tail length, with special values and a divisor whose
 // reciprocal is inexact.
 func TestBlendDivF32MatchesScalar(t *testing.T) {
@@ -1001,7 +942,7 @@ func TestBlendDivF32MatchesScalar(t *testing.T) {
 		for i := range want {
 			want[i] = (a[i]*wa + b[i]*wb) / 255
 		}
-		withSIMD(t, func(t *testing.T, _ bool) {
+		simdtest.ForEachTier(t, func(t *testing.T) {
 			got := randF32(rng, n)
 			BlendDivF32(got, a, b, wa, wb, 255)
 			sameF32(t, fmt.Sprintf("n=%d", n), got, want)
@@ -1022,12 +963,12 @@ func TestParseF32(t *testing.T) {
 	}
 	toks = append(toks, "0.123456789012345", "1", "1e5", "2")
 	data := []byte(lead + strings.Join(toks, ",") + "]" + strings.Repeat(" ", 128))
-	withTiers(t, func(t *testing.T, tier string) {
+	simdtest.ForEachTier(t, func(t *testing.T) {
 		dst := make([]float32, 64)
 		n, next, ok := ParseF32(dst, data, len(lead))
-		if tier != "avx512" || !haveParseF32 {
+		if ActiveTier() != TierAVX512 || !HaveParseF32 {
 			if ok || n != 0 || next != len(lead) {
-				t.Fatalf("%s: took %d (ok=%v, next=%d)", tier, n, ok, next)
+				t.Fatalf("took %d (ok=%v, next=%d)", n, ok, next)
 			}
 			return
 		}
@@ -1051,7 +992,7 @@ func TestParseF32(t *testing.T) {
 	})
 }
 
-// TestMinMaxAbsMaxMatchScalar runs both reductions, assembly on and off,
+// TestMinMaxAbsMaxMatchScalar runs both reductions, on every tier,
 // against the scalar loops on every length across the 32- and 8-lane
 // blocks and on vectors whose extremes sit in each lane position, with a
 // NaN first (the result is NaN), a NaN later (it never wins), both zeros
@@ -1100,30 +1041,25 @@ func TestMinMaxAbsMaxMatchScalar(t *testing.T) {
 	for _, x := range inputs {
 		wantLo, wantHi := scalarMinMax(x)
 		wantAbs := scalarAbsMax(x)
-		withSIMD(t, func(t *testing.T, simdOn bool) {
-			if lo, hi := MinMaxF32(x); !sameExtreme(lo, wantLo, simdOn) || !sameExtreme(hi, wantHi, simdOn) {
-				t.Fatalf("MinMaxF32 n=%d: %v, %v, want %v, %v (simd=%v)", len(x), lo, hi, wantLo, wantHi, simdOn)
+		simdtest.ForEachTier(t, func(t *testing.T) {
+			if lo, hi := MinMaxF32(x); !sameExtreme(lo, wantLo) || !sameExtreme(hi, wantHi) {
+				t.Fatalf("MinMaxF32 n=%d: %v, %v, want %v, %v", len(x), lo, hi, wantLo, wantHi)
 			}
 			if got := AbsMaxF32(x); math.Float32bits(got) != math.Float32bits(wantAbs) {
-				t.Fatalf("AbsMaxF32 n=%d: %v, want %v (simd=%v)", len(x), got, wantAbs, simdOn)
+				t.Fatalf("AbsMaxF32 n=%d: %v, want %v", len(x), got, wantAbs)
 			}
 		})
 	}
 }
 
 // BenchmarkMinMaxF32 scans 64 Ki floats, the size of a large
-// calibration activation, on both paths.
+// calibration activation, on every tier.
 func BenchmarkMinMaxF32(b *testing.B) {
 	x := randF32(rand.New(rand.NewSource(1)), 64<<10)
-	for _, on := range []bool{true, false} {
-		b.Run(fmt.Sprintf("simd=%v", on), func(b *testing.B) {
-			prev := Enabled()
-			defer SetEnabled(prev)
-			SetEnabled(on)
-			b.SetBytes(int64(4 * len(x)))
-			for i := 0; i < b.N; i++ {
-				MinMaxF32(x)
-			}
-		})
-	}
+	simdtest.ForEachTier(b, func(b *testing.B) {
+		b.SetBytes(int64(4 * len(x)))
+		for i := 0; i < b.N; i++ {
+			MinMaxF32(x)
+		}
+	})
 }

@@ -33,7 +33,7 @@ package simd
 // reports false, and the caller reads every token itself (numjson's
 // ScanFloat is the reference the kernel matches).
 func ParseF32(dst []float32, data []byte, i int) (n, next int, ok bool) {
-	if !haveParseF32 || !haveAVX512 || !enabled.Load() {
+	if !haveParseF32 || ActiveTier() != TierAVX512 {
 		return 0, i, false
 	}
 	if i < 0 || i > len(data) {

@@ -21,6 +21,7 @@ import (
 	"edgepulse/internal/profiler"
 	"edgepulse/internal/quant"
 	"edgepulse/internal/renode"
+	"edgepulse/internal/simd/simdtest"
 	"edgepulse/internal/tensor"
 	"edgepulse/internal/tflm"
 
@@ -113,77 +114,80 @@ func ablationModels(t *testing.T) map[string]*tflm.ModelFile {
 // activations in the same liveness-planned arena, which is the arena
 // Table 4's EON cells report, the interpreter resolves every op on every
 // Invoke, and neither allocates beyond the returned tensor (not checked
-// under the race detector, whose instrumentation allocates). What
-// compiling removes is the per-op dispatch, not arena bytes.
+// under the race detector, whose instrumentation allocates), on every
+// simd tier. What compiling removes is the per-op dispatch, not arena
+// bytes.
 func TestEONAblationOnSharedKernels(t *testing.T) {
-	for name, mf := range ablationModels(t) {
-		it, err := tflm.NewInterpreter(mf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := eonc.Compile(mf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs, err := mf.Specs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := prog.ArenaBytes(); got <= 0 || got != it.ArenaBytes() {
-			t.Errorf("%s: EON arena %d bytes, interpreter arena %d", name, got, it.ArenaBytes())
-		}
-		var est profiler.Memory
-		if mf.Precision == tflm.Int8 {
-			est = profiler.EstimateInt8(mf.Quant, renode.EON)
-		} else if est, err = profiler.EstimateFloat(mf.Float, renode.EON); err != nil {
-			t.Fatal(err)
-		}
-		if est.ArenaBytes != prog.ArenaBytes() {
-			t.Errorf("%s: Table 4 EON arena %d bytes, compiled program %d", name, est.ArenaBytes, prog.ArenaBytes())
-		}
-
-		rng := rand.New(rand.NewSource(3))
-		in := tensor.NewF32(mf.InputShape()...)
-		for i := range in.Data {
-			in.Data[i] = float32(rng.Float64())
-		}
-		before := it.Invocations()
-		a, err := it.Invoke(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops := int64(len(specs))
-		if mf.Precision == tflm.Int8 {
-			ops-- // the trailing softmax is the float head, not an int8 op
-		}
-		if got := it.Invocations() - before; got != ops {
-			t.Errorf("%s: Invoke advanced Invocations by %d, interpreter has %d ops", name, got, ops)
-		}
-		b, err := prog.Run(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Data {
-			if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
-				t.Fatalf("%s: EON output %d = %v, interpreter %v", name, i, b.Data[i], a.Data[i])
+	simdtest.ForEachTier(t, func(t *testing.T) {
+		for name, mf := range ablationModels(t) {
+			it, err := tflm.NewInterpreter(mf)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			prog, err := eonc.Compile(mf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs, err := mf.Specs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := prog.ArenaBytes(); got <= 0 || got != it.ArenaBytes() {
+				t.Errorf("%s: EON arena %d bytes, interpreter arena %d", name, got, it.ArenaBytes())
+			}
+			var est profiler.Memory
+			if mf.Precision == tflm.Int8 {
+				est = profiler.EstimateInt8(mf.Quant, renode.EON)
+			} else if est, err = profiler.EstimateFloat(mf.Float, renode.EON); err != nil {
+				t.Fatal(err)
+			}
+			if est.ArenaBytes != prog.ArenaBytes() {
+				t.Errorf("%s: Table 4 EON arena %d bytes, compiled program %d", name, est.ArenaBytes, prog.ArenaBytes())
+			}
 
-		if raceEnabled {
-			continue
-		}
-		// Both pools are warm after the runs above.
-		for engine, run := range map[string]func(*tensor.F32) (*tensor.F32, error){"EON": prog.Run, "interpreter": it.Invoke} {
-			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := run(in); err != nil {
-					t.Fatal(err)
+			rng := rand.New(rand.NewSource(3))
+			in := tensor.NewF32(mf.InputShape()...)
+			for i := range in.Data {
+				in.Data[i] = float32(rng.Float64())
+			}
+			before := it.Invocations()
+			a, err := it.Invoke(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := int64(len(specs))
+			if mf.Precision == tflm.Int8 {
+				ops-- // the trailing softmax is the float head, not an int8 op
+			}
+			if got := it.Invocations() - before; got != ops {
+				t.Errorf("%s: Invoke advanced Invocations by %d, interpreter has %d ops", name, got, ops)
+			}
+			b, err := prog.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range a.Data {
+				if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+					t.Fatalf("%s: EON output %d = %v, interpreter %v", name, i, b.Data[i], a.Data[i])
 				}
-			})
-			if allocs > 4 {
-				t.Errorf("%s: %s allocates %v per run, want <= 4 (steady-state arena reuse)", name, engine, allocs)
+			}
+
+			if raceEnabled {
+				continue
+			}
+			// Both pools are warm after the runs above.
+			for engine, run := range map[string]func(*tensor.F32) (*tensor.F32, error){"EON": prog.Run, "interpreter": it.Invoke} {
+				allocs := testing.AllocsPerRun(10, func() {
+					if _, err := run(in); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs > 4 {
+					t.Errorf("%s: %s allocates %v per run, want <= 4 (steady-state arena reuse)", name, engine, allocs)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestFloatForwardAllocBudget pins the raw float kernel path's budget:
