@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -78,20 +79,20 @@ func TestJobEventsLongPoll(t *testing.T) {
 	started := make(chan struct{})
 	job, err := e.sched.Submit("train", func(ctx context.Context, j *jobs.Job) error {
 		j.SetProgress("train", 25)
-		close(started)
 		j.Logf("epoch 1")
+		close(started)
 		<-step
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First poll, once the job has reported progress, returns the early
-	// events without waiting.
+	// First poll, once the job has reported progress and logged a line,
+	// returns the early events without waiting.
 	<-started
 	out := e.expectStatus("GET", "/api/v1/jobs/"+job.ID+"/events?mode=poll&timeout_ms=5000", e.apiKey, nil, http.StatusOK)
 	events := out["events"].([]any)
-	if len(events) < 3 { // queued, running, progress (log may race in)
+	if len(events) < 4 { // queued, running, progress, log
 		t.Fatalf("poll events: %v", events)
 	}
 	first := events[0].(map[string]any)
@@ -102,10 +103,16 @@ func TestJobEventsLongPoll(t *testing.T) {
 		t.Fatal("running job reported done")
 	}
 	next := int64(out["next_seq"].(float64))
-	// Release mid-poll: the long poll unblocks on the next event
-	// (terminal state) instead of waiting out the timeout.
+	// Release mid-poll, once a poll is waiting on the job's log: the long
+	// poll unblocks on the next event (terminal state) instead of waiting
+	// out the timeout.
+	waited := make(chan bool, 1)
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		deadline := time.Now().Add(5 * time.Second)
+		for job.Events.Subscribers() == 0 && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		waited <- job.Events.Subscribers() > 0
 		close(step)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
@@ -120,6 +127,9 @@ func TestJobEventsLongPoll(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("poll never reached done")
 		}
+	}
+	if !<-waited {
+		t.Fatal("no poll waited on the job's log")
 	}
 	// Every event was delivered exactly once across polls: next_seq is
 	// the terminal event's seq.

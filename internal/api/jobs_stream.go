@@ -7,6 +7,7 @@ import (
 	"time"
 
 	v1 "edgepulse/internal/api/v1"
+	"edgepulse/internal/eventlog"
 	"edgepulse/internal/jobs"
 	"edgepulse/internal/project"
 )
@@ -92,61 +93,30 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, u *proj
 			"from / Last-Event-Id must be a non-negative integer")
 		return
 	}
-	flusher, canStream := w.(http.Flusher)
-	if r.URL.Query().Get("mode") == "poll" || !canStream {
+	if _, canStream := w.(http.Flusher); r.URL.Query().Get("mode") == "poll" || !canStream {
 		s.pollJobEvents(w, r, j, after)
 		return
 	}
-
 	setStreamingHeaders(w)
 	w.WriteHeader(http.StatusOK)
+	tailEvents(w, r, j.Events, after, eventView)
+}
+
+// tailEvents writes the events of log after seq after onto w as NDJSON,
+// one view per line, flushed as it is written, until the terminal event,
+// the client going away or a failed write. It serves the job event feed,
+// the stream session feed and the duplex feed; a subscription dropped
+// for falling behind resumes from the last line written.
+func tailEvents[E, V any](w http.ResponseWriter, r *http.Request, log *eventlog.Log[E], after int64, view func(E) V) {
+	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
-	// emit writes one event line; it reports (stop, terminal).
-	emit := func(e jobs.Event) (bool, bool) {
-		after = e.Seq
-		if enc.Encode(eventView(e)) != nil {
-			return true, false
+	log.Follow(r.Context(), after, func(e E) bool {
+		if enc.Encode(view(e)) != nil {
+			return false
 		}
-		flusher.Flush()
-		terminal := e.Type == jobs.EventState && e.Status.Terminal()
-		return terminal, terminal
-	}
-	for {
-		replay, ch, cancel := j.Subscribe(after)
-		for _, e := range replay {
-			if stop, _ := emit(e); stop {
-				cancel()
-				return
-			}
-		}
-		for {
-			select {
-			case e, open := <-ch:
-				if !open {
-					// The subscriber fell behind and was dropped (a
-					// terminal job always delivers its terminal event
-					// before the close, which returns above). Loop to
-					// re-subscribe from the last delivered seq; the
-					// replay fills the gap, or ends the stream if the
-					// job went terminal meanwhile.
-					cancel()
-					goto resubscribe
-				}
-				if stop, _ := emit(e); stop {
-					cancel()
-					return
-				}
-			case <-r.Context().Done():
-				cancel()
-				return
-			}
-		}
-	resubscribe:
-		if events, done := j.Events(after); done && len(events) == 0 {
-			// Terminal event already delivered; nothing to resume.
-			return
-		}
-	}
+		rc.Flush()
+		return true
+	})
 }
 
 // pollJobEvents is the long-poll mode: return the events after `after`,
@@ -157,46 +127,27 @@ func (s *Server) pollJobEvents(w http.ResponseWriter, r *http.Request, j *jobs.J
 		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "timeout_ms must be a positive integer")
 		return
 	}
-	replay, ch, cancel := j.Subscribe(after)
+	replay, ch, cancel := j.Events.Subscribe(after)
 	defer cancel()
-	events := replay
-	if len(events) == 0 {
+	if len(replay) == 0 {
 		timer := time.NewTimer(timeout)
 		defer timer.Stop()
 		select {
-		case e, open := <-ch:
-			if open {
-				events = append(events, e)
-				// Batch whatever else is already buffered.
-				for more := true; more; {
-					select {
-					case e, open := <-ch:
-						if open {
-							events = append(events, e)
-						} else {
-							more = false
-						}
-					default:
-						more = false
-					}
-				}
-			}
+		case <-ch: // an event arrived, or the log closed
 		case <-timer.C:
 		case <-r.Context().Done():
 			w.WriteHeader(statusClientClosedRequest)
 			return
 		}
 	}
-	next := after
-	if len(events) > 0 {
-		next = events[len(events)-1].Seq
-	}
-	out := v1.JobEventsResponse{Success: true, NextSeq: next}
+	// One snapshot answers both: every event after the cursor, and
+	// whether the log is closed with nothing left to deliver.
+	events, closed := j.Events.Since(after)
+	out := v1.JobEventsResponse{Success: true, NextSeq: after, Done: closed}
 	for _, e := range events {
 		out.Events = append(out.Events, eventView(e))
+		out.NextSeq = e.Seq
 	}
-	remaining, terminal := j.Events(next)
-	out.Done = terminal && len(remaining) == 0
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -328,7 +328,7 @@ func (s *Server) withRateLimit(next http.Handler) http.Handler {
 		}
 		if !allowed {
 			s.metrics.rateLimit()
-			s.metrics.record(routeThrottled, http.StatusTooManyRequests, 0)
+			s.metrics.routes.Record(routeThrottled, http.StatusTooManyRequests, 0)
 			w.Header().Set("Retry-After", "1")
 			s.writeError(w, r, http.StatusTooManyRequests, v1.CodeRateLimited, "rate limit exceeded, retry later")
 			return
@@ -350,16 +350,23 @@ const (
 // that miss every route or are throttled before dispatch are counted
 // under the synthetic (unmatched) and (rate-limited) labels.
 type apiMetrics struct {
-	start time.Time
+	start  time.Time
+	routes RouteRecorder
 
 	mu          sync.Mutex
-	requests    int64
 	rateLimited int64
 	panics      int64
 	sheds       int64
 	deadlines   int64
-	routes      map[string]*routeStat
 	streams     map[string]*streamStat
+}
+
+// RouteRecorder counts requests, 4xx and 5xx answers and latency per
+// route label. A worker's metrics and the cluster gateway's both use it,
+// so the two classify a status the same way. The zero value is ready.
+type RouteRecorder struct {
+	mu     sync.Mutex
+	routes map[string]*routeStat
 }
 
 type routeStat struct {
@@ -381,19 +388,23 @@ type streamStat struct {
 func newAPIMetrics() *apiMetrics {
 	return &apiMetrics{
 		start:   time.Now(),
-		routes:  map[string]*routeStat{},
 		streams: map[string]*streamStat{},
 	}
 }
 
-func (m *apiMetrics) record(route string, status int, dur time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests++
-	st, ok := m.routes[route]
+// Record counts one request to route that answered status after dur.
+// A client abort (499) is not an error; status 0, a handler that
+// panicked before writing, counts as a 5xx.
+func (rr *RouteRecorder) Record(route string, status int, dur time.Duration) {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	st, ok := rr.routes[route]
 	if !ok {
+		if rr.routes == nil {
+			rr.routes = map[string]*routeStat{}
+		}
 		st = &routeStat{}
-		m.routes[route] = st
+		rr.routes[route] = st
 	}
 	st.count++
 	st.totalDur += dur
@@ -405,6 +416,27 @@ func (m *apiMetrics) record(route string, status int, dur time.Duration) {
 	case status >= 400:
 		st.err4xx++
 	}
+}
+
+// Snapshot returns the per-route counters sorted by route, and the
+// request total over all routes.
+func (rr *RouteRecorder) Snapshot() (routes []v1.RouteMetrics, requests int64) {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	routes = make([]v1.RouteMetrics, 0, len(rr.routes))
+	for route, st := range rr.routes {
+		avg := 0.0
+		if st.count > 0 {
+			avg = float64(st.totalDur.Microseconds()) / 1000 / float64(st.count)
+		}
+		routes = append(routes, v1.RouteMetrics{
+			Route: route, Count: st.count,
+			Err4xx: st.err4xx, Err5xx: st.err5xx, AvgMS: avg,
+		})
+		requests += st.count
+	}
+	sort.Slice(routes, func(i, j int) bool { return routes[i].Route < routes[j].Route })
+	return routes, requests
 }
 
 func (m *apiMetrics) streamStart(route string) {
@@ -460,20 +492,9 @@ func (m *apiMetrics) deadlineTimeout() {
 
 // snapshot renders the counters as the v1 DTO, routes sorted by name.
 func (m *apiMetrics) snapshot() v1.MetricsResponse {
+	routes, requests := m.routes.Snapshot()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	routes := make([]v1.RouteMetrics, 0, len(m.routes))
-	for route, st := range m.routes {
-		avg := 0.0
-		if st.count > 0 {
-			avg = float64(st.totalDur.Microseconds()) / 1000 / float64(st.count)
-		}
-		routes = append(routes, v1.RouteMetrics{
-			Route: route, Count: st.count,
-			Err4xx: st.err4xx, Err5xx: st.err5xx, AvgMS: avg,
-		})
-	}
-	sort.Slice(routes, func(i, j int) bool { return routes[i].Route < routes[j].Route })
 	streams := make([]v1.StreamRouteMetrics, 0, len(m.streams))
 	for route, st := range m.streams {
 		avg := 0.0
@@ -488,7 +509,7 @@ func (m *apiMetrics) snapshot() v1.MetricsResponse {
 	return v1.MetricsResponse{
 		Success:       true,
 		UptimeSeconds: time.Since(m.start).Seconds(),
-		Requests:      m.requests,
+		Requests:      requests,
 		RateLimited:   m.rateLimited,
 		Panics:        m.panics,
 		Routes:        routes,
@@ -511,7 +532,7 @@ func (s *Server) instrument(route string, ro routeOpts, h http.Handler) http.Han
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		defer func() {
-			s.metrics.record(route, sw.status, time.Since(start))
+			s.metrics.routes.Record(route, sw.status, time.Since(start))
 		}()
 		inner.ServeHTTP(sw, r)
 	})
@@ -532,7 +553,7 @@ func (s *Server) instrumentStream(route string, ro routeOpts, h http.Handler) ht
 		defer func() {
 			dur := time.Since(start)
 			s.metrics.streamEnd(route, dur)
-			s.metrics.record(route, sw.status, 0)
+			s.metrics.routes.Record(route, sw.status, 0)
 		}()
 		inner.ServeHTTP(sw, r)
 	})

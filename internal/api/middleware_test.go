@@ -514,3 +514,21 @@ func TestUnmatchedRouteEnvelope(t *testing.T) {
 		t.Fatalf("envelope: %+v (%s)", env, raw)
 	}
 }
+
+// TestRouteRecorderClassifiesStatus pins how a status counts: 4xx and
+// 5xx as errors, a 499 client abort as neither, and status 0 (a handler
+// that panicked before writing) as a 5xx.
+func TestRouteRecorderClassifiesStatus(t *testing.T) {
+	var rr RouteRecorder
+	for _, status := range []int{http.StatusOK, http.StatusNotFound, statusClientClosedRequest, http.StatusServiceUnavailable, 0} {
+		rr.Record("GET /x", status, 2*time.Millisecond)
+	}
+	rr.Record("GET /a", http.StatusOK, 0)
+	routes, requests := rr.Snapshot()
+	if requests != 6 || len(routes) != 2 || routes[0].Route != "GET /a" {
+		t.Fatalf("snapshot %+v, %d requests", routes, requests)
+	}
+	if x := routes[1]; x.Count != 5 || x.Err4xx != 1 || x.Err5xx != 2 || x.AvgMS != 2 {
+		t.Fatalf("GET /x counters %+v", x)
+	}
+}

@@ -178,12 +178,12 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Allow", allow)
 		}
 		if rec.status == http.StatusMethodNotAllowed {
-			s.metrics.record(routeUnmatched, http.StatusMethodNotAllowed, 0)
+			s.metrics.routes.Record(routeUnmatched, http.StatusMethodNotAllowed, 0)
 			s.writeError(w, r, http.StatusMethodNotAllowed, v1.CodeMethodNotAllowed,
 				"method "+r.Method+" not allowed for this endpoint")
 			return
 		}
-		s.metrics.record(routeUnmatched, http.StatusNotFound, 0)
+		s.metrics.routes.Record(routeUnmatched, http.StatusNotFound, 0)
 		s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, "no such endpoint")
 		return
 	}

@@ -27,30 +27,32 @@ import (
 // several hundred thousand samples, far beyond a sensible push size.
 const maxStreamLine = 8 << 20
 
-// streamEventView renders a session event as its wire DTO. classes maps
-// the class index to its label; the full score vector (detections only)
-// becomes a label-keyed map.
-func streamEventView(e stream.Event, classes []string) v1.StreamEvent {
-	out := v1.StreamEvent{
-		Seq:         e.Seq,
-		Type:        string(e.Type),
-		TimestampMS: e.Time.UnixMilli(),
-		Status:      e.Status,
-		Reason:      e.Reason,
-		WindowStart: e.WindowStart,
-		Dropped:     e.Dropped,
-	}
-	if e.Type == stream.EventResult || e.Type == stream.EventDetection {
-		out.Label = classes[e.Class]
-		out.Score = e.Score
-	}
-	if e.Scores != nil {
-		out.Scores = make(map[string]float32, len(classes))
-		for i, c := range classes {
-			out.Scores[c] = e.Scores[i]
+// streamEventView renders session events as their wire DTOs. classes
+// maps the class index to its label; the full score vector (detections
+// only) becomes a label-keyed map.
+func streamEventView(classes []string) func(stream.Event) v1.StreamEvent {
+	return func(e stream.Event) v1.StreamEvent {
+		out := v1.StreamEvent{
+			Seq:         e.Seq,
+			Type:        string(e.Type),
+			TimestampMS: e.Time.UnixMilli(),
+			Status:      e.Status,
+			Reason:      e.Reason,
+			WindowStart: e.WindowStart,
+			Dropped:     e.Dropped,
 		}
+		if e.Type == stream.EventResult || e.Type == stream.EventDetection {
+			out.Label = classes[e.Class]
+			out.Score = e.Score
+		}
+		if e.Scores != nil {
+			out.Scores = make(map[string]float32, len(classes))
+			for i, c := range classes {
+				out.Scores[c] = e.Scores[i]
+			}
+		}
+		return out
 	}
-	return out
 }
 
 // streamConfig translates the open request into a session config against
@@ -211,57 +213,7 @@ func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request, u *p
 	}
 	setStreamingHeaders(w)
 	w.WriteHeader(http.StatusOK)
-	s.streamSessionEvents(w, r, sess, after)
-}
-
-// streamSessionEvents tails a session's event log onto w as NDJSON until
-// the terminal event, the client disconnecting, or a write failing.
-// Dropped-subscriber gaps are healed by re-subscribing from the last
-// delivered seq, mirroring the job event feed.
-func (s *Server) streamSessionEvents(w http.ResponseWriter, r *http.Request, sess *stream.Session, after int64) {
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	classes := sess.Classes()
-	emit := func(e stream.Event) bool {
-		after = e.Seq
-		if enc.Encode(streamEventView(e, classes)) != nil {
-			return true
-		}
-		rc.Flush()
-		return e.Terminal()
-	}
-	for {
-		replay, ch, cancel := sess.Subscribe(after)
-		for _, e := range replay {
-			if emit(e) {
-				cancel()
-				return
-			}
-		}
-		for {
-			select {
-			case e, open := <-ch:
-				if !open {
-					// Fell behind and was dropped, or the session went
-					// terminal before we subscribed. Re-subscribe; the
-					// replay fills any gap.
-					cancel()
-					goto resubscribe
-				}
-				if emit(e) {
-					cancel()
-					return
-				}
-			case <-r.Context().Done():
-				cancel()
-				return
-			}
-		}
-	resubscribe:
-		if events, done := sess.Events(after); done && len(events) == 0 {
-			return
-		}
-	}
+	tailEvents(w, r, sess.Events, after, streamEventView(sess.Classes()))
 }
 
 // handleStreamClose implements DELETE .../stream/{sid}: close the
@@ -369,7 +321,7 @@ func (s *Server) handleStreamDuplex(w http.ResponseWriter, r *http.Request, u *p
 		}
 	}()
 
-	s.streamSessionEvents(w, r, sess, 0)
+	tailEvents(w, r, sess.Events, 0, streamEventView(sess.Classes()))
 	// The feed ended: either the session is terminal (reader saw EOF or
 	// the session closed itself) or the client vanished mid-stream.
 	sess.Close("client disconnected")

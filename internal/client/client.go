@@ -249,15 +249,13 @@ func retryable(method string, status int) bool {
 	return status == http.StatusBadGateway || status == http.StatusServiceUnavailable
 }
 
-// retryBackoff is the one jittered-exponential schedule shared by every
-// retry loop that talks to the studio API: request retries here, the
-// NDJSON feed resume loop, and the daemon's spool re-upload.
-var retryBackoff = resilience.Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second}
-
 // RetryDelay returns how long to wait before retry number attempt
 // (0-based). A server-suggested Retry-After wins (capped at 5s so a
-// misconfigured header can't stall the client); otherwise the shared
-// jittered exponential schedule applies.
+// misconfigured header can't stall the client); otherwise the one
+// jittered exponential schedule (resilience.BackoffDelay) applies. It is
+// shared by every retry loop that talks to the studio API: request
+// retries here, the NDJSON feed resume loop, and the daemon's spool
+// re-upload.
 func RetryDelay(attempt int, apiErr *APIError) time.Duration {
 	if apiErr != nil && apiErr.RetryAfter > 0 {
 		if apiErr.RetryAfter > 5*time.Second {
@@ -265,7 +263,7 @@ func RetryDelay(attempt int, apiErr *APIError) time.Duration {
 		}
 		return apiErr.RetryAfter
 	}
-	return retryBackoff.Delay(attempt)
+	return resilience.BackoffDelay(attempt)
 }
 
 func (c *Client) get(ctx context.Context, path string, q url.Values, out any) error {

@@ -1,8 +1,15 @@
 package cluster
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+
+	"edgepulse/internal/api"
+	v1 "edgepulse/internal/api/v1"
 )
 
 func TestParseMap(t *testing.T) {
@@ -85,5 +92,48 @@ func TestShardFor(t *testing.T) {
 		if got := m.ShardFor(id); got != want {
 			t.Errorf("ShardFor(%d) = %d, want %d", id, got, want)
 		}
+	}
+}
+
+// TestGatewayRoutesClassifyLikeWorker: the gateway counts each proxied
+// answer exactly as a worker's own route counters do; a 499 client
+// abort is neither a 4xx nor a 5xx on either.
+func TestGatewayRoutesClassifyLikeWorker(t *testing.T) {
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case v1.Prefix + "/readyz":
+			writeJSON(w, http.StatusOK, v1.ReadyResponse{Success: true, Ready: true})
+		case v1.Prefix + "/cluster/node":
+			writeJSON(w, http.StatusOK, v1.ClusterNodeResponse{Success: true, Role: RoleWorker, Shards: 1})
+		default:
+			status, _ := strconv.Atoi(r.URL.Query().Get("status"))
+			w.WriteHeader(status)
+		}
+	}))
+	defer worker.Close()
+	m, err := ParseMap([]byte(fmt.Sprintf(`{"shards": 1, "nodes": [{"name": "w0", "url": %q, "role": "worker", "shard": 0}]}`, worker.URL)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGateway(m, GatewayConfig{Logger: quietLogger()})
+	g.Start()
+	defer g.Stop()
+	var onWorker api.RouteRecorder
+	for _, status := range []int{http.StatusOK, http.StatusNotFound, 499, http.StatusServiceUnavailable} {
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/api/v1/devices?status=%d", status), nil))
+		if rec.Code != status {
+			t.Fatalf("proxied status %d, want %d", rec.Code, status)
+		}
+		onWorker.Record("GET /devices", status, 0)
+	}
+	got, _ := g.routes.Snapshot()
+	want, _ := onWorker.Snapshot()
+	if len(got) != 1 || got[0].Route != want[0].Route || got[0].Count != want[0].Count ||
+		got[0].Err4xx != want[0].Err4xx || got[0].Err5xx != want[0].Err5xx {
+		t.Fatalf("gateway counted %+v, worker %+v", got, want)
+	}
+	if got[0].Err4xx != 1 || got[0].Err5xx != 1 {
+		t.Fatalf("499 counted as an error: %+v", got[0])
 	}
 }

@@ -55,13 +55,7 @@ type Gateway struct {
 	rrMu sync.Mutex
 	rr   int
 
-	statMu sync.Mutex
-	stats  map[string]*routeStat
-}
-
-type routeStat struct {
-	count, err4xx, err5xx int64
-	totalMS               float64
+	routes api.RouteRecorder
 }
 
 // NewGateway builds a gateway over a validated shard map.
@@ -116,7 +110,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	sw := &gwWriter{ResponseWriter: w, started: time.Now()}
 	route := g.dispatch(sw, r, rest)
-	g.record(route, sw.status, time.Since(sw.started))
+	g.routes.Record(route, sw.status, time.Since(sw.started))
 	g.log.Info("gateway",
 		"method", r.Method, "path", r.URL.Path, "status", sw.status,
 		"route", route, "request_id", reqID)
@@ -196,22 +190,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Success:       true,
 		UptimeSeconds: time.Since(g.start).Seconds(),
 	}
-	g.statMu.Lock()
-	names := make([]string, 0, len(g.stats))
-	for name := range g.stats {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st := g.stats[name]
-		rm := v1.RouteMetrics{Route: name, Count: st.count, Err4xx: st.err4xx, Err5xx: st.err5xx}
-		if st.count > 0 {
-			rm.AvgMS = st.totalMS / float64(st.count)
-		}
-		out.Requests += st.count
-		out.Routes = append(out.Routes, rm)
-	}
-	g.statMu.Unlock()
+	out.Routes, out.Requests = g.routes.Snapshot()
 	out.Runtime = api.RuntimeSnapshot()
 
 	if r.URL.Query().Get("format") == "prometheus" {
@@ -552,27 +531,6 @@ func (g *Gateway) nextRR(n int) int {
 	defer g.rrMu.Unlock()
 	g.rr++
 	return g.rr % n
-}
-
-func (g *Gateway) record(route string, status int, d time.Duration) {
-	g.statMu.Lock()
-	defer g.statMu.Unlock()
-	if g.stats == nil {
-		g.stats = map[string]*routeStat{}
-	}
-	st := g.stats[route]
-	if st == nil {
-		st = &routeStat{}
-		g.stats[route] = st
-	}
-	st.count++
-	st.totalMS += float64(d.Microseconds()) / 1000
-	switch {
-	case status >= 500:
-		st.err5xx++
-	case status >= 400:
-		st.err4xx++
-	}
 }
 
 // --- plumbing ---

@@ -21,10 +21,8 @@ const (
 	EventStalled EventType = "stalled"
 )
 
-// Event is one entry of a job's ordered event log: a state transition,
-// a progress update or a log line. Seq is assigned by the job and is
-// strictly increasing and contiguous, so a consumer that remembers the
-// last seq it saw can resume the stream without gaps or duplicates.
+// Event is one entry of a job's event log (Job.Events): a state
+// transition, a progress update or a log line. The log assigns Seq.
 type Event struct {
 	Seq  int64
 	Time time.Time
@@ -41,116 +39,16 @@ type Event struct {
 	Attempt int
 }
 
-// maxEventsPerJob bounds the retained event log per job. Beyond the cap
-// the oldest events are dropped; Seq stays contiguous, so a consumer
-// replaying from before the retained window simply starts at the oldest
-// retained event (the gap is detectable from the first Seq received).
-const maxEventsPerJob = 512
-
-// subBuffer is the per-subscriber channel depth. A subscriber that
-// falls further behind than this is dropped (its channel is closed);
-// it can resume losslessly from its last seen Seq.
-const subBuffer = 64
-
-// subscriber is one live event-stream consumer.
-type subscriber struct {
-	ch chan Event
-}
-
-// emitLocked appends an event to the job's log and fans it out to live
-// subscribers. Caller holds j.mu. Slow subscribers are dropped rather
-// than ever blocking the scheduler; they resume via their last Seq.
-func (j *Job) emitLocked(e Event) {
-	j.eventSeq++
-	e.Seq = j.eventSeq
+// stampLocked dates e by the job's clock and tags it with the current
+// attempt; any event but a stalled flag is fresh activity, which moves
+// the watchdog's no-progress clock and clears a raised stalled flag so
+// the job can be flagged again if it goes silent. Caller holds j.mu.
+func (j *Job) stampLocked(e Event) Event {
 	e.Time = j.now()
 	e.Attempt = j.attempt
 	if e.Type != EventStalled {
-		// Any real event is fresh activity: it moves the watchdog's
-		// no-progress clock and clears a previously raised stalled flag
-		// so the job can be re-flagged if it goes silent again.
 		j.lastActivity = e.Time
 		j.stalled = false
 	}
-	j.events = append(j.events, e)
-	if drop := len(j.events) - maxEventsPerJob; drop > 0 {
-		copy(j.events, j.events[drop:])
-		j.events = j.events[:maxEventsPerJob]
-	}
-	for i := 0; i < len(j.subs); {
-		sub := j.subs[i]
-		select {
-		case sub.ch <- e:
-			i++
-		default:
-			close(sub.ch)
-			j.subs = append(j.subs[:i], j.subs[i+1:]...)
-		}
-	}
-}
-
-// closeSubsLocked ends every live subscription; called once the job is
-// terminal (after the terminal state event was delivered).
-func (j *Job) closeSubsLocked() {
-	for _, sub := range j.subs {
-		close(sub.ch)
-	}
-	j.subs = nil
-}
-
-// eventsSinceLocked returns a copy of the retained events with
-// Seq > afterSeq. Caller holds j.mu.
-func (j *Job) eventsSinceLocked(afterSeq int64) []Event {
-	if len(j.events) == 0 {
-		return nil
-	}
-	first := j.events[0].Seq
-	idx := int(afterSeq - first + 1)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(j.events) {
-		return nil
-	}
-	return append([]Event(nil), j.events[idx:]...)
-}
-
-// Events returns the retained events with Seq > afterSeq and whether
-// the job is terminal — the snapshot behind the API's long-poll mode.
-func (j *Job) Events(afterSeq int64) (events []Event, done bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.eventsSinceLocked(afterSeq), j.status.Terminal()
-}
-
-// Subscribe returns the retained events with Seq > afterSeq plus a
-// channel delivering every subsequent event in order. The channel is
-// closed after the terminal state event (or immediately, if the job is
-// already terminal — the replay then ends with that terminal event).
-// It is also closed early if the subscriber falls too far behind;
-// resume by subscribing again from the last Seq received. cancel
-// releases the subscription and must be called when done.
-func (j *Job) Subscribe(afterSeq int64) (replay []Event, ch <-chan Event, cancel func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	replay = j.eventsSinceLocked(afterSeq)
-	if j.status.Terminal() {
-		closed := make(chan Event)
-		close(closed)
-		return replay, closed, func() {}
-	}
-	sub := &subscriber{ch: make(chan Event, subBuffer)}
-	j.subs = append(j.subs, sub)
-	cancel = func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		for i, s := range j.subs {
-			if s == sub {
-				j.subs = append(j.subs[:i], j.subs[i+1:]...)
-				close(sub.ch)
-				return
-			}
-		}
-	}
-	return replay, sub.ch, cancel
+	return e
 }

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"edgepulse/internal/eventlog"
 	"edgepulse/internal/faults"
 )
 
@@ -152,6 +153,10 @@ type Job struct {
 	Tag any
 	// Priority is the job's scheduling class.
 	Priority Priority
+	// Events is the job's ordered log of state transitions, progress
+	// updates and log lines, closed with the terminal state event. Only
+	// the job appends to it.
+	Events *eventlog.Log[Event]
 
 	// tagKey is Tag rendered to the fairness/quota key.
 	tagKey string
@@ -175,11 +180,6 @@ type Job struct {
 	finishedAt      time.Time
 	done            chan struct{}
 	fn              JobFunc
-
-	// Event log (events.go).
-	eventSeq int64
-	events   []Event
-	subs     []*subscriber
 
 	// Watchdog state: lastActivity is the time of the newest non-stalled
 	// event; stalled is set by MarkStalled and cleared by fresh activity.
@@ -241,7 +241,7 @@ func (j *Job) Logf(format string, args ...any) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.logs = append(j.logs, line)
-	j.emitLocked(Event{Type: EventLog, Message: line})
+	j.Events.Append(j.stampLocked(Event{Type: EventLog, Message: line}))
 }
 
 // SetProgress records structured progress — the current stage and its
@@ -258,7 +258,7 @@ func (j *Job) SetProgress(stage string, pct float64) {
 	defer j.mu.Unlock()
 	j.stage = stage
 	j.progress = pct
-	j.emitLocked(Event{Type: EventProgress, Stage: stage, Pct: pct})
+	j.Events.Append(j.stampLocked(Event{Type: EventProgress, Stage: stage, Pct: pct}))
 }
 
 // LastActivity returns the time of the job's most recent event —
@@ -291,7 +291,7 @@ func (j *Job) MarkStalled(msg string) bool {
 	if j.status != Running || j.stalled {
 		return false
 	}
-	j.emitLocked(Event{Type: EventStalled, Message: msg})
+	j.Events.Append(j.stampLocked(Event{Type: EventStalled, Message: msg}))
 	j.stalled = true
 	return true
 }
@@ -309,19 +309,18 @@ func (j *Job) terminal() bool {
 	return j.status.Terminal()
 }
 
-// finalizeLocked moves the job to a terminal state: stamps times, emits
-// the terminal state event, ends subscriptions and closes done. Caller
-// holds j.mu; the body closure is released so captured state (model
-// weights, request payloads) does not stay pinned while the terminal
-// job is retained.
+// finalizeLocked moves the job to a terminal state: stamps times,
+// closes the event log with the terminal state event and closes done.
+// Caller holds j.mu; the body closure is released so captured state
+// (model weights, request payloads) does not stay pinned while the
+// terminal job is retained.
 func (j *Job) finalizeLocked(status Status, msg string, at time.Time) {
 	j.status = status
 	j.err = msg
 	j.finishedAt = at
 	j.fn = nil
 	j.cancelFn = nil
-	j.emitLocked(Event{Type: EventState, Status: status, Message: msg})
-	j.closeSubsLocked()
+	j.Events.Close(j.stampLocked(Event{Type: EventState, Status: status, Message: msg}))
 	close(j.done)
 }
 
@@ -586,7 +585,7 @@ func (s *Scheduler) run(job *Job) {
 	job.status = Running
 	job.startedAt = s.now()
 	job.cancelFn = cancel
-	job.emitLocked(Event{Type: EventState, Status: Running})
+	job.Events.Append(job.stampLocked(Event{Type: EventState, Status: Running}))
 	fn := job.fn
 	job.mu.Unlock()
 
@@ -626,10 +625,10 @@ func (s *Scheduler) run(job *Job) {
 		job.status = Queued
 		job.claimed = false
 		job.cancelFn = nil
-		job.emitLocked(Event{
+		job.Events.Append(job.stampLocked(Event{
 			Type: EventState, Status: Queued,
 			Message: "retrying after transient failure: " + err.Error(),
-		})
+		}))
 		s.retries.Add(1)
 		s.enqueueLocked(job)
 	default:
@@ -771,11 +770,12 @@ func (s *Scheduler) SubmitJob(opts SubmitOptions, fn JobFunc) (*Job, error) {
 		createdAt:  s.now(),
 		done:       make(chan struct{}),
 		fn:         fn,
+		Events:     eventlog.New(func(e *Event) *int64 { return &e.Seq }),
 	}
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	job.mu.Lock()
-	job.emitLocked(Event{Type: EventState, Status: Queued})
+	job.Events.Append(job.stampLocked(Event{Type: EventState, Status: Queued}))
 	job.mu.Unlock()
 	s.enqueueLocked(job)
 	evicted := s.evictLocked()

@@ -52,7 +52,7 @@ func TestSubmitAndWait(t *testing.T) {
 		t.Fatalf("logs: %v", logs)
 	}
 	// The event log recorded the full lifecycle in order.
-	events, terminal := done.Events(0)
+	events, terminal := done.Events.Since(0)
 	if !terminal {
 		t.Fatal("terminal job not reported done")
 	}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"edgepulse/internal/eventlog"
 )
 
 // gatedScheduler starts a 1-worker scheduler whose worker is pinned on
@@ -146,7 +148,7 @@ func TestCancelQueuedJobIsImmediate(t *testing.T) {
 	}
 	// The cancelled job never runs even after the queue drains.
 	close(release)
-	events, _ := got.Events(0)
+	events, _ := got.Events.Since(0)
 	for _, e := range events {
 		if e.Type == EventState && e.Status == Running {
 			t.Fatal("cancelled-queued job ran")
@@ -178,7 +180,7 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal("no cancellation reason recorded")
 	}
 	// The event log ends with the cancelled state event.
-	events, terminal := done.Events(0)
+	events, terminal := done.Events.Since(0)
 	last := events[len(events)-1]
 	if !terminal || last.Type != EventState || last.Status != Cancelled {
 		t.Fatalf("last event %+v", last)
@@ -247,7 +249,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 	// Done was closed exactly once, at the true end: the retry loop is
 	// visible in the event log as running→queued transitions.
 	var transitions []Status
-	events, _ := done.Events(0)
+	events, _ := done.Events.Since(0)
 	for _, e := range events {
 		if e.Type == EventState {
 			transitions = append(transitions, e.Status)
@@ -358,7 +360,7 @@ func TestProgressModel(t *testing.T) {
 	if stage, pct := j.Progress(); stage != "train" || pct != 100 {
 		t.Fatalf("final progress %q %f", stage, pct)
 	}
-	events, _ := j.Events(0)
+	events, _ := j.Events.Since(0)
 	var pcts []float64
 	for _, e := range events {
 		if e.Type == EventProgress {
@@ -389,12 +391,12 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 	// Subscribe mid-run, once the first log line is provably emitted
 	// (Logf returns before the body signals).
 	<-logged
-	events, _ := j.Events(0)
+	events, _ := j.Events.Since(0)
 	after := events[len(events)-1].Seq
 	if events[len(events)-1].Type != EventLog {
 		t.Fatalf("last event after Logf: %+v", events[len(events)-1])
 	}
-	replay, ch, cancel := j.Subscribe(0)
+	replay, ch, cancel := j.Events.Subscribe(0)
 	defer cancel()
 	if len(replay) == 0 || replay[len(replay)-1].Seq != after {
 		t.Fatalf("replay up to %d: %v", after, replay)
@@ -418,7 +420,7 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 	}
 	// Subscribing to a terminal job yields a full replay and a closed
 	// channel.
-	replay2, ch2, cancel2 := j.Subscribe(after)
+	replay2, ch2, cancel2 := j.Events.Subscribe(after)
 	defer cancel2()
 	if _, open := <-ch2; open {
 		t.Fatal("terminal subscription channel not closed")
@@ -436,7 +438,7 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 func TestSubscribeCancelStopsDelivery(t *testing.T) {
 	s, release := gatedScheduler(t)
 	j, _ := s.Submit("train", func(ctx context.Context, j *Job) error { return nil })
-	_, ch, cancel := j.Subscribe(0)
+	_, ch, cancel := j.Events.Subscribe(0)
 	cancel()
 	if _, open := <-ch; open {
 		t.Fatal("cancelled subscription channel not closed")
@@ -451,13 +453,13 @@ func TestSlowSubscriberDroppedNotBlocking(t *testing.T) {
 	s, release := gatedScheduler(t)
 	emitted := make(chan struct{})
 	j, _ := s.Submit("chatty", func(ctx context.Context, j *Job) error {
-		for i := 0; i < subBuffer+16; i++ {
+		for i := 0; i < eventlog.Buffer+16; i++ {
 			j.Logf("line %d", i)
 		}
 		close(emitted)
 		return nil
 	})
-	_, ch, cancel := j.Subscribe(0)
+	_, ch, cancel := j.Events.Subscribe(0)
 	defer cancel()
 	close(release)
 	<-emitted // the emitter never blocked on the un-drained subscriber
@@ -472,43 +474,14 @@ func TestSlowSubscriberDroppedNotBlocking(t *testing.T) {
 		last = e.Seq
 		n++
 	}
-	if n == 0 || n >= subBuffer+16 {
+	if n == 0 || n >= eventlog.Buffer+16 {
 		t.Fatalf("delivered %d events before drop", n)
 	}
-	resumed, terminal := j.Events(last)
+	resumed, terminal := j.Events.Since(last)
 	if !terminal || len(resumed) == 0 {
 		t.Fatalf("resume after drop: %d events terminal=%v", len(resumed), terminal)
 	}
 	if resumed[0].Seq != last+1 {
 		t.Fatalf("resume gap: got %d after %d", resumed[0].Seq, last)
-	}
-}
-
-func TestEventLogBounded(t *testing.T) {
-	s := NewScheduler(Config{})
-	defer s.Shutdown()
-	j, _ := s.Submit("floody", func(ctx context.Context, j *Job) error {
-		for i := 0; i < maxEventsPerJob+100; i++ {
-			j.Logf("line %d", i)
-		}
-		return nil
-	})
-	if _, err := s.Wait(j.ID, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	events, _ := j.Events(0)
-	if len(events) > maxEventsPerJob {
-		t.Fatalf("retained %d events, cap %d", len(events), maxEventsPerJob)
-	}
-	// Seq stays contiguous across the trimmed window, and the terminal
-	// event is always retained.
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq != events[i-1].Seq+1 {
-			t.Fatalf("seq gap inside retained window at %d", i)
-		}
-	}
-	lastEvent := events[len(events)-1]
-	if lastEvent.Type != EventState || lastEvent.Status != Finished {
-		t.Fatalf("terminal event trimmed: %+v", lastEvent)
 	}
 }

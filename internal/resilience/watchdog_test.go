@@ -62,7 +62,7 @@ func TestWatchdogFlagsStalledJob(t *testing.T) {
 		t.Fatalf("counters: stalled %d cancelled %d", w.Stalled(), w.Cancelled())
 	}
 	// The stalled event reached the job's feed.
-	events, _ := j.Events(0)
+	events, _ := j.Events.Since(0)
 	found := false
 	for _, e := range events {
 		if e.Type == jobs.EventStalled {

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"testing"
+
+	"edgepulse/internal/eventlog"
 )
 
 // BenchmarkStreamWindow measures one steady-state rolling-window step of
@@ -26,7 +28,7 @@ func BenchmarkStreamWindow(b *testing.B) {
 	s := newSession("bench", cfg, cls, nil)
 	batch := toneSignal(0.5, cfg.Rate).Data[:cfg.StrideFrames]
 	// Warm past the event-log cap so steady state is measured.
-	for i := 0; i < maxEventsPerSession+8; i++ {
+	for i := 0; i < eventlog.Retain+8; i++ {
 		if err := s.ingest(batch); err != nil {
 			b.Fatal(err)
 		}

@@ -100,7 +100,7 @@ func TestManagerDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range sessions {
-		events, done := s.Events(0)
+		events, done := s.Events.Since(0)
 		if !done {
 			t.Fatal("session alive after drain")
 		}
@@ -172,7 +172,7 @@ func TestManagerRetainsClosedSessions(t *testing.T) {
 	if !ok || got != s {
 		t.Fatal("closed session not retained for replay")
 	}
-	events, done := got.Events(0)
+	events, done := got.Events.Since(0)
 	if !done || len(events) < 2 || !events[len(events)-1].Terminal() {
 		t.Fatalf("replay after close: done=%v events=%+v", done, events)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"edgepulse/internal/dsp"
+	"edgepulse/internal/eventlog"
 	"edgepulse/internal/faults"
 )
 
@@ -60,10 +61,8 @@ const (
 	StatusClosed = "closed"
 )
 
-// Event is one entry of a session's ordered event log. Seq is strictly
-// increasing and contiguous, so a consumer that remembers the last Seq
-// it saw can resume without gaps or duplicates (same contract as job
-// events).
+// Event is one entry of a session's event log (Session.Events). The log
+// assigns Seq.
 type Event struct {
 	Seq  int64
 	Time time.Time
@@ -89,12 +88,6 @@ type Event struct {
 
 // Terminal reports whether e ends the stream.
 func (e Event) Terminal() bool { return e.Type == EventState && e.Status == StatusClosed }
-
-// Event-log bounds, mirroring the job event stream.
-const (
-	maxEventsPerSession = 512
-	subBuffer           = 64
-)
 
 // Config describes one streaming session's geometry and behavior.
 type Config struct {
@@ -170,13 +163,17 @@ type Stats struct {
 
 // Session is one live streaming inference context. Frames enter through
 // Push/PushWait onto a bounded queue; a dedicated goroutine owns the
-// ring, the classifier and the debouncer, and appends results to a
-// seq-numbered event log that any number of subscribers can tail.
+// ring, the classifier and the debouncer, and appends results to the
+// session's event log.
 type Session struct {
 	// ID is the manager-assigned session identifier.
 	ID string
 	// Tag is Config.Tag (owner scope).
 	Tag string
+	// Events is the session's ordered log of state changes, results and
+	// detections, closed with the "closed" state event. Only the session
+	// appends to it.
+	Events *eventlog.Log[Event]
 
 	cfg     Config
 	cls     Classifier
@@ -201,14 +198,7 @@ type Session struct {
 	mu          sync.Mutex
 	closing     bool
 	closeReason string
-	seq         int64
-	events      []Event
-	subs        []*subscriber
 	onExit      func(*Session)
-}
-
-type subscriber struct {
-	ch chan Event
 }
 
 // newSession builds a session; the caller starts run().
@@ -217,6 +207,7 @@ func newSession(id string, cfg Config, cls Classifier, onExit func(*Session)) *S
 	s := &Session{
 		ID:      id,
 		Tag:     cfg.Tag,
+		Events:  eventlog.New(func(e *Event) *int64 { return &e.Seq }),
 		cfg:     cfg,
 		cls:     cls,
 		classes: classes,
@@ -329,7 +320,7 @@ func (s *Session) run() {
 	}
 	idle := time.NewTimer(s.cfg.IdleTimeout)
 	defer idle.Stop()
-	s.emitState(StatusOpen, "")
+	s.Events.Append(Event{Time: time.Now(), Type: EventState, Status: StatusOpen})
 	for {
 		select {
 		case batch := <-s.in:
@@ -414,128 +405,27 @@ func (s *Session) ingest(batch []float32) error {
 	return nil
 }
 
-// finish emits the terminal state event and ends every subscription.
+// finish closes the event log with the terminal state event.
 func (s *Session) finish(reason string) {
 	s.mu.Lock()
 	s.closing = true
 	s.closeReason = reason
-	s.emitLocked(Event{Type: EventState, Status: StatusClosed, Reason: reason})
-	for _, sub := range s.subs {
-		close(sub.ch)
-	}
-	s.subs = nil
 	s.mu.Unlock()
-}
-
-func (s *Session) emitState(status, reason string) {
-	s.mu.Lock()
-	s.emitLocked(Event{Type: EventState, Status: status, Reason: reason})
-	s.mu.Unlock()
+	s.Events.Close(Event{Time: time.Now(), Type: EventState, Status: StatusClosed, Reason: reason})
 }
 
 func (s *Session) emitResult(class int, score float32, windowStart int64) {
-	s.mu.Lock()
-	s.emitLocked(Event{
-		Type: EventResult, Class: class, Score: score,
+	s.Events.Append(Event{
+		Time: time.Now(), Type: EventResult, Class: class, Score: score,
 		WindowStart: windowStart, Dropped: s.dropped.Load(),
 	})
-	s.mu.Unlock()
 }
 
 func (s *Session) emitDetection(class int, windowStart int64) {
 	smoothed := s.deb.Smoothed()
-	s.mu.Lock()
-	s.emitLocked(Event{
-		Type: EventDetection, Class: class, Score: smoothed[class],
+	s.Events.Append(Event{
+		Time: time.Now(), Type: EventDetection, Class: class, Score: smoothed[class],
 		Scores:      append([]float32(nil), smoothed...),
 		WindowStart: windowStart, Dropped: s.dropped.Load(),
 	})
-	s.mu.Unlock()
-}
-
-// emitLocked appends an event and fans it out; slow subscribers are
-// dropped rather than ever blocking classification (they resume by their
-// last Seq). Caller holds s.mu.
-func (s *Session) emitLocked(e Event) {
-	s.seq++
-	e.Seq = s.seq
-	e.Time = time.Now()
-	s.events = append(s.events, e)
-	if drop := len(s.events) - maxEventsPerSession; drop > 0 {
-		copy(s.events, s.events[drop:])
-		s.events = s.events[:maxEventsPerSession]
-	}
-	for i := 0; i < len(s.subs); {
-		sub := s.subs[i]
-		select {
-		case sub.ch <- e:
-			i++
-		default:
-			close(sub.ch)
-			s.subs = append(s.subs[:i], s.subs[i+1:]...)
-		}
-	}
-}
-
-// eventsSinceLocked returns a copy of retained events with Seq > afterSeq.
-func (s *Session) eventsSinceLocked(afterSeq int64) []Event {
-	if len(s.events) == 0 {
-		return nil
-	}
-	idx := int(afterSeq - s.events[0].Seq + 1)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s.events) {
-		return nil
-	}
-	return append([]Event(nil), s.events[idx:]...)
-}
-
-// Events returns the retained events with Seq > afterSeq and whether the
-// session has ended.
-func (s *Session) Events(afterSeq int64) (events []Event, done bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	select {
-	case <-s.done:
-		return s.eventsSinceLocked(afterSeq), true
-	default:
-		return s.eventsSinceLocked(afterSeq), false
-	}
-}
-
-// Subscribe returns the retained events with Seq > afterSeq plus a
-// channel delivering every subsequent event in order. The channel closes
-// after the terminal state event, or early if the subscriber falls too
-// far behind (resume from the last Seq received). cancel releases the
-// subscription.
-func (s *Session) Subscribe(afterSeq int64) (replay []Event, ch <-chan Event, cancel func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	replay = s.eventsSinceLocked(afterSeq)
-	if s.terminalLocked() {
-		closed := make(chan Event)
-		close(closed)
-		return replay, closed, func() {}
-	}
-	sub := &subscriber{ch: make(chan Event, subBuffer)}
-	s.subs = append(s.subs, sub)
-	cancel = func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for i, x := range s.subs {
-			if x == sub {
-				s.subs = append(s.subs[:i], s.subs[i+1:]...)
-				close(sub.ch)
-				return
-			}
-		}
-	}
-	return replay, sub.ch, cancel
-}
-
-// terminalLocked reports whether the terminal event has been emitted.
-func (s *Session) terminalLocked() bool {
-	return len(s.events) > 0 && s.events[len(s.events)-1].Terminal()
 }

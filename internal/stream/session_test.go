@@ -10,6 +10,7 @@ import (
 
 	"edgepulse/internal/core"
 	"edgepulse/internal/dsp"
+	"edgepulse/internal/eventlog"
 	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
 )
@@ -60,7 +61,7 @@ func testConfig() Config {
 // ordered log.
 func collect(t *testing.T, s *Session) []Event {
 	t.Helper()
-	replay, ch, cancel := s.Subscribe(0)
+	replay, ch, cancel := s.Events.Subscribe(0)
 	defer cancel()
 	events := append([]Event(nil), replay...)
 	if len(events) > 0 && events[len(events)-1].Terminal() {
@@ -288,7 +289,7 @@ func TestSessionIdleTimeout(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("idle session never closed")
 	}
-	events, done := s.Events(0)
+	events, done := s.Events.Since(0)
 	if !done {
 		t.Fatal("Events reports not done after idle close")
 	}
@@ -308,7 +309,7 @@ func TestSessionClassifierErrorCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-s.Done()
-	events, _ := s.Events(0)
+	events, _ := s.Events.Since(0)
 	last := events[len(events)-1]
 	if !last.Terminal() || !strings.Contains(last.Reason, "boom") {
 		t.Fatalf("terminal event %+v, want classifier error", last)
@@ -323,7 +324,7 @@ func TestSessionSubscribeResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Follow the log until the three results (windows 0, 4, 8) are in.
-	replay, ch, cancel := s.Subscribe(0)
+	replay, ch, cancel := s.Events.Subscribe(0)
 	replay = append([]Event(nil), replay...)
 	results := 0
 	for _, e := range replay {
@@ -344,7 +345,7 @@ func TestSessionSubscribeResume(t *testing.T) {
 	}
 	cancel()
 	mid := replay[len(replay)/2].Seq
-	rest, _, cancel2 := s.Subscribe(mid)
+	rest, _, cancel2 := s.Events.Subscribe(mid)
 	cancel2()
 	if len(rest) != len(replay)-int(mid-replay[0].Seq+1) {
 		t.Fatalf("resume from %d returned %d events, replay had %d from %d",
@@ -356,7 +357,7 @@ func TestSessionSubscribeResume(t *testing.T) {
 	s.Close("done")
 	<-s.Done()
 	// Subscribing after termination replays and returns a closed channel.
-	all, ch, cancel3 := s.Subscribe(0)
+	all, ch, cancel3 := s.Events.Subscribe(0)
 	defer cancel3()
 	if _, open := <-ch; open {
 		t.Fatal("post-terminal subscription channel not closed")
@@ -368,31 +369,6 @@ func TestSessionSubscribeResume(t *testing.T) {
 	for i, e := range all {
 		if e.Seq != int64(i+1) {
 			t.Fatalf("event %d has seq %d", i, e.Seq)
-		}
-	}
-}
-
-// TestSessionEventLogCapped: the retained log stays bounded and keeps
-// contiguous seqs at the tail.
-func TestSessionEventLogCapped(t *testing.T) {
-	cfg := testConfig()
-	cfg.RingFrames = 4096
-	_, s := openTestSession(t, cfg, meanClassifier())
-	// 600 windows: 600*4+4 frames.
-	for i := 0; i < 100; i++ {
-		if err := s.PushWait(context.Background(), make([]float32, 6*4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close("done")
-	<-s.Done()
-	events, _ := s.Events(0)
-	if len(events) > maxEventsPerSession {
-		t.Fatalf("retained %d events, cap %d", len(events), maxEventsPerSession)
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq != events[i-1].Seq+1 {
-			t.Fatalf("gap between seq %d and %d", events[i-1].Seq, events[i].Seq)
 		}
 	}
 }
@@ -521,7 +497,7 @@ func TestStreamWindowAllocBudget(t *testing.T) {
 	// one stride per call = one window per call. Warm past the event-log
 	// cap so the log append stops growing.
 	batch := toneSignal(0.5, cfg.Rate).Data[:cfg.StrideFrames]
-	for i := 0; i < maxEventsPerSession+8; i++ {
+	for i := 0; i < eventlog.Retain+8; i++ {
 		if err := s.ingest(batch); err != nil {
 			t.Fatal(err)
 		}

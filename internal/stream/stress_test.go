@@ -88,7 +88,7 @@ func TestSessionsUnderLoadStress(t *testing.T) {
 			defer wg.Done()
 			var last int64
 			for {
-				replay, ch, cancel := s.Subscribe(last)
+				replay, ch, cancel := s.Events.Subscribe(last)
 				for _, e := range replay {
 					if e.Seq <= last {
 						t.Errorf("replay went backwards: %d after %d", e.Seq, last)
@@ -116,7 +116,7 @@ func TestSessionsUnderLoadStress(t *testing.T) {
 				case <-s.Done():
 					// Terminal may have been emitted while we were
 					// resubscribing; one final replay pass sees it.
-					replay, _, c2 := s.Subscribe(last)
+					replay, _, c2 := s.Events.Subscribe(last)
 					c2()
 					for _, e := range replay {
 						last = e.Seq
