@@ -485,3 +485,32 @@ func TestSlowSubscriberDroppedNotBlocking(t *testing.T) {
 		t.Fatalf("resume gap: got %d after %d", resumed[0].Seq, last)
 	}
 }
+
+func TestEventLogBounded(t *testing.T) {
+	s := NewScheduler(Config{})
+	defer s.Shutdown()
+	j, _ := s.Submit("floody", func(ctx context.Context, j *Job) error {
+		for i := 0; i < eventlog.Retain+100; i++ {
+			j.Logf("line %d", i)
+		}
+		return nil
+	})
+	if _, err := s.Wait(j.ID, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	events, _ := j.Events.Since(0)
+	if len(events) > eventlog.Retain {
+		t.Fatalf("retained %d events, cap %d", len(events), eventlog.Retain)
+	}
+	// Seq stays contiguous across the trimmed window, and the terminal
+	// event is always retained.
+	for i := 1; i < len(events); i++ {
+		if events[i].Seq != events[i-1].Seq+1 {
+			t.Fatalf("seq gap inside retained window at %d", i)
+		}
+	}
+	lastEvent := events[len(events)-1]
+	if lastEvent.Type != EventState || lastEvent.Status != Finished {
+		t.Fatalf("terminal event trimmed: %+v", lastEvent)
+	}
+}

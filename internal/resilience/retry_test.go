@@ -43,7 +43,11 @@ func TestBackoffJitterBounds(t *testing.T) {
 	if got := backoffDelay(100, high); got != 2200*time.Millisecond {
 		t.Fatalf("high jitter bound at the cap: %s", got)
 	}
-	// The shared source stays inside the band.
+}
+
+func TestBackoffZeroValueDefaults(t *testing.T) {
+	// The default schedule on the shared random source stays inside the
+	// jittered band at attempt 0 and at the cap.
 	for i := 0; i < 100; i++ {
 		if d := BackoffDelay(0); d < 90*time.Millisecond || d > 110*time.Millisecond {
 			t.Fatalf("delay %s outside jittered 100ms band", d)

@@ -373,6 +373,29 @@ func TestSessionSubscribeResume(t *testing.T) {
 	}
 }
 
+func TestSessionEventLogCapped(t *testing.T) {
+	cfg := testConfig()
+	cfg.RingFrames = 4096
+	_, s := openTestSession(t, cfg, meanClassifier())
+	// 600 windows: 600*4+4 frames.
+	for i := 0; i < 100; i++ {
+		if err := s.PushWait(context.Background(), make([]float32, 6*4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close("done")
+	<-s.Done()
+	events, _ := s.Events.Since(0)
+	if len(events) > eventlog.Retain {
+		t.Fatalf("retained %d events, cap %d", len(events), eventlog.Retain)
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].Seq != events[i-1].Seq+1 {
+			t.Fatalf("gap between seq %d and %d", events[i-1].Seq, events[i].Seq)
+		}
+	}
+}
+
 // toneImpulse builds a small real impulse (MFE + conv classifier,
 // deterministic random weights) for equivalence, allocation and
 // benchmark tests.
