@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -13,6 +14,42 @@ import (
 	v1 "edgepulse/internal/api/v1"
 	"edgepulse/internal/jobs"
 )
+
+// TestJobViewLogsAreRetained checks that a job view's logs are the
+// lines the job's event log still retains, not every line ever logged.
+func TestJobViewLogsAreRetained(t *testing.T) {
+	e := newEnv(t)
+	job, err := e.sched.Submit("chatty", func(ctx context.Context, j *jobs.Job) error {
+		for i := 0; i < 600; i++ {
+			j.Logf("line %d", i)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.sched.Wait(job.ID, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := job.Logs()
+	if len(want) == 0 || len(want) >= 600 {
+		t.Fatalf("job keeps %d of 600 lines", len(want))
+	}
+	if newest := want[len(want)-1]; newest != "line 599" {
+		t.Fatalf("newest kept line %q", newest)
+	}
+	resp, raw := e.doRaw("GET", "/api/v1/jobs/"+job.ID, e.apiKey, nil, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	var view v1.JobResponse
+	if err := json.Unmarshal(raw, &view); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(view.Job.Logs, want) {
+		t.Fatalf("view carries %d lines, job retains %d", len(view.Job.Logs), len(want))
+	}
+}
 
 func TestCancelJobEndpoint(t *testing.T) {
 	e := newEnv(t)

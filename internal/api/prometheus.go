@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strings"
 
@@ -171,14 +172,28 @@ func RenderPrometheus(w io.Writer, m v1.MetricsResponse) error {
 
 // RuntimeSnapshot captures the process's goroutine count and heap
 // gauges for the /metrics runtime block. Exported so the gateway's
-// self-served metrics endpoint reports the same shape.
+// self-served metrics endpoint reports the same shape. It reads
+// runtime/metrics, which unlike runtime.ReadMemStats does not stop the
+// world on every scrape: HeapAllocBytes is the heap's object bytes,
+// HeapSysBytes the sum of its objects, unused, free and released
+// classes (MemStats' HeapSys), NumGC the completed GC cycles.
 func RuntimeSnapshot() *v1.RuntimeMetrics {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	sample := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+		{Name: "/memory/classes/heap/free:bytes"},
+		{Name: "/memory/classes/heap/released:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	metrics.Read(sample)
+	var heapSys uint64
+	for _, s := range sample[:4] {
+		heapSys += s.Value.Uint64()
+	}
 	return &v1.RuntimeMetrics{
 		Goroutines:     runtime.NumGoroutine(),
-		HeapAllocBytes: ms.HeapAlloc,
-		HeapSysBytes:   ms.HeapSys,
-		NumGC:          ms.NumGC,
+		HeapAllocBytes: sample[0].Value.Uint64(),
+		HeapSysBytes:   heapSys,
+		NumGC:          uint32(sample[4].Value.Uint64()),
 	}
 }

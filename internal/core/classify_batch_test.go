@@ -1,13 +1,20 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"edgepulse/internal/dsp"
 	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
+	"edgepulse/internal/tensor"
 )
 
 // batchImpulse builds a trained+quantized tone impulse for batch tests
@@ -142,4 +149,229 @@ func BenchmarkClassifyBatch32(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(windows)), "ns/window")
+}
+
+// BenchmarkClassifyBatch8Quantized measures the served shape: an
+// 8-window int8 batch per op, the body serve_batch_i8 sends. Run at
+// -cpu 1 it is the sequential loop; wider, the windows fan out.
+func BenchmarkClassifyBatch8Quantized(b *testing.B) {
+	imp := batchImpulse(b)
+	windows := batchWindows(8)
+	if _, err := imp.ClassifyBatch(windows, true); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := imp.ClassifyBatch(windows, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(windows)), "ns/window")
+}
+
+// BenchmarkClassifyBatch8QuantizedParallel is the served shape on a
+// busy host: GOMAXPROCS callers send 8-window int8 batches at once, so
+// a batch finds no idle core for its workers. ns/window is wall time
+// over all callers' windows.
+func BenchmarkClassifyBatch8QuantizedParallel(b *testing.B) {
+	imp := batchImpulse(b)
+	windows := batchWindows(8)
+	if _, err := imp.ClassifyBatch(windows, true); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := imp.ClassifyBatch(windows, true); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(windows)), "ns/window")
+}
+
+// BenchmarkClassifyQuantizedBesideBatches times single int8 classifies
+// while another goroutine sends 8-window int8 batches without pause:
+// what a batch's workers cost the other requests on a host with no
+// idle core. It reports the singles' p50 and p99 and the windows per
+// second the batch side got through meanwhile.
+func BenchmarkClassifyQuantizedBesideBatches(b *testing.B) {
+	imp := batchImpulse(b)
+	windows := batchWindows(8)
+	sig := dsp.Signal{Data: windows[0], Rate: 8000, Axes: 1}
+	if _, err := imp.ClassifyQuantized(sig); err != nil {
+		b.Fatal(err)
+	}
+	var stop atomic.Bool
+	var batches atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			if _, err := imp.ClassifyBatch(windows, true); err != nil {
+				b.Error(err)
+				return
+			}
+			batches.Add(1)
+		}
+	}()
+	lat := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range lat {
+		start := time.Now()
+		if _, err := imp.ClassifyQuantized(sig); err != nil {
+			b.Fatal(err)
+		}
+		lat[i] = time.Since(start)
+	}
+	b.StopTimer()
+	stop.Store(true)
+	<-done
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)/2].Microseconds()), "p50-us")
+	b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99-us")
+	b.ReportMetric(float64(batches.Load())*float64(len(windows))/b.Elapsed().Seconds(), "batch-windows/s")
+}
+
+// Sentinel first samples that make faultBlock fail a window.
+const (
+	errSample   = 12345
+	panicSample = -12345
+)
+
+// faultBlock is an MFE block that fails on marked windows: Extract
+// returns an error when the window's first sample is errSample and
+// panics when it is panicSample.
+type faultBlock struct{ dsp.Block }
+
+func (faultBlock) Name() string { return "batch-fault" }
+
+func (b faultBlock) Extract(sig dsp.Signal) (*tensor.F32, error) {
+	switch sig.Data[0] {
+	case errSample:
+		return nil, errors.New("marked window")
+	case panicSample:
+		panic(faultPanic{})
+	}
+	return b.Block.Extract(sig)
+}
+
+// faultPanic is the value faultBlock panics with.
+type faultPanic struct{}
+
+func init() {
+	dsp.Register("batch-fault", func(params map[string]float64) (dsp.Block, error) {
+		mfe, err := dsp.New("mfe", params)
+		return faultBlock{mfe}, err
+	})
+}
+
+// faultImpulse is batchImpulse with its MFE block swapped for the
+// registered faultBlock, so marked windows fail and the rest classify.
+func faultImpulse(t testing.TB) *Impulse {
+	imp := batchImpulse(t)
+	block, err := dsp.New("batch-fault", imp.DSP[0].Block.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp.UseDSP(block)
+	return imp
+}
+
+// markedWindows returns n tone windows with the first sample of each
+// window in marks replaced by its sentinel.
+func markedWindows(n int, marks map[int]float32) [][]float32 {
+	windows := batchWindows(n)
+	for i, v := range marks {
+		windows[i] = append([]float32{v}, windows[i][1:]...)
+	}
+	return windows
+}
+
+// wideProcs lets the test take the fanned-out path even on a one-CPU
+// runner (or under -cpu 1), restoring GOMAXPROCS when it ends.
+func wideProcs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// settleGoroutines waits until the goroutine count is back to base: a
+// batch worker has called Done before it exits, so the count may lag
+// the join by a moment, but it must not stay up.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the batch, %d before", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestClassifyBatchReportsLowestFailingWindow requires the fanned-out
+// batch to report the error a sequential loop would: windows 2 and 5
+// fail, and every run names window 2.
+func TestClassifyBatchReportsLowestFailingWindow(t *testing.T) {
+	wideProcs(t)
+	imp := faultImpulse(t)
+	windows := markedWindows(8, map[int]float32{2: errSample, 5: errSample})
+	base := runtime.NumGoroutine()
+	for run := 0; run < 200; run++ {
+		res, err := imp.ClassifyBatch(windows, run%2 == 1)
+		if err == nil || res != nil {
+			t.Fatalf("run %d: %d results, err %v", run, len(res), err)
+		}
+		if !strings.HasPrefix(err.Error(), "core: batch window 2: ") {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		settleGoroutines(t, base)
+	}
+}
+
+// TestClassifyBatchPanicReachesCaller requires a panic in any window to
+// surface on the caller's goroutine, after the workers have stopped,
+// and a lower-index error to win over a higher-index panic, as in a
+// sequential loop.
+func TestClassifyBatchPanicReachesCaller(t *testing.T) {
+	wideProcs(t)
+	imp := faultImpulse(t)
+	classify := func(windows [][]float32) (p any, err error) {
+		defer func() { p = recover() }()
+		_, err = imp.ClassifyBatch(windows, false)
+		return nil, err
+	}
+	base := runtime.NumGoroutine()
+	for run := 0; run < 50; run++ {
+		p, err := classify(markedWindows(8, map[int]float32{3: panicSample}))
+		if _, ok := p.(faultPanic); !ok || err != nil {
+			t.Fatalf("run %d: recovered %v, err %v", run, p, err)
+		}
+		settleGoroutines(t, base)
+
+		p, err = classify(markedWindows(8, map[int]float32{1: errSample, 6: panicSample}))
+		if p != nil || err == nil || !strings.HasPrefix(err.Error(), "core: batch window 1: ") {
+			t.Fatalf("run %d: error before panic: recovered %v, err %v", run, p, err)
+		}
+		settleGoroutines(t, base)
+	}
+	// A clean batch afterwards still matches the single-window path.
+	windows := batchWindows(8)
+	got, err := imp.ClassifyBatch(windows, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range windows {
+		want, err := imp.Classify(dsp.Signal{Data: w, Rate: 8000, Axes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameResult(got[i], want); err != nil {
+			t.Fatalf("window %d: %v", i, err)
+		}
+	}
+	settleGoroutines(t, base)
 }

@@ -17,7 +17,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"edgepulse/internal/anomaly"
@@ -836,21 +838,83 @@ func (imp *Impulse) classify(sig dsp.Signal, quantized bool) (ClassResult, error
 	return res, nil
 }
 
-// ClassifyBatch classifies a batch of raw feature windows in one call,
-// amortizing per-request setup: the DSP runtime tables and the model's
-// plan arenas are pooled, so every window after the first runs against
-// warm scratch. Results are ordered like the input; the first failing
-// window aborts the whole batch.
+// ClassifyBatch classifies a batch of raw feature windows in one call.
+// The windows are independent, so they run on up to GOMAXPROCS
+// goroutines, the caller's among them, each taking the next window
+// index in turn; a one-window batch or a one-P process runs inline.
+// Every result is the single-window path's bit for bit (the DSP runtime
+// tables and the model's plan arenas are pooled, so each goroutine runs
+// on its own warm scratch), and results are ordered like the input.
+//
+// A failing window fails the whole batch with the error of the
+// lowest-index failing window, the one a sequential loop would report:
+// once a window fails no new index is taken, and every lower index was
+// taken before it. A panic in a window is re-raised on the caller's
+// goroutine after every worker has stopped.
 func (imp *Impulse) ClassifyBatch(windows [][]float32, quantized bool) ([]ClassResult, error) {
 	out := make([]ClassResult, len(windows))
-	for i, win := range windows {
-		res, err := imp.classify(imp.SignalFor(win), quantized)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch window %d: %w", i, err)
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(windows)))
+	var next atomic.Int64
+	var failed atomic.Bool
+	faults := make([]batchFault, workers)
+	run := func(f *batchFault) {
+		defer func() {
+			if p := recover(); p != nil {
+				f.panicked, f.value = true, p
+				failed.Store(true)
+			}
+		}()
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(windows) {
+				return
+			}
+			f.window = i
+			res, err := imp.classify(imp.SignalFor(windows[i]), quantized)
+			if err != nil {
+				f.value = err
+				failed.Store(true)
+				return
+			}
+			out[i] = res
 		}
-		out[i] = res
 	}
-	return out, nil
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(&faults[w])
+		}()
+	}
+	run(&faults[0])
+	wg.Wait()
+
+	var first *batchFault
+	for w := range faults {
+		if f := &faults[w]; f.value != nil && (first == nil || f.window < first.window) {
+			first = f
+		}
+	}
+	switch {
+	case first == nil:
+		return out, nil
+	case first.panicked:
+		panic(first.value)
+	default:
+		return nil, fmt.Errorf("core: batch window %d: %w", first.window, first.value.(error))
+	}
+}
+
+// batchFault is the failure one ClassifyBatch worker stopped at, if
+// any: the window's index and its error, or the value it panicked with
+// (never nil: recover reports panic(nil) as a *runtime.PanicNilError).
+// Each worker takes increasing indices, so its first failure is its
+// lowest.
+type batchFault struct {
+	window   int
+	value    any
+	panicked bool
 }
 
 // Evaluate computes accuracy and the confusion matrix on a dataset split

@@ -166,7 +166,6 @@ type Job struct {
 	mu              sync.Mutex
 	status          Status
 	err             string
-	logs            []string
 	stage           string
 	progress        float64
 	attempt         int
@@ -201,11 +200,18 @@ func (j *Job) Err() string {
 	return j.err
 }
 
-// Logs returns a copy of the log lines so far.
+// Logs returns the log lines the job's event log still retains, oldest
+// first: the Message of each EventLog event, in seq order. Older lines
+// have been trimmed with the rest of the log (eventlog.Retain events).
 func (j *Job) Logs() []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]string(nil), j.logs...)
+	events, _ := j.Events.Since(0)
+	var lines []string
+	for _, e := range events {
+		if e.Type == EventLog {
+			lines = append(lines, e.Message)
+		}
+	}
+	return lines
 }
 
 // Attempt returns the retry attempt the job is on (0 = first run).
@@ -235,12 +241,11 @@ func (j *Job) Duration() time.Duration {
 	return j.finishedAt.Sub(j.startedAt)
 }
 
-// Logf appends a line to the job's log stream and event log.
+// Logf appends a line to the job's event log.
 func (j *Job) Logf(format string, args ...any) {
 	line := fmt.Sprintf(format, args...)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.logs = append(j.logs, line)
 	j.Events.Append(j.stampLocked(Event{Type: EventLog, Message: line}))
 }
 

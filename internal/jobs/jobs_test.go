@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"edgepulse/internal/eventlog"
 )
 
 // blockingJob returns a job body that blocks until release is closed
@@ -67,6 +69,47 @@ func TestSubmitAndWait(t *testing.T) {
 	}
 	if len(states) != 3 || states[0] != Queued || states[1] != Running || states[2] != Finished {
 		t.Fatalf("state events: %v", states)
+	}
+}
+
+// TestLogsAreTheRetainedLogEvents logs more lines than the event log
+// keeps: Logs returns exactly the log lines among the retained events,
+// newest last, not every line the job ever wrote.
+func TestLogsAreTheRetainedLogEvents(t *testing.T) {
+	s := NewScheduler(Config{})
+	defer s.Shutdown()
+	const lines = 600
+	j, err := s.Submit("training", func(ctx context.Context, j *Job) error {
+		for i := 0; i < lines; i++ {
+			j.Logf("line %d", i)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := s.Wait(j.ID, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// queued, running, the lines, finished: the log keeps the newest
+	// eventlog.Retain events, the last of them the terminal state.
+	events, _ := done.Events.Since(0)
+	if len(events) != eventlog.Retain {
+		t.Fatalf("%d events retained, want %d", len(events), eventlog.Retain)
+	}
+	if newest := events[len(events)-1].Seq; newest != lines+3 {
+		t.Fatalf("newest seq %d, want %d", newest, lines+3)
+	}
+	kept := eventlog.Retain - 1
+	logs := done.Logs()
+	if len(logs) != kept {
+		t.Fatalf("%d log lines, want the %d retained", len(logs), kept)
+	}
+	for i, line := range logs {
+		if want := fmt.Sprintf("line %d", lines-kept+i); line != want {
+			t.Fatalf("log %d is %q, want %q", i, line, want)
+		}
 	}
 }
 
