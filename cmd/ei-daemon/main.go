@@ -29,10 +29,6 @@
 //
 //	ei-daemon -server http://localhost:4800 -key APIKEY -project 1 \
 //	          -stream -signal keyword:yes -seconds 12 -events 3
-//
-// With -worker or -follow URL the daemon instead joins the cluster as a
-// shard-owning API server or a read-only replicating standby; see
-// node.go for those modes.
 package main
 
 import (
@@ -77,25 +73,7 @@ func main() {
 	smooth := flag.Int("smooth", 0, "score moving-average depth in windows (-stream, 0 = server default)")
 	suppress := flag.Int("suppress", 0, "refractory windows after a detection (-stream)")
 	ignore := flag.String("ignore", "noise", "comma-separated labels that never fire detections (-stream)")
-	workerMode := flag.Bool("worker", false, "run as a cluster worker: a shard-owning API server (see node.go)")
-	follow := flag.String("follow", "", "run as a follower replicating this primary worker URL")
-	listen := flag.String("listen", ":4801", "listen address (-worker/-follow)")
-	dataDir := flag.String("data", "", "durable state directory (-worker/-follow)")
-	shard := flag.Int("shard", 0, "this node's shard index (-worker/-follow)")
-	shards := flag.Int("shards", 0, "total shard count (-worker/-follow)")
-	nodeName := flag.String("name", "", "node name in cluster status (-worker/-follow; default role-shard)")
-	clusterToken := flag.String("cluster-token", "", "shared secret for cluster-plane endpoints (-worker/-follow)")
-	trainWorkers := flag.Int("train-workers", 4, "max training workers (-worker)")
-	syncMS := flag.Int("sync-ms", 500, "replication sync interval in milliseconds (-follow)")
 	flag.Parse()
-	if *workerMode || *follow != "" {
-		runNode(nodeFlags{
-			worker: *workerMode, follow: *follow, listen: *listen, data: *dataDir,
-			shard: *shard, shards: *shards, name: *nodeName, clusterToken: *clusterToken,
-			trainWorkers: *trainWorkers, syncInterval: time.Duration(*syncMS) * time.Millisecond,
-		})
-		return
-	}
 	if *streamMode {
 		if *key == "" || *projectID == 0 {
 			fmt.Fprintln(os.Stderr, "usage: ei-daemon -stream -server URL -key APIKEY -project N [-signal keyword:yes] [-seconds S] [-events N]")

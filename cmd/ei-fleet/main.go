@@ -107,9 +107,10 @@ func main() {
 	}
 }
 
-// startInproc boots a full platform on a loopback port: same wiring as
-// cmd/ei-studio, but rate limits off so the harness measures the
-// platform rather than its own API-key budget.
+// startInproc boots the platform's API server on a loopback port with
+// rate limits off, so the harness measures the platform rather than its
+// own API-key budget. It is leaner than cmd/ei-studio's wiring: no
+// durable state, no stalled-job watchdog and no request logger.
 func startInproc() (shutdown func(), url string, err error) {
 	registry := project.NewRegistry()
 	sched := jobs.NewScheduler(jobs.Config{

@@ -7,10 +7,17 @@
 //
 // Usage, flag-driven map:
 //
-//	ei-gateway -addr :4799 -shards 2 \
+//	ei-gateway -addr :4799 -shards 2 -cluster-token SECRET \
 //	    -node worker:0:http://127.0.0.1:4801 \
 //	    -node worker:1:http://127.0.0.1:4802 \
 //	    -node follower:0:http://127.0.0.1:4811
+//
+// over the matching ei-studio nodes:
+//
+//	ei-studio -addr :4801 -data w0 -shards 2 -shard 0 -cluster-token SECRET -trust-proxy
+//	ei-studio -addr :4802 -data w1 -shards 2 -shard 1 -cluster-token SECRET -trust-proxy
+//	ei-studio -addr :4811 -data f0 -shards 2 -shard 0 -cluster-token SECRET -trust-proxy \
+//	    -follow http://127.0.0.1:4801
 //
 // or config-file driven:
 //

@@ -35,10 +35,11 @@
 //     docs/LOADTEST.md) and the end-to-end suite that
 //     boots real platform instances and asserts the platform contract
 //
-// Entry points: cmd/ei-studio (REST server), cmd/ei-cli (client),
-// cmd/ei-daemon (device bridge), cmd/ei-run (EIM runner), cmd/ei-bench
-// (regenerate the paper's evaluation), cmd/ei-fleet (macro load
-// harness). Performance is measured by the end-to-end benchmark in
+// Entry points: cmd/ei-studio (REST server: standalone, cluster shard
+// worker or read-only follower), cmd/ei-gateway (the cluster's
+// project-sharded front door), cmd/ei-cli (client), cmd/ei-daemon
+// (device bridge), cmd/ei-run (EIM runner), cmd/ei-bench (regenerate
+// the paper's evaluation), cmd/ei-fleet (macro load harness). Performance is measured by the end-to-end benchmark in
 // benchmark/. See README.md for a quickstart and docs/ARCHITECTURE.md
 // for the package map and data flow.
 package edgepulse

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -136,7 +137,8 @@ func (s *Server) withLogging(next http.Handler) http.Handler {
 }
 
 // withRecovery converts handler panics into a 500 error envelope
-// instead of tearing down the connection.
+// instead of tearing down the connection, logging the panicking
+// goroutine's stack so the 500 can be traced to its source.
 func (s *Server) withRecovery(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -147,7 +149,8 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 				s.metrics.panic()
 				s.log.Error("panic in handler",
 					"method", r.Method, "path", r.URL.Path,
-					"panic", rec, "request_id", RequestID(r.Context()))
+					"panic", rec, "request_id", RequestID(r.Context()),
+					"stack", string(debug.Stack()))
 				s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, "internal server error")
 			}
 		}()

@@ -1,11 +1,15 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -114,13 +118,34 @@ func TestRateLimit429(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a log sink the handler goroutine writes while the
+// test goroutine reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+func panickingHandler(w http.ResponseWriter, r *http.Request) { panic("kaboom") }
+
 func TestPanicRecoveryEnvelope(t *testing.T) {
 	reg := project.NewRegistry()
 	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 1})
 	t.Cleanup(sched.Shutdown)
-	s := NewServer(reg, sched)
-	s.mux.Handle("GET /api/v1/boom", s.instrument("GET /api/v1/boom", defaultOpts, http.HandlerFunc(
-		func(w http.ResponseWriter, r *http.Request) { panic("kaboom") })))
+	var logs lockedBuffer
+	s := NewServer(reg, sched, WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
+	s.mux.Handle("GET /api/v1/boom", s.instrument("GET /api/v1/boom", defaultOpts, http.HandlerFunc(panickingHandler)))
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
@@ -138,6 +163,11 @@ func TestPanicRecoveryEnvelope(t *testing.T) {
 	}
 	if env.Success || env.Error.Code != v1.CodeInternal {
 		t.Fatalf("envelope: %+v", env)
+	}
+	// The logged record carries the stack, which names the panicking
+	// function.
+	if !strings.Contains(logs.String(), "api.panickingHandler") {
+		t.Fatalf("panic log names no panicking function:\n%s", logs.String())
 	}
 	snap := s.metrics.snapshot()
 	if snap.Panics != 1 {

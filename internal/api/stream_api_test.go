@@ -22,6 +22,8 @@ import (
 	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
 	"edgepulse/internal/project"
+	"edgepulse/internal/quant"
+	"edgepulse/internal/tensor"
 )
 
 // newSubServer serves an already-built Server for tests that need
@@ -279,6 +281,37 @@ func TestStreamValidationAndScoping(t *testing.T) {
 		nil, http.StatusBadRequest)
 
 	e.expectStatus("DELETE", fmt.Sprintf("/api/v1/projects/%d/stream/%s", id, sid), e.apiKey, nil, http.StatusOK)
+}
+
+// TestStreamRejectsMisShapedModel: an int8 model that disagrees with
+// the impulse's features (persist attaches one from disk unchecked)
+// answers 400 at open instead of panicking in the session.
+func TestStreamRejectsMisShapedModel(t *testing.T) {
+	e, id := streamEnv(t)
+	p, err := e.reg.GetProject(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp := p.Impulse()
+	shape, err := imp.FeatureShape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong, err := models.Conv1DStack(shape[0]/2, shape[1], 2, 8, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.InitWeights(wrong, 3); err != nil {
+		t.Fatal(err)
+	}
+	if imp.QModel, err = quant.Quantize(wrong, []*tensor.F32{tensor.NewF32(wrong.InputShape...)}); err != nil {
+		t.Fatal(err)
+	}
+	out := e.expectStatus("POST", fmt.Sprintf("/api/v1/projects/%d/stream", id), e.apiKey,
+		map[string]any{"quantized": true}, http.StatusBadRequest)
+	if msg := fmt.Sprint(out["error"]); !strings.Contains(msg, "model input") {
+		t.Fatalf("error %s, want the shape mismatch", msg)
+	}
 }
 
 // TestStreamCapacityAndMetrics drives the server-wide session cap and

@@ -3,7 +3,7 @@ package cluster
 // In-package integration suite: real workers (durable registries +
 // full API servers over httptest), a follower replicating shard 0, and
 // the gateway in front — the same topology cmd/ei-gateway and
-// ei-daemon -worker/-follow assemble in production.
+// ei-studio's -shards/-follow roles assemble in production.
 
 import (
 	"context"

@@ -3,7 +3,8 @@ package e2e
 // Cluster e2e: the full MLOps loop driven through the gateway only,
 // against a 2-worker fleet with a replicating follower — the fleet
 // topology the paper's multi-tenant platform implies (Sec. 3), built
-// from cmd/ei-gateway + ei-daemon -worker/-follow parts in-process.
+// in-process from the parts cmd/ei-gateway and ei-studio's -shards and
+// -follow roles assemble.
 
 import (
 	"context"

@@ -35,6 +35,19 @@ func NewImpulseClassifier(imp *core.Impulse, quantized bool) (Classifier, error)
 	if len(imp.Classes) == 0 {
 		return nil, fmt.Errorf("stream: impulse has no classes")
 	}
+	// Forward panics on a mis-shaped input, and a model loaded from disk
+	// (the int8 one above all) is attached without a shape check.
+	shape, err := imp.ClassifierShape()
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
+	}
+	want := imp.Model.InputShape
+	if quantized {
+		want = imp.QModel.InputShape
+	}
+	if !shape.Equal(want) {
+		return nil, fmt.Errorf("stream: classifier features %v != model input %v", shape, want)
+	}
 	return &impulseClassifier{imp: imp, quantized: quantized}, nil
 }
 

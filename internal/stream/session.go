@@ -331,7 +331,7 @@ func (s *Session) run() {
 				}
 			}
 			idle.Reset(s.cfg.IdleTimeout)
-			if err := s.ingest(batch); err != nil {
+			if err := s.safeIngest(batch); err != nil {
 				s.finish("classifier error: " + err.Error())
 				return
 			}
@@ -345,7 +345,7 @@ func (s *Session) run() {
 			for {
 				select {
 				case batch := <-s.in:
-					if err := s.ingest(batch); err != nil {
+					if err := s.safeIngest(batch); err != nil {
 						s.finish("classifier error: " + err.Error())
 						return
 					}
@@ -359,6 +359,18 @@ func (s *Session) run() {
 			}
 		}
 	}
+}
+
+// safeIngest is ingest with a panic in a DSP block or a forward pass
+// turned into an error, so one bad session ends with a terminal event
+// instead of taking the process down.
+func (s *Session) safeIngest(batch []float32) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("panic: %v", rec)
+		}
+	}()
+	return s.ingest(batch)
 }
 
 // ingest appends one batch to the ring and classifies every complete

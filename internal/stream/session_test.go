@@ -316,6 +316,72 @@ func TestSessionClassifierErrorCloses(t *testing.T) {
 	}
 }
 
+// TestSessionPanicEndsSession: a classifier that panics ends its
+// session with a terminal event instead of the process, frees the
+// manager slot, and leaves other sessions classifying.
+func TestSessionPanicEndsSession(t *testing.T) {
+	calls := 0
+	cls := &fakeClassifier{
+		classes: []string{"kw", "rest"},
+		fn: func(win dsp.Signal, scores []float32) error {
+			if calls++; calls == 2 {
+				panic("dsp exploded")
+			}
+			return nil
+		},
+	}
+	m := NewManager(1)
+	s, err := m.Open(testConfig(), cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 12 frames hold two windows (8 frames, stride 4).
+	if err := s.Push(make([]float32, 12)); err != nil {
+		t.Fatal(err)
+	}
+	events := collect(t, s)
+	last := events[len(events)-1]
+	if last.Reason != "classifier error: panic: dsp exploded" {
+		t.Fatalf("terminal event %+v, want the recovered panic", last)
+	}
+	if results := s.Stats().Windows; results != 1 {
+		t.Fatalf("windows = %d, want the one before the panic", results)
+	}
+	waitActive(t, m, 0)
+
+	next, err := m.Open(testConfig(), meanClassifier())
+	if err != nil {
+		t.Fatalf("open after the panicked session: %v", err)
+	}
+	if err := next.Push(make([]float32, 8)); err != nil {
+		t.Fatal(err)
+	}
+	next.Close("done")
+	events = collect(t, next)
+	if next.Stats().Windows != 1 || events[len(events)-1].Reason != "done" {
+		t.Fatalf("second session: windows %d, events %+v", next.Stats().Windows, events)
+	}
+}
+
+// TestImpulseClassifierChecksModelShape: a model whose input disagrees
+// with the impulse's features is refused at open rather than panicking
+// in Forward mid-stream.
+func TestImpulseClassifierChecksModelShape(t *testing.T) {
+	imp := toneImpulse(t)
+	shape, err := imp.FeatureShape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := models.Conv1DStack(shape[0]/2, shape[1], 2, 8, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp.Model = model // no AttachClassifier, as for a model loaded from disk
+	if _, err := NewImpulseClassifier(imp, false); err == nil || !strings.Contains(err.Error(), "model input") {
+		t.Fatalf("mis-shaped model: err %v", err)
+	}
+}
+
 // TestSessionSubscribeResume: a canceled subscriber resuming from its
 // last Seq sees every event exactly once.
 func TestSessionSubscribeResume(t *testing.T) {
