@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"edgepulse/internal/core"
-	"edgepulse/internal/deploy"
 	"edgepulse/internal/dsp"
 	"edgepulse/internal/eim"
 	"edgepulse/internal/wav"
@@ -38,7 +37,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	imp, err := deploy.ParseEIM(blob)
+	imp, err := core.ParseArtifact(blob)
 	if err != nil {
 		fatal(err)
 	}

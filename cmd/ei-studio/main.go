@@ -212,7 +212,7 @@ func run(ctx context.Context, o *options, ln net.Listener) error {
 	<-drained
 	if o.dataDir != "" && follower == nil {
 		// Datasets are already durable; Save persists registry metadata +
-		// impulse designs and compacts store manifests (not a follower's).
+		// impulse artefacts and compacts store manifests (not a follower's).
 		if err := registry.Save(o.dataDir); err != nil {
 			return fmt.Errorf("saving state: %w", err)
 		}

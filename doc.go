@@ -28,7 +28,8 @@
 //     admission gate, deadline budgets, health/readiness, job
 //     watchdog, shared retry primitives, and the build-tag-free
 //     chaos fault-injection registry
-//   - internal/deploy, eim — deployment artifacts and the EIM runner
+//   - internal/deploy, eim — deployment artifacts and the EIM runner (the EIM
+//     itself is core's impulse artefact)
 //   - internal/bench, report — the paper's tables and figures
 //   - internal/fleet, e2e — the verification plane: the macro load
 //     harness (synthetic device fleets, SLO gates; see

@@ -20,7 +20,6 @@ import (
 	v1 "edgepulse/internal/api/v1"
 	"edgepulse/internal/client"
 	"edgepulse/internal/core"
-	"edgepulse/internal/deploy"
 	"edgepulse/internal/ingest"
 	"edgepulse/internal/jobs"
 	"edgepulse/internal/project"
@@ -167,7 +166,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("downloaded model.eim (%d bytes)\n", len(blob))
-	deployed, err := deploy.ParseEIM(blob)
+	deployed, err := core.ParseArtifact(blob)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 
 	"edgepulse/internal/core"
 	"edgepulse/internal/data"
-	"edgepulse/internal/deploy"
 	"edgepulse/internal/dsp"
 	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
@@ -86,12 +85,12 @@ func main() {
 
 	// 5. Deploy as an EIM artifact and run the deployed model.
 	fmt.Println("== 5. deploying ==")
-	blob, err := deploy.BuildEIM(imp)
+	blob, err := imp.MarshalArtifact()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  model.eim: %d bytes\n", len(blob))
-	deployed, err := deploy.ParseEIM(blob)
+	deployed, err := core.ParseArtifact(blob)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	v1 "edgepulse/internal/api/v1"
 	"edgepulse/internal/client"
 	"edgepulse/internal/core"
-	"edgepulse/internal/deploy"
 	"edgepulse/internal/dsp"
 	"edgepulse/internal/ingest"
 	"edgepulse/internal/jobs"
@@ -239,7 +238,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	deployed, err := deploy.ParseEIM(blob)
+	deployed, err := core.ParseArtifact(blob)
 	if err != nil {
 		log.Fatal(err)
 	}

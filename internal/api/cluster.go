@@ -142,7 +142,7 @@ func (s *Server) handleClusterAdmitUser(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleReplicationMeta exports the registry's control-plane state
-// (users, project headers, impulse designs, model blobs).
+// (users, project headers, impulse artefacts).
 func (s *Server) handleReplicationMeta(w http.ResponseWriter, r *http.Request) {
 	b, err := s.registry.ExportMeta()
 	if err != nil {
@@ -152,7 +152,7 @@ func (s *Server) handleReplicationMeta(w http.ResponseWriter, r *http.Request) {
 	out := v1.ClusterMetaResponse{Success: true, Registry: b.Registry}
 	for _, pm := range b.Projects {
 		out.Projects = append(out.Projects, v1.ProjectMetaBlob{
-			ID: pm.ID, Impulse: pm.Impulse, Model: pm.Model, QModel: pm.QModel,
+			ID: pm.ID, Impulse: pm.Impulse,
 		})
 	}
 	writeJSON(w, http.StatusOK, out)

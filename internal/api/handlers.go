@@ -140,11 +140,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, u *projec
 }
 
 func projectSummary(p *project.Project) v1.ProjectSummary {
-	return v1.ProjectSummary{
+	out := v1.ProjectSummary{
 		ID: p.ID, Name: p.Name, Owner: p.OwnerID,
 		Public: p.Public(), Samples: p.Dataset().Len(),
 		Collaborators: p.Collaborators(),
 	}
+	if err := p.ImpulseError(); err != nil {
+		out.ImpulseError = err.Error()
+	}
+	return out
 }
 
 func (s *Server) writeProjectList(w http.ResponseWriter, r *http.Request, all []*project.Project) {
@@ -629,7 +633,7 @@ func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request, u *pro
 	kind := r.URL.Query().Get("type")
 	switch kind {
 	case "eim":
-		blob, err := deploy.BuildEIM(imp)
+		blob, err := imp.MarshalArtifact()
 		if err != nil {
 			s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 			return

@@ -80,8 +80,10 @@ type Server struct {
 	// only safe behind a proxy that overwrites the header).
 	trustProxy bool
 	metrics    *apiMetrics
-	// streams manages live inference sessions (the streaming plane).
-	streams *stream.Manager
+	// streams manages live inference sessions (the streaming plane),
+	// at most streamMax at once (<= 0: stream.DefaultMaxSessions).
+	streams   *stream.Manager
+	streamMax int
 
 	// Cluster plane: node identity (nil outside a cluster) and the
 	// optional shared token guarding the replication endpoints.
@@ -103,9 +105,7 @@ type Server struct {
 // default.
 func WithStreamSessions(max int) Option {
 	return func(s *Server) {
-		if max > 0 {
-			s.streams = stream.NewManager(max)
-		}
+		s.streamMax = max
 	}
 }
 
@@ -128,12 +128,14 @@ func NewServer(reg *project.Registry, sched *jobs.Scheduler, opts ...Option) *Se
 		limiter:    newRateLimiter(100, 200),
 		aggLimiter: newRateLimiter(100*aggFactor, 200*aggFactor),
 		metrics:    newAPIMetrics(),
-		streams:    stream.NewManager(stream.DefaultMaxSessions),
 		health:     resilience.NewHealth(),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
+	// Built after the options, so its sessions log through WithLogger's
+	// logger.
+	s.streams = stream.NewManager(s.streamMax, s.log)
 	// The gate is built after options so WithGate tuning applies; its
 	// sampler folds in scheduler backlog, stream sessions and (opt-in)
 	// heap pressure on top of the in-flight count it tracks itself.

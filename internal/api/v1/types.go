@@ -116,6 +116,9 @@ type ProjectSummary struct {
 	Public        bool     `json:"public"`
 	Samples       int      `json:"samples"`
 	Collaborators []string `json:"collaborators"`
+	// ImpulseError is why the project's stored impulse did not load
+	// (the project then has none); empty when it loaded.
+	ImpulseError string `json:"impulse_error,omitempty"`
 }
 
 // CreateProjectRequest creates a project. POST /api/v1/projects.
@@ -883,17 +886,16 @@ type ReplicationManifestResponse struct {
 	Version  uint64 `json:"version"`
 }
 
-// ProjectMetaBlob carries one project's design artifacts in a cluster
-// meta bundle (all blobs base64 in JSON; absent means not configured).
+// ProjectMetaBlob carries one project's impulse in a cluster meta
+// bundle: the bytes of its impulse.eim artefact, base64 in JSON
+// (absent: no impulse configured).
 type ProjectMetaBlob struct {
 	ID      int    `json:"id"`
 	Impulse []byte `json:"impulse,omitempty"`
-	Model   []byte `json:"model,omitempty"`
-	QModel  []byte `json:"qmodel,omitempty"`
 }
 
 // ClusterMetaResponse is a worker's control-plane state for follower
-// sync: the registry snapshot plus per-project design blobs. GET
+// sync: the registry snapshot plus per-project impulse artefacts. GET
 // /api/v1/cluster/replication/meta.
 type ClusterMetaResponse struct {
 	Success  bool              `json:"success"`

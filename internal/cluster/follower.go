@@ -157,7 +157,7 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 	return firstErr
 }
 
-// syncMeta pulls the registry blob and per-project impulse/model files.
+// syncMeta pulls the registry blob and per-project impulse artefacts.
 func (f *Follower) syncMeta(ctx context.Context) error {
 	var meta v1.ClusterMetaResponse
 	if err := f.getJSON(ctx, "/cluster/replication/meta", &meta); err != nil {
@@ -166,7 +166,7 @@ func (f *Follower) syncMeta(ctx context.Context) error {
 	bundle := project.MetaBundle{Registry: meta.Registry}
 	for _, pm := range meta.Projects {
 		bundle.Projects = append(bundle.Projects, project.ProjectMeta{
-			ID: pm.ID, Impulse: pm.Impulse, Model: pm.Model, QModel: pm.QModel,
+			ID: pm.ID, Impulse: pm.Impulse,
 		})
 	}
 	return f.reg.ApplyMeta(bundle)

@@ -6,13 +6,17 @@ package cluster
 // ei-studio's -shards/-follow roles assemble in production.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -298,14 +302,31 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// An impulse design on p0 replicates as the worker's impulse.eim.
+	if _, err := c.SetImpulse(ctx, p0.ID, json.RawMessage(`{"version":2,"name":"kws",
+		"input":{"kind":"time-series","window_ms":80,"frequency_hz":100,"axes":1},
+		"dsp":[{"type":"raw"}],"classes":["no","yes"]}`)); err != nil {
+		t.Fatal(err)
+	}
+
 	// Replication: one explicit sync round brings the follower's
 	// dataset to the primary's exact content hash — deterministic, no
-	// interval polling.
+	// interval polling — and its impulse.eim to the primary's bytes.
 	if err := follower.SyncOnce(ctx); err != nil {
 		t.Fatalf("follower sync: %v", err)
 	}
 	if got, want := datasetVersion(f0, p0.ID), datasetVersion(w0, p0.ID); got != want {
 		t.Fatalf("follower converged to %s, primary at %s", got, want)
+	}
+	eim := func(n *testNode) []byte {
+		blob, err := os.ReadFile(filepath.Join(n.reg.Dir(), "projects", fmt.Sprint(p0.ID), "impulse.eim"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	if !bytes.Equal(eim(f0), eim(w0)) {
+		t.Fatal("follower impulse.eim is not the worker's bytes")
 	}
 
 	// Outage: worker-0's readiness probe goes red. The gateway fails

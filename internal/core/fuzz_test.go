@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"edgepulse/internal/tensor"
 )
 
 // FuzzParseConfig hammers the impulse-design parser with adversarial
@@ -64,6 +66,60 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		if !reflect.DeepEqual(cfg, back) {
 			t.Fatalf("round trip drift:\n%+v\n%+v", cfg, back)
+		}
+	})
+}
+
+// FuzzParseArtifact hammers the impulse artefact loader, which reads a
+// project's impulse.eim, the bytes a follower gets from its leader and
+// a downloaded model.eim (so tflm.Unmarshal on both precisions). It
+// must never panic, every impulse it accepts must hold models that fit
+// the design in both precisions, and what it accepts must marshal back
+// to an artefact that loads.
+//
+// Seeded with a design-only, a float, a float+int8 and an anomaly
+// artefact, and a three-chunk model.eim from before the anomaly chunk.
+// CI runs it for 10s: go test -run '^$' -fuzz=FuzzParseArtifact -fuzztime=10s ./internal/core
+func FuzzParseArtifact(f *testing.F) {
+	float := batchImpulse(f)
+	float.QModel = nil
+	for _, imp := range []*Impulse{toneImpulse(f), float, batchImpulse(f), anomalyImpulse(f)} {
+		blob, err := imp.MarshalArtifact()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	threeChunk, err := os.ReadFile(filepath.Join("testdata", "three_chunk.eim"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(threeChunk)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		imp, err := ParseArtifact(data)
+		if err != nil {
+			return // rejection is fine; panicking is not
+		}
+		want, err := imp.ClassifierShape()
+		if err != nil {
+			if want, err = imp.FeatureShape(); err != nil {
+				t.Fatalf("accepted impulse has no feature shape: %v", err)
+			}
+		}
+		fits := func(in tensor.Shape, classes int) bool { return in.Equal(want) && classes == len(imp.Classes) }
+		if m := imp.Model; m != nil && !fits(m.InputShape, m.NumClasses) {
+			t.Fatalf("accepted float model %v/%d for %v/%d", m.InputShape, m.NumClasses, want, len(imp.Classes))
+		}
+		if q := imp.QModel; q != nil && !fits(q.InputShape, q.NumClasses) {
+			t.Fatalf("accepted int8 model %v/%d for %v/%d", q.InputShape, q.NumClasses, want, len(imp.Classes))
+		}
+		blob, err := imp.MarshalArtifact()
+		if err != nil {
+			t.Fatalf("accepted artefact does not marshal: %v", err)
+		}
+		if _, err := ParseArtifact(blob); err != nil {
+			t.Fatalf("re-marshalled artefact does not load: %v", err)
 		}
 	})
 }

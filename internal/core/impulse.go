@@ -71,15 +71,23 @@ func (b InputBlock) StrideSamples() int {
 	return s
 }
 
+// maxWindowValues bounds one window's raw values (frames × axes, or
+// width × height × channels), 16 MB of float32: shape queries allocate
+// a whole zero window, so a design from a request or an artefact must
+// not be able to ask for more memory than the server has.
+const maxWindowValues = 1 << 22
+
 // Validate checks the block configuration and normalizes it in place:
 // image inputs with unspecified axes are pinned to 3 channels here, so
 // shape queries and extraction always agree on the same geometry.
 func (b *InputBlock) Validate() error {
+	var values float64 // in float64, so no product of hostile ints can wrap
 	switch b.Kind {
 	case TimeSeries:
 		if b.WindowMS <= 0 || b.FrequencyHz <= 0 || b.Axes <= 0 {
 			return fmt.Errorf("core: time-series input needs window_ms, frequency_hz and axes")
 		}
+		values = float64(b.WindowMS) * float64(b.FrequencyHz) / 1000 * float64(b.Axes)
 	case ImageInput:
 		if b.Width <= 0 || b.Height <= 0 {
 			return fmt.Errorf("core: image input needs width and height")
@@ -90,8 +98,12 @@ func (b *InputBlock) Validate() error {
 		if b.Axes != 1 && b.Axes != 3 {
 			return fmt.Errorf("core: image input supports 1 or 3 axes, have %d", b.Axes)
 		}
+		values = float64(b.Width) * float64(b.Height) * float64(b.Axes)
 	default:
 		return fmt.Errorf("core: unknown input kind %q", b.Kind)
+	}
+	if values > maxWindowValues {
+		return fmt.Errorf("core: input window of %.0f values exceeds %d", values, maxWindowValues)
 	}
 	return nil
 }
@@ -260,19 +272,7 @@ func (imp *Impulse) Validate() error {
 	if _, err := imp.FeatureShape(); err != nil {
 		return err
 	}
-	if imp.Model != nil {
-		shape, err := imp.ClassifierShape()
-		if err != nil {
-			return err
-		}
-		if !imp.Model.InputShape.Equal(shape) {
-			return fmt.Errorf("core: model input %v != feature shape %v", imp.Model.InputShape, shape)
-		}
-		if imp.Model.NumClasses != len(imp.Classes) {
-			return fmt.Errorf("core: model classes %d != labels %d", imp.Model.NumClasses, len(imp.Classes))
-		}
-	}
-	return nil
+	return imp.checkLearned()
 }
 
 // windowGeometry returns the canonical window's geometry without data,
@@ -648,20 +648,8 @@ func (imp *Impulse) BuildExamples(ds *data.Dataset, cat data.Category) ([]traine
 // AttachClassifier sets the float model, checking shape compatibility
 // against the classification learn block's feature view.
 func (imp *Impulse) AttachClassifier(m *nn.Model) error {
-	shape, err := imp.ClassifierShape()
-	if err != nil {
-		// An impulse without classes yet still accepts a model; fall
-		// back to the composite shape.
-		shape, err = imp.FeatureShape()
-		if err != nil {
-			return err
-		}
-	}
-	if !m.InputShape.Equal(shape) {
-		return fmt.Errorf("core: model input %v != feature shape %v", m.InputShape, shape)
-	}
-	if m.NumClasses != len(imp.Classes) {
-		return fmt.Errorf("core: model has %d classes, impulse has %d", m.NumClasses, len(imp.Classes))
+	if err := imp.checkModel("float", m.InputShape, m.NumClasses); err != nil {
+		return err
 	}
 	imp.Model = m
 	imp.QModel = nil // stale after a model change

@@ -1,13 +1,12 @@
 // Package deploy packages a designed impulse for its deployment targets
 // (paper Sec. 4.6): a standalone C++ library (EON-compiled model plus DSP
-// configuration), an Arduino library, a WebAssembly bundle, and the EIM
-// format — a self-contained binary artifact that the eim package can
-// execute behind a socket protocol, as on Linux targets.
+// configuration), an Arduino library and a WebAssembly bundle. The EIM
+// for Linux targets is the impulse artefact itself
+// (core.Impulse.MarshalArtifact), which the eim package executes behind
+// a socket protocol.
 package deploy
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -36,8 +35,12 @@ func (a Artifact) FileNames() []string {
 	return out
 }
 
-// modelFile picks the requested precision from the impulse.
+// modelFile validates the impulse and picks the requested precision
+// from it.
 func modelFile(imp *core.Impulse, quantized bool) (*tflm.ModelFile, error) {
+	if err := imp.Validate(); err != nil {
+		return nil, err
+	}
 	if quantized {
 		if imp.QModel == nil {
 			return nil, fmt.Errorf("deploy: impulse has no quantized model (run Quantize first)")
@@ -117,9 +120,6 @@ func classesHeader(imp *core.Impulse) []byte {
 // EON-compiled model, the DSP configuration, the label table and a
 // run_classifier entry point.
 func CPPLibrary(imp *core.Impulse, quantized bool) (Artifact, error) {
-	if err := imp.Validate(); err != nil {
-		return Artifact{}, err
-	}
 	mf, err := modelFile(imp, quantized)
 	if err != nil {
 		return Artifact{}, err
@@ -201,9 +201,6 @@ void loop() {
 // WASM generates a WebAssembly deployment bundle: the serialized model
 // plus a JavaScript loader exposing classify().
 func WASM(imp *core.Impulse, quantized bool) (Artifact, error) {
-	if err := imp.Validate(); err != nil {
-		return Artifact{}, err
-	}
 	mf, err := modelFile(imp, quantized)
 	if err != nil {
 		return Artifact{}, err
@@ -242,108 +239,4 @@ func sanitize(name string) string {
 		return "impulse"
 	}
 	return b.String()
-}
-
-// EIM is the executable model format for Linux-class targets: one binary
-// blob containing the impulse design and its model(s), consumable by the
-// eim package's runner.
-const eimMagic = "EPIM"
-
-// BuildEIM serializes the impulse (config + float model + optional int8
-// model) into an EIM blob.
-func BuildEIM(imp *core.Impulse) ([]byte, error) {
-	if err := imp.Validate(); err != nil {
-		return nil, err
-	}
-	if imp.Model == nil {
-		return nil, fmt.Errorf("deploy: impulse has no trained model")
-	}
-	cfg, err := json.Marshal(imp.Config())
-	if err != nil {
-		return nil, err
-	}
-	floatBlob, err := tflm.Marshal(tflm.ModelFileFromFloat(imp.Model))
-	if err != nil {
-		return nil, err
-	}
-	var quantBlob []byte
-	if imp.QModel != nil {
-		quantBlob, err = tflm.Marshal(tflm.ModelFileFromQuant(imp.QModel))
-		if err != nil {
-			return nil, err
-		}
-	}
-	var buf bytes.Buffer
-	buf.WriteString(eimMagic)
-	writeChunk(&buf, cfg)
-	writeChunk(&buf, floatBlob)
-	writeChunk(&buf, quantBlob)
-	return buf.Bytes(), nil
-}
-
-func writeChunk(buf *bytes.Buffer, data []byte) {
-	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(data)))
-	buf.Write(l[:])
-	buf.Write(data)
-}
-
-func readChunk(data []byte) ([]byte, []byte, error) {
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("deploy: truncated EIM chunk header")
-	}
-	n := binary.LittleEndian.Uint32(data)
-	if uint32(len(data)-4) < n {
-		return nil, nil, fmt.Errorf("deploy: EIM chunk length %d exceeds data", n)
-	}
-	return data[4 : 4+n], data[4+n:], nil
-}
-
-// ParseEIM reconstructs a runnable impulse from an EIM blob.
-func ParseEIM(data []byte) (*core.Impulse, error) {
-	if len(data) < 4 || string(data[:4]) != eimMagic {
-		return nil, fmt.Errorf("deploy: not an EIM file")
-	}
-	rest := data[4:]
-	cfgBytes, rest, err := readChunk(rest)
-	if err != nil {
-		return nil, err
-	}
-	floatBlob, rest, err := readChunk(rest)
-	if err != nil {
-		return nil, err
-	}
-	quantBlob, _, err := readChunk(rest)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := core.ParseConfig(cfgBytes)
-	if err != nil {
-		return nil, err
-	}
-	imp, err := core.FromConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	mf, err := tflm.Unmarshal(floatBlob)
-	if err != nil {
-		return nil, err
-	}
-	if mf.Float == nil {
-		return nil, fmt.Errorf("deploy: EIM float section holds no float model")
-	}
-	if err := imp.AttachClassifier(mf.Float); err != nil {
-		return nil, err
-	}
-	if len(quantBlob) > 0 {
-		qmf, err := tflm.Unmarshal(quantBlob)
-		if err != nil {
-			return nil, err
-		}
-		if qmf.Quant == nil {
-			return nil, fmt.Errorf("deploy: EIM quant section holds no int8 model")
-		}
-		imp.QModel = qmf.Quant
-	}
-	return imp, nil
 }

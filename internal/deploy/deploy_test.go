@@ -146,13 +146,14 @@ func TestWASMBundle(t *testing.T) {
 	}
 }
 
+// The EIM deployment is the impulse artefact (core.MarshalArtifact).
 func TestEIMRoundTrip(t *testing.T) {
 	imp, ds := deployableImpulse(t)
-	blob, err := BuildEIM(imp)
+	blob, err := imp.MarshalArtifact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseEIM(blob)
+	back, err := core.ParseArtifact(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +199,11 @@ func TestEIMRoundTrip(t *testing.T) {
 func TestEIMWithoutQuantized(t *testing.T) {
 	imp, _ := deployableImpulse(t)
 	imp.QModel = nil
-	blob, err := BuildEIM(imp)
+	blob, err := imp.MarshalArtifact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseEIM(blob)
+	back, err := core.ParseArtifact(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestParseEIMGarbage(t *testing.T) {
 		[]byte("EPIM\x02\x00\x00\x00{}"),
 	}
 	for i, c := range cases {
-		if _, err := ParseEIM(c); err == nil {
+		if _, err := core.ParseArtifact(c); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -229,7 +230,7 @@ func TestParseEIMGarbage(t *testing.T) {
 
 func TestBuildEIMValidation(t *testing.T) {
 	imp := core.New("untrained")
-	if _, err := BuildEIM(imp); err == nil {
+	if _, err := imp.MarshalArtifact(); err == nil {
 		t.Error("accepted unconfigured impulse")
 	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"edgepulse/internal/tensor"
 )
@@ -100,9 +101,31 @@ func layerState(l Layer) []*tensor.F32 {
 	return nil
 }
 
+// sizeAttrs are, per kind, the attributes a layer's geometry is built
+// from. A serialized spec must hold each as a whole number from 1 to
+// MaxInt32, or its constructor would see a wrapped value and OutShape
+// could divide by zero.
+var sizeAttrs = map[string][]string{
+	"dense":            {"units"},
+	"conv2d":           {"filters", "kernel", "stride"},
+	"depthwise_conv2d": {"kernel", "stride"},
+	"conv1d":           {"filters", "kernel", "stride"},
+	"maxpool2d":        {"size", "stride"},
+	"avgpool2d":        {"size", "stride"},
+	"maxpool1d":        {"size", "stride"},
+}
+
+// wholeSize reports whether v is a whole number from 1 to MaxInt32.
+func wholeSize(v float64) bool { return v >= 1 && v <= math.MaxInt32 && v == math.Trunc(v) }
+
 // layerFromSpec reconstructs an untrained layer from its spec.
 func layerFromSpec(s OpSpec) (Layer, error) {
 	a := func(k string) int { return int(s.Attrs[k]) }
+	for _, k := range sizeAttrs[s.Kind] {
+		if !wholeSize(s.Attrs[k]) {
+			return nil, fmt.Errorf("nn: %s spec has %s %v", s.Kind, k, s.Attrs[k])
+		}
+	}
 	switch s.Kind {
 	case "dense":
 		return NewDense(a("units"), Activation(a("activation"))), nil
@@ -133,10 +156,17 @@ func layerFromSpec(s OpSpec) (Layer, error) {
 		}
 		return bn, nil
 	case "reshape":
-		rank := a("rank")
+		rank, elems := a("rank"), 1.0
+		if !wholeSize(s.Attrs["rank"]) || rank >= len(s.Attrs) {
+			return nil, fmt.Errorf("nn: reshape spec has rank %v", s.Attrs["rank"])
+		}
 		target := make([]int, rank)
-		for d := 0; d < rank; d++ {
-			target[d] = a(fmt.Sprintf("dim%d", d))
+		for d := range target {
+			v := s.Attrs[fmt.Sprintf("dim%d", d)]
+			if elems *= v; !wholeSize(v) || elems > math.MaxInt32 {
+				return nil, fmt.Errorf("nn: reshape spec has dim%d %v", d, v)
+			}
+			target[d] = int(v)
 		}
 		return NewReshape(target...), nil
 	default:
@@ -144,21 +174,79 @@ func layerFromSpec(s OpSpec) (Layer, error) {
 	}
 }
 
-// ModelFromSpecs reconstructs a full (untrained) model from specs.
+// CheckSpec reports a spec whose layer cannot be built from its
+// attributes, or whose OutShape is not what that layer makes of its
+// InShape. Kernels that run a spec as it is serialized (the int8 ops)
+// index by these shapes, so a spec read from a file or a peer is
+// checked before it runs.
+func CheckSpec(s OpSpec) error {
+	if !s.InShape.Valid() {
+		return fmt.Errorf("nn: %s spec: invalid input shape %v", s.Kind, s.InShape)
+	}
+	l, err := layerFromSpec(s)
+	if err != nil {
+		return err
+	}
+	out, err := l.OutShape(s.InShape)
+	if err != nil {
+		return fmt.Errorf("nn: %s spec: %w", s.Kind, err)
+	}
+	if !out.Equal(s.OutShape) {
+		return fmt.Errorf("nn: %s spec maps %v to %v, not %v", s.Kind, s.InShape, out, s.OutShape)
+	}
+	return nil
+}
+
+// ModelFromSpecs reconstructs a full (untrained) model from specs. A
+// layer that would hold more weights than its spec's WeightElems is
+// refused before it is built: specs arrive in files and from peers, and
+// must not size an allocation beyond the weights they carry.
 func ModelFromSpecs(inputShape tensor.Shape, specs []OpSpec, numClasses int) (*Model, error) {
+	if !inputShape.Valid() {
+		return nil, fmt.Errorf("nn: invalid input shape %v", inputShape)
+	}
 	m := NewModel(inputShape...)
 	m.NumClasses = numClasses
-	for _, s := range specs {
+	in := inputShape
+	for i, s := range specs {
 		l, err := layerFromSpec(s)
 		if err != nil {
 			return nil, err
 		}
+		out, err := l.OutShape(in)
+		if err == nil && !out.Valid() {
+			err = fmt.Errorf("invalid output shape %v", out)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("layer %d (%s): %w", i, l.Kind(), err)
+		}
+		if n := buildElems(l, in); n > float64(s.WeightElems) {
+			return nil, fmt.Errorf("layer %d (%s): holds %.0f weights, its spec %d", i, l.Kind(), n, s.WeightElems)
+		}
 		m.Add(l)
-	}
-	if _, err := m.OutputShape(); err != nil {
-		return nil, err
+		in = out
 	}
 	return m, nil
+}
+
+// buildElems is how many weight values Model.Add allocates for l on
+// input shape in (parameters and frozen state), computed in float64 so
+// that no attribute can overflow it.
+func buildElems(l Layer, in tensor.Shape) float64 {
+	cin := float64(in[len(in)-1])
+	switch v := l.(type) {
+	case *Dense:
+		return (cin + 1) * float64(v.Units)
+	case *Conv2D:
+		return (float64(v.Kernel)*float64(v.Kernel)*cin + 1) * float64(v.Filters)
+	case *Conv1D:
+		return (float64(v.Kernel)*cin + 1) * float64(v.Filters)
+	case *DepthwiseConv2D:
+		return (float64(v.Kernel)*float64(v.Kernel) + 1) * cin
+	case *BatchNorm:
+		return 4 * cin
+	}
+	return 0
 }
 
 // SerializableTensors returns, in a stable order, every tensor that must

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 
@@ -11,7 +13,6 @@ import (
 	"edgepulse/internal/data"
 	"edgepulse/internal/dsp"
 	"edgepulse/internal/store"
-	"edgepulse/internal/tflm"
 )
 
 // On-disk layout (v2):
@@ -21,9 +22,11 @@ import (
 //	                      manifest.json    header index snapshot
 //	                      journal.log      manifest op journal
 //	                      segments/*.seg   CRC-framed CBOR sample records
-//	<dir>/projects/<id>/impulse.json       impulse design (atomic write)
-//	<dir>/projects/<id>/model.eptm         float weights (EPTM)
-//	<dir>/projects/<id>/model_int8.eptm
+//	<dir>/projects/<id>/impulse.eim        impulse artefact (core.ParseArtifact)
+//
+// A tree written before impulse.eim keeps the impulse in impulse.json,
+// model.eptm and model_int8.eptm. It still loads (readLegacyImpulse),
+// and the first write of the impulse replaces the three files.
 //
 // The v1 layout kept every sample inline in projects/<id>/dataset.json.
 // Opening a v1 tree migrates it: samples stream into a fresh segmented
@@ -95,74 +98,85 @@ func Open(dir string) (*Registry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	blob, err := os.ReadFile(filepath.Join(dir, "registry.json"))
-	if os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "registry.json")); errors.Is(err, fs.ErrNotExist) {
 		r := NewRegistry()
 		r.dir = dir
 		return r, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	r, err := loadRegistry(dir, blob)
-	if err != nil {
-		return nil, err
-	}
-	r.dir = dir
-	return r, nil
+	return Load(dir)
 }
 
 // Load restores a registry previously written by Save (or operated on
-// by Open). Unlike Open it fails if no registry exists at dir.
+// by Open). Unlike Open it fails if no registry exists at dir. A
+// project whose impulse does not load opens without one
+// (Project.ImpulseError says why); the others are unaffected.
 func Load(dir string) (*Registry, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, "registry.json"))
 	if err != nil {
 		return nil, err
 	}
-	r, err := loadRegistry(dir, blob)
+	r := NewRegistry()
+	r.dir = dir
+	err = r.applyRegistryBlobLocked(blob, func(p *Project) error {
+		p.persist = r.projectPersister(p)
+		return openProjectDataset(dir, p)
+	})
 	if err != nil {
+		r.Close()
 		return nil, err
 	}
-	r.dir = dir
 	return r, nil
 }
 
-// loadRegistry parses registry.json and opens every project's data.
-func loadRegistry(dir string, blob []byte) (*Registry, error) {
+// applyRegistryBlobLocked makes a registry.json blob the registry's
+// users, counters and project headers. A project missing from the blob
+// is closed and dropped; a new one gets its dataset from open and its
+// impulse from its directory. Caller holds r.mu or owns r alone.
+func (r *Registry) applyRegistryBlobLocked(blob []byte, open func(*Project) error) error {
 	var pr persistedRegistry
 	if err := json.Unmarshal(blob, &pr); err != nil {
-		return nil, fmt.Errorf("project: corrupt registry: %w", err)
+		return fmt.Errorf("project: corrupt registry: %w", err)
 	}
-	r := NewRegistry()
-	r.nextUser, r.nextProj = pr.NextUser, pr.NextProj
+	r.users = make(map[string]*User, len(pr.Users))
+	r.byKey = make(map[string]*User, len(pr.Users))
 	for _, u := range pr.Users {
 		user := &User{ID: u.ID, Name: u.Name, APIKey: u.APIKey}
-		r.users[user.ID] = user
-		r.byKey[user.APIKey] = user
+		r.users[user.ID], r.byKey[user.APIKey] = user, user
 	}
+	r.nextUser, r.nextProj = pr.NextUser, pr.NextProj
+	seen := make(map[int]bool, len(pr.Projects))
 	for _, pp := range pr.Projects {
-		p := &Project{
-			ID: pp.ID, Name: pp.Name, OwnerID: pp.OwnerID, HMACKey: pp.HMACKey,
-			collaborators: map[string]bool{},
-			versions:      pp.Versions,
-			public:        pp.Public,
+		seen[pp.ID] = true
+		p, ok := r.projects[pp.ID]
+		if !ok {
+			p = &Project{ID: pp.ID, Name: pp.Name, OwnerID: pp.OwnerID, HMACKey: pp.HMACKey}
+			if err := open(p); err != nil {
+				return fmt.Errorf("project %d: %w", pp.ID, err)
+			}
+			p.setLoadedImpulse(readImpulse(projectDir(r.dir, p.ID)))
+			r.projects[p.ID] = p
 		}
+		p.mu.Lock()
+		p.collaborators = make(map[string]bool, len(pp.Collaborators))
 		for _, c := range pp.Collaborators {
 			p.collaborators[c] = true
 		}
-		if err := loadProjectData(dir, p); err != nil {
-			r.Close()
-			return nil, fmt.Errorf("project %d: %w", pp.ID, err)
+		p.public = pp.Public
+		p.versions = append([]Version(nil), pp.Versions...)
+		p.mu.Unlock()
+	}
+	for id, p := range r.projects {
+		if !seen[id] {
+			p.mu.Lock()
+			if p.store != nil {
+				p.store.Close()
+				p.store = nil
+			}
+			p.mu.Unlock()
+			delete(r.projects, id)
 		}
-		r.projects[p.ID] = p
 	}
-	// r.dir is assigned by the caller after loadRegistry returns, but
-	// the write-through hooks capture r and read r.dir lazily via
-	// projectPersister, so wire them here against the target dir.
-	for _, p := range r.projects {
-		p.persist = r.projectPersister(p)
-	}
-	return r, nil
+	return nil
 }
 
 // renderRegistryLocked marshals registry metadata. Caller holds r.mu
@@ -182,27 +196,26 @@ func (r *Registry) renderRegistryLocked() ([]byte, error) {
 }
 
 // persistMetaLocked atomically writes registry.json if the registry is
-// durable. Caller holds r.mu (read or write); persistMu serializes the
-// render+rename pair so concurrent write-through hooks cannot rename a
-// stale snapshot over a fresher one.
+// durable. Caller holds r.mu (read or write).
 func (r *Registry) persistMetaLocked() error {
 	if r.dir == "" {
 		return nil
 	}
+	return r.writeRegistryLocked(r.dir)
+}
+
+// writeRegistryLocked atomically writes registry.json under dir. Caller
+// holds r.mu (read or write); persistMu serializes the render+rename
+// pair so concurrent write-through hooks cannot rename a stale snapshot
+// over a fresher one.
+func (r *Registry) writeRegistryLocked(dir string) error {
 	r.persistMu.Lock()
 	defer r.persistMu.Unlock()
 	blob, err := r.renderRegistryLocked()
 	if err != nil {
 		return err
 	}
-	return store.AtomicWriteFile(filepath.Join(r.dir, "registry.json"), blob)
-}
-
-// persistMeta is persistMetaLocked for callers not holding r.mu.
-func (r *Registry) persistMeta() error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.persistMetaLocked()
+	return store.AtomicWriteFile(filepath.Join(dir, "registry.json"), blob)
 }
 
 // openProjectDataset opens (creating or migrating as needed) a
@@ -284,67 +297,61 @@ func migrateV1Dataset(v1Path string, ds *data.Dataset) error {
 	return nil
 }
 
-// loadProjectData opens a project's dataset (migrating v1 if needed)
-// and loads its impulse design and trained models. On failure after
-// the dataset opened, its store handles are released — the project is
-// not yet registered, so nothing else will close them.
-func loadProjectData(dir string, p *Project) (err error) {
-	if err := openProjectDataset(dir, p); err != nil {
-		return err
+// artifactFile is a project's impulse artefact, in its directory.
+const artifactFile = "impulse.eim"
+
+// legacyImpulseFiles are the design, float model and int8 model files
+// that impulse.eim replaces.
+var legacyImpulseFiles = [3]string{"impulse.json", "model.eptm", "model_int8.eptm"}
+
+// readImpulse reads a project directory's impulse: impulse.eim, or the
+// three files of the layout before it. Neither is no impulse.
+func readImpulse(pdir string) (*core.Impulse, error) {
+	blob, err := os.ReadFile(filepath.Join(pdir, artifactFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return readLegacyImpulse(pdir)
 	}
-	defer func() {
-		if err != nil && p.store != nil {
-			p.store.Close()
-			p.store = nil
-		}
-	}()
-	imp, err := loadProjectImpulse(projectDir(dir, p.ID))
-	if err != nil || imp == nil {
-		return err
+	if err != nil {
+		return nil, err
 	}
-	p.impulse = imp
-	return nil
+	return core.ParseArtifact(blob)
 }
 
-// loadProjectImpulse reads a project directory's impulse design and
-// trained model blobs, returning nil when no impulse is configured.
-func loadProjectImpulse(pdir string) (*core.Impulse, error) {
-	cfgBlob, err := os.ReadFile(filepath.Join(pdir, "impulse.json"))
-	if os.IsNotExist(err) {
-		return nil, nil // no impulse configured
-	}
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := core.ParseConfig(cfgBlob)
-	if err != nil {
-		return nil, err
-	}
-	imp, err := core.FromConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if mb, err := os.ReadFile(filepath.Join(pdir, "model.eptm")); err == nil {
-		mf, err := tflm.Unmarshal(mb)
-		if err != nil {
+// readLegacyImpulse loads a three-file impulse through the artefact
+// loader. A model file that does not fit the design is dropped with a
+// log line and the design kept: before impulse.eim a redesign rewrote
+// impulse.json but left the old model files behind.
+func readLegacyImpulse(pdir string) (*core.Impulse, error) {
+	var imp *core.Impulse
+	var keep [3][]byte
+	for i, name := range legacyImpulseFiles {
+		b, err := os.ReadFile(filepath.Join(pdir, name))
+		switch {
+		case errors.Is(err, fs.ErrNotExist) && i == 0:
+			return nil, nil // no impulse configured
+		case errors.Is(err, fs.ErrNotExist):
+			continue
+		case err != nil:
 			return nil, err
 		}
-		if err := imp.AttachClassifier(mf.Float); err != nil {
+		keep[i] = b
+		next, err := core.ParseArtifact(core.AssembleArtifact(keep[:]...))
+		switch {
+		case err == nil:
+			imp = next
+		case i == 0:
 			return nil, err
+		default:
+			slog.Warn("project: dropping a model file that does not fit the impulse design",
+				"file", filepath.Join(pdir, name), "err", err)
+			keep[i] = nil
 		}
-	}
-	if qb, err := os.ReadFile(filepath.Join(pdir, "model_int8.eptm")); err == nil {
-		qmf, err := tflm.Unmarshal(qb)
-		if err != nil {
-			return nil, err
-		}
-		imp.QModel = qmf.Quant
 	}
 	return imp, nil
 }
 
-// Save durably writes the registry and every project (dataset,
-// impulse design, trained weights) under dir. All metadata files are
+// Save durably writes the registry and every project (dataset and
+// impulse artefact) under dir. All metadata files are
 // written atomically (temp file + rename + fsync). Datasets already
 // store-backed at dir persist incrementally, so Save only compacts
 // their manifests; in-memory datasets are exported into fresh
@@ -362,20 +369,13 @@ func (r *Registry) Save(dir string) error {
 		// Serialize with the write-through hooks so a stale render
 		// never lands over a fresher one.
 		r.persistMu.Lock()
-		err := saveProjectMeta(dir, p)
+		err := saveImpulse(dir, p)
 		r.persistMu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
-	if dir == r.dir {
-		return r.persistMetaLocked()
-	}
-	blob, err := r.renderRegistryLocked()
-	if err != nil {
-		return err
-	}
-	return store.AtomicWriteFile(filepath.Join(dir, "registry.json"), blob)
+	return r.writeRegistryLocked(dir)
 }
 
 // saveProjectDataset writes one project's dataset to the target root.
@@ -396,41 +396,46 @@ func saveProjectDataset(dir string, p *Project, sameRoot bool) error {
 	}
 }
 
-// saveProjectMeta atomically writes one project's impulse design and
-// model blobs (no dataset samples — those live in the store).
-func saveProjectMeta(dir string, p *Project) error {
-	pdir := projectDir(dir, p.ID)
-	if err := os.MkdirAll(pdir, 0o755); err != nil {
-		return err
-	}
+// saveImpulse writes one project's impulse artefact. A project without
+// an impulse leaves its directory as it is, so an artefact that failed
+// to load stays there to be looked at.
+func saveImpulse(dir string, p *Project) error {
 	imp := p.Impulse()
 	if imp == nil {
 		return nil
 	}
-	cfg, err := json.Marshal(imp.Config())
+	blob, err := imp.MarshalArtifact()
 	if err != nil {
 		return err
 	}
-	if err := store.AtomicWriteFile(filepath.Join(pdir, "impulse.json"), cfg); err != nil {
+	return writeArtifact(projectDir(dir, p.ID), blob)
+}
+
+// writeArtifact makes blob a project directory's impulse.eim (nil
+// removes it), then removes the three files it replaces.
+func writeArtifact(pdir string, blob []byte) error {
+	path := filepath.Join(pdir, artifactFile)
+	if blob == nil {
+		if err := removeFile(path); err != nil {
+			return err
+		}
+	} else if err := os.MkdirAll(pdir, 0o755); err != nil {
+		return err
+	} else if err := store.AtomicWriteFile(path, blob); err != nil {
 		return err
 	}
-	if imp.Model != nil {
-		mb, err := tflm.Marshal(tflm.ModelFileFromFloat(imp.Model))
-		if err != nil {
-			return err
-		}
-		if err := store.AtomicWriteFile(filepath.Join(pdir, "model.eptm"), mb); err != nil {
+	for _, name := range legacyImpulseFiles {
+		if err := removeFile(filepath.Join(pdir, name)); err != nil {
 			return err
 		}
 	}
-	if imp.QModel != nil {
-		qb, err := tflm.Marshal(tflm.ModelFileFromQuant(imp.QModel))
-		if err != nil {
-			return err
-		}
-		if err := store.AtomicWriteFile(filepath.Join(pdir, "model_int8.eptm"), qb); err != nil {
-			return err
-		}
+	return nil
+}
+
+// removeFile removes path; a file already gone is no error.
+func removeFile(path string) error {
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
 	}
 	return nil
 }

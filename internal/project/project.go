@@ -59,18 +59,20 @@ type Project struct {
 	store *store.Store
 	// persist, when set (durable registries), write-through-saves the
 	// project's metadata after a mutation; withModels additionally
-	// rewrites the impulse design and trained model blobs. It must be
-	// invoked WITHOUT p.mu held. Persistence failures are logged, not
-	// returned: the in-memory state is already mutated and the next
-	// Save retries.
-	persist  func(withModels bool)
-	impulse  *core.Impulse
-	versions []Version
+	// rewrites the impulse artefact. It must be invoked WITHOUT p.mu
+	// held. Persistence failures are logged, not returned: the
+	// in-memory state is already mutated and the next Save retries.
+	persist func(withModels bool)
+	impulse *core.Impulse
+	// impulseErr is why the stored impulse did not load; the project
+	// then has none. Setting an impulse clears it.
+	impulseErr error
+	versions   []Version
 }
 
 // persisted invokes the write-through hook if the registry is durable.
 // withModels must be true only for mutations that change the impulse
-// or its trained weights — model blobs are large and fsynced, so ACL
+// or its trained weights — the artefact is large and fsynced, so ACL
 // and visibility flips persist registry metadata alone.
 func (p *Project) persisted(withModels bool) {
 	if p.persist != nil {
@@ -122,14 +124,33 @@ func (p *Project) Impulse() *core.Impulse {
 	return p.impulse
 }
 
+// ImpulseError reports why the stored impulse did not load, or nil.
+func (p *Project) ImpulseError() error {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.impulseErr
+}
+
 // SetImpulse installs an impulse design. On durable registries the
-// design and any trained model blobs persist immediately, so a crash
-// after training keeps the trained impulse.
+// impulse artefact (design and trained state) persists immediately, so
+// a crash after training keeps the trained impulse.
 func (p *Project) SetImpulse(imp *core.Impulse) {
 	p.mu.Lock()
-	p.impulse = imp
+	p.impulse, p.impulseErr = imp, nil
 	p.mu.Unlock()
 	p.persisted(true)
+}
+
+// setLoadedImpulse installs an impulse read from disk or from a leader.
+// One that failed to load leaves the project without an impulse and is
+// logged here, once per load.
+func (p *Project) setLoadedImpulse(imp *core.Impulse, err error) {
+	if err != nil {
+		slog.Error("project: impulse does not load; the project has none", "project", p.ID, "err", err)
+	}
+	p.mu.Lock()
+	p.impulse, p.impulseErr = imp, err
+	p.mu.Unlock()
 }
 
 // Public reports whether the project is publicly listed.
@@ -413,19 +434,22 @@ func (r *Registry) CreateProject(name, ownerID string) (*Project, error) {
 
 // projectPersister builds the write-through hook for one project:
 // registry metadata (headers, flags, versions) always, and — only for
-// impulse/model mutations — the project's design and model blobs.
+// impulse/model mutations — the project's impulse artefact.
 // Failures are logged; the mutation already happened in memory and the
 // next Save retries the write.
 func (r *Registry) projectPersister(p *Project) func(withModels bool) {
 	return func(withModels bool) {
-		if err := r.persistMeta(); err != nil {
+		r.mu.RLock()
+		err := r.persistMetaLocked()
+		r.mu.RUnlock()
+		if err != nil {
 			slog.Error("project: write-through registry persist failed", "err", err)
 		}
 		if !withModels {
 			return
 		}
 		r.persistMu.Lock()
-		err := saveProjectMeta(r.dir, p)
+		err = saveImpulse(r.dir, p)
 		r.persistMu.Unlock()
 		if err != nil {
 			slog.Error("project: write-through project persist failed", "project", p.ID, "err", err)
@@ -446,39 +470,26 @@ func (r *Registry) GetProject(id int) (*Project, error) {
 
 // ListAccessible returns projects a user owns or collaborates on, by ID.
 func (r *Registry) ListAccessible(userID string) []*Project {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*Project
-	for _, p := range r.projects {
-		if p.CanAccess(userID) {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return r.list(func(p *Project) bool { return p.CanAccess(userID) })
 }
 
 // Projects returns every project, by ID — the replication plane
 // iterates all shards' data without ACL scoping.
 func (r *Registry) Projects() []*Project {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Project, 0, len(r.projects))
-	for _, p := range r.projects {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return r.list(func(*Project) bool { return true })
 }
 
 // ListPublic returns all public projects, by ID — the searchable index of
 // paper Sec. 6.3.
-func (r *Registry) ListPublic() []*Project {
+func (r *Registry) ListPublic() []*Project { return r.list((*Project).Public) }
+
+// list returns the projects keep accepts, by ID.
+func (r *Registry) list(keep func(*Project) bool) []*Project {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []*Project
 	for _, p := range r.projects {
-		if p.Public() {
+		if keep(p) {
 			out = append(out, p)
 		}
 	}

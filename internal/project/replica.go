@@ -1,43 +1,41 @@
 package project
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
 	"edgepulse/internal/data"
 	"edgepulse/internal/store"
-	"edgepulse/internal/tflm"
 )
 
 // Registry replication: a follower runs a read-only standby of one
 // worker's registry. Dataset samples replicate at the store layer
 // (segment bytes + journal frames, internal/store/replication.go);
-// everything else — users, project headers, impulse designs,
-// trained model blobs — is small metadata that replicates as a whole
-// bundle: the primary exports a MetaBundle, the follower applies it,
-// reconciling its in-memory registry and rewriting the same files a
-// durable primary keeps on disk. A restarted follower therefore
-// reopens from its own tree exactly like a worker does.
+// everything else — users, project headers, impulse artefacts — is
+// small metadata that replicates as a whole bundle: the primary exports
+// a MetaBundle, the follower applies it, reconciling its in-memory
+// registry and writing the same files a durable primary keeps on disk.
+// A restarted follower therefore reopens from its own tree exactly like
+// a worker does.
 
 // ErrReplica reports a local mutation attempted on a read-only replica
 // registry.
 var ErrReplica = errors.New("project: read-only replica registry")
 
-// ProjectMeta carries one project's design artifacts in a MetaBundle.
+// ProjectMeta carries one project's impulse in a MetaBundle.
 type ProjectMeta struct {
 	ID int
-	// Impulse is the impulse.json design blob (nil: none configured).
+	// Impulse is the impulse artefact, the bytes of the project's
+	// impulse.eim (nil: none configured).
 	Impulse []byte
-	// Model and QModel are the trained EPTM weight blobs.
-	Model  []byte
-	QModel []byte
 }
 
 // MetaBundle is the control-plane state a primary exports for its
-// follower: the registry.json snapshot plus per-project design blobs.
+// follower: the registry.json snapshot plus per-project impulse artefacts.
 type MetaBundle struct {
 	Registry []byte
 	Projects []ProjectMeta
@@ -60,20 +58,34 @@ func OpenReplica(dir string) (*Registry, error) {
 		return nil, err
 	}
 	r := NewRegistry()
-	r.dir = dir
-	r.replica = true
+	r.dir, r.replica = dir, true
 	blob, err := os.ReadFile(filepath.Join(dir, "registry.json"))
-	if os.IsNotExist(err) {
+	if errors.Is(err, fs.ErrNotExist) {
 		return r, nil
 	}
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = r.applyRegistryBlobLocked(blob, r.openReplicaDataset)
 	}
-	if err := r.applyRegistryBlob(blob); err != nil {
+	if err != nil {
 		r.Close()
 		return nil, err
 	}
 	return r, nil
+}
+
+// openReplicaDataset opens a project's dataset store in replica mode.
+func (r *Registry) openReplicaDataset(p *Project) error {
+	st, err := store.OpenReplica(datasetDir(r.dir, p.ID), store.Options{})
+	if err != nil {
+		return fmt.Errorf("open replica dataset: %w", err)
+	}
+	ds, err := data.Open(st, 0)
+	if err != nil {
+		st.Close()
+		return err
+	}
+	p.store, p.dataset = st, ds
+	return nil
 }
 
 // ExportMeta renders the registry's control-plane state as a bundle a
@@ -83,32 +95,16 @@ func OpenReplica(dir string) (*Registry, error) {
 func (r *Registry) ExportMeta() (MetaBundle, error) {
 	r.mu.RLock()
 	blob, err := r.renderRegistryLocked()
-	projects := make([]*Project, 0, len(r.projects))
-	for _, p := range r.projects {
-		projects = append(projects, p)
-	}
 	r.mu.RUnlock()
 	if err != nil {
 		return MetaBundle{}, err
 	}
 	b := MetaBundle{Registry: blob}
-	for _, p := range projects {
+	for _, p := range r.Projects() {
 		pm := ProjectMeta{ID: p.ID}
 		if imp := p.Impulse(); imp != nil {
-			cfg, err := json.Marshal(imp.Config())
-			if err != nil {
-				return MetaBundle{}, err
-			}
-			pm.Impulse = cfg
-			if imp.Model != nil {
-				if pm.Model, err = tflm.Marshal(tflm.ModelFileFromFloat(imp.Model)); err != nil {
-					return MetaBundle{}, err
-				}
-			}
-			if imp.QModel != nil {
-				if pm.QModel, err = tflm.Marshal(tflm.ModelFileFromQuant(imp.QModel)); err != nil {
-					return MetaBundle{}, err
-				}
+			if pm.Impulse, err = imp.MarshalArtifact(); err != nil {
+				return MetaBundle{}, fmt.Errorf("project %d: %w", p.ID, err)
 			}
 		}
 		b.Projects = append(b.Projects, pm)
@@ -119,150 +115,39 @@ func (r *Registry) ExportMeta() (MetaBundle, error) {
 // ApplyMeta reconciles a replica registry against a primary's exported
 // bundle: users and counters are replaced; projects are created
 // (with replica-mode dataset stores), updated, or dropped; the registry
-// blob and per-project design blobs land on disk so a follower restart
-// reopens the same state.
+// blob and the primary's impulse artefact bytes land on disk as they
+// are, so a follower restart reopens the same state. An artefact that
+// does not load costs its project the impulse; a project whose write
+// fails is reported after the others are applied.
 func (r *Registry) ApplyMeta(b MetaBundle) error {
 	if !r.replica {
 		return fmt.Errorf("project: ApplyMeta on a primary registry")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.applyRegistryBlobLocked(b.Registry); err != nil {
+	if err := r.applyRegistryBlobLocked(b.Registry, r.openReplicaDataset); err != nil {
 		return err
 	}
 	if err := store.AtomicWriteFile(filepath.Join(r.dir, "registry.json"), b.Registry); err != nil {
 		return err
 	}
+	var errs []error
 	for _, pm := range b.Projects {
 		p, ok := r.projects[pm.ID]
 		if !ok {
 			continue // header row missing from the registry blob
 		}
-		if err := r.applyProjectMetaLocked(p, pm); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyRegistryBlob parses and applies a registry.json blob, opening
-// replica dataset stores for new projects.
-func (r *Registry) applyRegistryBlob(blob []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.applyRegistryBlobLocked(blob)
-}
-
-func (r *Registry) applyRegistryBlobLocked(blob []byte) error {
-	var pr persistedRegistry
-	if err := json.Unmarshal(blob, &pr); err != nil {
-		return fmt.Errorf("project: corrupt replicated registry: %w", err)
-	}
-	users := make(map[string]*User, len(pr.Users))
-	byKey := make(map[string]*User, len(pr.Users))
-	for _, u := range pr.Users {
-		user := &User{ID: u.ID, Name: u.Name, APIKey: u.APIKey}
-		users[user.ID] = user
-		byKey[user.APIKey] = user
-	}
-	r.users, r.byKey = users, byKey
-	r.nextUser, r.nextProj = pr.NextUser, pr.NextProj
-
-	seen := make(map[int]bool, len(pr.Projects))
-	for _, pp := range pr.Projects {
-		seen[pp.ID] = true
-		p, ok := r.projects[pp.ID]
-		if !ok {
-			p = &Project{
-				ID: pp.ID, Name: pp.Name, OwnerID: pp.OwnerID, HMACKey: pp.HMACKey,
-				collaborators: map[string]bool{},
-			}
-			st, err := store.OpenReplica(datasetDir(r.dir, pp.ID), store.Options{})
-			if err != nil {
-				return fmt.Errorf("project %d: open replica dataset: %w", pp.ID, err)
-			}
-			ds, err := data.Open(st, 0)
-			if err != nil {
-				st.Close()
-				return fmt.Errorf("project %d: %w", pp.ID, err)
-			}
-			p.store, p.dataset = st, ds
-			if imp, err := loadProjectImpulse(projectDir(r.dir, pp.ID)); err == nil && imp != nil {
-				p.impulse = imp
-			}
-			r.projects[pp.ID] = p
-		}
-		p.mu.Lock()
-		collabs := make(map[string]bool, len(pp.Collaborators))
-		for _, c := range pp.Collaborators {
-			collabs[c] = true
-		}
-		p.collaborators = collabs
-		p.public = pp.Public
-		p.versions = append([]Version(nil), pp.Versions...)
-		p.mu.Unlock()
-	}
-	for id, p := range r.projects {
-		if seen[id] {
+		pdir := projectDir(r.dir, p.ID)
+		if cur, err := os.ReadFile(filepath.Join(pdir, artifactFile)); err == nil && pm.Impulse != nil && bytes.Equal(cur, pm.Impulse) {
 			continue
 		}
-		p.mu.Lock()
-		if p.store != nil {
-			p.store.Close()
-			p.store = nil
-		}
-		p.mu.Unlock()
-		delete(r.projects, id)
-	}
-	return nil
-}
-
-// applyProjectMetaLocked writes one project's design blobs when they
-// differ from disk and reloads the impulse. Caller holds r.mu.
-func (r *Registry) applyProjectMetaLocked(p *Project, pm ProjectMeta) error {
-	pdir := projectDir(r.dir, p.ID)
-	if err := os.MkdirAll(pdir, 0o755); err != nil {
-		return err
-	}
-	changed := false
-	for _, f := range []struct {
-		name string
-		blob []byte
-	}{
-		{"impulse.json", pm.Impulse},
-		{"model.eptm", pm.Model},
-		{"model_int8.eptm", pm.QModel},
-	} {
-		path := filepath.Join(pdir, f.name)
-		if f.blob == nil {
-			if _, err := os.Stat(path); err == nil {
-				if err := os.Remove(path); err != nil {
-					return err
-				}
-				changed = true
-			}
+		if err := writeArtifact(pdir, pm.Impulse); err != nil {
+			errs = append(errs, fmt.Errorf("project %d: %w", p.ID, err))
 			continue
 		}
-		cur, err := os.ReadFile(path)
-		if err == nil && string(cur) == string(f.blob) {
-			continue
-		}
-		if err := store.AtomicWriteFile(path, f.blob); err != nil {
-			return err
-		}
-		changed = true
+		p.setLoadedImpulse(readImpulse(pdir))
 	}
-	if !changed {
-		return nil
-	}
-	imp, err := loadProjectImpulse(pdir)
-	if err != nil {
-		return fmt.Errorf("project %d: reload impulse: %w", p.ID, err)
-	}
-	p.mu.Lock()
-	p.impulse = imp
-	p.mu.Unlock()
-	return nil
+	return errors.Join(errs...)
 }
 
 // ResetReplicaDataset closes and deletes a replica project's dataset
@@ -271,14 +156,9 @@ func (r *Registry) applyProjectMetaLocked(p *Project, pm ProjectMeta) error {
 // / store.SegmentPath) into ReplicaDatasetDir and calls
 // ReopenReplicaDataset.
 func (r *Registry) ResetReplicaDataset(id int) error {
-	if !r.replica {
-		return fmt.Errorf("project: ResetReplicaDataset on a primary registry")
-	}
-	r.mu.RLock()
-	p, ok := r.projects[id]
-	r.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("project: no project %d", id)
+	p, err := r.replicaProject("ResetReplicaDataset", id)
+	if err != nil {
+		return err
 	}
 	p.mu.Lock()
 	if p.store != nil {
@@ -297,29 +177,28 @@ func (r *Registry) ReplicaDatasetDir(id int) string { return datasetDir(r.dir, i
 // mode after a snapshot bootstrap populated its tree, swapping in a
 // fresh lazy dataset view.
 func (r *Registry) ReopenReplicaDataset(id int) error {
-	if !r.replica {
-		return fmt.Errorf("project: ReopenReplicaDataset on a primary registry")
-	}
-	r.mu.RLock()
-	p, ok := r.projects[id]
-	r.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("project: no project %d", id)
-	}
-	st, err := store.OpenReplica(datasetDir(r.dir, id), store.Options{})
+	p, err := r.replicaProject("ReopenReplicaDataset", id)
 	if err != nil {
 		return err
 	}
-	ds, err := data.Open(st, 0)
-	if err != nil {
-		st.Close()
+	fresh := &Project{ID: id}
+	if err := r.openReplicaDataset(fresh); err != nil {
 		return err
 	}
 	p.mu.Lock()
 	if p.store != nil {
 		p.store.Close()
 	}
-	p.store, p.dataset = st, ds
+	p.store, p.dataset = fresh.store, fresh.dataset
 	p.mu.Unlock()
 	return nil
+}
+
+// replicaProject looks a project up for op, which only a replica
+// registry serves.
+func (r *Registry) replicaProject(op string, id int) (*Project, error) {
+	if !r.replica {
+		return nil, fmt.Errorf("project: %s on a primary registry", op)
+	}
+	return r.GetProject(id)
 }

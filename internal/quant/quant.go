@@ -84,6 +84,41 @@ func (o *QOp) Rebind() {
 	}
 }
 
+// CheckWeights reports a compute op whose weights and biases do not fit
+// its shapes and kernel as Rebind and the kernels read them. A model
+// read from a file or a peer is checked before Rebind, which sizes the
+// pair layouts from the shapes.
+func (o *QOp) CheckWeights() error {
+	rank, k := 0, o.Attrs["kernel"]
+	switch o.Kind {
+	case "dense":
+		rank, k = 1, 1
+	case "conv1d":
+		rank = 2
+	case "conv2d", "depthwise_conv2d":
+		rank, k = 3, k*k
+	default:
+		return nil
+	}
+	if len(o.InShape) != rank || len(o.OutShape) != rank || !o.InShape.Valid() || !o.OutShape.Valid() ||
+		!(k >= 1 && k == math.Trunc(k)) {
+		return fmt.Errorf("quant: %s op: shapes %v -> %v, kernel %v", o.Kind, o.InShape, o.OutShape, o.Attrs["kernel"])
+	}
+	cin, cout := float64(o.InShape[rank-1]), float64(o.OutShape[rank-1])
+	w := k * cin * cout
+	if o.Kind == "depthwise_conv2d" {
+		w = k * cin
+		if cin != cout {
+			return fmt.Errorf("quant: depthwise_conv2d op maps %v channels to %v", cin, cout)
+		}
+	}
+	if float64(len(o.W)) != w || float64(len(o.Bias)) != cout {
+		return fmt.Errorf("quant: %s op holds %d weights and %d biases, its shapes take %.0f and %.0f",
+			o.Kind, len(o.W), len(o.Bias), w, cout)
+	}
+	return nil
+}
+
 // bound reports a compute op whose pair layout Rebind never built.
 func (o *QOp) bound() error {
 	switch o.Kind {

@@ -25,7 +25,7 @@ func BenchmarkStreamWindow(b *testing.B) {
 	if err := cfg.normalize(); err != nil {
 		b.Fatal(err)
 	}
-	s := newSession("bench", cfg, cls, nil)
+	s := newSession("bench", cfg, cls, nil, nil)
 	batch := toneSignal(0.5, cfg.Rate).Data[:cfg.StrideFrames]
 	// Warm past the event-log cap so steady state is measured.
 	for i := 0; i < eventlog.Retain+8; i++ {

@@ -13,7 +13,7 @@ import (
 // the normal terminal-event path instead of wedging the run loop.
 func TestIngestFaultTerminatesSessionCleanly(t *testing.T) {
 	t.Cleanup(faults.Reset)
-	m := NewManager(1)
+	m := NewManager(1, nil)
 	s, err := m.Open(testConfig(), meanClassifier())
 	if err != nil {
 		t.Fatal(err)

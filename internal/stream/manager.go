@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 )
 
@@ -41,6 +42,7 @@ type Metrics struct {
 type Manager struct {
 	mu       sync.Mutex
 	max      int
+	log      *slog.Logger
 	sessions map[string]*Session
 	draining bool
 	nextID   int64
@@ -59,12 +61,13 @@ type Manager struct {
 const retainClosed = 32
 
 // NewManager builds a manager capped at max concurrent sessions
-// (<= 0 selects DefaultMaxSessions).
-func NewManager(max int) *Manager {
+// (<= 0 selects DefaultMaxSessions). Its sessions log a classifier
+// panic's stack to log (nil discards it).
+func NewManager(max int, log *slog.Logger) *Manager {
 	if max <= 0 {
 		max = DefaultMaxSessions
 	}
-	return &Manager{max: max, sessions: map[string]*Session{}}
+	return &Manager{max: max, log: log, sessions: map[string]*Session{}}
 }
 
 // Open validates cfg, claims a slot and starts a session. It returns
@@ -88,7 +91,7 @@ func (m *Manager) Open(cfg Config, cls Classifier) (*Session, error) {
 	}
 	m.nextID++
 	id := fmt.Sprintf("stream-%d", m.nextID)
-	s := newSession(id, cfg, cls, m.remove)
+	s := newSession(id, cfg, cls, m.log, m.remove)
 	m.sessions[id] = s
 	m.opened++
 	if n := len(m.sessions); n > m.peak {

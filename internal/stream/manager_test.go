@@ -14,7 +14,7 @@ func managerConfig() Config {
 }
 
 func TestManagerCapacityAndSlots(t *testing.T) {
-	m := NewManager(2)
+	m := NewManager(2, nil)
 	s1, err := m.Open(managerConfig(), meanClassifier())
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func waitActive(t *testing.T, m *Manager, want int) {
 }
 
 func TestManagerRejectsBadConfig(t *testing.T) {
-	m := NewManager(0)
+	m := NewManager(0, nil)
 	bad := []Config{
 		{WindowFrames: 0, Axes: 1},
 		{WindowFrames: 8, Axes: 0},
@@ -85,7 +85,7 @@ func TestManagerRejectsBadConfig(t *testing.T) {
 }
 
 func TestManagerDrain(t *testing.T) {
-	m := NewManager(8)
+	m := NewManager(8, nil)
 	var sessions []*Session
 	for i := 0; i < 3; i++ {
 		s, err := m.Open(managerConfig(), meanClassifier())
@@ -120,7 +120,7 @@ func TestManagerDrain(t *testing.T) {
 // TestManagerSnapshotAggregates: counters from closed sessions fold into
 // the totals alongside live ones.
 func TestManagerSnapshotAggregates(t *testing.T) {
-	m := NewManager(4)
+	m := NewManager(4, nil)
 	s1, err := m.Open(managerConfig(), meanClassifier())
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestManagerSnapshotAggregates(t *testing.T) {
 // addressable for event replay (bounded by retainClosed) without
 // holding a capacity slot.
 func TestManagerRetainsClosedSessions(t *testing.T) {
-	m := NewManager(1)
+	m := NewManager(1, nil)
 	s, err := m.Open(managerConfig(), meanClassifier())
 	if err != nil {
 		t.Fatal(err)

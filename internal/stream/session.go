@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,10 +201,15 @@ type Session struct {
 	closing     bool
 	closeReason string
 	onExit      func(*Session)
+	log         *slog.Logger
 }
 
-// newSession builds a session; the caller starts run().
-func newSession(id string, cfg Config, cls Classifier, onExit func(*Session)) *Session {
+// newSession builds a session; the caller starts run(). log (nil
+// discards) receives the stack of a classifier panic.
+func newSession(id string, cfg Config, cls Classifier, log *slog.Logger, onExit func(*Session)) *Session {
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
+	}
 	classes := cls.Classes()
 	s := &Session{
 		ID:      id,
@@ -218,6 +225,7 @@ func newSession(id string, cfg Config, cls Classifier, onExit func(*Session)) *S
 		raw:     make([]float32, len(classes)),
 		deb:     NewDebouncer(classes, cfg.Debounce),
 		onExit:  onExit,
+		log:     log,
 	}
 	s.win = dsp.Signal{
 		Data: make([]float32, cfg.WindowFrames*cfg.Axes),
@@ -363,10 +371,13 @@ func (s *Session) run() {
 
 // safeIngest is ingest with a panic in a DSP block or a forward pass
 // turned into an error, so one bad session ends with a terminal event
-// instead of taking the process down.
+// instead of taking the process down. The panicking goroutine's stack
+// is logged once, with the session ID, so the panic can be located.
 func (s *Session) safeIngest(batch []float32) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
+			s.log.Error("panic in stream session classifier",
+				"session", s.ID, "panic", rec, "stack", string(debug.Stack()))
 			err = fmt.Errorf("panic: %v", rec)
 		}
 	}()

@@ -1,10 +1,13 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,7 +89,7 @@ func collect(t *testing.T, s *Session) []Event {
 
 func openTestSession(t *testing.T, cfg Config, cls Classifier) (*Manager, *Session) {
 	t.Helper()
-	m := NewManager(4)
+	m := NewManager(4, nil)
 	s, err := m.Open(cfg, cls)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +333,7 @@ func TestSessionPanicEndsSession(t *testing.T) {
 			return nil
 		},
 	}
-	m := NewManager(1)
+	m := NewManager(1, nil)
 	s, err := m.Open(testConfig(), cls)
 	if err != nil {
 		t.Fatal(err)
@@ -360,6 +363,63 @@ func TestSessionPanicEndsSession(t *testing.T) {
 	events = collect(t, next)
 	if next.Stats().Windows != 1 || events[len(events)-1].Reason != "done" {
 		t.Fatalf("second session: windows %d, events %+v", next.Stats().Windows, events)
+	}
+}
+
+// panickingStage stands in for a DSP block or forward pass that panics;
+// the logged stack must name it.
+func panickingStage() { panic("stage exploded") }
+
+// lockedBuffer is a log sink safe to read while a session writes it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSessionPanicLogsStack: a classifier panic is logged once, with
+// the session ID and a stack that names the panicking frame, and the
+// terminal reason stays the recovered value.
+func TestSessionPanicLogsStack(t *testing.T) {
+	var logs lockedBuffer
+	m := NewManager(1, slog.New(slog.NewTextHandler(&logs, nil)))
+	cls := &fakeClassifier{
+		classes: []string{"kw", "rest"},
+		fn: func(dsp.Signal, []float32) error {
+			panickingStage()
+			return nil
+		},
+	}
+	s, err := m.Open(testConfig(), cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 12 frames hold two windows; the first panics and ends the session.
+	if err := s.Push(make([]float32, 12)); err != nil {
+		t.Fatal(err)
+	}
+	events := collect(t, s)
+	if last := events[len(events)-1]; last.Reason != "classifier error: panic: stage exploded" {
+		t.Fatalf("terminal event %+v, want the recovered panic", last)
+	}
+	waitActive(t, m, 0)
+	out := logs.String()
+	if n := strings.Count(out, "panic in stream session"); n != 1 {
+		t.Fatalf("%d panic records, want 1:\n%s", n, out)
+	}
+	if !strings.Contains(out, "session="+s.ID) || !strings.Contains(out, "stream.panickingStage") {
+		t.Fatalf("panic record names no session or no panicking frame:\n%s", out)
 	}
 }
 
@@ -581,7 +641,7 @@ func TestStreamWindowAllocBudget(t *testing.T) {
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	s := newSession("alloc-test", cfg, cls, nil)
+	s := newSession("alloc-test", cfg, cls, nil, nil)
 	// Drive ingest directly (single goroutine, like the run loop) with
 	// one stride per call = one window per call. Warm past the event-log
 	// cap so the log append stops growing.

@@ -23,7 +23,7 @@ func TestSessionsUnderLoadStress(t *testing.T) {
 		nBatches    = 200
 		batchFrames = 16
 	)
-	m := NewManager(nSessions)
+	m := NewManager(nSessions, nil)
 	cls := func() Classifier {
 		return &fakeClassifier{
 			classes: []string{"a", "b"},

@@ -11,6 +11,7 @@ package tflm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -356,6 +357,7 @@ func Unmarshal(data []byte) (*ModelFile, error) {
 			for j := 0; j < nT; j++ {
 				weights = append(weights, r.f32s())
 				wShapes = append(wShapes, r.shape())
+				s.WeightElems += len(weights[len(weights)-1])
 			}
 			specs = append(specs, s)
 		}
@@ -394,6 +396,12 @@ func Unmarshal(data []byte) (*ModelFile, error) {
 			r.bin(&op.OutQ.ZeroPoint)
 			r.bin(&op.ActMin)
 			r.bin(&op.ActMax)
+			if r.err == nil {
+				r.err = errors.Join(nn.CheckSpec(op.OpSpec), op.CheckWeights())
+			}
+			if r.err != nil {
+				break
+			}
 			op.Rebind()
 			qm.Ops = append(qm.Ops, op)
 		}
@@ -403,6 +411,11 @@ func Unmarshal(data []byte) (*ModelFile, error) {
 		mf.Quant = qm
 	default:
 		return nil, fmt.Errorf("tflm: unknown precision %d", mf.Precision)
+	}
+	// Forward builds this executor on first use and panics if it cannot:
+	// build it here, so a model whose ops do not chain is refused at load.
+	if _, err := mf.NewExecutor(nn.BindAtBuild); err != nil {
+		return nil, err
 	}
 	return mf, nil
 }

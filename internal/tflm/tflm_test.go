@@ -242,3 +242,55 @@ func BenchmarkInterpreterDispatch(b *testing.B) {
 		it.Invoke(in)
 	}
 }
+
+// TestUnmarshalRefusesHostileOps: a model file whose ops are sized past
+// the weights it carries, or whose geometry no layer can be built with,
+// is refused before anything is allocated from its claims.
+func TestUnmarshalRefusesHostileOps(t *testing.T) {
+	float := func(kind string, attrs map[string]float64, in tensor.Shape) []byte {
+		w := &writer{}
+		w.buf.WriteString(magic)
+		w.u32(version)
+		w.u8(uint8(Float32))
+		w.u32(2)
+		w.shape(in)
+		w.u32(1)
+		w.str(kind)
+		w.attrs(attrs)
+		w.shape(in)
+		w.shape(in)
+		w.i64(0)
+		w.u32(0) // no weight tensors
+		return w.buf.Bytes()
+	}
+	k3 := map[string]float64{"kernel": 3, "stride": 1}
+	int8 := func(kind string, attrs map[string]float64, in, out tensor.Shape, weights int) []byte {
+		op := &quant.QOp{OpSpec: nn.OpSpec{Kind: kind, InShape: in, OutShape: out, Attrs: attrs},
+			W: make([]int8, weights), WScale: 1}
+		op.InQ.Scale, op.OutQ.Scale = 1, 1
+		qm := &quant.QModel{InputShape: in, NumClasses: 2, Ops: []*quant.QOp{op}}
+		qm.InQ.Scale = 1
+		b, err := Marshal(ModelFileFromQuant(qm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for name, b := range map[string][]byte{
+		"dense of 1e9 units":          float("dense", map[string]float64{"units": 1e9}, tensor.Shape{16}),
+		"conv2d of kernel 0":          float("conv2d", map[string]float64{"filters": 1, "kernel": 0, "stride": 1}, tensor.Shape{4, 4, 1}),
+		"maxpool2d of size 0":         float("maxpool2d", map[string]float64{"size": 0, "stride": 0}, tensor.Shape{4, 4, 1}),
+		"reshape of rank 1e12":        float("reshape", map[string]float64{"rank": 1e12}, tensor.Shape{4}),
+		"empty input shape":           float("flatten", nil, tensor.Shape{}),
+		"int8 dense past its weights": int8("dense", map[string]float64{"units": 40000}, tensor.Shape{40000}, tensor.Shape{40000}, 9),
+		"int8 conv2d of rank 1":       int8("conv2d", k3, tensor.Shape{4}, tensor.Shape{4}, 9),
+		"int8 depthwise, new width":   int8("depthwise_conv2d", k3, tensor.Shape{4, 4, 1}, tensor.Shape{4, 4, 2}, 9),
+		"int8 pool claiming 2^24 rows": int8("maxpool1d", map[string]float64{"size": 2, "stride": 2},
+			tensor.Shape{8, 4}, tensor.Shape{1 << 24, 4}, 0),
+		"int8 op without a kernel": int8("batchnorm", nil, tensor.Shape{8, 4}, tensor.Shape{8, 4}, 0),
+	} {
+		if _, err := Unmarshal(b); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
