@@ -27,7 +27,7 @@ import (
 
 func main() {
 	modelPath := flag.String("model", "", "path to .eim artifact")
-	quantized := flag.Bool("quantized", false, "use the int8 model")
+	quantized := flag.Bool("quantized", false, "use the int8 model (an error if the artefact has none)")
 	flag.Parse()
 	args := flag.Args()
 	if *modelPath == "" || len(args) < 1 {
@@ -77,12 +77,7 @@ func classify(imp *core.Impulse, path string, quantized bool) error {
 	if err != nil {
 		return err
 	}
-	var res core.ClassResult
-	if quantized {
-		res, err = imp.ClassifyQuantized(sig)
-	} else {
-		res, err = imp.Classify(sig)
-	}
+	res, err := imp.ClassifyWindow(sig, quantized)
 	if err != nil {
 		return err
 	}

@@ -108,6 +108,11 @@ func run(ctx context.Context, o *options, ln net.Listener) error {
 	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	// The registry (internal/project) logs a project whose impulse does
+	// not load, or whose write-through persist fails, through the
+	// default logger: give it this one, so those lines keep the format
+	// of every other line of the node's log.
+	slog.SetDefault(logger)
 	var registry *project.Registry
 	var follower *cluster.Follower
 	var err error

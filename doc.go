@@ -8,7 +8,10 @@
 //
 // Layout:
 //
-//   - internal/core       — the impulse (input → DSP → learn dataflow)
+//   - internal/core       — the impulse (input → DSP → learn dataflow);
+//     Impulse.Run is the one window pipeline, which every classify path
+//     (API single and batch, stream sessions, the EIM runner, ei-run)
+//     runs
 //   - internal/dsp, fft   — feature extraction blocks
 //   - internal/nn, models, trainer — networks and training
 //   - internal/quant, tflm, eon    — int8 quantization and the two engines

@@ -20,7 +20,6 @@ import (
 	"edgepulse/internal/nn"
 	"edgepulse/internal/profiler"
 	"edgepulse/internal/renode"
-	"edgepulse/internal/sdk"
 	"edgepulse/internal/synth"
 	"edgepulse/internal/trainer"
 	"edgepulse/internal/tuner"
@@ -108,20 +107,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	classifier, err := sdk.NewClassifier(imp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	results, err := classifier.RunContinuous(stream, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
 	calStream := calibration.Stream{
 		Rate: rate, TotalSamples: stream.Frames(), Events: events,
 	}
-	for _, r := range results {
-		calStream.Scores = append(calStream.Scores, r.Scores[keyword])
-		calStream.WindowStarts = append(calStream.WindowStarts, r.WindowStart)
+	for i, w := range imp.Windows(stream) {
+		res, err := imp.Classify(w)
+		if err != nil {
+			log.Fatal(err)
+		}
+		calStream.Scores = append(calStream.Scores, res.Scores[keyword])
+		calStream.WindowStarts = append(calStream.WindowStarts, i*imp.Input.StrideSamples())
 	}
 	suggestions, err := calibration.Calibrate(calStream, 23)
 	if err != nil {

@@ -28,18 +28,18 @@ type testEnv struct {
 	reg    *project.Registry
 }
 
-func newEnv(t *testing.T) *testEnv {
-	return newEnvWith(t, jobs.Config{MinWorkers: 2, MaxWorkers: 4, ScaleInterval: 10 * time.Millisecond})
+func newEnv(t *testing.T, opts ...Option) *testEnv {
+	return newEnvWith(t, jobs.Config{MinWorkers: 2, MaxWorkers: 4, ScaleInterval: 10 * time.Millisecond}, opts...)
 }
 
 // newEnvWith spins up the full API over httptest with a custom
 // scheduler configuration.
-func newEnvWith(t *testing.T, cfg jobs.Config) *testEnv {
+func newEnvWith(t *testing.T, cfg jobs.Config, opts ...Option) *testEnv {
 	t.Helper()
 	reg := project.NewRegistry()
 	sched := jobs.NewScheduler(cfg)
 	t.Cleanup(sched.Shutdown)
-	srv := httptest.NewServer(NewServer(reg, sched).Handler())
+	srv := httptest.NewServer(NewServer(reg, sched, opts...).Handler())
 	t.Cleanup(srv.Close)
 	env := &testEnv{t: t, server: srv, sched: sched, reg: reg}
 	// Bootstrap a user.

@@ -2,8 +2,10 @@ package api
 
 import (
 	"fmt"
+	"log/slog"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 
 	v1 "edgepulse/internal/api/v1"
@@ -36,12 +38,14 @@ func init() {
 
 // TestClassifyBatchPanicIs500 sends a batch whose fourth window panics
 // in a worker goroutine of the fanned-out batch: the panic must reach
-// the handler's goroutine, where withRecovery answers 500 internal, and
-// the server must keep serving.
+// the handler's goroutine, where withRecovery answers 500 internal and
+// logs a record naming the panicking frame on the worker, and the
+// server must keep serving.
 func TestClassifyBatchPanicIs500(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	e, id := streamEnv(t)
+	var logs lockedBuffer
+	e, id := streamEnv(t, WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
 	p, err := e.reg.GetProject(id)
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +66,10 @@ func TestClassifyBatchPanicIs500(t *testing.T) {
 	body := e.expectStatus("POST", path, e.apiKey, map[string]any{"windows": windows}, http.StatusInternalServerError)
 	if code := body["error"].(map[string]any)["code"]; code != v1.CodeInternal {
 		t.Fatalf("error code %v, want %s", code, v1.CodeInternal)
+	}
+	if out := logs.String(); !strings.Contains(out, "panic=\"batch window 3: marked window\"") ||
+		!strings.Contains(out, "worker_stack=") || !strings.Contains(out, "api.panicBlock.Extract") {
+		t.Fatalf("panic record names no window or no worker frame:\n%s", out)
 	}
 
 	windows[3][0] = 0

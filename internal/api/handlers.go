@@ -563,13 +563,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, u *proje
 		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "impulse is not trained")
 		return
 	}
-	sig := imp.SignalFor(req.Features)
-	var res core.ClassResult
-	if req.Quantized {
-		res, err = imp.ClassifyQuantized(sig)
-	} else {
-		res, err = imp.Classify(sig)
-	}
+	res, err := imp.ClassifyWindow(imp.SignalFor(req.Features), req.Quantized)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	v1 "edgepulse/internal/api/v1"
+	"edgepulse/internal/core"
 )
 
 // middleware wraps a handler with one cross-cutting concern. The chain
@@ -138,7 +139,9 @@ func (s *Server) withLogging(next http.Handler) http.Handler {
 
 // withRecovery converts handler panics into a 500 error envelope
 // instead of tearing down the connection, logging the panicking
-// goroutine's stack so the 500 can be traced to its source.
+// goroutine's stack so the 500 can be traced to its source. A batch
+// window's panic arrives re-raised by core.Impulse.ClassifyBatch; its
+// record also carries the worker goroutine's stack.
 func (s *Server) withRecovery(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -147,10 +150,13 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 					panic(rec)
 				}
 				s.metrics.panic()
-				s.log.Error("panic in handler",
-					"method", r.Method, "path", r.URL.Path,
+				fields := []any{"method", r.Method, "path", r.URL.Path,
 					"panic", rec, "request_id", RequestID(r.Context()),
-					"stack", string(debug.Stack()))
+					"stack", string(debug.Stack())}
+				if wp, ok := rec.(*core.WindowPanic); ok {
+					fields = append(fields, "worker_stack", string(wp.Stack))
+				}
+				s.log.Error("panic in handler", fields...)
 				s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, "internal server error")
 			}
 		}()

@@ -95,9 +95,9 @@ func streamTestImpulse(t testing.TB) *core.Impulse {
 }
 
 // streamEnv spins up the API with one project holding a trained impulse.
-func streamEnv(t *testing.T) (*testEnv, int) {
+func streamEnv(t *testing.T, opts ...Option) (*testEnv, int) {
 	t.Helper()
-	e := newEnv(t)
+	e := newEnv(t, opts...)
 	created := e.expectStatus("POST", "/api/v1/projects", e.apiKey, map[string]any{"name": "stream"}, http.StatusCreated)
 	id := int(created["id"].(float64))
 	p, err := e.reg.GetProject(id)

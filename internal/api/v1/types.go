@@ -498,7 +498,9 @@ func (r *JobResultResponse) TunerTrials() ([]TunerTrial, error) {
 
 // --- Classification, profiling, deployment ---
 
-// ClassifyRequest runs inference on one feature window.
+// ClassifyRequest runs inference on one feature window. Quantized asks
+// for the int8 model; an impulse without one answers 400, never the
+// float scores.
 type ClassifyRequest struct {
 	Features  []float32 `json:"features"`
 	Quantized bool      `json:"quantized"`
@@ -521,7 +523,7 @@ const MaxClassifyBatch = 256
 // ClassifyBatchRequest runs inference on several feature windows in one
 // request, amortizing transport, auth and scratch-arena warm-up across
 // the batch. Every window must be a full feature window (same length the
-// single-window classify accepts).
+// single-window classify accepts). Quantized is as in ClassifyRequest.
 type ClassifyBatchRequest struct {
 	Windows   [][]float32 `json:"windows"`
 	Quantized bool        `json:"quantized"`
@@ -750,7 +752,8 @@ type StreamOpenRequest struct {
 	// StrideMS sets the hop between overlapping classification windows.
 	// 0 means non-overlapping (stride = window).
 	StrideMS int `json:"stride_ms,omitempty"`
-	// Quantized selects the int8 model when one is attached.
+	// Quantized selects the int8 model; an impulse without one is
+	// refused at open.
 	Quantized bool `json:"quantized,omitempty"`
 	// Threshold is the smoothed score needed to fire a detection
 	// (default 0.6); Smooth is the moving-average depth in windows

@@ -172,10 +172,7 @@ func (imp *Impulse) checkLearned() error {
 	if km == nil {
 		return nil
 	}
-	spec, ok := imp.AnomalySpec()
-	if !ok {
-		spec = LearnBlockSpec{Name: LearnAnomaly, Type: LearnAnomaly}
-	}
+	spec, _ := imp.AnomalySpec()
 	shape, err := imp.LearnShape(spec)
 	if err != nil {
 		return err

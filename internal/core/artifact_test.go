@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -80,13 +81,16 @@ func TestArtifactRoundTrip(t *testing.T) {
 				return
 			}
 			for _, quantized := range []bool{false, true} {
-				want, err := imp.classify(window, quantized)
-				if err != nil {
-					t.Fatal(err)
+				want, err := imp.ClassifyWindow(window, quantized)
+				got, backErr := back.ClassifyWindow(window, quantized)
+				if quantized && imp.QModel == nil {
+					if !errors.Is(err, ErrNoInt8Model) || !errors.Is(backErr, ErrNoInt8Model) {
+						t.Fatalf("int8 without an int8 model: %v, after the round trip %v", err, backErr)
+					}
+					continue
 				}
-				got, err := back.classify(window, quantized)
-				if err != nil {
-					t.Fatal(err)
+				if err != nil || backErr != nil {
+					t.Fatal(err, backErr)
 				}
 				sameScores(t, name, got, want)
 			}
@@ -145,7 +149,7 @@ func checkGolden(t *testing.T, imp *Impulse, g eimGolden) {
 			if quantized {
 				want = g.Int8[i]
 			}
-			res, err := imp.classify(sig, quantized)
+			res, err := imp.ClassifyWindow(sig, quantized)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -333,9 +333,10 @@ func TestClassifyBatchReportsLowestFailingWindow(t *testing.T) {
 }
 
 // TestClassifyBatchPanicReachesCaller requires a panic in any window to
-// surface on the caller's goroutine, after the workers have stopped,
-// and a lower-index error to win over a higher-index panic, as in a
-// sequential loop.
+// surface on the caller's goroutine, after the workers have stopped, as
+// a *WindowPanic carrying the window, the original value and a stack
+// that names the panicking frame; and a lower-index error to win over a
+// higher-index panic, as in a sequential loop.
 func TestClassifyBatchPanicReachesCaller(t *testing.T) {
 	wideProcs(t)
 	imp := faultImpulse(t)
@@ -347,8 +348,12 @@ func TestClassifyBatchPanicReachesCaller(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for run := 0; run < 50; run++ {
 		p, err := classify(markedWindows(8, map[int]float32{3: panicSample}))
-		if _, ok := p.(faultPanic); !ok || err != nil {
+		wp, ok := p.(*WindowPanic)
+		if !ok || err != nil || wp.Window != 3 || wp.Value != (faultPanic{}) {
 			t.Fatalf("run %d: recovered %v, err %v", run, p, err)
+		}
+		if !strings.Contains(string(wp.Stack), "core.faultBlock.Extract") {
+			t.Fatalf("run %d: stack names no panicking frame:\n%s", run, wp.Stack)
 		}
 		settleGoroutines(t, base)
 

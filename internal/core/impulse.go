@@ -17,9 +17,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"edgepulse/internal/anomaly"
@@ -418,7 +416,7 @@ func (imp *Impulse) Features(sig dsp.Signal) (*tensor.F32, error) {
 
 // ExtractComposite runs every DSP block on one window and concatenates
 // the outputs per the cached offset table, returning the table so
-// callers (the SDK, learn-block views) can slice per-block segments
+// callers (Run, learn-block views) can slice per-block segments
 // without re-extracting. The single-block fast path returns the block's
 // tensor directly, byte-identical to the legacy pipeline.
 func (imp *Impulse) ExtractComposite(sig dsp.Signal) (*tensor.F32, *FeatureLayout, error) {
@@ -536,31 +534,10 @@ func (imp *Impulse) LearnFeatures(spec LearnBlockSpec, sig dsp.Signal) (*tensor.
 	return imp.learnView(spec, composite, l)
 }
 
-// ClassifierFeaturesFrom slices the classification learn block's view
-// out of an extracted composite vector (all blocks when the design
-// declares no classifier).
-func (imp *Impulse) ClassifierFeaturesFrom(composite *tensor.F32, l *FeatureLayout) (*tensor.F32, error) {
-	spec, ok := imp.classifierSpec()
-	if !ok {
-		spec = LearnBlockSpec{Name: LearnClassification, Type: LearnClassification}
-	}
-	return imp.learnView(spec, composite, l)
-}
-
-// AnomalyFeaturesFrom slices the anomaly learn block's view out of an
-// extracted composite vector (all blocks when the design declares no
-// anomaly block).
-func (imp *Impulse) AnomalyFeaturesFrom(composite *tensor.F32, l *FeatureLayout) (*tensor.F32, error) {
-	spec, ok := imp.AnomalySpec()
-	if !ok {
-		spec = LearnBlockSpec{Name: LearnAnomaly, Type: LearnAnomaly}
-	}
-	return imp.learnView(spec, composite, l)
-}
-
 // classifierSpec resolves the impulse's classification learn block:
 // the explicit spec when present, otherwise the implicit
-// all-inputs classifier implied by a class list or attached model.
+// all-inputs classifier implied by a class list or attached model. The
+// zero spec it returns with false consumes every DSP block too.
 func (imp *Impulse) classifierSpec() (LearnBlockSpec, bool) {
 	for _, spec := range imp.Learn {
 		if spec.Type == LearnClassification {
@@ -575,7 +552,9 @@ func (imp *Impulse) classifierSpec() (LearnBlockSpec, bool) {
 
 // AnomalySpec resolves the impulse's anomaly learn block: the explicit
 // spec when present, otherwise the implicit all-inputs block implied by
-// a fitted K-means state.
+// a fitted K-means state. The zero spec it returns with false consumes
+// every DSP block too, so a K-means block fitted on a design that
+// declares none watches the whole composite vector.
 func (imp *Impulse) AnomalySpec() (LearnBlockSpec, bool) {
 	for _, spec := range imp.Learn {
 		if spec.Type == LearnAnomaly {
@@ -680,12 +659,7 @@ func (imp *Impulse) Train(ds *data.Dataset, cfg trainer.Config) (*trainer.Result
 // block's feature view of the training split. clusters <= 0 takes the
 // anomaly spec's "clusters" param (default 3).
 func (imp *Impulse) TrainAnomaly(ds *data.Dataset, clusters int, seed int64) error {
-	spec, ok := imp.AnomalySpec()
-	if !ok {
-		// No explicit spec: train over the full composite vector, the
-		// legacy behavior.
-		spec = LearnBlockSpec{Name: LearnAnomaly, Type: LearnAnomaly}
-	}
+	spec, _ := imp.AnomalySpec()
 	if clusters <= 0 {
 		clusters = 3
 		if k, ok := spec.Params["clusters"]; ok && k >= 1 {
@@ -748,161 +722,6 @@ func (imp *Impulse) Quantize(ds *data.Dataset) error {
 	}
 	imp.QModel = qm
 	return nil
-}
-
-// ClassResult is one classification outcome.
-type ClassResult struct {
-	// Label is the argmax class.
-	Label string
-	// Scores maps every class to its probability.
-	Scores map[string]float32
-	// AnomalyScore is set when an anomaly block is attached.
-	AnomalyScore float64
-}
-
-// Classify runs the full pipeline (DSP graph + float model [+ anomaly])
-// on one window of raw signal. The DSP blocks run once; each learn
-// block consumes its declared view of the composite feature vector.
-func (imp *Impulse) Classify(sig dsp.Signal) (ClassResult, error) {
-	return imp.classify(sig, false)
-}
-
-// ClassifyQuantized is Classify with the int8 model.
-func (imp *Impulse) ClassifyQuantized(sig dsp.Signal) (ClassResult, error) {
-	return imp.classify(sig, true)
-}
-
-func (imp *Impulse) classify(sig dsp.Signal, quantized bool) (ClassResult, error) {
-	composite, layout, err := imp.ExtractComposite(sig)
-	if err != nil {
-		return ClassResult{}, err
-	}
-	res := ClassResult{Scores: map[string]float32{}}
-	var probs *tensor.F32
-	useQuant := quantized && imp.QModel != nil
-	switch {
-	case useQuant || imp.Model != nil:
-		x, err := imp.ClassifierFeaturesFrom(composite, layout)
-		if err != nil {
-			return ClassResult{}, err
-		}
-		// Forward panics on a mis-shaped input; a model set on the
-		// impulse without AttachClassifier can disagree with the design.
-		var want tensor.Shape
-		if useQuant {
-			want = imp.QModel.InputShape
-		} else {
-			want = imp.Model.InputShape
-		}
-		if !x.Shape.Equal(want) {
-			return ClassResult{}, fmt.Errorf("core: classifier features %v != model input %v", x.Shape, want)
-		}
-		if useQuant {
-			probs = imp.QModel.Forward(x)
-		} else {
-			probs = imp.Model.Forward(x)
-		}
-	case imp.Anomaly == nil:
-		return ClassResult{}, fmt.Errorf("core: impulse has no learn block")
-	}
-	if probs != nil {
-		best := probs.ArgMax()
-		for i, c := range imp.Classes {
-			if i < len(probs.Data) {
-				res.Scores[c] = probs.Data[i]
-			}
-		}
-		if best >= 0 && best < len(imp.Classes) {
-			res.Label = imp.Classes[best]
-		}
-	}
-	if imp.Anomaly != nil {
-		av, err := imp.AnomalyFeaturesFrom(composite, layout)
-		if err != nil {
-			return ClassResult{}, err
-		}
-		res.AnomalyScore = imp.Anomaly.Score(av.Data)
-	}
-	return res, nil
-}
-
-// ClassifyBatch classifies a batch of raw feature windows in one call.
-// The windows are independent, so they run on up to GOMAXPROCS
-// goroutines, the caller's among them, each taking the next window
-// index in turn; a one-window batch or a one-P process runs inline.
-// Every result is the single-window path's bit for bit (the DSP runtime
-// tables and the model's plan arenas are pooled, so each goroutine runs
-// on its own warm scratch), and results are ordered like the input.
-//
-// A failing window fails the whole batch with the error of the
-// lowest-index failing window, the one a sequential loop would report:
-// once a window fails no new index is taken, and every lower index was
-// taken before it. A panic in a window is re-raised on the caller's
-// goroutine after every worker has stopped.
-func (imp *Impulse) ClassifyBatch(windows [][]float32, quantized bool) ([]ClassResult, error) {
-	out := make([]ClassResult, len(windows))
-	workers := max(1, min(runtime.GOMAXPROCS(0), len(windows)))
-	var next atomic.Int64
-	var failed atomic.Bool
-	faults := make([]batchFault, workers)
-	run := func(f *batchFault) {
-		defer func() {
-			if p := recover(); p != nil {
-				f.panicked, f.value = true, p
-				failed.Store(true)
-			}
-		}()
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= len(windows) {
-				return
-			}
-			f.window = i
-			res, err := imp.classify(imp.SignalFor(windows[i]), quantized)
-			if err != nil {
-				f.value = err
-				failed.Store(true)
-				return
-			}
-			out[i] = res
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(&faults[w])
-		}()
-	}
-	run(&faults[0])
-	wg.Wait()
-
-	var first *batchFault
-	for w := range faults {
-		if f := &faults[w]; f.value != nil && (first == nil || f.window < first.window) {
-			first = f
-		}
-	}
-	switch {
-	case first == nil:
-		return out, nil
-	case first.panicked:
-		panic(first.value)
-	default:
-		return nil, fmt.Errorf("core: batch window %d: %w", first.window, first.value.(error))
-	}
-}
-
-// batchFault is the failure one ClassifyBatch worker stopped at, if
-// any: the window's index and its error, or the value it panicked with
-// (never nil: recover reports panic(nil) as a *runtime.PanicNilError).
-// Each worker takes increasing indices, so its first failure is its
-// lowest.
-type batchFault struct {
-	window   int
-	value    any
-	panicked bool
 }
 
 // Evaluate computes accuracy and the confusion matrix on a dataset split

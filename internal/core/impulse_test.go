@@ -177,7 +177,7 @@ func TestEndToEndTrainQuantizeClassify(t *testing.T) {
 	if err := imp.Quantize(ds); err != nil {
 		t.Fatal(err)
 	}
-	agree := 0
+	agree, correct := 0, 0
 	tests := materialize(t, ds, data.Testing)
 	for _, s := range tests {
 		f, err := imp.Classify(s.Signal)
@@ -191,9 +191,16 @@ func TestEndToEndTrainQuantizeClassify(t *testing.T) {
 		if f.Label == q.Label {
 			agree++
 		}
+		if f.Label == s.Label {
+			correct++
+		}
 	}
 	if agree < len(tests)*8/10 {
 		t.Fatalf("float/int8 agreement %d/%d", agree, len(tests))
+	}
+	// The window pipeline scores as well as Evaluate's feature path.
+	if correct < len(tests)*8/10 {
+		t.Fatalf("Classify accuracy %d/%d", correct, len(tests))
 	}
 }
 

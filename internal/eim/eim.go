@@ -30,7 +30,8 @@ type Request struct {
 type ClassifyParams struct {
 	// Features holds raw signal values (interleaved axes), one window.
 	Features []float32 `json:"features"`
-	// Quantized selects the int8 model when available.
+	// Quantized selects the int8 model; without one the request is
+	// refused (core.ErrNoInt8Model), never answered by the float model.
 	Quantized bool `json:"quantized,omitempty"`
 }
 
@@ -128,17 +129,13 @@ func (s *Server) handle(conn net.Conn) {
 			enc.Encode(Response{Success: false, Error: "bad request: " + err.Error()})
 			continue
 		}
-		enc.Encode(s.dispatch(req))
+		enc.Encode(s.HandleRequest(req))
 	}
 }
 
-// HandleRequest processes one request (exported for in-process use and
-// tests without a socket).
+// HandleRequest processes one request, as a connection does (exported
+// for in-process use and tests without a socket).
 func (s *Server) HandleRequest(req Request) Response {
-	return s.dispatch(req)
-}
-
-func (s *Server) dispatch(req Request) Response {
 	switch {
 	case req.Hello:
 		return Response{ID: req.ID, Success: true, Info: &ModelInfo{
@@ -157,14 +154,7 @@ func (s *Server) dispatch(req Request) Response {
 }
 
 func (s *Server) classify(req Request) Response {
-	sig := s.imp.SignalFor(req.Classify.Features)
-	var res core.ClassResult
-	var err error
-	if req.Classify.Quantized {
-		res, err = s.imp.ClassifyQuantized(sig)
-	} else {
-		res, err = s.imp.Classify(sig)
-	}
+	res, err := s.imp.ClassifyWindow(s.imp.SignalFor(req.Classify.Features), req.Classify.Quantized)
 	if err != nil {
 		return Response{ID: req.ID, Success: false, Error: err.Error()}
 	}

@@ -1,6 +1,8 @@
 package eim
 
 import (
+	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"testing"
@@ -38,7 +40,9 @@ func runnerImpulse(t testing.TB) (*core.Impulse, *data.Dataset) {
 	return imp, ds
 }
 
-func startServer(t *testing.T, imp *core.Impulse) *Client {
+// serve runs a server for imp on a fresh Unix socket and returns the
+// socket's path.
+func serve(t *testing.T, imp *core.Impulse) string {
 	t.Helper()
 	srv, err := NewServer(imp)
 	if err != nil {
@@ -51,6 +55,11 @@ func startServer(t *testing.T, imp *core.Impulse) *Client {
 	}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
+	return sock
+}
+
+// dial connects a client to a served socket.
+func dial(t testing.TB, sock string) *Client {
 	conn, err := net.Dial("unix", sock)
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +67,11 @@ func startServer(t *testing.T, imp *core.Impulse) *Client {
 	c := NewClient(conn)
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+func startServer(t *testing.T, imp *core.Impulse) *Client {
+	t.Helper()
+	return dial(t, serve(t, imp))
 }
 
 func TestHello(t *testing.T) {
@@ -138,6 +152,59 @@ func TestMultipleClientsSequential(t *testing.T) {
 	}
 	if _, err := c1.Classify(s.Signal.Data, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMultipleClientsConcurrent: connections are served one goroutine
+// each on one shared impulse, so clients classifying at once, in both
+// precisions, must each get the in-process result bit for bit.
+func TestMultipleClientsConcurrent(t *testing.T) {
+	imp, ds := runnerImpulse(t)
+	sock := serve(t, imp)
+	var wins [][]float32
+	for _, h := range ds.List(data.Testing)[:4] {
+		s, err := ds.Get(h.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wins = append(wins, s.Signal.Data)
+	}
+	const clients, rounds = 4, 6
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		client := dial(t, sock)
+		go func() {
+			errs <- func() error {
+				for r := 0; r < rounds; r++ {
+					win, quantized := wins[(c+r)%len(wins)], (c+r)%2 == 1
+					got, err := client.Classify(win, quantized)
+					if err != nil {
+						return err
+					}
+					want, err := imp.ClassifyWindow(imp.SignalFor(win), quantized)
+					if err != nil {
+						return err
+					}
+					if got.Label != want.Label {
+						return fmt.Errorf("client %d round %d: label %q, in-process %q", c, r, got.Label, want.Label)
+					}
+					for cl, v := range want.Scores {
+						if math.Float32bits(got.Classification[cl]) != math.Float32bits(v) {
+							return fmt.Errorf("client %d round %d: %s scores %v, in-process %v", c, r, cl, got.Classification[cl], v)
+						}
+					}
+					if _, err := client.Hello(); err != nil {
+						return err
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

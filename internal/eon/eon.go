@@ -7,8 +7,9 @@
 //
 // Two artifacts come out of a compilation:
 //
-//   - Program: a runnable in-process plan (used by the SDK and the EIM
-//     runner) with no per-op kernel lookups. Its activation arena is the
+//   - Program: a runnable in-process plan (the configuration
+//     Model.Forward and QModel.Forward run, so core.Impulse.Run and the
+//     EIM runner run it too) with no per-op kernel lookups. Its activation arena is the
 //     interpreter's: every engine plans its arena with the same
 //     liveness planner.
 //   - C++ source (EmitCPP): the deployable library the real platform

@@ -22,8 +22,8 @@ const FaultIngest = "stream.ingest"
 
 // Classifier scores one canonical window of raw signal. Implementations
 // must be cheap to call repeatedly from a single goroutine; the impulse
-// adapter (NewImpulseClassifier) reuses the pooled DSP + forward path so
-// steady-state calls stay allocation-free.
+// adapter (NewImpulseClassifier) is one core.Impulse.Run per window,
+// which allocates only what the pooled DSP and forward paths do.
 type Classifier interface {
 	// Classes returns the output labels in score-index order.
 	Classes() []string
