@@ -2,8 +2,9 @@
 //
 // It runs the EON Tuner over DSP×model candidates under the Nano 33 BLE
 // Sense's constraints, trains the winning configuration, calibrates the
-// streaming post-processing with the genetic algorithm (FAR/FRR Pareto
-// front), and profiles the final model on all three evaluation boards.
+// streaming detector (stream.Debouncer's threshold, release, smooth and
+// suppress) with the genetic algorithm (FAR/FRR Pareto front), and
+// profiles the final model on all three evaluation boards.
 //
 //	go run ./examples/keyword_spotting
 package main
@@ -107,26 +108,42 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	calStream := calibration.Stream{
-		Rate: rate, TotalSamples: stream.Frames(), Events: events,
-	}
+	var windows [][]float32
+	var starts []int
 	for i, w := range imp.Windows(stream) {
-		res, err := imp.Classify(w)
-		if err != nil {
-			log.Fatal(err)
-		}
-		calStream.Scores = append(calStream.Scores, res.Scores[keyword])
-		calStream.WindowStarts = append(calStream.WindowStarts, i*imp.Input.StrideSamples())
+		windows = append(windows, w.Data)
+		starts = append(starts, i*imp.Input.StrideSamples())
 	}
-	suggestions, err := calibration.Calibrate(calStream, 23)
+	results, err := imp.ClassifyBatch(windows, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  %d Pareto-optimal operating points for %q:\n", len(suggestions), keyword)
+	calStream := calibration.Stream{
+		Classes: imp.Classes, WindowStarts: starts, WindowSamples: imp.Input.WindowSamples(),
+		Rate: rate, TotalSamples: stream.Frames(), Events: events,
+	}
+	var ignore []string
+	for _, c := range imp.Classes {
+		if c != keyword {
+			ignore = append(ignore, c)
+		}
+	}
+	for _, res := range results {
+		v := make([]float32, len(imp.Classes))
+		for c, name := range imp.Classes {
+			v[c] = res.Scores[name]
+		}
+		calStream.Scores = append(calStream.Scores, v)
+	}
+	suggestions, err := calibration.Calibrate(calStream, ignore, 23)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  %d Pareto-optimal operating points for %q (stream-open settings):\n", len(suggestions), keyword)
 	for _, s := range suggestions {
-		fmt.Printf("    threshold %.2f  avg %2d  suppress %2d  ->  FAR %5.1f/h  FRR %4.0f%%\n",
-			s.Config.Threshold, s.Config.AveragingWindows, s.Config.SuppressionWindows,
-			s.Outcome.FalseAcceptsPerHour, s.Outcome.FalseRejectionRate*100)
+		fmt.Printf("    threshold %.2f  release %.2f  smooth %2d  suppress %2d  ->  FAR %5.1f/h  FRR %4.0f%%\n",
+			s.Config.Threshold, s.Config.Release, s.Config.Smooth, s.Config.Suppress,
+			s.FalseAcceptsPerHour, s.FalseRejectionRate*100)
 	}
 
 	// 4. Profile the final model across the paper's three boards.

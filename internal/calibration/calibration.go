@@ -1,10 +1,12 @@
 // Package calibration implements performance calibration (paper
 // Sec. 4.4): post-processing tuning for impulses that detect events in
-// streaming data. Given the raw per-window scores of a trained model over
+// streaming data. Given a trained model's per-window score vectors over
 // a stream with known ground-truth events, a genetic algorithm searches
-// post-processing configurations (threshold, score averaging, detection
-// suppression) and suggests operating points trading off false acceptance
-// rate (FAR) against false rejection rate (FRR).
+// stream.DebounceConfig space (threshold, release, score averaging,
+// detection suppression), replaying the scores through the
+// stream.Debouncer that live sessions run, and suggests operating points
+// trading off false acceptance rate (FAR) against false rejection rate
+// (FRR). Score is the one rule that credits detections to ground truth.
 package calibration
 
 import (
@@ -12,35 +14,68 @@ import (
 	"math"
 
 	"edgepulse/internal/ga"
+	"edgepulse/internal/stream"
 	"edgepulse/internal/synth"
 )
 
-// PostProcessing is one detection configuration.
-type PostProcessing struct {
-	// Threshold on the smoothed score to declare a detection.
-	Threshold float32
-	// AveragingWindows is the moving-average length over window scores.
-	AveragingWindows int
-	// SuppressionWindows is the refractory period after a detection.
-	SuppressionWindows int
+// Detection is one fired detection: the start of the window it fired on
+// and the class it fired for.
+type Detection struct {
+	WindowStart int
+	Label       string
 }
 
-// Outcome reports detection quality for one configuration.
+// Outcome counts how detections credit a stream's ground-truth events.
+// Credited + Missed is the event count and Credited + FalseAccepts the
+// detection count.
 type Outcome struct {
-	// FalseAcceptsPerHour is the FAR normalized to stream hours.
-	FalseAcceptsPerHour float64
-	// FalseRejectionRate is the fraction of true events missed.
-	FalseRejectionRate float64
-	// Detections counts triggers (true + false).
-	Detections int
+	Credited     int // events credited with a detection
+	Missed       int // events no detection credited
+	FalseAccepts int // detections credited to no event
 }
 
-// Stream bundles the classifier's raw output over a calibration stream.
+// Score credits detections to ground truth by window overlap. A
+// detection's window [WindowStart, WindowStart+windowSamples) is
+// credited to the earliest event that has the detection's label,
+// overlaps the window ([StartSample, EndSample), half-open) and is not
+// yet credited. Each event is credited at most once; every other
+// detection is a false accept.
+func Score(truth []synth.Event, dets []Detection, windowSamples int) Outcome {
+	credited := make([]bool, len(truth))
+	out := Outcome{Missed: len(truth)}
+	for _, d := range dets {
+		end := d.WindowStart + windowSamples
+		hit := -1
+		for i, ev := range truth {
+			if credited[i] || ev.Label != d.Label || d.WindowStart >= ev.EndSample || end <= ev.StartSample {
+				continue
+			}
+			if hit < 0 || ev.StartSample < truth[hit].StartSample {
+				hit = i
+			}
+		}
+		if hit < 0 {
+			out.FalseAccepts++
+			continue
+		}
+		credited[hit] = true
+		out.Credited++
+		out.Missed--
+	}
+	return out
+}
+
+// Stream bundles a classifier's output over a calibration stream.
 type Stream struct {
-	// Scores holds the target-class probability of each window.
-	Scores []float32
-	// WindowStarts holds the window start offsets in samples.
+	// Classes names the score vector's entries, in the impulse's order.
+	Classes []string
+	// Scores holds one class-ordered score vector per window, as
+	// core.(*Impulse).Run writes them.
+	Scores [][]float32
+	// WindowStarts holds each window's start offset in samples.
 	WindowStarts []int
+	// WindowSamples is the window length in samples.
+	WindowSamples int
 	// Rate is the stream sample rate in Hz.
 	Rate int
 	// TotalSamples is the stream length.
@@ -54,103 +89,73 @@ func (s Stream) Validate() error {
 	if len(s.Scores) == 0 || len(s.Scores) != len(s.WindowStarts) {
 		return fmt.Errorf("calibration: %d scores vs %d window starts", len(s.Scores), len(s.WindowStarts))
 	}
-	if s.Rate <= 0 || s.TotalSamples <= 0 {
-		return fmt.Errorf("calibration: missing rate or length")
+	for i, v := range s.Scores {
+		if len(v) != len(s.Classes) {
+			return fmt.Errorf("calibration: window %d has %d scores for %d classes", i, len(v), len(s.Classes))
+		}
+	}
+	if s.Rate <= 0 || s.TotalSamples <= 0 || s.WindowSamples <= 0 {
+		return fmt.Errorf("calibration: missing rate, length or window size")
 	}
 	return nil
 }
 
-// Apply runs the post-processing over the stream and scores it against
-// ground truth. A detection is credited to an event when it fires inside
-// the event span (with half-a-window tolerance after the end); each event
-// counts at most once. Uncredited detections are false accepts.
-func Apply(s Stream, pp PostProcessing) Outcome {
-	if pp.AveragingWindows < 1 {
-		pp.AveragingWindows = 1
-	}
-	if pp.SuppressionWindows < 0 {
-		pp.SuppressionWindows = 0
-	}
-	tolerance := 0
-	if len(s.WindowStarts) > 1 {
-		tolerance = (s.WindowStarts[1] - s.WindowStarts[0]) * 2
-	}
-	hit := make([]bool, len(s.Events))
-	var falseAccepts, detections int
-	suppress := 0
-	var window []float32
-	for i, score := range s.Scores {
-		window = append(window, score)
-		if len(window) > pp.AveragingWindows {
-			window = window[1:]
-		}
-		if suppress > 0 {
-			suppress--
-			continue
-		}
-		var sum float32
-		for _, v := range window {
-			sum += v
-		}
-		smoothed := sum / float32(len(window))
-		if smoothed < pp.Threshold {
-			continue
-		}
-		detections++
-		suppress = pp.SuppressionWindows
-		at := s.WindowStarts[i]
-		matched := false
-		for e, ev := range s.Events {
-			if hit[e] {
-				continue
-			}
-			if at >= ev.StartSample-tolerance && at <= ev.EndSample+tolerance {
-				hit[e] = true
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			falseAccepts++
+// Replay feeds the stream's score vectors through a stream.Debouncer
+// configured with cfg and returns the detections it fires: those of a
+// live session with the same configuration over the same windows.
+func Replay(s Stream, cfg stream.DebounceConfig) []Detection {
+	d := stream.NewDebouncer(s.Classes, cfg)
+	var dets []Detection
+	for i, v := range s.Scores {
+		if class, fired := d.Observe(v); fired {
+			dets = append(dets, Detection{WindowStart: s.WindowStarts[i], Label: s.Classes[class]})
 		}
 	}
-	misses := 0
-	for _, h := range hit {
-		if !h {
-			misses++
-		}
-	}
-	hours := float64(s.TotalSamples) / float64(s.Rate) / 3600
-	out := Outcome{Detections: detections}
-	if hours > 0 {
-		out.FalseAcceptsPerHour = float64(falseAccepts) / hours
-	}
-	if len(s.Events) > 0 {
-		out.FalseRejectionRate = float64(misses) / float64(len(s.Events))
-	}
-	return out
+	return dets
 }
 
-// Suggestion is one calibrated operating point.
+// Suggestion is one operating point: a debouncer configuration and how
+// its detections score on the calibration stream.
 type Suggestion struct {
-	Config  PostProcessing
-	Outcome Outcome
+	Config stream.DebounceConfig
+	Outcome
+	// FalseAcceptsPerHour is the FAR normalized to stream hours.
+	FalseAcceptsPerHour float64
+	// FalseRejectionRate is the fraction of true events missed.
+	FalseRejectionRate float64
 }
 
-// decode maps a genome to a post-processing configuration.
-func decode(g ga.Genome) PostProcessing {
-	return PostProcessing{
-		Threshold:          float32(0.3 + 0.69*g[0]),
-		AveragingWindows:   1 + int(g[1]*9.99),
-		SuppressionWindows: int(g[2] * 20.99),
+// Apply replays the stream with cfg and scores the detections.
+func Apply(s Stream, cfg stream.DebounceConfig) Suggestion {
+	sg := Suggestion{Config: cfg, Outcome: Score(s.Events, Replay(s, cfg), s.WindowSamples)}
+	sg.FalseAcceptsPerHour = float64(sg.FalseAccepts) / (float64(s.TotalSamples) / float64(s.Rate) / 3600)
+	if len(s.Events) > 0 {
+		sg.FalseRejectionRate = float64(sg.Missed) / float64(len(s.Events))
+	}
+	return sg
+}
+
+// decode maps a genome to a debouncer configuration. Release is a
+// fraction of Threshold, so it never exceeds it, and every field is in
+// the debouncer's range: the configuration a session opened with it
+// runs is this one.
+func decode(g ga.Genome, ignore []string) stream.DebounceConfig {
+	threshold := float32(0.3 + 0.69*g[0])
+	return stream.DebounceConfig{
+		Threshold: threshold,
+		Release:   threshold * float32(0.25+0.75*g[3]),
+		Smooth:    1 + int(g[1]*9.99),
+		Suppress:  int(g[2] * 20.99),
+		Ignore:    ignore,
 	}
 }
 
-// Calibrate searches post-processing space with a genetic algorithm at
-// several FAR-vs-FRR weightings and returns the Pareto-optimal operating
-// points (lowest-FAR first), mirroring the platform's performance
-// calibration suggestions.
-func Calibrate(s Stream, seed int64) ([]Suggestion, error) {
+// Calibrate searches debouncer configurations with a genetic algorithm
+// at several FAR-vs-FRR weightings and returns the Pareto-optimal
+// operating points, lowest FAR first. ignore is every suggestion's
+// Ignore list (background classes that never fire); the search leaves
+// it alone.
+func Calibrate(s Stream, ignore []string, seed int64) ([]Suggestion, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -160,9 +165,9 @@ func Calibrate(s Stream, seed int64) ([]Suggestion, error) {
 	var candidates []Suggestion
 	for wi, w := range weights {
 		problem := ga.Problem{
-			Genes: 3,
+			Genes: 4,
 			Fitness: func(g ga.Genome) float64 {
-				out := Apply(s, decode(g))
+				out := Apply(s, decode(g, ignore))
 				farNorm := out.FalseAcceptsPerHour / farScale
 				if farNorm > 1 {
 					farNorm = 1 + math.Log(farNorm)
@@ -175,14 +180,13 @@ func Calibrate(s Stream, seed int64) ([]Suggestion, error) {
 		})
 		// Keep the top few genomes per weighting.
 		for i := 0; i < 3 && i < len(res.FinalPopulation); i++ {
-			pp := decode(res.FinalPopulation[i])
-			candidates = append(candidates, Suggestion{Config: pp, Outcome: Apply(s, pp)})
+			candidates = append(candidates, Apply(s, decode(res.FinalPopulation[i], ignore)))
 		}
 	}
 	// Pareto filtering over (FAR, FRR).
 	points := make([][2]float64, len(candidates))
 	for i, c := range candidates {
-		points[i] = [2]float64{c.Outcome.FalseAcceptsPerHour, c.Outcome.FalseRejectionRate}
+		points[i] = [2]float64{c.FalseAcceptsPerHour, c.FalseRejectionRate}
 	}
 	front := ga.ParetoFront(points)
 	out := make([]Suggestion, 0, len(front))

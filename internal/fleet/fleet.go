@@ -27,6 +27,7 @@ import (
 	"time"
 
 	v1 "edgepulse/internal/api/v1"
+	"edgepulse/internal/calibration"
 	"edgepulse/internal/client"
 	"edgepulse/internal/core"
 	"edgepulse/internal/ingest"
@@ -707,35 +708,16 @@ func (r *runner) pushAll(ctx context.Context, sess *client.StreamSession, src *s
 	}
 }
 
-// scoreSession matches detections to ground-truth utterances by window
-// overlap: each utterance should be hit exactly once; surplus or
-// non-overlapping detections count as false fires.
+// scoreSession credits the session's detections to ground truth with
+// calibration.Score: each utterance should be hit exactly once, and
+// surplus or non-overlapping detections are false fires.
 func (r *runner) scoreSession(windowSamples int, truth []synth.Event, detections []v1.StreamEvent) {
-	hits := make([]int, len(truth))
-	falseFires := 0
-	for _, d := range detections {
-		winEnd := d.WindowStart + int64(windowSamples)
-		matched := false
-		for i, ev := range truth {
-			if d.WindowStart < int64(ev.EndSample) && winEnd > int64(ev.StartSample) {
-				if hits[i] == 0 {
-					hits[i]++
-					matched = true
-				}
-				break
-			}
-		}
-		if !matched {
-			falseFires++
-		}
+	dets := make([]calibration.Detection, len(detections))
+	for i, d := range detections {
+		dets[i] = calibration.Detection{WindowStart: int(d.WindowStart), Label: d.Label}
 	}
-	detected := 0
-	for _, n := range hits {
-		if n > 0 {
-			detected++
-		}
-	}
-	r.recall.add(len(truth), detected, len(truth)-detected, falseFires)
+	out := calibration.Score(truth, dets, windowSamples)
+	r.recall.add(len(truth), out.Credited, out.Missed, out.FalseAccepts)
 }
 
 // opTrain submits a background training job on the jobs project and

@@ -56,12 +56,12 @@ type RecallStats struct {
 	Sessions int `json:"sessions"`
 	// Events is the total embedded ground-truth utterances.
 	Events int `json:"events"`
-	// Detected counts utterances matched by exactly one detection.
+	// Detected counts utterances calibration.Score credited.
 	Detected int `json:"detected"`
-	// Missed counts utterances no detection overlapped.
+	// Missed counts utterances no detection was credited to.
 	Missed int `json:"missed"`
-	// False counts detections overlapping no utterance, or duplicate
-	// hits on an already-matched utterance.
+	// False counts detections credited to no utterance: non-overlapping
+	// ones and surplus hits on credited utterances.
 	False int `json:"false"`
 	// Recall is Detected / Events (1 when Events is 0).
 	Recall float64 `json:"recall"`

@@ -1,11 +1,11 @@
 package stream
 
 // DebounceConfig tunes how rolling per-window scores become discrete
-// detection events. The semantics mirror the calibration package's
-// PostProcessing (moving average → threshold → refractory suppression)
-// with one addition: hysteresis. After a class fires it must fall below
-// Release before it can fire again, so one long utterance spanning many
-// overlapping windows produces exactly one event.
+// detection events: moving average, threshold, hysteresis and refractory
+// suppression. After a class fires it must fall below Release before it
+// can fire again, so one long utterance spanning many overlapping
+// windows produces exactly one event. Performance calibration replays
+// recorded scores through this same debouncer to choose a configuration.
 type DebounceConfig struct {
 	// Threshold is the smoothed score at or above which an armed class
 	// fires. Default 0.6.
