@@ -23,6 +23,7 @@ import (
 type testEnv struct {
 	t      *testing.T
 	server *httptest.Server
+	api    *Server
 	apiKey string
 	sched  *jobs.Scheduler
 	reg    *project.Registry
@@ -39,9 +40,10 @@ func newEnvWith(t *testing.T, cfg jobs.Config, opts ...Option) *testEnv {
 	reg := project.NewRegistry()
 	sched := jobs.NewScheduler(cfg)
 	t.Cleanup(sched.Shutdown)
-	srv := httptest.NewServer(NewServer(reg, sched, opts...).Handler())
+	s := NewServer(reg, sched, opts...)
+	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
-	env := &testEnv{t: t, server: srv, sched: sched, reg: reg}
+	env := &testEnv{t: t, server: srv, api: s, sched: sched, reg: reg}
 	// Bootstrap a user.
 	resp := env.do("POST", "/api/v1/users", "", map[string]any{"name": "tester"})
 	env.apiKey = resp["api_key"].(string)

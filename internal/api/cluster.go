@@ -83,7 +83,7 @@ func (s *Server) clusterAuth(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.clusterToken != "" &&
 			subtle.ConstantTimeCompare([]byte(r.Header.Get(ClusterTokenHeader)), []byte(s.clusterToken)) != 1 {
-			s.writeError(w, r, http.StatusForbidden, v1.CodeForbidden, "bad cluster token")
+			WriteError(w, r, http.StatusForbidden, v1.CodeForbidden, "bad cluster token")
 			return
 		}
 		next(w, r)
@@ -116,7 +116,7 @@ func (s *Server) handleClusterNode(w http.ResponseWriter, r *http.Request) {
 			out.Projects[p.ID] = st.Committed()
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleClusterAdmitUser inserts a pre-minted account, letting the
@@ -133,10 +133,10 @@ func (s *Server) handleClusterAdmitUser(w http.ResponseWriter, r *http.Request) 
 		if errors.Is(err, project.ErrReplica) {
 			status, code = http.StatusConflict, v1.CodeConflict
 		}
-		s.writeError(w, r, status, code, err.Error())
+		WriteError(w, r, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, v1.CreateUserResponse{
+	WriteJSON(w, http.StatusOK, v1.CreateUserResponse{
 		Success: true, ID: u.ID, Name: u.Name, APIKey: u.APIKey,
 	})
 }
@@ -146,7 +146,7 @@ func (s *Server) handleClusterAdmitUser(w http.ResponseWriter, r *http.Request) 
 func (s *Server) handleReplicationMeta(w http.ResponseWriter, r *http.Request) {
 	b, err := s.registry.ExportMeta()
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
 		return
 	}
 	out := v1.ClusterMetaResponse{Success: true, Registry: b.Registry}
@@ -155,7 +155,7 @@ func (s *Server) handleReplicationMeta(w http.ResponseWriter, r *http.Request) {
 			ID: pm.ID, Impulse: pm.Impulse,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // replicationStore resolves {id} to a project's backing store, writing
@@ -163,17 +163,17 @@ func (s *Server) handleReplicationMeta(w http.ResponseWriter, r *http.Request) {
 func (s *Server) replicationStore(w http.ResponseWriter, r *http.Request) *store.Store {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "bad project id")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "bad project id")
 		return nil
 	}
 	p, err := s.registry.GetProject(id)
 	if err != nil {
-		s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
+		WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
 		return nil
 	}
 	st := p.Store()
 	if st == nil {
-		s.writeError(w, r, http.StatusConflict, v1.CodeConflict, "project has no durable store")
+		WriteError(w, r, http.StatusConflict, v1.CodeConflict, "project has no durable store")
 		return nil
 	}
 	return st
@@ -186,7 +186,7 @@ func (s *Server) handleReplicationState(w http.ResponseWriter, r *http.Request) 
 	}
 	rs, err := st.ReplicationState()
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
 		return
 	}
 	out := v1.ReplicationStateResponse{
@@ -195,7 +195,7 @@ func (s *Server) handleReplicationState(w http.ResponseWriter, r *http.Request) 
 	for _, seg := range rs.Segments {
 		out.Segments = append(out.Segments, v1.ReplicationSegment{Index: seg.Index, Size: seg.Size})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleReplicationManifest(w http.ResponseWriter, r *http.Request) {
@@ -205,10 +205,10 @@ func (s *Server) handleReplicationManifest(w http.ResponseWriter, r *http.Reques
 	}
 	blob, version, err := st.ManifestBlob()
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, v1.ReplicationManifestResponse{
+	WriteJSON(w, http.StatusOK, v1.ReplicationManifestResponse{
 		Success: true, Manifest: blob, Version: version,
 	})
 }
@@ -223,24 +223,24 @@ func (s *Server) handleReplicationJournal(w http.ResponseWriter, r *http.Request
 	}
 	since, err := parseUintParam(r, "since")
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	upto, err := parseUintParam(r, "upto")
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	frames, last, err := st.JournalSince(since, upto)
 	switch {
 	case errors.Is(err, store.ErrReplicationGap):
-		s.writeError(w, r, http.StatusConflict, v1.CodeConflict, err.Error())
+		WriteError(w, r, http.StatusConflict, v1.CodeConflict, err.Error())
 		return
 	case err != nil:
-		s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, v1.ReplicationJournalResponse{Success: true, Frames: frames, Last: last})
+	WriteJSON(w, http.StatusOK, v1.ReplicationJournalResponse{Success: true, Frames: frames, Last: last})
 }
 
 // handleReplicationSegment streams one segment's committed bytes from
@@ -253,17 +253,17 @@ func (s *Server) handleReplicationSegment(w http.ResponseWriter, r *http.Request
 	}
 	seg, err := strconv.Atoi(r.PathValue("seg"))
 	if err != nil || seg <= 0 {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "bad segment index")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "bad segment index")
 		return
 	}
 	from, err := parseUintParam(r, "from")
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	rd, size, err := st.SegmentReader(seg, int64(from))
 	if err != nil {
-		s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
+		WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -40,10 +40,10 @@ func (s *Server) handleCreateUser(w http.ResponseWriter, r *http.Request) {
 	}
 	u, err := s.registry.CreateUser(req.Name)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, v1.CreateUserResponse{
+	WriteJSON(w, http.StatusCreated, v1.CreateUserResponse{
 		Success: true, ID: u.ID, Name: u.Name, APIKey: u.APIKey,
 	})
 }
@@ -66,7 +66,7 @@ func (s *Server) handleBlocks(w http.ResponseWriter, r *http.Request) {
 			Trainable: t.Trainable, Params: blockParams(t.Defaults),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // blockParams renders a default-parameter map as a sorted schema list.
@@ -91,7 +91,7 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 			FlashKB: t.FlashBytes >> 10, RAMKB: t.RAMBytes >> 10,
 		})
 	}
-	writeJSON(w, http.StatusOK, v1.DevicesResponse{Success: true, Devices: out})
+	WriteJSON(w, http.StatusOK, v1.DevicesResponse{Success: true, Devices: out})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, u *project.User) {
@@ -119,13 +119,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, u *projec
 		FramesIn: sp.Stats.FramesIn, Windows: sp.Stats.Windows,
 		Detections: sp.Stats.Detections, DroppedFrames: sp.Stats.DroppedFrames,
 	}
-	// snapshot() filled the middleware-side shed/deadline totals; enrich
-	// with the gate's live view and the watchdog's counters.
-	gm := s.gate.Metrics()
-	out.Resilience.Level = gm.Level
-	out.Resilience.Score = gm.Score
-	out.Resilience.Inflight = gm.Inflight
-	out.Resilience.ShedByClass = gm.Shed
 	if s.watchdog != nil {
 		out.Resilience.StalledJobs = s.watchdog.Stalled()
 		out.Resilience.WatchdogCancelled = s.watchdog.Cancelled()
@@ -136,7 +129,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, u *projec
 		RenderPrometheus(w, out)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func projectSummary(p *project.Project) v1.ProjectSummary {
@@ -154,7 +147,7 @@ func projectSummary(p *project.Project) v1.ProjectSummary {
 func (s *Server) writeProjectList(w http.ResponseWriter, r *http.Request, all []*project.Project) {
 	limit, offset, err := pageParams(r, defaultPageSize, maxPageSize)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	window, page := paginate(all, limit, offset)
@@ -162,7 +155,7 @@ func (s *Server) writeProjectList(w http.ResponseWriter, r *http.Request, all []
 	for _, p := range window {
 		out = append(out, projectSummary(p))
 	}
-	writeJSON(w, http.StatusOK, v1.ProjectsResponse{Success: true, Projects: out, Page: page})
+	WriteJSON(w, http.StatusOK, v1.ProjectsResponse{Success: true, Projects: out, Page: page})
 }
 
 func (s *Server) handlePublicProjects(w http.ResponseWriter, r *http.Request) {
@@ -181,16 +174,16 @@ func (s *Server) handleCreateProject(w http.ResponseWriter, r *http.Request, u *
 	}
 	p, err := s.registry.CreateProject(req.Name, u.ID)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, v1.CreateProjectResponse{
+	WriteJSON(w, http.StatusCreated, v1.CreateProjectResponse{
 		Success: true, ID: p.ID, Name: p.Name, HMACKey: p.HMACKey,
 	})
 }
 
 func (s *Server) handleGetProject(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
-	writeJSON(w, http.StatusOK, v1.ProjectResponse{Success: true, Project: projectSummary(p)})
+	WriteJSON(w, http.StatusOK, v1.ProjectResponse{Success: true, Project: projectSummary(p)})
 }
 
 func (s *Server) handleSetPublic(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
@@ -200,7 +193,7 @@ func (s *Server) handleSetPublic(w http.ResponseWriter, r *http.Request, u *proj
 		return
 	}
 	p.SetPublic(req.Public)
-	writeJSON(w, http.StatusOK, v1.SetPublicResponse{Success: true, Public: p.Public()})
+	WriteJSON(w, http.StatusOK, v1.SetPublicResponse{Success: true, Public: p.Public()})
 }
 
 func (s *Server) handleAddCollaborator(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
@@ -210,11 +203,11 @@ func (s *Server) handleAddCollaborator(w http.ResponseWriter, r *http.Request, u
 		return
 	}
 	if _, err := s.registry.GetUser(req.UserID); err != nil {
-		s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
+		WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
 		return
 	}
 	p.AddCollaborator(req.UserID)
-	writeJSON(w, http.StatusOK, v1.OK{Success: true})
+	WriteJSON(w, http.StatusOK, v1.OK{Success: true})
 }
 
 // handleUploadData ingests one sample. Query params: label (required),
@@ -223,7 +216,7 @@ func (s *Server) handleAddCollaborator(w http.ResponseWriter, r *http.Request, u
 func (s *Server) handleUploadData(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
 	label := r.URL.Query().Get("label")
 	if label == "" {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "label query parameter required")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "label query parameter required")
 		return
 	}
 	name := r.URL.Query().Get("name")
@@ -252,7 +245,7 @@ func (s *Server) handleUploadData(w http.ResponseWriter, r *http.Request, u *pro
 	case "acquisition", "":
 		id, err = ds.ImportAcquisition(name, label, body, p.HMACKey)
 	default:
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "unknown format "+format)
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "unknown format "+format)
 		return
 	}
 	switch {
@@ -260,17 +253,17 @@ func (s *Server) handleUploadData(w http.ResponseWriter, r *http.Request, u *pro
 	case errors.Is(err, data.ErrDuplicate):
 		// The dataset already holds this exact content — a stable code
 		// so idempotent uploaders (spool replay) can treat it as an ack.
-		s.writeError(w, r, http.StatusConflict, v1.CodeConflict, err.Error())
+		WriteError(w, r, http.StatusConflict, v1.CodeConflict, err.Error())
 		return
 	case errors.Is(err, data.ErrPersist):
 		// Valid input, but durable storage failed: a server fault.
-		s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
 		return
 	default:
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, v1.UploadResponse{Success: true, SampleID: id})
+	WriteJSON(w, http.StatusCreated, v1.UploadResponse{Success: true, SampleID: id})
 }
 
 func labelStats(stats []data.LabelStat) []v1.LabelStat {
@@ -287,7 +280,7 @@ func labelStats(stats []data.LabelStat) []v1.LabelStat {
 func (s *Server) handleListData(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
 	limit, offset, err := pageParams(r, defaultPageSize, maxPageSize)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	ds := p.Dataset()
@@ -302,7 +295,7 @@ func (s *Server) handleListData(w http.ResponseWriter, r *http.Request, u *proje
 			Category: string(sm.Category), Frames: sm.Shape.Frames,
 		})
 	}
-	writeJSON(w, http.StatusOK, v1.ListDataResponse{
+	WriteJSON(w, http.StatusOK, v1.ListDataResponse{
 		Success: true,
 		Samples: samples,
 		Stats:   labelStats(ds.Stats()),
@@ -313,10 +306,10 @@ func (s *Server) handleListData(w http.ResponseWriter, r *http.Request, u *proje
 
 func (s *Server) handleDeleteSample(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
 	if err := p.Dataset().Remove(r.PathValue("sample")); err != nil {
-		s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
+		WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, v1.OK{Success: true})
+	WriteJSON(w, http.StatusOK, v1.OK{Success: true})
 }
 
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
@@ -326,14 +319,14 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request, u *proj
 		return
 	}
 	if req.TestFraction <= 0 || req.TestFraction >= 1 {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "test_fraction must be in (0,1)")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "test_fraction must be in (0,1)")
 		return
 	}
 	if err := p.Dataset().Rebalance(req.TestFraction); err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, v1.RebalanceResponse{Success: true, Stats: labelStats(p.Dataset().Stats())})
+	WriteJSON(w, http.StatusOK, v1.RebalanceResponse{Success: true, Stats: labelStats(p.Dataset().Stats())})
 }
 
 func (s *Server) handleSetImpulse(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
@@ -344,17 +337,17 @@ func (s *Server) handleSetImpulse(w http.ResponseWriter, r *http.Request, u *pro
 	}
 	cfg, err := core.ParseConfig(body)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	imp, err := core.FromConfig(cfg)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	p.SetImpulse(imp)
 	shape, _ := imp.FeatureShape()
-	writeJSON(w, http.StatusOK, v1.SetImpulseResponse{
+	WriteJSON(w, http.StatusOK, v1.SetImpulseResponse{
 		Success: true, FeatureShape: shape, Dataflow: imp.Describe(),
 		Blocks: featureBlocks(imp),
 	})
@@ -379,15 +372,15 @@ func featureBlocks(imp *core.Impulse) []v1.FeatureBlock {
 func (s *Server) handleGetImpulse(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
 	imp := p.Impulse()
 	if imp == nil {
-		s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, "no impulse configured")
+		WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, "no impulse configured")
 		return
 	}
 	cfg, err := json.Marshal(imp.Config())
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, v1.GetImpulseResponse{
+	WriteJSON(w, http.StatusOK, v1.GetImpulseResponse{
 		Success: true, Impulse: cfg, Version: core.ConfigVersion,
 		Trained: imp.Model != nil, Quantized: imp.QModel != nil,
 		Dataflow: imp.Describe(), Blocks: featureBlocks(imp),
@@ -402,11 +395,11 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request, u *project.
 	}
 	base := p.Impulse()
 	if base == nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "configure an impulse first")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "configure an impulse first")
 		return
 	}
 	if p.Dataset().Len() == 0 {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "project has no data")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "project has no data")
 		return
 	}
 	// Training runs in the interactive class: a user is watching the
@@ -434,7 +427,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request, u *project.
 		s.submitError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, v1.JobAccepted{Success: true, JobID: job.ID})
+	WriteJSON(w, http.StatusAccepted, v1.JobAccepted{Success: true, JobID: job.ID})
 }
 
 // submitError maps a scheduler admission failure: a tenant over its
@@ -443,11 +436,11 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request, u *project.
 func (s *Server) submitError(w http.ResponseWriter, r *http.Request, err error) {
 	if errors.Is(err, jobs.ErrQuotaExceeded) {
 		w.Header().Set("Retry-After", "1")
-		s.writeError(w, r, http.StatusTooManyRequests, v1.CodeRateLimited, err.Error())
+		WriteError(w, r, http.StatusTooManyRequests, v1.CodeRateLimited, err.Error())
 		return
 	}
 	w.Header().Set("Retry-After", "2")
-	s.writeError(w, r, http.StatusServiceUnavailable, v1.CodeUnavailable, err.Error())
+	WriteError(w, r, http.StatusServiceUnavailable, v1.CodeUnavailable, err.Error())
 }
 
 func (s *Server) handleTuner(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
@@ -458,11 +451,11 @@ func (s *Server) handleTuner(w http.ResponseWriter, r *http.Request, u *project.
 	}
 	base := p.Impulse()
 	if base == nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "configure an impulse first")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "configure an impulse first")
 		return
 	}
 	if p.Dataset().Len() == 0 {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "project has no data")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "project has no data")
 		return
 	}
 	tgt := device.Target{}
@@ -470,7 +463,7 @@ func (s *Server) handleTuner(w http.ResponseWriter, r *http.Request, u *project.
 		var err error
 		tgt, err = device.Get(req.Target)
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+			WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 			return
 		}
 	}
@@ -503,7 +496,7 @@ func (s *Server) handleTuner(w http.ResponseWriter, r *http.Request, u *project.
 		s.submitError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, v1.JobAccepted{Success: true, JobID: job.ID})
+	WriteJSON(w, http.StatusAccepted, v1.JobAccepted{Success: true, JobID: job.ID})
 }
 
 func tunerTrials(trials []tuner.Trial) []v1.TunerTrial {
@@ -560,15 +553,15 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, u *proje
 	}
 	imp := p.Impulse()
 	if imp == nil || imp.Model == nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "impulse is not trained")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "impulse is not trained")
 		return
 	}
 	res, err := imp.ClassifyWindow(imp.SignalFor(req.Features), req.Quantized)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, v1.ClassifyResponse{
+	WriteJSON(w, http.StatusOK, v1.ClassifyResponse{
 		Success: true, Label: res.Label,
 		Classification: res.Scores, Anomaly: res.AnomalyScore,
 	})
@@ -588,24 +581,24 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request, u *
 	}
 	imp := p.Impulse()
 	if imp == nil || imp.Model == nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "impulse is not trained")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "impulse is not trained")
 		return
 	}
 	if len(req.Windows) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "batch has no windows")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "batch has no windows")
 		return
 	}
 	want := imp.WindowLen()
 	for i, win := range req.Windows {
 		if len(win) != want {
-			s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest,
+			WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest,
 				fmt.Sprintf("batch window %d has %d values, the impulse takes %d", i, len(win), want))
 			return
 		}
 	}
 	results, err := imp.ClassifyBatch(req.Windows, req.Quantized)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	out := v1.ClassifyBatchResponse{Success: true, Results: make([]v1.ClassifyWindowResult, len(results))}
@@ -614,13 +607,13 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request, u *
 			Label: res.Label, Classification: res.Scores, Anomaly: res.AnomalyScore,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
 	imp := p.Impulse()
 	if imp == nil || imp.Model == nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "impulse is not trained")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "impulse is not trained")
 		return
 	}
 	quantized := r.URL.Query().Get("quantized") == "true"
@@ -629,7 +622,7 @@ func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request, u *pro
 	case "eim":
 		blob, err := imp.MarshalArtifact()
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+			WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -648,18 +641,18 @@ func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request, u *pro
 			art, err = deploy.CPPLibrary(imp, quantized)
 		}
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+			WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 			return
 		}
 		files := map[string]string{}
 		for name, content := range art.Files {
 			files[name] = base64.StdEncoding.EncodeToString(content)
 		}
-		writeJSON(w, http.StatusOK, v1.DeploymentResponse{
+		WriteJSON(w, http.StatusOK, v1.DeploymentResponse{
 			Success: true, Kind: art.Kind, Files: files,
 		})
 	default:
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "unknown deployment type "+kind)
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "unknown deployment type "+kind)
 	}
 }
 
@@ -668,7 +661,7 @@ func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request, u *pro
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
 	imp := p.Impulse()
 	if imp == nil || imp.Model == nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "impulse is not trained")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "impulse is not trained")
 		return
 	}
 	targetID := r.URL.Query().Get("target")
@@ -677,18 +670,18 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, u *projec
 	}
 	tgt, err := device.Get(targetID)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	specs, err := imp.Model.Spec()
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
 		return
 	}
 	est := renode.EstimateFloat(tgt, imp.DSPCost(), specs, renode.TFLM)
 	mem, err := profiler.EstimateFloat(imp.Model, renode.TFLM)
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
 		return
 	}
 	out := v1.ProfileResponse{
@@ -710,7 +703,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, u *projec
 			Fits: profiler.Fits(qMem, imp.DSPRAM(), tgt),
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func projectVersion(v project.Version) v1.ProjectVersion {
@@ -728,13 +721,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, u *proje
 		return
 	}
 	v := p.Snapshot(req.Note)
-	writeJSON(w, http.StatusCreated, v1.SnapshotResponse{Success: true, Version: projectVersion(v)})
+	WriteJSON(w, http.StatusCreated, v1.SnapshotResponse{Success: true, Version: projectVersion(v)})
 }
 
 func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
 	limit, offset, err := pageParams(r, defaultPageSize, maxPageSize)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	window, page := paginate(p.Versions(), limit, offset)
@@ -742,7 +735,7 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request, u *proje
 	for _, v := range window {
 		out = append(out, projectVersion(v))
 	}
-	writeJSON(w, http.StatusOK, v1.VersionsResponse{Success: true, Versions: out, Page: page})
+	WriteJSON(w, http.StatusOK, v1.VersionsResponse{Success: true, Versions: out, Page: page})
 }
 
 // authorizeJob resolves a job and enforces the owning project's access
@@ -755,13 +748,13 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request, u *proje
 func (s *Server) authorizeJob(w http.ResponseWriter, r *http.Request, u *project.User) (*jobs.Job, bool) {
 	j, err := s.sched.Get(r.PathValue("job"))
 	if err != nil {
-		s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
+		WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
 		return nil, false
 	}
 	if pid, ok := j.Tag.(int); ok {
 		p, err := s.registry.GetProject(pid)
 		if err != nil || !p.CanAccess(u.ID) {
-			s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, "jobs: no job "+j.ID)
+			WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, "jobs: no job "+j.ID)
 			return nil, false
 		}
 	}
@@ -784,7 +777,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request, u *project
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, v1.JobResponse{Success: true, Job: jobView(j)})
+	WriteJSON(w, http.StatusOK, v1.JobResponse{Success: true, Job: jobView(j)})
 }
 
 // Long-poll bounds for GET /jobs/{job}/wait.
@@ -802,16 +795,16 @@ func (s *Server) handleJobWait(w http.ResponseWriter, r *http.Request, u *projec
 	}
 	timeout, ok := waitTimeout(r)
 	if !ok {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "timeout_ms must be a positive integer")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "timeout_ms must be a positive integer")
 		return
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case <-j.Done():
-		writeJSON(w, http.StatusOK, v1.JobWaitResponse{Success: true, Done: true, Job: jobView(j)})
+		WriteJSON(w, http.StatusOK, v1.JobWaitResponse{Success: true, Done: true, Job: jobView(j)})
 	case <-timer.C:
-		writeJSON(w, http.StatusOK, v1.JobWaitResponse{Success: true, Done: false, Job: jobView(j)})
+		WriteJSON(w, http.StatusOK, v1.JobWaitResponse{Success: true, Done: false, Job: jobView(j)})
 	case <-r.Context().Done():
 		// Client went away mid-poll; mark it so metrics don't count
 		// this as a handler failure.
@@ -827,13 +820,13 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, u *proj
 	id := j.ID
 	res, ok := s.results.Get(id)
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, "no result for job "+id+" (still running?)")
+		WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, "no result for job "+id+" (still running?)")
 		return
 	}
 	raw, err := json.Marshal(res.Value)
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, v1.JobResultResponse{Success: true, Kind: res.Kind, Result: raw})
+	WriteJSON(w, http.StatusOK, v1.JobResultResponse{Success: true, Kind: res.Kind, Result: raw})
 }

@@ -39,10 +39,10 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request, u *proj
 	_, cancelled, err := s.sched.Cancel(j.ID)
 	if err != nil {
 		// The job was evicted between authorization and cancel.
-		s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
+		WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, v1.CancelJobResponse{Success: true, Cancelled: cancelled, Job: jobView(j)})
+	WriteJSON(w, http.StatusOK, v1.CancelJobResponse{Success: true, Cancelled: cancelled, Job: jobView(j)})
 }
 
 // setStreamingHeaders marks a response as a live NDJSON feed: no-cache
@@ -89,7 +89,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, u *proj
 	}
 	after, ok := eventsAfter(r)
 	if !ok {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest,
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest,
 			"from / Last-Event-Id must be a non-negative integer")
 		return
 	}
@@ -124,7 +124,7 @@ func tailEvents[E, V any](w http.ResponseWriter, r *http.Request, log *eventlog.
 func (s *Server) pollJobEvents(w http.ResponseWriter, r *http.Request, j *jobs.Job, after int64) {
 	timeout, ok := waitTimeout(r)
 	if !ok {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "timeout_ms must be a positive integer")
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "timeout_ms must be a positive integer")
 		return
 	}
 	replay, ch, cancel := j.Events.Subscribe(after)
@@ -148,7 +148,7 @@ func (s *Server) pollJobEvents(w http.ResponseWriter, r *http.Request, j *jobs.J
 		out.Events = append(out.Events, eventView(e))
 		out.NextSeq = e.Seq
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // waitTimeout parses timeout_ms with the long-poll default and cap.

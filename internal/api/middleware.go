@@ -4,50 +4,127 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"log/slog"
 	"net"
 	"net/http"
 	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	v1 "edgepulse/internal/api/v1"
 	"edgepulse/internal/core"
-)
-
-// middleware wraps a handler with one cross-cutting concern. The chain
-// is assembled once in NewServer; per-route instrumentation happens at
-// registration time so metrics are keyed by route pattern, not raw URL.
-type middleware func(http.Handler) http.Handler
-
-// chain applies middlewares so that the first argument is outermost.
-func chain(h http.Handler, mws ...middleware) http.Handler {
-	for i := len(mws) - 1; i >= 0; i-- {
-		h = mws[i](h)
-	}
-	return h
-}
-
-// --- request IDs ---
-
-type ctxKey int
-
-const (
-	requestIDKey ctxKey = iota
-	// authUserKey carries the *project.User the rate limiter already
-	// resolved, so the auth adapter can skip a second lookup.
-	authUserKey
+	"edgepulse/internal/project"
+	"edgepulse/internal/resilience"
 )
 
 // RequestIDHeader carries the request correlation ID.
 const RequestIDHeader = "X-Request-Id"
 
-// RequestID returns the correlation ID attached by the middleware, or
+// frameKey is the context key of a request's *Frame.
+type frameKey struct{}
+
+// RequestID returns the correlation ID of the request ctx belongs to, or
 // "" outside a request.
 func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
+	if f, ok := ctx.Value(frameKey{}).(*Frame); ok {
+		return f.id
+	}
+	return ""
+}
+
+// Frame is the one record of a request in flight, on a worker and on the
+// cluster gateway alike. It is the http.ResponseWriter every handler
+// writes through, so it sees the status and bytes, and it carries the
+// start time, the request ID, the route label, the user the rate limiter
+// authenticated and the node that served the request. An Observer
+// allocates it once per request and stores it in the request context.
+type Frame struct {
+	http.ResponseWriter
+	status int
+	bytes  int64
+	start  time.Time
+	id     string
+	route  string
+	// untimed records the request with zero duration: a held-open stream
+	// (its lifetime goes to stream metrics) or a request no route served.
+	untimed bool
+	user    *project.User
+	node    string
+	shard   int
+}
+
+// SetRoute sets the label the request is recorded under.
+func (f *Frame) SetRoute(route string) { f.route = route }
+
+// SetNode names the cluster node, and its shard, that served the request.
+func (f *Frame) SetNode(name string, shard int) { f.node, f.shard = name, shard }
+
+func (f *Frame) WriteHeader(code int) {
+	if f.status == 0 {
+		f.status = code
+	}
+	f.ResponseWriter.WriteHeader(code)
+}
+
+func (f *Frame) Write(b []byte) (int, error) {
+	if f.status == 0 {
+		f.status = http.StatusOK
+	}
+	n, err := f.ResponseWriter.Write(b)
+	f.bytes += int64(n)
+	return n, err
+}
+
+// Flush forwards http.Flusher, so streaming endpoints can push chunks
+// mid-handler; embedding alone would hide the connection's Flush.
+func (f *Frame) Flush() {
+	if fl, ok := f.ResponseWriter.(http.Flusher); ok {
+		fl.Flush()
+	}
+}
+
+// Unwrap lets http.NewResponseController reach the connection's writer
+// for what the frame does not forward itself (EnableFullDuplex, write
+// deadlines).
+func (f *Frame) Unwrap() http.ResponseWriter { return f.ResponseWriter }
+
+// Observer opens and ends the request frames of one server. Its End is
+// the one place a request is recorded under its route, a panic becomes
+// the 500 envelope and the access line is written, so a worker and the
+// cluster gateway count and log requests the same way.
+type Observer struct {
+	Routes RouteRecorder
+	log    *slog.Logger
+	// msg is the access line's message; node and shard, when node is
+	// not "", name the server itself on every line.
+	msg    string
+	node   string
+	shard  int
+	panics atomic.Int64
+}
+
+// NewObserver returns an Observer whose access lines go to log under msg.
+func NewObserver(log *slog.Logger, msg string) *Observer {
+	return &Observer{log: log, msg: msg}
+}
+
+// Panics counts the handler panics End answered with a 500.
+func (o *Observer) Panics() int64 { return o.panics.Load() }
+
+// Begin opens w's frame for r. It honors an incoming X-Request-Id of at
+// most 64 bytes (so IDs propagate through multi-hop automation) or mints
+// one, echoes it on the response and returns r with the frame in its
+// context. The caller must defer End with the returned frame and request.
+func (o *Observer) Begin(w http.ResponseWriter, r *http.Request) (*Frame, *http.Request) {
+	f := &Frame{ResponseWriter: w, start: time.Now(), id: r.Header.Get(RequestIDHeader), node: o.node, shard: o.shard}
+	if f.id == "" || len(f.id) > 64 {
+		f.id = newRequestID()
+	}
+	w.Header().Set(RequestIDHeader, f.id)
+	return f, r.WithContext(context.WithValue(r.Context(), frameKey{}, f))
 }
 
 func newRequestID() string {
@@ -55,113 +132,54 @@ func newRequestID() string {
 	if _, err := rand.Read(b[:]); err != nil {
 		return "req-unknown"
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
-// withRequestID honors an incoming X-Request-Id (so IDs propagate
-// through multi-hop automation) or mints one, stores it in the context
-// and echoes it on the response.
-func withRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(RequestIDHeader)
-		if id == "" || len(id) > 64 {
-			id = newRequestID()
+// End closes f. A panic in the handler is answered with the 500 envelope
+// and logged with the panicking goroutine's stack (a batch window's
+// panic, re-raised by core.Impulse.ClassifyBatch, also carries the
+// worker goroutine's stack); http.ErrAbortHandler is re-raised once the
+// request is recorded. The request is then recorded once under its
+// route and the one access line is written. End must be deferred by
+// Begin's caller: recover works only there.
+func (o *Observer) End(f *Frame, r *http.Request) {
+	rec := recover()
+	if rec != nil && rec != http.ErrAbortHandler {
+		o.panics.Add(1)
+		fields := []any{"method", r.Method, "path", r.URL.Path,
+			"panic", rec, "request_id", f.id, "stack", string(debug.Stack())}
+		if wp, ok := rec.(*core.WindowPanic); ok {
+			fields = append(fields, "worker_stack", string(wp.Stack))
 		}
-		w.Header().Set(RequestIDHeader, id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey, id)))
-	})
-}
-
-// --- response observation ---
-
-// statusWriter records the status code and bytes written, for logging
-// and metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
+		o.log.Error("panic in handler", fields...)
+		WriteError(f, r, http.StatusInternalServerError, v1.CodeInternal, "internal server error")
 	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
+	dur, recorded := time.Since(f.start), time.Duration(0)
+	if !f.untimed {
+		recorded = dur
 	}
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += int64(n)
-	return n, err
-}
-
-// Flush forwards http.Flusher through the wrapper so streaming
-// endpoints (the job event feed) can push chunks mid-handler. Embedding
-// alone would hide the underlying connection's Flush.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
+	o.Routes.Record(f.route, f.status, recorded)
+	line := [...]slog.Attr{
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", f.status),
+		slog.Int64("bytes", f.bytes),
+		slog.Float64("duration_ms", float64(dur.Microseconds())/1000),
+		slog.String("route", f.route),
+		slog.String("request_id", f.id),
+		slog.String("node", f.node),
+		slog.Int("shard", f.shard),
 	}
-}
-
-// Unwrap lets http.NewResponseController reach the underlying writer
-// for capabilities we don't forward explicitly (EnableFullDuplex,
-// deadline control on the NDJSON duplex endpoint).
-func (w *statusWriter) Unwrap() http.ResponseWriter {
-	return w.ResponseWriter
-}
-
-// withLogging emits one structured line per request. Clustered nodes
-// add their shard id, so one request id traces across the gateway hop
-// to the shard that served it.
-func (s *Server) withLogging(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		fields := []any{
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status,
-			"bytes", sw.bytes,
-			"duration_ms", float64(time.Since(start).Microseconds()) / 1000,
-			"request_id", RequestID(r.Context()),
-		}
-		if s.cluster != nil {
-			fields = append(fields, "shard", s.cluster.shard)
-		}
-		s.log.Info("request", fields...)
-	})
-}
-
-// withRecovery converts handler panics into a 500 error envelope
-// instead of tearing down the connection, logging the panicking
-// goroutine's stack so the 500 can be traced to its source. A batch
-// window's panic arrives re-raised by core.Impulse.ClassifyBatch; its
-// record also carries the worker goroutine's stack.
-func (s *Server) withRecovery(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if rec == http.ErrAbortHandler {
-					panic(rec)
-				}
-				s.metrics.panic()
-				fields := []any{"method", r.Method, "path", r.URL.Path,
-					"panic", rec, "request_id", RequestID(r.Context()),
-					"stack", string(debug.Stack())}
-				if wp, ok := rec.(*core.WindowPanic); ok {
-					fields = append(fields, "worker_stack", string(wp.Stack))
-				}
-				s.log.Error("panic in handler", fields...)
-				s.writeError(w, r, http.StatusInternalServerError, v1.CodeInternal, "internal server error")
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
+	n := len(line)
+	if f.node == "" { // no node served it: drop node and shard, the last two
+		n -= 2
+	}
+	o.log.LogAttrs(r.Context(), slog.LevelInfo, o.msg, line[:n]...)
+	if rec == http.ErrAbortHandler {
+		panic(rec)
+	}
 }
 
 // --- rate limiting ---
@@ -273,12 +291,6 @@ func (rl *rateLimiter) prune(now time.Time) {
 // users (POST /users is unauthenticated, so keys are free).
 const aggFactor = 10
 
-// withRateLimit enforces the per-key budget before any handler work.
-// Only API keys that actually authenticate get their own bucket —
-// unauthenticated and invalid keys share the client IP's bucket, so
-// rotating random keys cannot mint fresh burst allowances — and all
-// authenticated traffic is additionally bounded by an aggregate per-IP
-// bucket at aggFactor× the per-key budget.
 // clientHost resolves the client address for rate limiting. Behind a
 // reverse proxy every connection shares the proxy's RemoteAddr, which
 // would collapse all tenants into one IP bucket — WithTrustProxy opts
@@ -303,47 +315,48 @@ func (s *Server) clientHost(r *http.Request) string {
 	return host
 }
 
-func (s *Server) withRateLimit(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.limiter == nil { // WithRateLimit(0, _): limiting disabled
-			next.ServeHTTP(w, r)
-			return
-		}
-		if isHealthPath(r.URL.Path) || isClusterPath(r.URL.Path) {
-			// Probes bypass the limiter: an orchestrator polling through
-			// a shared NAT must never be throttled into flapping the
-			// instance out of rotation. The cluster plane does too — a
-			// follower tailing replication must not be throttled into
-			// falling behind (it is token-guarded, not public).
-			next.ServeHTTP(w, r)
-			return
-		}
-		host := s.clientHost(r)
-		now := time.Now()
-		allowed, authenticated := false, false
-		if apiKey := r.Header.Get("x-api-key"); apiKey != "" {
-			if u, err := s.registry.Authenticate(apiKey); err == nil {
-				authenticated = true
-				allowed = allowBoth(s.limiter, "key:"+apiKey, s.aggLimiter, host, now)
-				if allowed {
-					// Stash the resolved user so the auth adapter
-					// doesn't authenticate a second time.
-					r = r.WithContext(context.WithValue(r.Context(), authUserKey, u))
-				}
+// admit enforces the per-key budget before any handler work and reports
+// whether the request may proceed; a refused one is answered 429 under
+// the (rate-limited) label. Only API keys that actually authenticate get
+// their own bucket — unauthenticated and invalid keys share the client
+// IP's bucket, so rotating random keys cannot mint fresh burst
+// allowances — and all authenticated traffic is additionally bounded by
+// an aggregate per-IP bucket at aggFactor× the per-key budget. The user
+// a key resolves to stays on the frame, so auth does not look it up
+// again.
+func (s *Server) admit(f *Frame, r *http.Request) bool {
+	if s.limiter == nil { // WithRateLimit(0, _): limiting disabled
+		return true
+	}
+	if isHealthPath(r.URL.Path) || isClusterPath(r.URL.Path) {
+		// Probes bypass the limiter: an orchestrator polling through
+		// a shared NAT must never be throttled into flapping the
+		// instance out of rotation. The cluster plane does too — a
+		// follower tailing replication must not be throttled into
+		// falling behind (it is token-guarded, not public).
+		return true
+	}
+	host := s.clientHost(r)
+	now := time.Now()
+	allowed, authenticated := false, false
+	if apiKey := r.Header.Get(apiKeyHeader); apiKey != "" {
+		if u, err := s.registry.Authenticate(apiKey); err == nil {
+			authenticated = true
+			allowed = allowBoth(s.limiter, "key:"+apiKey, s.aggLimiter, host, now)
+			if allowed {
+				f.user = u
 			}
 		}
-		if !authenticated {
-			allowed = s.limiter.allow("ip:"+host, now)
-		}
-		if !allowed {
-			s.metrics.rateLimit()
-			s.metrics.routes.Record(routeThrottled, http.StatusTooManyRequests, 0)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, r, http.StatusTooManyRequests, v1.CodeRateLimited, "rate limit exceeded, retry later")
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
+	}
+	if !authenticated {
+		allowed = s.limiter.allow("ip:"+host, now)
+	}
+	if !allowed {
+		f.route, f.untimed = routeThrottled, true
+		f.Header().Set("Retry-After", "1")
+		WriteError(f, r, http.StatusTooManyRequests, v1.CodeRateLimited, "rate limit exceeded, retry later")
+	}
+	return allowed
 }
 
 // --- metrics ---
@@ -355,19 +368,20 @@ const (
 	routeThrottled = "(rate-limited)"
 )
 
-// apiMetrics aggregates request counters per v1 route pattern. Requests
-// that miss every route or are throttled before dispatch are counted
-// under the synthetic (unmatched) and (rate-limited) labels.
+// apiMetrics is a worker's Observer plus the counters only a worker
+// keeps. Requests that miss every route or are throttled before dispatch
+// are recorded under the synthetic (unmatched) and (rate-limited)
+// labels.
 type apiMetrics struct {
-	start  time.Time
-	routes RouteRecorder
+	Observer
+	start time.Time
+	// gate's per-class sheds are the shed total: withGate is its only
+	// caller.
+	gate *resilience.Gate
 
-	mu          sync.Mutex
-	rateLimited int64
-	panics      int64
-	sheds       int64
-	deadlines   int64
-	streams     map[string]*streamStat
+	mu        sync.Mutex
+	deadlines int64
+	streams   map[string]*streamStat
 }
 
 // RouteRecorder counts requests, 4xx and 5xx answers and latency per
@@ -394,10 +408,12 @@ type streamStat struct {
 	totalDur time.Duration
 }
 
-func newAPIMetrics() *apiMetrics {
+func newAPIMetrics(log *slog.Logger, gate *resilience.Gate) *apiMetrics {
 	return &apiMetrics{
-		start:   time.Now(),
-		streams: map[string]*streamStat{},
+		Observer: Observer{log: log, msg: "request"},
+		start:    time.Now(),
+		gate:     gate,
+		streams:  map[string]*streamStat{},
 	}
 }
 
@@ -472,27 +488,8 @@ func (m *apiMetrics) streamEnd(route string, dur time.Duration) {
 	st.totalDur += dur
 }
 
-func (m *apiMetrics) rateLimit() {
-	m.mu.Lock()
-	m.rateLimited++
-	m.mu.Unlock()
-}
-
-func (m *apiMetrics) panic() {
-	m.mu.Lock()
-	m.panics++
-	m.mu.Unlock()
-}
-
-// shedRequest counts a request refused by the admission gate (429
-// "overloaded"); deadlineTimeout counts a request answered 504 because
-// its budget expired before the handler wrote anything.
-func (m *apiMetrics) shedRequest() {
-	m.mu.Lock()
-	m.sheds++
-	m.mu.Unlock()
-}
-
+// deadlineTimeout counts a request answered 504 because its budget
+// expired before the handler wrote anything.
 func (m *apiMetrics) deadlineTimeout() {
 	m.mu.Lock()
 	m.deadlines++
@@ -500,8 +497,21 @@ func (m *apiMetrics) deadlineTimeout() {
 }
 
 // snapshot renders the counters as the v1 DTO, routes sorted by name.
+// The rate-limited total is the (rate-limited) route's count and the
+// shed total the sum of the gate's per-class sheds.
 func (m *apiMetrics) snapshot() v1.MetricsResponse {
-	routes, requests := m.routes.Snapshot()
+	routes, requests := m.Routes.Snapshot()
+	var throttled int64
+	for _, rt := range routes {
+		if rt.Route == routeThrottled {
+			throttled = rt.Count
+		}
+	}
+	gm := m.gate.Metrics()
+	var shed int64
+	for _, n := range gm.Shed {
+		shed += n
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	streams := make([]v1.StreamRouteMetrics, 0, len(m.streams))
@@ -519,51 +529,17 @@ func (m *apiMetrics) snapshot() v1.MetricsResponse {
 		Success:       true,
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Requests:      requests,
-		RateLimited:   m.rateLimited,
-		Panics:        m.panics,
+		RateLimited:   throttled,
+		Panics:        m.Panics(),
 		Routes:        routes,
 		Streams:       streams,
 		Resilience: &v1.ResilienceMetrics{
-			Shed:             m.sheds,
+			Level:            gm.Level,
+			Score:            gm.Score,
+			Inflight:         gm.Inflight,
+			Shed:             shed,
+			ShedByClass:      gm.Shed,
 			DeadlineTimeouts: m.deadlines,
 		},
 	}
-}
-
-// instrument wraps one route's handler to record per-route counters
-// under the given (v1) pattern. Layering, outermost first: statusWriter
-// + metrics, admission gate, deadline budget, handler — so gate 429s
-// and deadline 504s are counted per route, and withDeadline can ask the
-// statusWriter whether the handler wrote anything before answering 504.
-func (s *Server) instrument(route string, ro routeOpts, h http.Handler) http.Handler {
-	inner := s.withGate(ro, s.withDeadline(ro.effectiveBudget(), h))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		defer func() {
-			s.metrics.routes.Record(route, sw.status, time.Since(start))
-		}()
-		inner.ServeHTTP(sw, r)
-	})
-}
-
-// instrumentStream wraps a long-lived streaming route: the request
-// counter still records status and errors, but the connection's
-// lifetime is accounted under stream metrics with zero request
-// duration, so held-open feeds don't distort the route's latency. The
-// admission gate still applies (a shed feed is cheap to retry); no
-// deadline does — the connection manages its own lifetime.
-func (s *Server) instrumentStream(route string, ro routeOpts, h http.Handler) http.Handler {
-	inner := s.withGate(ro, h)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		s.metrics.streamStart(route)
-		defer func() {
-			dur := time.Since(start)
-			s.metrics.streamEnd(route, dur)
-			s.metrics.routes.Record(route, sw.status, 0)
-		}()
-		inner.ServeHTTP(sw, r)
-	})
 }

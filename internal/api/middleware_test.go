@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -145,7 +146,7 @@ func TestPanicRecoveryEnvelope(t *testing.T) {
 	t.Cleanup(sched.Shutdown)
 	var logs lockedBuffer
 	s := NewServer(reg, sched, WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
-	s.mux.Handle("GET /api/v1/boom", s.instrument("GET /api/v1/boom", defaultOpts, http.HandlerFunc(panickingHandler)))
+	s.route("GET /boom", defaultOpts, panickingHandler)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
@@ -384,10 +385,14 @@ func TestJobWaitLongPoll(t *testing.T) {
 	if out["done"] != false {
 		t.Fatalf("running job reported done: %v", out)
 	}
-	// Release mid-poll: the long poll returns done=true well before the
-	// timeout instead of busy-waiting.
+	// Release mid-poll, once the wait request holds its gate slot: the
+	// long poll returns done=true well before the timeout instead of
+	// busy-waiting.
 	go func() {
-		time.Sleep(30 * time.Millisecond)
+		deadline := time.Now().Add(5 * time.Second)
+		for e.api.gate.Metrics().Inflight == 0 && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
 		close(release)
 	}()
 	start := time.Now()

@@ -29,11 +29,9 @@ const (
 // default budget.
 type routeOpts struct {
 	class resilience.Class
-	// budget is the context deadline applied around the handler;
-	// noDeadline disables it (streaming and long-poll routes manage
-	// their own lifetimes).
-	budget     time.Duration
-	noDeadline bool
+	// budget is the context deadline applied around the handler
+	// (stream routes get none: they manage their own lifetimes).
+	budget time.Duration
 	// exempt bypasses the admission gate (health probes must answer
 	// while shedding, or the orchestrator would kill an overloaded but
 	// healthy instance).
@@ -41,9 +39,6 @@ type routeOpts struct {
 }
 
 func (ro routeOpts) effectiveBudget() time.Duration {
-	if ro.noDeadline {
-		return 0
-	}
 	if ro.budget > 0 {
 		return ro.budget
 	}
@@ -129,9 +124,8 @@ func (s *Server) withGate(ro routeOpts, next http.Handler) http.Handler {
 			if errors.As(err, &shed) && shed.RetryAfter > 0 {
 				retryAfter = shed.RetryAfter
 			}
-			s.metrics.shedRequest()
 			w.Header().Set("Retry-After", strconv.Itoa(int((retryAfter+time.Second-1)/time.Second)))
-			s.writeError(w, r, http.StatusTooManyRequests, v1.CodeOverloaded,
+			WriteError(w, r, http.StatusTooManyRequests, v1.CodeOverloaded,
 				"server overloaded, "+ro.class.String()+"-class request shed; retry later")
 			return
 		}
@@ -141,9 +135,10 @@ func (s *Server) withGate(ro routeOpts, next http.Handler) http.Handler {
 }
 
 // withDeadline bounds the handler with the route's timeout budget. When
-// the budget expires before the handler has written anything, the
-// request is answered 504 with the stable "deadline" code; a handler
-// that already started its response keeps the status it wrote.
+// the budget expires before the handler has written anything (the
+// frame holds no status), the request is answered 504 with the stable
+// "deadline" code; a handler that already started its response keeps
+// the status it wrote.
 func (s *Server) withDeadline(budget time.Duration, next http.Handler) http.Handler {
 	if budget <= 0 {
 		return next
@@ -155,9 +150,9 @@ func (s *Server) withDeadline(budget time.Duration, next http.Handler) http.Hand
 		if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			return
 		}
-		if sw, ok := w.(*statusWriter); ok && sw.status == 0 {
+		if f, ok := w.(*Frame); ok && f.status == 0 {
 			s.metrics.deadlineTimeout()
-			s.writeError(w, r, http.StatusGatewayTimeout, v1.CodeDeadline,
+			WriteError(w, r, http.StatusGatewayTimeout, v1.CodeDeadline,
 				"request exceeded its processing deadline")
 		}
 	})
@@ -167,7 +162,7 @@ func (s *Server) withDeadline(budget time.Duration, next http.Handler) http.Hand
 // serve HTTP, independent of load or dependency state, so orchestrators
 // restart only truly dead processes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, v1.HealthResponse{
+	WriteJSON(w, http.StatusOK, v1.HealthResponse{
 		Success:       true,
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
@@ -184,7 +179,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !rd.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, v1.ReadyResponse{
+	WriteJSON(w, status, v1.ReadyResponse{
 		Success:  rd.Ready,
 		Ready:    rd.Ready,
 		Draining: rd.Draining,

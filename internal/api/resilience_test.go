@@ -122,13 +122,12 @@ func TestDeadlineBudgetMapsTo504(t *testing.T) {
 	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 1})
 	t.Cleanup(sched.Shutdown)
 	s := NewServer(reg, sched)
-	s.mux.Handle("GET /api/v1/slow", s.instrument("GET /api/v1/slow",
-		routeOpts{budget: 20 * time.Millisecond}, http.HandlerFunc(
-			func(w http.ResponseWriter, r *http.Request) {
-				// Overrun the budget without ever writing: the middleware
-				// owns the response.
-				<-r.Context().Done()
-			})))
+	s.route("GET /slow", routeOpts{budget: 20 * time.Millisecond},
+		func(w http.ResponseWriter, r *http.Request) {
+			// Overrun the budget without ever writing: the deadline
+			// layer owns the response.
+			<-r.Context().Done()
+		})
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
@@ -153,15 +152,14 @@ func TestDeadlineDoesNotClobberStartedResponse(t *testing.T) {
 	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 1})
 	t.Cleanup(sched.Shutdown)
 	s := NewServer(reg, sched)
-	s.mux.Handle("GET /api/v1/latewrite", s.instrument("GET /api/v1/latewrite",
-		routeOpts{budget: 20 * time.Millisecond}, http.HandlerFunc(
-			func(w http.ResponseWriter, r *http.Request) {
-				// The handler blows its budget but still writes its own
-				// response; the middleware must not append a 504 envelope.
-				<-r.Context().Done()
-				w.WriteHeader(http.StatusAccepted)
-				w.Write([]byte(`{"late":true}`))
-			})))
+	s.route("GET /latewrite", routeOpts{budget: 20 * time.Millisecond},
+		func(w http.ResponseWriter, r *http.Request) {
+			// The handler blows its budget but still writes its own
+			// response; the deadline layer must not append a 504 envelope.
+			<-r.Context().Done()
+			w.WriteHeader(http.StatusAccepted)
+			w.Write([]byte(`{"late":true}`))
+		})
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
@@ -183,8 +181,8 @@ func TestGateShedsWithRetryAfterAndAccounting(t *testing.T) {
 		MaxInflight: 1, SamplePeriod: time.Nanosecond,
 	}))
 	ok := func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(`{}`)) }
-	s.mux.Handle("GET /api/v1/work", s.instrument("GET /api/v1/work", defaultOpts, http.HandlerFunc(ok)))
-	s.mux.Handle("GET /api/v1/hot", s.instrument("GET /api/v1/hot", interactive, http.HandlerFunc(ok)))
+	s.route("GET /work", defaultOpts, ok)
+	s.route("GET /hot", interactive, ok)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
@@ -211,8 +209,8 @@ func TestGateShedsWithRetryAfterAndAccounting(t *testing.T) {
 	}
 	release()
 
-	// Shed accounting reaches the metrics DTO: middleware total plus the
-	// gate's per-class breakdown (merged in by handleMetrics).
+	// Shed accounting reaches the metrics DTO: the total is the sum of
+	// the gate's per-class breakdown.
 	snap := s.metrics.snapshot()
 	if snap.Resilience.Shed != 1 {
 		t.Fatalf("shed counter %d, want 1", snap.Resilience.Shed)
@@ -235,21 +233,21 @@ func TestGateShedsWithRetryAfterAndAccounting(t *testing.T) {
 
 func TestStatusWriterWriteAfterCancel(t *testing.T) {
 	// A handler whose client vanished mid-response: writes fail at the
-	// transport, but the statusWriter must keep its recorded status and
-	// not panic, so metrics still classify the request.
+	// transport, but the frame must keep its recorded status and not
+	// panic, so metrics still classify the request.
 	rec := httptest.NewRecorder()
-	sw := &statusWriter{ResponseWriter: rec}
-	sw.WriteHeader(statusClientClosedRequest)
-	if _, err := sw.Write([]byte("tail")); err != nil {
+	f := &Frame{ResponseWriter: rec}
+	f.WriteHeader(statusClientClosedRequest)
+	if _, err := f.Write([]byte("tail")); err != nil {
 		t.Fatal(err)
 	}
-	if sw.status != statusClientClosedRequest {
-		t.Fatalf("status %d", sw.status)
+	if f.status != statusClientClosedRequest || f.bytes != 4 {
+		t.Fatalf("status %d, %d bytes", f.status, f.bytes)
 	}
 	// Late WriteHeader calls don't overwrite the first status.
-	sw.WriteHeader(http.StatusOK)
-	if sw.status != statusClientClosedRequest {
-		t.Fatalf("status clobbered: %d", sw.status)
+	f.WriteHeader(http.StatusOK)
+	if f.status != statusClientClosedRequest {
+		t.Fatalf("status clobbered: %d", f.status)
 	}
 }
 

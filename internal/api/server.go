@@ -3,11 +3,12 @@
 // REST APIs, which allows users to automate the data collection, model
 // training, and deployment processes"). Every endpoint lives under
 // /api/v1 with typed request/response DTOs declared in internal/api/v1.
-// A composable middleware chain provides panic recovery,
-// request IDs, structured logging, per-API-key token-bucket rate
-// limiting, and request metrics (GET /api/v1/metrics). Failures use a
-// structured envelope {"success":false,"error":{"code":...,"message":...}}
-// with stable machine-readable codes.
+// Each request runs in one frame that provides its request ID, panic
+// recovery, request metrics (GET /api/v1/metrics) and one structured
+// access line; per-API-key token-bucket rate limiting runs before
+// dispatch. Failures use a structured envelope
+// {"success":false,"error":{"code":...,"message":...}} with stable
+// machine-readable codes.
 package api
 
 import (
@@ -70,7 +71,6 @@ type Server struct {
 	results *jobs.JobStore
 
 	mux     *http.ServeMux
-	handler http.Handler
 	log     *slog.Logger
 	limiter *rateLimiter
 	// aggLimiter bounds each client IP's aggregate authenticated
@@ -127,7 +127,6 @@ func NewServer(reg *project.Registry, sched *jobs.Scheduler, opts ...Option) *Se
 		log:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 		limiter:    newRateLimiter(100, 200),
 		aggLimiter: newRateLimiter(100*aggFactor, 200*aggFactor),
-		metrics:    newAPIMetrics(),
 		health:     resilience.NewHealth(),
 	}
 	for _, opt := range opts {
@@ -143,6 +142,10 @@ func NewServer(reg *project.Registry, sched *jobs.Scheduler, opts ...Option) *Se
 		s.gateCfg.Sample = s.sampleLoad
 	}
 	s.gate = resilience.NewGate(s.gateCfg)
+	s.metrics = newAPIMetrics(s.log, s.gate)
+	if s.cluster != nil {
+		s.metrics.node, s.metrics.shard = s.cluster.name, s.cluster.shard
+	}
 	s.registerHealthProbes()
 	if s.watchdogCfg != nil {
 		cfg := *s.watchdogCfg
@@ -156,42 +159,48 @@ func NewServer(reg *project.Registry, sched *jobs.Scheduler, opts ...Option) *Se
 	// so neither outlives the other unreachably.
 	sched.SetEvictHook(s.results.Delete)
 	s.routes()
-	s.handler = chain(http.HandlerFunc(s.dispatch),
-		withRequestID,
-		s.withLogging,
-		s.withRecovery,
-		s.withRateLimit,
-	)
 	return s
 }
 
-// dispatch routes through the mux but replaces net/http's plain-text
-// 404/405 fallbacks with the structured error envelope, keeping the
-// "every non-2xx response carries the envelope" contract.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
+// serve is the root handler: the request's frame is opened, the rate
+// limit applied and the request dispatched; the frame's deferred End
+// records it, recovers a panic and writes the access line.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
+	f, r := s.metrics.Begin(w, r)
+	defer s.metrics.End(f, r)
+	if s.admit(f, r) {
+		s.dispatch(f, r)
+	}
+}
+
+// dispatch labels the frame with the matched route pattern and routes
+// through the mux, but replaces net/http's plain-text 404/405 fallbacks
+// with the structured error envelope, keeping the "every non-2xx
+// response carries the envelope" contract.
+func (s *Server) dispatch(f *Frame, r *http.Request) {
 	h, pattern := s.mux.Handler(r)
 	if pattern == "" {
 		// No matching route (404) or method mismatch (405). Run the
 		// mux's fallback against a header-only recorder to learn which,
 		// preserving the Allow header it computes for 405s.
+		f.route, f.untimed = routeUnmatched, true
 		rec := &headerRecorder{header: http.Header{}}
 		h.ServeHTTP(rec, r)
 		if allow := rec.header.Get("Allow"); allow != "" {
-			w.Header().Set("Allow", allow)
+			f.Header().Set("Allow", allow)
 		}
 		if rec.status == http.StatusMethodNotAllowed {
-			s.metrics.routes.Record(routeUnmatched, http.StatusMethodNotAllowed, 0)
-			s.writeError(w, r, http.StatusMethodNotAllowed, v1.CodeMethodNotAllowed,
+			WriteError(f, r, http.StatusMethodNotAllowed, v1.CodeMethodNotAllowed,
 				"method "+r.Method+" not allowed for this endpoint")
 			return
 		}
-		s.metrics.routes.Record(routeUnmatched, http.StatusNotFound, 0)
-		s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, "no such endpoint")
+		WriteError(f, r, http.StatusNotFound, v1.CodeNotFound, "no such endpoint")
 		return
 	}
+	f.route = pattern
 	// Serve through the mux, not the returned handler directly: only
 	// the mux's own dispatch populates r.PathValue.
-	s.mux.ServeHTTP(w, r)
+	s.mux.ServeHTTP(f, r)
 }
 
 // headerRecorder captures only the status and headers a handler writes.
@@ -213,8 +222,8 @@ func (h *headerRecorder) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// Handler returns the root handler with the middleware chain applied.
-func (s *Server) Handler() http.Handler { return s.handler }
+// Handler returns the root handler: every request runs in its frame.
+func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serve) }
 
 // Streams exposes the streaming session manager (for embedding hosts
 // that want to drain it on shutdown).
@@ -242,34 +251,41 @@ func (s *Server) Close() {
 // probes or flip draining themselves.
 func (s *Server) Health() *resilience.Health { return s.health }
 
-// route registers a handler under the v1 prefix. pattern is
-// "METHOD /path"; metrics are keyed by the full v1 pattern. ro selects
-// the route's admission class and deadline budget.
+// route registers a handler under the v1 prefix behind its admission
+// gate and deadline budget, both selected by ro. pattern is
+// "METHOD /path"; metrics are keyed by the full v1 pattern, so gate 429s
+// and deadline 504s are counted per route.
 func (s *Server) route(pattern string, ro routeOpts, h http.HandlerFunc) {
-	method, path, ok := strings.Cut(pattern, " ")
-	if !ok {
-		panic("api: route pattern must be \"METHOD /path\": " + pattern)
-	}
-	v1pat := method + " " + v1.Prefix + path
-	s.mux.Handle(v1pat, s.instrument(v1pat, ro, h))
+	s.handle(pattern, s.withGate(ro, s.withDeadline(ro.effectiveBudget(), h)))
 }
 
-// routeStream registers a long-lived NDJSON route: connection lifetime
-// is tracked under stream metrics instead of request latency, and no
-// deadline budget applies — the connection manages its own lifetime.
+// routeStream registers a long-lived NDJSON route: the request is
+// recorded with zero duration and the connection's lifetime under stream
+// metrics instead, so held-open feeds don't distort the route's latency.
+// The admission gate still applies (a shed feed is cheap to retry); no
+// deadline does — the connection manages its own lifetime.
 func (s *Server) routeStream(pattern string, ro routeOpts, h http.HandlerFunc) {
+	gated := s.withGate(ro, h)
+	s.handle(pattern, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f := w.(*Frame)
+		f.untimed = true
+		s.metrics.streamStart(f.route)
+		defer func() { s.metrics.streamEnd(f.route, time.Since(f.start)) }()
+		gated.ServeHTTP(w, r)
+	}))
+}
+
+func (s *Server) handle(pattern string, h http.Handler) {
 	method, path, ok := strings.Cut(pattern, " ")
 	if !ok {
 		panic("api: route pattern must be \"METHOD /path\": " + pattern)
 	}
-	ro.noDeadline = true
-	v1pat := method + " " + v1.Prefix + path
-	s.mux.Handle(v1pat, s.instrumentStream(v1pat, ro, h))
+	s.mux.Handle(method+" "+v1.Prefix+path, h)
 }
 
 func (s *Server) routes() {
 	// Liveness/readiness: unauthenticated, exempt from the gate (and
-	// rate limiting — see withRateLimit) so probes keep answering while
+	// rate limiting — see admit) so probes keep answering while
 	// the server sheds load.
 	probe := routeOpts{class: resilience.ClassInteractive, exempt: true, budget: 5 * time.Second}
 	s.route("GET /healthz", probe, s.handleHealthz)
@@ -335,22 +351,26 @@ func (s *Server) routes() {
 // userHandler receives the authenticated user.
 type userHandler func(w http.ResponseWriter, r *http.Request, u *project.User)
 
+// apiKeyHeader carries the caller's API key; written canonically so
+// looking it up does not allocate.
+const apiKeyHeader = "X-Api-Key"
+
 // auth resolves the x-api-key header to a user, reusing the identity
-// the rate-limit middleware already resolved when available.
+// the rate limiter already resolved onto the frame when available.
 func (s *Server) auth(next userHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if u, ok := r.Context().Value(authUserKey).(*project.User); ok {
-			next(w, r, u)
+		if f, ok := w.(*Frame); ok && f.user != nil {
+			next(w, r, f.user)
 			return
 		}
-		key := r.Header.Get("x-api-key")
+		key := r.Header.Get(apiKeyHeader)
 		if key == "" {
-			s.writeError(w, r, http.StatusUnauthorized, v1.CodeUnauthorized, "missing x-api-key header")
+			WriteError(w, r, http.StatusUnauthorized, v1.CodeUnauthorized, "missing x-api-key header")
 			return
 		}
 		u, err := s.registry.Authenticate(key)
 		if err != nil {
-			s.writeError(w, r, http.StatusUnauthorized, v1.CodeUnauthorized, "invalid API key")
+			WriteError(w, r, http.StatusUnauthorized, v1.CodeUnauthorized, "invalid API key")
 			return
 		}
 		next(w, r, u)
@@ -365,32 +385,33 @@ func (s *Server) withProject(next projectHandler) userHandler {
 	return func(w http.ResponseWriter, r *http.Request, u *project.User) {
 		id, err := strconv.Atoi(r.PathValue("id"))
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "bad project id")
+			WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "bad project id")
 			return
 		}
 		p, err := s.registry.GetProject(id)
 		if err != nil {
-			s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
+			WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, err.Error())
 			return
 		}
 		if !p.CanAccess(u.ID) {
-			s.writeError(w, r, http.StatusForbidden, v1.CodeForbidden, "no access to this project")
+			WriteError(w, r, http.StatusForbidden, v1.CodeForbidden, "no access to this project")
 			return
 		}
 		next(w, r, u, p)
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeError emits the structured error envelope with a stable code and
-// the request's correlation ID.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
-	writeJSON(w, status, v1.ErrorResponse{
+// WriteError answers status with the structured error envelope: a stable
+// code, the message and the request's correlation ID.
+func WriteError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
+	WriteJSON(w, status, v1.ErrorResponse{
 		Success: false,
 		Error:   v1.ErrorDetail{Code: code, Message: msg, RequestID: RequestID(r.Context())},
 	})
@@ -401,11 +422,11 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, err error) {
 	var maxErr *http.MaxBytesError
 	if errors.As(err, &maxErr) {
-		s.writeError(w, r, http.StatusRequestEntityTooLarge, v1.CodePayloadTooLarge,
+		WriteError(w, r, http.StatusRequestEntityTooLarge, v1.CodePayloadTooLarge,
 			fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
 		return
 	}
-	s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+	WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 }
 
 // Body bounds: structured JSON requests are small; raw sample payloads

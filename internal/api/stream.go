@@ -101,25 +101,25 @@ func (s *Server) streamConfig(p *project.Project, req v1.StreamOpenRequest) (str
 func (s *Server) openSession(w http.ResponseWriter, r *http.Request, p *project.Project, req v1.StreamOpenRequest) *stream.Session {
 	cfg, err := s.streamConfig(p, req)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return nil
 	}
 	cls, err := stream.NewImpulseClassifier(p.Impulse(), req.Quantized)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return nil
 	}
 	sess, err := s.streams.Open(cfg, cls)
 	switch {
 	case errors.Is(err, stream.ErrDraining):
-		s.writeError(w, r, http.StatusServiceUnavailable, v1.CodeUnavailable, "server is draining, not admitting new streams")
+		WriteError(w, r, http.StatusServiceUnavailable, v1.CodeUnavailable, "server is draining, not admitting new streams")
 		return nil
 	case errors.Is(err, stream.ErrCapacity):
 		w.Header().Set("Retry-After", "2")
-		s.writeError(w, r, http.StatusTooManyRequests, v1.CodeRateLimited, "stream session capacity reached, retry later")
+		WriteError(w, r, http.StatusTooManyRequests, v1.CodeRateLimited, "stream session capacity reached, retry later")
 		return nil
 	case err != nil:
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return nil
 	}
 	return sess
@@ -149,7 +149,7 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request, u *pro
 	if sess == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, openResponse(sess))
+	WriteJSON(w, http.StatusOK, openResponse(sess))
 }
 
 // sessionFor resolves {sid} within the authorized project. Sessions are
@@ -158,7 +158,7 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request, u *pro
 func (s *Server) sessionFor(w http.ResponseWriter, r *http.Request, p *project.Project) (*stream.Session, bool) {
 	sess, ok := s.streams.Get(r.PathValue("sid"))
 	if !ok || sess.Config().Tag != strconv.Itoa(p.ID) {
-		s.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, "no such stream session")
+		WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, "no such stream session")
 		return nil, false
 	}
 	return sess, true
@@ -186,16 +186,16 @@ func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request, u *pro
 	switch err := sess.Push(req.Samples); {
 	case errors.Is(err, stream.ErrBackpressure):
 		w.Header().Set("Retry-After", "1")
-		s.writeError(w, r, http.StatusTooManyRequests, v1.CodeBackpressure, "session queue is full, slow down and retry")
+		WriteError(w, r, http.StatusTooManyRequests, v1.CodeBackpressure, "session queue is full, slow down and retry")
 		return
 	case errors.Is(err, stream.ErrClosed):
-		s.writeError(w, r, http.StatusConflict, v1.CodeConflict, "stream session is closed")
+		WriteError(w, r, http.StatusConflict, v1.CodeConflict, "stream session is closed")
 		return
 	case err != nil:
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, v1.StreamPushResponse{Success: true, FramesIn: sess.Stats().FramesIn})
+	WriteJSON(w, http.StatusOK, v1.StreamPushResponse{Success: true, FramesIn: sess.Stats().FramesIn})
 }
 
 // handleStreamEvents implements GET .../stream/{sid}/events: the NDJSON
@@ -207,7 +207,7 @@ func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request, u *p
 	}
 	after, ok := eventsAfter(r)
 	if !ok {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest,
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest,
 			"from / Last-Event-Id must be a non-negative integer")
 		return
 	}
@@ -231,7 +231,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request, u *pr
 		return
 	}
 	st := sess.Stats()
-	writeJSON(w, http.StatusOK, v1.StreamCloseResponse{
+	WriteJSON(w, http.StatusOK, v1.StreamCloseResponse{
 		Success: true,
 		Stats: v1.StreamSessionStats{
 			FramesIn: st.FramesIn, Windows: st.Windows,
@@ -281,7 +281,7 @@ func (s *Server) handleStreamDuplex(w http.ResponseWriter, r *http.Request, u *p
 	scan := lineScanner(r.Body)
 	req, err := openLine(scan)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	sess := s.openSession(w, r, p, req)

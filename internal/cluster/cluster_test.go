@@ -102,9 +102,9 @@ func TestGatewayRoutesClassifyLikeWorker(t *testing.T) {
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case v1.Prefix + "/readyz":
-			writeJSON(w, http.StatusOK, v1.ReadyResponse{Success: true, Ready: true})
+			api.WriteJSON(w, http.StatusOK, v1.ReadyResponse{Success: true, Ready: true})
 		case v1.Prefix + "/cluster/node":
-			writeJSON(w, http.StatusOK, v1.ClusterNodeResponse{Success: true, Role: RoleWorker, Shards: 1})
+			api.WriteJSON(w, http.StatusOK, v1.ClusterNodeResponse{Success: true, Role: RoleWorker, Shards: 1})
 		default:
 			status, _ := strconv.Atoi(r.URL.Query().Get("status"))
 			w.WriteHeader(status)
@@ -127,7 +127,7 @@ func TestGatewayRoutesClassifyLikeWorker(t *testing.T) {
 		}
 		onWorker.Record("GET /devices", status, 0)
 	}
-	got, _ := g.routes.Snapshot()
+	got, _ := g.obs.Routes.Snapshot()
 	want, _ := onWorker.Snapshot()
 	if len(got) != 1 || got[0].Route != want[0].Route || got[0].Count != want[0].Count ||
 		got[0].Err4xx != want[0].Err4xx || got[0].Err5xx != want[0].Err5xx {

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -55,7 +53,7 @@ type Gateway struct {
 	rrMu sync.Mutex
 	rr   int
 
-	routes api.RouteRecorder
+	obs *api.Observer
 }
 
 // NewGateway builds a gateway over a validated shard map.
@@ -79,6 +77,7 @@ func NewGateway(m *Map, cfg GatewayConfig) *Gateway {
 		token: cfg.Token,
 		log:   logger,
 		start: time.Now(),
+		obs:   api.NewObserver(logger, "gateway"),
 	}
 }
 
@@ -92,71 +91,60 @@ func (g *Gateway) Stop() { g.health.Stop() }
 // Health exposes the tracker (status endpoint, tests).
 func (g *Gateway) Health() *Health { return g.health }
 
-// ServeHTTP implements the routing table. Every response carries
-// X-Request-Id (minted here if absent, preserved end-to-end otherwise).
+// ServeHTTP implements the routing table in the request's frame, the
+// same one a worker opens: every response carries X-Request-Id (minted
+// here if absent, preserved end-to-end otherwise), and the frame's End
+// records the route and writes the one access line.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	reqID := r.Header.Get(api.RequestIDHeader)
-	if reqID == "" || len(reqID) > 64 {
-		reqID = newRequestID()
-		r.Header.Set(api.RequestIDHeader, reqID)
-	}
-	w.Header().Set(api.RequestIDHeader, reqID)
-
-	rest, ok := stripAPIPrefix(r.URL.Path)
-	if !ok {
-		g.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, "unknown path")
-		return
-	}
-
-	sw := &gwWriter{ResponseWriter: w, started: time.Now()}
-	route := g.dispatch(sw, r, rest)
-	g.routes.Record(route, sw.status, time.Since(sw.started))
-	g.log.Info("gateway",
-		"method", r.Method, "path", r.URL.Path, "status", sw.status,
-		"route", route, "request_id", reqID)
+	f, r := g.obs.Begin(w, r)
+	defer g.obs.End(f, r)
+	g.dispatch(f, r)
 }
 
-// dispatch routes one request and returns the metrics route label.
-func (g *Gateway) dispatch(w http.ResponseWriter, r *http.Request, rest string) string {
+// dispatch labels the frame with the request's metrics route and serves
+// it.
+func (g *Gateway) dispatch(f *api.Frame, r *http.Request) {
+	rest := stripAPIPrefix(r.URL.Path) // "" matches no case
 	switch {
 	case rest == "/healthz":
-		writeJSON(w, http.StatusOK, v1.HealthResponse{
+		f.SetRoute("GET /healthz")
+		api.WriteJSON(f, http.StatusOK, v1.HealthResponse{
 			Success: true, Status: "ok", UptimeSeconds: time.Since(g.start).Seconds(),
 		})
-		return "GET /healthz"
 	case rest == "/readyz":
-		g.handleReadyz(w, r)
-		return "GET /readyz"
+		f.SetRoute("GET /readyz")
+		g.handleReadyz(f, r)
 	case rest == "/metrics" && r.Method == http.MethodGet:
-		g.handleMetrics(w, r)
-		return "GET /metrics"
+		f.SetRoute("GET /metrics")
+		g.handleMetrics(f, r)
 	case rest == "/cluster/status" && r.Method == http.MethodGet:
-		g.handleStatus(w, r)
-		return "GET /cluster/status"
+		f.SetRoute("GET /cluster/status")
+		g.handleStatus(f, r)
 	case rest == "/users" && r.Method == http.MethodPost:
-		g.handleCreateUser(w, r)
-		return "POST /users"
+		f.SetRoute("POST /users")
+		g.handleCreateUser(f, r)
 	case rest == "/devices" || rest == "/blocks":
-		g.proxyAny(w, r)
-		return r.Method + " " + rest
+		f.SetRoute(r.Method + " " + rest)
+		g.proxyAny(f, r)
 	case rest == "/projects/public" && r.Method == http.MethodGet:
-		g.handleProjectList(w, r, rest)
-		return "GET /projects/public"
+		f.SetRoute("GET /projects/public")
+		g.handleProjectList(f, r, rest)
 	case rest == "/projects" && r.Method == http.MethodGet:
-		g.handleProjectList(w, r, rest)
-		return "GET /projects"
+		f.SetRoute("GET /projects")
+		g.handleProjectList(f, r, rest)
 	case rest == "/projects" && r.Method == http.MethodPost:
-		g.handleCreateProject(w, r)
-		return "POST /projects"
+		f.SetRoute("POST /projects")
+		g.handleCreateProject(f, r)
 	case strings.HasPrefix(rest, "/projects/"):
-		g.handleProjectPath(w, r, rest)
-		return r.Method + " /projects/{id}"
+		f.SetRoute(r.Method + " /projects/{id}")
+		g.handleProjectPath(f, r, rest)
 	case strings.HasPrefix(rest, "/jobs/"):
-		g.handleJobPath(w, r, rest)
-		return r.Method + " /jobs/{job}"
+		f.SetRoute(r.Method + " /jobs/{job}")
+		g.handleJobPath(f, r, rest)
+	default:
+		f.SetRoute("unmatched")
+		api.WriteError(f, r, http.StatusNotFound, v1.CodeNotFound, "unknown path")
 	}
-	g.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, "unknown path")
-	return "unmatched"
 }
 
 // handleReadyz reports gateway readiness: ready when every shard has at
@@ -180,7 +168,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, v1.ReadyResponse{Success: true, Ready: ready, Probes: probes})
+	api.WriteJSON(w, status, v1.ReadyResponse{Success: true, Ready: ready, Probes: probes})
 }
 
 // handleMetrics renders the gateway's own counters, reusing the worker
@@ -189,8 +177,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out := v1.MetricsResponse{
 		Success:       true,
 		UptimeSeconds: time.Since(g.start).Seconds(),
+		Panics:        g.obs.Panics(),
 	}
-	out.Routes, out.Requests = g.routes.Snapshot()
+	out.Routes, out.Requests = g.obs.Routes.Snapshot()
 	out.Runtime = api.RuntimeSnapshot()
 
 	if r.URL.Query().Get("format") == "prometheus" {
@@ -198,7 +187,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		api.RenderPrometheus(w, out)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleStatus reports the shard map with per-node health and follower
@@ -228,7 +217,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Shards = append(out.Shards, shard)
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 func nodeStatus(n *Node, st NodeState, lag uint64) v1.ClusterNodeStatus {
@@ -250,13 +239,13 @@ func (g *Gateway) handleCreateUser(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		g.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "reading body: "+err.Error())
+		api.WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "reading body: "+err.Error())
 		return
 	}
 	target := primaries[g.nextRR(len(primaries))]
 	resp, respBody, err := g.subRequest(r, target, http.MethodPost, v1.Prefix+"/users", body)
 	if err != nil {
-		g.writeError(w, r, http.StatusBadGateway, v1.CodeUnavailable, err.Error())
+		api.WriteError(w, r, http.StatusBadGateway, v1.CodeUnavailable, err.Error())
 		return
 	}
 	if resp.StatusCode < 300 {
@@ -265,7 +254,7 @@ func (g *Gateway) handleCreateUser(w http.ResponseWriter, r *http.Request) {
 			g.broadcastAdmit(r, primaries, target, created)
 		}
 	}
-	w.Header().Set(NodeHeader, target.Name)
+	servedBy(w, target)
 	copyHeaders(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	w.Write(respBody)
@@ -322,7 +311,7 @@ func (g *Gateway) handleProjectList(w http.ResponseWriter, r *http.Request, rest
 		}
 		if resp.StatusCode != http.StatusOK {
 			// An auth failure is identical on every shard: surface it.
-			w.Header().Set(NodeHeader, n.Name)
+			servedBy(w, n)
 			copyHeaders(w.Header(), resp.Header)
 			w.WriteHeader(resp.StatusCode)
 			w.Write(body)
@@ -356,7 +345,7 @@ func (g *Gateway) handleProjectList(w http.ResponseWriter, r *http.Request, rest
 	if end > total {
 		end = total
 	}
-	writeJSON(w, http.StatusOK, v1.ProjectsResponse{
+	api.WriteJSON(w, http.StatusOK, v1.ProjectsResponse{
 		Success:  true,
 		Projects: merged[offset:end],
 		Page:     v1.Page{Limit: limit, Offset: offset, Total: total},
@@ -373,7 +362,7 @@ func (g *Gateway) handleProjectPath(w http.ResponseWriter, r *http.Request, rest
 	}
 	id, err := strconv.Atoi(idPart)
 	if err != nil {
-		g.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "bad project id "+idPart)
+		api.WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "bad project id "+idPart)
 		return
 	}
 	shard := g.m.ShardFor(id)
@@ -414,7 +403,7 @@ func (g *Gateway) handleJobPath(w http.ResponseWriter, r *http.Request, rest str
 			return
 		}
 	}
-	g.writeError(w, r, http.StatusNotFound, v1.CodeNotFound, "job not found on any shard")
+	api.WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, "job not found on any shard")
 }
 
 // proxyAny forwards to any live node (static catalogs: devices,
@@ -433,31 +422,42 @@ func (g *Gateway) proxyAny(w http.ResponseWriter, r *http.Request) {
 	g.shed(w, r, "no live node")
 }
 
-// proxy streams one request to a node and its response back, flushing
-// after every chunk so NDJSON event streams pass through unbuffered.
+// proxy streams one request to a node and its response back: the
+// header is flushed as soon as the node's arrives and every body chunk
+// after it, so NDJSON event streams pass through unbuffered. The
+// request is carried full duplex, so a duplex stream keeps sending its
+// body after the response has started (net/http otherwise discards the
+// rest of the body on the first write).
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, n *Node) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, n.URL+r.URL.RequestURI(), r.Body)
 	if err != nil {
-		g.writeError(w, r, http.StatusBadGateway, v1.CodeUnavailable, err.Error())
+		api.WriteError(w, r, http.StatusBadGateway, v1.CodeUnavailable, err.Error())
 		return
 	}
 	req.ContentLength = r.ContentLength
+	req.Header.Set(api.RequestIDHeader, api.RequestID(r.Context()))
 	copyHeaders(req.Header, r.Header)
 	appendForwardedFor(req.Header, r.RemoteAddr)
+	// An error means the connection is already full duplex (HTTP/2) or
+	// cannot be (a test recorder); either way the proxy goes on.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 
 	resp, err := g.hc.Do(req)
 	if err != nil {
-		g.writeError(w, r, http.StatusBadGateway, v1.CodeUnavailable,
+		api.WriteError(w, r, http.StatusBadGateway, v1.CodeUnavailable,
 			fmt.Sprintf("upstream %s: %v", n.Name, err))
 		return
 	}
 	defer resp.Body.Close()
 
-	w.Header().Set(NodeHeader, n.Name)
+	servedBy(w, n)
 	copyHeaders(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
 
 	flusher, _ := w.(http.Flusher)
+	if flusher != nil {
+		flusher.Flush()
+	}
 	buf := make([]byte, 32<<10)
 	for {
 		nr, rerr := resp.Body.Read(buf)
@@ -492,7 +492,7 @@ func (g *Gateway) subRequest(r *http.Request, n *Node, method, path string, body
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set(api.RequestIDHeader, r.Header.Get(api.RequestIDHeader))
+	req.Header.Set(api.RequestIDHeader, api.RequestID(r.Context()))
 	if g.token != "" {
 		req.Header.Set(api.ClusterTokenHeader, g.token)
 	}
@@ -513,17 +513,16 @@ func (g *Gateway) subRequest(r *http.Request, n *Node, method, path string, body
 // take this request".
 func (g *Gateway) shed(w http.ResponseWriter, r *http.Request, msg string) {
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	g.writeError(w, r, http.StatusServiceUnavailable, v1.CodeNoShard, msg)
+	api.WriteError(w, r, http.StatusServiceUnavailable, v1.CodeNoShard, msg)
 }
 
-func (g *Gateway) writeError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
-	writeJSON(w, status, v1.ErrorResponse{
-		Success: false,
-		Error: v1.ErrorDetail{
-			Code: code, Message: msg,
-			RequestID: r.Header.Get(api.RequestIDHeader),
-		},
-	})
+// servedBy names the node that answered, on the response
+// (X-Cluster-Node) and on the request's access line.
+func servedBy(w http.ResponseWriter, n *Node) {
+	w.Header().Set(NodeHeader, n.Name)
+	if f, ok := w.(*api.Frame); ok {
+		f.SetNode(n.Name, n.Shard)
+	}
 }
 
 func (g *Gateway) nextRR(n int) int {
@@ -535,39 +534,13 @@ func (g *Gateway) nextRR(n int) int {
 
 // --- plumbing ---
 
-// gwWriter captures the response status for metrics/logging.
-type gwWriter struct {
-	http.ResponseWriter
-	status  int
-	started time.Time
-}
-
-func (w *gwWriter) WriteHeader(status int) {
-	if w.status == 0 {
-		w.status = status
-	}
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *gwWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *gwWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// stripAPIPrefix maps /api/v1/x to /x.
-func stripAPIPrefix(path string) (string, bool) {
+// stripAPIPrefix maps /api/v1/x to /x, and a path outside /api/v1 to
+// "".
+func stripAPIPrefix(path string) string {
 	if rest, ok := strings.CutPrefix(path, v1.Prefix); ok && (rest == "" || rest[0] == '/') {
-		return rest, true
+		return rest
 	}
-	return "", false
+	return ""
 }
 
 // hopHeaders are the RFC 7230 hop-by-hop headers never forwarded.
@@ -616,18 +589,4 @@ func pageParams(r *http.Request, defLimit int) (limit, offset int) {
 		}
 	}
 	return limit, offset
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "req-unknown"
-	}
-	return hex.EncodeToString(b[:])
 }
