@@ -13,11 +13,6 @@ import (
 	"edgepulse/internal/trainer"
 )
 
-// kwsTuningDataset builds the synthetic keyword set used by Table 3.
-func kwsTuningDataset(perClass int, seed int64) (*data.Dataset, error) {
-	return synth.KWSDataset(4, perClass, 16000, 1.0, 0.03, seed)
-}
-
 // Accuracy is a float/int8 accuracy pair for one workload.
 type Accuracy struct {
 	Workload string
@@ -28,79 +23,60 @@ type Accuracy struct {
 // AccuracyProxies trains reduced-size proxies of the three workloads on
 // synthetic data and reports float32 and int8 test accuracy — the
 // accuracy rows of Table 4. Proxies stand in for the full models so the
-// harness completes in seconds; see EXPERIMENTS.md for the substitution
-// notes. The paper's qualitative claims reproduce: quantization keeps
-// accuracy within a few points, occasionally helping via regularization.
+// harness completes in seconds (see "Stand-ins" in docs/ARCHITECTURE.md).
+// The paper's qualitative claims reproduce: quantization keeps accuracy
+// within a few points, occasionally helping via regularization.
 func AccuracyProxies(seed int64) ([]Accuracy, string, error) {
-	var out []Accuracy
-
-	// KWS proxy: MFE front end + conv1d stack on 2 keywords + noise.
-	kwsDS, err := synth.KWSDataset(3, 14, 8000, 0.5, 0.04, seed)
-	if err != nil {
-		return nil, "", err
-	}
-	kwsImp := core.New("kws-proxy")
-	kwsImp.Input = core.InputBlock{Kind: core.TimeSeries, WindowMS: 500, FrequencyHz: 8000, Axes: 1}
-	kwsBlock, err := dsp.New("mfe", map[string]float64{"num_filters": 16, "fft_length": 128})
-	if err != nil {
-		return nil, "", err
-	}
-	kwsImp.UseDSP(kwsBlock)
-	kwsAcc, err := trainEval(kwsImp, kwsDS, func(shape []int, classes int) (*nn.Model, error) {
-		return models.Conv1DStack(shape[0], shape[1], 2, 8, 16, classes)
-	}, seed)
-	if err != nil {
-		return nil, "", fmt.Errorf("bench: kws proxy: %w", err)
-	}
-	kwsAcc.Workload = "kws"
-	out = append(out, kwsAcc)
-
-	// VWW proxy: 32×32 person/no-person images + small CNN.
-	vwwDS, err := synth.VWWDataset(16, 32, seed+1)
-	if err != nil {
-		return nil, "", err
-	}
-	vwwImp := core.New("vww-proxy")
-	vwwImp.Input = core.InputBlock{Kind: core.ImageInput, Width: 32, Height: 32, Axes: 3}
-	vwwBlock, err := dsp.New("image", map[string]float64{"width": 24, "height": 24})
-	if err != nil {
-		return nil, "", err
-	}
-	vwwImp.UseDSP(vwwBlock)
-	vwwAcc, err := trainEval(vwwImp, vwwDS, func(shape []int, classes int) (*nn.Model, error) {
+	cnn := func(shape []int, classes int) (*nn.Model, error) {
 		return models.CIFARCNN(shape[0], shape[2], classes), nil
-	}, seed+1)
-	if err != nil {
-		return nil, "", fmt.Errorf("bench: vww proxy: %w", err)
 	}
-	vwwAcc.Workload = "vww"
-	out = append(out, vwwAcc)
-
-	// IC proxy: 4 texture classes at 20×20.
-	icDS, err := synth.ICDataset(4, 12, 20, seed+2)
-	if err != nil {
-		return nil, "", err
+	proxies := []struct {
+		workload string
+		dataset  func(seed int64) (*data.Dataset, error)
+		input    core.InputBlock
+		dsp      string
+		params   map[string]float64
+		model    func(shape []int, classes int) (*nn.Model, error)
+	}{
+		// MFE front end + conv1d stack on 2 keywords + noise.
+		{"kws", func(seed int64) (*data.Dataset, error) { return synth.KWSDataset(3, 14, 8000, 0.5, 0.04, seed) },
+			core.InputBlock{Kind: core.TimeSeries, WindowMS: 500, FrequencyHz: 8000, Axes: 1},
+			"mfe", map[string]float64{"num_filters": 16, "fft_length": 128},
+			func(shape []int, classes int) (*nn.Model, error) {
+				return models.Conv1DStack(shape[0], shape[1], 2, 8, 16, classes)
+			}},
+		// 32×32 person/no-person images + small CNN.
+		{"vww", func(seed int64) (*data.Dataset, error) { return synth.VWWDataset(16, 32, seed) },
+			core.InputBlock{Kind: core.ImageInput, Width: 32, Height: 32, Axes: 3},
+			"image", map[string]float64{"width": 24, "height": 24}, cnn},
+		// 4 texture classes at 20×20.
+		{"ic", func(seed int64) (*data.Dataset, error) { return synth.ICDataset(4, 12, 20, seed) },
+			core.InputBlock{Kind: core.ImageInput, Width: 20, Height: 20, Axes: 3},
+			"image", map[string]float64{"width": 20, "height": 20}, cnn},
 	}
-	icImp := core.New("ic-proxy")
-	icImp.Input = core.InputBlock{Kind: core.ImageInput, Width: 20, Height: 20, Axes: 3}
-	icBlock, err := dsp.New("image", map[string]float64{"width": 20, "height": 20})
-	if err != nil {
-		return nil, "", err
-	}
-	icImp.UseDSP(icBlock)
-	icAcc, err := trainEval(icImp, icDS, func(shape []int, classes int) (*nn.Model, error) {
-		return models.CIFARCNN(shape[0], shape[2], classes), nil
-	}, seed+2)
-	if err != nil {
-		return nil, "", fmt.Errorf("bench: ic proxy: %w", err)
-	}
-	icAcc.Workload = "ic"
-	out = append(out, icAcc)
-
 	t := report.NewTable("Table 4 (accuracy rows). Holdout accuracy of trained proxies.",
 		"Workload", "Float32", "Int8")
-	for _, a := range out {
-		t.AddRow(a.Workload, report.Pct(a.Float), report.Pct(a.Int8))
+	var out []Accuracy
+	for i, p := range proxies {
+		proxySeed := seed + int64(i)
+		ds, err := p.dataset(proxySeed)
+		if err != nil {
+			return nil, "", err
+		}
+		imp := core.New(p.workload + "-proxy")
+		imp.Input = p.input
+		block, err := dsp.New(p.dsp, p.params)
+		if err != nil {
+			return nil, "", err
+		}
+		imp.UseDSP(block)
+		acc, err := trainEval(imp, ds, p.model, proxySeed)
+		if err != nil {
+			return nil, "", fmt.Errorf("bench: %s proxy: %w", p.workload, err)
+		}
+		acc.Workload = p.workload
+		out = append(out, acc)
+		t.AddRow(acc.Workload, report.Pct(acc.Float), report.Pct(acc.Int8))
 	}
 	return out, t.Render(), nil
 }

@@ -9,15 +9,6 @@ import (
 	"edgepulse/internal/tensor"
 )
 
-func TestTable1(t *testing.T) {
-	out := Table1()
-	for _, want := range []string{"Nano 33 BLE Sense", "ESP-EYE", "Pico", "64 MHz", "256 kB"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table1 missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestTable2Shape(t *testing.T) {
 	out, cells, err := Table2()
 	if err != nil {
@@ -71,25 +62,6 @@ func TestTable2Shape(t *testing.T) {
 	}
 }
 
-func TestTable3Quick(t *testing.T) {
-	out, trials, err := Table3(Table3Options{Quick: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trials) == 0 {
-		t.Fatal("no trials")
-	}
-	if !strings.Contains(out, "MFE") || !strings.Contains(out, "conv1d") {
-		t.Errorf("table3:\n%s", out)
-	}
-	// Sorted by accuracy.
-	for i := 1; i < len(trials); i++ {
-		if trials[i].Accuracy > trials[i-1].Accuracy {
-			t.Fatal("not sorted")
-		}
-	}
-}
-
 func TestTable4Shape(t *testing.T) {
 	out, cells, err := Table4()
 	if err != nil {
@@ -129,34 +101,6 @@ func TestTable4Shape(t *testing.T) {
 	}
 	if !strings.Contains(out, "Preprocessing") {
 		t.Error("missing preprocessing row")
-	}
-}
-
-func TestTable5AndFigures(t *testing.T) {
-	t5 := Table5()
-	for _, want := range []string{"Edge Impulse", "SageMaker", "VertexAI", "Imagimob"} {
-		if !strings.Contains(t5, want) {
-			t.Errorf("table5 missing %q", want)
-		}
-	}
-	f1 := Fig1()
-	if !strings.Contains(f1, "Data collection") || !strings.Contains(f1, "EON compiler") {
-		t.Errorf("fig1:\n%s", f1)
-	}
-	f2 := Fig2()
-	if !strings.Contains(f2, "MFCC") || !strings.Contains(f2, "->") {
-		t.Errorf("fig2:\n%s", f2)
-	}
-}
-
-func TestFig3Rendering(t *testing.T) {
-	_, trials, err := Table3(Table3Options{Quick: true, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f3 := Fig3(trials)
-	if !strings.Contains(f3, "latency") || !strings.Contains(f3, "ram") || !strings.Contains(f3, "flash") {
-		t.Errorf("fig3:\n%s", f3)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"edgepulse/internal/profiler"
 	"edgepulse/internal/renode"
 	"edgepulse/internal/report"
+	"edgepulse/internal/synth"
 	"edgepulse/internal/tuner"
 )
 
@@ -91,21 +92,15 @@ func Table2() (string, []Table2Cell, error) {
 	return t.Render(), cells, nil
 }
 
-// Table3Options sizes the tuner run.
-type Table3Options struct {
-	// Quick restricts the space and budget for fast runs.
-	Quick bool
-	Seed  int64
-}
-
 // Table3 runs the EON Tuner over synthetic keyword spotting data and
-// renders the explored configurations like the paper's Table 3.
-func Table3(opt Table3Options) (string, []tuner.Trial, error) {
+// renders the explored configurations like the paper's Table 3. quick
+// restricts the space and budget for fast runs.
+func Table3(quick bool, seed int64) (string, []tuner.Trial, error) {
 	perClass := 12
 	epochs := 4
 	maxTrials := 14
 	space := tuner.DefaultKWSSpace()
-	if opt.Quick {
+	if quick {
 		perClass = 8
 		epochs = 2
 		maxTrials = 4
@@ -113,7 +108,7 @@ func Table3(opt Table3Options) (string, []tuner.Trial, error) {
 		space.Models = space.Models[1:]
 		space.DSP = space.DSP[:3]
 	}
-	ds, err := kwsTuningDataset(perClass, opt.Seed)
+	ds, err := synth.KWSDataset(4, perClass, 16000, 1.0, 0.03, seed)
 	if err != nil {
 		return "", nil, err
 	}
@@ -127,7 +122,7 @@ func Table3(opt Table3Options) (string, []tuner.Trial, error) {
 		Constraints: tuner.Constraints{Target: device.MustGet("nano-33-ble-sense")},
 		MaxTrials:   maxTrials,
 		Epochs:      epochs,
-		Seed:        opt.Seed,
+		Seed:        seed,
 		Workers:     workers,
 	})
 	if err != nil {

@@ -2,8 +2,9 @@
 // evaluation (Sec. 5): the three MLPerf-Tiny-derived workloads of
 // Tables 2 and 4 (keyword spotting, visual wake words, image
 // classification), the EON Tuner exploration of Table 3 / Fig. 3, and the
-// qualitative Table 5 / Fig. 1 / Fig. 2 content. cmd/ei-bench and the
-// repository-level benchmarks are thin wrappers over this package.
+// qualitative Table 5 / Fig. 1 / Fig. 2 content. Experiments lists
+// them and Report renders them; cmd/ei-bench only adds its flags and
+// the -out files.
 package bench
 
 import (

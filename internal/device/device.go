@@ -7,7 +7,7 @@
 //
 // The cycle model stands in for the physical boards and for the Renode
 // emulation the platform uses for its estimates (paper Sec. 4.4); see
-// DESIGN.md for the substitution rationale.
+// "Stand-ins" in docs/ARCHITECTURE.md for why.
 package device
 
 import (

@@ -144,6 +144,8 @@ func FuzzPlanArena(f *testing.F) {
 	})
 }
 
+// BenchmarkPlanArenaKWS times planning the KWS model's int8 arena and
+// reports the planned size beside the no-reuse baseline.
 func BenchmarkPlanArenaKWS(b *testing.B) {
 	m := models.KWSDSCNN(49, 10, 12)
 	nn.InitWeights(m, 1)
@@ -151,7 +153,12 @@ func BenchmarkPlanArenaKWS(b *testing.B) {
 	bufs, _ := nn.ActivationAssignments(m.InputShape, specs, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var planned int64
 	for i := 0; i < b.N; i++ {
-		nn.PlanArena(bufs)
+		planned, _ = nn.PlanArena(bufs)
 	}
+	naive := nn.NaiveArena(bufs)
+	b.ReportMetric(float64(planned), "planned_bytes")
+	b.ReportMetric(float64(naive), "naive_bytes")
+	b.ReportMetric(float64(naive)/float64(planned), "reuse_factor")
 }

@@ -150,3 +150,31 @@ func TestSurrogateNoDuplicateEvaluations(t *testing.T) {
 		t.Errorf("evaluated %d of 30", len(seen))
 	}
 }
+
+// BenchmarkSearchCost times random search and Hyperband on one synthetic
+// objective and reports the training budget each spends per search.
+func BenchmarkSearchCost(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		run  func(seed int64, obj Objective) ([]Result, error)
+	}{
+		{"random", func(seed int64, obj Objective) ([]Result, error) { return Random(100, 30, 27, seed, obj) }},
+		{"hyperband", func(seed int64, obj Objective) ([]Result, error) { return Hyperband(100, 27, seed, obj) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var spent int64
+			obj := func(cand, budget int) (float64, error) {
+				spent += int64(budget)
+				d := float64(cand - 40)
+				return 1 / (1 + d*d), nil
+			}
+			for i := 0; i < b.N; i++ {
+				if _, err := c.run(int64(i), obj); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(spent)/float64(b.N), "budget_units")
+		})
+	}
+}

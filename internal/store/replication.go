@@ -315,8 +315,9 @@ func (s *Store) ApplySegmentChunk(idx int, off int64, b []byte) error {
 // checked, its version stamp must extend the replica's committed
 // version contiguously (already-applied versions are skipped for
 // idempotent redelivery), and the raw frame bytes land in the replica's
-// own journal before the operation mutates the index. Returns the new
-// committed version.
+// own journal before the operation mutates the index. A frame the index
+// refuses is cut from the journal again; the frames before it stay
+// applied. Returns the new committed version.
 func (s *Store) ApplyJournalFrames(frames []byte) (uint64, error) {
 	s.lock()
 	defer s.unlock()
@@ -326,44 +327,57 @@ func (s *Store) ApplyJournalFrames(frames []byte) (uint64, error) {
 	if s.journal == nil {
 		return s.version, fmt.Errorf("store: closed")
 	}
+	wrote, err := s.appendJournalFramesLocked(frames)
+	if !wrote {
+		return s.version, err
+	}
+	if err != nil {
+		// The failed frame may lie (torn) past journalEnd; left there, a
+		// reopen would replay what the index refused.
+		if terr := s.journal.Truncate(s.journalEnd); terr != nil {
+			err = errors.Join(err, terr)
+		}
+	}
+	if serr := s.syncFile(s.journal); serr != nil {
+		return s.version, errors.Join(err, serr)
+	}
+	s.maybeSnapshotLocked()
+	return s.version, err
+}
+
+// appendJournalFramesLocked writes and applies each new frame in turn,
+// stopping at the first it cannot. wrote reports whether any frame's
+// bytes reached the journal. Caller holds the lock.
+func (s *Store) appendJournalFramesLocked(frames []byte) (wrote bool, err error) {
 	br := bytes.NewReader(frames)
 	size := int64(len(frames))
-	wrote := false
 	for off := int64(0); off < size; {
 		payload, next, err := readFrame(br, off, size)
 		if err != nil {
-			return s.version, fmt.Errorf("store: replicated journal frame at %d: %w", off, err)
+			return wrote, fmt.Errorf("store: replicated journal frame at %d: %w", off, err)
 		}
 		v, err := journalFrameVersion(payload)
 		if err != nil {
-			return s.version, err
+			return wrote, err
 		}
 		switch {
 		case v <= s.version:
 			off = next
 			continue // redelivered
 		case v != s.version+1:
-			return s.version, fmt.Errorf("store: replicated journal gap: got version %d at local version %d", v, s.version)
+			return wrote, fmt.Errorf("store: replicated journal gap: got version %d at local version %d", v, s.version)
 		}
 		frame := frames[off:next]
+		wrote = true
 		if _, err := s.journal.WriteAt(frame, s.journalEnd); err != nil {
-			return s.version, err
+			return wrote, err
 		}
 		if err := s.applyJournal(payload); err != nil {
-			// The frame bytes past journalEnd are uncommitted without the
-			// index mutation; the next write overwrites them.
-			return s.version, err
+			return wrote, err
 		}
 		s.journalEnd += int64(len(frame))
 		s.journalRecs++
-		wrote = true
 		off = next
 	}
-	if wrote {
-		if err := s.syncFile(s.journal); err != nil {
-			return s.version, err
-		}
-		s.maybeSnapshotLocked()
-	}
-	return s.version, nil
+	return wrote, nil
 }

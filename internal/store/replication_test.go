@@ -3,9 +3,15 @@ package store
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"edgepulse/internal/cbor"
+	"edgepulse/internal/data"
 )
 
 // openReplicaT opens a replica store with cleanup.
@@ -313,4 +319,144 @@ func TestApplySegmentChunkContracts(t *testing.T) {
 	if st2.Segments[0].Size != seg.Size {
 		t.Fatalf("replica segment size %d, want %d", st2.Segments[0].Size, seg.Size)
 	}
+}
+
+// crashCopy copies a store directory byte for byte while the store is
+// still open — the tree a crash at this moment leaves behind — and
+// returns the copy's path.
+func crashCopy(t testing.TB, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestRefusedJournalFrameLeavesNoTrace: a well-framed replicated
+// operation the index refuses (removing a sample the replica never had)
+// must not stay in the journal, or a crash turns it into a store that
+// no longer opens.
+func TestRefusedJournalFrameLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	replica := openReplicaT(t, dir, Options{})
+	ghost, err := cbor.Marshal(map[string]any{"op": opRemove, "id": "ghost", "v": int64(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := replica.ApplyJournalFrames(appendFrame(nil, ghost))
+	if err == nil || !strings.Contains(err.Error(), "removes unknown sample ghost") {
+		t.Fatalf("ghost remove: err = %v", err)
+	}
+	if v != 0 || replica.Committed() != 0 {
+		t.Fatalf("refused frame advanced the version to %d", replica.Committed())
+	}
+	reopened := openReplicaT(t, crashCopy(t, dir), Options{})
+	if reopened.Committed() != 0 {
+		t.Fatalf("reopened at version %d, want 0", reopened.Committed())
+	}
+}
+
+// fuzzBatches encodes batches of journal payloads as one fuzz input:
+// each payload is a two-byte little-endian header (low 15 bits its
+// length, the top bit "the batch ends here") and its bytes.
+func fuzzBatches(batches ...[][]byte) []byte {
+	var in []byte
+	for _, batch := range batches {
+		for i, p := range batch {
+			hdr := uint16(len(p))
+			if i == len(batch)-1 {
+				hdr |= 1 << 15
+			}
+			in = append(in, byte(hdr), byte(hdr>>8))
+			in = append(in, p...)
+		}
+	}
+	return in
+}
+
+// FuzzApplyJournalFrames feeds a replica batches of well-framed journal
+// payloads, as a leader's JournalSince would ship them, and after each
+// batch copies the store's directory without closing it: the copy must
+// open, at the version and with the headers the live replica reports,
+// whatever the batch held and whether or not it was refused. An input
+// is cut after eight batches, each of which costs a copy and an open.
+func FuzzApplyJournalFrames(f *testing.F) {
+	op := func(m map[string]any) []byte {
+		b, err := cbor.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	s := mkSample("s1", 4)
+	h := data.Header{ID: s.ID, Name: s.Name, Label: s.Label, Category: s.Category, AddedAt: s.AddedAt, Metadata: s.Metadata}
+	add := headerMap(h, location{Segment: 1, Offset: logMagicLen, Length: 40})
+	addOp := func(v int64) []byte { return op(map[string]any{"op": opAdd, "h": add, "v": v}) }
+	ghost := op(map[string]any{"op": opRemove, "id": "ghost", "v": int64(1)})
+	label := op(map[string]any{"op": opLabel, "id": "s1", "label": "yes", "v": int64(2)})
+	cats := op(map[string]any{"op": opCats, "m": map[string]any{"s1": "testing"}, "v": int64(3)})
+	remove := op(map[string]any{"op": opRemove, "id": "s1", "v": int64(4)})
+
+	f.Add(fuzzBatches([][]byte{ghost}))
+	f.Add(fuzzBatches([][]byte{addOp(1), label}, [][]byte{addOp(1), label, cats, remove}))
+	f.Add(fuzzBatches([][]byte{addOp(1), addOp(2)}, [][]byte{label}))
+	f.Add(fuzzBatches([][]byte{addOp(1), op(map[string]any{"op": opLabel, "id": "s1", "v": int64(3)})}))
+	f.Add(fuzzBatches([][]byte{addOp(1), op(map[string]any{"op": "explode", "v": int64(2)}), cats}))
+	f.Add(fuzzBatches([][]byte{op(map[string]any{"op": opAdd, "v": int64(1)})}, [][]byte{[]byte("not cbor")}))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		dir := t.TempDir()
+		replica := openReplicaT(t, dir, Options{NoSync: true})
+		for batch := 0; batch < 8 && len(in) >= 2; batch++ {
+			var frames []byte
+			for len(in) >= 2 {
+				hdr := uint16(in[0]) | uint16(in[1])<<8
+				n := min(int(hdr&(1<<15-1)), len(in)-2)
+				frames = append(frames, appendFrame(nil, in[2:2+n])...)
+				in = in[2+n:]
+				if hdr&(1<<15) != 0 {
+					break
+				}
+			}
+			v, err := replica.ApplyJournalFrames(frames)
+			if v != replica.Committed() {
+				t.Fatalf("ApplyJournalFrames returned version %d (err %v), store reports %d", v, err, replica.Committed())
+			}
+			want, err := replica.Headers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := OpenReplica(crashCopy(t, dir), Options{NoSync: true})
+			if err != nil {
+				t.Fatalf("a copy taken after the batch does not open: %v", err)
+			}
+			got, err := reopened.Headers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reopened.Committed() != v || !reflect.DeepEqual(headersComparable(got), headersComparable(want)) {
+				t.Fatalf("copy reopens at version %d with %+v; the live replica is at %d with %+v",
+					reopened.Committed(), got, v, want)
+			}
+			reopened.Close()
+		}
+	})
 }

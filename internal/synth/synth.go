@@ -1,9 +1,9 @@
 // Package synth generates the synthetic workloads that stand in for the
 // paper's datasets (Google Speech Commands, Visual Wake Words, CIFAR-10,
-// and industrial sensor streams) — see DESIGN.md for the substitution
-// rationale. Every generator is deterministic for a given seed, and task
-// difficulty is tuned so that trained accuracies land in the ranges the
-// paper reports.
+// and industrial sensor streams) — see "Stand-ins" in
+// docs/ARCHITECTURE.md for why. Every generator is deterministic for a
+// given seed, and task difficulty is tuned so that trained accuracies
+// land in the ranges the paper reports.
 package synth
 
 import (

@@ -216,3 +216,23 @@ func TestInt8ForwardAllocBudget(t *testing.T) {
 		t.Errorf("QModel.Forward allocates %v per run, want <= 4", allocs)
 	}
 }
+
+// kwsModelAndQuant builds the KWS DS-CNN with seeded weights, its int8
+// model and one random input.
+func kwsModelAndQuant(t testing.TB) (*nn.Model, *quant.QModel, *tensor.F32) {
+	t.Helper()
+	m := models.KWSDSCNN(49, 10, 12)
+	if err := nn.InitWeights(m, 1); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	in := tensor.NewF32(49, 10)
+	for i := range in.Data {
+		in.Data[i] = float32(rng.Float64())
+	}
+	qm, err := quant.Quantize(m, []*tensor.F32{in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, qm, in
+}
