@@ -93,7 +93,10 @@ func main() {
 	// The trained small model deploys everywhere.
 	fmt.Println("== memory fit: this example's 24x24 model ==")
 	for _, engine := range []renode.Engine{renode.TFLM, renode.EON} {
-		mem := profiler.EstimateInt8(imp.QModel, engine)
+		mem, err := profiler.EstimateInt8(imp.QModel, engine)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  int8 %-5v ram %3d kB  flash %3d kB   fits:", engine, mem.RAMBytes>>10, mem.FlashBytes>>10)
 		for _, b := range device.EvaluationBoards() {
 			mark := "no"

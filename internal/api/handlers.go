@@ -695,7 +695,11 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, u *projec
 	}
 	if imp.QModel != nil {
 		qEst := renode.EstimateInt8(tgt, imp.DSPCost(), imp.QModel, renode.EON)
-		qMem := profiler.EstimateInt8(imp.QModel, renode.EON)
+		qMem, err := profiler.EstimateInt8(imp.QModel, renode.EON)
+		if err != nil {
+			WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
+			return
+		}
 		out.Int8 = &v1.ProfileEstimate{
 			DSPMS: qEst.DSPMillis, InferenceMS: qEst.InferenceMillis,
 			TotalMS: qEst.TotalMillis,

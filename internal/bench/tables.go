@@ -67,13 +67,16 @@ func Table2() (string, []Table2Cell, error) {
 			dsp, inf, tot []string
 		}
 		var rv rowvals
+		// Fit checks per precision (TFLM engine, as the paper used).
+		memF, err := profiler.EstimateFloat(w.Model, renode.TFLM)
+		if err != nil {
+			return "", nil, err
+		}
+		memI, err := profiler.EstimateInt8(w.QModel, renode.TFLM)
+		if err != nil {
+			return "", nil, err
+		}
 		for _, b := range boards {
-			// Fit checks per precision (TFLM engine, as the paper used).
-			memF, err := profiler.EstimateFloat(w.Model, renode.TFLM)
-			if err != nil {
-				return "", nil, err
-			}
-			memI := profiler.EstimateInt8(w.QModel, renode.TFLM)
 			fitF := profiler.Fits(memF, w.DSPRAM, b)
 			fitI := profiler.Fits(memI, w.DSPRAM, b)
 			ef := renode.EstimateFloat(b, w.DSPCost, w.Specs, renode.TFLM)
@@ -192,11 +195,11 @@ func Table4() (string, []Table4Cell, error) {
 			var mem profiler.Memory
 			if v.precision == renode.Float32 {
 				mem, err = profiler.EstimateFloat(w.Model, v.engine)
-				if err != nil {
-					return "", nil, err
-				}
 			} else {
-				mem = profiler.EstimateInt8(w.QModel, v.engine)
+				mem, err = profiler.EstimateInt8(w.QModel, v.engine)
+			}
+			if err != nil {
+				return "", nil, err
 			}
 			row = append(row, report.KB(mem.RAMBytes), report.KB(mem.FlashBytes))
 			cells = append(cells, Table4Cell{

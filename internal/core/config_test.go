@@ -302,6 +302,35 @@ func TestLayoutCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestLayoutTracksInputAndBlockFields: the cached offset table follows
+// an assignment to the input block and to a DSP block's exported
+// fields, not only to the DSP list.
+func TestLayoutTracksInputAndBlockFields(t *testing.T) {
+	mfcc, err := dsp.NewMFCC(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp := New("x").UseDSP(mfcc)
+	imp.Input = InputBlock{Kind: TimeSeries, WindowMS: 1000, FrequencyHz: 16000, Axes: 1}
+	total := func() int {
+		t.Helper()
+		l, err := imp.Layout()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l.Total
+	}
+	before := total()
+	mfcc.NumCoeffs++
+	if got, want := total(), before/13*14; got != want {
+		t.Errorf("after NumCoeffs 13 -> 14: layout total %d, want %d", got, want)
+	}
+	imp.Input.WindowMS = 500
+	if got := total(); got >= before {
+		t.Errorf("after halving the window: layout total %d, was %d", got, before)
+	}
+}
+
 func TestInputBlockImageAxesNormalized(t *testing.T) {
 	b := InputBlock{Kind: ImageInput, Width: 32, Height: 32}
 	if err := b.Validate(); err != nil {

@@ -141,8 +141,8 @@ type Impulse struct {
 	// against the training distribution.
 	Anomaly *anomaly.KMeans
 
-	// layout caches the per-block feature offset table, validated
-	// against a design fingerprint (see Layout).
+	// layout caches the per-block feature offset table, checked
+	// against the design on every use (see Layout).
 	layout atomic.Pointer[layoutCache]
 }
 
@@ -312,18 +312,20 @@ func (imp *Impulse) CanonicalSignal() dsp.Signal {
 }
 
 // canonicalFor returns the canonical window geometry as seen by one DSP
-// block, i.e. narrowed to its selected axes, built directly at the
-// narrowed size (these zero signals exist only for shape/cost queries).
-func (imp *Impulse) canonicalFor(inst DSPInstance) dsp.Signal {
-	if len(inst.Axes) == 0 || imp.Input.Kind == ImageInput {
-		return imp.CanonicalSignal()
+// block, i.e. narrowed to its selected axes, over zeros when it holds a
+// window of that size (these zero signals exist only for shape, cost
+// and memory queries, which never write them).
+func (imp *Impulse) canonicalFor(inst DSPInstance, zeros []float32) dsp.Signal {
+	sig, n := imp.windowGeometry()
+	if len(inst.Axes) > 0 && imp.Input.Kind != ImageInput {
+		sig.Axes = len(inst.Axes)
+		n = imp.Input.WindowSamples() * sig.Axes
 	}
-	n := imp.Input.WindowSamples()
-	return dsp.Signal{
-		Data: make([]float32, n*len(inst.Axes)),
-		Rate: imp.Input.FrequencyHz,
-		Axes: len(inst.Axes),
+	if len(zeros) < n {
+		zeros = make([]float32, n)
 	}
+	sig.Data = zeros[:n]
+	return sig
 }
 
 // subSignal narrows an interleaved signal to the selected axes (nil =
@@ -477,6 +479,9 @@ func (l *FeatureLayout) resolveInputs(spec LearnBlockSpec) ([]int, error) {
 // exactly one DSP block keeps that block's shape (so conv models keep
 // working); multi-block subsets gather into a flat vector.
 func (imp *Impulse) learnView(spec LearnBlockSpec, composite *tensor.F32, l *FeatureLayout) (*tensor.F32, error) {
+	if len(spec.Inputs) == 0 {
+		return composite, nil
+	}
 	idx, err := l.resolveInputs(spec)
 	if err != nil {
 		return nil, err
@@ -747,7 +752,7 @@ func (imp *Impulse) Evaluate(ds *data.Dataset, cat data.Category) (float64, [][]
 func (imp *Impulse) DSPCost() dsp.Cost {
 	var total dsp.Cost
 	for _, inst := range imp.DSP {
-		total = total.Add(inst.Block.Cost(imp.canonicalFor(inst)))
+		total = total.Add(inst.Block.Cost(imp.canonicalFor(inst, nil)))
 	}
 	return total
 }
@@ -758,7 +763,7 @@ func (imp *Impulse) DSPCost() dsp.Cost {
 func (imp *Impulse) DSPRAM() int64 {
 	var total int64
 	for _, inst := range imp.DSP {
-		total += inst.Block.RAM(imp.canonicalFor(inst))
+		total += inst.Block.RAM(imp.canonicalFor(inst, nil))
 	}
 	if len(imp.DSP) > 1 {
 		if l, err := imp.Layout(); err == nil {

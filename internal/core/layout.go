@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"edgepulse/internal/tensor"
 )
@@ -40,29 +38,52 @@ func (l *FeatureLayout) Segment(name string) (FeatureSegment, bool) {
 	return FeatureSegment{}, false
 }
 
-// layoutCache pairs a computed layout with the design fingerprint it was
-// derived from, so direct mutation of the exported Impulse fields (as
-// library callers do) invalidates the cache instead of serving stale
-// offsets.
+// layoutCache is a computed layout with the input block it was derived
+// for and a zero window of that input's geometry, which shape queries
+// read the length of and never write. Layout checks it against the
+// design on every call, so direct mutation of the exported Impulse
+// fields (as library callers do) recomputes the layout instead of
+// serving stale offsets.
 type layoutCache struct {
-	fingerprint string
-	layout      *FeatureLayout
+	input  InputBlock
+	zeros  []float32
+	layout *FeatureLayout
+}
+
+// matches reports whether the cached layout is still the design's: the
+// same input block, and every DSP block with its cached name and its
+// cached output shape for the canonical window.
+func (c *layoutCache) matches(imp *Impulse) bool {
+	if c.input != imp.Input || len(imp.DSP) != len(c.layout.Segments) {
+		return false
+	}
+	for i, inst := range imp.DSP {
+		seg := c.layout.Segments[i]
+		shape, err := inst.Block.OutputShape(imp.canonicalFor(inst, c.zeros))
+		if err != nil || inst.Name != seg.Name || !shape.Equal(seg.Shape) {
+			return false
+		}
+	}
+	return true
 }
 
 // Layout returns the impulse's per-block feature offset table, cached
-// across calls and recomputed whenever the input block or DSP graph
-// changes.
+// across calls and recomputed whenever the input block or a DSP block's
+// name or output shape changes.
 func (imp *Impulse) Layout() (*FeatureLayout, error) {
 	if len(imp.DSP) == 0 {
 		return nil, fmt.Errorf("core: impulse has no DSP block")
 	}
-	fp := imp.designFingerprint()
-	if c := imp.layout.Load(); c != nil && c.fingerprint == fp {
+	c := imp.layout.Load()
+	if c != nil && c.matches(imp) {
 		return c.layout, nil
+	}
+	if c == nil || c.input != imp.Input {
+		c = &layoutCache{input: imp.Input, zeros: make([]float32, imp.WindowLen())}
 	}
 	l := new(FeatureLayout)
 	for _, inst := range imp.DSP {
-		shape, err := inst.Block.OutputShape(imp.canonicalFor(inst))
+		shape, err := inst.Block.OutputShape(imp.canonicalFor(inst, c.zeros))
 		if err != nil {
 			return nil, fmt.Errorf("core: dsp block %q: %w", inst.Name, err)
 		}
@@ -72,29 +93,6 @@ func (imp *Impulse) Layout() (*FeatureLayout, error) {
 		})
 		l.Total += n
 	}
-	imp.layout.Store(&layoutCache{fingerprint: fp, layout: l})
+	imp.layout.Store(&layoutCache{input: c.input, zeros: c.zeros, layout: l})
 	return l, nil
-}
-
-// designFingerprint renders the layout-relevant design (input geometry
-// plus the DSP graph) as a deterministic string for cache validation.
-func (imp *Impulse) designFingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "in:%s/%d/%d/%d/%d/%dx%d;",
-		imp.Input.Kind, imp.Input.WindowMS, imp.Input.StrideMS,
-		imp.Input.FrequencyHz, imp.Input.Axes, imp.Input.Width, imp.Input.Height)
-	for _, inst := range imp.DSP {
-		fmt.Fprintf(&b, "b:%s/%s/", inst.Name, inst.Block.Name())
-		params := inst.Block.Params()
-		keys := make([]string, 0, len(params))
-		for k := range params {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s=%g,", k, params[k])
-		}
-		fmt.Fprintf(&b, "ax%v;", inst.Axes)
-	}
-	return b.String()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -10,7 +11,9 @@ import (
 	"edgepulse/internal/dsp"
 	"edgepulse/internal/models"
 	"edgepulse/internal/nn"
+	"edgepulse/internal/quant"
 	"edgepulse/internal/synth"
+	"edgepulse/internal/tensor"
 	"edgepulse/internal/trainer"
 )
 
@@ -104,6 +107,62 @@ func TestRunAllocBudget(t *testing.T) {
 		classify := testing.AllocsPerRun(20, func() { imp.ClassifyWindow(sig, quantized) })
 		if run >= classify {
 			t.Errorf("int8=%v: Run allocates %v per window, ClassifyWindow %v", quantized, run, classify)
+		}
+	}
+}
+
+// TestRunAllocsKWS pins what Run allocates per window of the paper's
+// keyword spotting impulse (1 s of 16 kHz audio through MFCC into a
+// DS-CNN), float and int8: the DSP output and the scores (three
+// allocations each: tensor, shape, data), plus one output shape each
+// for the block and the layout check, which builds nothing else.
+func TestRunAllocsKWS(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed by race-detector instrumentation")
+	}
+	block, err := dsp.NewMFCC(map[string]float64{
+		"frame_length": 0.032, "frame_stride": 0.02,
+		"num_filters": 32, "num_cepstral": 10, "fft_length": 512,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp := New("kws").UseDSP(block)
+	imp.Input = InputBlock{Kind: TimeSeries, WindowMS: 1000, FrequencyHz: 16000, Axes: 1}
+	imp.Classes = make([]string, 12)
+	for i := range imp.Classes {
+		imp.Classes[i] = string(rune('a' + i))
+	}
+	shape, err := imp.FeatureShape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := models.KWSDSCNN(shape[0], shape[1], len(imp.Classes))
+	if err := nn.InitWeights(model, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := imp.AttachClassifier(model); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	sig := dsp.Signal{Data: make([]float32, 16000), Rate: 16000, Axes: 1}
+	for i := range sig.Data {
+		sig.Data[i] = float32(rng.NormFloat64()) * 0.1
+	}
+	x, err := imp.Features(sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if imp.QModel, err = quant.Quantize(model, []*tensor.F32{x}); err != nil {
+		t.Fatal(err)
+	}
+	scores := make([]float32, len(imp.Classes))
+	for _, quantized := range []bool{false, true} {
+		if _, _, err := imp.Run(sig, quantized, scores); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { imp.Run(sig, quantized, scores) }); n > 8 {
+			t.Errorf("int8=%v: Run makes %v allocations per kws window, want <= 8", quantized, n)
 		}
 	}
 }

@@ -1,18 +1,21 @@
 // Package profiler estimates the RAM and flash consumption of a deployed
-// model (paper Sec. 4.4, Table 4). RAM is dominated by the activation
-// tensor arena, which nn.PlanArena plans with a liveness-based allocator
-// like the one in TFLM, as every executor's arena is; flash is weights +
-// kernel code + runtime. The TFLM engine model pays interpreter overheads
-// (flatbuffer metadata, per-tensor bookkeeping, arena padding) that the
-// EON compiler model eliminates, reproducing the paper's Table 4 deltas.
+// model (paper Sec. 4.4, Table 4) from the engine that runs it: each
+// estimate builds the row's engine from one tflm.ModelFile
+// (tflm.NewInterpreter for TFLM, eon.Compile for EON). Measured: the
+// arena is the engine's ArenaBytes(), weights are the tensor data of the
+// serialised model file, and TFLM's metadata is the rest of that file
+// (EON compiles it away). Assumed: per-tensor bookkeeping, runtime RAM
+// and flash, kernel code and Fits' headroom, from the device model's
+// table (assumed below), since nothing here links firmware.
 package profiler
 
 import (
 	"edgepulse/internal/device"
+	"edgepulse/internal/eon"
 	"edgepulse/internal/nn"
 	"edgepulse/internal/quant"
 	"edgepulse/internal/renode"
-	"edgepulse/internal/tensor"
+	"edgepulse/internal/tflm"
 )
 
 // Memory is a RAM/flash estimate for one (engine, precision) deployment.
@@ -21,127 +24,121 @@ type Memory struct {
 	Precision renode.Precision
 
 	// RAM components (bytes).
-	ArenaBytes int64
-	TensorRAM  int64 // per-tensor bookkeeping structures
-	RuntimeRAM int64 // interpreter / generated-code state
+	ArenaBytes int64 // measured: the engine's activation arena
+	TensorRAM  int64 // assumed: per-tensor bookkeeping structures
+	RuntimeRAM int64 // assumed: interpreter / generated-code state
 	RAMBytes   int64 // total
 	// Flash components (bytes).
-	WeightBytes   int64
-	KernelBytes   int64 // kernel code for the ops actually used
-	RuntimeFlash  int64 // interpreter + schema parser, or EON glue
-	MetadataBytes int64 // flatbuffer model metadata (TFLM only)
+	WeightBytes   int64 // measured: tensor data of the model file
+	KernelBytes   int64 // assumed: kernel code for the ops actually used
+	RuntimeFlash  int64 // assumed: interpreter + schema parser, or EON glue
+	MetadataBytes int64 // measured: the rest of the model file (TFLM only)
 	FlashBytes    int64 // total
 }
 
-// Engine cost constants, calibrated against the paper's Table 4 deltas.
-const (
-	tflmRuntimeFlash = 36 << 10 // interpreter + flatbuffer parser + allocator
-	eonRuntimeFlash  = 4 << 10  // generated dispatch code
-	tflmTensorRAM    = 64       // TfLiteTensor-style struct per tensor
-	eonTensorRAM     = 16       // static descriptor per tensor
-	tflmRuntimeRAM   = 2 << 10  // interpreter state
-	eonRuntimeRAM    = 256      // none to speak of
-	tflmOpMetadata   = 96       // flatbuffer op entry
-	// tflmArenaPad models the interpreter's alignment and scratch
-	// padding as a fraction of the arena.
-	tflmArenaPad = 0.17
-)
-
-// kernelCode returns the code size of one kernel implementation.
-func kernelCode(kind string, p renode.Precision) int64 {
-	var f32, i8 int64
-	switch kind {
-	case "conv2d":
-		f32, i8 = 2800, 4600
-	case "depthwise_conv2d":
-		f32, i8 = 2400, 4100
-	case "conv1d":
-		f32, i8 = 2200, 3400
-	case "dense":
-		f32, i8 = 1200, 2100
-	case "maxpool2d", "maxpool1d":
-		f32, i8 = 900, 1100
-	case "avgpool2d", "gap2d":
-		f32, i8 = 800, 1000
-	case "softmax":
-		f32, i8 = 1400, 2200
-	case "batchnorm":
-		f32, i8 = 900, 1200
-	default:
-		f32, i8 = 200, 200
-	}
-	if p == renode.Int8 {
-		return i8
-	}
-	return f32
+// engineCosts is what the device model assumes an engine costs beyond
+// the model it runs.
+type engineCosts struct {
+	runtimeFlash  int64 // interpreter + flatbuffer parser + allocator, or EON dispatch glue
+	runtimeRAM    int64 // interpreter state
+	tensorRAM     int64 // per tensor: a TfLiteTensor-style struct, or a static descriptor
+	resolverEntry int64 // op-resolver registration glue per distinct op kind
 }
 
-// estimate assembles a Memory from component measurements.
-func estimate(input tensor.Shape, specs []nn.OpSpec, weightBytes int64, engine renode.Engine, p renode.Precision) Memory {
-	elem := int64(4)
-	if p == renode.Int8 {
-		elem = 1
-	}
-	bufs, _ := nn.ActivationAssignments(input, specs, elem)
-	arena, _ := nn.PlanArena(bufs)
+// assumed is the device model's assumptions: every cost of a deployment
+// that no artefact in this repository can measure, in one table. The
+// figures are typical magnitudes of an MCU build, not measurements.
+var assumed = struct {
+	tflm, eon engineCosts
+	// kernelCode is the code size of one kernel per op kind, float32
+	// then int8; a kind not listed costs otherKernel.
+	kernelCode  map[string][2]int64
+	otherKernel int64
+	// Fits leaves room for the application: stack and globals in RAM;
+	// firmware, HAL and drivers in flash.
+	headroomRAM, headroomFlash int64
+}{
+	tflm: engineCosts{runtimeFlash: 36 << 10, runtimeRAM: 2 << 10, tensorRAM: 64, resolverEntry: 300},
+	eon:  engineCosts{runtimeFlash: 4 << 10, runtimeRAM: 256, tensorRAM: 16},
+	kernelCode: map[string][2]int64{
+		"conv2d": {2800, 4600}, "depthwise_conv2d": {2400, 4100}, "conv1d": {2200, 3400},
+		"dense": {1200, 2100}, "maxpool2d": {900, 1100}, "maxpool1d": {900, 1100},
+		"avgpool2d": {800, 1000}, "gap2d": {800, 1000}, "softmax": {1400, 2200},
+		"batchnorm": {900, 1200},
+	},
+	otherKernel:   200,
+	headroomRAM:   20 << 10,
+	headroomFlash: 48 << 10,
+}
 
-	m := Memory{Engine: engine, Precision: p, WeightBytes: weightBytes}
+// estimate builds the named engine from the model file and reads the
+// deployment's memory off it and off the file's serialised form.
+func estimate(mf *tflm.ModelFile, engine renode.Engine) (Memory, error) {
+	specs, err := mf.Specs()
+	if err != nil {
+		return Memory{}, err
+	}
+	weights, metadata, err := tflm.Sizes(mf)
+	if err != nil {
+		return Memory{}, err
+	}
+	var run interface{ ArenaBytes() int64 }
+	costs := assumed.tflm
+	if engine == renode.TFLM {
+		run, err = tflm.NewInterpreter(mf)
+	} else {
+		costs, metadata = assumed.eon, 0 // compiled into the program
+		run, err = eon.Compile(mf)
+	}
+	if err != nil {
+		return Memory{}, err
+	}
+	p, kernel := renode.Float32, 0
+	if mf.Precision == tflm.Int8 {
+		p, kernel = renode.Int8, 1
+	}
+	m := Memory{
+		Engine: engine, Precision: p,
+		ArenaBytes:    run.ArenaBytes(),
+		TensorRAM:     int64(len(specs)+1) * costs.tensorRAM,
+		RuntimeRAM:    costs.runtimeRAM,
+		WeightBytes:   weights,
+		RuntimeFlash:  costs.runtimeFlash,
+		MetadataBytes: metadata,
+	}
 	// Dead kernel elimination: both engines link only used kernels, but
 	// TFLM's op resolver carries registration glue per op.
 	seen := map[string]bool{}
 	for _, s := range specs {
-		if nn.Aliases(s.Kind) {
+		if nn.Aliases(s.Kind) || seen[s.Kind] {
 			continue
 		}
-		if !seen[s.Kind] {
-			seen[s.Kind] = true
-			m.KernelBytes += kernelCode(s.Kind, p)
+		seen[s.Kind] = true
+		code, ok := assumed.kernelCode[s.Kind]
+		if !ok {
+			code = [2]int64{assumed.otherKernel, assumed.otherKernel}
 		}
-	}
-	nTensors := int64(len(specs) + 1)
-	switch engine {
-	case renode.TFLM:
-		m.ArenaBytes = int64(float64(arena) * (1 + tflmArenaPad))
-		m.TensorRAM = nTensors * tflmTensorRAM
-		m.RuntimeRAM = tflmRuntimeRAM
-		m.RuntimeFlash = tflmRuntimeFlash
-		m.MetadataBytes = int64(len(specs)) * tflmOpMetadata
-		m.KernelBytes += int64(len(seen)) * 300 // op resolver entries
-	case renode.EON:
-		m.ArenaBytes = arena
-		m.TensorRAM = nTensors * eonTensorRAM
-		m.RuntimeRAM = eonRuntimeRAM
-		m.RuntimeFlash = eonRuntimeFlash
+		m.KernelBytes += code[kernel] + costs.resolverEntry
 	}
 	m.RAMBytes = m.ArenaBytes + m.TensorRAM + m.RuntimeRAM
 	m.FlashBytes = m.WeightBytes + m.KernelBytes + m.RuntimeFlash + m.MetadataBytes
-	return m
+	return m, nil
 }
 
 // EstimateFloat profiles a float32 deployment of the model.
 func EstimateFloat(m *nn.Model, engine renode.Engine) (Memory, error) {
-	specs, err := m.Spec()
-	if err != nil {
-		return Memory{}, err
-	}
-	var weightBytes int64
-	for _, s := range specs {
-		weightBytes += int64(s.WeightElems) * 4
-	}
-	return estimate(m.InputShape, specs, weightBytes, engine, renode.Float32), nil
+	return estimate(tflm.ModelFileFromFloat(m), engine)
 }
 
 // EstimateInt8 profiles an int8 deployment of a quantized model.
-func EstimateInt8(qm *quant.QModel, engine renode.Engine) Memory {
-	return estimate(qm.InputShape, qm.Specs(), qm.WeightBytes(), engine, renode.Int8)
+func EstimateInt8(qm *quant.QModel, engine renode.Engine) (Memory, error) {
+	return estimate(tflm.ModelFileFromQuant(qm), engine)
 }
 
 // Fits reports whether a deployment (model memory plus DSP working RAM)
-// fits the target's capacities, leaving headroom for the application
-// stack and globals.
+// fits the target's capacities, leaving the device model's headroom for
+// the application.
 func Fits(m Memory, dspRAM int64, t device.Target) bool {
-	const appHeadroomRAM = 20 << 10   // stack + firmware globals
-	const appHeadroomFlash = 48 << 10 // firmware, HAL, drivers
-	return m.RAMBytes+dspRAM+appHeadroomRAM <= t.RAMBytes &&
-		m.FlashBytes+appHeadroomFlash <= t.FlashBytes
+	return m.RAMBytes+dspRAM+assumed.headroomRAM <= t.RAMBytes &&
+		m.FlashBytes+assumed.headroomFlash <= t.FlashBytes
 }

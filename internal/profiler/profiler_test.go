@@ -46,8 +46,14 @@ func TestEONBeatsTFLMOnMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i8TFLM := EstimateInt8(qm, renode.TFLM)
-	i8EON := EstimateInt8(qm, renode.EON)
+	i8TFLM, err := EstimateInt8(qm, renode.TFLM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i8EON, err := EstimateInt8(qm, renode.EON)
+	if err != nil {
+		t.Fatal(err)
+	}
 	check := func(name string, tflm, eon Memory) {
 		if eon.RAMBytes >= tflm.RAMBytes {
 			t.Errorf("%s: EON RAM %d >= TFLM %d", name, eon.RAMBytes, tflm.RAMBytes)
@@ -82,7 +88,10 @@ func TestKWSMemoryBallpark(t *testing.T) {
 	if kb := fp.FlashBytes >> 10; kb < 60 || kb > 350 {
 		t.Errorf("KWS FP TFLM flash = %d kB, paper 148", kb)
 	}
-	i8 := EstimateInt8(qm, renode.EON)
+	i8, err := EstimateInt8(qm, renode.EON)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if kb := i8.RAMBytes >> 10; kb < 5 || kb > 100 {
 		t.Errorf("KWS Int8 EON RAM = %d kB, paper 36.4", kb)
 	}
@@ -118,7 +127,10 @@ func TestKWSFitsEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i8 := EstimateInt8(qm, renode.TFLM)
+	i8, err := EstimateInt8(qm, renode.TFLM)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tgt := range device.EvaluationBoards() {
 		if !Fits(fp, 14<<10, tgt) {
 			t.Errorf("KWS float does not fit %s", tgt.ID)

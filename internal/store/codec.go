@@ -92,6 +92,9 @@ func decodeSample(payload []byte) (*data.Sample, error) {
 		Axes:  int(asInt(m["axes"])),
 		Width: int(asInt(m["w"])), Height: int(asInt(m["h"])),
 	}
+	if err := checkShape(sig); err != nil {
+		return nil, err
+	}
 	for i := range sig.Data {
 		sig.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
 	}
@@ -110,6 +113,30 @@ func decodeSample(payload []byte) (*data.Sample, error) {
 		}
 	}
 	return s, nil
+}
+
+// checkShape refuses a signal whose geometry cannot describe its data:
+// no axis, a length that is not whole frames, a negative rate or size,
+// or an image whose width × height is not its frame count.
+func checkShape(sig dsp.Signal) error {
+	n := len(sig.Data)
+	switch {
+	case sig.Axes < 1 || n%sig.Axes != 0:
+		return fmt.Errorf("store: signal of %d values in %d axes", n, sig.Axes)
+	case sig.Rate < 0 || sig.Width < 0 || sig.Height < 0:
+		return fmt.Errorf("store: signal of rate %d and size %dx%d", sig.Rate, sig.Width, sig.Height)
+	case (sig.Width > 0 || sig.Height > 0) && (sig.Width > n || sig.Height > n || sig.Width*sig.Height != n/sig.Axes):
+		return fmt.Errorf("store: %dx%d image of %d axes holds %d values", sig.Width, sig.Height, sig.Axes, n)
+	}
+	return nil
+}
+
+// shapeOf is the header shape of a signal.
+func shapeOf(sig dsp.Signal) data.SignalShape {
+	return data.SignalShape{
+		Rate: sig.Rate, Axes: sig.Axes, Width: sig.Width, Height: sig.Height,
+		Frames: sig.Frames(),
+	}
 }
 
 // headerMap renders a header + location as the value carried by an

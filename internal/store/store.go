@@ -435,7 +435,7 @@ func (s *Store) LoadSignal(id string) (dsp.Signal, error) {
 		s.unlock()
 		return dsp.Signal{}, fmt.Errorf("store: no sample %s", id)
 	}
-	loc := r.loc
+	loc, shape := r.loc, r.h.Shape
 	f, err := s.segmentReader(loc.Segment)
 	s.unlock()
 	if err != nil {
@@ -451,6 +451,9 @@ func (s *Store) LoadSignal(id string) (dsp.Signal, error) {
 	}
 	if sample.ID != id {
 		return dsp.Signal{}, fmt.Errorf("store: sample %s record holds %s (index corruption)", id, sample.ID)
+	}
+	if got := shapeOf(sample.Signal); got != shape {
+		return dsp.Signal{}, fmt.Errorf("store: sample %s record has shape %+v, header %+v", id, got, shape)
 	}
 	return sample.Signal, nil
 }
@@ -482,6 +485,9 @@ func (s *Store) segmentReader(idx int) (*os.File, error) {
 // append to the active segment plus one journal record — O(sample)
 // work regardless of dataset size.
 func (s *Store) Append(sample *data.Sample) error {
+	if err := checkShape(sample.Signal); err != nil {
+		return err
+	}
 	payload, err := encodeSample(sample)
 	if err != nil {
 		return err
@@ -533,12 +539,7 @@ func sampleHeader(sample *data.Sample) *data.Header {
 	return &data.Header{
 		ID: sample.ID, Name: sample.Name, Label: sample.Label,
 		Category: sample.Category, Metadata: sample.Metadata,
-		AddedAt: sample.AddedAt,
-		Shape: data.SignalShape{
-			Rate: sample.Signal.Rate, Axes: sample.Signal.Axes,
-			Width: sample.Signal.Width, Height: sample.Signal.Height,
-			Frames: sample.Signal.Frames(),
-		},
+		AddedAt: sample.AddedAt, Shape: shapeOf(sample.Signal),
 	}
 }
 

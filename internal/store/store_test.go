@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +68,28 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 	}
 	if err := st.Append(mkSample("a1", 32)); err == nil {
 		t.Fatal("duplicate append accepted")
+	}
+}
+
+// TestSampleShapeChecked: Append refuses a signal whose geometry cannot
+// describe its data, and LoadSignal refuses a record whose shape
+// disagrees with the sample's header, as a follower's index and its
+// leader's records can.
+func TestSampleShapeChecked(t *testing.T) {
+	st := openT(t, t.TempDir(), Options{})
+	bad := mkSample("b1", 6)
+	bad.Signal.Axes = 4
+	if err := st.Append(bad); err == nil {
+		t.Error("appended 6 values in 4 axes")
+	}
+	if err := st.Append(mkSample("a1", 6)); err != nil {
+		t.Fatal(err)
+	}
+	st.lock()
+	st.recs["a1"].h.Shape.Frames = 3
+	st.unlock()
+	if _, err := st.LoadSignal("a1"); err == nil || !strings.Contains(err.Error(), "header") {
+		t.Errorf("loaded a record of 6 frames under a 3-frame header: %v", err)
 	}
 }
 

@@ -81,28 +81,23 @@ func (mf *ModelFile) NewExecutor(binding nn.Binding) (Runner, error) {
 const magic = "EPTM"
 const version = 1
 
+// writer appends the EPTM encoding of a model, counting the bytes of
+// tensor data (weights and biases) apart from the rest.
 type writer struct {
-	buf bytes.Buffer
-	err error
+	buf     []byte
+	weights int64
 }
 
-func (w *writer) u32(v uint32)  { w.bin(v) }
-func (w *writer) i64(v int64)   { w.bin(v) }
-func (w *writer) f32(v float32) { w.bin(math.Float32bits(v)) }
-func (w *writer) u8(v uint8)    { w.bin(v) }
-
-func (w *writer) bin(v any) {
-	if w.err != nil {
-		return
-	}
-	w.err = binary.Write(&w.buf, binary.LittleEndian, v)
-}
+func (w *writer) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *writer) i32(v int32)   { w.u32(uint32(v)) }
+func (w *writer) i64(v int64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v)) }
+func (w *writer) f32(v float32) { w.u32(math.Float32bits(v)) }
+func (w *writer) f64(v float64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v)) }
+func (w *writer) u8(v uint8)    { w.buf = append(w.buf, v) }
 
 func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
-	if w.err == nil {
-		w.buf.WriteString(s)
-	}
+	w.buf = append(w.buf, s...)
 }
 
 func (w *writer) shape(s tensor.Shape) {
@@ -117,24 +112,23 @@ func (w *writer) f32s(v []float32) {
 	for _, x := range v {
 		w.f32(x)
 	}
+	w.weights += int64(len(v)) * 4
 }
 
 func (w *writer) i8s(v []int8) {
 	w.u32(uint32(len(v)))
-	if w.err == nil {
-		b := make([]byte, len(v))
-		for i, x := range v {
-			b[i] = byte(x)
-		}
-		w.buf.Write(b)
+	for _, x := range v {
+		w.buf = append(w.buf, byte(x))
 	}
+	w.weights += int64(len(v))
 }
 
 func (w *writer) i32s(v []int32) {
 	w.u32(uint32(len(v)))
 	for _, x := range v {
-		w.bin(x)
+		w.i32(x)
 	}
+	w.weights += int64(len(v)) * 4
 }
 
 func (w *writer) attrs(a map[string]float64) {
@@ -146,7 +140,7 @@ func (w *writer) attrs(a map[string]float64) {
 	w.u32(uint32(len(keys)))
 	for _, k := range keys {
 		w.str(k)
-		w.bin(a[k])
+		w.f64(a[k])
 	}
 }
 
@@ -267,15 +261,35 @@ func (r *reader) attrs() map[string]float64 {
 
 // Marshal serializes a model file to the EPTM binary format.
 func Marshal(mf *ModelFile) ([]byte, error) {
-	w := &writer{}
-	w.buf.WriteString(magic)
-	w.u32(version)
-	w.u8(uint8(mf.Precision))
-	w.u32(uint32(mf.NumClasses))
+	w, err := marshal(mf)
+	if err != nil {
+		return nil, err
+	}
+	return w.buf, nil
+}
+
+// Sizes splits len(Marshal(mf)) into the tensor data the file holds
+// (float32 weights, or int8 weights and int32 biases) and its metadata:
+// everything else, from the header and op kinds to attributes, shapes,
+// length prefixes and quantization parameters.
+func Sizes(mf *ModelFile) (weights, metadata int64, err error) {
+	w, err := marshal(mf)
+	if err != nil {
+		return 0, 0, err
+	}
+	return w.weights, int64(len(w.buf)) - w.weights, nil
+}
+
+func marshal(mf *ModelFile) (*writer, error) {
 	specs, err := mf.Specs()
 	if err != nil {
 		return nil, err
 	}
+	w := &writer{}
+	w.buf = append(w.buf, magic...)
+	w.u32(version)
+	w.u8(uint8(mf.Precision))
+	w.u32(uint32(mf.NumClasses))
 	w.shape(mf.InputShape())
 	if mf.Precision == Float32 {
 		w.u32(uint32(len(specs)))
@@ -297,7 +311,7 @@ func Marshal(mf *ModelFile) ([]byte, error) {
 		}
 	} else {
 		w.f32(mf.Quant.InQ.Scale)
-		w.bin(mf.Quant.InQ.ZeroPoint)
+		w.i32(mf.Quant.InQ.ZeroPoint)
 		w.u32(uint32(len(mf.Quant.Ops)))
 		for _, op := range mf.Quant.Ops {
 			w.str(op.Kind)
@@ -309,17 +323,14 @@ func Marshal(mf *ModelFile) ([]byte, error) {
 			w.f32(op.WScale)
 			w.i32s(op.Bias)
 			w.f32(op.InQ.Scale)
-			w.bin(op.InQ.ZeroPoint)
+			w.i32(op.InQ.ZeroPoint)
 			w.f32(op.OutQ.Scale)
-			w.bin(op.OutQ.ZeroPoint)
-			w.bin(op.ActMin)
-			w.bin(op.ActMax)
+			w.i32(op.OutQ.ZeroPoint)
+			w.i32(op.ActMin)
+			w.i32(op.ActMax)
 		}
 	}
-	if w.err != nil {
-		return nil, w.err
-	}
-	return w.buf.Bytes(), nil
+	return w, nil
 }
 
 // tensorCount returns how many serializable tensors a layer owns.

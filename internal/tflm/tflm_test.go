@@ -248,8 +248,7 @@ func BenchmarkInterpreterDispatch(b *testing.B) {
 // is refused before anything is allocated from its claims.
 func TestUnmarshalRefusesHostileOps(t *testing.T) {
 	float := func(kind string, attrs map[string]float64, in tensor.Shape) []byte {
-		w := &writer{}
-		w.buf.WriteString(magic)
+		w := &writer{buf: []byte(magic)}
 		w.u32(version)
 		w.u8(uint8(Float32))
 		w.u32(2)
@@ -261,7 +260,7 @@ func TestUnmarshalRefusesHostileOps(t *testing.T) {
 		w.shape(in)
 		w.i64(0)
 		w.u32(0) // no weight tensors
-		return w.buf.Bytes()
+		return w.buf
 	}
 	k3 := map[string]float64{"kernel": 3, "stride": 1}
 	int8 := func(kind string, attrs map[string]float64, in, out tensor.Shape, weights int) []byte {

@@ -112,11 +112,12 @@ func ablationModels(t *testing.T) map[string]*tflm.ModelFile {
 // interpreter ablation now that both run the one executor on the same
 // kernels: outputs are bitwise equal, both engines place their
 // activations in the same liveness-planned arena, which is the arena
-// Table 4's EON cells report, the interpreter resolves every op on every
-// Invoke, and neither allocates beyond the returned tensor (not checked
-// under the race detector, whose instrumentation allocates), on every
-// simd tier. What compiling removes is the per-op dispatch, not arena
-// bytes.
+// each engine's Table 4 cells report, Table 4's weights and TFLM
+// metadata are the serialised model file, the interpreter resolves
+// every op on every Invoke, and neither allocates beyond the returned
+// tensor (not checked under the race detector, whose instrumentation
+// allocates), on every simd tier. What compiling removes is the per-op
+// dispatch and the model file's metadata, not arena bytes.
 func TestEONAblationOnSharedKernels(t *testing.T) {
 	simdtest.ForEachTier(t, func(t *testing.T) {
 		for name, mf := range ablationModels(t) {
@@ -135,14 +136,32 @@ func TestEONAblationOnSharedKernels(t *testing.T) {
 			if got := prog.ArenaBytes(); got <= 0 || got != it.ArenaBytes() {
 				t.Errorf("%s: EON arena %d bytes, interpreter arena %d", name, got, it.ArenaBytes())
 			}
-			var est profiler.Memory
-			if mf.Precision == tflm.Int8 {
-				est = profiler.EstimateInt8(mf.Quant, renode.EON)
-			} else if est, err = profiler.EstimateFloat(mf.Float, renode.EON); err != nil {
+			blob, err := tflm.Marshal(mf)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if est.ArenaBytes != prog.ArenaBytes() {
-				t.Errorf("%s: Table 4 EON arena %d bytes, compiled program %d", name, est.ArenaBytes, prog.ArenaBytes())
+			est := map[renode.Engine]profiler.Memory{}
+			for engine, arena := range map[renode.Engine]int64{renode.TFLM: it.ArenaBytes(), renode.EON: prog.ArenaBytes()} {
+				var mem profiler.Memory
+				if mf.Precision == tflm.Int8 {
+					mem, err = profiler.EstimateInt8(mf.Quant, engine)
+				} else {
+					mem, err = profiler.EstimateFloat(mf.Float, engine)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mem.ArenaBytes != arena {
+					t.Errorf("%s: Table 4 %v arena %d bytes, engine %d", name, engine, mem.ArenaBytes, arena)
+				}
+				est[engine] = mem
+			}
+			tf, eo := est[renode.TFLM], est[renode.EON]
+			if tf.WeightBytes+tf.MetadataBytes != int64(len(blob)) {
+				t.Errorf("%s: Table 4 TFLM weights %d + metadata %d bytes, model file %d", name, tf.WeightBytes, tf.MetadataBytes, len(blob))
+			}
+			if eo.WeightBytes != tf.WeightBytes || eo.MetadataBytes != 0 {
+				t.Errorf("%s: Table 4 EON weights %d, metadata %d bytes; TFLM weights %d", name, eo.WeightBytes, eo.MetadataBytes, tf.WeightBytes)
 			}
 
 			rng := rand.New(rand.NewSource(3))
