@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	v1 "edgepulse/internal/api/v1"
@@ -62,8 +61,8 @@ func (s *Server) ShardID() int {
 	return s.cluster.shard
 }
 
-// clusterRoutes registers the cluster plane. Exempt from the admission
-// gate: a follower must keep syncing from an overloaded primary.
+// clusterRoutes registers the cluster plane. Exempt from the limiter and
+// the gate: a follower must keep syncing from an overloaded primary.
 func (s *Server) clusterRoutes() {
 	if s.cluster == nil {
 		return
@@ -88,13 +87,6 @@ func (s *Server) clusterAuth(next http.HandlerFunc) http.HandlerFunc {
 		}
 		next(w, r)
 	}
-}
-
-// isClusterPath matches the cluster plane, which bypasses rate limiting
-// like the health probes: a follower tailing at a tight interval must
-// not be throttled into falling behind.
-func isClusterPath(path string) bool {
-	return strings.HasPrefix(path, v1.Prefix+"/cluster/")
 }
 
 // handleClusterNode reports the node's identity and per-project store

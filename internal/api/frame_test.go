@@ -234,7 +234,8 @@ func getProjectRequest(tb testing.TB) (http.Handler, *http.Request) {
 // TestServeGetProjectAllocs pins the allocations of one authenticated
 // GET /projects/{id} through Server.Handler(), recorder included: 33
 // when the request passed four middlewares and a per-route closure, 25
-// in one frame.
+// in one frame, 22 since the mux matches once and the gate admits
+// without a release closure.
 func TestServeGetProjectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed by race-detector instrumentation")
@@ -247,8 +248,8 @@ func TestServeGetProjectAllocs(t *testing.T) {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	})
-	if allocs > 25 {
-		t.Fatalf("%.0f allocations per GET /projects/{id}, want <= 25", allocs)
+	if allocs > 22 {
+		t.Fatalf("%.0f allocations per GET /projects/{id}, want <= 22", allocs)
 	}
 }
 

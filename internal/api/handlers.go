@@ -29,7 +29,7 @@ import (
 // Default and maximum page sizes for list endpoints.
 const (
 	defaultPageSize = 100
-	maxPageSize     = 1000
+	MaxPageSize     = 1000
 )
 
 func (s *Server) handleCreateUser(w http.ResponseWriter, r *http.Request) {
@@ -145,12 +145,12 @@ func projectSummary(p *project.Project) v1.ProjectSummary {
 }
 
 func (s *Server) writeProjectList(w http.ResponseWriter, r *http.Request, all []*project.Project) {
-	limit, offset, err := pageParams(r, defaultPageSize, maxPageSize)
+	limit, offset, err := PageParams(r)
 	if err != nil {
 		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
-	window, page := paginate(all, limit, offset)
+	window, page := Paginate(all, limit, offset)
 	var out []v1.ProjectSummary
 	for _, p := range window {
 		out = append(out, projectSummary(p))
@@ -278,14 +278,14 @@ func labelStats(stats []data.LabelStat) []v1.LabelStat {
 }
 
 func (s *Server) handleListData(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
-	limit, offset, err := pageParams(r, defaultPageSize, maxPageSize)
+	limit, offset, err := PageParams(r)
 	if err != nil {
 		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
 	ds := p.Dataset()
 	all := ds.List(data.Category(r.URL.Query().Get("category")))
-	window, page := paginate(all, limit, offset)
+	window, page := Paginate(all, limit, offset)
 	var samples []v1.Sample
 	// List serves headers only: no signal payload is loaded no matter
 	// how large the dataset is.
@@ -729,12 +729,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, u *proje
 }
 
 func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request, u *project.User, p *project.Project) {
-	limit, offset, err := pageParams(r, defaultPageSize, maxPageSize)
+	limit, offset, err := PageParams(r)
 	if err != nil {
 		WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
-	window, page := paginate(p.Versions(), limit, offset)
+	window, page := Paginate(p.Versions(), limit, offset)
 	var out []v1.ProjectVersion
 	for _, v := range window {
 		out = append(out, projectVersion(v))

@@ -51,6 +51,8 @@ type Frame struct {
 	// untimed records the request with zero duration: a held-open stream
 	// (its lifetime goes to stream metrics) or a request no route served.
 	untimed bool
+	// matched is the route-table entry the mux matched (worker only).
+	matched *route
 	user    *project.User
 	node    string
 	shard   int
@@ -328,14 +330,6 @@ func (s *Server) admit(f *Frame, r *http.Request) bool {
 	if s.limiter == nil { // WithRateLimit(0, _): limiting disabled
 		return true
 	}
-	if isHealthPath(r.URL.Path) || isClusterPath(r.URL.Path) {
-		// Probes bypass the limiter: an orchestrator polling through
-		// a shared NAT must never be throttled into flapping the
-		// instance out of rotation. The cluster plane does too — a
-		// follower tailing replication must not be throttled into
-		// falling behind (it is token-guarded, not public).
-		return true
-	}
 	host := s.clientHost(r)
 	now := time.Now()
 	allowed, authenticated := false, false
@@ -369,13 +363,13 @@ const (
 )
 
 // apiMetrics is a worker's Observer plus the counters only a worker
-// keeps. Requests that miss every route or are throttled before dispatch
-// are recorded under the synthetic (unmatched) and (rate-limited)
-// labels.
+// keeps. Requests that miss every route or are throttled before their
+// route runs are recorded under the synthetic (unmatched) and
+// (rate-limited) labels.
 type apiMetrics struct {
 	Observer
 	start time.Time
-	// gate's per-class sheds are the shed total: withGate is its only
+	// gate's per-class sheds are the shed total: serve is its only
 	// caller.
 	gate *resilience.Gate
 

@@ -84,14 +84,20 @@ func RenderPrometheus(w io.Writer, m v1.MetricsResponse) error {
 
 	p.metric("ei_scheduler_workers", "gauge", "Live training workers.")
 	p.value("ei_scheduler_workers", "", float64(m.Scheduler.Workers))
+	p.metric("ei_scheduler_peak_workers", "gauge", "Most training workers live at once.")
+	p.value("ei_scheduler_peak_workers", "", float64(m.Scheduler.PeakWorkers))
 	p.metric("ei_scheduler_queued", "gauge", "Jobs pending in the scheduler queue.")
 	p.value("ei_scheduler_queued", "", float64(m.Scheduler.Queued))
 	p.metric("ei_scheduler_completed_total", "counter", "Jobs finished successfully.")
 	p.value("ei_scheduler_completed_total", "", float64(m.Scheduler.Completed))
 	p.metric("ei_scheduler_failed_total", "counter", "Jobs that failed terminally.")
 	p.value("ei_scheduler_failed_total", "", float64(m.Scheduler.Failed))
+	p.metric("ei_scheduler_cancelled_total", "counter", "Jobs cancelled.")
+	p.value("ei_scheduler_cancelled_total", "", float64(m.Scheduler.Cancelled))
 	p.metric("ei_scheduler_retries_total", "counter", "Transient-failure retries.")
 	p.value("ei_scheduler_retries_total", "", float64(m.Scheduler.Retries))
+	p.metric("ei_scheduler_scale_ups_total", "counter", "Workers added by autoscaling.")
+	p.value("ei_scheduler_scale_ups_total", "", float64(m.Scheduler.ScaleUps))
 	if len(m.Scheduler.QueuedByPriority) > 0 {
 		p.metric("ei_scheduler_queued_by_priority", "gauge", "Pending jobs per priority class.")
 		classes := make([]string, 0, len(m.Scheduler.QueuedByPriority))
@@ -104,6 +110,21 @@ func RenderPrometheus(w io.Writer, m v1.MetricsResponse) error {
 		}
 	}
 
+	if len(m.Scheduler.Kinds) > 0 {
+		p.metric("ei_scheduler_kind_jobs_total", "counter", "Terminal job runs per kind.")
+		for _, k := range m.Scheduler.Kinds {
+			p.value("ei_scheduler_kind_jobs_total", promLabel("kind", k.Kind), float64(k.Count))
+		}
+		p.metric("ei_scheduler_kind_wait_avg_ms", "gauge", "Mean queue wait per job kind.")
+		for _, k := range m.Scheduler.Kinds {
+			p.value("ei_scheduler_kind_wait_avg_ms", promLabel("kind", k.Kind), k.AvgWaitMS)
+		}
+		p.metric("ei_scheduler_kind_run_avg_ms", "gauge", "Mean run time per job kind.")
+		for _, k := range m.Scheduler.Kinds {
+			p.value("ei_scheduler_kind_run_avg_ms", promLabel("kind", k.Kind), k.AvgRunMS)
+		}
+	}
+
 	if len(m.Streams) > 0 {
 		p.metric("ei_stream_connections_active", "gauge", "Open long-lived NDJSON connections per route.")
 		for _, st := range m.Streams {
@@ -113,10 +134,16 @@ func RenderPrometheus(w io.Writer, m v1.MetricsResponse) error {
 		for _, st := range m.Streams {
 			p.value("ei_stream_connections_total", promLabel("route", st.Route), float64(st.Count))
 		}
+		p.metric("ei_stream_connection_avg_seconds", "gauge", "Mean lifetime of completed connections per route.")
+		for _, st := range m.Streams {
+			p.value("ei_stream_connection_avg_seconds", promLabel("route", st.Route), st.AvgSeconds)
+		}
 	}
 	if sp := m.StreamPlane; sp != nil {
 		p.metric("ei_stream_sessions_active", "gauge", "Live inference sessions.")
 		p.value("ei_stream_sessions_active", "", float64(sp.ActiveSessions))
+		p.metric("ei_stream_sessions_peak", "gauge", "Most inference sessions live at once.")
+		p.value("ei_stream_sessions_peak", "", float64(sp.PeakSessions))
 		p.metric("ei_stream_sessions_opened_total", "counter", "Inference sessions ever admitted.")
 		p.value("ei_stream_sessions_opened_total", "", float64(sp.Opened))
 		p.metric("ei_stream_sessions_shed_total", "counter", "Session opens refused at the capacity cap.")
@@ -132,6 +159,8 @@ func RenderPrometheus(w io.Writer, m v1.MetricsResponse) error {
 	}
 
 	if res := m.Resilience; res != nil {
+		p.metric("ei_resilience_level", "gauge", "Admission gate shedding posture, as its label.")
+		p.value("ei_resilience_level", promLabel("level", res.Level), 1)
 		p.metric("ei_resilience_load_score", "gauge", "Admission gate load score (1.0 = saturated).")
 		p.value("ei_resilience_load_score", "", res.Score)
 		p.metric("ei_resilience_inflight", "gauge", "Currently admitted requests.")

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"runtime/metrics"
@@ -24,17 +23,20 @@ const (
 	budgetWait        = maxWaitTimeout + 10*time.Second
 )
 
-// routeOpts carries one route's resilience settings: its admission class
-// and deadline budget. The zero value is a default-class route with the
-// default budget.
+// routeOpts says how one route is admitted. The zero value is a
+// default-class route with the default budget.
 type routeOpts struct {
 	class resilience.Class
-	// budget is the context deadline applied around the handler
-	// (stream routes get none: they manage their own lifetimes).
+	// budget is the context deadline applied around the handler (0: the
+	// class's default).
 	budget time.Duration
-	// exempt bypasses the admission gate (health probes must answer
-	// while shedding, or the orchestrator would kill an overloaded but
-	// healthy instance).
+	// stream marks a long-lived NDJSON route: it gets no budget (the
+	// connection manages its own lifetime) and is recorded with zero
+	// duration, its connection's lifetime going to the stream metrics.
+	stream bool
+	// exempt skips the rate limiter and the admission gate: a probe
+	// squeezed out under load would flap the instance out of rotation,
+	// and a follower must keep replicating from a busy primary.
 	exempt bool
 }
 
@@ -50,9 +52,10 @@ func (ro routeOpts) effectiveBudget() time.Duration {
 
 // Route-class shorthands used by the route table.
 var (
-	interactive = routeOpts{class: resilience.ClassInteractive}
-	defaultOpts = routeOpts{}
-	batch       = routeOpts{class: resilience.ClassBatch}
+	interactive       = routeOpts{class: resilience.ClassInteractive}
+	interactiveStream = routeOpts{class: resilience.ClassInteractive, stream: true}
+	defaultOpts       = routeOpts{}
+	batch             = routeOpts{class: resilience.ClassBatch}
 )
 
 // WithGate overrides the admission gate tuning. A nil Sample keeps the
@@ -109,53 +112,17 @@ func (s *Server) sampleLoad() resilience.Load {
 	return load
 }
 
-// withGate guards a route with the admission gate: shed requests get
-// 429 + Retry-After with the stable "overloaded" code and never reach
-// the handler.
-func (s *Server) withGate(ro routeOpts, next http.Handler) http.Handler {
-	if ro.exempt {
-		return next
+// answerShed answers a request the gate refused: 429 + Retry-After
+// with the stable "overloaded" code.
+func answerShed(f *Frame, r *http.Request, class resilience.Class, err error) {
+	retryAfter := time.Second
+	var shed *resilience.ShedError
+	if errors.As(err, &shed) && shed.RetryAfter > 0 {
+		retryAfter = shed.RetryAfter
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		release, err := s.gate.Acquire(ro.class)
-		if err != nil {
-			retryAfter := time.Second
-			var shed *resilience.ShedError
-			if errors.As(err, &shed) && shed.RetryAfter > 0 {
-				retryAfter = shed.RetryAfter
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(int((retryAfter+time.Second-1)/time.Second)))
-			WriteError(w, r, http.StatusTooManyRequests, v1.CodeOverloaded,
-				"server overloaded, "+ro.class.String()+"-class request shed; retry later")
-			return
-		}
-		defer release()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// withDeadline bounds the handler with the route's timeout budget. When
-// the budget expires before the handler has written anything (the
-// frame holds no status), the request is answered 504 with the stable
-// "deadline" code; a handler that already started its response keeps
-// the status it wrote.
-func (s *Server) withDeadline(budget time.Duration, next http.Handler) http.Handler {
-	if budget <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-		if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return
-		}
-		if f, ok := w.(*Frame); ok && f.status == 0 {
-			s.metrics.deadlineTimeout()
-			WriteError(w, r, http.StatusGatewayTimeout, v1.CodeDeadline,
-				"request exceeded its processing deadline")
-		}
-	})
+	f.Header().Set("Retry-After", strconv.Itoa(int((retryAfter+time.Second-1)/time.Second)))
+	WriteError(f, r, http.StatusTooManyRequests, v1.CodeOverloaded,
+		"server overloaded, "+class.String()+"-class request shed; retry later")
 }
 
 // handleHealthz is the liveness probe: 200 whenever the process can
@@ -185,17 +152,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		Draining: rd.Draining,
 		Probes:   rd.Probes,
 	})
-}
-
-// isHealthPath matches the liveness/readiness endpoints, which bypass
-// rate limiting (and the gate): a probe squeezed out by a token bucket
-// would flap the instance out of the load balancer under churn.
-func isHealthPath(path string) bool {
-	switch path {
-	case v1.Prefix + "/healthz", v1.Prefix + "/readyz":
-		return true
-	}
-	return false
 }
 
 // registerHealthProbes wires the built-in readiness checks.

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -114,6 +115,71 @@ func TestHealthPathsBypassRateLimit(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("readyz request %d throttled: %d", i, resp.StatusCode)
 		}
+	}
+}
+
+// TestExemptionsComeFromTheRouteTable: only a route the table marks
+// exempt skips the rate limiter and the gate. A path no route matches is
+// throttled whatever its prefix, so on a node with no cluster identity
+// /cluster/... answers like any unknown path; on a cluster node the
+// cluster routes and both probes answer through a spent limiter and a
+// gate at its concurrency bound.
+func TestExemptionsComeFromTheRouteTable(t *testing.T) {
+	newServer := func(opts ...Option) *Server {
+		sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 1})
+		t.Cleanup(sched.Shutdown)
+		return NewServer(project.NewRegistry(), sched, append(opts, WithRateLimit(1, 1))...)
+	}
+	get := func(s *Server, path string) int {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	for _, path := range []string{"/api/v1/nope", "/api/v1/cluster/anything"} {
+		s := newServer()
+		var got []int
+		for i := 0; i < 3; i++ {
+			got = append(got, get(s, path))
+		}
+		if want := []int{404, 429, 429}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("GET %s three times: %v, want %v", path, got, want)
+		}
+	}
+
+	s := newServer(WithClusterNode("w0", "worker", 0, 1),
+		WithGate(resilience.GateConfig{MaxInflight: 1, SamplePeriod: time.Nanosecond}))
+	s.route("GET /exempt", routeOpts{exempt: true}, func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{}`))
+	})
+	// Spend the client's only token, then hold the gate's only slot.
+	if code := get(s, "/api/v1/devices"); code != http.StatusOK {
+		t.Fatalf("first request: %d", code)
+	}
+	release, err := s.gate.Acquire(resilience.ClassDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if code := get(s, "/api/v1/devices"); code != http.StatusTooManyRequests {
+		t.Fatalf("limiter not spent: %d", code)
+	}
+	// A default-class route the table exempts is neither throttled nor
+	// shed.
+	if code := get(s, "/api/v1/exempt"); code != http.StatusOK {
+		t.Fatalf("exempt default-class route: %d", code)
+	}
+	for _, path := range []string{"/api/v1/healthz", "/api/v1/readyz", "/api/v1/cluster/node",
+		"/api/v1/cluster/replication/meta"} {
+		if h, _ := s.mux.Handler(httptest.NewRequest(http.MethodGet, path, nil)); !h.(*route).exempt {
+			t.Errorf("%s is not exempt in the route table", path)
+		}
+		// readyz reports the saturated gate as 503; nothing is 429.
+		if code := get(s, path); code == http.StatusTooManyRequests {
+			t.Errorf("GET %s throttled on a cluster node", path)
+		}
+	}
+	if inflight := s.gate.Metrics().Inflight; inflight != 1 {
+		t.Fatalf("gate inflight %d after exempt requests, want the held 1", inflight)
 	}
 }
 

@@ -5,8 +5,9 @@
 // /api/v1 with typed request/response DTOs declared in internal/api/v1.
 // Each request runs in one frame that provides its request ID, panic
 // recovery, request metrics (GET /api/v1/metrics) and one structured
-// access line; per-API-key token-bucket rate limiting runs before
-// dispatch. Failures use a structured envelope
+// access line; per-API-key token-bucket rate limiting, the admission
+// gate and the route's deadline budget run in it as the route table
+// says. Failures use a structured envelope
 // {"success":false,"error":{"code":...,"message":...}} with stable
 // machine-readable codes.
 package api
@@ -162,64 +163,91 @@ func NewServer(reg *project.Registry, sched *jobs.Scheduler, opts ...Option) *Se
 	return s
 }
 
-// serve is the root handler: the request's frame is opened, the rate
-// limit applied and the request dispatched; the frame's deferred End
-// records it, recovers a panic and writes the access line.
+// serve is the root handler and the one request pipeline. Inside the
+// frame, whose deferred End records the request, recovers a panic and
+// writes the access line, it matches the route table once, rate-limits
+// unless the route is exempt (a path no route matches is not), admits
+// through the gate unless exempt, bounds the handler with the route's
+// budget (or accounts a stream route's connection instead) and runs it.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	f, r := s.metrics.Begin(w, r)
 	defer s.metrics.End(f, r)
-	if s.admit(f, r) {
-		s.dispatch(f, r)
+	// The mux sets r's path values and its entry names itself on f. It
+	// answers by itself only to redirect a path that is not clean (and
+	// to refuse a "*" request URI).
+	s.mux.ServeHTTP(f, r)
+	rt := f.matched
+	if rt == nil {
+		f.route, f.untimed = routeUnmatched, true
+		return
+	}
+	f.route = rt.label
+	if !rt.exempt && !s.admit(f, r) {
+		return
+	}
+	if rt.h == nil {
+		f.untimed = true
+		s.answerUnmatched(f, r)
+		return
+	}
+	if !rt.exempt {
+		if err := s.gate.Admit(rt.class); err != nil {
+			answerShed(f, r, rt.class, err)
+			return
+		}
+		defer s.gate.Release()
+	}
+	if rt.stream {
+		f.untimed = true
+		s.metrics.streamStart(rt.label)
+		defer func() { s.metrics.streamEnd(rt.label, time.Since(f.start)) }()
+		rt.h(f, r)
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), rt.effectiveBudget())
+	defer cancel()
+	rt.h(f, r.WithContext(ctx))
+	// A budget that expired before the handler wrote anything is
+	// answered 504; a started response keeps the status it wrote.
+	if f.status == 0 && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		s.metrics.deadlineTimeout()
+		WriteError(f, r, http.StatusGatewayTimeout, v1.CodeDeadline,
+			"request exceeded its processing deadline")
 	}
 }
 
-// dispatch labels the frame with the matched route pattern and routes
-// through the mux, but replaces net/http's plain-text 404/405 fallbacks
-// with the structured error envelope, keeping the "every non-2xx
-// response carries the envelope" contract.
-func (s *Server) dispatch(f *Frame, r *http.Request) {
-	h, pattern := s.mux.Handler(r)
-	if pattern == "" {
-		// No matching route (404) or method mismatch (405). Run the
-		// mux's fallback against a header-only recorder to learn which,
-		// preserving the Allow header it computes for 405s.
-		f.route, f.untimed = routeUnmatched, true
-		rec := &headerRecorder{header: http.Header{}}
-		h.ServeHTTP(rec, r)
-		if allow := rec.header.Get("Allow"); allow != "" {
-			f.Header().Set("Allow", allow)
+// route is one entry of the route table: its label (the full v1
+// pattern), how it is admitted and its handler. The catch-all entry has
+// no handler.
+type route struct {
+	routeOpts
+	label string
+	h     http.HandlerFunc
+}
+
+// ServeHTTP is the mux's part of matching: it names the entry on the
+// request's frame, and serve runs it.
+func (rt *route) ServeHTTP(w http.ResponseWriter, _ *http.Request) { w.(*Frame).matched = rt }
+
+// answerUnmatched answers a request no route matched with the envelope
+// in place of net/http's plain-text fallbacks: 405 with the Allow header
+// the mux computes (every method whose route matches the path, HEAD with
+// GET) when the path has routes, else 404.
+func (s *Server) answerUnmatched(f *Frame, r *http.Request) {
+	var allow []string
+	for _, m := range [...]string{http.MethodConnect, http.MethodDelete, http.MethodGet, http.MethodHead,
+		http.MethodOptions, http.MethodPatch, http.MethodPost, http.MethodPut, http.MethodTrace} {
+		if _, p := s.mux.Handler(&http.Request{Method: m, URL: r.URL, Host: r.Host}); p != catchAll {
+			allow = append(allow, m)
 		}
-		if rec.status == http.StatusMethodNotAllowed {
-			WriteError(f, r, http.StatusMethodNotAllowed, v1.CodeMethodNotAllowed,
-				"method "+r.Method+" not allowed for this endpoint")
-			return
-		}
+	}
+	if len(allow) == 0 {
 		WriteError(f, r, http.StatusNotFound, v1.CodeNotFound, "no such endpoint")
 		return
 	}
-	f.route = pattern
-	// Serve through the mux, not the returned handler directly: only
-	// the mux's own dispatch populates r.PathValue.
-	s.mux.ServeHTTP(f, r)
-}
-
-// headerRecorder captures only the status and headers a handler writes.
-type headerRecorder struct {
-	header http.Header
-	status int
-}
-
-func (h *headerRecorder) Header() http.Header { return h.header }
-func (h *headerRecorder) WriteHeader(code int) {
-	if h.status == 0 {
-		h.status = code
-	}
-}
-func (h *headerRecorder) Write(b []byte) (int, error) {
-	if h.status == 0 {
-		h.status = http.StatusOK
-	}
-	return len(b), nil
+	f.Header().Set("Allow", strings.Join(allow, ", "))
+	WriteError(f, r, http.StatusMethodNotAllowed, v1.CodeMethodNotAllowed,
+		"method "+r.Method+" not allowed for this endpoint")
 }
 
 // Handler returns the root handler: every request runs in its frame.
@@ -251,42 +279,28 @@ func (s *Server) Close() {
 // probes or flip draining themselves.
 func (s *Server) Health() *resilience.Health { return s.health }
 
-// route registers a handler under the v1 prefix behind its admission
-// gate and deadline budget, both selected by ro. pattern is
-// "METHOD /path"; metrics are keyed by the full v1 pattern, so gate 429s
-// and deadline 504s are counted per route.
+// catchAll is the pattern of the route table's entry for every path no
+// route matches.
+const catchAll = "/"
+
+// route registers a handler under the v1 prefix, admitted as ro says.
+// pattern is "METHOD /path"; metrics are keyed by the full v1 pattern,
+// so gate 429s and deadline 504s are counted per route.
 func (s *Server) route(pattern string, ro routeOpts, h http.HandlerFunc) {
-	s.handle(pattern, s.withGate(ro, s.withDeadline(ro.effectiveBudget(), h)))
-}
-
-// routeStream registers a long-lived NDJSON route: the request is
-// recorded with zero duration and the connection's lifetime under stream
-// metrics instead, so held-open feeds don't distort the route's latency.
-// The admission gate still applies (a shed feed is cheap to retry); no
-// deadline does — the connection manages its own lifetime.
-func (s *Server) routeStream(pattern string, ro routeOpts, h http.HandlerFunc) {
-	gated := s.withGate(ro, h)
-	s.handle(pattern, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		f := w.(*Frame)
-		f.untimed = true
-		s.metrics.streamStart(f.route)
-		defer func() { s.metrics.streamEnd(f.route, time.Since(f.start)) }()
-		gated.ServeHTTP(w, r)
-	}))
-}
-
-func (s *Server) handle(pattern string, h http.Handler) {
 	method, path, ok := strings.Cut(pattern, " ")
 	if !ok {
 		panic("api: route pattern must be \"METHOD /path\": " + pattern)
 	}
-	s.mux.Handle(method+" "+v1.Prefix+path, h)
+	label := method + " " + v1.Prefix + path
+	s.mux.Handle(label, &route{routeOpts: ro, label: label, h: h})
 }
 
 func (s *Server) routes() {
-	// Liveness/readiness: unauthenticated, exempt from the gate (and
-	// rate limiting — see admit) so probes keep answering while
-	// the server sheds load.
+	// Every path no route matches: rate-limited, then 404 or 405.
+	s.mux.Handle(catchAll, &route{label: routeUnmatched})
+
+	// Liveness/readiness: unauthenticated, exempt from the limiter and
+	// the gate so probes keep answering while the server sheds load.
 	probe := routeOpts{class: resilience.ClassInteractive, exempt: true, budget: 5 * time.Second}
 	s.route("GET /healthz", probe, s.handleHealthz)
 	s.route("GET /readyz", probe, s.handleReadyz)
@@ -334,9 +348,9 @@ func (s *Server) routes() {
 	// holding an open feed.
 	s.route("POST /projects/{id}/stream", interactive, s.auth(s.withProject(s.handleStreamOpen)))
 	s.route("POST /projects/{id}/stream/{sid}/frames", interactive, s.auth(s.withProject(s.handleStreamPush)))
-	s.routeStream("GET /projects/{id}/stream/{sid}/events", interactive, s.auth(s.withProject(s.handleStreamEvents)))
+	s.route("GET /projects/{id}/stream/{sid}/events", interactiveStream, s.auth(s.withProject(s.handleStreamEvents)))
 	s.route("DELETE /projects/{id}/stream/{sid}", interactive, s.auth(s.withProject(s.handleStreamClose)))
-	s.routeStream("POST /projects/{id}/stream/duplex", interactive, s.auth(s.withProject(s.handleStreamDuplex)))
+	s.route("POST /projects/{id}/stream/duplex", interactiveStream, s.auth(s.withProject(s.handleStreamDuplex)))
 
 	// Cluster plane (no-op outside a cluster).
 	s.clusterRoutes()
@@ -344,7 +358,7 @@ func (s *Server) routes() {
 	s.route("GET /jobs/{job}", defaultOpts, s.auth(s.handleGetJob))
 	s.route("GET /jobs/{job}/wait", routeOpts{budget: budgetWait}, s.auth(s.handleJobWait))
 	s.route("GET /jobs/{job}/result", defaultOpts, s.auth(s.handleJobResult))
-	s.routeStream("GET /jobs/{job}/events", defaultOpts, s.auth(s.handleJobEvents))
+	s.route("GET /jobs/{job}/events", routeOpts{stream: true}, s.auth(s.handleJobEvents))
 	s.route("DELETE /jobs/{job}", defaultOpts, s.auth(s.handleCancelJob))
 }
 
@@ -458,17 +472,19 @@ func decodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64)
 	return nil
 }
 
-// pageParams reads limit/offset query parameters. limit defaults to
-// defLimit and is capped at maxLimit; offset defaults to 0.
-func pageParams(r *http.Request, defLimit, maxLimit int) (limit, offset int, err error) {
-	limit = defLimit
+// PageParams reads a list request's limit/offset query parameters:
+// limit defaults to 100 and is capped at MaxPageSize, offset defaults to
+// 0; anything else is an error (400). The cluster gateway pages by the
+// same rule.
+func PageParams(r *http.Request) (limit, offset int, err error) {
+	limit = defaultPageSize
 	if raw := r.URL.Query().Get("limit"); raw != "" {
 		limit, err = strconv.Atoi(raw)
 		if err != nil || limit <= 0 {
 			return 0, 0, fmt.Errorf("limit must be a positive integer")
 		}
-		if limit > maxLimit {
-			limit = maxLimit
+		if limit > MaxPageSize {
+			limit = MaxPageSize
 		}
 	}
 	if raw := r.URL.Query().Get("offset"); raw != "" {
@@ -480,9 +496,9 @@ func pageParams(r *http.Request, defLimit, maxLimit int) (limit, offset int, err
 	return limit, offset, nil
 }
 
-// paginate slices items to the requested window and reports the applied
+// Paginate slices items to the requested window and reports the applied
 // page. An empty window yields a nil slice (marshals as null).
-func paginate[T any](items []T, limit, offset int) ([]T, v1.Page) {
+func Paginate[T any](items []T, limit, offset int) ([]T, v1.Page) {
 	page := v1.Page{Limit: limit, Offset: offset, Total: len(items)}
 	if offset >= len(items) {
 		return nil, page

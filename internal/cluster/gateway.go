@@ -294,8 +294,14 @@ func (g *Gateway) handleCreateProject(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleProjectList fans a list request out to every shard's serving
-// node, merges by project ID, and re-applies pagination at the gateway.
+// node, paging through each shard's list, merges by project ID and
+// paginates the merged list by the worker's rule.
 func (g *Gateway) handleProjectList(w http.ResponseWriter, r *http.Request, rest string) {
+	limit, offset, err := api.PageParams(r)
+	if err != nil {
+		api.WriteError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
+		return
+	}
 	var merged []v1.ProjectSummary
 	seen := map[int]bool{}
 	served := 0
@@ -304,30 +310,39 @@ func (g *Gateway) handleProjectList(w http.ResponseWriter, r *http.Request, rest
 		if n == nil {
 			continue
 		}
-		resp, body, err := g.subRequest(r, n, http.MethodGet, v1.Prefix+rest+"?limit=1000", nil)
-		if err != nil {
-			g.log.Warn("list fan-out failed", "node", n.Name, "err", err)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			// An auth failure is identical on every shard: surface it.
-			servedBy(w, n)
-			copyHeaders(w.Header(), resp.Header)
-			w.WriteHeader(resp.StatusCode)
-			w.Write(body)
-			return
-		}
-		var page v1.ProjectsResponse
-		if err := json.Unmarshal(body, &page); err != nil {
-			g.log.Warn("list fan-out bad body", "node", n.Name, "err", err)
-			continue
-		}
-		served++
-		for _, p := range page.Projects {
-			if !seen[p.ID] {
-				seen[p.ID] = true
-				merged = append(merged, p)
+		for from, total := 0, 1; from < total; {
+			path := fmt.Sprintf("%s%s?limit=%d&offset=%d", v1.Prefix, rest, api.MaxPageSize, from)
+			resp, body, err := g.subRequest(r, n, http.MethodGet, path, nil)
+			if err != nil {
+				g.log.Warn("list fan-out failed", "node", n.Name, "err", err)
+				break
 			}
+			if resp.StatusCode != http.StatusOK {
+				// An auth failure is identical on every shard: surface it.
+				servedBy(w, n)
+				copyHeaders(w.Header(), resp.Header)
+				w.WriteHeader(resp.StatusCode)
+				w.Write(body)
+				return
+			}
+			var page v1.ProjectsResponse
+			if err := json.Unmarshal(body, &page); err != nil {
+				g.log.Warn("list fan-out bad body", "node", n.Name, "err", err)
+				break
+			}
+			if from == 0 {
+				served++
+			}
+			for _, p := range page.Projects {
+				if !seen[p.ID] {
+					seen[p.ID] = true
+					merged = append(merged, p)
+				}
+			}
+			if len(page.Projects) == 0 {
+				break
+			}
+			from, total = from+len(page.Projects), page.Page.Total
 		}
 	}
 	if served == 0 {
@@ -335,21 +350,8 @@ func (g *Gateway) handleProjectList(w http.ResponseWriter, r *http.Request, rest
 		return
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].ID < merged[j].ID })
-
-	limit, offset := pageParams(r, 100)
-	total := len(merged)
-	if offset > total {
-		offset = total
-	}
-	end := offset + limit
-	if end > total {
-		end = total
-	}
-	api.WriteJSON(w, http.StatusOK, v1.ProjectsResponse{
-		Success:  true,
-		Projects: merged[offset:end],
-		Page:     v1.Page{Limit: limit, Offset: offset, Total: total},
-	})
+	window, page := api.Paginate(merged, limit, offset)
+	api.WriteJSON(w, http.StatusOK, v1.ProjectsResponse{Success: true, Projects: window, Page: page})
 }
 
 // handleProjectPath routes /projects/{id}/... to the owning shard:
@@ -574,19 +576,4 @@ func appendForwardedFor(h http.Header, remoteAddr string) {
 		host = prior + ", " + host
 	}
 	h.Set("X-Forwarded-For", host)
-}
-
-func pageParams(r *http.Request, defLimit int) (limit, offset int) {
-	limit = defLimit
-	if v := r.URL.Query().Get("limit"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 && n <= 1000 {
-			limit = n
-		}
-	}
-	if v := r.URL.Query().Get("offset"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			offset = n
-		}
-	}
-	return limit, offset
 }

@@ -492,6 +492,52 @@ func TestGatewayOperationalSurface(t *testing.T) {
 
 // TestHealthEdgeCases covers identity mismatches, unknown and
 // unreachable nodes, and the status view of a primary-less shard.
+// TestGatewayProjectListPagesEachShard: a shard holding more projects
+// than one worker page is listed whole, and the gateway reads limit and
+// offset by the worker's rule.
+func TestGatewayProjectListPagesEachShard(t *testing.T) {
+	reg := project.NewRegistry()
+	w0 := startNode(t, reg, "worker-0", RoleWorker, 0, 1)
+	_, gwSrv := startGateway(t, &Map{Shards: 1, Nodes: []Node{
+		{Name: w0.name, URL: w0.srv.URL, Role: RoleWorker, Shard: 0},
+	}})
+	u, err := reg.CreateUser("lister")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = api.MaxPageSize + 5
+	for i := 0; i < n; i++ {
+		if _, err := reg.CreateProject(fmt.Sprintf("p%d", i), u.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := func(query string) (int, v1.ProjectsResponse) {
+		t.Helper()
+		resp := rawGet(t, gwSrv.URL+"/api/v1/projects"+query, u.APIKey, "")
+		defer resp.Body.Close()
+		var out v1.ProjectsResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, out
+	}
+	code, out := list(fmt.Sprintf("?limit=10&offset=%d", n-3))
+	if code != http.StatusOK || out.Page.Total != n || len(out.Projects) != 3 {
+		t.Fatalf("tail page: %d, total %d, %d projects", code, out.Page.Total, len(out.Projects))
+	}
+	if code, out = list("?limit=5000"); code != http.StatusOK || out.Page.Limit != api.MaxPageSize ||
+		len(out.Projects) != api.MaxPageSize {
+		t.Fatalf("limit=5000: %d, page %+v, %d projects", code, out.Page, len(out.Projects))
+	}
+	for _, q := range []string{"?limit=abc", "?limit=0", "?offset=-1"} {
+		if code, _ := list(q); code != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", q, code)
+		}
+	}
+}
+
 func TestHealthEdgeCases(t *testing.T) {
 	w0 := startWorker(t, 0, 2)
 	// The map claims this node serves shard 1 as a follower; the node's

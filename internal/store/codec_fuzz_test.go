@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -63,8 +64,8 @@ func FuzzDecodeSample(f *testing.F) {
 }
 
 // FuzzParseManifest parses arbitrary manifest.json bytes. Nothing may
-// panic, and an accepted manifest renders and parses back to an equal
-// value.
+// panic, an accepted input is exactly one JSON value, and an accepted
+// manifest renders and parses back to an equal value.
 func FuzzParseManifest(f *testing.F) {
 	m := manifest{Format: manifestFormat, Version: 7, Segment: 2, Samples: []manifestSample{
 		{ID: "a", Name: "a.wav", Label: "yes", Category: "training", Metadata: map[string]string{"device": "d"},
@@ -82,11 +83,15 @@ func FuzzParseManifest(f *testing.F) {
 	f.Add([]byte(`{"format":2}`))
 	f.Add([]byte(`{"format":1,"extra":true}`))
 	f.Add(blob[:len(blob)/2])
+	f.Add([]byte(`{"format":1,"version":0,"segment":1,"samples":[]} trailing garbage {`))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		m, err := parseManifest(in)
 		if err != nil {
 			return
+		}
+		if !json.Valid(in) {
+			t.Fatalf("accepted data after the manifest: %q", in)
 		}
 		out, err := renderManifest(m)
 		if err != nil {

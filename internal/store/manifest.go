@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 )
 
@@ -17,13 +18,17 @@ func renderManifest(m manifest) ([]byte, error) {
 }
 
 // parseManifest strictly decodes manifest.json, rejecting unknown
-// fields and format versions so schema drift fails loudly.
+// fields, data after the value and unknown format versions so schema
+// drift and damage fail loudly.
 func parseManifest(blob []byte) (manifest, error) {
 	var m manifest
 	dec := json.NewDecoder(bytes.NewReader(blob))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return manifest{}, fmt.Errorf("corrupt manifest: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return manifest{}, fmt.Errorf("corrupt manifest: data after the JSON value")
 	}
 	if m.Format != manifestFormat {
 		return manifest{}, fmt.Errorf("unsupported manifest format %d (want %d)", m.Format, manifestFormat)
