@@ -114,10 +114,9 @@ func main() {
 func startInproc() (shutdown func(), url string, err error) {
 	registry := project.NewRegistry()
 	sched := jobs.NewScheduler(jobs.Config{
-		MinWorkers:    2,
-		MaxWorkers:    4,
-		QueueSize:     64,
-		ScaleInterval: 50 * time.Millisecond,
+		MinWorkers: 2,
+		MaxWorkers: 4,
+		QueueSize:  64,
 	})
 	server := api.NewServer(registry, sched, api.WithRateLimit(0, 0))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -67,7 +67,7 @@ func fusedSample(label string, rng *rand.Rand) []float32 {
 func main() {
 	// Boot the platform in-process (in production: cmd/ei-studio).
 	registry := project.NewRegistry()
-	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 4, ScaleInterval: 20 * time.Millisecond})
+	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 4})
 	defer sched.Shutdown()
 	server := httptest.NewServer(api.NewServer(registry, sched).Handler())
 	defer server.Close()

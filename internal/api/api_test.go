@@ -30,7 +30,7 @@ type testEnv struct {
 }
 
 func newEnv(t *testing.T, opts ...Option) *testEnv {
-	return newEnvWith(t, jobs.Config{MinWorkers: 2, MaxWorkers: 4, ScaleInterval: 10 * time.Millisecond}, opts...)
+	return newEnvWith(t, jobs.Config{MinWorkers: 2, MaxWorkers: 4}, opts...)
 }
 
 // newEnvWith spins up the full API over httptest with a custom

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	v1 "edgepulse/internal/api/v1"
 	"edgepulse/internal/jobs"
@@ -48,7 +47,7 @@ func clusterEnv(t *testing.T, token string) (*testEnv, int) {
 			t.Fatal(err)
 		}
 	}
-	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 1, ScaleInterval: 10 * time.Millisecond})
+	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 1})
 	t.Cleanup(sched.Shutdown)
 	s := NewServer(reg, sched, WithClusterNode("w0", "worker", 0, 1), WithClusterToken(token))
 	if s.ShardID() != 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"edgepulse/internal/ingest"
 	"edgepulse/internal/jobs"
@@ -20,7 +19,7 @@ func TestUploadsPersistAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
 	boot := func(reg *project.Registry) (*testEnv, func()) {
-		sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2, ScaleInterval: 10 * time.Millisecond})
+		sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2})
 		srv := httptest.NewServer(NewServer(reg, sched).Handler())
 		env := &testEnv{t: t, server: srv, sched: sched}
 		return env, func() { srv.Close(); sched.Shutdown() }

@@ -98,9 +98,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, u *projec
 	out := s.metrics.snapshot()
 	m := s.sched.Metrics()
 	sm := v1.SchedulerMetrics{
-		Workers: m.Workers, PeakWorkers: m.PeakWorkers, Queued: m.Queued,
+		Workers: m.Workers, Queued: m.Queued,
 		Completed: m.Completed, Failed: m.FailedN,
-		Cancelled: m.CancelledN, Retries: m.Retries, ScaleUps: m.ScaleUps,
+		Cancelled: m.CancelledN, Retries: m.Retries,
 		QueuedByPriority: map[string]int{},
 	}
 	for p, depth := range m.QueuedByPriority {
@@ -124,12 +124,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, u *projec
 		out.Resilience.WatchdogCancelled = s.watchdog.Cancelled()
 	}
 	out.Runtime = RuntimeSnapshot()
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", PrometheusContentType)
-		RenderPrometheus(w, out)
-		return
-	}
-	WriteJSON(w, http.StatusOK, out)
+	WriteMetrics(w, r, out)
 }
 
 func projectSummary(p *project.Project) v1.ProjectSummary {
@@ -419,7 +414,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request, u *project.
 			return err
 		}
 		p.SetImpulse(imp)
-		s.results.Put(j.ID, j.Kind, res)
+		j.SetResult(res)
 		j.SetProgress("done", 100)
 		return nil
 	})
@@ -489,7 +484,7 @@ func (s *Server) handleTuner(w http.ResponseWriter, r *http.Request, u *project.
 			return err
 		}
 		j.Logf("tuner finished with %d trials", len(trials))
-		s.results.Put(j.ID, j.Kind, tunerTrials(trials))
+		j.SetResult(tunerTrials(trials))
 		return nil
 	})
 	if err != nil {
@@ -821,16 +816,15 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, u *proj
 	if !ok {
 		return
 	}
-	id := j.ID
-	res, ok := s.results.Get(id)
-	if !ok {
-		WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, "no result for job "+id+" (still running?)")
+	res := j.Result()
+	if res == nil {
+		WriteError(w, r, http.StatusNotFound, v1.CodeNotFound, "no result for job "+j.ID+" (still running?)")
 		return
 	}
-	raw, err := json.Marshal(res.Value)
+	raw, err := json.Marshal(res)
 	if err != nil {
 		WriteError(w, r, http.StatusInternalServerError, v1.CodeInternal, err.Error())
 		return
 	}
-	WriteJSON(w, http.StatusOK, v1.JobResultResponse{Success: true, Kind: res.Kind, Result: raw})
+	WriteJSON(w, http.StatusOK, v1.JobResultResponse{Success: true, Kind: j.Kind, Result: raw})
 }

@@ -378,7 +378,7 @@ func TestTrainQuotaMapsTo429(t *testing.T) {
 	// A scheduler with a tiny per-project quota: the second training
 	// submission while the first is still queued trips the quota and
 	// surfaces as 429 rate_limited (not 503).
-	e := newEnvWith(t, jobs.Config{MinWorkers: 1, MaxWorkers: 1, QueueSize: 8, MaxQueuedPerTag: 1, ScaleInterval: time.Hour})
+	e := newEnvWith(t, jobs.Config{MinWorkers: 1, MaxWorkers: 1, QueueSize: 8, MaxQueuedPerTag: 1})
 	release := make(chan struct{})
 	defer close(release)
 	started := make(chan struct{})

@@ -3,6 +3,8 @@ package api
 import (
 	"fmt"
 	"io"
+	"net/http"
+	"reflect"
 	"runtime"
 	"runtime/metrics"
 	"sort"
@@ -21,182 +23,134 @@ import (
 // for format=prometheus.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// promWriter accumulates exposition lines, emitting each metric's
-// # TYPE header once.
-type promWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (p *promWriter) metric(name, typ, help string) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func (p *promWriter) value(name, labels string, v float64) {
-	if p.err != nil {
-		return
-	}
-	if labels != "" {
-		labels = "{" + labels + "}"
-	}
-	_, p.err = fmt.Fprintf(p.w, "%s%s %g\n", name, labels, v)
-}
-
 // promLabel renders one escaped key="value" pair.
 func promLabel(key, val string) string {
 	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 	return key + `="` + r.Replace(val) + `"`
 }
 
+// WriteMetrics answers GET /api/v1/metrics on a worker or the gateway:
+// the snapshot as JSON, or in the text exposition format when the query
+// asks format=prometheus.
+func WriteMetrics(w http.ResponseWriter, r *http.Request, m v1.MetricsResponse) {
+	if r.URL.Query().Get("format") == "prometheus" {
+		w.Header().Set("Content-Type", PrometheusContentType)
+		RenderPrometheus(w, m)
+		return
+	}
+	WriteJSON(w, http.StatusOK, m)
+}
+
 // RenderPrometheus writes a MetricsResponse in the Prometheus text
-// exposition format. Metric names are stable API surface; counters end
-// in _total per convention.
+// exposition format, as the prom and help tags of the v1 metrics types
+// define it. Metric names are stable API surface; counters end in
+// _total per convention.
 func RenderPrometheus(w io.Writer, m v1.MetricsResponse) error {
-	p := &promWriter{w: w}
+	var b strings.Builder
+	promWalk(&b, reflect.ValueOf(m))
+	_, err := io.WriteString(w, b.String())
+	return err
+}
 
-	p.metric("ei_uptime_seconds", "gauge", "Seconds since the process started.")
-	p.value("ei_uptime_seconds", "", m.UptimeSeconds)
-	p.metric("ei_requests_total", "counter", "HTTP requests observed by the middleware chain.")
-	p.value("ei_requests_total", "", float64(m.Requests))
-	p.metric("ei_rate_limited_total", "counter", "Requests refused by the rate limiter.")
-	p.value("ei_rate_limited_total", "", float64(m.RateLimited))
-	p.metric("ei_panics_total", "counter", "Handler panics recovered into 500 responses.")
-	p.value("ei_panics_total", "", float64(m.Panics))
-
-	if len(m.Routes) > 0 {
-		p.metric("ei_route_requests_total", "counter", "Requests per route pattern.")
-		for _, rt := range m.Routes {
-			p.value("ei_route_requests_total", promLabel("route", rt.Route), float64(rt.Count))
+// promWalk writes the families of a struct, a non-nil pointer to one or
+// a slice of them; other kinds (an untagged bool) write nothing.
+func promWalk(b *strings.Builder, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			promWalk(b, v.Elem())
 		}
-		p.metric("ei_route_errors_total", "counter", "Error responses per route pattern and class.")
-		for _, rt := range m.Routes {
-			p.value("ei_route_errors_total", promLabel("route", rt.Route)+","+promLabel("class", "4xx"), float64(rt.Err4xx))
-			p.value("ei_route_errors_total", promLabel("route", rt.Route)+","+promLabel("class", "5xx"), float64(rt.Err5xx))
+	case reflect.Struct:
+		promFields(b, v.Type(), []reflect.Value{v})
+	case reflect.Slice:
+		elems := make([]reflect.Value, v.Len())
+		for i := range elems {
+			elems[i] = v.Index(i)
 		}
-		p.metric("ei_route_latency_avg_ms", "gauge", "Mean handler latency per route pattern.")
-		for _, rt := range m.Routes {
-			p.value("ei_route_latency_avg_ms", promLabel("route", rt.Route), rt.AvgMS)
-		}
+		promFields(b, v.Type().Elem(), elems)
 	}
+}
 
-	p.metric("ei_scheduler_workers", "gauge", "Live training workers.")
-	p.value("ei_scheduler_workers", "", float64(m.Scheduler.Workers))
-	p.metric("ei_scheduler_peak_workers", "gauge", "Most training workers live at once.")
-	p.value("ei_scheduler_peak_workers", "", float64(m.Scheduler.PeakWorkers))
-	p.metric("ei_scheduler_queued", "gauge", "Jobs pending in the scheduler queue.")
-	p.value("ei_scheduler_queued", "", float64(m.Scheduler.Queued))
-	p.metric("ei_scheduler_completed_total", "counter", "Jobs finished successfully.")
-	p.value("ei_scheduler_completed_total", "", float64(m.Scheduler.Completed))
-	p.metric("ei_scheduler_failed_total", "counter", "Jobs that failed terminally.")
-	p.value("ei_scheduler_failed_total", "", float64(m.Scheduler.Failed))
-	p.metric("ei_scheduler_cancelled_total", "counter", "Jobs cancelled.")
-	p.value("ei_scheduler_cancelled_total", "", float64(m.Scheduler.Cancelled))
-	p.metric("ei_scheduler_retries_total", "counter", "Transient-failure retries.")
-	p.value("ei_scheduler_retries_total", "", float64(m.Scheduler.Retries))
-	p.metric("ei_scheduler_scale_ups_total", "counter", "Workers added by autoscaling.")
-	p.value("ei_scheduler_scale_ups_total", "", float64(m.Scheduler.ScaleUps))
-	if len(m.Scheduler.QueuedByPriority) > 0 {
-		p.metric("ei_scheduler_queued_by_priority", "gauge", "Pending jobs per priority class.")
-		classes := make([]string, 0, len(m.Scheduler.QueuedByPriority))
-		for c := range m.Scheduler.QueuedByPriority {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		for _, c := range classes {
-			p.value("ei_scheduler_queued_by_priority", promLabel("priority", c), float64(m.Scheduler.QueuedByPriority[c]))
-		}
-	}
-
-	if len(m.Scheduler.Kinds) > 0 {
-		p.metric("ei_scheduler_kind_jobs_total", "counter", "Terminal job runs per kind.")
-		for _, k := range m.Scheduler.Kinds {
-			p.value("ei_scheduler_kind_jobs_total", promLabel("kind", k.Kind), float64(k.Count))
-		}
-		p.metric("ei_scheduler_kind_wait_avg_ms", "gauge", "Mean queue wait per job kind.")
-		for _, k := range m.Scheduler.Kinds {
-			p.value("ei_scheduler_kind_wait_avg_ms", promLabel("kind", k.Kind), k.AvgWaitMS)
-		}
-		p.metric("ei_scheduler_kind_run_avg_ms", "gauge", "Mean run time per job kind.")
-		for _, k := range m.Scheduler.Kinds {
-			p.value("ei_scheduler_kind_run_avg_ms", promLabel("kind", k.Kind), k.AvgRunMS)
-		}
-	}
-
-	if len(m.Streams) > 0 {
-		p.metric("ei_stream_connections_active", "gauge", "Open long-lived NDJSON connections per route.")
-		for _, st := range m.Streams {
-			p.value("ei_stream_connections_active", promLabel("route", st.Route), float64(st.Active))
-		}
-		p.metric("ei_stream_connections_total", "counter", "Completed long-lived connections per route.")
-		for _, st := range m.Streams {
-			p.value("ei_stream_connections_total", promLabel("route", st.Route), float64(st.Count))
-		}
-		p.metric("ei_stream_connection_avg_seconds", "gauge", "Mean lifetime of completed connections per route.")
-		for _, st := range m.Streams {
-			p.value("ei_stream_connection_avg_seconds", promLabel("route", st.Route), st.AvgSeconds)
-		}
-	}
-	if sp := m.StreamPlane; sp != nil {
-		p.metric("ei_stream_sessions_active", "gauge", "Live inference sessions.")
-		p.value("ei_stream_sessions_active", "", float64(sp.ActiveSessions))
-		p.metric("ei_stream_sessions_peak", "gauge", "Most inference sessions live at once.")
-		p.value("ei_stream_sessions_peak", "", float64(sp.PeakSessions))
-		p.metric("ei_stream_sessions_opened_total", "counter", "Inference sessions ever admitted.")
-		p.value("ei_stream_sessions_opened_total", "", float64(sp.Opened))
-		p.metric("ei_stream_sessions_shed_total", "counter", "Session opens refused at the capacity cap.")
-		p.value("ei_stream_sessions_shed_total", "", float64(sp.Shed))
-		p.metric("ei_stream_frames_in_total", "counter", "Frames ingested across sessions.")
-		p.value("ei_stream_frames_in_total", "", float64(sp.FramesIn))
-		p.metric("ei_stream_windows_total", "counter", "Classification windows evaluated.")
-		p.value("ei_stream_windows_total", "", float64(sp.Windows))
-		p.metric("ei_stream_detections_total", "counter", "Detection events fired.")
-		p.value("ei_stream_detections_total", "", float64(sp.Detections))
-		p.metric("ei_stream_dropped_frames_total", "counter", "Frames lost to ring-buffer overruns.")
-		p.value("ei_stream_dropped_frames_total", "", float64(sp.DroppedFrames))
-	}
-
-	if res := m.Resilience; res != nil {
-		p.metric("ei_resilience_level", "gauge", "Admission gate shedding posture, as its label.")
-		p.value("ei_resilience_level", promLabel("level", res.Level), 1)
-		p.metric("ei_resilience_load_score", "gauge", "Admission gate load score (1.0 = saturated).")
-		p.value("ei_resilience_load_score", "", res.Score)
-		p.metric("ei_resilience_inflight", "gauge", "Currently admitted requests.")
-		p.value("ei_resilience_inflight", "", float64(res.Inflight))
-		p.metric("ei_resilience_shed_total", "counter", "Requests refused by the admission gate.")
-		p.value("ei_resilience_shed_total", "", float64(res.Shed))
-		if len(res.ShedByClass) > 0 {
-			p.metric("ei_resilience_shed_by_class_total", "counter", "Gate refusals per admission class.")
-			classes := make([]string, 0, len(res.ShedByClass))
-			for c := range res.ShedByClass {
-				classes = append(classes, c)
+// promFields writes the families struct type t's fields define, with
+// the samples of every element of elems. Untagged fields are walked
+// into. A field tagged with a bare label name labels its element's
+// samples in the fields after it. Consecutive fields that name one
+// family form it: its samples go element by element, then field by
+// field. A family without samples (no elements, an empty map) is not
+// written.
+func promFields(b *strings.Builder, t reflect.Type, elems []reflect.Value) {
+	label := -1
+	for i := 0; i < t.NumField(); {
+		name, typ, _ := promTag(t.Field(i))
+		if typ == "" {
+			if name == "" {
+				for _, e := range elems {
+					promWalk(b, e.Field(i))
+				}
+			} else {
+				label = i
 			}
-			sort.Strings(classes)
-			for _, c := range classes {
-				p.value("ei_resilience_shed_by_class_total", promLabel("class", c), float64(res.ShedByClass[c]))
+			i++
+			continue
+		}
+		j := i + 1
+		for j < t.NumField() && strings.HasPrefix(t.Field(j).Tag.Get("prom"), name+",") {
+			j++
+		}
+		var samples strings.Builder
+		for _, e := range elems {
+			var labels []string
+			if label >= 0 {
+				labels = []string{promLabel(t.Field(label).Tag.Get("prom"), e.Field(label).String())}
+			}
+			for k := i; k < j; k++ {
+				promSamples(&samples, name, labels, t.Field(k), e.Field(k))
 			}
 		}
-		p.metric("ei_resilience_deadline_timeouts_total", "counter", "Requests answered 504 at their route deadline.")
-		p.value("ei_resilience_deadline_timeouts_total", "", float64(res.DeadlineTimeouts))
-		p.metric("ei_resilience_stalled_jobs_total", "counter", "Jobs flagged stalled by the watchdog.")
-		p.value("ei_resilience_stalled_jobs_total", "", float64(res.StalledJobs))
-		p.metric("ei_resilience_watchdog_cancelled_total", "counter", "Stalled jobs cancelled by the watchdog.")
-		p.value("ei_resilience_watchdog_cancelled_total", "", float64(res.WatchdogCancelled))
+		if samples.Len() > 0 {
+			fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n%s", name, t.Field(i).Tag.Get("help"), name, typ, samples.String())
+		}
+		i = j
 	}
+}
 
-	if rt := m.Runtime; rt != nil {
-		p.metric("ei_goroutines", "gauge", "Live goroutines in the process.")
-		p.value("ei_goroutines", "", float64(rt.Goroutines))
-		p.metric("ei_heap_alloc_bytes", "gauge", "Bytes of allocated heap objects.")
-		p.value("ei_heap_alloc_bytes", "", float64(rt.HeapAllocBytes))
-		p.metric("ei_heap_sys_bytes", "gauge", "Heap memory obtained from the OS.")
-		p.value("ei_heap_sys_bytes", "", float64(rt.HeapSysBytes))
-		p.metric("ei_gc_cycles_total", "counter", "Completed GC cycles.")
-		p.value("ei_gc_cycles_total", "", float64(rt.NumGC))
+// promSamples writes field f's samples: one for a number (with f's
+// constant label), one per sorted key for a map, and a 1 labelled with
+// the value for a string.
+func promSamples(b *strings.Builder, name string, labels []string, f reflect.StructField, v reflect.Value) {
+	_, _, label := promTag(f)
+	key, val, constant := strings.Cut(label, "=")
+	switch v.Kind() {
+	case reflect.Map:
+		keys := v.MapKeys()
+		sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+		for _, k := range keys {
+			promSample(b, name, append(labels, promLabel(key, k.String())), v.MapIndex(k))
+		}
+	case reflect.String:
+		promSample(b, name, append(labels, promLabel(key, v.String())), reflect.ValueOf(1))
+	default:
+		if constant {
+			labels = append(labels, promLabel(key, val))
+		}
+		promSample(b, name, labels, v)
 	}
-	return p.err
+}
+
+func promSample(b *strings.Builder, name string, labels []string, v reflect.Value) {
+	b.WriteString(name)
+	if len(labels) > 0 {
+		b.WriteString("{" + strings.Join(labels, ",") + "}")
+	}
+	fmt.Fprintf(b, " %g\n", v.Convert(reflect.TypeFor[float64]()).Float())
+}
+
+// promTag splits a field's prom tag into its family name, type and
+// label.
+func promTag(f reflect.StructField) (name, typ, label string) {
+	name, rest, _ := strings.Cut(f.Tag.Get("prom"), ",")
+	typ, label, _ = strings.Cut(rest, ",")
+	return name, typ, label
 }
 
 // RuntimeSnapshot captures the process's goroutine count and heap

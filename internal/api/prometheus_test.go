@@ -1,6 +1,9 @@
 package api
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -108,5 +111,72 @@ func TestRuntimeSnapshotMatchesMemStats(t *testing.T) {
 	}
 	if snap.Goroutines <= 0 || snap.HeapAllocBytes == 0 {
 		t.Errorf("empty snapshot %+v", snap)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/metrics*.prom from this run")
+
+// TestPrometheusGolden holds the exposition to the committed bytes: a
+// fully populated snapshot (two elements per slice and map, label
+// values that need escaping) and one whose optional blocks are nil and
+// whose collections are empty. A renamed family, a changed HELP line or
+// a reordered sample fails here until the golden is rewritten (-update)
+// in the same change.
+func TestPrometheusGolden(t *testing.T) {
+	full := v1.MetricsResponse{
+		Success: true, UptimeSeconds: 12.5, Requests: 101, RateLimited: 102, Panics: 103,
+		Routes: []v1.RouteMetrics{
+			{Route: "GET /api/v1/projects", Count: 201, Err4xx: 202, Err5xx: 203, AvgMS: 2.25},
+			{Route: "GET /a\"b\\c\nd", Count: 211, Err4xx: 212, Err5xx: 213, AvgMS: 0.125},
+		},
+		Scheduler: v1.SchedulerMetrics{
+			Workers: 3, Queued: 5, Completed: 301, Failed: 302,
+			Cancelled: 303, Retries: 304,
+			QueuedByPriority: map[string]int{"interactive": 6, "batch": 7},
+			Kinds: []v1.JobKindMetrics{
+				{Kind: "training", Count: 401, AvgWaitMS: 1.5, AvgRunMS: 2500},
+				{Kind: "tu\"ner\\", Count: 411, AvgWaitMS: 0.75, AvgRunMS: 1e7},
+			},
+		},
+		Streams: []v1.StreamRouteMetrics{
+			{Route: "GET /api/v1/jobs/{job}/events", Active: 501, Count: 502, AvgSeconds: 3.5},
+			{Route: "POST /s\n", Active: 511, Count: 512, AvgSeconds: 0.001},
+		},
+		StreamPlane: &v1.StreamPlaneMetrics{
+			ActiveSessions: 601, PeakSessions: 602, Opened: 603, Shed: 604,
+			FramesIn: 605, Windows: 606, Detections: 607, DroppedFrames: 608,
+		},
+		Resilience: &v1.ResilienceMetrics{
+			Level: "shed-\"batch\"\\", Score: 0.875, Inflight: 701, Shed: 702,
+			ShedByClass:      map[string]int64{"default": 703, "batch": 704},
+			DeadlineTimeouts: 705, StalledJobs: 706, WatchdogCancelled: 707,
+		},
+		Runtime: &v1.RuntimeMetrics{Goroutines: 801, HeapAllocBytes: 1 << 33, HeapSysBytes: 123456789, NumGC: 803},
+	}
+	empty := v1.MetricsResponse{Success: true, UptimeSeconds: 1, Requests: 2}
+	for _, c := range []struct {
+		golden string
+		m      v1.MetricsResponse
+	}{
+		{"testdata/metrics.prom", full},
+		{"testdata/metrics_empty.prom", empty},
+	} {
+		var got bytes.Buffer
+		if err := RenderPrometheus(&got, c.m); err != nil {
+			t.Fatal(err)
+		}
+		if *update {
+			if err := os.WriteFile(c.golden, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("exposition differs from %s (rerun with -update if the change is meant):\n%s", c.golden, got.Bytes())
+		}
 	}
 }

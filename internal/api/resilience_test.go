@@ -121,7 +121,8 @@ func TestHealthPathsBypassRateLimit(t *testing.T) {
 // TestExemptionsComeFromTheRouteTable: only a route the table marks
 // exempt skips the rate limiter and the gate. A path no route matches is
 // throttled whatever its prefix, so on a node with no cluster identity
-// /cluster/... answers like any unknown path; on a cluster node the
+// /cluster/... answers like any unknown path, and so is the mux's 301
+// for a path that is not clean; on a cluster node the
 // cluster routes and both probes answer through a spent limiter and a
 // gate at its concurrency bound.
 func TestExemptionsComeFromTheRouteTable(t *testing.T) {
@@ -135,15 +136,20 @@ func TestExemptionsComeFromTheRouteTable(t *testing.T) {
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		return rec.Code
 	}
-	for _, path := range []string{"/api/v1/nope", "/api/v1/cluster/anything"} {
+	for path, first := range map[string]int{"/api/v1/nope": 404, "/api/v1/cluster/anything": 404, "/api/v1//devices": 301} {
 		s := newServer()
 		var got []int
 		for i := 0; i < 3; i++ {
 			got = append(got, get(s, path))
 		}
-		if want := []int{404, 429, 429}; fmt.Sprint(got) != fmt.Sprint(want) {
+		if want := []int{first, 429, 429}; fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("GET %s three times: %v, want %v", path, got, want)
 		}
+	}
+	rec := httptest.NewRecorder()
+	newServer().Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/./devices?x=1", nil))
+	if loc := rec.Header().Get("Location"); rec.Code != http.StatusMovedPermanently || loc != "/api/v1/devices?x=1" {
+		t.Errorf("unclean path: %d to %q, want the mux's 301 to /api/v1/devices?x=1", rec.Code, loc)
 	}
 
 	s := newServer(WithClusterNode("w0", "worker", 0, 1),

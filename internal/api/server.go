@@ -20,6 +20,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"path"
 	"strconv"
 	"strings"
 	"time"
@@ -67,9 +68,6 @@ func WithRateLimit(rate float64, burst int) Option {
 type Server struct {
 	registry *project.Registry
 	sched    *jobs.Scheduler
-	// results holds structured job outputs (training metrics, tuner
-	// trials) keyed by the job ID minted at submission.
-	results *jobs.JobStore
 
 	mux     *http.ServeMux
 	log     *slog.Logger
@@ -123,7 +121,6 @@ func NewServer(reg *project.Registry, sched *jobs.Scheduler, opts ...Option) *Se
 	s := &Server{
 		registry:   reg,
 		sched:      sched,
-		results:    jobs.NewJobStore(),
 		mux:        http.NewServeMux(),
 		log:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 		limiter:    newRateLimiter(100, 200),
@@ -156,9 +153,6 @@ func NewServer(reg *project.Registry, sched *jobs.Scheduler, opts ...Option) *Se
 		s.watchdog = resilience.NewWatchdog(sched, cfg)
 		s.watchdog.Start()
 	}
-	// Release a job's stored result together with its scheduler record,
-	// so neither outlives the other unreachably.
-	sched.SetEvictHook(s.results.Delete)
 	s.routes()
 	return s
 }
@@ -166,15 +160,20 @@ func NewServer(reg *project.Registry, sched *jobs.Scheduler, opts ...Option) *Se
 // serve is the root handler and the one request pipeline. Inside the
 // frame, whose deferred End records the request, recovers a panic and
 // writes the access line, it matches the route table once, rate-limits
-// unless the route is exempt (a path no route matches is not), admits
-// through the gate unless exempt, bounds the handler with the route's
-// budget (or accounts a stream route's connection instead) and runs it.
+// unless the route is exempt (a path no route matches, or one the mux
+// redirects, is not), admits through the gate unless exempt, bounds the
+// handler with the route's budget (or accounts a stream route's
+// connection instead) and runs it.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	f, r := s.metrics.Begin(w, r)
 	defer s.metrics.End(f, r)
-	// The mux sets r's path values and its entry names itself on f. It
-	// answers by itself only to redirect a path that is not clean (and
-	// to refuse a "*" request URI).
+	// The mux answers by itself to redirect a path that is not clean
+	// (and to refuse a "*" request URI), so such a request is limited
+	// before it.
+	if p := r.URL.EscapedPath(); r.Method != http.MethodConnect && p != cleanPath(p) && !s.admit(f, r) {
+		return
+	}
+	// The mux sets r's path values and its entry names itself on f.
 	s.mux.ServeHTTP(f, r)
 	rt := f.matched
 	if rt == nil {
@@ -214,6 +213,20 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		WriteError(f, r, http.StatusGatewayTimeout, v1.CodeDeadline,
 			"request exceeded its processing deadline")
 	}
+}
+
+// cleanPath is the path net/http's ServeMux redirects p to: rooted,
+// with . and .. elements and repeated slashes removed, and a trailing
+// slash kept.
+func cleanPath(p string) string {
+	if !strings.HasPrefix(p, "/") {
+		p = "/" + p
+	}
+	np := path.Clean(p)
+	if strings.HasSuffix(p, "/") && np != "/" {
+		np += "/"
+	}
+	return np
 }
 
 // route is one entry of the route table: its label (the full v1

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	v1 "edgepulse/internal/api/v1"
 	"edgepulse/internal/ingest"
@@ -30,7 +29,7 @@ func durableEnv(t *testing.T) (*testEnv, *project.Project) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { reg.Close() })
-	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2, ScaleInterval: 10 * time.Millisecond})
+	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2})
 	t.Cleanup(sched.Shutdown)
 	srv := httptest.NewServer(NewServer(reg, sched).Handler())
 	t.Cleanup(srv.Close)

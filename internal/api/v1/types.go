@@ -603,41 +603,46 @@ type VersionsResponse struct {
 }
 
 // --- Operational metrics ---
+//
+// These types also define the Prometheus exposition (format=prometheus):
+// a field's prom tag names its family and type, its help tag the HELP
+// line, and a third prom element a label — name=value is constant, a
+// bare name takes a map's keys, or a string's value on a gauge of 1. A
+// field tagged with a bare label name alone labels its slice element's
+// samples.
 
 // RouteMetrics aggregates one route's traffic.
 type RouteMetrics struct {
 	// Route is the v1 pattern ("GET /api/v1/projects").
-	Route string `json:"route"`
-	Count int64  `json:"count"`
+	Route string `json:"route" prom:"route"`
+	Count int64  `json:"count" prom:"ei_route_requests_total,counter" help:"Requests per route pattern."`
 	// Err4xx/Err5xx count client and server failures.
-	Err4xx int64 `json:"err_4xx"`
-	Err5xx int64 `json:"err_5xx"`
+	Err4xx int64 `json:"err_4xx" prom:"ei_route_errors_total,counter,class=4xx" help:"Error responses per route pattern and class."`
+	Err5xx int64 `json:"err_5xx" prom:"ei_route_errors_total,counter,class=5xx"`
 	// AvgMS is the mean handler latency.
-	AvgMS float64 `json:"avg_ms"`
+	AvgMS float64 `json:"avg_ms" prom:"ei_route_latency_avg_ms,gauge" help:"Mean handler latency per route pattern."`
 }
 
 // JobKindMetrics aggregates terminal runs of one job kind.
 type JobKindMetrics struct {
-	Kind  string `json:"kind"`
-	Count int64  `json:"count"`
+	Kind  string `json:"kind" prom:"kind"`
+	Count int64  `json:"count" prom:"ei_scheduler_kind_jobs_total,counter" help:"Terminal job runs per kind."`
 	// AvgWaitMS is the mean queue wait; AvgRunMS the mean execution
 	// time (final attempt each).
-	AvgWaitMS float64 `json:"avg_wait_ms"`
-	AvgRunMS  float64 `json:"avg_run_ms"`
+	AvgWaitMS float64 `json:"avg_wait_ms" prom:"ei_scheduler_kind_wait_avg_ms,gauge" help:"Mean queue wait per job kind."`
+	AvgRunMS  float64 `json:"avg_run_ms" prom:"ei_scheduler_kind_run_avg_ms,gauge" help:"Mean run time per job kind."`
 }
 
 // SchedulerMetrics snapshots the training worker pool.
 type SchedulerMetrics struct {
-	Workers     int   `json:"workers"`
-	PeakWorkers int   `json:"peak_workers"`
-	Queued      int   `json:"queued"`
-	Completed   int64 `json:"completed"`
-	Failed      int64 `json:"failed"`
-	Cancelled   int64 `json:"cancelled"`
-	Retries     int64 `json:"retries"`
-	ScaleUps    int64 `json:"scale_ups"`
+	Workers   int   `json:"workers" prom:"ei_scheduler_workers,gauge" help:"Live training workers."`
+	Queued    int   `json:"queued" prom:"ei_scheduler_queued,gauge" help:"Jobs pending in the scheduler queue."`
+	Completed int64 `json:"completed" prom:"ei_scheduler_completed_total,counter" help:"Jobs finished successfully."`
+	Failed    int64 `json:"failed" prom:"ei_scheduler_failed_total,counter" help:"Jobs that failed terminally."`
+	Cancelled int64 `json:"cancelled" prom:"ei_scheduler_cancelled_total,counter" help:"Jobs cancelled."`
+	Retries   int64 `json:"retries" prom:"ei_scheduler_retries_total,counter" help:"Transient-failure retries."`
 	// QueuedByPriority breaks the pending depth down per class.
-	QueuedByPriority map[string]int `json:"queued_by_priority"`
+	QueuedByPriority map[string]int `json:"queued_by_priority" prom:"ei_scheduler_queued_by_priority,gauge,priority" help:"Pending jobs per priority class."`
 	// Kinds reports per-kind queue-wait and run latency, sorted.
 	Kinds []JobKindMetrics `json:"kinds,omitempty"`
 }
@@ -645,10 +650,10 @@ type SchedulerMetrics struct {
 // MetricsResponse is the operational snapshot at GET /api/v1/metrics.
 type MetricsResponse struct {
 	Success       bool             `json:"success"`
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	Requests      int64            `json:"requests"`
-	RateLimited   int64            `json:"rate_limited"`
-	Panics        int64            `json:"panics"`
+	UptimeSeconds float64          `json:"uptime_seconds" prom:"ei_uptime_seconds,gauge" help:"Seconds since the process started."`
+	Requests      int64            `json:"requests" prom:"ei_requests_total,counter" help:"HTTP requests observed by the middleware chain."`
+	RateLimited   int64            `json:"rate_limited" prom:"ei_rate_limited_total,counter" help:"Requests refused by the rate limiter."`
+	Panics        int64            `json:"panics" prom:"ei_panics_total,counter" help:"Handler panics recovered into 500 responses."`
 	Routes        []RouteMetrics   `json:"routes"`
 	Scheduler     SchedulerMetrics `json:"scheduler"`
 	// Streams reports long-lived NDJSON connections per route. Their
@@ -668,10 +673,10 @@ type MetricsResponse struct {
 
 // RuntimeMetrics reports process-level Go runtime gauges.
 type RuntimeMetrics struct {
-	Goroutines     int    `json:"goroutines"`
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-	HeapSysBytes   uint64 `json:"heap_sys_bytes"`
-	NumGC          uint32 `json:"num_gc"`
+	Goroutines     int    `json:"goroutines" prom:"ei_goroutines,gauge" help:"Live goroutines in the process."`
+	HeapAllocBytes uint64 `json:"heap_alloc_bytes" prom:"ei_heap_alloc_bytes,gauge" help:"Bytes of allocated heap objects."`
+	HeapSysBytes   uint64 `json:"heap_sys_bytes" prom:"ei_heap_sys_bytes,gauge" help:"Heap memory obtained from the OS."`
+	NumGC          uint32 `json:"num_gc" prom:"ei_gc_cycles_total,counter" help:"Completed GC cycles."`
 }
 
 // ResilienceMetrics reports the overload-protection plane's state.
@@ -679,23 +684,23 @@ type ResilienceMetrics struct {
 	// Level is the admission gate's shedding posture: "normal",
 	// "shed-batch" (batch-class refused) or "shed-default" (only
 	// interactive admitted).
-	Level string `json:"level"`
+	Level string `json:"level" prom:"ei_resilience_level,gauge,level" help:"Admission gate shedding posture, as its label."`
 	// Score is the last computed load score (1.0 = a resource fully
 	// saturated).
-	Score float64 `json:"score"`
+	Score float64 `json:"score" prom:"ei_resilience_load_score,gauge" help:"Admission gate load score (1.0 = saturated)."`
 	// Inflight counts currently admitted requests.
-	Inflight int `json:"inflight"`
+	Inflight int `json:"inflight" prom:"ei_resilience_inflight,gauge" help:"Currently admitted requests."`
 	// Shed counts requests refused by the gate (429 overloaded).
-	Shed int64 `json:"shed"`
+	Shed int64 `json:"shed" prom:"ei_resilience_shed_total,counter" help:"Requests refused by the admission gate."`
 	// ShedByClass breaks Shed down per admission class.
-	ShedByClass map[string]int64 `json:"shed_by_class,omitempty"`
+	ShedByClass map[string]int64 `json:"shed_by_class,omitempty" prom:"ei_resilience_shed_by_class_total,counter,class" help:"Gate refusals per admission class."`
 	// DeadlineTimeouts counts requests that exceeded their route budget
 	// (504 deadline).
-	DeadlineTimeouts int64 `json:"deadline_timeouts"`
+	DeadlineTimeouts int64 `json:"deadline_timeouts" prom:"ei_resilience_deadline_timeouts_total,counter" help:"Requests answered 504 at their route deadline."`
 	// StalledJobs counts watchdog stalled flags; WatchdogCancelled
 	// counts jobs the watchdog cancelled (both 0 when no watchdog runs).
-	StalledJobs       int64 `json:"stalled_jobs"`
-	WatchdogCancelled int64 `json:"watchdog_cancelled"`
+	StalledJobs       int64 `json:"stalled_jobs" prom:"ei_resilience_stalled_jobs_total,counter" help:"Jobs flagged stalled by the watchdog."`
+	WatchdogCancelled int64 `json:"watchdog_cancelled" prom:"ei_resilience_watchdog_cancelled_total,counter" help:"Stalled jobs cancelled by the watchdog."`
 }
 
 // HealthResponse is the liveness probe at GET /api/v1/healthz: 200 as
@@ -721,29 +726,29 @@ type ReadyResponse struct {
 // StreamRouteMetrics aggregates long-lived streaming connections for one
 // route pattern.
 type StreamRouteMetrics struct {
-	Route string `json:"route"`
+	Route string `json:"route" prom:"route"`
 	// Active is the number of connections currently open.
-	Active int64 `json:"active"`
+	Active int64 `json:"active" prom:"ei_stream_connections_active,gauge" help:"Open long-lived NDJSON connections per route."`
 	// Count is the number of connections that have completed.
-	Count int64 `json:"count"`
+	Count int64 `json:"count" prom:"ei_stream_connections_total,counter" help:"Completed long-lived connections per route."`
 	// AvgSeconds is the mean duration of completed connections.
-	AvgSeconds float64 `json:"avg_seconds"`
+	AvgSeconds float64 `json:"avg_seconds" prom:"ei_stream_connection_avg_seconds,gauge" help:"Mean lifetime of completed connections per route."`
 }
 
 // StreamPlaneMetrics snapshots the streaming-inference session manager.
 type StreamPlaneMetrics struct {
-	ActiveSessions int `json:"active_sessions"`
-	PeakSessions   int `json:"peak_sessions"`
+	ActiveSessions int `json:"active_sessions" prom:"ei_stream_sessions_active,gauge" help:"Live inference sessions."`
+	PeakSessions   int `json:"peak_sessions" prom:"ei_stream_sessions_peak,gauge" help:"Most inference sessions live at once."`
 	// Opened counts sessions ever admitted; Shed counts opens rejected
 	// at the global capacity cap.
-	Opened int64 `json:"opened"`
-	Shed   int64 `json:"shed"`
+	Opened int64 `json:"opened" prom:"ei_stream_sessions_opened_total,counter" help:"Inference sessions ever admitted."`
+	Shed   int64 `json:"shed" prom:"ei_stream_sessions_shed_total,counter" help:"Session opens refused at the capacity cap."`
 	// Cumulative work across live and closed sessions.
-	FramesIn   int64 `json:"frames_in"`
-	Windows    int64 `json:"windows"`
-	Detections int64 `json:"detections"`
+	FramesIn   int64 `json:"frames_in" prom:"ei_stream_frames_in_total,counter" help:"Frames ingested across sessions."`
+	Windows    int64 `json:"windows" prom:"ei_stream_windows_total,counter" help:"Classification windows evaluated."`
+	Detections int64 `json:"detections" prom:"ei_stream_detections_total,counter" help:"Detection events fired."`
 	// DroppedFrames counts frames lost to ring-buffer overruns.
-	DroppedFrames int64 `json:"dropped_frames"`
+	DroppedFrames int64 `json:"dropped_frames" prom:"ei_stream_dropped_frames_total,counter" help:"Frames lost to ring-buffer overruns."`
 }
 
 // StreamOpenRequest opens a live inference session against the trained

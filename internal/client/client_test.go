@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"edgepulse/internal/api"
 	v1 "edgepulse/internal/api/v1"
@@ -27,7 +26,7 @@ import (
 func newStudio(t *testing.T, opts ...api.Option) *Client {
 	t.Helper()
 	reg := project.NewRegistry()
-	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 2, MaxWorkers: 4, ScaleInterval: 10 * time.Millisecond})
+	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 2, MaxWorkers: 4})
 	t.Cleanup(sched.Shutdown)
 	srv := httptest.NewServer(api.NewServer(reg, sched, opts...).Handler())
 	t.Cleanup(srv.Close)

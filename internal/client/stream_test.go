@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"edgepulse/internal/api"
 	v1 "edgepulse/internal/api/v1"
@@ -24,7 +23,7 @@ import (
 func newStreamStudio(t *testing.T) (*Client, int) {
 	t.Helper()
 	reg := project.NewRegistry()
-	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2, ScaleInterval: 10 * time.Millisecond})
+	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2})
 	t.Cleanup(sched.Shutdown)
 	srv := httptest.NewServer(api.NewServer(reg, sched).Handler())
 	t.Cleanup(srv.Close)

@@ -171,8 +171,8 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, status, v1.ReadyResponse{Success: true, Ready: ready, Probes: probes})
 }
 
-// handleMetrics renders the gateway's own counters, reusing the worker
-// MetricsResponse shape and Prometheus renderer.
+// handleMetrics renders the gateway's own counters, in the worker's
+// MetricsResponse shape and through its responder.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out := v1.MetricsResponse{
 		Success:       true,
@@ -181,13 +181,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	out.Routes, out.Requests = g.obs.Routes.Snapshot()
 	out.Runtime = api.RuntimeSnapshot()
-
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", api.PrometheusContentType)
-		api.RenderPrometheus(w, out)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, out)
+	api.WriteMetrics(w, r, out)
 }
 
 // handleStatus reports the shard map with per-node health and follower

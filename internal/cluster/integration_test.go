@@ -99,7 +99,7 @@ func startFollower(t *testing.T, primary *testNode, shard, shards int) (*testNod
 func startNode(t *testing.T, reg *project.Registry, name, role string, shard, shards int) *testNode {
 	t.Helper()
 	ch := &chaos{}
-	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2, ScaleInterval: 5 * time.Millisecond})
+	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2})
 	t.Cleanup(sched.Shutdown)
 	server := api.NewServer(reg, sched,
 		api.WithLogger(quietLogger()),

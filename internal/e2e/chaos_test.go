@@ -47,7 +47,6 @@ func newChaosEnv(t *testing.T) *chaosEnv {
 	sched := jobs.NewScheduler(jobs.Config{
 		MinWorkers: 2, MaxWorkers: 2,
 		QueueSize: 8, MaxQueuedPerTag: 8,
-		ScaleInterval: 5 * time.Millisecond,
 	})
 	t.Cleanup(sched.Shutdown)
 	server := httptest.NewServer(api.NewServer(registry, sched,

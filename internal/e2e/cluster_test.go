@@ -65,7 +65,7 @@ type clusterEnv struct {
 func bootNode(t *testing.T, reg *project.Registry, name, role string, shard, shards int) *clusterNode {
 	t.Helper()
 	ch := &chaosProbe{}
-	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2, ScaleInterval: 5 * time.Millisecond})
+	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2})
 	t.Cleanup(sched.Shutdown)
 	server := api.NewServer(reg, sched,
 		api.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil))),

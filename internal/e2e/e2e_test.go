@@ -43,7 +43,7 @@ func newEnv(t *testing.T) *env { return newEnvClips(t, 0.5) }
 func newEnvClips(t *testing.T, clipSeconds float64) *env {
 	t.Helper()
 	registry := project.NewRegistry()
-	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2, ScaleInterval: 5 * time.Millisecond})
+	sched := jobs.NewScheduler(jobs.Config{MinWorkers: 1, MaxWorkers: 2})
 	t.Cleanup(sched.Shutdown)
 	server := httptest.NewServer(api.NewServer(registry, sched).Handler())
 	t.Cleanup(server.Close)

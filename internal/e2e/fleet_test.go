@@ -25,7 +25,6 @@ func TestFleetMacroStorm(t *testing.T) {
 	sched := jobs.NewScheduler(jobs.Config{
 		MinWorkers: 2, MaxWorkers: 2,
 		QueueSize: 4, MaxQueuedPerTag: 4,
-		ScaleInterval: 5 * time.Millisecond,
 	})
 	t.Cleanup(sched.Shutdown)
 	server := httptest.NewServer(api.NewServer(registry, sched,

@@ -19,7 +19,7 @@ func startDaemon(t *testing.T) string {
 	registry := project.NewRegistry()
 	sched := jobs.NewScheduler(jobs.Config{
 		MinWorkers: 2, MaxWorkers: 4,
-		QueueSize: 64, ScaleInterval: 5 * time.Millisecond,
+		QueueSize: 64,
 	})
 	t.Cleanup(sched.Shutdown)
 	server := httptest.NewServer(api.NewServer(registry, sched, api.WithRateLimit(0, 0)).Handler())

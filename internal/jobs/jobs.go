@@ -133,11 +133,10 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t)
 }
 
-// JobFunc is the work body. It receives its own *Job — the ID is minted
-// by Submit before the body can run, so the body can key results by
-// job.ID and stream progress through job.SetProgress / job.Logf without
-// any out-of-band channel handshake. ctx is cancelled when the job is
-// cancelled or the scheduler shuts down; bodies must observe it.
+// JobFunc is the work body. It receives its own *Job, so it can set the
+// job's result and stream progress through job.SetProgress / job.Logf
+// without any out-of-band channel handshake. ctx is cancelled when the
+// job is cancelled or the scheduler shuts down; bodies must observe it.
 type JobFunc func(ctx context.Context, job *Job) error
 
 // Job is one unit of scheduled work.
@@ -179,6 +178,7 @@ type Job struct {
 	finishedAt      time.Time
 	done            chan struct{}
 	fn              JobFunc
+	result          any
 
 	// Watchdog state: lastActivity is the time of the newest non-stalled
 	// event; stalled is set by MarkStalled and cleared by fresh activity.
@@ -212,6 +212,22 @@ func (j *Job) Logs() []string {
 		}
 	}
 	return lines
+}
+
+// SetResult records the job's structured output (training metrics,
+// tuner trials). The body sets it; it is freed with the job when
+// retention evicts it.
+func (j *Job) SetResult(v any) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.result = v
+}
+
+// Result returns what the body set with SetResult, nil until then.
+func (j *Job) Result() any {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.result
 }
 
 // Attempt returns the retry attempt the job is on (0 = first run).
@@ -350,10 +366,7 @@ type Metrics struct {
 	// CancelledN counts jobs that reached the cancelled state.
 	CancelledN int64
 	// Retries counts transient-failure re-queues.
-	Retries  int64
-	ScaleUps int64
-	// PeakWorkers is the high-water worker count.
-	PeakWorkers int
+	Retries int64
 	// QueuedByPriority breaks the pending depth down per class,
 	// indexed by Priority.
 	QueuedByPriority [int(numPriorities)]int
@@ -373,12 +386,9 @@ type Config struct {
 	// tenant cannot fill the whole queue (default: QueueSize, i.e. no
 	// extra bound until configured lower).
 	MaxQueuedPerTag int
-	// ScaleInterval is the fallback autoscaler period; scale-up is
-	// also triggered inline by submissions (default 50ms).
-	ScaleInterval time.Duration
-	// MaxRetainedJobs bounds how many jobs (with their log streams)
-	// stay resident; the oldest terminal jobs evict first, mirroring
-	// the JobStore result cap (default 1024).
+	// MaxRetainedJobs bounds how many jobs (with their log streams and
+	// results) stay resident; the oldest terminal jobs evict first
+	// (default 1024).
 	MaxRetainedJobs int
 	// Clock substitutes the time source (default time.Now). Tests
 	// inject a fake clock to make durations and event timestamps
@@ -398,9 +408,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueuedPerTag <= 0 || c.MaxQueuedPerTag > c.QueueSize {
 		c.MaxQueuedPerTag = c.QueueSize
-	}
-	if c.ScaleInterval <= 0 {
-		c.ScaleInterval = 50 * time.Millisecond
 	}
 	if c.MaxRetainedJobs <= 0 {
 		c.MaxRetainedJobs = 1024
@@ -434,29 +441,24 @@ type Scheduler struct {
 	jobs          map[string]*Job
 	order         []string
 	workers       int
-	peak          int
-	nextID        int64
-	closed        bool
-	kinds         map[string]*kindStats
-
-	// evictHook, when set, is invoked (outside the scheduler lock)
-	// with each job ID dropped by retention eviction, so co-located
-	// state (e.g. a JobStore result) can be released with the job.
-	evictHook func(jobID string)
+	// busy counts workers that have claimed a job and not yet finished
+	// it, so workers - busy is the idle capacity scaleLocked sees.
+	busy   int
+	nextID int64
+	closed bool
+	kinds  map[string]*kindStats
 
 	completed atomic.Int64
 	failed    atomic.Int64
 	cancelled atomic.Int64
 	retries   atomic.Int64
-	scaleUps  atomic.Int64
-	busy      atomic.Int64
 
 	ctx       context.Context
 	ctxCancel context.CancelFunc
 	wg        sync.WaitGroup
 }
 
-// NewScheduler starts the pool with MinWorkers workers and the autoscaler.
+// NewScheduler starts the pool with MinWorkers workers.
 func NewScheduler(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -475,33 +477,29 @@ func NewScheduler(cfg Config) *Scheduler {
 		s.addWorkerLocked()
 	}
 	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.autoscale()
 	return s
 }
 
-// addWorkerLocked grows the pool by one worker; caller holds s.mu.
-func (s *Scheduler) addWorkerLocked() bool {
+// addWorkerLocked grows the pool by one worker, up to MaxWorkers;
+// caller holds s.mu.
+func (s *Scheduler) addWorkerLocked() {
 	if s.workers >= s.cfg.MaxWorkers || s.closed {
-		return false
+		return
 	}
 	s.workers++
-	if s.workers > s.peak {
-		s.peak = s.workers
-	}
 	s.wg.Add(1)
 	go s.worker()
-	return true
 }
 
 // scaleLocked adds a worker when jobs are pending beyond the idle
 // capacity — the "dynamically scale compute resources based on
 // workload" behaviour, triggered inline at submission so scale-up is
-// deterministic rather than timer-dependent.
+// deterministic rather than timer-dependent. Each submission or retry
+// raises pending by one and adds at most one worker; a claim lowers
+// pending and idle together, so no other transition needs the check.
 func (s *Scheduler) scaleLocked() {
-	idle := s.workers - int(s.busy.Load())
-	if s.pending > idle && s.addWorkerLocked() {
-		s.scaleUps.Add(1)
+	if s.pending > s.workers-s.busy {
+		s.addWorkerLocked()
 	}
 }
 
@@ -512,15 +510,14 @@ func (s *Scheduler) worker() {
 		if job == nil {
 			return
 		}
-		s.busy.Add(1)
 		s.run(job)
-		s.busy.Add(-1)
 	}
 }
 
 // pop blocks until a runnable job is available or the scheduler shuts
-// down (nil). Jobs cancelled while queued were finalized eagerly and
-// are skipped here.
+// down (nil), and counts the calling worker busy until run finishes the
+// job. Jobs cancelled while queued were finalized eagerly and are
+// skipped here.
 func (s *Scheduler) pop() *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -540,6 +537,7 @@ func (s *Scheduler) pop() *Job {
 			j.claimed = true
 			j.mu.Unlock()
 			s.releasePendingLocked(j)
+			s.busy++
 			return j
 		}
 		if s.closed {
@@ -573,17 +571,19 @@ func (s *Scheduler) enqueueLocked(j *Job) {
 	s.cond.Signal()
 }
 
+// run executes a job pop claimed and releases the worker's claim under
+// s.mu once the job is finalized or re-queued. The job is still Queued:
+// until run marks it Running, Cancel only flags it.
 func (s *Scheduler) run(job *Job) {
 	job.mu.Lock()
-	if job.status != Queued {
-		job.mu.Unlock()
-		return
-	}
 	if job.cancelRequested {
 		// Cancelled in the pop→run window.
 		job.finalizeLocked(Cancelled, "cancelled before start", s.now())
 		s.cancelled.Add(1)
 		job.mu.Unlock()
+		s.mu.Lock()
+		s.busy--
+		s.mu.Unlock()
 		return
 	}
 	ctx, cancel := context.WithCancel(s.ctx)
@@ -610,6 +610,7 @@ func (s *Scheduler) run(job *Job) {
 	cancel()
 
 	s.mu.Lock()
+	s.busy--
 	job.mu.Lock()
 	at := s.now()
 	switch {
@@ -645,14 +646,8 @@ func (s *Scheduler) run(job *Job) {
 	// Retention eviction also runs on terminal transitions (not just
 	// submissions), so an idle scheduler does not pin a whole backlog
 	// of finished jobs until the next submit.
-	evicted := s.evictLocked()
-	hook := s.evictHook
+	s.evictLocked()
 	s.mu.Unlock()
-	if hook != nil {
-		for _, id := range evicted {
-			hook(id)
-		}
-	}
 }
 
 // recordKindLocked accumulates the final attempt's wait/run latency.
@@ -666,26 +661,6 @@ func (s *Scheduler) recordKindLocked(job *Job, finished time.Time) {
 	st.count++
 	st.waitNS += job.startedAt.Sub(job.enqueuedAt).Nanoseconds()
 	st.runNS += finished.Sub(job.startedAt).Nanoseconds()
-}
-
-// autoscale is the fallback scale-up path for jobs that outlive a
-// submission burst (inline scaling at Submit covers the common case).
-func (s *Scheduler) autoscale() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.ScaleInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-ticker.C:
-			s.mu.Lock()
-			if s.pending > 0 {
-				s.scaleLocked()
-			}
-			s.mu.Unlock()
-		}
-	}
 }
 
 // SubmitOptions configures a job submission.
@@ -783,15 +758,8 @@ func (s *Scheduler) SubmitJob(opts SubmitOptions, fn JobFunc) (*Job, error) {
 	job.Events.Append(job.stampLocked(Event{Type: EventState, Status: Queued}))
 	job.mu.Unlock()
 	s.enqueueLocked(job)
-	evicted := s.evictLocked()
-	hook := s.evictHook
+	s.evictLocked()
 	s.mu.Unlock()
-
-	if hook != nil {
-		for _, id := range evicted {
-			hook(id)
-		}
-	}
 	return job, nil
 }
 
@@ -831,38 +799,27 @@ func (s *Scheduler) Cancel(id string) (job *Job, cancelled bool, err error) {
 	}
 }
 
-// SetEvictHook registers a callback receiving the ID of every job
-// dropped by retention eviction (called outside the scheduler lock).
-// The API server uses it to release the job's stored result in step.
-func (s *Scheduler) SetEvictHook(fn func(jobID string)) {
-	s.mu.Lock()
-	s.evictHook = fn
-	s.mu.Unlock()
-}
-
-// evictLocked drops the oldest terminal jobs beyond MaxRetainedJobs so
-// a long-running scheduler's memory stays bounded, returning the
-// evicted IDs. Queued and running jobs are never evicted. Caller holds
-// s.mu (s.mu → job.mu ordering is safe: no path locks them in reverse).
-func (s *Scheduler) evictLocked() []string {
+// evictLocked drops the oldest terminal jobs, and with them their
+// results, beyond MaxRetainedJobs so a long-running scheduler's memory
+// stays bounded. Queued and running jobs are never evicted. Caller
+// holds s.mu (s.mu → job.mu ordering is safe: no path locks them in
+// reverse).
+func (s *Scheduler) evictLocked() {
 	excess := len(s.order) - s.cfg.MaxRetainedJobs
 	if excess <= 0 {
-		return nil
+		return
 	}
-	var evicted []string
 	kept := make([]string, 0, len(s.order))
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if excess > 0 && j != nil && j.terminal() {
 			delete(s.jobs, id)
-			evicted = append(evicted, id)
 			excess--
 			continue
 		}
 		kept = append(kept, id)
 	}
 	s.order = kept
-	return evicted
 }
 
 // Get returns a job by ID.
@@ -923,7 +880,6 @@ func (s *Scheduler) Metrics() Metrics {
 	s.mu.Lock()
 	m := Metrics{
 		Workers:          s.workers,
-		PeakWorkers:      s.peak,
 		Queued:           s.pending,
 		QueuedByPriority: s.pendingByPrio,
 	}
@@ -943,7 +899,6 @@ func (s *Scheduler) Metrics() Metrics {
 	m.FailedN = s.failed.Load()
 	m.CancelledN = s.cancelled.Load()
 	m.Retries = s.retries.Load()
-	m.ScaleUps = s.scaleUps.Load()
 	return m
 }
 

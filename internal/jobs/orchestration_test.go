@@ -16,7 +16,7 @@ import (
 // Returns the scheduler and the release for the blocker.
 func gatedScheduler(t *testing.T) (*Scheduler, chan struct{}) {
 	t.Helper()
-	s := NewScheduler(Config{MinWorkers: 1, MaxWorkers: 1, ScaleInterval: time.Hour})
+	s := NewScheduler(Config{MinWorkers: 1, MaxWorkers: 1})
 	t.Cleanup(s.Shutdown)
 	release := make(chan struct{})
 	fn, started := blockingJob(release)
@@ -157,7 +157,7 @@ func TestCancelQueuedJobIsImmediate(t *testing.T) {
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	s := NewScheduler(Config{MinWorkers: 1, MaxWorkers: 1, ScaleInterval: time.Hour})
+	s := NewScheduler(Config{MinWorkers: 1, MaxWorkers: 1})
 	defer s.Shutdown()
 	fn, started := blockingJob(nil) // releases only via ctx
 	j, err := s.Submit("slow", fn)
@@ -191,7 +191,7 @@ func TestCancelRacingSuccessfulCompletionIsFinished(t *testing.T) {
 	// A cancel that lands after the body's side effects committed (the
 	// body returns nil) must not relabel the run as cancelled: the
 	// result exists, so the job finalizes as finished.
-	s := NewScheduler(Config{MinWorkers: 1, MaxWorkers: 1, ScaleInterval: time.Hour})
+	s := NewScheduler(Config{MinWorkers: 1, MaxWorkers: 1})
 	defer s.Shutdown()
 	started := make(chan struct{})
 	proceed := make(chan struct{})
@@ -222,7 +222,7 @@ func TestCancelRacingSuccessfulCompletionIsFinished(t *testing.T) {
 }
 
 func TestTransientRetrySucceeds(t *testing.T) {
-	s := NewScheduler(Config{MinWorkers: 1, MaxWorkers: 1, ScaleInterval: time.Hour})
+	s := NewScheduler(Config{MinWorkers: 1, MaxWorkers: 1})
 	defer s.Shutdown()
 	attempts := 0
 	j, err := s.SubmitJob(SubmitOptions{Kind: "flaky", Priority: PriorityDefault, MaxRetries: 3},
@@ -307,7 +307,7 @@ func TestNonTransientFailureNotRetried(t *testing.T) {
 }
 
 func TestPerTagQuota(t *testing.T) {
-	s := NewScheduler(Config{MinWorkers: 1, MaxWorkers: 1, QueueSize: 16, MaxQueuedPerTag: 2, ScaleInterval: time.Hour})
+	s := NewScheduler(Config{MinWorkers: 1, MaxWorkers: 1, QueueSize: 16, MaxQueuedPerTag: 2})
 	defer s.Shutdown()
 	release := make(chan struct{})
 	defer close(release)

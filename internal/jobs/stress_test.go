@@ -16,8 +16,8 @@ import (
 // cancels a third of them mid-flight. It asserts the invariants the
 // orchestration layer promises: every job (cancelled or not) reaches a
 // terminal state, cancelled jobs never complete afterwards, the
-// scheduler retains no more than its job cap, and the JobStore releases
-// results in step with scheduler eviction. Run under -race in CI.
+// scheduler retains no more than its job cap, and no evicted job's
+// result stays reachable. Run under -race in CI.
 func TestStressMixedPrioritiesWithCancellationStorm(t *testing.T) {
 	const (
 		projects   = 4
@@ -28,11 +28,8 @@ func TestStressMixedPrioritiesWithCancellationStorm(t *testing.T) {
 		MinWorkers: 2, MaxWorkers: 4,
 		QueueSize:       projects * perProject,
 		MaxRetainedJobs: retained,
-		ScaleInterval:   time.Millisecond,
 	})
 	defer s.Shutdown()
-	store := NewJobStore()
-	s.SetEvictHook(store.Delete)
 
 	// A third of the jobs (chosen up front) are storm targets: their
 	// bodies block until their context is cancelled, so the storm
@@ -66,6 +63,7 @@ func TestStressMixedPrioritiesWithCancellationStorm(t *testing.T) {
 						return Transient(errors.New("flaky backend"))
 					}
 					j.SetProgress("work", 100)
+					j.SetResult(j.ID)
 					bodiesCompleted.Add(1)
 					return nil
 				}
@@ -125,12 +123,28 @@ func TestStressMixedPrioritiesWithCancellationStorm(t *testing.T) {
 		t.Fatalf("terminal accounting %d, want %d (completed=%d failed=%d cancelled=%d)",
 			total, projects*perProject, m.Completed, m.FailedN, m.CancelledN)
 	}
-	// No leaks: retention cap holds and the JobStore tracks it.
+	// No leaks: the retention cap holds, and a result is reachable
+	// only through a retained job, the one that set it.
 	if n := len(s.List()); n > retained {
 		t.Fatalf("scheduler retains %d jobs, cap %d", n, retained)
 	}
-	if store.Len() > retained {
-		t.Fatalf("job store leaked: %d results for %d retained jobs", store.Len(), retained)
+	reachable := 0
+	for _, j := range jobs {
+		got, err := s.Get(j.ID)
+		if err != nil {
+			continue // evicted, and its result with it
+		}
+		if res := got.Result(); res != nil {
+			reachable++
+			if res != j.ID {
+				t.Fatalf("job %s holds result %v", j.ID, res)
+			}
+		} else if got.Status() == Finished {
+			t.Fatalf("retained job %s finished without its result", j.ID)
+		}
+	}
+	if reachable > retained {
+		t.Fatalf("%d results reachable for %d retained jobs", reachable, retained)
 	}
 }
 
@@ -144,8 +158,7 @@ func TestFairnessBoundTwoProjects(t *testing.T) {
 	)
 	s := NewScheduler(Config{
 		MinWorkers: workers, MaxWorkers: workers,
-		QueueSize:     2*perProject + workers,
-		ScaleInterval: time.Hour,
+		QueueSize: 2*perProject + workers,
 	})
 	defer s.Shutdown()
 
